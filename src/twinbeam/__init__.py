@@ -1,7 +1,7 @@
 """Compound twin beams: simulation, reconstruction and analysis toolkit."""
 
 from .core import (PHOTON, PHOTOCOUNT, JointDist, MarginalDist, TwbParams,
-                   convolve_joint, joint_twb, mandel_rice, self_convolve)
+                   joint_twb, mandel_rice)
 from .detection import (DetectionMatrix, DetectorSpec, compound_photocounts,
                         conditional_photon_dist, detection_matrix,
                         forward_photocounts, genuine_pnrd_model)

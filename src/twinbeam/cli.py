@@ -22,7 +22,8 @@ import numpy as np
 from . import io as tbio
 from . import models
 from .core import TwbParams, PHOTON
-from .detection import DetectorSpec, conditional_photon_dist, detection_matrix
+from .detection import (DetectorSpec, conditional_photon_dist, default_n_max,
+                        detection_matrix)
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
 from .metrology import precision_improvement
@@ -65,8 +66,11 @@ def _load_params(path: str | None) -> tuple[TwbParams, DetectorSpec, DetectorSpe
         return models.NOMINAL_PARAMS, models.NOMINAL_SIGNAL, models.NOMINAL_IDLER
     with open(path) as fh:
         raw = json.load(fh)
-    params = TwbParams(**{k: raw[k] for k in
-                          ("m_p", "m_s", "m_i", "b_p", "b_s", "b_i")})
+    keys = ("m_p", "m_s", "m_i", "b_p", "b_s", "b_i")
+    missing = [k for k in keys if k not in raw]
+    if missing:
+        raise DataError(f"{path}: missing parameter keys {', '.join(missing)}")
+    params = TwbParams(**{k: raw[k] for k in keys})
     spec_s = DetectorSpec(raw.get("eta_s", models.NOMINAL_SIGNAL.eta),
                           raw.get("dark_s", models.NOMINAL_SIGNAL.dark), 1)
     spec_i = DetectorSpec(raw.get("eta_i", models.NOMINAL_IDLER.eta),
@@ -121,14 +125,15 @@ def _cmd_reconstruct(args) -> None:
     hist = tbio.read_jhist(args.hist)
     n = args.group_n if args.group_n else hist.policy.n
     cfg = EmConfig(max_iters=args.max_iters, tol=args.tol)
-    eta_min = min(args.eta_s, args.eta_i)
-    n_max = args.n_max if args.n_max else int(np.ceil(3 * (n + 5) / eta_min))
+    spec_s = DetectorSpec(args.eta_s, args.dark_s, n)
+    spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
+    n_max = args.n_max or default_n_max(n, min(spec_s.eta, spec_i.eta))
     if (n_max + 1) ** 2 > 50_000_000:
         raise UsageError(
             f"joint photon support {n_max + 1}^2 is too large to iterate; "
             "pass a smaller --n-max")
-    t_s = detection_matrix(DetectorSpec(args.eta_s, args.dark_s, n), n_max)
-    t_i = detection_matrix(DetectorSpec(args.eta_i, args.dark_i, n), n_max)
+    t_s = detection_matrix(spec_s, n_max)
+    t_i = detection_matrix(spec_i, n_max)
     dist, result = em_joint(hist, t_s, t_i, cfg)
     tbio.write_jdist(dist, args.out)
     _write_manifest(args.out, args, [args.hist])
@@ -250,8 +255,12 @@ def _cmd_sweep(args) -> None:
                                            "postselect", "precision"):
         raise UsageError(f"metric {args.metric!r} has no pump-drift model; "
                          "drop --k-pump")
-    groups = [int(g) for g in args.groups.split(",")] if args.groups \
-        else list(DEFAULT_GROUPS)
+    try:
+        groups = [int(g) for g in args.groups.split(",")] if args.groups \
+            else list(DEFAULT_GROUPS)
+    except ValueError:
+        raise UsageError("--groups needs comma-separated integers, "
+                         f"got {args.groups!r}") from None
     rows = [_sweep_row(args.metric, n, params, spec_s, spec_i, args.k_pump)
             for n in groups]
     keys = list(rows[0])

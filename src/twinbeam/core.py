@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal
 
-from .errors import InvalidParameterError, KindMismatchError
+from .errors import InvalidParameterError
 
 PHOTON = "photon"
 PHOTOCOUNT = "photocount"
@@ -212,40 +211,6 @@ def joint_twb(params: TwbParams, n_s_max: int | None = None,
         full = out
     tail = max(0.0, 1.0 - full.sum())
     return JointDist(full, tail, PHOTON)
-
-
-def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
-    """Distribution of the cell-wise sum of two independent joint counts."""
-    if a.kind != b.kind:
-        raise KindMismatchError(f"cannot convolve {a.kind} with {b.kind}")
-    big = a.table.size * b.table.size > 1e8
-    table = signal.fftconvolve(a.table, b.table) if big else \
-        signal.convolve2d(a.table, b.table)
-    # FFT round-off may leave tiny negatives; anything worse is a real bug.
-    if table.min() < -1e-12:
-        raise InvalidParameterError("convolution produced negative mass")
-    np.clip(table, 0.0, None, out=table)
-    tail = min(1.0, a.tail_mass + b.tail_mass)
-    return JointDist(table, tail, a.kind)
-
-
-def self_convolve(d: JointDist, n: int) -> JointDist:
-    """``n``-fold convolution of a joint distribution with itself.
-
-    Uses binary exponentiation, so only ``O(log n)`` convolutions run.
-    """
-    if n < 1:
-        raise InvalidParameterError("fold count must be >= 1")
-    result = None
-    power = d
-    k = n
-    while k:
-        if k & 1:
-            result = power if result is None else convolve_joint(result, power)
-        k >>= 1
-        if k:
-            power = convolve_joint(power, power)
-    return result
 
 
 def convolve_power_1d(p: np.ndarray, n: int) -> np.ndarray:

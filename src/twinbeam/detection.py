@@ -18,11 +18,11 @@ arbitrary-precision verification path.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb, gammaln
 
 from .core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist, TwbParams,
                    convolve_power_1d, joint_twb)
@@ -79,6 +79,11 @@ def default_n_max(c_max: int, eta: float) -> int:
     return int(np.ceil(3.0 * (c_max + 5) / eta))
 
 
+def _log_factorials(k_max: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0..k_max``."""
+    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
+
+
 def _occupancy_table(pixels: int, eta: float, n_max: int) -> np.ndarray:
     """``Q[j, n]``: probability that ``n`` photons mark exactly ``j`` pixels.
 
@@ -111,15 +116,12 @@ def _dark_mixing(pixels: int, dark: float, jdim: int) -> np.ndarray:
     if dark == 0.0:
         B[:jdim, :] = np.eye(jdim)
         return B
-    c = np.arange(pixels + 1)[:, None]
-    jj = np.arange(jdim)[None, :]
-    k = c - jj
-    m = pixels - jj
-    valid = (k >= 0) & (k <= m)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logpmf = (gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
-                  + k * np.log(dark) + (m - k) * np.log1p(-dark))
-    B[valid] = np.exp(logpmf[valid])
+    c, jj = np.indices(B.shape)
+    valid = c >= jj
+    k, m = c[valid] - jj[valid], pixels - jj[valid]
+    lf = _log_factorials(pixels)
+    B[valid] = np.exp(lf[m] - lf[k] - lf[m - k]
+                      + k * np.log(dark) + (m - k) * np.log1p(-dark))
     return B
 
 
@@ -230,18 +232,20 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
     c_cap = _support_cap(w[1, 0] + w[1, 1], n)
     r_cap = _support_cap(w[0, 1] + w[1, 1], n)
     out = np.zeros((n + 1, n + 1))
-    lg_n = gammaln(n + 1)
-    cs = np.arange(c_cap + 1)[:, None]
-    ci = np.arange(r_cap + 1)[None, :]
+    lf = _log_factorials(n)
+    # k coincidences plus a signal-only and b idler-only clicks fill cell
+    # (k + a, k + b); only cells with rest = n - k - a - b >= 0 are reachable.
+    a = np.arange(c_cap + 1)[:, None]
+    b = np.arange(r_cap + 1)[None, :]
     acc = np.zeros((c_cap + 1, r_cap + 1))
     for k in range(min(c_cap, r_cap) + 1):
-        rest = n - cs - ci + k
-        valid = (cs >= k) & (ci >= k) & (rest >= 0)
-        lp = (lg_n - gammaln(k + 1.0) - gammaln(cs - k + 1.0)
-              - gammaln(ci - k + 1.0) - gammaln(rest + 1.0)
-              + k * logw[1, 1] + (cs - k) * logw[1, 0]
-              + (ci - k) * logw[0, 1] + rest * logw[0, 0])
-        acc += np.where(valid, np.exp(np.where(valid, lp, -np.inf)), 0.0)
+        ak, bk = a[:c_cap + 1 - k], b[:, :r_cap + 1 - k]
+        rest = n - k - ak - bk
+        valid = rest >= 0
+        lp = (lf[n] - lf[k] - lf[ak] - lf[bk] - lf[np.where(valid, rest, 0)]
+              + k * logw[1, 1] + ak * logw[1, 0]
+              + bk * logw[0, 1] + rest * logw[0, 0])
+        acc[k:, k:] += np.exp(np.where(valid, lp, -np.inf))
     out[:c_cap + 1, :r_cap + 1] = acc
     tail = min(1.0, n * f_w.tail_mass) + max(0.0, 1.0 - out.sum())
     return JointDist(out, tail, PHOTOCOUNT)
@@ -276,11 +280,15 @@ def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
     t_s = detection_matrix(spec_s, p_w.table.shape[0] - 1)
     w0 = t_s.entries[0] @ p_w.table
     w1 = t_s.entries[1] @ p_w.table
-    s0, s1 = w0.sum(), w1.sum()
-    prob = comb(n, c_s, exact=False) * s1 ** c_s * s0 ** (n - c_s)
-    if not np.isfinite(prob) or prob < 1e-300:
+    # log of C(n, c_s) s1^c_s s0^(n - c_s); huge n must not overflow
+    log_prob = math.lgamma(n + 1) - math.lgamma(c_s + 1) - math.lgamma(n - c_s + 1)
+    for count, mass in ((c_s, w1.sum()), (n - c_s, w0.sum())):
+        if count:
+            log_prob += count * math.log(mass) if mass > 0 else -math.inf
+    if not log_prob >= math.log(1e-300):
         raise ZeroProbabilityConditionError(
-            f"conditioning on {c_s} clicks in {n} windows has probability {prob}")
+            f"conditioning on {c_s} clicks in {n} windows has probability "
+            f"{math.exp(log_prob)}")
     weights = np.convolve(convolve_power_1d(w1, c_s),
                           convolve_power_1d(w0, n - c_s))
     total = weights.sum()

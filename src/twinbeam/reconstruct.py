@@ -80,15 +80,20 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
     ti = t_i.entries[:data.shape[1], :n_i_dim]
 
     p = np.full((n_s_dim, n_i_dim), 1.0 / (n_s_dim * n_i_dim))
+    # Full-size tables are updated in two preallocated buffers: fresh
+    # temporaries of a few hundred kB per iteration make the allocator
+    # return and re-fault their pages on every pass.
+    new, diff = np.empty_like(p), np.empty_like(p)
     observed = data > 0
     history = []
     change = np.inf
     for it in range(1, cfg.max_iters + 1):
         projected = ts @ p @ ti.T
         ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
-        new = p * (ts.T @ ratio @ ti)
-        change = float(np.abs(new - p).max())
-        p = new
+        np.matmul(ts.T @ ratio, ti, out=new)
+        new *= p
+        change = float(np.abs(np.subtract(new, p, out=diff), out=diff).max())
+        p, new = new, p
         if cfg.track_likelihood:
             ll = float(data[observed] @ np.log(projected[observed]))
             if history and ll < history[-1] - 1e-10:

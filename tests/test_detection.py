@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
 from twinbeam import (DetectorSpec, JointDist, TwbParams, compound_photocounts,
                       conditional_photon_dist, detection_matrix,
                       forward_photocounts, genuine_pnrd_model, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
+from twinbeam.detection import _log_factorials
 from twinbeam.errors import (InvalidParameterError, SupportViolationError,
                              ZeroProbabilityConditionError)
 from twinbeam import models
@@ -121,6 +122,12 @@ class TestForward:
         assert f.marginal("s").fano() <= p.marginal("s").fano()
 
 
+def test_log_factorials_match_gammaln():
+    k = np.arange(20_001)
+    np.testing.assert_allclose(_log_factorials(20_000), gammaln(k + 1.0),
+                               rtol=1e-13, atol=0)
+
+
 class TestCompound:
     def test_no_clicks_stays_point_mass(self):
         fw = JointDist(np.array([[1.0, 0], [0, 0]]), 0.0, PHOTOCOUNT)
@@ -222,6 +229,13 @@ class TestConditional:
         vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
         with pytest.raises(ZeroProbabilityConditionError):
             conditional_photon_dist(vac, DetectorSpec(0.5, 0.0, 1), 800, 800)
+
+    @pytest.mark.parametrize("c_s,n", [(50_000, 100_000), (10, 10 ** 12)])
+    def test_huge_group_is_zero_probability_not_overflow(self, nominal, c_s, n):
+        # the plain product C(n, c_s) s1^c_s s0^(n - c_s) over- or underflows
+        params, spec_s, _ = nominal
+        with pytest.raises(ZeroProbabilityConditionError):
+            conditional_photon_dist(joint_twb(params), spec_s, c_s, n)
 
 
 class TestGenuineModel:

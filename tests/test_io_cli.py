@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,15 @@ from twinbeam import models
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*argv):
+    """Run a fresh interpreter with only the package source on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestFormats:
@@ -190,3 +203,50 @@ class TestCli:
         argv += ["--out", redone]
         assert self.run(*argv) == 0
         assert open(first, "rb").read() == open(redone, "rb").read()
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, twinbeam.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+#: Malformed command lines: argv (``{tmp}``, ``{hist}`` and ``{params}`` are
+#: filled from the ``bad_input_files`` fixture), exit code, and a fragment of
+#: the error message.
+BAD_INPUTS = {
+    "reconstruct-eta-zero": (
+        ["reconstruct", "--hist", "{hist}", "--eta-s", "0", "--eta-i", "0.33",
+         "--out", "{tmp}/p.jdist"], 2, "eta"),
+    "sweep-groups-not-integer": (
+        ["sweep", "--metric", "nrp", "--groups", "a"], 2, "--groups"),
+    "params-missing-key": (
+        ["sweep", "--metric", "nrp", "--groups", "1", "--params", "{params}"],
+        3, "b_i"),
+}
+
+
+@pytest.fixture
+def bad_input_files(tmp_path, nominal):
+    params, spec_s, spec_i = nominal
+    stream = sample_stream(params, spec_s, spec_i,
+                           PumpCorrelation(0.0, 100), 2_000, seed=8)
+    hist = str(tmp_path / "h.jhist")
+    tbio.write_jhist(group_histogram(stream, GroupingPolicy(5, "disjoint")), hist)
+    partial = tmp_path / "params.json"
+    partial.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10,
+                                   "b_p": 0.01, "b_s": 0.0}))
+    return {"tmp": str(tmp_path), "hist": hist, "params": str(partial)}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_without_traceback(bad_input_files, case):
+    argv, code, fragment = BAD_INPUTS[case]
+    proc = run_python("-m", "twinbeam.cli",
+                      *(arg.format(**bad_input_files) for arg in argv))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert fragment in proc.stderr
