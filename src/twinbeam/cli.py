@@ -26,7 +26,7 @@ from .detection import (DetectorSpec, conditional_photon_dist, default_n_max,
                         detection_matrix)
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
-from .metrology import precision_improvement
+from .metrology import _postselect, precision_improvement
 from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, moments, ncd,
                       to_intensity_moments, fano_nrp_cov)
 from .quasidist import grid_normalization, quasi_distribution
@@ -65,7 +65,12 @@ def _load_params(path: str | None) -> tuple[TwbParams, DetectorSpec, DetectorSpe
     if path is None:
         return models.NOMINAL_PARAMS, models.NOMINAL_SIGNAL, models.NOMINAL_IDLER
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: parameters must be a JSON object")
     keys = ("m_p", "m_s", "m_i", "b_p", "b_s", "b_i")
     missing = [k for k in keys if k not in raw]
     if missing:
@@ -157,6 +162,7 @@ def _cmd_ncd(args) -> None:
             "nonclassical": outcome.nonclassical,
             "value_at_normal_ordering": outcome.value_at_normal,
             "saturated": outcome.saturated,
+            "multiple_roots": outcome.multiple_roots,
         }
     tbio.write_json(report, args.out)
     _write_manifest(args.out, args, [args.dist])
@@ -219,23 +225,13 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
             for ident in idents:
                 row[f"{label}_tau_{ident}"] = ncd(normal, ident).tau
     elif metric == "postselect":
-        dist = models.compound_click_dist(params, spec_s, spec_i, n)
-        marg_s = dist.table.sum(axis=1)
-        eligible = np.nonzero(marg_s >= 1e-3)[0]
-        best_c, best_f, best_mean = -1, np.inf, 0.0
-        for c_s in eligible:
-            cond = dist.table[c_s, :] / marg_s[c_s]
-            mean = cond @ np.arange(len(cond))
-            if mean == 0:
-                continue
-            var = cond @ (np.arange(len(cond)) - mean) ** 2
-            if var / mean < best_f:
-                best_c, best_f, best_mean = int(c_s), var / mean, mean
+        best = _postselect(
+            models.compound_click_dist(params, spec_s, spec_i, n).table, 1e-3)
         photon = conditional_photon_dist(models.joint_twb(params), spec_s,
-                                         best_c, n)
-        row.update(c_s_opt=best_c, fano_click=best_f, mean_click=best_mean,
-                   p_success=marg_s[best_c], mean_photon=photon.mean(),
-                   fano_photon=photon.fano())
+                                         best.c_s_opt, n)
+        row.update(c_s_opt=best.c_s_opt, fano_click=best.fano_min,
+                   mean_click=best.mean_conditional, p_success=best.p_success,
+                   mean_photon=photon.mean(), fano_photon=photon.fano())
     elif metric == "precision":
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         row["norm_rel_err_ref_s"] = np.sqrt(1 - p_s)
@@ -345,29 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_override() -> None:
-    """Cap the linear-algebra thread pools from ``TWINBEAM_THREADS``."""
-    threads = os.environ.get("TWINBEAM_THREADS")
-    if not threads:
-        return
-    try:
-        count = int(threads)
-    except ValueError:
-        raise UsageError(f"TWINBEAM_THREADS must be an integer, got {threads!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=count)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(count)
-
-
 def main(argv: list | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        _apply_thread_override()
         argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
         args.func(args)

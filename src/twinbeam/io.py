@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -59,9 +60,37 @@ def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
     magic = MAGIC[fmt]
     if blob[:8] != magic:
         raise DataError(f"not a {fmt} file")
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen].decode())
+    hlen = int.from_bytes(blob[8:12], "little")
+    if len(blob) < 12 or 12 + hlen > len(blob):
+        raise DataError(f"{fmt} header runs past the {len(blob)}-byte file")
+    try:
+        header = json.loads(blob[12:12 + hlen].decode())
+    except ValueError as exc:
+        raise DataError(f"{fmt} header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{fmt} header is not a JSON object")
     return header, blob[12 + hlen:]
+
+
+def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
+    """Row-major little-endian float64 payload of exactly ``shape``."""
+    if len(body) != 8 * math.prod(shape):
+        raise DataError(f"f64 payload of {len(body)} bytes does not hold "
+                        f"a {'x'.join(map(str, shape))} table")
+    return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+
+
+def _csv_table(body: bytes, shape: tuple, parse) -> list:
+    """Rows of a CSV payload, checked to be a rectangular ``shape`` table."""
+    try:
+        rows = [[parse(v) for v in line.split(",")]
+                for line in body.decode().splitlines()]
+    except ValueError as exc:
+        raise DataError(f"unreadable CSV payload ({exc})") from None
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise DataError("CSV payload is not a "
+                        f"{'x'.join(map(str, shape))} table")
+    return rows
 
 
 def _read(path: str) -> bytes:
@@ -125,10 +154,9 @@ def read_jdist(path: str) -> JointDist:
     header, body = _unpack("jdist-v1", _read(path))
     shape = tuple(header["dims"])
     if header["payload"] == "f64":
-        table = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+        table = _f64_table(body, shape)
     else:
-        table = np.array([[float(v) for v in line.split(",")]
-                          for line in body.decode().splitlines()])
+        table = np.array(_csv_table(body, shape, float))
     d = JointDist(table, header["tail_mass"], header["kind"])
     d.truncation_dirty = header["truncation_dirty"]
     return d
@@ -147,8 +175,7 @@ def write_dmat(m: DetectionMatrix, path: str) -> None:
 def read_dmat(path: str) -> DetectionMatrix:
     header, body = _unpack("dmat-v1", _read(path))
     spec = DetectorSpec(header["eta"], header["dark"], header["pixels"])
-    entries = np.frombuffer(body, dtype="<f8").reshape(
-        spec.pixels + 1, header["n_max"] + 1).copy()
+    entries = _f64_table(body, (spec.pixels + 1, header["n_max"] + 1))
     entries.flags.writeable = False
     return DetectionMatrix(entries, spec, header["precision_bits"])
 
@@ -165,8 +192,8 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
-    counts = np.array([[int(v) for v in line.split(",")]
-                       for line in body.decode().splitlines()], dtype=np.int64)
+    counts = np.array(_csv_table(body, tuple(header["dims"]), int),
+                      dtype=np.int64)
     policy = GroupingPolicy(header["group_n"], header["mode"])
     return JointHistogram(counts, header["n_groups"], policy)
 
@@ -182,8 +209,7 @@ def write_igrid(g: IntensityGrid, path: str) -> None:
 
 def read_igrid(path: str) -> IntensityGrid:
     header, body = _unpack("igrid-v1", _read(path))
-    values = np.frombuffer(body, dtype="<f8").reshape(
-        tuple(header["dims"])).copy()
+    values = _f64_table(body, tuple(header["dims"]))
     return IntensityGrid(values, header["w_max_s"], header["w_max_i"],
                          header["s"])
 

@@ -13,18 +13,17 @@ the normalized relative error quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import TwbParams
+from .core import PHOTOCOUNT, MarginalDist, TwbParams
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError)
 from .ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                      conditioned_sequences, grouped_counts)
 from .moments import MomentTable
-from .reconstruct import conditional_histogram
 from .simulate import ClickStream
 
 
@@ -145,6 +144,29 @@ def nrp_model(params: TwbParams, eta_s: float, eta_i: float, k: float,
     return 1.0 + numerator / denominator
 
 
+def _postselect(weights: np.ndarray, floor: float) -> PostSelectionResult:
+    """Row of a signal-by-idler weight table with the least conditional Fano.
+
+    Rows whose total weight is below ``floor`` (or zero) are not eligible,
+    nor are rows whose conditional mean is zero.  ``p_success`` is the
+    chosen row's total weight.
+    """
+    best = None
+    occupancy = weights.sum(axis=1)
+    for c_s in np.nonzero((occupancy >= floor) & (occupancy > 0))[0]:
+        cond = MarginalDist(weights[c_s] / occupancy[c_s], 0.0, PHOTOCOUNT)
+        mean = cond.mean()
+        if mean == 0:
+            continue
+        fano = cond.fano()
+        if best is None or fano < best.fano_min:
+            best = PostSelectionResult(int(c_s), fano, mean, occupancy[c_s])
+    if best is None:
+        raise NoEligibleColumnError(
+            f"no signal column reaches the eligibility floor {floor:g}")
+    return best
+
+
 def optimal_postselection(h: JointHistogram,
                           min_events: int = 100) -> PostSelectionResult:
     """Conditioning signal photocount minimizing the conditional Fano factor.
@@ -152,23 +174,8 @@ def optimal_postselection(h: JointHistogram,
     Columns with fewer than ``min_events`` groups are excluded: their sample
     Fano factors are too noisy to rank.
     """
-    best = None
-    occupancy = h.counts.sum(axis=1)
-    for c_s in range(h.counts.shape[0]):
-        if occupancy[c_s] < min_events:
-            continue
-        cond = conditional_histogram(h, c_s)
-        mean = cond.mean()
-        if mean == 0:
-            continue
-        fano = cond.fano()
-        if best is None or fano < best.fano_min:
-            best = PostSelectionResult(c_s, fano, mean,
-                                       occupancy[c_s] / h.n_groups)
-    if best is None:
-        raise NoEligibleColumnError(
-            f"no signal column reaches {min_events} events")
-    return best
+    best = _postselect(h.counts, min_events)
+    return replace(best, p_success=best.p_success / h.n_groups)
 
 
 def relative_error(seq: np.ndarray, n_m: int) -> PrecisionReport:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
-from .detection import (DetectorSpec, compound_photocounts,
-                        forward_photocounts, genuine_pnrd_model)
+from .detection import DetectorSpec, compound_photocounts, genuine_pnrd_model
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -82,16 +81,6 @@ def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
 def compound_photon_dist(params: TwbParams, n: int) -> JointDist:
     """Joint photon-number distribution of ``n`` combined constituting beams."""
     return joint_twb(params.scaled(n))
-
-
-def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec) -> JointDist:
-    """Single-window click distribution via the detection-matrix route.
-
-    Numerically redundant with :func:`window_click_dist`; kept as the
-    independent cross-check of the truncated forward model.
-    """
-    return forward_photocounts(joint_twb(params), spec_s, spec_i)
 
 
 def pump_block_covariances(params: TwbParams, spec_s: DetectorSpec,

@@ -130,30 +130,20 @@ def fano_nrp_cov(m: MomentTable) -> dict:
     }
 
 
-def _transform_2d(raw, matrix_k, matrix_l, order):
-    """Apply independent per-axis integer transforms to a moment table."""
-    out = np.empty_like(raw)
-    for k in range(order + 1):
-        for l in range(order + 1):
-            acc = 0
-            for a in range(k + 1):
-                ska = matrix_k[k][a]
-                if ska == 0:
-                    continue
-                for b in range(l + 1):
-                    slb = matrix_l[l][b]
-                    if slb:
-                        acc += ska * slb * raw[a, b]
-            out[k, l] = acc
-    return out
+def _transform_2d(raw, matrix):
+    """Apply one lower-triangular transform to both axes: ``A @ raw @ A.T``.
+
+    Object-dtype (``Fraction``) tables get an object matrix and stay exact.
+    """
+    a = np.array(matrix, dtype=object if raw.dtype == object else None)
+    return a @ raw @ a.T
 
 
 def to_intensity_moments(m: MomentTable) -> MomentTable:
     """Normally-ordered (factorial) moments from raw counting moments."""
     if m.flavor != RAW:
         raise DataError("input must carry raw moments")
-    s1 = stirling_first(m.order)
-    out = _transform_2d(m.raw, s1, s1, m.order)
+    out = _transform_2d(m.raw, stirling_first(m.order))
     return MomentTable(out, m.order, NORMAL, 1.0, m.kind)
 
 
@@ -161,8 +151,7 @@ def from_intensity_moments(m: MomentTable) -> MomentTable:
     """Inverse of :func:`to_intensity_moments` (Stirling second kind)."""
     if m.flavor != NORMAL:
         raise DataError("input must carry normally-ordered moments")
-    s2 = stirling_second(m.order)
-    out = _transform_2d(m.raw, s2, s2, m.order)
+    out = _transform_2d(m.raw, stirling_second(m.order))
     return MomentTable(out, m.order, RAW, 1.0, m.kind)
 
 
@@ -174,11 +163,10 @@ def to_s_ordered(m: MomentTable, s: float) -> MomentTable:
         raise InvalidParameterError("ordering parameter must satisfy s <= 1")
     t = (1.0 - s) / 2.0
     mix = laguerre_mixing(m.order)
-    order = m.order
-    weighted_k = [[mix[k][a] * t ** (k - a) if a <= k else 0.0
-                   for a in range(order + 1)] for k in range(order + 1)]
-    out = _transform_2d(m.raw, weighted_k, weighted_k, order)
-    return MomentTable(out, order, S_ORDERED, s, m.kind)
+    weighted = [[mix[k][a] * t ** (k - a) if a <= k else 0.0
+                 for a in range(m.order + 1)] for k in range(m.order + 1)]
+    out = _transform_2d(m.raw, weighted)
+    return MomentTable(out, m.order, S_ORDERED, s, m.kind)
 
 
 def _axis_moment(m: MomentTable, arm: str, k: int) -> float:
@@ -224,42 +212,14 @@ def _noise_floor(m: MomentTable, identifier: str, arm: str) -> float:
     moments; expressions like the third-order identifiers cancel exactly on
     tiny supports, and what is left is pure rounding noise.  The bound
     rebuilds each moment with unsigned Stirling coefficients, which caps the
-    cancellation noise, and mirrors the identifier's term structure with the
-    product rule.
+    cancellation noise, and sums the magnitudes of the identifier's terms
+    on that table.
     """
     raw = np.abs(from_intensity_moments(m).raw)
-    s1 = stirling_first(m.order)
-    absw = np.empty_like(raw)
-    for k in range(m.order + 1):
-        for l in range(m.order + 1):
-            acc = 0.0
-            for a in range(k + 1):
-                for b in range(l + 1):
-                    acc += abs(s1[k][a] * s1[l][b]) * raw[a, b]
-            absw[k, l] = acc
-
-    def axis(k):
-        return absw[k, 0] if arm == "s" else absw[0, k]
-
-    w = absw
-    if identifier == "E001":
-        scale = w[2, 0] + w[0, 2] + 2 * w[1, 1]
-    elif identifier == "E101":
-        scale = w[3, 0] + w[1, 2] + 2 * w[2, 1]
-    elif identifier == "E111":
-        scale = w[3, 1] + w[1, 3] + 2 * w[2, 2]
-    elif identifier == "E211":
-        scale = w[4, 1] + w[2, 3] + 2 * w[3, 2]
-    elif identifier == "M1001":
-        scale = w[2, 0] * w[0, 2] + w[1, 1] ** 2
-    elif identifier == "M001001":
-        scale = (w[2, 0] * w[0, 2] + 2 * w[1, 1] * w[1, 0] * w[0, 1]
-                 + w[1, 1] ** 2 + w[2, 0] * w[0, 1] ** 2
-                 + w[1, 0] ** 2 * w[0, 2])
-    else:
-        k = int(identifier[1])
-        scale = axis(k + 1) + axis(k) * axis(1)
-    return 1e-13 * float(scale)
+    unsigned = MomentTable(_transform_2d(raw, np.abs(stirling_first(m.order))),
+                           m.order, NORMAL, 1.0, m.kind)
+    terms = _identifier_terms(unsigned, identifier, arm)
+    return 1e-13 * float(sum(abs(term) for term in terms))
 
 
 @dataclass

@@ -9,7 +9,9 @@ expectation-maximization iteration
 i.e. the measured histogram is compared with the forward projection of the
 current estimate and the ratio is projected back through the detection
 matrices.  Because the matrices are column-stochastic, every iterate is a
-probability distribution, and the data log-likelihood never decreases.
+probability distribution, and the data log-likelihood never decreases.  The
+one-dimensional (conditional) reconstruction runs the same iteration with a
+single idler column and a 1x1 identity on the other axis.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .core import PHOTOCOUNT, PHOTON, JointDist, MarginalDist
 from .detection import DetectionMatrix
 from .errors import (DataError, EmptyConditionError, InvalidParameterError,
-                     KindMismatchError)
+                     KindMismatchError, NumericError)
 from .ingest import JointHistogram
 
 
@@ -68,18 +70,10 @@ def _check_support(t: DetectionMatrix, c_dim: int, n_dim: int, label: str):
                         f"support needs {n_dim}")
 
 
-def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
-             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
-    """Reconstruct a joint photon-number distribution from photocounts."""
-    data = _as_table(f)
-    n_s_dim = cfg.n_max + 1 if cfg.n_max is not None else t_s.entries.shape[1]
-    n_i_dim = cfg.n_max + 1 if cfg.n_max is not None else t_i.entries.shape[1]
-    _check_support(t_s, data.shape[0], n_s_dim, "signal")
-    _check_support(t_i, data.shape[1], n_i_dim, "idler")
-    ts = t_s.entries[:data.shape[0], :n_s_dim]
-    ti = t_i.entries[:data.shape[1], :n_i_dim]
-
-    p = np.full((n_s_dim, n_i_dim), 1.0 / (n_s_dim * n_i_dim))
+def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
+        cfg: EmConfig) -> tuple[np.ndarray, EmResult]:
+    """EM iteration for ``data ~ ts @ p @ ti.T`` from a uniform start."""
+    p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
     # Full-size tables are updated in two preallocated buffers: fresh
     # temporaries of a few hundred kB per iteration make the allocator
     # return and re-fault their pages on every pass.
@@ -97,12 +91,24 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
         if cfg.track_likelihood:
             ll = float(data[observed] @ np.log(projected[observed]))
             if history and ll < history[-1] - 1e-10:
-                raise AssertionError(f"log-likelihood decreased at iteration {it}")
+                raise NumericError(f"log-likelihood decreased at iteration {it}")
             history.append(ll)
         if change < cfg.tol:
-            return (JointDist(p, 0.0, PHOTON),
-                    EmResult(True, it, change, history))
-    return JointDist(p, 0.0, PHOTON), EmResult(False, cfg.max_iters, change, history)
+            return p, EmResult(True, it, change, history)
+    return p, EmResult(False, cfg.max_iters, change, history)
+
+
+def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
+             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
+    """Reconstruct a joint photon-number distribution from photocounts."""
+    data = _as_table(f)
+    n_s_dim = cfg.n_max + 1 if cfg.n_max is not None else t_s.entries.shape[1]
+    n_i_dim = cfg.n_max + 1 if cfg.n_max is not None else t_i.entries.shape[1]
+    _check_support(t_s, data.shape[0], n_s_dim, "signal")
+    _check_support(t_i, data.shape[1], n_i_dim, "idler")
+    p, result = _em(data, t_s.entries[:data.shape[0], :n_s_dim],
+                    t_i.entries[:data.shape[1], :n_i_dim], cfg)
+    return JointDist(p, 0.0, PHOTON), result
 
 
 def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
@@ -112,26 +118,9 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     data = data / data.sum()
     n_dim = cfg.n_max + 1 if cfg.n_max is not None else t_i.entries.shape[1]
     _check_support(t_i, len(data), n_dim, "idler")
-    ti = t_i.entries[:len(data), :n_dim]
-
-    p = np.full(n_dim, 1.0 / n_dim)
-    observed = data > 0
-    history = []
-    change = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        projected = ti @ p
-        ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
-        new = p * (ti.T @ ratio)
-        change = float(np.abs(new - p).max())
-        p = new
-        if cfg.track_likelihood:
-            ll = float(data[observed] @ np.log(projected[observed]))
-            if history and ll < history[-1] - 1e-10:
-                raise AssertionError(f"log-likelihood decreased at iteration {it}")
-            history.append(ll)
-        if change < cfg.tol:
-            return MarginalDist(p, 0.0, PHOTON), EmResult(True, it, change, history)
-    return MarginalDist(p, 0.0, PHOTON), EmResult(False, cfg.max_iters, change, history)
+    p, result = _em(data[:, None], t_i.entries[:len(data), :n_dim],
+                    np.ones((1, 1)), cfg)
+    return MarginalDist(p[:, 0], 0.0, PHOTON), result
 
 
 def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:

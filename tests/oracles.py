@@ -2,13 +2,15 @@
 
 Direct two-dimensional convolution of joint distributions: an independent
 route to compound distributions that the package itself computes in closed
-form.
+form.  The single-window click distribution through the detection matrices
+cross-checks the closed-form window model the same way.
 """
 
 import numpy as np
 from scipy import signal
 
-from twinbeam.core import JointDist
+from twinbeam.core import JointDist, TwbParams, joint_twb
+from twinbeam.detection import DetectorSpec, forward_photocounts
 from twinbeam.errors import InvalidParameterError, KindMismatchError
 
 
@@ -44,3 +46,13 @@ def self_convolve(d: JointDist, n: int) -> JointDist:
         if k:
             power = convolve_joint(power, power)
     return result
+
+
+def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
+                        spec_i: DetectorSpec) -> JointDist:
+    """Single-window click distribution via the detection-matrix route.
+
+    Numerically redundant with ``models.window_click_dist``; kept as the
+    independent cross-check of the truncated forward model.
+    """
+    return forward_photocounts(joint_twb(params), spec_s, spec_i)

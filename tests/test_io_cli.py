@@ -17,6 +17,8 @@ from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: Sweep CSVs recorded by the benchmark at an earlier commit (read only).
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run_python(*argv):
@@ -122,6 +124,8 @@ class TestCli:
                         "--nm", "100", "--out", met) == 0
         ncd_report = json.loads(open(report).read())
         assert ncd_report["E001"]["nonclassical"]
+        for ident in ("E001", "M1001"):
+            assert isinstance(ncd_report[ident]["multiple_roots"], bool)
         met_report = json.loads(open(met).read())
         assert met_report["S_cs"] < 1.0
         # every output carries a manifest sufficient to re-run it
@@ -155,6 +159,19 @@ class TestCli:
         assert self.run("sweep", "--metric", metric, "--groups", "2,10") == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("metric", ["tau-e", "postselect"])
+    def test_sweep_matches_recorded_reference(self, metric, capsys):
+        assert self.run("sweep", "--metric", metric,
+                        "--groups", "1,2,3,5,10") == 0
+        got = capsys.readouterr().out.strip().splitlines()
+        ref = (REFERENCE / f"sweep-{metric}.csv").read_text().splitlines()
+        assert got[0] == ref[0]
+        ref_rows = {row.split(",")[0]: row for row in ref[1:]}
+        for row in got[1:]:
+            cells = np.array(row.split(","), dtype=float)
+            want = np.array(ref_rows[row.split(",")[0]].split(","), dtype=float)
+            np.testing.assert_allclose(cells, want, rtol=1e-9, atol=0.0)
 
     def test_sweep_drift_columns(self, capsys):
         assert self.run("sweep", "--metric", "fano", "--groups", "5,50,500",
@@ -214,9 +231,9 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-#: Malformed command lines: argv (``{tmp}``, ``{hist}`` and ``{params}`` are
-#: filled from the ``bad_input_files`` fixture), exit code, and a fragment of
-#: the error message.
+#: Malformed command lines: argv (``{tmp}`` and the file names are filled
+#: from the ``bad_input_files`` fixture), exit code, and a fragment of the
+#: error message.
 BAD_INPUTS = {
     "reconstruct-eta-zero": (
         ["reconstruct", "--hist", "{hist}", "--eta-s", "0", "--eta-i", "0.33",
@@ -226,6 +243,21 @@ BAD_INPUTS = {
     "params-missing-key": (
         ["sweep", "--metric", "nrp", "--groups", "1", "--params", "{params}"],
         3, "b_i"),
+    "params-not-json": (
+        ["sweep", "--metric", "nrp", "--groups", "1", "--params",
+         "{params_cut}"], 3, "not valid JSON"),
+    "params-not-object": (
+        ["sweep", "--metric", "nrp", "--groups", "1", "--params",
+         "{params_list}"], 3, "JSON object"),
+    "jdist-cut-in-header": (
+        ["ncd", "--dist", "{jdist_head}", "--out", "{tmp}/r.json"],
+        3, "header"),
+    "jdist-cut-in-payload": (
+        ["ncd", "--dist", "{jdist_body}", "--out", "{tmp}/r.json"],
+        3, "payload"),
+    "jhist-truncated": (
+        ["reconstruct", "--hist", "{hist_cut}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
 }
 
 
@@ -239,7 +271,23 @@ def bad_input_files(tmp_path, nominal):
     partial = tmp_path / "params.json"
     partial.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10,
                                    "b_p": 0.01, "b_s": 0.0}))
-    return {"tmp": str(tmp_path), "hist": hist, "params": str(partial)}
+    files = {"tmp": str(tmp_path), "hist": hist, "params": str(partial)}
+    files["params_cut"] = str(tmp_path / "cut.json")
+    (tmp_path / "cut.json").write_text('{"m_p": 10')
+    files["params_list"] = str(tmp_path / "list.json")
+    (tmp_path / "list.json").write_text("[10, 10, 10]")
+    jdist = str(tmp_path / "d.jdist")
+    tbio.write_jdist(models.window_click_dist(params, spec_s, spec_i), jdist)
+    blob = open(jdist, "rb").read()
+    header_end = 12 + int.from_bytes(blob[8:12], "little")
+    hist_blob = open(hist, "rb").read()
+    for key, data in (("jdist_head", blob[:header_end - 5]),
+                      ("jdist_body", blob[:-3]),
+                      ("hist_cut", hist_blob[:-2])):
+        files[key] = str(tmp_path / key)
+        with open(files[key], "wb") as fh:
+            fh.write(data)
+    return files
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))

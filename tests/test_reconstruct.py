@@ -7,7 +7,8 @@ from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
                       em_conditional, em_joint, joint_twb)
 from twinbeam import models
 from twinbeam.core import PHOTOCOUNT
-from twinbeam.errors import DataError, EmptyConditionError
+from twinbeam.detection import DetectionMatrix
+from twinbeam.errors import DataError, EmptyConditionError, NumericError
 
 
 def tv(a, b):
@@ -51,6 +52,17 @@ class TestEmJoint:
         assert len(res.log_likelihood) == res.iterations
         assert est.table.sum() == pytest.approx(1.0, abs=1e-10)
         assert est.table.min() >= 0
+
+    def test_likelihood_decrease_is_numeric_error(self):
+        # EM on mixture weights is monotone for any nonnegative matrix; a
+        # negative entry (columns summing to 0.9 and 0.3) drives an iterate
+        # negative, and the likelihood falls at the third iteration
+        spec = DetectorSpec(1.0, 0.0, 1)
+        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec, 53)
+        t_i = DetectionMatrix(np.ones((1, 1)), spec, 53)
+        f = JointDist(np.array([[0.8], [0.2]]), 0.0, PHOTOCOUNT)
+        with pytest.raises(NumericError, match="decreased at iteration 3"):
+            em_joint(f, t_s, t_i, EmConfig(max_iters=50, track_likelihood=True))
 
     def test_fixed_point_property(self, nominal):
         # a histogram inside the forward model's range is reproduced down to
