@@ -9,8 +9,7 @@ from .ingest import (GroupingPolicy, JointHistogram, averaged_correlation,
                      conditioned_sequences, group_histogram, grouped_counts,
                      window_correlation)
 from .metrology import (PostSelectionResult, PrecisionReport,
-                        effective_efficiency, effective_efficiency_model,
-                        fano_model, nrp_model, optimal_postselection,
+                        effective_efficiency, optimal_postselection,
                         precision_improvement, relative_error)
 from .moments import (MomentTable, NcdResult, bootstrap_statistic,
                       fano_nrp_cov, from_intensity_moments, moments, ncd,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
+import math
 import os
 import sys
 
@@ -26,9 +26,10 @@ from .detection import (DetectorSpec, conditional_photon_dist, default_n_max,
                         detection_matrix)
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
-from .metrology import _postselect, precision_improvement
-from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, moments, ncd,
-                      to_intensity_moments, fano_nrp_cov)
+from .metrology import _postselect, effective_efficiency, precision_improvement
+from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov,
+                      from_intensity_moments, moments, ncd,
+                      to_intensity_moments)
 from .quasidist import grid_normalization, quasi_distribution
 from .reconstruct import EmConfig, em_joint
 from .simulate import PumpCorrelation, sample_stream
@@ -64,23 +65,16 @@ def _version() -> str:
 def _load_params(path: str | None) -> tuple[TwbParams, DetectorSpec, DetectorSpec]:
     if path is None:
         return models.NOMINAL_PARAMS, models.NOMINAL_SIGNAL, models.NOMINAL_IDLER
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: parameters must be a JSON object")
     keys = ("m_p", "m_s", "m_i", "b_p", "b_s", "b_i")
-    missing = [k for k in keys if k not in raw]
-    if missing:
-        raise DataError(f"{path}: missing parameter keys {', '.join(missing)}")
-    params = TwbParams(**{k: raw[k] for k in keys})
-    spec_s = DetectorSpec(raw.get("eta_s", models.NOMINAL_SIGNAL.eta),
-                          raw.get("dark_s", models.NOMINAL_SIGNAL.dark), 1)
-    spec_i = DetectorSpec(raw.get("eta_i", models.NOMINAL_IDLER.eta),
-                          raw.get("dark_i", models.NOMINAL_IDLER.dark), 1)
-    return params, spec_s, spec_i
+    raw = tbio._json_object(tbio._read(path), path, keys)
+    try:
+        return (TwbParams(**{k: raw[k] for k in keys}),
+                DetectorSpec(raw.get("eta_s", models.NOMINAL_SIGNAL.eta),
+                             raw.get("dark_s", models.NOMINAL_SIGNAL.dark), 1),
+                DetectorSpec(raw.get("eta_i", models.NOMINAL_IDLER.eta),
+                             raw.get("dark_i", models.NOMINAL_IDLER.dark), 1))
+    except TypeError as exc:
+        raise DataError(f"{path}: a parameter has the wrong type ({exc})") from None
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
@@ -107,6 +101,24 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
             key, value = (part.strip() for part in line.split("=", 1))
             injected += [f"--{key.replace('_', '-')}", value]
     return rest[:1] + injected + rest[1:]
+
+
+def _bounded(kind, rule: str, ok):
+    """argparse type: a finite ``kind`` value for which ``ok`` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"need {rule}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _bounded(int, "an integer >= 1", lambda v: v >= 1)
+_seed = _bounded(int, "an integer >= 0", lambda v: v >= 0)
+_positive = _bounded(float, "a number > 0", lambda v: v > 0)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -192,7 +204,8 @@ def _cmd_metrology(args) -> None:
 def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
     row = {"n": n}
     if metric in ("mean", "fano", "nrp", "covariance"):
-        compound = moments(models.compound_click_dist(params, spec_s, spec_i, n), 2)
+        compound = from_intensity_moments(
+            models.compound_click_moments(params, spec_s, spec_i, n, 2))
         genuine = moments(models.genuine_click_dist(params, spec_s, spec_i, n), 2)
         for label, table in (("compound", compound), ("genuine", genuine)):
             stats = fano_nrp_cov(table)
@@ -207,21 +220,24 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
             else:
                 row[f"{label}_covariance"] = stats["covariance"]
         if k > 0 and metric in ("mean", "fano", "nrp"):
-            g = models.grouped_click_moments(params, spec_s, spec_i, k, n)
-            row["drift_mean_i"] = g["mean_i"]
-            row["drift_fano_i"] = g["var_i"] / g["mean_i"]
-            row["drift_nrp"] = ((g["var_s"] + g["var_i"] - 2 * g["cov"])
-                                / (g["mean_s"] + g["mean_i"]))
+            drift = from_intensity_moments(
+                models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+            stats = fano_nrp_cov(drift)
+            row["drift_mean_i"] = drift[0, 1]
+            row["drift_fano_i"] = stats["fano_i"]
+            row["drift_nrp"] = stats["nrp"]
     elif metric == "eta-eff":
-        g = models.grouped_click_moments(params, spec_s, spec_i, k, n)
-        row["eta_eff_s"] = g["cov"] / g["mean_i"]
-        row["eta_eff_i"] = g["cov"] / g["mean_s"]
+        table = from_intensity_moments(
+            models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+        row["eta_eff_s"] = effective_efficiency(table, "s")
+        row["eta_eff_i"] = effective_efficiency(table, "i")
     elif metric in ("tau-e", "tau-m"):
         idents = E_FAMILY if metric == "tau-e" else M_FAMILY
-        for label, dist in (
-                ("compound", models.compound_click_dist(params, spec_s, spec_i, n)),
-                ("genuine", models.genuine_click_dist(params, spec_s, spec_i, n))):
-            normal = to_intensity_moments(moments(dist, 5))
+        genuine = models.genuine_click_dist(params, spec_s, spec_i, n)
+        for label, normal in (
+                ("compound",
+                 models.compound_click_moments(params, spec_s, spec_i, n, 5)),
+                ("genuine", to_intensity_moments(moments(genuine, 5)))):
             for ident in idents:
                 row[f"{label}_tau_{ident}"] = ncd(normal, ident).tau
     elif metric == "postselect":
@@ -246,17 +262,17 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
 
 
 def _cmd_sweep(args) -> None:
-    params, spec_s, spec_i = _load_params(args.params)
+    PumpCorrelation(args.k_pump)            # the drift range simulate accepts
     if args.k_pump > 0 and args.metric in ("covariance", "tau-e", "tau-m",
                                            "postselect", "precision"):
         raise UsageError(f"metric {args.metric!r} has no pump-drift model; "
                          "drop --k-pump")
     try:
-        groups = [int(g) for g in args.groups.split(",")] if args.groups \
+        groups = [_count(g) for g in args.groups.split(",")] if args.groups \
             else list(DEFAULT_GROUPS)
-    except ValueError:
-        raise UsageError("--groups needs comma-separated integers, "
-                         f"got {args.groups!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--groups: {exc}") from None
+    params, spec_s, spec_i = _load_params(args.params)
     rows = [_sweep_row(args.metric, n, params, spec_s, spec_i, args.k_pump)
             for n in groups]
     keys = list(rows[0])
@@ -279,17 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a click stream")
-    sim.add_argument("--windows", type=int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--windows", type=_count, required=True)
+    sim.add_argument("--seed", type=_seed, required=True)
     sim.add_argument("--params", help="JSON file with beam/detector parameters")
     sim.add_argument("--k-pump", type=float, default=0.0)
-    sim.add_argument("--block-len", type=int, default=10_000)
+    sim.add_argument("--block-len", type=_count, default=10_000)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="group a stream into a histogram")
     ana.add_argument("--in", dest="infile", required=True)
-    ana.add_argument("--group-n", type=int, required=True)
+    ana.add_argument("--group-n", type=_count, required=True)
     ana.add_argument("--mode", choices=("sliding", "disjoint"),
                      default="sliding")
     ana.add_argument("--out", required=True)
@@ -301,10 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--eta-i", type=float, required=True)
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
-    rec.add_argument("--group-n", type=int)
-    rec.add_argument("--tol", type=float, default=1e-9)
-    rec.add_argument("--max-iters", type=int, default=10_000)
-    rec.add_argument("--n-max", type=int)
+    rec.add_argument("--group-n", type=_count)
+    rec.add_argument("--tol", type=_positive, default=1e-9)
+    rec.add_argument("--max-iters", type=_count, default=10_000)
+    rec.add_argument("--n-max", type=_count)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)
 
@@ -317,15 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     qd = sub.add_parser("quasidist", help="intensity quasi-distribution grid")
     qd.add_argument("--dist", required=True)
     qd.add_argument("--s", type=float, required=True)
-    qd.add_argument("--w-max", type=float)
-    qd.add_argument("--steps", type=int, default=256)
+    qd.add_argument("--w-max", type=_positive)
+    qd.add_argument("--steps", type=_count, default=256)
     qd.add_argument("--out", required=True)
     qd.set_defaults(func=_cmd_quasidist)
 
     met = sub.add_parser("metrology", help="sub-shot-noise precision report")
     met.add_argument("--in", dest="infile", required=True)
-    met.add_argument("--group-n", type=int, required=True)
-    met.add_argument("--nm", type=int, default=500)
+    met.add_argument("--group-n", type=_count, required=True)
+    met.add_argument("--nm", type=_count, default=500)
     met.add_argument("--out", required=True)
     met.set_defaults(func=_cmd_metrology)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import JointDist, TwbParams
 from .detection import DetectionMatrix, DetectorSpec
-from .errors import DataError
+from .errors import DataError, TwinbeamError
 from .ingest import GroupingPolicy, JointHistogram
 from .quasidist import IntensityGrid
 from .simulate import ClickStream, PumpCorrelation
@@ -35,6 +35,13 @@ MAGIC = {
     "dmat-v1": b"TWBDMAT1",
     "jhist-v1": b"TWBJHIS1",
     "igrid-v1": b"TWBIGRD1",
+}
+#: Header keys each container reader needs.
+HEADER_KEYS = {
+    "jdist-v1": ("dims", "kind", "tail_mass", "truncation_dirty", "payload"),
+    "dmat-v1": ("eta", "dark", "pixels", "n_max", "precision_bits"),
+    "jhist-v1": ("dims", "n_groups", "group_n", "mode"),
+    "igrid-v1": ("dims", "w_max_s", "w_max_i", "s"),
 }
 
 
@@ -56,6 +63,20 @@ def _pack(fmt: str, header: dict, payload: bytes) -> bytes:
     return MAGIC[fmt] + struct.pack("<I", len(head)) + head + payload
 
 
+def _json_object(text: bytes, what: str, keys: tuple = ()) -> dict:
+    """Parse ``text`` as a JSON object that holds at least ``keys``."""
+    try:
+        obj = json.loads(text.decode())
+    except ValueError as exc:
+        raise DataError(f"{what} is not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise DataError(f"{what} lacks the keys {', '.join(missing)}")
+    return obj
+
+
 def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
     magic = MAGIC[fmt]
     if blob[:8] != magic:
@@ -63,12 +84,7 @@ def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
     hlen = int.from_bytes(blob[8:12], "little")
     if len(blob) < 12 or 12 + hlen > len(blob):
         raise DataError(f"{fmt} header runs past the {len(blob)}-byte file")
-    try:
-        header = json.loads(blob[12:12 + hlen].decode())
-    except ValueError as exc:
-        raise DataError(f"{fmt} header is not valid JSON ({exc})") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{fmt} header is not a JSON object")
+    header = _json_object(blob[12:12 + hlen], f"{fmt} header", HEADER_KEYS[fmt])
     return header, blob[12 + hlen:]
 
 
@@ -123,14 +139,14 @@ def read_clicks(path: str) -> ClickStream:
     meta = {}
     sidecar = path + ".json"
     if os.path.exists(sidecar):
-        meta = json.loads(_read(sidecar).decode())
-        if isinstance(meta.get("params"), dict):
-            meta["params"] = TwbParams(**meta["params"])
-        for key in ("spec_s", "spec_i"):
+        meta = _json_object(_read(sidecar), sidecar)
+        for key, cls in (("params", TwbParams), ("spec_s", DetectorSpec),
+                         ("spec_i", DetectorSpec), ("pump", PumpCorrelation)):
             if isinstance(meta.get(key), dict):
-                meta[key] = DetectorSpec(**meta[key])
-        if isinstance(meta.get("pump"), dict):
-            meta["pump"] = PumpCorrelation(**meta["pump"])
+                try:
+                    meta[key] = cls(**meta[key])
+                except (TypeError, TwinbeamError) as exc:
+                    raise DataError(f"{sidecar}: bad {key!r} ({exc})") from None
     return ClickStream(codes, meta)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PHOTOCOUNT, MarginalDist, TwbParams
+from .core import PHOTOCOUNT, MarginalDist
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError)
@@ -82,66 +82,6 @@ def effective_efficiency(data: JointHistogram | MomentTable, arm: str = "s",
     if denominator <= 0:
         raise DataError("complementary-arm mean is not positive")
     return float(cov / denominator)
-
-
-def effective_efficiency_model(params: TwbParams, eta: float, k: float,
-                               n: int, arm: str = "s") -> float:
-    """Model value of the effective efficiency for ``n`` grouped windows.
-
-    Pair-number fluctuations beyond Poissonian and the block-correlated pump
-    drift raise it; noise photons in the complementary arm lower it.
-    """
-    if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
-    w_pair = n * params.m_p * params.b_p
-    var_pair = n * params.m_p * params.b_p ** 2
-    w_window = params.m_p * params.b_p
-    drift = k * n * (n - 1) * w_window ** 2
-    noise = n * (params.m_i * params.b_i if arm == "s"
-                 else params.m_s * params.b_s)
-    return eta * (w_pair + var_pair + drift) / (w_pair + noise)
-
-
-def fano_model(params: TwbParams, eta: float, k: float, n: int,
-               arm: str = "s") -> float:
-    """Marginal photocount Fano factor in the linear-detection model.
-
-    Setting ``eta = 1`` gives the photon-number version.  The model ignores
-    the one-click-per-window saturation, so it bounds the measured value
-    from above.
-    """
-    if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
-    w_pair = n * params.m_p * params.b_p
-    var_pair = n * params.m_p * params.b_p ** 2
-    m_noise = params.m_s if arm == "s" else params.m_i
-    b_noise = params.b_s if arm == "s" else params.b_i
-    w_noise = n * m_noise * b_noise
-    var_noise = n * m_noise * b_noise ** 2
-    drift = k * n * (n - 1) * (params.m_p * params.b_p) ** 2
-    return 1.0 + eta * (var_pair + var_noise + drift) / (w_pair + w_noise)
-
-
-def nrp_model(params: TwbParams, eta_s: float, eta_i: float, k: float,
-              n: int) -> float:
-    """Photocount noise-reduction parameter in the linear-detection model.
-
-    The pump-drift term enters only through ``(eta_s - eta_i)^2`` and thus
-    barely moves balanced detectors.  ``eta_s = eta_i = 1`` gives the
-    photon-number version.
-    """
-    if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
-    w_pair = n * params.m_p * params.b_p
-    var_pair = n * params.m_p * params.b_p ** 2
-    w_s, var_s = n * params.m_s * params.b_s, n * params.m_s * params.b_s ** 2
-    w_i, var_i = n * params.m_i * params.b_i, n * params.m_i * params.b_i ** 2
-    drift = k * n * (n - 1) * (params.m_p * params.b_p) ** 2
-    numerator = ((eta_s - eta_i) ** 2 * (var_pair + drift)
-                 - 2 * eta_s * eta_i * w_pair
-                 + eta_s ** 2 * var_s + eta_i ** 2 * var_i)
-    denominator = (eta_s + eta_i) * w_pair + eta_s * w_s + eta_i * w_i
-    return 1.0 + numerator / denominator
 
 
 def _postselect(weights: np.ndarray, floor: float) -> PostSelectionResult:

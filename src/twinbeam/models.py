@@ -7,16 +7,24 @@ The probability generating function of the joint photon numbers,
 
 yields the single-window click probabilities of two on/off detectors in
 closed form, independently of any truncation.  Everything downstream of the
-per-window 2x2 click table (compound histograms, conditional fields,
-grouped-count statistics) follows from it.
+per-window 2x2 click table follows from it.  ``n`` grouped windows have the
+click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its coefficients are the
+compound histogram (:func:`compound_click_dist`), and its expansion around
+``x = y = 1`` gives every grouped-click moment in closed form
+(:func:`compound_click_moments`, pump drift included), so no moment needs
+the whole table.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
 from .detection import DetectorSpec, compound_photocounts, genuine_pnrd_model
+from .errors import InvalidParameterError
+from .moments import NORMAL, MomentTable
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -83,59 +91,32 @@ def compound_photon_dist(params: TwbParams, n: int) -> JointDist:
     return joint_twb(params.scaled(n))
 
 
-def pump_block_covariances(params: TwbParams, spec_s: DetectorSpec,
-                           spec_i: DetectorSpec, k: float,
-                           nodes: int = 201) -> dict:
-    """Exact same-block click moments under the common-mode pump model.
+def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
+                           spec_i: DetectorSpec, n: int, order: int,
+                           k: float = 0.0) -> MomentTable:
+    """Factorial (normally ordered) click moments of ``n`` grouped windows.
 
-    Averages the closed-form window probabilities over the Gaussian
-    common-mode factor ``max(0, 1 + sqrt(k) g)`` by Gauss-Hermite quadrature
-    and returns per-window means plus the covariance between two distinct
-    windows of one block, per arm and across arms.
+    ``F[a, b] = a! b! [u^a v^b] (1 + p_s u + p_i v + p11 u v)^n``, i.e.
+    ``sum_c a! b! / ((a-c)! (b-c)! c!) perm(n, a+b-c) p_s^(a-c) p_i^(b-c)
+    p11^c``, averaged for ``k > 0`` over the block's common pump factor
+    ``max(0, 1 + sqrt(k) g)`` by 201-node Gauss-Hermite quadrature (the whole
+    group sits inside one block).  Orders above ``n`` are exact zeros.
     """
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    weights = w / w.sum()
-    factors = np.maximum(0.0, 1.0 + np.sqrt(k) * x)
-    ps = np.empty(nodes)
-    pi = np.empty(nodes)
-    p11 = np.empty(nodes)
-    for idx, f in enumerate(factors):
-        ps[idx], pi[idx], p11[idx] = window_click_probs(
-            params, spec_s, spec_i, pump_factor=f)
-    mean_s = float(weights @ ps)
-    mean_i = float(weights @ pi)
-    mean_11 = float(weights @ p11)
-    return {
-        "mean_s": mean_s,
-        "mean_i": mean_i,
-        "mean_coincidence": mean_11,
-        # covariance of clicks in two distinct windows sharing one factor
-        "cross_block_ss": float(weights @ ps ** 2) - mean_s ** 2,
-        "cross_block_ii": float(weights @ pi ** 2) - mean_i ** 2,
-        "cross_block_si": float(weights @ (ps * pi)) - mean_s * mean_i,
-    }
-
-
-def grouped_click_moments(params: TwbParams, spec_s: DetectorSpec,
-                          spec_i: DetectorSpec, k: float, n: int) -> dict:
-    """Means, variances and covariance of ``n``-grouped clicks, pump drift included.
-
-    Assumes the whole group sits inside one block (``block_len >= n``).
-    """
-    if k == 0.0:
-        p_s, p_i, p11 = window_click_probs(params, spec_s, spec_i)
-        base = {"mean_s": p_s, "mean_i": p_i, "mean_coincidence": p11,
-                "cross_block_ss": 0.0, "cross_block_ii": 0.0,
-                "cross_block_si": 0.0}
-    else:
-        base = pump_block_covariances(params, spec_s, spec_i, k)
-    mean_s, mean_i = n * base["mean_s"], n * base["mean_i"]
-    var_s = n * base["mean_s"] * (1 - base["mean_s"]) \
-        + n * (n - 1) * base["cross_block_ss"]
-    var_i = n * base["mean_i"] * (1 - base["mean_i"]) \
-        + n * (n - 1) * base["cross_block_ii"]
-    # n same-window pairs plus n(n-1) ordered cross-window pairs
-    cov = (n * (base["mean_coincidence"] - base["mean_s"] * base["mean_i"])
-           + n * (n - 1) * base["cross_block_si"])
-    return {"mean_s": mean_s, "mean_i": mean_i,
-            "var_s": var_s, "var_i": var_i, "cov": cov}
+    if n < 1:
+        raise InvalidParameterError("group size must be >= 1")
+    PumpCorrelation(k)                      # rejects an inadmissible drift
+    factors, weights = np.ones(1), np.ones(1)
+    if k > 0:
+        x, w = np.polynomial.hermite_e.hermegauss(201)
+        factors, weights = np.maximum(0.0, 1.0 + np.sqrt(k) * x), w / w.sum()
+    p_s, p_i, p11 = np.array([window_click_probs(params, spec_s, spec_i, f)
+                              for f in factors]).T
+    out = np.zeros((order + 1, order + 1))
+    for a, b in np.ndindex(out.shape):
+        for c in range(min(a, b) + 1):
+            coeff = (math.factorial(a) * math.factorial(b)
+                     // (math.factorial(a - c) * math.factorial(b - c)
+                         * math.factorial(c)) * math.perm(n, a + b - c))
+            out[a, b] += float(coeff) * (weights @ (
+                p_s ** (a - c) * p_i ** (b - c) * p11 ** c))
+    return MomentTable(out, order, NORMAL, 1.0, PHOTOCOUNT)

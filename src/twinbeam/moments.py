@@ -17,6 +17,8 @@ threshold ``s_th`` where it nullifies gives the non-classicality depth
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -59,12 +61,15 @@ def stirling_second(order: int) -> list:
     return s
 
 
-def laguerre_mixing(order: int) -> list:
-    """Integer coefficients ``(k!)^2 / (m!^2 (k-m)!)`` of the ordering change."""
-    from math import factorial
-    return [[factorial(k) ** 2 // (factorial(m) ** 2 * factorial(k - m))
-             if m <= k else 0 for m in range(order + 1)]
-            for k in range(order + 1)]
+@lru_cache(maxsize=None)
+def laguerre_mixing(order: int) -> tuple:
+    """Integer coefficients ``(k!)^2 / (m!^2 (k-m)!)`` of the ordering change.
+
+    Built once per order and shared, hence rows of immutable tuples.
+    """
+    return tuple(tuple(factorial(k) ** 2 // (factorial(m) ** 2 * factorial(k - m))
+                       if m <= k else 0 for m in range(order + 1))
+                 for k in range(order + 1))
 
 
 @dataclass

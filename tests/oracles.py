@@ -3,15 +3,19 @@
 Direct two-dimensional convolution of joint distributions: an independent
 route to compound distributions that the package itself computes in closed
 form.  The single-window click distribution through the detection matrices
-cross-checks the closed-form window model the same way.
+cross-checks the closed-form window model the same way, and moments of whole
+compound click tables cross-check the closed-form grouped-click moments.
 """
 
 import numpy as np
 from scipy import signal
 
-from twinbeam.core import JointDist, TwbParams, joint_twb
-from twinbeam.detection import DetectorSpec, forward_photocounts
+from twinbeam import models
+from twinbeam.core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
+from twinbeam.detection import (DetectorSpec, compound_photocounts,
+                                forward_photocounts)
 from twinbeam.errors import InvalidParameterError, KindMismatchError
+from twinbeam.moments import MomentTable, moments, to_intensity_moments
 
 
 def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
@@ -56,3 +60,26 @@ def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
     independent cross-check of the truncated forward model.
     """
     return forward_photocounts(joint_twb(params), spec_s, spec_i)
+
+
+def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
+                                    spec_i: DetectorSpec, n: int, order: int,
+                                    k: float = 0.0) -> MomentTable:
+    """Factorial click moments of ``n`` grouped windows from whole tables.
+
+    Per pump factor of the 201-node Gauss-Hermite rule the ``n``-window
+    histogram is composed with ``compound_photocounts``; its raw moments are
+    averaged over the factors.  Same signature as
+    ``models.compound_click_moments``, which it can stand in for.
+    """
+    factors, weights = np.ones(1), np.ones(1)
+    if k > 0:
+        x, w = np.polynomial.hermite_e.hermegauss(201)
+        factors, weights = np.maximum(0.0, 1.0 + np.sqrt(k) * x), w / w.sum()
+    raw = np.zeros((order + 1, order + 1))
+    for factor, weight in zip(factors, weights):
+        p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
+        window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
+                                     [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
+        raw += weight * moments(compound_photocounts(window, n), order).raw
+    return to_intensity_moments(MomentTable(raw, order, kind=PHOTOCOUNT))

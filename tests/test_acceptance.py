@@ -202,14 +202,15 @@ class TestCriterion5:
         params, spec_s, spec_i = nominal
         outcomes = {}
         for n in (1, 10, 100):
-            pred = models.grouped_click_moments(params, spec_s, spec_i, 0.0, n)
+            pred = tb.from_intensity_moments(
+                models.compound_click_moments(params, spec_s, spec_i, n, 2))
 
             def estimate(part, n=n):
                 h = tb.group_histogram(part, tb.GroupingPolicy(n, "disjoint"))
                 return tb.effective_efficiency(h, "s")
 
             mean, err = segment_estimates(stream_k0, estimate)
-            outcomes[n] = (mean, err, pred["cov"] / pred["mean_i"])
+            outcomes[n] = (mean, err, tb.effective_efficiency(pred, "s"))
         ok = all(abs(m - t) < 3 * e for m, e, t in outcomes.values())
         verdict("5b", "K=0 efficiency vs forward model", ok,
                 ", ".join(f"N={n}: {m:.5f}+-{e:.5f} (model {t:.5f})"
@@ -226,14 +227,14 @@ class TestCriterion5:
                 return tb.effective_efficiency(h, "s")
 
             mean, err = segment_estimates(stream_k, estimate)
-            pred = models.grouped_click_moments(params, spec_s, spec_i, k, n)
-            results[n] = (mean, err, pred["cov"] / pred["mean_i"])
+            pred = tb.from_intensity_moments(
+                models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+            results[n] = (mean, err, tb.effective_efficiency(pred, "s"))
         tracks = all(abs(m - t) < 3 * e for m, e, t in results.values())
-        m100, e100, _ = results[100]
-        m1000, e1000, _ = results[1000]
+        m100, e100, t100 = results[100]
+        m1000, e1000, t1000 = results[1000]
         rises = m1000 - m100 > 3 * np.hypot(e100, e1000)
-        model_rises = (tb.effective_efficiency_model(params, spec_s.eta, k, 1000)
-                       > tb.effective_efficiency_model(params, spec_s.eta, k, 100))
+        model_rises = t1000 > t100
         ok = tracks and rises and model_rises
         verdict("5c", "drift efficiency rise", ok,
                 ", ".join(f"N={n}: {m:.4f}+-{e:.4f} (model {t:.4f})"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import comb, gammaln
 
-from oracles import window_forward_dist
+from oracles import compound_click_moments_by_table, window_forward_dist
 from twinbeam import (DetectorSpec, JointDist, TwbParams, compound_photocounts,
                       conditional_photon_dist, detection_matrix,
                       forward_photocounts, genuine_pnrd_model, joint_twb)
@@ -10,6 +10,7 @@ from twinbeam.core import PHOTOCOUNT, PHOTON
 from twinbeam.detection import _log_factorials
 from twinbeam.errors import (InvalidParameterError, SupportViolationError,
                              ZeroProbabilityConditionError)
+from twinbeam.moments import moments, to_intensity_moments
 from twinbeam import models
 
 
@@ -179,6 +180,35 @@ class TestCompound:
             if k:
                 power = fftconvolve(power, power)
         assert np.abs(out.table - ladder).max() < 1e-12
+
+
+class TestCompoundClickMoments:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+    def test_matches_moments_of_the_compound_table(self, nominal, n):
+        closed = models.compound_click_moments(*nominal, n, 5).raw
+        table = to_intensity_moments(
+            moments(models.compound_click_dist(*nominal, n), 5)).raw
+        a, b = np.indices(closed.shape)
+        structural = np.maximum(a, b) > n      # more clicks than windows
+        assert np.all(closed[structural] == 0.0)
+        np.testing.assert_allclose(closed[~structural], table[~structural],
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_pump_average_matches_table_quadrature(self, nominal, n):
+        k = 5e-3
+        closed = models.compound_click_moments(*nominal, n, 4, k).raw
+        oracle = compound_click_moments_by_table(*nominal, n, 4, k).raw
+        a, b = np.indices(closed.shape)
+        structural = np.maximum(a, b) > n
+        assert np.all(closed[structural] == 0.0)
+        np.testing.assert_allclose(closed[~structural], oracle[~structural],
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("n, k", [(0, 0.0), (3, -1e-3), (3, 0.2)])
+    def test_invalid_arguments_rejected(self, nominal, n, k):
+        with pytest.raises(InvalidParameterError):
+            models.compound_click_moments(*nominal, n, 2, k)
 
 
 class TestConditional:

@@ -109,9 +109,9 @@ class TestWindowCorrelation:
                                PumpCorrelation(k_true, 5_000), 4_000_000, seed=31)
         k = window_correlation(stream, "i", 300)
         kbar = averaged_correlation(k, 24)
-        # analytic click-level plateau from the common-mode oracle
-        block = models.pump_block_covariances(params, spec_s, spec_i, k_true)
-        plateau = block["cross_block_ii"] / block["mean_i"] ** 2
+        # analytic click-level plateau: two windows sharing a pump factor
+        pair = models.compound_click_moments(params, spec_s, spec_i, 2, 2, k_true)
+        plateau = 2 * pair[0, 2] / pair[0, 1] ** 2 - 1
         observed = kbar[50:250].mean()
         assert observed == pytest.approx(plateau, rel=0.25)
         assert np.all(kbar[25:250] > 0)

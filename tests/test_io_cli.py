@@ -10,8 +10,9 @@ import pytest
 from twinbeam import (DetectorSpec, GroupingPolicy, JointDist,
                       PumpCorrelation, detection_matrix, group_histogram,
                       quasi_distribution, sample_stream)
+from oracles import compound_click_moments_by_table
+from twinbeam import detection, models
 from twinbeam import io as tbio
-from twinbeam import models
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
@@ -173,6 +174,40 @@ class TestCli:
             want = np.array(ref_rows[row.split(",")[0]].split(","), dtype=float)
             np.testing.assert_allclose(cells, want, rtol=1e-9, atol=0.0)
 
+    def sweep_cells(self, capsys, *argv):
+        assert self.run("sweep", *argv) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        return lines[0], np.array([row.split(",") for row in lines[1:]],
+                                  dtype=float)
+
+    @pytest.mark.parametrize("metric, k_pump", [
+        ("mean", "0"), ("nrp", "0"), ("covariance", "0"), ("tau-m", "0"),
+        ("mean", "0.000965"), ("fano", "0.000965"), ("nrp", "0.000965")])
+    def test_sweep_matches_table_route(self, metric, k_pump, capsys,
+                                       monkeypatch):
+        argv = ("--metric", metric, "--groups", "1,2,3,5,10",
+                "--k-pump", k_pump)
+        header, closed = self.sweep_cells(capsys, *argv)
+        monkeypatch.setattr(models, "compound_click_moments",
+                            compound_click_moments_by_table)
+        table_header, table = self.sweep_cells(capsys, *argv)
+        assert header == table_header
+        np.testing.assert_allclose(closed, table, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("metric, k_pump", [
+        ("mean", "0.000965"), ("fano", "0.000965"), ("nrp", "0.000965"),
+        ("covariance", "0"), ("eta-eff", "0.000965"), ("tau-e", "0"),
+        ("tau-m", "0"), ("precision", "0")])
+    def test_sweep_moments_need_no_compound_table(self, metric, k_pump,
+                                                  capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compound table built for a moment metric")
+        monkeypatch.setattr(models, "compound_photocounts", refuse)
+        monkeypatch.setattr(detection, "compound_photocounts", refuse)
+        _, cells = self.sweep_cells(capsys, "--metric", metric,
+                                    "--groups", "2,10", "--k-pump", k_pump)
+        assert cells.shape[0] == 2
+
     def test_sweep_drift_columns(self, capsys):
         assert self.run("sweep", "--metric", "fano", "--groups", "5,50,500",
                         "--k-pump", "1e-3") == 0
@@ -249,6 +284,9 @@ BAD_INPUTS = {
     "params-not-object": (
         ["sweep", "--metric", "nrp", "--groups", "1", "--params",
          "{params_list}"], 3, "JSON object"),
+    "params-wrong-type": (
+        ["sweep", "--metric", "nrp", "--groups", "1", "--params",
+         "{params_text}"], 3, "wrong type"),
     "jdist-cut-in-header": (
         ["ncd", "--dist", "{jdist_head}", "--out", "{tmp}/r.json"],
         3, "header"),
@@ -258,6 +296,40 @@ BAD_INPUTS = {
     "jhist-truncated": (
         ["reconstruct", "--hist", "{hist_cut}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
+    "jdist-header-without-dims": (
+        ["ncd", "--dist", "{jdist_no_dims}", "--out", "{tmp}/r.json"],
+        3, "dims"),
+    "clicks-sidecar-not-json": (
+        ["analyze", "--in", "{clicks_cut}", "--group-n", "5",
+         "--out", "{tmp}/h2.jhist"], 3, "not valid JSON"),
+    "clicks-sidecar-not-object": (
+        ["analyze", "--in", "{clicks_list}", "--group-n", "5",
+         "--out", "{tmp}/h2.jhist"], 3, "JSON object"),
+    "clicks-sidecar-bad-params": (
+        ["analyze", "--in", "{clicks_params}", "--group-n", "5",
+         "--out", "{tmp}/h2.jhist"], 3, "'params'"),
+    "sweep-groups-zero": (
+        ["sweep", "--metric", "eta-eff", "--groups", "0"], 2, "--groups"),
+    "sweep-groups-negative": (
+        ["sweep", "--metric", "nrp", "--groups", "-3"], 2, "--groups"),
+    "sweep-k-pump-negative": (
+        ["sweep", "--metric", "fano", "--groups", "2", "--k-pump", "-1"],
+        2, "k must be"),
+    "metrology-nm-zero": (
+        ["metrology", "--in", "{clicks}", "--group-n", "5", "--nm", "0",
+         "--out", "{tmp}/m.json"], 2, "--nm"),
+    "metrology-nm-negative": (
+        ["metrology", "--in", "{clicks}", "--group-n", "5", "--nm", "-5",
+         "--out", "{tmp}/m.json"], 2, "--nm"),
+    "quasidist-steps-zero": (
+        ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
+         "--out", "{tmp}/g.igrid"], 2, "--steps"),
+    "quasidist-w-max-negative": (
+        ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
+         "--out", "{tmp}/g.igrid"], 2, "--w-max"),
+    "simulate-seed-negative": (
+        ["simulate", "--windows", "100", "--seed", "-1",
+         "--out", "{tmp}/s.clicks"], 2, "--seed"),
 }
 
 
@@ -271,14 +343,32 @@ def bad_input_files(tmp_path, nominal):
     partial = tmp_path / "params.json"
     partial.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10,
                                    "b_p": 0.01, "b_s": 0.0}))
-    files = {"tmp": str(tmp_path), "hist": hist, "params": str(partial)}
+    clicks = str(tmp_path / "s.clicks")
+    tbio.write_clicks(stream, clicks)
+    files = {"tmp": str(tmp_path), "hist": hist, "params": str(partial),
+             "clicks": clicks}
+    for key, sidecar in (("clicks_cut", "{bad"), ("clicks_list", "[1]"),
+                         ("clicks_params", '{"params": {"m_p": 1}}')):
+        files[key] = str(tmp_path / f"{key}.clicks")
+        tbio.write_clicks(stream, files[key])
+        (tmp_path / f"{key}.clicks.json").write_text(sidecar)
     files["params_cut"] = str(tmp_path / "cut.json")
     (tmp_path / "cut.json").write_text('{"m_p": 10')
     files["params_list"] = str(tmp_path / "list.json")
     (tmp_path / "list.json").write_text("[10, 10, 10]")
+    files["params_text"] = str(tmp_path / "text.json")
+    (tmp_path / "text.json").write_text(json.dumps(
+        {"m_p": "ten", "m_s": 10, "m_i": 10, "b_p": 0.01, "b_s": 0.0,
+         "b_i": 0.0}))
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(models.window_click_dist(params, spec_s, spec_i), jdist)
+    files["jdist"] = jdist
     blob = open(jdist, "rb").read()
+    header, body = tbio._unpack("jdist-v1", blob)
+    del header["dims"]
+    files["jdist_no_dims"] = str(tmp_path / "no_dims.jdist")
+    with open(files["jdist_no_dims"], "wb") as fh:
+        fh.write(tbio._pack("jdist-v1", header, body))
     header_end = 12 + int.from_bytes(blob[8:12], "little")
     hist_blob = open(hist, "rb").read()
     for key, data in (("jdist_head", blob[:header_end - 5]),

@@ -3,72 +3,65 @@ import pytest
 
 from twinbeam import (DetectorSpec, GroupingPolicy, JointHistogram,
                       PumpCorrelation, TwbParams, effective_efficiency,
-                      effective_efficiency_model, fano_model, group_histogram,
-                      nrp_model, optimal_postselection, precision_improvement,
+                      fano_nrp_cov, from_intensity_moments, group_histogram,
+                      optimal_postselection, precision_improvement,
                       relative_error, sample_stream)
 from twinbeam import models
 from twinbeam.errors import (InsufficientDataError, NoEligibleColumnError)
 
 
+def grouped_clicks(params, spec_s, spec_i, n, k=0.0):
+    """Raw moments of ``n`` grouped clicks from the closed-form model."""
+    return from_intensity_moments(
+        models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+
+
 class TestEffectiveEfficiencyModel:
     def test_poisson_noiseless_limit_recovers_eta(self):
-        # many modes, vanishing per-mode mean: Poissonian pairs, no noise
-        params = TwbParams(1e7, 1, 1, 1e-8, 0.0, 0.0)
-        assert effective_efficiency_model(params, 0.4, 0.0, 10) == \
+        # vanishing per-mode and per-window means: Poissonian pairs, no
+        # noise, no pile-up
+        params = TwbParams(10, 1, 1, 1e-8, 0.0, 0.0)
+        det = DetectorSpec(0.4, 0.0, 1)
+        assert effective_efficiency(grouped_clicks(params, det, det, 10)) == \
             pytest.approx(0.4, rel=1e-6)
 
     def test_noise_lowers_and_bunching_raises(self, nominal):
-        params, _, _ = nominal
-        base = effective_efficiency_model(params, 0.282, 0.0, 10, arm="s")
-        # pair-number fluctuations beyond Poissonian push above eta
-        no_noise = TwbParams(params.m_p, 1, 1, params.b_p, 0.0, 0.0)
-        assert effective_efficiency_model(no_noise, 0.282, 0.0, 10) > 0.282
+        params, spec_s, spec_i = nominal
+        base = effective_efficiency(grouped_clicks(*nominal, 10), "s")
+        # pair-number fluctuations beyond Poissonian raise the value above
+        # that of Poissonian pairs (many modes) of the same mean
+        mean = params.m_p * params.b_p
+        bunched = TwbParams(1, 1, 1, mean, 0.0, 0.0)
+        poissonian = TwbParams(1e6, 1, 1, mean / 1e6, 0.0, 0.0)
+        assert effective_efficiency(grouped_clicks(bunched, spec_s, spec_i, 10)) > \
+            effective_efficiency(grouped_clicks(poissonian, spec_s, spec_i, 10))
         # idler noise photons pull the signal-arm value down
         noisy = TwbParams(params.m_p, params.m_s, params.m_i,
                           params.b_p, params.b_s, params.b_i * 200)
-        assert effective_efficiency_model(noisy, 0.282, 0.0, 10) < base
+        assert effective_efficiency(grouped_clicks(noisy, spec_s, spec_i, 10)) \
+            < base
 
-    def test_drift_term_scale(self, nominal):
-        params, _, _ = nominal
-        w = params.m_p * params.b_p
-        k = 1e-5 / w ** 2
-        lo = effective_efficiency_model(params, 0.282, k, 10)
-        hi = effective_efficiency_model(params, 0.282, k, 1000)
+    def test_drift_raises_with_group_size(self, nominal):
+        k = 1e-3
+        lo = effective_efficiency(grouped_clicks(*nominal, 10, k))
+        hi = effective_efficiency(grouped_clicks(*nominal, 1000, k))
         assert hi > lo
-        predicted = 0.282 * (k * 1000 * 999 * w ** 2) \
-            / (1000 * (w + params.m_i * params.b_i))
-        assert hi - effective_efficiency_model(params, 0.282, 0.0, 1000) == \
-            pytest.approx(predicted, rel=1e-9)
+        assert hi > effective_efficiency(grouped_clicks(*nominal, 1000))
 
 
 class TestFanoNrpModels:
     def test_no_drift_constant_in_n(self, nominal):
-        params, _, _ = nominal
-        values = [fano_model(params, 0.33, 0.0, n, arm="i")
-                  for n in (1, 10, 1000)]
+        stats = [fano_nrp_cov(grouped_clicks(*nominal, n)) for n in (1, 10, 1000)]
+        values = [s["fano_i"] for s in stats]
         assert values[1] == pytest.approx(values[0], rel=1e-12)
         assert values[2] == pytest.approx(values[0], rel=1e-12)
-        rvals = [nrp_model(params, 0.282, 0.33, 0.0, n) for n in (1, 10, 1000)]
+        rvals = [s["nrp"] for s in stats]
         assert rvals[1] == pytest.approx(rvals[0], rel=1e-12)
         assert rvals[2] == pytest.approx(rvals[0], rel=1e-12)
 
-    def test_balanced_detectors_kill_drift_in_nrp(self, nominal):
-        params, _, _ = nominal
-        with_k = nrp_model(params, 0.3, 0.3, 1e-3, 1000)
-        without = nrp_model(params, 0.3, 0.3, 0.0, 1000)
-        assert with_k == pytest.approx(without, rel=1e-12)
-
     def test_drift_raises_fano(self, nominal):
-        params, _, _ = nominal
-        assert fano_model(params, 0.33, 1e-3, 1000) > \
-            fano_model(params, 0.33, 0.0, 1000)
-
-    def test_photon_version_via_unit_eta(self, nominal):
-        params, _, _ = nominal
-        f_n = fano_model(params, 1.0, 0.0, 10, arm="i")
-        var = 10 * (params.m_p * params.b_p ** 2 + params.m_i * params.b_i ** 2)
-        mean = 10 * (params.mean_idler)
-        assert f_n == pytest.approx(1 + var / mean, rel=1e-12)
+        assert fano_nrp_cov(grouped_clicks(*nominal, 1000, 1e-3))["fano_s"] > \
+            fano_nrp_cov(grouped_clicks(*nominal, 1000))["fano_s"]
 
 
 class TestEffectiveEfficiencyEstimator:
@@ -84,9 +77,9 @@ class TestEffectiveEfficiencyEstimator:
     def test_matches_click_level_model(self, stream_1m, nominal):
         params, spec_s, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
-        pred = models.grouped_click_moments(params, spec_s, spec_i, 0.0, 10)
+        pred = effective_efficiency(grouped_clicks(params, spec_s, spec_i, 10))
         eff = effective_efficiency(h, "s")
-        assert eff == pytest.approx(pred["cov"] / pred["mean_i"], abs=0.01)
+        assert eff == pytest.approx(pred, abs=0.01)
 
     def test_dark_subtraction_raises_value(self, stream_1m, nominal):
         _, _, spec_i = nominal
