@@ -18,7 +18,6 @@ from .quasidist import (IntensityGrid, grid_moments, grid_normalization,
                         quasi_distribution)
 from .reconstruct import (EmConfig, EmResult, conditional_histogram,
                           em_conditional, em_joint)
-from .simulate import (ClickStream, PumpCorrelation, pump_moment_model,
-                       sample_stream)
+from .simulate import ClickStream, PumpCorrelation, sample_stream
 
 __version__ = "0.1.0"

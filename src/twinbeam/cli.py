@@ -45,7 +45,8 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out: str, args: argparse.Namespace, inputs: list) -> None:
+def _write_manifest(out: str, args: argparse.Namespace, inputs: list,
+                    diagnostics: dict | None = None) -> None:
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
@@ -54,6 +55,8 @@ def _write_manifest(out: str, args: argparse.Namespace, inputs: list) -> None:
                    if os.path.exists(p)],
         "versions": {"twinbeam": _version(), "numpy": np.__version__},
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     tbio.write_json(manifest, out + ".manifest.json")
 
 
@@ -144,7 +147,9 @@ def _cmd_reconstruct(args) -> None:
     cfg = EmConfig(max_iters=args.max_iters, tol=args.tol)
     spec_s = DetectorSpec(args.eta_s, args.dark_s, n)
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
-    n_max = args.n_max or default_n_max(n, min(spec_s.eta, spec_i.eta))
+    clicks = np.nonzero(hist.counts)
+    c_max = int(max(clicks[0].max(), clicks[1].max()))
+    n_max = args.n_max or default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
     if (n_max + 1) ** 2 > 50_000_000:
         raise UsageError(
             f"joint photon support {n_max + 1}^2 is too large to iterate; "
@@ -153,8 +158,11 @@ def _cmd_reconstruct(args) -> None:
     t_i = detection_matrix(spec_i, n_max)
     dist, result = em_joint(hist, t_s, t_i, cfg)
     tbio.write_jdist(dist, args.out)
-    _write_manifest(args.out, args, [args.hist])
-    print(f"converged={result.converged} iterations={result.iterations} "
+    _write_manifest(args.out, args, [args.hist], {
+        "c_max": c_max, "n_max": n_max, "converged": result.converged,
+        "iterations": result.iterations, "final_change": result.final_change})
+    print(f"c_max={c_max} n_max={n_max} converged={result.converged} "
+          f"iterations={result.iterations} "
           f"final_change={result.final_change:.3e}")
 
 

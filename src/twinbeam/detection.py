@@ -18,6 +18,7 @@ arbitrary-precision verification path.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -74,9 +75,37 @@ _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def default_n_max(c_max: int, eta: float) -> int:
-    """Photon-support bound covering essentially all mass behind ``c_max`` clicks."""
-    return int(np.ceil(3.0 * (c_max + 5) / eta))
+#: Photon numbers past the default support leave no more than the observed
+#: clicks with at most this probability.
+SUPPORT_TAIL = 1e-5
+
+
+def default_n_max(c_max: int, eta: float, pixels: int) -> int:
+    """Photon support for data of at most ``c_max`` clicks on ``pixels`` pixels.
+
+    ``n`` photons leave at most ``c_max`` clicks with a chance that falls with
+    ``n``.  A Poisson number of mean ``n`` photons marks the pixels
+    independently and is at most ``n`` half the time or more, so the chance
+    is at most ``2 P(Binomial(pixels, 1 - exp(-eta n / pixels)) <= c_max)``.
+    The support ends below the first ``n`` at which this bound is
+    ``SUPPORT_TAIL``; dark counts only add clicks.  Saturated data
+    (``c_max >= pixels``) bound nothing and keep ``ceil(3 (pixels + 5) / eta)``.
+    """
+    if c_max >= pixels:
+        return int(np.ceil(3.0 * (pixels + 5) / eta))
+    k = np.arange(c_max + 1)
+    # log C(pixels, k) from the ratios C(pixels, k+1) / C(pixels, k)
+    log_binom = np.cumsum(np.log(np.r_[1.0, (pixels - k[:-1]) / (k[:-1] + 1.0)]))
+    log_tail = math.log(SUPPORT_TAIL / 2)
+
+    def covered(n: int) -> bool:
+        rate = eta * n / pixels
+        return np.logaddexp.reduce(log_binom + k * np.log(-np.expm1(-rate))
+                                   - (pixels - k) * rate) <= log_tail
+
+    # covered() only turns true as n grows; the index of the first covered
+    # n in 1, 2, ... is that n minus one
+    return bisect.bisect_left(range(1, 1 << 62), True, key=covered)
 
 
 def _log_factorials(k_max: int) -> np.ndarray:

@@ -210,6 +210,10 @@ def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
     counts = np.array(_csv_table(body, tuple(header["dims"]), int),
                       dtype=np.int64)
+    total = int(counts.sum())
+    if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:
+        raise DataError("jhist counts must be nonnegative and sum to n_groups "
+                        f"= {header['n_groups']} > 0; they sum to {total}")
     policy = GroupingPolicy(header["group_n"], header["mode"])
     return JointHistogram(counts, header["n_groups"], policy)
 

@@ -38,9 +38,11 @@ NOMINAL_PUMP = PumpCorrelation(k=0.965e-3, block_len=10_000)
 
 
 def _pgf(params: TwbParams, x: float, y: float) -> float:
-    return ((1.0 + params.b_s * (1.0 - x)) ** -params.m_s
-            * (1.0 + params.b_i * (1.0 - y)) ** -params.m_i
-            * (1.0 + params.b_p * (1.0 - x * y)) ** -params.m_p)
+    # (1 + b u)^-m as exp(-m log1p(b u)): many modes of tiny mean must not
+    # raise a rounded 1 + b u to a huge power
+    return math.exp(-params.m_s * math.log1p(params.b_s * (1.0 - x))
+                    - params.m_i * math.log1p(params.b_i * (1.0 - y))
+                    - params.m_p * math.log1p(params.b_p * (1.0 - x * y)))
 
 
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,

@@ -61,18 +61,31 @@ def _as_table(f) -> np.ndarray:
     raise DataError(f"cannot reconstruct from {type(f).__name__}")
 
 
-def _check_support(t: DetectionMatrix, c_dim: int, n_dim: int, label: str):
+def _block(t: DetectionMatrix, c_dim: int, n_max: int | None,
+           label: str) -> np.ndarray:
+    """The first ``c_dim`` click rows and photon columns ``0..n_max`` of ``t``."""
+    n_dim = t.entries.shape[1] if n_max is None else n_max + 1
     if t.entries.shape[0] < c_dim:
         raise DataError(f"{label} matrix covers {t.entries.shape[0]} click values, "
                         f"data needs {c_dim}")
     if t.entries.shape[1] < n_dim:
         raise DataError(f"{label} matrix covers {t.entries.shape[1]} photon values, "
                         f"support needs {n_dim}")
+    return t.entries[:c_dim, :n_dim]
 
 
 def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
         cfg: EmConfig) -> tuple[np.ndarray, EmResult]:
-    """EM iteration for ``data ~ ts @ p @ ti.T`` from a uniform start."""
+    """EM iteration for ``data ~ ts @ p @ ti.T`` from a uniform start.
+
+    Click rows and columns past the last observed count hold no data and
+    leave the update untouched, so they are cut off first.
+    """
+    rows, cols = np.nonzero(data > 0)
+    if rows.size == 0:
+        raise DataError("no observed counts to reconstruct from")
+    data = data[:rows.max() + 1, :cols.max() + 1]
+    ts, ti = ts[:data.shape[0]], ti[:data.shape[1]]
     p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
     # Full-size tables are updated in two preallocated buffers: fresh
     # temporaries of a few hundred kB per iteration make the allocator
@@ -102,12 +115,8 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
              cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
     """Reconstruct a joint photon-number distribution from photocounts."""
     data = _as_table(f)
-    n_s_dim = cfg.n_max + 1 if cfg.n_max is not None else t_s.entries.shape[1]
-    n_i_dim = cfg.n_max + 1 if cfg.n_max is not None else t_i.entries.shape[1]
-    _check_support(t_s, data.shape[0], n_s_dim, "signal")
-    _check_support(t_i, data.shape[1], n_i_dim, "idler")
-    p, result = _em(data, t_s.entries[:data.shape[0], :n_s_dim],
-                    t_i.entries[:data.shape[1], :n_i_dim], cfg)
+    p, result = _em(data, _block(t_s, data.shape[0], cfg.n_max, "signal"),
+                    _block(t_i, data.shape[1], cfg.n_max, "idler"), cfg)
     return JointDist(p, 0.0, PHOTON), result
 
 
@@ -116,9 +125,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     """One-dimensional reconstruction of a conditional photocount column."""
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
     data = data / data.sum()
-    n_dim = cfg.n_max + 1 if cfg.n_max is not None else t_i.entries.shape[1]
-    _check_support(t_i, len(data), n_dim, "idler")
-    p, result = _em(data[:, None], t_i.entries[:len(data), :n_dim],
+    p, result = _em(data[:, None], _block(t_i, len(data), cfg.n_max, "idler"),
                     np.ones((1, 1)), cfg)
     return MarginalDist(p[:, 0], 0.0, PHOTON), result
 

@@ -140,18 +140,3 @@ def _miss_prob(n: np.ndarray, log_miss: float) -> np.ndarray:
         return (n == 0).astype(float)
     return np.exp(n * log_miss)
 
-
-def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
-    """First two moments of the grouped paired intensity under pump drift.
-
-    For ``n`` grouped windows the common-mode fluctuations leave the mean
-    untouched and add ``k n(n-1) <W_p^w>^2`` to the second moment, with
-    ``<W_p^w>`` the per-window paired mean.
-    """
-    if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
-    w_window = params.m_p * params.b_p
-    mean = n * w_window
-    var = n * params.m_p * params.b_p ** 2
-    second = var + mean ** 2 + k * n * (n - 1) * w_window ** 2
-    return {"w_all_mean": mean, "w_all_sq": second}

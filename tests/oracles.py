@@ -5,6 +5,8 @@ route to compound distributions that the package itself computes in closed
 form.  The single-window click distribution through the detection matrices
 cross-checks the closed-form window model the same way, and moments of whole
 compound click tables cross-check the closed-form grouped-click moments.
+The photon-level drift moments give the tests a closed form to hold the
+simulated pump drift against.
 """
 
 import numpy as np
@@ -83,3 +85,19 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
                                      [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
         raw += weight * moments(compound_photocounts(window, n), order).raw
     return to_intensity_moments(MomentTable(raw, order, kind=PHOTOCOUNT))
+
+
+def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
+    """First two moments of the grouped paired intensity under pump drift.
+
+    For ``n`` grouped windows the common-mode fluctuations leave the mean
+    untouched and add ``k n(n-1) <W_p^w>^2`` to the second moment, with
+    ``<W_p^w>`` the per-window paired mean.
+    """
+    if n < 1:
+        raise InvalidParameterError("group size must be >= 1")
+    w_window = params.m_p * params.b_p
+    mean = n * w_window
+    var = n * params.m_p * params.b_p ** 2
+    second = var + mean ** 2 + k * n * (n - 1) * w_window ** 2
+    return {"w_all_mean": mean, "w_all_sq": second}

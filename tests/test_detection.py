@@ -7,7 +7,7 @@ from twinbeam import (DetectorSpec, JointDist, TwbParams, compound_photocounts,
                       conditional_photon_dist, detection_matrix,
                       forward_photocounts, genuine_pnrd_model, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
-from twinbeam.detection import _log_factorials
+from twinbeam.detection import SUPPORT_TAIL, _log_factorials, default_n_max
 from twinbeam.errors import (InvalidParameterError, SupportViolationError,
                              ZeroProbabilityConditionError)
 from twinbeam.moments import moments, to_intensity_moments
@@ -209,6 +209,55 @@ class TestCompoundClickMoments:
     def test_invalid_arguments_rejected(self, nominal, n, k):
         with pytest.raises(InvalidParameterError):
             models.compound_click_moments(*nominal, n, 2, k)
+
+
+class TestDefaultNMax:
+    @pytest.mark.parametrize("pixels", [10, 100, 1000])
+    @pytest.mark.parametrize("eta", [0.282, 0.33, 0.9])
+    def test_photons_beyond_support_leave_more_clicks(self, pixels, eta):
+        # for every c < pixels, column n_max + 1 puts at most 1e-5 on the
+        # rows <= c; no dark counts, which only add clicks
+        first_out = {}
+        for c in range(pixels):
+            first_out.setdefault(default_n_max(c, eta, pixels) + 1, []).append(c)
+        # occupancy law of the clicks, one photon at a time: a photon
+        # marks a fresh pixel with probability eta (pixels - j) / pixels
+        fresh = eta * (pixels - np.arange(pixels + 1)) / pixels
+        column = np.zeros(pixels + 1)
+        column[0] = 1.0
+        worst = 0.0
+        for n in range(1, max(first_out) + 1):
+            marked = column[:-1] * fresh[:-1]
+            column *= 1 - fresh
+            column[1:] += marked
+            for c in first_out.get(n, ()):
+                worst = max(worst, column[:c + 1].sum())
+        assert worst <= 1e-5
+        if pixels <= 100:      # the same column as the matrix EM iterates on
+            n = max(first_out)
+            np.testing.assert_allclose(
+                column, detection_matrix(DetectorSpec(eta, 0.0, pixels),
+                                         n).entries[:, n], atol=1e-13)
+
+    def test_support_close_to_the_exact_one(self):
+        # the Poisson bound sits above the exact chance, but the support
+        # is at most 15 % wider than the one the exact chance asks for
+        c, eta, pixels = 14, 0.282, 100
+        n_max = default_n_max(c, eta, pixels)
+        t = detection_matrix(DetectorSpec(eta, 0.0, pixels), n_max + 1)
+        tails = t.entries[:c + 1].sum(axis=0)
+        exact = int(np.argmax(tails <= SUPPORT_TAIL)) - 1
+        assert exact <= n_max <= 1.15 * exact
+
+    @pytest.mark.parametrize("pixels", [1, 10, 100])
+    def test_saturated_data_keep_the_group_size_rule(self, pixels):
+        assert default_n_max(pixels, 0.282, pixels) == \
+            int(np.ceil(3 * (pixels + 5) / 0.282))
+
+    def test_support_grows_with_clicks_and_shrinks_with_efficiency(self):
+        sizes = [default_n_max(c, 0.282, 100) for c in range(100)]
+        assert sizes == sorted(sizes)
+        assert default_n_max(14, 0.9, 100) < default_n_max(14, 0.282, 100)
 
 
 class TestConditional:

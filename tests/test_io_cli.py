@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from twinbeam import (DetectorSpec, GroupingPolicy, JointDist,
-                      PumpCorrelation, detection_matrix, group_histogram,
-                      quasi_distribution, sample_stream)
+                      JointHistogram, PumpCorrelation, detection_matrix,
+                      group_histogram, quasi_distribution, sample_stream)
 from oracles import compound_click_moments_by_table
 from twinbeam import detection, models
 from twinbeam import io as tbio
@@ -134,6 +134,45 @@ class TestCli:
             manifest = json.loads(open(path + ".manifest.json").read())
             assert manifest["command"]
             assert "parameters" in manifest and "versions" in manifest
+
+    def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
+        """Reconstruct 300 disjoint groups of n = 1000 windows."""
+        stream = sample_stream(*nominal,
+                               PumpCorrelation(0.0, 100), 300_000, seed=4)
+        hist = group_histogram(stream, GroupingPolicy(1000, "disjoint"))
+        path, dist = str(tmp_path / "h.jhist"), str(tmp_path / "p.jdist")
+        tbio.write_jhist(hist, path)
+        capsys.readouterr()
+        assert self.run("reconstruct", "--hist", path, "--eta-s", "0.282",
+                        "--eta-i", "0.330", "--dark-s", "2.8e-3",
+                        "--dark-i", "3.8e-3", "--max-iters", "30",
+                        "--out", dist, *extra) == 0
+        manifest = json.loads(open(dist + ".manifest.json").read())
+        return (hist, tbio.read_jdist(dist), manifest["diagnostics"],
+                capsys.readouterr().out)
+
+    def test_reconstruct_sizes_support_to_the_clicks(self, tmp_path, capsys,
+                                                     nominal):
+        hist, dist, diag, out = self.reconstruct_thousand(tmp_path, capsys,
+                                                          nominal)
+        rows, cols = np.nonzero(hist.counts)
+        c_max = int(max(rows.max(), cols.max()))
+        n_max = detection.default_n_max(c_max, 0.282, 1000)
+        final_change = diag.pop("final_change")
+        assert isinstance(final_change, float)
+        assert diag == {"c_max": c_max, "n_max": n_max, "converged": False,
+                        "iterations": 30}
+        assert dist.table.shape == (n_max + 1, n_max + 1)
+        assert n_max < detection.default_n_max(1000, 0.282, 1000)
+        assert out.split() == [
+            f"c_max={c_max}", f"n_max={n_max}", "converged=False",
+            "iterations=30", f"final_change={final_change:.3e}"]
+
+    def test_explicit_n_max_wins(self, tmp_path, capsys, nominal):
+        _, dist, diag, _ = self.reconstruct_thousand(tmp_path, capsys, nominal,
+                                                     "--n-max", "90")
+        assert diag["n_max"] == 90
+        assert dist.table.shape == (91, 91)
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -327,6 +366,15 @@ BAD_INPUTS = {
     "quasidist-w-max-negative": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
          "--out", "{tmp}/g.igrid"], 2, "--w-max"),
+    "jhist-all-zero": (
+        ["reconstruct", "--hist", "{hist_zero}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "sum to 0"),
+    "jhist-negative-count": (
+        ["reconstruct", "--hist", "{hist_negative}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "nonnegative"),
+    "jhist-total-not-n-groups": (
+        ["reconstruct", "--hist", "{hist_total}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "n_groups = 12"),
     "simulate-seed-negative": (
         ["simulate", "--windows", "100", "--seed", "-1",
          "--out", "{tmp}/s.clicks"], 2, "--seed"),
@@ -360,6 +408,13 @@ def bad_input_files(tmp_path, nominal):
     (tmp_path / "text.json").write_text(json.dumps(
         {"m_p": "ten", "m_s": 10, "m_i": 10, "b_p": 0.01, "b_s": 0.0,
          "b_i": 0.0}))
+    for key, counts, n_groups in (("hist_zero", [[0, 0], [0, 0]], 0),
+                                  ("hist_negative", [[4, -1], [2, 5]], 10),
+                                  ("hist_total", [[4, 1], [2, 3]], 12)):
+        files[key] = str(tmp_path / f"{key}.jhist")
+        tbio.write_jhist(JointHistogram(np.array(counts), n_groups,
+                                        GroupingPolicy(1, "disjoint")),
+                         files[key])
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(models.window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist

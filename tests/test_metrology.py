@@ -25,6 +25,14 @@ class TestEffectiveEfficiencyModel:
         assert effective_efficiency(grouped_clicks(params, det, det, 10)) == \
             pytest.approx(0.4, rel=1e-6)
 
+    def test_many_faint_modes_keep_the_poisson_limit(self):
+        # 1e7 modes of 1e-12 pairs each: (1 + b u)^-m must not be taken of a
+        # rounded 1 + b u, which put it 2.2e-4 below 0.4
+        params = TwbParams(1e7, 1, 1, 1e-12, 0.0, 0.0)
+        det = DetectorSpec(0.4, 0.0, 1)
+        assert effective_efficiency(grouped_clicks(params, det, det, 10)) == \
+            pytest.approx(0.4, rel=1e-5)
+
     def test_noise_lowers_and_bunching_raises(self, nominal):
         params, spec_s, spec_i = nominal
         base = effective_efficiency(grouped_clicks(*nominal, 10), "s")

@@ -7,7 +7,7 @@ from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
                       em_conditional, em_joint, joint_twb)
 from twinbeam import models
 from twinbeam.core import PHOTOCOUNT
-from twinbeam.detection import DetectionMatrix
+from twinbeam.detection import DetectionMatrix, default_n_max
 from twinbeam.errors import DataError, EmptyConditionError, NumericError
 
 
@@ -91,6 +91,57 @@ class TestEmJoint:
         mean_i = est.marginal("i").mean()
         # reconstruction undoes detection losses: mean near 5 * 0.102
         assert mean_i == pytest.approx(5 * 0.10205, rel=0.05)
+
+    def test_right_sized_support_matches_the_full_one(self, stream_1m,
+                                                      nominal):
+        # photon numbers past default_n_max of the largest observed count
+        # lose all mass in the iteration, so the right-sized estimate is the
+        # group-size-wide one on the common cells
+        from twinbeam import group_histogram
+        _, spec_s, spec_i = nominal
+        n = 20
+        h = group_histogram(stream_1m, GroupingPolicy(n, "disjoint"))
+        rows, cols = np.nonzero(h.counts)
+        eta = min(spec_s.eta, spec_i.eta)
+        small = default_n_max(max(rows.max(), cols.max()), eta, n)
+        wide = default_n_max(n, eta, n)
+
+        def run(n_max):
+            est, _ = em_joint(
+                h, detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
+                detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
+                EmConfig(max_iters=300))
+            return est.table
+
+        k = small + 1
+        right, full = run(small), run(wide)
+        assert k < full.shape[0]
+        np.testing.assert_allclose(right, full[:k, :k], rtol=0, atol=1e-12)
+        assert full[k:, :].max() == 0.0 and full[:, k:].max() == 0.0
+
+    def test_rows_past_the_data_are_cut_without_effect(self, nominal):
+        # three grouped windows seen through ten-pixel matrices: click rows
+        # 4..10 hold no data; textbook EM over every row gives the same
+        params, spec_s, spec_i = nominal
+        data = np.zeros((11, 11))
+        data[:4, :4] = models.compound_click_dist(params, spec_s, spec_i, 3).table
+        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
+        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
+        est, _ = em_joint(JointDist(data, 0.0, PHOTOCOUNT), t_s, t_i,
+                          EmConfig(max_iters=50, tol=1e-300))
+        p = np.full((31, 31), 1 / 31 ** 2)
+        for _ in range(50):
+            projected = t_s.entries @ p @ t_i.entries.T
+            ratio = np.divide(data, projected, out=np.zeros_like(data),
+                              where=data > 0)
+            p = p * (t_s.entries.T @ ratio @ t_i.entries)
+        np.testing.assert_allclose(est.table, p, rtol=1e-12, atol=1e-300)
+
+    def test_no_observed_counts_rejected(self):
+        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
+        with pytest.raises(DataError, match="no observed counts"):
+            em_joint(empty, t, t, EmConfig(n_max=10))
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import pump_moment_model
 from twinbeam import (DetectorSpec, PumpCorrelation, TwbParams, fano_nrp_cov,
-                      from_intensity_moments, pump_moment_model, sample_stream)
+                      from_intensity_moments, sample_stream)
 from twinbeam import models
 from twinbeam.errors import InvalidParameterError
 
