@@ -2,9 +2,9 @@
 
 from .core import (PHOTON, PHOTOCOUNT, JointDist, MarginalDist, TwbParams,
                    joint_twb, mandel_rice)
-from .detection import (DetectionMatrix, DetectorSpec, compound_photocounts,
-                        conditional_photon_dist, detection_matrix,
-                        forward_photocounts, genuine_pnrd_model)
+from .detection import (DetectionMatrix, DetectorSpec, conditional_photon_dist,
+                        detection_matrix, forward_photocounts,
+                        genuine_pnrd_model)
 from .ingest import (GroupingPolicy, JointHistogram, averaged_correlation,
                      conditioned_sequences, group_histogram, grouped_counts,
                      window_correlation)

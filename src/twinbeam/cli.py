@@ -250,7 +250,7 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
                 row[f"{label}_tau_{ident}"] = ncd(normal, ident).tau
     elif metric == "postselect":
         best = _postselect(
-            models.compound_click_dist(params, spec_s, spec_i, n).table, 1e-3)
+            *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)
         photon = conditional_photon_dist(models.joint_twb(params), spec_s,
                                          best.c_s_opt, n)
         row.update(c_s_opt=best.c_s_opt, fano_click=best.fano_min,

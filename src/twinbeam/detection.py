@@ -12,8 +12,8 @@ large, so the default evaluation path uses an exactly equivalent all-positive
 formulation: each photon independently marks a uniformly chosen pixel with
 probability ``eta``; a pixel clicks when marked or on a dark count.  The
 pixel-occupancy recursion involved is stable in double precision and its
-column sums are one by construction.  The alternating sum is retained as an
-arbitrary-precision verification path.
+column sums are one by construction.  An arbitrary-precision evaluation of
+the alternating sum lives with the tests as the cross-check of this path.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 from .core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist, TwbParams,
                    convolve_power_1d, joint_twb)
 from .errors import (InvalidParameterError, KindMismatchError,
-                     PrecisionExhaustedError, SupportViolationError,
-                     ZeroProbabilityConditionError)
+                     PrecisionExhaustedError, ZeroProbabilityConditionError)
 
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
@@ -61,7 +60,6 @@ class DetectionMatrix:
 
     entries: np.ndarray
     spec: DetectorSpec
-    precision_bits: int
 
     @property
     def n_max(self) -> int:
@@ -160,61 +158,30 @@ def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
     return B @ Q
 
 
-def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:
-    """Direct evaluation of the alternating sum at ``bits`` of precision."""
-    import mpmath as mp
-
-    N, eta, dark = spec.pixels, spec.eta, spec.dark
-    out = np.zeros((N + 1, n_max + 1))
-    with mp.workprec(bits):
-        one_m_dark = mp.mpf(1) - mp.mpf(dark)
-        bases = [mp.mpf(1) - mp.mpf(eta) * m / N for m in range(N + 1)]
-        for c in range(N + 1):
-            prefactor = mp.binomial(N, c)
-            for n in range(n_max + 1):
-                acc = mp.mpf(0)
-                for l in range(c + 1):
-                    m = N - c + l
-                    term = (mp.binomial(c, l) * one_m_dark ** m * bases[m] ** n)
-                    acc = acc - term if l % 2 else acc + term
-                out[c, n] = float(prefactor * acc)
-    return out
-
-
-def detection_matrix(spec: DetectorSpec, n_max: int,
-                     precision_bits: int | None = None) -> DetectionMatrix:
+def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     """Build (or fetch from cache) the detection matrix of a detector.
 
-    ``precision_bits=None`` selects the stable double-precision path; an
-    explicit bit count selects the arbitrary-precision alternating sum,
-    useful for cross-validation.  Column sums are validated either way and
-    tiny negative entries are clamped to zero only after validation passes.
+    Column sums are validated and tiny negative entries are clamped to zero
+    only after validation passes.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max must be >= 0")
-    key = (spec.eta, spec.dark, spec.pixels, n_max, precision_bits)
+    key = (spec, n_max)
     with _cache_lock:
         hit = _cache.get(key)
     if hit is not None:
         return hit
 
-    if precision_bits is None:
-        entries = _build_stable(spec, n_max)
-        bits = 53
-    else:
-        entries = _build_extended(spec, n_max, precision_bits)
-        bits = precision_bits
-
+    entries = _build_stable(spec, n_max)
     colsum_err = np.abs(entries.sum(axis=0) - 1.0).max()
     if colsum_err > COLUMN_SUM_TOL:
-        raise PrecisionExhaustedError(
-            f"column sums off by {colsum_err:.3e} at precision {bits} bits")
+        raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
     if entries.min() < -NEGATIVE_CLAMP:
         raise PrecisionExhaustedError(
             f"entry {entries.min():.3e} below the rounding clamp")
     np.clip(entries, 0.0, None, out=entries)
     entries.flags.writeable = False
-    matrix = DetectionMatrix(entries, spec, bits)
+    matrix = DetectionMatrix(entries, spec)
     with _cache_lock:
         _cache[key] = matrix
     return matrix
@@ -229,66 +196,6 @@ def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
     t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
     f = t_s.entries @ p.table @ t_i.entries.T
     return JointDist(f, p.tail_mass, PHOTOCOUNT)
-
-
-def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
-    """Photocount distribution of ``n`` independently detected weak beams.
-
-    The per-window distribution must live on {0,1} x {0,1}; the compound
-    table is then a four-outcome multinomial, evaluated cell by cell in log
-    space.  All contributions are positive, so each cell is accurate to
-    round-off and the support is exactly ``0..n`` per axis.
-    """
-    if f_w.kind != PHOTOCOUNT:
-        raise KindMismatchError("compound composition expects photocounts")
-    if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
-    table = f_w.table
-    if table.shape[0] > 2 or table.shape[1] > 2:
-        if np.abs(table[2:, :]).sum() + np.abs(table[:, 2:]).sum() > 1e-15:
-            raise SupportViolationError(
-                "per-window distribution has mass outside {0,1}x{0,1}")
-        table = table[:2, :2]
-    w = np.zeros((2, 2))
-    w[:table.shape[0], :table.shape[1]] = table
-
-    # log(0) -> large negative finite value: exp underflows to exactly zero
-    # while 0 * log stays zero, keeping the vectorized sum NaN-free.
-    logw = np.full((2, 2), -1e9)
-    pos = w > 0
-    logw[pos] = np.log(w[pos])
-
-    c_cap = _support_cap(w[1, 0] + w[1, 1], n)
-    r_cap = _support_cap(w[0, 1] + w[1, 1], n)
-    out = np.zeros((n + 1, n + 1))
-    lf = _log_factorials(n)
-    # k coincidences plus a signal-only and b idler-only clicks fill cell
-    # (k + a, k + b); only cells with rest = n - k - a - b >= 0 are reachable.
-    a = np.arange(c_cap + 1)[:, None]
-    b = np.arange(r_cap + 1)[None, :]
-    acc = np.zeros((c_cap + 1, r_cap + 1))
-    for k in range(min(c_cap, r_cap) + 1):
-        ak, bk = a[:c_cap + 1 - k], b[:, :r_cap + 1 - k]
-        rest = n - k - ak - bk
-        valid = rest >= 0
-        lp = (lf[n] - lf[k] - lf[ak] - lf[bk] - lf[np.where(valid, rest, 0)]
-              + k * logw[1, 1] + ak * logw[1, 0]
-              + bk * logw[0, 1] + rest * logw[0, 0])
-        acc[k:, k:] += np.exp(np.where(valid, lp, -np.inf))
-    out[:c_cap + 1, :r_cap + 1] = acc
-    tail = min(1.0, n * f_w.tail_mass) + max(0.0, 1.0 - out.sum())
-    return JointDist(out, tail, PHOTOCOUNT)
-
-
-def _support_cap(p: float, n: int) -> int:
-    """Index beyond which binomial(n, p) mass underflows double precision."""
-    if p <= 0:
-        return 0
-    if p >= 1:
-        return n
-    mean = n * p
-    spread = 42.0 * np.sqrt(max(mean * (1 - p), 1.0)) + 60.0
-    return min(n, int(np.ceil(mean + spread)))
 
 
 def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,

@@ -1,4 +1,4 @@
-"""On-disk formats for streams, distributions, matrices, histograms, grids.
+"""On-disk formats for streams, distributions, histograms and grids.
 
 ``clicks-v1`` is a fixed binary layout: a 16-byte magic/version field, the
 window count as little-endian u64, one byte per window (bit 0 the signal
@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 
 from .core import JointDist, TwbParams
-from .detection import DetectionMatrix, DetectorSpec
+from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
 from .ingest import GroupingPolicy, JointHistogram
 from .quasidist import IntensityGrid
@@ -32,14 +32,12 @@ from .simulate import ClickStream, PumpCorrelation
 CLICKS_MAGIC = b"twinbeam-clicks1"
 MAGIC = {
     "jdist-v1": b"TWBJDIS1",
-    "dmat-v1": b"TWBDMAT1",
     "jhist-v1": b"TWBJHIS1",
     "igrid-v1": b"TWBIGRD1",
 }
 #: Header keys each container reader needs.
 HEADER_KEYS = {
     "jdist-v1": ("dims", "kind", "tail_mass", "truncation_dirty", "payload"),
-    "dmat-v1": ("eta", "dark", "pixels", "n_max", "precision_bits"),
     "jhist-v1": ("dims", "n_groups", "group_n", "mode"),
     "igrid-v1": ("dims", "w_max_s", "w_max_i", "s"),
 }
@@ -176,24 +174,6 @@ def read_jdist(path: str) -> JointDist:
     d = JointDist(table, header["tail_mass"], header["kind"])
     d.truncation_dirty = header["truncation_dirty"]
     return d
-
-
-# -- dmat-v1 -----------------------------------------------------------------
-
-def write_dmat(m: DetectionMatrix, path: str) -> None:
-    header = {"eta": m.spec.eta, "dark": m.spec.dark, "pixels": m.spec.pixels,
-              "n_max": m.n_max, "precision_bits": m.precision_bits,
-              "payload": "f64"}
-    body = np.ascontiguousarray(m.entries, dtype="<f8").tobytes()
-    _atomic_write(path, _pack("dmat-v1", header, body))
-
-
-def read_dmat(path: str) -> DetectionMatrix:
-    header, body = _unpack("dmat-v1", _read(path))
-    spec = DetectorSpec(header["eta"], header["dark"], header["pixels"])
-    entries = _f64_table(body, (spec.pixels + 1, header["n_max"] + 1))
-    entries.flags.writeable = False
-    return DetectionMatrix(entries, spec, header["precision_bits"])
 
 
 # -- jhist-v1 ----------------------------------------------------------------

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PHOTOCOUNT, MarginalDist
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError)
@@ -84,27 +83,21 @@ def effective_efficiency(data: JointHistogram | MomentTable, arm: str = "s",
     return float(cov / denominator)
 
 
-def _postselect(weights: np.ndarray, floor: float) -> PostSelectionResult:
-    """Row of a signal-by-idler weight table with the least conditional Fano.
+def _postselect(occupancy: np.ndarray, mean: np.ndarray, var: np.ndarray,
+                floor: float) -> PostSelectionResult:
+    """Signal row with the least conditional Fano factor ``var / mean``.
 
-    Rows whose total weight is below ``floor`` (or zero) are not eligible,
-    nor are rows whose conditional mean is zero.  ``p_success`` is the
-    chosen row's total weight.
+    Rows whose occupancy is below ``floor`` (or zero) are not eligible, nor
+    are rows whose conditional mean is zero; ties go to the first row.
+    ``p_success`` is the chosen row's occupancy.
     """
-    best = None
-    occupancy = weights.sum(axis=1)
-    for c_s in np.nonzero((occupancy >= floor) & (occupancy > 0))[0]:
-        cond = MarginalDist(weights[c_s] / occupancy[c_s], 0.0, PHOTOCOUNT)
-        mean = cond.mean()
-        if mean == 0:
-            continue
-        fano = cond.fano()
-        if best is None or fano < best.fano_min:
-            best = PostSelectionResult(int(c_s), fano, mean, occupancy[c_s])
-    if best is None:
+    eligible = np.flatnonzero((occupancy >= floor) & (occupancy > 0) & (mean > 0))
+    if not eligible.size:
         raise NoEligibleColumnError(
             f"no signal column reaches the eligibility floor {floor:g}")
-    return best
+    c_s = eligible[np.argmin(var[eligible] / mean[eligible])]
+    return PostSelectionResult(int(c_s), float(var[c_s] / mean[c_s]),
+                               float(mean[c_s]), float(occupancy[c_s]))
 
 
 def optimal_postselection(h: JointHistogram,
@@ -114,7 +107,13 @@ def optimal_postselection(h: JointHistogram,
     Columns with fewer than ``min_events`` groups are excluded: their sample
     Fano factors are too noisy to rank.
     """
-    best = _postselect(h.counts, min_events)
+    occupancy = h.counts.sum(axis=1)
+    probs = h.counts / np.maximum(occupancy, 1)[:, None]
+    c_i = np.arange(probs.shape[1])
+    mean = probs @ c_i
+    # centred, so that a row of one value reads exactly 0
+    var = ((c_i - mean[:, None]) ** 2 * probs).sum(axis=1)
+    best = _postselect(occupancy, mean, var, min_events)
     return replace(best, p_success=best.p_success / h.n_groups)
 
 

@@ -8,11 +8,12 @@ The probability generating function of the joint photon numbers,
 yields the single-window click probabilities of two on/off detectors in
 closed form, independently of any truncation.  Everything downstream of the
 per-window 2x2 click table follows from it.  ``n`` grouped windows have the
-click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its coefficients are the
-compound histogram (:func:`compound_click_dist`), and its expansion around
+click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its expansion around
 ``x = y = 1`` gives every grouped-click moment in closed form
-(:func:`compound_click_moments`, pump drift included), so no moment needs
-the whole table.
+(:func:`compound_click_moments`, pump drift included), and setting ``x`` to
+the signal outcome of each window gives the idler clicks heralded by ``c_s``
+signal clicks as two independent binomials (:func:`postselection_stats`).
+No quantity needs the whole compound histogram.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
-from .detection import DetectorSpec, compound_photocounts, genuine_pnrd_model
+from .detection import DetectorSpec, _log_factorials, genuine_pnrd_model
 from .errors import InvalidParameterError
 from .moments import NORMAL, MomentTable
 from .simulate import PumpCorrelation
@@ -63,21 +64,6 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
     p_s, p_i = 1.0 - no_s, 1.0 - no_i
     p11 = 1.0 - no_s - no_i + no_both
     return p_s, p_i, p11
-
-
-def window_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                      spec_i: DetectorSpec) -> JointDist:
-    """Exact 2x2 joint click distribution of one detection window."""
-    p_s, p_i, p11 = window_click_probs(params, spec_s, spec_i)
-    table = np.array([[1.0 - p_s - p_i + p11, p_i - p11],
-                      [p_s - p11, p11]])
-    return JointDist(table, 0.0, PHOTOCOUNT)
-
-
-def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec, n: int) -> JointDist:
-    """Joint click distribution of ``n`` grouped windows (compound beam)."""
-    return compound_photocounts(window_click_dist(params, spec_s, spec_i), n)
 
 
 def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
@@ -122,3 +108,27 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
             out[a, b] += float(coeff) * (weights @ (
                 p_s ** (a - c) * p_i ** (b - c) * p11 ** c))
     return MomentTable(out, order, NORMAL, 1.0, PHOTOCOUNT)
+
+
+def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
+                        spec_i: DetectorSpec, n: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Occupancy, idler mean and idler variance of ``c_s = 0..n`` signal clicks.
+
+    Windows are independent, so ``c_s`` is ``Binomial(n, p_s)`` and the idler
+    count given ``c_s`` is ``Binomial(c_s, q1) + Binomial(n - c_s, q0)``, with
+    ``q1 = p11 / p_s`` and ``q0 = (p_i - p11) / (1 - p_s)`` the idler click
+    probabilities of a window with and without a signal click.
+    """
+    p_s, p_i, p11 = window_click_probs(params, spec_s, spec_i)
+    # a q of an impossible window outcome only meets rows of zero occupancy;
+    # log 0 is a large finite negative so that 0 * log 0 stays 0
+    q1, log_s = (p11 / p_s, math.log(p_s)) if p_s > 0 else (0.0, -1e9)
+    q0, log_not = ((p_i - p11) / (1.0 - p_s), math.log1p(-p_s)) \
+        if p_s < 1 else (0.0, -1e9)
+    c = np.arange(n + 1)
+    lf = _log_factorials(n)
+    occupancy = np.exp(lf[n] - lf[c] - lf[n - c] + c * log_s + (n - c) * log_not)
+    mean = c * q1 + (n - c) * q0
+    var = c * q1 * (1.0 - q1) + (n - c) * q0 * (1.0 - q0)
+    return occupancy, mean, var

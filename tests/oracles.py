@@ -1,12 +1,21 @@
 """Reference implementations used only by the tests.
 
-Direct two-dimensional convolution of joint distributions: an independent
-route to compound distributions that the package itself computes in closed
-form.  The single-window click distribution through the detection matrices
-cross-checks the closed-form window model the same way, and moments of whole
-compound click tables cross-check the closed-form grouped-click moments.
-The photon-level drift moments give the tests a closed form to hold the
-simulated pump drift against.
+Each one is an independent, slower route to a number the package computes
+another way:
+
+* the textbook alternating sum of the detection matrix, evaluated at any
+  precision with mpmath (the package uses the all-positive occupancy
+  recursion);
+* the whole compound click table of ``n`` grouped windows as a four-outcome
+  multinomial, cell by cell in log space, and the single-window table it
+  starts from (the package takes moments and post-selection statistics of
+  grouped clicks in closed form);
+* direct two-dimensional convolution of joint distributions;
+* the single-window click distribution through the detection matrices;
+* moments of whole compound click tables, against the closed-form
+  grouped-click moments;
+* the photon-level drift moments, a closed form to hold the simulated pump
+  drift against.
 """
 
 import numpy as np
@@ -14,10 +23,107 @@ from scipy import signal
 
 from twinbeam import models
 from twinbeam.core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
-from twinbeam.detection import (DetectorSpec, compound_photocounts,
+from twinbeam.detection import (DetectorSpec, _log_factorials,
                                 forward_photocounts)
-from twinbeam.errors import InvalidParameterError, KindMismatchError
+from twinbeam.errors import (InvalidParameterError, KindMismatchError,
+                             SupportViolationError)
 from twinbeam.moments import MomentTable, moments, to_intensity_moments
+
+
+def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:
+    """Direct evaluation of the alternating sum at ``bits`` of precision."""
+    import mpmath as mp
+
+    N, eta, dark = spec.pixels, spec.eta, spec.dark
+    out = np.zeros((N + 1, n_max + 1))
+    with mp.workprec(bits):
+        one_m_dark = mp.mpf(1) - mp.mpf(dark)
+        bases = [mp.mpf(1) - mp.mpf(eta) * m / N for m in range(N + 1)]
+        for c in range(N + 1):
+            prefactor = mp.binomial(N, c)
+            for n in range(n_max + 1):
+                acc = mp.mpf(0)
+                for l in range(c + 1):
+                    m = N - c + l
+                    term = (mp.binomial(c, l) * one_m_dark ** m * bases[m] ** n)
+                    acc = acc - term if l % 2 else acc + term
+                out[c, n] = float(prefactor * acc)
+    return out
+
+
+def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
+    """Photocount distribution of ``n`` independently detected weak beams.
+
+    The per-window distribution must live on {0,1} x {0,1}; the compound
+    table is then a four-outcome multinomial, evaluated cell by cell in log
+    space.  All contributions are positive, so each cell is accurate to
+    round-off and the support is exactly ``0..n`` per axis.
+    """
+    if f_w.kind != PHOTOCOUNT:
+        raise KindMismatchError("compound composition expects photocounts")
+    if n < 1:
+        raise InvalidParameterError("group size must be >= 1")
+    table = f_w.table
+    if table.shape[0] > 2 or table.shape[1] > 2:
+        if np.abs(table[2:, :]).sum() + np.abs(table[:, 2:]).sum() > 1e-15:
+            raise SupportViolationError(
+                "per-window distribution has mass outside {0,1}x{0,1}")
+        table = table[:2, :2]
+    w = np.zeros((2, 2))
+    w[:table.shape[0], :table.shape[1]] = table
+
+    # log(0) -> large negative finite value: exp underflows to exactly zero
+    # while 0 * log stays zero, keeping the vectorized sum NaN-free.
+    logw = np.full((2, 2), -1e9)
+    pos = w > 0
+    logw[pos] = np.log(w[pos])
+
+    c_cap = _support_cap(w[1, 0] + w[1, 1], n)
+    r_cap = _support_cap(w[0, 1] + w[1, 1], n)
+    out = np.zeros((n + 1, n + 1))
+    lf = _log_factorials(n)
+    # k coincidences plus a signal-only and b idler-only clicks fill cell
+    # (k + a, k + b); only cells with rest = n - k - a - b >= 0 are reachable.
+    a = np.arange(c_cap + 1)[:, None]
+    b = np.arange(r_cap + 1)[None, :]
+    acc = np.zeros((c_cap + 1, r_cap + 1))
+    for k in range(min(c_cap, r_cap) + 1):
+        ak, bk = a[:c_cap + 1 - k], b[:, :r_cap + 1 - k]
+        rest = n - k - ak - bk
+        valid = rest >= 0
+        lp = (lf[n] - lf[k] - lf[ak] - lf[bk] - lf[np.where(valid, rest, 0)]
+              + k * logw[1, 1] + ak * logw[1, 0]
+              + bk * logw[0, 1] + rest * logw[0, 0])
+        acc[k:, k:] += np.exp(np.where(valid, lp, -np.inf))
+    out[:c_cap + 1, :r_cap + 1] = acc
+    tail = min(1.0, n * f_w.tail_mass) + max(0.0, 1.0 - out.sum())
+    return JointDist(out, tail, PHOTOCOUNT)
+
+
+def _support_cap(p: float, n: int) -> int:
+    """Index beyond which binomial(n, p) mass underflows double precision."""
+    if p <= 0:
+        return 0
+    if p >= 1:
+        return n
+    mean = n * p
+    spread = 42.0 * np.sqrt(max(mean * (1 - p), 1.0)) + 60.0
+    return min(n, int(np.ceil(mean + spread)))
+
+
+def window_click_dist(params: TwbParams, spec_s: DetectorSpec,
+                      spec_i: DetectorSpec) -> JointDist:
+    """Exact 2x2 joint click distribution of one detection window."""
+    p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
+    table = np.array([[1.0 - p_s - p_i + p11, p_i - p11],
+                      [p_s - p11, p11]])
+    return JointDist(table, 0.0, PHOTOCOUNT)
+
+
+def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,
+                        spec_i: DetectorSpec, n: int) -> JointDist:
+    """Joint click distribution of ``n`` grouped windows (compound beam)."""
+    return compound_photocounts(window_click_dist(params, spec_s, spec_i), n)
 
 
 def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
@@ -58,7 +164,7 @@ def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
                         spec_i: DetectorSpec) -> JointDist:
     """Single-window click distribution via the detection-matrix route.
 
-    Numerically redundant with ``models.window_click_dist``; kept as the
+    Numerically redundant with :func:`window_click_dist`; kept as the
     independent cross-check of the truncated forward model.
     """
     return forward_photocounts(joint_twb(params), spec_s, spec_i)

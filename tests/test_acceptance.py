@@ -15,6 +15,7 @@ import pytest
 from scipy import stats
 
 import twinbeam as tb
+from oracles import compound_click_dist, window_click_dist
 from twinbeam import models
 
 SEED_K0 = 20_260_810
@@ -44,7 +45,7 @@ def stream_k(nominal):
 @pytest.fixture(scope="module")
 def compound_family(nominal):
     params, spec_s, spec_i = nominal
-    return {n: models.compound_click_dist(params, spec_s, spec_i, n)
+    return {n: compound_click_dist(params, spec_s, spec_i, n)
             for n in SWEEP_NS}
 
 
@@ -79,7 +80,7 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_window_distribution_chi_square(self, stream_k0, nominal):
-        fw = models.window_click_dist(*nominal)
+        fw = window_click_dist(*nominal)
         counts = np.bincount(stream_k0.codes, minlength=4).astype(float)
         expected = np.array([fw.table[0, 0], fw.table[1, 0],
                              fw.table[0, 1], fw.table[1, 1]]) * len(stream_k0)
@@ -168,7 +169,7 @@ class TestCriterion4:
         est, _ = tb.em_joint(fwd, t_s, t_i, cfg)
         tv = 0.5 * np.abs(est.table - padded).sum()
 
-        fc = models.compound_click_dist(params, spec_s, spec_i, n)
+        fc = compound_click_dist(params, spec_s, spec_i, n)
         est2, _ = tb.em_joint(fc, t_s, t_i, cfg)
         stats2 = tb.fano_nrp_cov(tb.moments(est2, 2))
         ok = tv <= 0.01 and stats2["nrp"] <= 0.05 and stats2["covariance"] >= 0.95
@@ -406,7 +407,7 @@ class TestCriterion10:
                                   n_max)
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
-        f = models.compound_click_dist(params, spec_s, spec_i, n)
+        f = compound_click_dist(params, spec_s, spec_i, n)
         # track_likelihood raises on any decrease beyond round-off
         _, res = tb.em_joint(f, t_s, t_i,
                              tb.EmConfig(max_iters=2_000, tol=1e-14,

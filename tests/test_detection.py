@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import comb, gammaln
 
-from oracles import compound_click_moments_by_table, window_forward_dist
-from twinbeam import (DetectorSpec, JointDist, TwbParams, compound_photocounts,
-                      conditional_photon_dist, detection_matrix,
+from oracles import (_build_extended, compound_click_dist,
+                     compound_click_moments_by_table, compound_photocounts,
+                     window_click_dist, window_forward_dist)
+from twinbeam import (DetectorSpec, JointDist, TwbParams,
+                      conditional_photon_dist, detection, detection_matrix,
                       forward_photocounts, genuine_pnrd_model, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
 from twinbeam.detection import SUPPORT_TAIL, _log_factorials, default_n_max
-from twinbeam.errors import (InvalidParameterError, SupportViolationError,
+from twinbeam.errors import (InvalidParameterError, PrecisionExhaustedError,
+                             SupportViolationError,
                              ZeroProbabilityConditionError)
 from twinbeam.moments import moments, to_intensity_moments
 from twinbeam import models
@@ -48,8 +51,8 @@ class TestDetectionMatrix:
     def test_stable_path_matches_extended_precision(self, pixels):
         spec = DetectorSpec(0.282, 2.8e-3, pixels)
         fast = detection_matrix(spec, 25)
-        slow = detection_matrix(spec, 25, precision_bits=320)
-        np.testing.assert_allclose(fast.entries, slow.entries, atol=5e-14)
+        slow = _build_extended(spec, 25, 320)
+        np.testing.assert_allclose(fast.entries, slow, atol=5e-14)
 
     def test_photon_column_against_monte_carlo(self):
         # 3 photons on 4 pixels: thin each photon, drop it on a pixel,
@@ -71,10 +74,14 @@ class TestDetectionMatrix:
         sigma = np.sqrt(t.entries[:, 3] * (1 - t.entries[:, 3]) / trials)
         assert np.all(np.abs(freq - t.entries[:, 3]) < 4 * sigma + 1e-6)
 
-    def test_low_precision_bits_fail_validation(self):
-        from twinbeam.errors import PrecisionExhaustedError
+    def test_low_precision_bits_fail_validation(self, monkeypatch):
+        # the alternating sum at 16 bits cancels to garbage; the column-sum
+        # and clamp checks must refuse whatever the build step returns
+        monkeypatch.setattr(detection, "_cache", {})
+        monkeypatch.setattr(detection, "_build_stable",
+                            lambda spec, n_max: _build_extended(spec, n_max, 16))
         with pytest.raises(PrecisionExhaustedError):
-            detection_matrix(DetectorSpec(0.7, 1e-3, 64), 40, precision_bits=16)
+            detection_matrix(DetectorSpec(0.7, 1e-3, 64), 40)
 
     @pytest.mark.parametrize("pixels", [1, 10, 100])
     @pytest.mark.parametrize("eta", [0.282, 1.0])
@@ -111,7 +118,7 @@ class TestForward:
     def test_matrix_route_matches_generating_function(self, nominal):
         params, spec_s, spec_i = nominal
         via_matrix = window_forward_dist(params, spec_s, spec_i)
-        via_pgf = models.window_click_dist(params, spec_s, spec_i)
+        via_pgf = window_click_dist(params, spec_s, spec_i)
         np.testing.assert_allclose(via_matrix.table, via_pgf.table, atol=1e-13)
         assert via_matrix.table.sum() + via_matrix.tail_mass == \
             pytest.approx(1.0, abs=1e-10)
@@ -138,12 +145,12 @@ class TestCompound:
         assert out.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_window_is_identity(self, nominal):
-        fw = models.window_click_dist(*nominal)
+        fw = window_click_dist(*nominal)
         out = compound_photocounts(fw, 1)
         np.testing.assert_allclose(out.table, fw.table, atol=1e-14)
 
     def test_three_windows_against_enumeration(self, nominal):
-        fw = models.window_click_dist(*nominal)
+        fw = window_click_dist(*nominal)
         out = compound_photocounts(fw, 3)
         brute = np.zeros((4, 4))
         for (a, b), pa in np.ndenumerate(fw.table):
@@ -153,7 +160,7 @@ class TestCompound:
         np.testing.assert_allclose(out.table, brute, atol=1e-15)
 
     def test_mean_scales_exactly(self, nominal):
-        fw = models.window_click_dist(*nominal)
+        fw = window_click_dist(*nominal)
         p_s = fw.table[1].sum()
         for n in (10, 100, 1000):
             out = compound_photocounts(fw, n)
@@ -169,7 +176,7 @@ class TestCompound:
         # independent route: repeated-squaring FFT convolution of the window
         # table; agrees with the multinomial evaluation over the bulk
         from scipy.signal import fftconvolve
-        fw = models.window_click_dist(*nominal)
+        fw = window_click_dist(*nominal)
         n = 257
         out = compound_photocounts(fw, n)
         ladder, power, k = None, fw.table, n
@@ -187,7 +194,7 @@ class TestCompoundClickMoments:
     def test_matches_moments_of_the_compound_table(self, nominal, n):
         closed = models.compound_click_moments(*nominal, n, 5).raw
         table = to_intensity_moments(
-            moments(models.compound_click_dist(*nominal, n), 5)).raw
+            moments(compound_click_dist(*nominal, n), 5)).raw
         a, b = np.indices(closed.shape)
         structural = np.maximum(a, b) > n      # more clicks than windows
         assert np.all(closed[structural] == 0.0)
@@ -322,7 +329,7 @@ class TestGenuineModel:
     def test_single_pixel_equals_compound_window(self, nominal):
         params, spec_s, spec_i = nominal
         g = genuine_pnrd_model(params, spec_s, spec_i)
-        fw = models.window_click_dist(params, spec_s, spec_i)
+        fw = window_click_dist(params, spec_s, spec_i)
         np.testing.assert_allclose(g.table, fw.table, atol=1e-12)
 
     def test_pileup_fano_below_one(self, nominal):
@@ -333,7 +340,7 @@ class TestGenuineModel:
     def test_weaker_pileup_than_compound_at_n100(self, nominal):
         params, spec_s, spec_i = nominal
         g = models.genuine_click_dist(params, spec_s, spec_i, 100)
-        c = models.compound_click_dist(params, spec_s, spec_i, 100)
+        c = compound_click_dist(params, spec_s, spec_i, 100)
         assert g.marginal("i").fano() >= c.marginal("i").fano()
 
     def test_mismatched_pixel_counts_rejected(self, nominal):
@@ -349,6 +356,6 @@ class TestGenuineModel:
         params, spec_s, spec_i = nominal
         n = 10
         g = models.genuine_click_dist(params, spec_s, spec_i, n)
-        c = models.compound_click_dist(params, spec_s, spec_i, n)
+        c = compound_click_dist(params, spec_s, spec_i, n)
         gap = 0.5 * np.abs(g.table - c.table[:n + 1, :n + 1]).sum()
         assert 0 < gap < 5e-3

@@ -1,13 +1,20 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import compound_click_dist
 from twinbeam import (DetectorSpec, GroupingPolicy, JointHistogram,
                       PumpCorrelation, TwbParams, effective_efficiency,
                       fano_nrp_cov, from_intensity_moments, group_histogram,
                       optimal_postselection, precision_improvement,
                       relative_error, sample_stream)
 from twinbeam import models
+from twinbeam.cli import main
 from twinbeam.errors import (InsufficientDataError, NoEligibleColumnError)
+from twinbeam.metrology import _postselect
 
 
 def grouped_clicks(params, spec_s, spec_i, n, k=0.0):
@@ -131,6 +138,81 @@ class TestPostselection:
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         assert best.fano_min == pytest.approx(1 - p11 / p_s, abs=0.01)
         assert best.p_success == pytest.approx(p_s, abs=0.001)
+
+
+def table_postselection(params, spec_s, spec_i, n, floor=1e-3):
+    """Post-selection on the whole compound click table, row by row."""
+    table = compound_click_dist(params, spec_s, spec_i, n).table
+    occupancy = table.sum(axis=1)
+    probs = table / np.where(occupancy > 0, occupancy, 1.0)[:, None]
+    c_i = np.arange(table.shape[1])
+    mean = probs @ c_i
+    var = ((c_i - mean[:, None]) ** 2 * probs).sum(axis=1)
+    return _postselect(occupancy, mean, var, floor)
+
+
+class TestClosedFormPostselection:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+           b_p=st.floats(1e-3, 0.05),
+           b_noise=st.tuples(*[st.floats(0.0, 0.01)] * 2),
+           eta=st.tuples(*[st.floats(0.05, 0.95)] * 2),
+           dark=st.tuples(*[st.floats(0.0, 0.05)] * 2),
+           n=st.integers(1, 60))
+    def test_matches_the_compound_table(self, m, b_p, b_noise, eta, dark, n):
+        # paired photons (b_p > 0) and lossy heralding (eta < 1) keep the
+        # conditional Fano strictly monotone in c_s, so the optimum is
+        # unique.  At most one pair per window, the regime of on/off
+        # detection: with tens of pairs the Fano factor falls to 1e-9 and
+        # both routes lose 1e-8 of it to the rounding of p11.
+        params = TwbParams(*m, b_p, *b_noise)
+        spec_s, spec_i = (DetectorSpec(e, d, 1) for e, d in zip(eta, dark))
+        closed = _postselect(
+            *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)
+        table = table_postselection(params, spec_s, spec_i, n)
+        assert closed.c_s_opt == table.c_s_opt
+        for field in ("fano_min", "mean_conditional", "p_success"):
+            assert getattr(closed, field) == pytest.approx(
+                getattr(table, field), rel=1e-9, abs=0.0)
+
+    def sweep(self, tmp_path, capsys, **values):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10, **values}))
+        code = main(["sweep", "--metric", "postselect", "--groups", "1,10,100",
+                     "--params", str(path)])
+        out, err = capsys.readouterr()
+        return code, out.strip().splitlines(), err
+
+    def test_signal_without_clicks_heralds_on_zero(self, tmp_path, capsys):
+        # b_p = b_s = 0 and no dark counts: p_s = 0, only c_s = 0 occurs
+        code, lines, _ = self.sweep(tmp_path, capsys, b_p=0.0, b_s=0.0,
+                                    b_i=0.01, dark_s=0.0)
+        assert code == 0
+        header = lines[0].split(",")
+        rows = np.array([row.split(",") for row in lines[1:]], dtype=float)
+        assert not np.isnan(rows).any()
+        params = TwbParams(10, 10, 10, 0.0, 0.0, 0.01)
+        spec_s = DetectorSpec(models.NOMINAL_SIGNAL.eta, 0.0, 1)
+        for row in rows:
+            table = table_postselection(params, spec_s, models.NOMINAL_IDLER,
+                                        int(row[0]))
+            assert table.c_s_opt == row[header.index("c_s_opt")] == 0
+            for col, field in (("fano_click", "fano_min"),
+                               ("mean_click", "mean_conditional"),
+                               ("p_success", "p_success")):
+                assert row[header.index(col)] == pytest.approx(
+                    getattr(table, field), rel=1e-9, abs=0.0)
+
+    def test_no_light_and_no_dark_counts_is_a_data_error(self, tmp_path,
+                                                         capsys):
+        code, _, err = self.sweep(tmp_path, capsys, b_p=0.0, b_s=0.0, b_i=0.0,
+                                  dark_s=0.0, dark_i=0.0)
+        assert code == 3
+        assert "eligibility floor" in err
+        with pytest.raises(NoEligibleColumnError):
+            table_postselection(TwbParams(10, 10, 10, 0.0, 0.0, 0.0),
+                                DetectorSpec(0.282, 0.0, 1),
+                                DetectorSpec(0.330, 0.0, 1), 10)
 
 
 class TestRelativeError:

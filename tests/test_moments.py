@@ -7,6 +7,7 @@ from twinbeam import (JointDist, MarginalDist, TwbParams, bootstrap_statistic,
                       fano_nrp_cov, from_intensity_moments, joint_twb,
                       mandel_rice, moments, ncd, nci_value,
                       to_intensity_moments, to_s_ordered)
+from oracles import compound_click_dist
 from twinbeam import models
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError, InsufficientOrderError
@@ -218,7 +219,7 @@ class TestNcd:
 
     def test_compound_photocount_depth_at_n50(self, nominal):
         # frozen from the exact compound click model at the demo parameters
-        fc = models.compound_click_dist(*nominal, 50)
+        fc = compound_click_dist(*nominal, 50)
         w = to_intensity_moments(moments(fc, 5))
         assert ncd(w, "E001").tau == pytest.approx(0.13211, abs=2e-4)
         assert ncd(w, "M1001").tau == pytest.approx(0.14240, abs=2e-4)
@@ -234,14 +235,14 @@ class TestNcd:
 
     def test_suppression_is_monotone_in_s(self, nominal):
         # ordering noise only ever weakens a violation on these beams
-        fc = models.compound_click_dist(*nominal, 20)
+        fc = compound_click_dist(*nominal, 20)
         w = to_intensity_moments(moments(fc, 5))
         values = [nci_value(to_s_ordered(w, s), "E001")
                   for s in np.linspace(1.0, -1.0, 41)]
         assert np.all(np.diff(values) > 0)
 
     def test_tau_equals_threshold_relation(self, nominal):
-        fc = models.compound_click_dist(*nominal, 30)
+        fc = compound_click_dist(*nominal, 30)
         w = to_intensity_moments(moments(fc, 5))
         r = ncd(w, "E001")
         assert r.tau == pytest.approx((1 - r.s_threshold) / 2, abs=1e-12)
@@ -250,7 +251,7 @@ class TestNcd:
         # on a single on/off window every third-or-higher-order factorial
         # moment vanishes identically; the depth search must not chase the
         # rounding noise of that exact cancellation
-        fc = models.compound_click_dist(*nominal, 1)
+        fc = compound_click_dist(*nominal, 1)
         fg = models.genuine_click_dist(*nominal, 1)
         for dist in (fc, fg):
             w = to_intensity_moments(moments(dist, 5))

@@ -5,6 +5,7 @@ from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
                       GroupingPolicy, MarginalDist, conditional_histogram,
                       conditional_photon_dist, detection_matrix,
                       em_conditional, em_joint, joint_twb)
+from oracles import compound_click_dist
 from twinbeam import models
 from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
@@ -42,7 +43,7 @@ class TestEmJoint:
 
     def test_every_iterate_normalized_and_loglik_monotone(self, nominal):
         params, spec_s, spec_i = nominal
-        f = models.compound_click_dist(params, spec_s, spec_i, 5)
+        f = compound_click_dist(params, spec_s, spec_i, 5)
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = em_joint(f, t_s, t_i,
@@ -58,8 +59,8 @@ class TestEmJoint:
         # negative entry (columns summing to 0.9 and 0.3) drives an iterate
         # negative, and the likelihood falls at the third iteration
         spec = DetectorSpec(1.0, 0.0, 1)
-        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec, 53)
-        t_i = DetectionMatrix(np.ones((1, 1)), spec, 53)
+        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
+        t_i = DetectionMatrix(np.ones((1, 1)), spec)
         f = JointDist(np.array([[0.8], [0.2]]), 0.0, PHOTOCOUNT)
         with pytest.raises(NumericError, match="decreased at iteration 3"):
             em_joint(f, t_s, t_i, EmConfig(max_iters=50, track_likelihood=True))
@@ -124,7 +125,7 @@ class TestEmJoint:
         # 4..10 hold no data; textbook EM over every row gives the same
         params, spec_s, spec_i = nominal
         data = np.zeros((11, 11))
-        data[:4, :4] = models.compound_click_dist(params, spec_s, spec_i, 3).table
+        data[:4, :4] = compound_click_dist(params, spec_s, spec_i, 3).table
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
         est, _ = em_joint(JointDist(data, 0.0, PHOTOCOUNT), t_s, t_i,
@@ -145,7 +146,7 @@ class TestEmJoint:
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
-        f = models.compound_click_dist(params, spec_s, spec_i, 10)
+        f = compound_click_dist(params, spec_s, spec_i, 10)
         small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             em_joint(f, small, small, EmConfig(n_max=30))
