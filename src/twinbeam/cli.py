@@ -22,8 +22,7 @@ import numpy as np
 from . import io as tbio
 from . import models
 from .core import TwbParams, PHOTON
-from .detection import (DetectorSpec, conditional_photon_dist, default_n_max,
-                        detection_matrix)
+from .detection import DetectorSpec, default_n_max, detection_matrix
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
@@ -93,16 +92,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     except IndexError:
         parser.error("--config needs a path")
     rest = argv[:idx] + argv[idx + 2:]
+    try:
+        lines = tbio._read(path).decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path} is not UTF-8 ({exc})") from None
     injected = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line without '=': {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            injected += [f"--{key.replace('_', '-')}", value]
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line without '=': {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        injected += [f"--{key.replace('_', '-')}", value]
     return rest[:1] + injected + rest[1:]
 
 
@@ -251,11 +253,11 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
     elif metric == "postselect":
         best = _postselect(
             *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)
-        photon = conditional_photon_dist(models.joint_twb(params), spec_s,
-                                         best.c_s_opt, n)
+        mean, var = models.heralded_photon_stats(params, spec_s,
+                                                 best.c_s_opt, n)
         row.update(c_s_opt=best.c_s_opt, fano_click=best.fano_min,
                    mean_click=best.mean_conditional, p_success=best.p_success,
-                   mean_photon=photon.mean(), fano_photon=photon.fano())
+                   mean_photon=mean, fano_photon=var / mean)
     elif metric == "precision":
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         row["norm_rel_err_ref_s"] = np.sqrt(1 - p_s)
@@ -289,8 +291,7 @@ def _cmd_sweep(args) -> None:
                        else str(row[k]) for k in keys) for row in rows]
     payload = "\n".join(lines) + "\n"
     if args.out:
-        from .io import _atomic_write
-        _atomic_write(args.out, payload.encode())
+        tbio._atomic_write(args.out, payload.encode())
         _write_manifest(args.out, args, [args.params] if args.params else [])
     else:
         sys.stdout.write(payload)

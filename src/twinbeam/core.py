@@ -54,16 +54,8 @@ class TwbParams:
                 raise InvalidParameterError(f"{name} must be finite and >= 0, got {v}")
 
     @property
-    def mean_pairs(self) -> float:
-        return self.m_p * self.b_p
-
-    @property
     def mean_signal(self) -> float:
         return self.m_p * self.b_p + self.m_s * self.b_s
-
-    @property
-    def mean_idler(self) -> float:
-        return self.m_p * self.b_p + self.m_i * self.b_i
 
     def scaled(self, n: int) -> "TwbParams":
         """Parameters of ``n`` such beams combined (mode counts scaled)."""
@@ -211,19 +203,3 @@ def joint_twb(params: TwbParams, n_s_max: int | None = None,
         full = out
     tail = max(0.0, 1.0 - full.sum())
     return JointDist(full, tail, PHOTON)
-
-
-def convolve_power_1d(p: np.ndarray, n: int) -> np.ndarray:
-    """``n``-fold discrete self-convolution of a 1-D weight vector."""
-    if n == 0:
-        return np.array([1.0])
-    result = None
-    power = np.asarray(p, dtype=float)
-    k = n
-    while k:
-        if k & 1:
-            result = power if result is None else np.convolve(result, power)
-        k >>= 1
-        if k:
-            power = np.convolve(power, power)
-    return result

@@ -14,6 +14,8 @@ probability ``eta``; a pixel clicks when marked or on a dark count.  The
 pixel-occupancy recursion involved is stable in double precision and its
 column sums are one by construction.  An arbitrary-precision evaluation of
 the alternating sum lives with the tests as the cross-check of this path.
+Heralded photon statistics need no matrix: ``models`` takes them from the
+photon-number generating function.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist, TwbParams,
-                   convolve_power_1d, joint_twb)
+from .core import PHOTOCOUNT, PHOTON, JointDist, TwbParams, joint_twb
 from .errors import (InvalidParameterError, KindMismatchError,
-                     PrecisionExhaustedError, ZeroProbabilityConditionError)
+                     PrecisionExhaustedError)
 
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
@@ -196,39 +197,6 @@ def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
     t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
     f = t_s.entries @ p.table @ t_i.entries.T
     return JointDist(f, p.tail_mass, PHOTOCOUNT)
-
-
-def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
-                            n: int) -> MarginalDist:
-    """Idler photon distribution after ``c_s`` signal clicks in ``n`` windows.
-
-    Per window the joint weight of ``n_i`` idler photons with click outcome
-    ``c`` is ``w_c(n_i) = sum_{n_s} T_s(c, n_s; 1) p_w(n_s, n_i)``.  All
-    click patterns summing to ``c_s`` contribute the same convolution
-    product, so the compound conditional is the normalized
-    ``c_s``-fold convolution of ``w_1`` with the ``(n - c_s)``-fold
-    convolution of ``w_0``.
-    """
-    if spec_s.pixels != 1:
-        raise InvalidParameterError("conditioning detector must be a single pixel")
-    if not 0 <= c_s <= n:
-        raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
-    t_s = detection_matrix(spec_s, p_w.table.shape[0] - 1)
-    w0 = t_s.entries[0] @ p_w.table
-    w1 = t_s.entries[1] @ p_w.table
-    # log of C(n, c_s) s1^c_s s0^(n - c_s); huge n must not overflow
-    log_prob = math.lgamma(n + 1) - math.lgamma(c_s + 1) - math.lgamma(n - c_s + 1)
-    for count, mass in ((c_s, w1.sum()), (n - c_s, w0.sum())):
-        if count:
-            log_prob += count * math.log(mass) if mass > 0 else -math.inf
-    if not log_prob >= math.log(1e-300):
-        raise ZeroProbabilityConditionError(
-            f"conditioning on {c_s} clicks in {n} windows has probability "
-            f"{math.exp(log_prob)}")
-    weights = np.convolve(convolve_power_1d(w1, c_s),
-                          convolve_power_1d(w0, n - c_s))
-    total = weights.sum()
-    return MarginalDist(weights / total, 0.0, PHOTON)
 
 
 def genuine_pnrd_model(params: TwbParams, spec_s: DetectorSpec,

@@ -30,10 +30,6 @@ class KindMismatchError(DataError):
     """Distributions of different kinds (photon vs photocount) were mixed."""
 
 
-class SupportViolationError(DataError):
-    """A distribution has probability mass outside the required support."""
-
-
 class StreamTooShortError(DataError):
     """A click stream is too short for the requested grouping."""
 
@@ -44,10 +40,6 @@ class DegenerateStreamError(DataError):
 
 class EmptyConditionError(DataError):
     """A histogram column used for conditioning contains no events."""
-
-
-class ZeroProbabilityConditionError(DataError):
-    """The conditioning outcome has (numerically) zero probability."""
 
 
 class InsufficientDataError(DataError):

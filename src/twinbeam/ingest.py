@@ -1,4 +1,9 @@
-"""Grouping click streams into compound-beam samples and stream statistics."""
+"""Grouping click streams into compound-beam samples and stream statistics.
+
+A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
+idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
+its histogram cell, and one ``bincount`` of the sums counts every cell.
+"""
 
 from __future__ import annotations
 
@@ -52,26 +57,29 @@ class JointHistogram:
 
 
 def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
-    """Per-group sums of a single bit sequence."""
+    """Per-group sums of a sequence of per-window counts, as int64."""
     bits = np.asarray(bits)
     if len(bits) < policy.n:
         raise StreamTooShortError(
             f"stream of {len(bits)} windows cannot form groups of {policy.n}")
     if policy.mode == DISJOINT:
         m = len(bits) // policy.n
-        return bits[:m * policy.n].reshape(m, policy.n).sum(axis=1)
+        groups = bits[:m * policy.n].reshape(m, policy.n)
+        return groups.sum(axis=1, dtype=np.int64)
     csum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
     return csum[policy.n:] - csum[:-policy.n]
 
 
 def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
     """Joint histogram of grouped signal and idler click numbers."""
-    gs = grouped_counts(stream.signal, policy)
-    gi = grouped_counts(stream.idler, policy)
     n = policy.n
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    np.add.at(counts, (gs, gi), 1)
-    return JointHistogram(counts, len(gs), policy)
+    # in place, as each temporary is stream-sized; the dtype holds n + 2
+    code = np.bitwise_and(stream.codes, 1, dtype=np.min_scalar_type(n + 2))
+    code *= n + 1
+    code += (stream.codes >> 1) & 1
+    cells = grouped_counts(code, policy)
+    counts = np.bincount(cells, minlength=(n + 1) ** 2)
+    return JointHistogram(counts.reshape(n + 1, n + 1), len(cells), policy)
 
 
 def conditioned_sequences(stream: ClickStream) -> dict:

@@ -134,6 +134,9 @@ def read_clicks(path: str) -> ClickStream:
     if len(codes) != count:
         raise DataError(f"truncated stream: header says {count}, "
                         f"payload has {len(codes)}")
+    if codes.max(initial=0) > 3:
+        raise DataError(f"window code {codes.max()} above 3: only bits 0 "
+                        "(signal) and 1 (idler) may be set")
     meta = {}
     sidecar = path + ".json"
     if os.path.exists(sidecar):

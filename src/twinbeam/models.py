@@ -1,4 +1,4 @@
-"""Closed-form reference models used by sweeps and as test oracles.
+"""Closed-form models of single and grouped windows, used by the sweeps.
 
 The probability generating function of the joint photon numbers,
 
@@ -6,14 +6,15 @@ The probability generating function of the joint photon numbers,
               (1 + b_p (1-x y))^(-m_p),
 
 yields the single-window click probabilities of two on/off detectors in
-closed form, independently of any truncation.  Everything downstream of the
-per-window 2x2 click table follows from it.  ``n`` grouped windows have the
+closed form, independently of any truncation.  ``n`` grouped windows have the
 click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its expansion around
 ``x = y = 1`` gives every grouped-click moment in closed form
 (:func:`compound_click_moments`, pump drift included), and setting ``x`` to
 the signal outcome of each window gives the idler clicks heralded by ``c_s``
 signal clicks as two independent binomials (:func:`postselection_stats`).
-No quantity needs the whole compound histogram.
+At a fixed signal outcome, the ``y``-derivatives of ``G`` give the heralded
+idler photon mean and variance (:func:`heralded_photon_stats`).  No quantity
+needs a whole compound table or a convolution power of photon tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
+from .core import PHOTOCOUNT, JointDist, TwbParams
 from .detection import DetectorSpec, _log_factorials, genuine_pnrd_model
 from .errors import InvalidParameterError
 from .moments import NORMAL, MomentTable
@@ -72,11 +73,6 @@ def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
     ps = DetectorSpec(spec_s.eta, spec_s.dark, n)
     pi = DetectorSpec(spec_i.eta, spec_i.dark, n)
     return genuine_pnrd_model(params, ps, pi)
-
-
-def compound_photon_dist(params: TwbParams, n: int) -> JointDist:
-    """Joint photon-number distribution of ``n`` combined constituting beams."""
-    return joint_twb(params.scaled(n))
 
 
 def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
@@ -132,3 +128,34 @@ def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
     mean = c * q1 + (n - c) * q0
     var = c * q1 * (1.0 - q1) + (n - c) * q0 * (1.0 - q0)
     return occupancy, mean, var
+
+
+def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
+                          n: int) -> tuple[float, float]:
+    """Idler photon mean and variance after ``c_s`` signal clicks in ``n`` windows.
+
+    A window's idler photons have the PGF ``H0(y) = (1 - dark_s) G(1 - eta_s,
+    y)`` without a signal click and ``H1(y) = G(1, y) - H0(y)`` with one.
+    Windows are independent: ``c_s`` windows add the mean and variance of
+    ``H1 / H1(1)``, the other ``n - c_s`` those of ``H0 / H0(1)``.
+    """
+    if not 0 <= c_s <= n:
+        raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
+
+    def pgf_derivs(scale: float, x: float) -> np.ndarray:
+        # scale * G(x, y) and its first two y-derivatives at y = 1; l1 and l2
+        # are those of log G, whose pair term has b_p x where noise has b_i
+        u = params.b_p * x / (1.0 + params.b_p * (1.0 - x))
+        l1 = params.m_i * params.b_i + params.m_p * u
+        l2 = params.m_i * params.b_i ** 2 + params.m_p * u ** 2
+        return scale * _pgf(params, x, 1.0) * np.array([1.0, l1, l2 + l1 * l1])
+
+    h0 = pgf_derivs(1.0 - spec_s.dark, 1.0 - spec_s.eta)
+    h1 = pgf_derivs(1.0, 1.0) - h0
+    mean = var = 0.0
+    for count, (h, d1, d2) in ((c_s, h1), (n - c_s, h0)):
+        if count:                   # else h may be 0: no 0 * nan
+            m = d1 / h
+            mean += count * m
+            var += count * (d2 / h + m - m * m)
+    return mean, var

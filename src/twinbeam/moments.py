@@ -24,7 +24,6 @@ import numpy as np
 
 from .core import JointDist, MarginalDist
 from .errors import (DataError, InsufficientOrderError, InvalidParameterError)
-from .ingest import JointHistogram
 
 RAW = "raw"
 NORMAL = "normally_ordered"
@@ -104,18 +103,13 @@ def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
     """Raw mixed moments of a (possibly one-dimensional) distribution."""
     if order < 1:
         raise InvalidParameterError("order must be >= 1")
-    if isinstance(d, MarginalDist):
-        table = d.probs[:, None]
-        kind = d.kind
-    else:
-        table = d.table
-        kind = d.kind
+    table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
     ns = np.arange(table.shape[0], dtype=float)
     ni = np.arange(table.shape[1], dtype=float)
     vs = np.vander(ns, order + 1, increasing=True)   # vs[n, k] = n^k
     vi = np.vander(ni, order + 1, increasing=True)
     raw = vs.T @ table @ vi
-    return MomentTable(raw, order, RAW, 1.0, kind)
+    return MomentTable(raw, order, RAW, 1.0, d.kind)
 
 
 def fano_nrp_cov(m: MomentTable) -> dict:
@@ -283,23 +277,3 @@ def ncd(m: MomentTable, identifier: str, arm: str = "s") -> NcdResult:
     s_th = 0.5 * (hi + lo)
     return NcdResult(identifier, (1.0 - s_th) / 2.0, s_th, True, v1,
                      multiple_roots=len(sign_changes) > 1)
-
-
-def bootstrap_statistic(h: JointHistogram, statistic, n_boot: int = 200,
-                        seed: int = 0) -> tuple:
-    """Nonparametric bootstrap of a histogram statistic over groups.
-
-    Groups are resampled with replacement (a multinomial redraw of the cell
-    counts); returns the mean and standard deviation of the statistic across
-    resamples as arrays.
-    """
-    rng = np.random.default_rng(seed)
-    flat = h.counts.ravel()
-    prob = flat / flat.sum()
-    outcomes = []
-    for _ in range(n_boot):
-        redraw = rng.multinomial(h.n_groups, prob).reshape(h.counts.shape)
-        outcomes.append(np.asarray(statistic(
-            JointHistogram(redraw, h.n_groups, h.policy)), dtype=float))
-    stacked = np.stack(outcomes)
-    return stacked.mean(axis=0), stacked.std(axis=0, ddof=1)

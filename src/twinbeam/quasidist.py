@@ -39,10 +39,6 @@ class IntensityGrid:
     s: float
 
     @property
-    def steps(self) -> tuple:
-        return self.values.shape
-
-    @property
     def dw(self) -> tuple:
         return (self.w_max_s / self.values.shape[0],
                 self.w_max_i / self.values.shape[1])
@@ -152,11 +148,3 @@ def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
 def grid_normalization(g: IntensityGrid) -> float:
     dws, dwi = g.dw
     return float(g.values.sum() * dws * dwi)
-
-
-def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
-    """Riemann-sum intensity moment ``<W_s^k W_i^l>`` of the grid."""
-    dws, dwi = g.dw
-    ws = g.centers(0) ** k
-    wi = g.centers(1) ** l
-    return float(ws @ g.values @ wi * dws * dwi)

@@ -29,11 +29,10 @@ from .ingest import JointHistogram
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Stopping rule and photon-support truncation of a reconstruction."""
+    """Stopping rule of a reconstruction (the matrices fix the photon support)."""
 
     max_iters: int = 10_000
     tol: float = 1e-9
-    n_max: int | None = None
     track_likelihood: bool = False
 
     def __post_init__(self):
@@ -61,17 +60,12 @@ def _as_table(f) -> np.ndarray:
     raise DataError(f"cannot reconstruct from {type(f).__name__}")
 
 
-def _block(t: DetectionMatrix, c_dim: int, n_max: int | None,
-           label: str) -> np.ndarray:
-    """The first ``c_dim`` click rows and photon columns ``0..n_max`` of ``t``."""
-    n_dim = t.entries.shape[1] if n_max is None else n_max + 1
+def _block(t: DetectionMatrix, c_dim: int, label: str) -> np.ndarray:
+    """The first ``c_dim`` click rows of ``t``."""
     if t.entries.shape[0] < c_dim:
         raise DataError(f"{label} matrix covers {t.entries.shape[0]} click values, "
                         f"data needs {c_dim}")
-    if t.entries.shape[1] < n_dim:
-        raise DataError(f"{label} matrix covers {t.entries.shape[1]} photon values, "
-                        f"support needs {n_dim}")
-    return t.entries[:c_dim, :n_dim]
+    return t.entries[:c_dim]
 
 
 def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
@@ -115,8 +109,8 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
              cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
     """Reconstruct a joint photon-number distribution from photocounts."""
     data = _as_table(f)
-    p, result = _em(data, _block(t_s, data.shape[0], cfg.n_max, "signal"),
-                    _block(t_i, data.shape[1], cfg.n_max, "idler"), cfg)
+    p, result = _em(data, _block(t_s, data.shape[0], "signal"),
+                    _block(t_i, data.shape[1], "idler"), cfg)
     return JointDist(p, 0.0, PHOTON), result
 
 
@@ -125,7 +119,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     """One-dimensional reconstruction of a conditional photocount column."""
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
     data = data / data.sum()
-    p, result = _em(data[:, None], _block(t_i, len(data), cfg.n_max, "idler"),
+    p, result = _em(data[:, None], _block(t_i, len(data), "idler"),
                     np.ones((1, 1)), cfg)
     return MarginalDist(p[:, 0], 0.0, PHOTON), result
 

@@ -15,19 +15,35 @@ another way:
 * moments of whole compound click tables, against the closed-form
   grouped-click moments;
 * the photon-level drift moments, a closed form to hold the simulated pump
-  drift against.
+  drift against;
+* the joint photon distribution of a compound beam, and the idler photon
+  distribution heralded by ``c_s`` signal clicks as convolution powers of
+  single-window tables (the package takes the heralded mean and variance
+  from derivatives of the PGF);
+* Riemann-sum intensity moments of a quasi-distribution grid.
 """
+
+import math
 
 import numpy as np
 from scipy import signal
 
 from twinbeam import models
-from twinbeam.core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
+from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
+                           TwbParams, joint_twb)
 from twinbeam.detection import (DetectorSpec, _log_factorials,
-                                forward_photocounts)
-from twinbeam.errors import (InvalidParameterError, KindMismatchError,
-                             SupportViolationError)
+                                detection_matrix, forward_photocounts)
+from twinbeam.errors import DataError, InvalidParameterError, KindMismatchError
 from twinbeam.moments import MomentTable, moments, to_intensity_moments
+from twinbeam.quasidist import IntensityGrid
+
+
+class SupportViolationError(DataError):
+    """A distribution has probability mass outside the required support."""
+
+
+class ZeroProbabilityConditionError(DataError):
+    """The conditioning outcome has (numerically) zero probability."""
 
 
 def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:
@@ -207,3 +223,65 @@ def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
     var = n * params.m_p * params.b_p ** 2
     second = var + mean ** 2 + k * n * (n - 1) * w_window ** 2
     return {"w_all_mean": mean, "w_all_sq": second}
+
+
+def compound_photon_dist(params: TwbParams, n: int) -> JointDist:
+    """Joint photon-number distribution of ``n`` combined constituting beams."""
+    return joint_twb(params.scaled(n))
+
+
+def convolve_power_1d(p: np.ndarray, n: int) -> np.ndarray:
+    """``n``-fold discrete self-convolution of a 1-D weight vector."""
+    if n == 0:
+        return np.array([1.0])
+    result = None
+    power = np.asarray(p, dtype=float)
+    k = n
+    while k:
+        if k & 1:
+            result = power if result is None else np.convolve(result, power)
+        k >>= 1
+        if k:
+            power = np.convolve(power, power)
+    return result
+
+
+def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
+                            n: int) -> MarginalDist:
+    """Idler photon distribution after ``c_s`` signal clicks in ``n`` windows.
+
+    Per window the joint weight of ``n_i`` idler photons with click outcome
+    ``c`` is ``w_c(n_i) = sum_{n_s} T_s(c, n_s; 1) p_w(n_s, n_i)``.  All
+    click patterns summing to ``c_s`` contribute the same convolution
+    product, so the compound conditional is the normalized
+    ``c_s``-fold convolution of ``w_1`` with the ``(n - c_s)``-fold
+    convolution of ``w_0``.
+    """
+    if spec_s.pixels != 1:
+        raise InvalidParameterError("conditioning detector must be a single pixel")
+    if not 0 <= c_s <= n:
+        raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
+    t_s = detection_matrix(spec_s, p_w.table.shape[0] - 1)
+    w0 = t_s.entries[0] @ p_w.table
+    w1 = t_s.entries[1] @ p_w.table
+    # log of C(n, c_s) s1^c_s s0^(n - c_s); huge n must not overflow
+    log_prob = math.lgamma(n + 1) - math.lgamma(c_s + 1) - math.lgamma(n - c_s + 1)
+    for count, mass in ((c_s, w1.sum()), (n - c_s, w0.sum())):
+        if count:
+            log_prob += count * math.log(mass) if mass > 0 else -math.inf
+    if not log_prob >= math.log(1e-300):
+        raise ZeroProbabilityConditionError(
+            f"conditioning on {c_s} clicks in {n} windows has probability "
+            f"{math.exp(log_prob)}")
+    weights = np.convolve(convolve_power_1d(w1, c_s),
+                          convolve_power_1d(w0, n - c_s))
+    total = weights.sum()
+    return MarginalDist(weights / total, 0.0, PHOTON)
+
+
+def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
+    """Riemann-sum intensity moment ``<W_s^k W_i^l>`` of the grid."""
+    dws, dwi = g.dw
+    ws = g.centers(0) ** k
+    wi = g.centers(1) ** l
+    return float(ws @ g.values @ wi * dws * dwi)

@@ -15,7 +15,8 @@ import pytest
 from scipy import stats
 
 import twinbeam as tb
-from oracles import compound_click_dist, window_click_dist
+from oracles import (compound_click_dist, compound_photon_dist,
+                     conditional_photon_dist, grid_moments, window_click_dist)
 from twinbeam import models
 
 SEED_K0 = 20_260_810
@@ -156,7 +157,7 @@ class TestCriterion4:
     def test_em_reconstruction(self, nominal):
         params, spec_s, spec_i = nominal
         n, n_max = 10, 60
-        truth = models.compound_photon_dist(params, n)
+        truth = compound_photon_dist(params, n)
         t_s = tb.detection_matrix(tb.DetectorSpec(spec_s.eta, spec_s.dark, n),
                                   n_max)
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
@@ -165,7 +166,7 @@ class TestCriterion4:
         padded[:truth.shape[0], :truth.shape[1]] = truth.table
         fwd = tb.JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0,
                            "photocount")
-        cfg = tb.EmConfig(max_iters=10_000, tol=1e-9, n_max=n_max)
+        cfg = tb.EmConfig(max_iters=10_000, tol=1e-9)
         est, _ = tb.em_joint(fwd, t_s, t_i, cfg)
         tv = 0.5 * np.abs(est.table - padded).sum()
 
@@ -257,7 +258,7 @@ class TestCriterion6:
         photon_taus = []
         for n in (10, 100, 1000):
             w = tb.to_intensity_moments(tb.moments(
-                models.compound_photon_dist(params, n), 5))
+                compound_photon_dist(params, n), 5))
             photon_taus += [tb.ncd(w, "E001").tau, tb.ncd(w, "M1001").tau]
         all_taus = list(tau_e.values()) + list(tau_m.values()) + photon_taus
         ok = (abs(peak - 0.14) <= 0.02 and 20 <= peak_n <= 100
@@ -278,8 +279,8 @@ class TestCriterion7:
         params, spec_s, spec_i = nominal
         h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1, "disjoint"))
         best = tb.optimal_postselection(h, min_events=500)
-        cond = tb.conditional_photon_dist(tb.joint_twb(params), spec_s,
-                                          best.c_s_opt, 1)
+        cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
+                                       best.c_s_opt, 1)
         # simulated conditional click rate agrees with the model rate
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         q_hat = best.mean_conditional
@@ -302,8 +303,8 @@ class TestCriterion7:
         params, spec_s, spec_i = nominal
         h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1000, "disjoint"))
         best = tb.optimal_postselection(h, min_events=600)
-        cond = tb.conditional_photon_dist(tb.joint_twb(params), spec_s,
-                                          best.c_s_opt, 1000)
+        cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
+                                       best.c_s_opt, 1000)
         ok = (abs(cond.mean() - 100) <= 10 and abs(cond.fano() - 0.7) <= 0.1
               and best.p_success >= 0.01)
         verdict("7b", "N=1000 conditional field", ok,
@@ -349,9 +350,9 @@ class TestCriterion9:
                 w = tb.to_s_ordered(
                     tb.to_intensity_moments(tb.moments(dist, 2)), s)
                 for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
-                    moment_errs.append(abs(tb.grid_moments(grid, k, l)
+                    moment_errs.append(abs(grid_moments(grid, k, l)
                                            - w[k, l]))
-        strong = models.compound_photon_dist(params, 1000)
+        strong = compound_photon_dist(params, 1000)
         grid1000 = tb.quasi_distribution(strong, 0.0, steps=256)
         has_negative = bool((grid1000.values < 0).any())
         norm_ok = all(abs(n - 1) <= 1e-3 for n in norms)
@@ -411,7 +412,7 @@ class TestCriterion10:
         # track_likelihood raises on any decrease beyond round-off
         _, res = tb.em_joint(f, t_s, t_i,
                              tb.EmConfig(max_iters=2_000, tol=1e-14,
-                                         n_max=n_max, track_likelihood=True))
+                                         track_likelihood=True))
         diffs = np.diff(res.log_likelihood)
         ok = bool((diffs >= -1e-10).all())
         verdict("10b", "EM log-likelihood monotone", ok,

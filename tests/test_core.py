@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import convolve_joint, self_convolve
+from oracles import convolve_joint, convolve_power_1d, self_convolve
 from twinbeam import JointDist, TwbParams, joint_twb, mandel_rice
-from twinbeam.core import PHOTON, convolve_power_1d
+from twinbeam.core import PHOTON
 from twinbeam.errors import InvalidParameterError, KindMismatchError
 
 

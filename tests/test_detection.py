@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from scipy.special import comb, gammaln
 
-from oracles import (_build_extended, compound_click_dist,
+from oracles import (SupportViolationError, ZeroProbabilityConditionError,
+                     _build_extended, compound_click_dist,
                      compound_click_moments_by_table, compound_photocounts,
+                     compound_photon_dist, conditional_photon_dist,
                      window_click_dist, window_forward_dist)
-from twinbeam import (DetectorSpec, JointDist, TwbParams,
-                      conditional_photon_dist, detection, detection_matrix,
-                      forward_photocounts, genuine_pnrd_model, joint_twb)
+from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
+                      detection_matrix, forward_photocounts,
+                      genuine_pnrd_model, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
 from twinbeam.detection import SUPPORT_TAIL, _log_factorials, default_n_max
-from twinbeam.errors import (InvalidParameterError, PrecisionExhaustedError,
-                             SupportViolationError,
-                             ZeroProbabilityConditionError)
+from twinbeam.errors import InvalidParameterError, PrecisionExhaustedError
 from twinbeam.moments import moments, to_intensity_moments
 from twinbeam import models
 
@@ -308,7 +308,7 @@ class TestConditional:
             if mix is None:
                 mix = np.zeros(4 * j.shape[1])
             mix[:len(contribution)] += contribution
-        marginal = models.compound_photon_dist(params, n).marginal("i")
+        marginal = compound_photon_dist(params, n).marginal("i")
         np.testing.assert_allclose(mix[:len(marginal.probs)], marginal.probs,
                                    atol=1e-10)
 

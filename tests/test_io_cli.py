@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinbeam import (GroupingPolicy, JointDist, JointHistogram,
+from twinbeam import (ClickStream, GroupingPolicy, JointDist, JointHistogram,
                       PumpCorrelation, group_histogram, quasi_distribution,
                       sample_stream)
 from oracles import compound_click_moments_by_table, window_click_dist
-from twinbeam import detection, models
+from twinbeam import core, detection, models
 from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
@@ -235,6 +235,9 @@ class TestCli:
         for module in (detection, models):
             assert not hasattr(module, "compound_photocounts")
             assert not hasattr(module, "compound_click_dist")
+        # nor a photon table to convolve for the heralded idler field
+        assert not hasattr(detection, "conditional_photon_dist")
+        assert not hasattr(core, "convolve_power_1d")
         _, cells = self.sweep_cells(capsys, "--metric", metric,
                                     "--groups", "2,10", "--k-pump", k_pump)
         assert cells.shape[0] == 2
@@ -289,9 +292,11 @@ class TestCli:
 
 
 def test_cli_import_loads_no_scipy():
+    # nor mpmath, which the quasi-distribution imports only when it needs
+    # extended precision
     probe = ("import sys, twinbeam.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')))")
+             "if m.split('.')[0] in ('scipy', 'mpmath')))")
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -370,6 +375,12 @@ BAD_INPUTS = {
     "simulate-seed-negative": (
         ["simulate", "--windows", "100", "--seed", "-1",
          "--out", "{tmp}/s.clicks"], 2, "--seed"),
+    "clicks-code-above-3": (
+        ["analyze", "--in", "{clicks_high}", "--group-n", "5",
+         "--out", "{tmp}/h2.jhist"], 3, "above 3"),
+    "config-not-utf8": (
+        ["sweep", "--config", "{config_latin1}", "--groups", "1"],
+        2, "not UTF-8"),
 }
 
 
@@ -407,6 +418,12 @@ def bad_input_files(tmp_path, nominal):
         tbio.write_jhist(JointHistogram(np.array(counts), n_groups,
                                         GroupingPolicy(1, "disjoint")),
                          files[key])
+    high = np.array(stream.codes)
+    high[[3, 11]] = (7, 200)
+    files["clicks_high"] = str(tmp_path / "high.clicks")
+    tbio.write_clicks(ClickStream(high, stream.meta), files["clicks_high"])
+    files["config_latin1"] = str(tmp_path / "latin1.cfg")
+    (tmp_path / "latin1.cfg").write_bytes(b"metric = nrp  # caf\xe9\n")
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist

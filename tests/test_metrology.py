@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import compound_click_dist
+from oracles import compound_click_dist, conditional_photon_dist
 from twinbeam import (DetectorSpec, GroupingPolicy, JointHistogram,
                       PumpCorrelation, TwbParams, effective_efficiency,
                       fano_nrp_cov, from_intensity_moments, group_histogram,
-                      optimal_postselection, precision_improvement,
+                      joint_twb, optimal_postselection, precision_improvement,
                       relative_error, sample_stream)
 from twinbeam import models
 from twinbeam.cli import main
@@ -174,6 +174,23 @@ class TestClosedFormPostselection:
         for field in ("fano_min", "mean_conditional", "p_success"):
             assert getattr(closed, field) == pytest.approx(
                 getattr(table, field), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(m=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+           b_p=st.floats(1e-3, 0.05),
+           b_noise=st.tuples(*[st.floats(0.0, 0.01)] * 2),
+           eta_s=st.floats(0.05, 0.95), dark_s=st.floats(0.0, 0.05),
+           n=st.integers(1, 60))
+    def test_heralded_photons_match_the_convolution_powers(
+            self, m, b_p, b_noise, eta_s, dark_s, n):
+        params = TwbParams(*m, b_p, *b_noise)
+        spec_s = DetectorSpec(eta_s, dark_s, 1)
+        joint = joint_twb(params)
+        for c_s in range(n + 1):
+            cond = conditional_photon_dist(joint, spec_s, c_s, n)
+            mean, var = models.heralded_photon_stats(params, spec_s, c_s, n)
+            assert mean == pytest.approx(cond.mean(), rel=1e-9, abs=0.0)
+            assert var / mean == pytest.approx(cond.fano(), rel=1e-9, abs=0.0)
 
     def sweep(self, tmp_path, capsys, **values):
         path = tmp_path / "params.json"

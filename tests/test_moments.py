@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twinbeam import (JointDist, MarginalDist, TwbParams, bootstrap_statistic,
-                      fano_nrp_cov, from_intensity_moments, joint_twb,
-                      mandel_rice, moments, ncd, nci_value,
-                      to_intensity_moments, to_s_ordered)
-from oracles import compound_click_dist
+from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
+                      from_intensity_moments, joint_twb, mandel_rice, moments,
+                      ncd, nci_value, to_intensity_moments, to_s_ordered)
+from oracles import (compound_click_dist, compound_photon_dist,
+                     conditional_photon_dist)
 from twinbeam import models
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError, InsufficientOrderError
@@ -226,7 +226,7 @@ class TestNcd:
 
     def test_depth_bounded_for_gaussian_model_beams(self, nominal):
         params, _, _ = nominal
-        j = models.compound_photon_dist(params, 100)
+        j = compound_photon_dist(params, 100)
         w = to_intensity_moments(moments(j, 5))
         for ident in ("E001", "E111", "M1001"):
             r = ncd(w, ident)
@@ -264,7 +264,6 @@ class TestNcd:
     def test_conditional_field_l_family(self, nominal):
         # a heralded idler field is sub-Poissonian: every L identifier is
         # violated and the depths shrink with the order
-        from twinbeam import conditional_photon_dist
         params, spec_s, _ = nominal
         cond = conditional_photon_dist(joint_twb(params), spec_s, 2, 10)
         assert cond.fano() < 1
@@ -276,18 +275,3 @@ class TestNcd:
             assert r.nonclassical and 0 < r.tau <= 0.5 + 1e-6
             taus.append(r.tau)
         assert taus == sorted(taus, reverse=True)
-
-
-class TestBootstrap:
-    def test_mean_error_scales_with_counts(self):
-        from twinbeam import GroupingPolicy, JointHistogram
-        rng = np.random.default_rng(3)
-        counts = rng.multinomial(40_000, np.full(4, 0.25)).reshape(2, 2)
-        h = JointHistogram(counts, 40_000, GroupingPolicy(1, "disjoint"))
-
-        def mean_s(hist):
-            return [hist.normalized()[1].sum()]
-
-        _, std = bootstrap_statistic(h, mean_s, n_boot=120, seed=5)
-        expected = np.sqrt(0.5 * 0.5 / 40_000)
-        assert std[0] == pytest.approx(expected, rel=0.3)

@@ -3,10 +3,9 @@ import pytest
 
 from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
                       GroupingPolicy, MarginalDist, conditional_histogram,
-                      conditional_photon_dist, detection_matrix,
-                      em_conditional, em_joint, joint_twb)
-from oracles import compound_click_dist
-from twinbeam import models
+                      detection_matrix, em_conditional, em_joint, joint_twb)
+from oracles import (compound_click_dist, compound_photon_dist,
+                     conditional_photon_dist)
 from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
 from twinbeam.errors import DataError, EmptyConditionError, NumericError
@@ -23,22 +22,20 @@ class TestEmJoint:
                       PHOTOCOUNT)
         truth = np.zeros((9, 9))
         truth[2, 2] = 1.0
-        est, res = em_joint(f, t, t, EmConfig(max_iters=400_000, tol=1e-15,
-                                              n_max=8))
+        est, res = em_joint(f, t, t, EmConfig(max_iters=400_000, tol=1e-15))
         assert tv(est.table, truth) < 1e-6
 
     def test_self_consistent_forward_recovered(self, nominal):
         params, spec_s, spec_i = nominal
         n = 10
         n_max = 60
-        truth = models.compound_photon_dist(params, n)
+        truth = compound_photon_dist(params, n)
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.shape[0], :truth.shape[1]] = truth.table
         fwd = JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0, PHOTOCOUNT)
-        est, res = em_joint(fwd, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-9,
-                                                    n_max=n_max))
+        est, res = em_joint(fwd, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-9))
         assert tv(est.table, padded) <= 0.01
 
     def test_every_iterate_normalized_and_loglik_monotone(self, nominal):
@@ -47,7 +44,7 @@ class TestEmJoint:
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = em_joint(f, t_s, t_i,
-                            EmConfig(max_iters=500, tol=1e-14, n_max=40,
+                            EmConfig(max_iters=500, tol=1e-14,
                                      track_likelihood=True))
         # track_likelihood raises on any decrease; check it really ran
         assert len(res.log_likelihood) == res.iterations
@@ -69,14 +66,14 @@ class TestEmJoint:
         # a histogram inside the forward model's range is reproduced down to
         # the stopping tolerance times the support size
         params, spec_s, spec_i = nominal
-        truth = models.compound_photon_dist(params, 3)
+        truth = compound_photon_dist(params, 3)
         n_max = 30
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 3), n_max)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 3), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.shape[0], :truth.shape[1]] = truth.table
         f = JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0, PHOTOCOUNT)
-        cfg = EmConfig(max_iters=200_000, tol=1e-10, n_max=n_max)
+        cfg = EmConfig(max_iters=200_000, tol=1e-10)
         est, res = em_joint(f, t_s, t_i, cfg)
         assert res.converged
         refwd = t_s.entries @ est.table @ t_i.entries.T
@@ -88,7 +85,7 @@ class TestEmJoint:
         h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 60)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 60)
-        est, res = em_joint(h, t_s, t_i, EmConfig(max_iters=300, n_max=60))
+        est, res = em_joint(h, t_s, t_i, EmConfig(max_iters=300))
         mean_i = est.marginal("i").mean()
         # reconstruction undoes detection losses: mean near 5 * 0.102
         assert mean_i == pytest.approx(5 * 0.10205, rel=0.05)
@@ -142,21 +139,21 @@ class TestEmJoint:
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
         empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
         with pytest.raises(DataError, match="no observed counts"):
-            em_joint(empty, t, t, EmConfig(n_max=10))
+            em_joint(empty, t, t)
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 10)
         small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
-            em_joint(f, small, small, EmConfig(n_max=30))
+            em_joint(f, small, small)
 
 
 class TestEmConditional:
     def test_pure_no_click_column_gives_vacuum(self):
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
         data = MarginalDist(np.array([1.0, 0.0]), 0.0, PHOTOCOUNT)
-        est, res = em_conditional(data, t, EmConfig(max_iters=5_000, n_max=10))
+        est, res = em_conditional(data, t, EmConfig(max_iters=5_000))
         assert est.probs[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_analytic_conditional_recovered(self, nominal):
@@ -168,8 +165,7 @@ class TestEmConditional:
         f_ci = t_i.entries @ truth.probs[:n_max + 1]
         est, res = em_conditional(MarginalDist(f_ci / f_ci.sum(), 0.0,
                                                PHOTOCOUNT), t_i,
-                                  EmConfig(max_iters=150_000, tol=1e-13,
-                                           n_max=n_max))
+                                  EmConfig(max_iters=150_000, tol=1e-13))
         assert tv(est.probs, truth.probs[:n_max + 1]) <= 0.01
         assert est.mean() == pytest.approx(truth.mean(), rel=1e-3)
         assert est.fano() == pytest.approx(truth.fano(), rel=1e-2)
