@@ -15,7 +15,9 @@ import dataclasses
 import hashlib
 import math
 import os
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov,
                       to_intensity_moments)
 from .quasidist import grid_normalization, quasi_distribution
 from .reconstruct import EmConfig, em_joint
-from .simulate import PumpCorrelation, sample_stream
+from .simulate import PumpCorrelation, _schedule, sample_stream
 
 DEFAULT_GROUPS = (1, 2, 3, 5, 10, 20, 30, 50, 70, 100, 200, 300, 500, 700, 1000)
 
@@ -49,13 +51,19 @@ def _write_manifest(out: str, args: argparse.Namespace, inputs: list,
     manifest = {
         "command": args.command,
         "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("command", "func") and v is not None},
+                       if k not in ("command", "func", "started")
+                       and v is not None},
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs
                    if os.path.exists(p)],
         "versions": {"twinbeam": _version(), "numpy": np.__version__},
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
+    manifest["run"] = {
+        "wall_s": time.perf_counter() - args.started,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
     tbio.write_json(manifest, out + ".manifest.json")
 
 
@@ -133,7 +141,9 @@ def _cmd_simulate(args) -> None:
     pump = PumpCorrelation(args.k_pump, args.block_len)
     stream = sample_stream(params, spec_s, spec_i, pump, args.windows, args.seed)
     tbio.write_clicks(stream, args.out)
-    _write_manifest(args.out, args, [args.params] if args.params else [])
+    chunks, workers = _schedule(args.windows)
+    _write_manifest(args.out, args, [args.params] if args.params else [],
+                    {"chunks": chunks, "workers": workers})
 
 
 def _cmd_analyze(args) -> None:
@@ -367,11 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list | None = None) -> int:
+    started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
         argv = _apply_config(parser, list(argv))
         args = parser.parse_args(argv)
+        args.started = started      # origin of the manifest's run.wall_s
         args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
 idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
-its histogram cell, and one ``bincount`` of the sums counts every cell.
+its histogram cell, and a ``bincount`` of the sums counts the cells, one
+bounded chunk of the stream at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .simulate import ClickStream
 
 SLIDING = "sliding"
 DISJOINT = "disjoint"
+
+#: Windows grouped per chunk of :func:`group_histogram`.
+GROUP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,12 +60,16 @@ class JointHistogram:
         return self.counts.sum(axis=1 if arm == "s" else 0)
 
 
+def _check_length(windows: int, n: int) -> None:
+    if windows < n:
+        raise StreamTooShortError(
+            f"stream of {windows} windows cannot form groups of {n}")
+
+
 def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
     """Per-group sums of a sequence of per-window counts, as int64."""
     bits = np.asarray(bits)
-    if len(bits) < policy.n:
-        raise StreamTooShortError(
-            f"stream of {len(bits)} windows cannot form groups of {policy.n}")
+    _check_length(len(bits), policy.n)
     if policy.mode == DISJOINT:
         m = len(bits) // policy.n
         groups = bits[:m * policy.n].reshape(m, policy.n)
@@ -71,15 +79,29 @@ def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
 
 
 def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
-    """Joint histogram of grouped signal and idler click numbers."""
+    """Joint histogram of grouped signal and idler click numbers.
+
+    Groups are counted ``GROUP_CHUNK`` windows at a time, so the temporaries
+    stay bounded whatever the stream length.
+    """
     n = policy.n
-    # in place, as each temporary is stream-sized; the dtype holds n + 2
-    code = np.bitwise_and(stream.codes, 1, dtype=np.min_scalar_type(n + 2))
-    code *= n + 1
-    code += (stream.codes >> 1) & 1
-    cells = grouped_counts(code, policy)
-    counts = np.bincount(cells, minlength=(n + 1) ** 2)
-    return JointHistogram(counts.reshape(n + 1, n + 1), len(cells), policy)
+    codes = stream.codes
+    _check_length(len(codes), n)
+    # windows between the starts of successive groups
+    stride = n if policy.mode == DISJOINT else 1
+    n_groups = (len(codes) - n) // stride + 1
+    per_chunk = max(1, GROUP_CHUNK // stride)
+    counts = np.zeros((n + 1) ** 2, dtype=np.int64)
+    for g0 in range(0, n_groups, per_chunk):
+        g1 = min(g0 + per_chunk, n_groups)
+        part = codes[g0 * stride:(g1 - 1) * stride + n]
+        # in place, as each temporary is chunk-sized; the dtype holds n + 2
+        code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
+        code *= n + 1
+        code += (part >> 1) & 1
+        found = np.bincount(grouped_counts(code, policy))
+        counts[:len(found)] += found
+    return JointHistogram(counts.reshape(n + 1, n + 1), n_groups, policy)
 
 
 def conditioned_sequences(stream: ClickStream) -> dict:

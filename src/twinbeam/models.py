@@ -39,12 +39,16 @@ NOMINAL_IDLER = DetectorSpec(eta=0.330, dark=3.8e-3, pixels=1)
 NOMINAL_PUMP = PumpCorrelation(k=0.965e-3, block_len=10_000)
 
 
-def _pgf(params: TwbParams, x: float, y: float) -> float:
+def _log_pgf(params: TwbParams, x: float, y: float) -> float:
     # (1 + b u)^-m as exp(-m log1p(b u)): many modes of tiny mean must not
     # raise a rounded 1 + b u to a huge power
-    return math.exp(-params.m_s * math.log1p(params.b_s * (1.0 - x))
-                    - params.m_i * math.log1p(params.b_i * (1.0 - y))
-                    - params.m_p * math.log1p(params.b_p * (1.0 - x * y)))
+    return (-params.m_s * math.log1p(params.b_s * (1.0 - x))
+            - params.m_i * math.log1p(params.b_i * (1.0 - y))
+            - params.m_p * math.log1p(params.b_p * (1.0 - x * y)))
+
+
+def _pgf(params: TwbParams, x: float, y: float) -> float:
+    return math.exp(_log_pgf(params, x, y))
 
 
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
@@ -137,21 +141,32 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
     A window's idler photons have the PGF ``H0(y) = (1 - dark_s) G(1 - eta_s,
     y)`` without a signal click and ``H1(y) = G(1, y) - H0(y)`` with one.
     Windows are independent: ``c_s`` windows add the mean and variance of
-    ``H1 / H1(1)``, the other ``n - c_s`` those of ``H0 / H0(1)``.
+    ``H1 / H1(1)``, the other ``n - c_s`` those of ``H0 / H0(1)``.  ``H1``
+    and its derivatives are sums of positive terms: no difference near 1.
     """
     if not 0 <= c_s <= n:
         raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
+    x = 1.0 - spec_s.eta
 
-    def pgf_derivs(scale: float, x: float) -> np.ndarray:
-        # scale * G(x, y) and its first two y-derivatives at y = 1; l1 and l2
-        # are those of log G, whose pair term has b_p x where noise has b_i
+    def log_derivs(x: float) -> tuple[float, float, float]:
+        # u(x) and the first two y-derivatives of log G(x, y) at y = 1,
+        # whose pair term has b_p x where noise has b_i
         u = params.b_p * x / (1.0 + params.b_p * (1.0 - x))
-        l1 = params.m_i * params.b_i + params.m_p * u
-        l2 = params.m_i * params.b_i ** 2 + params.m_p * u ** 2
-        return scale * _pgf(params, x, 1.0) * np.array([1.0, l1, l2 + l1 * l1])
+        return (u, params.m_i * params.b_i + params.m_p * u,
+                params.m_i * params.b_i ** 2 + params.m_p * u ** 2)
 
-    h0 = pgf_derivs(1.0 - spec_s.dark, 1.0 - spec_s.eta)
-    h1 = pgf_derivs(1.0, 1.0) - h0
+    u1, l1, l2 = log_derivs(1.0)
+    ux, l1x, l2x = log_derivs(x)
+    log_no_s = math.log1p(-spec_s.dark) + _log_pgf(params, x, 1.0)
+    no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
+    h0 = no_s * np.array([1.0, l1x, l2x + l1x * l1x])
+    # H1 = p_s G(1, y) + no_s (G(1, y) - G(x, y) / G(x, 1)); in the second
+    # term l1 - l1x = m_p (u1 - ux) = m_p b_p (1 - x)(1 + b_p) /
+    # (1 + b_p (1 - x)) and l2 + l1^2 - l2x - l1x^2 = that (u1 + ux + l1 + l1x)
+    dl1 = params.m_p * params.b_p * (1.0 - x) * (1.0 + params.b_p) \
+        / (1.0 + params.b_p * (1.0 - x))
+    h1 = p_s * np.array([1.0, l1, l2 + l1 * l1]) \
+        + no_s * dl1 * np.array([0.0, 1.0, u1 + ux + l1 + l1x])
     mean = var = 0.0
     for count, (h, d1, d2) in ((c_s, h1), (n - c_s, h0)):
         if count:                   # else h may be 0: no 0 * nan

@@ -12,6 +12,7 @@ distinct windows of a block.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,9 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
 
     The stream is a pure function of its arguments: block factors come from
     one dedicated child RNG, window-level draws from per-chunk child RNGs
-    keyed by window index.
+    keyed by window index.  The chunks run in threads, one per available
+    CPU; each writes its own slice, so the bytes do not depend on the CPU
+    count.
     """
     if spec_s.pixels != 1 or spec_i.pixels != 1:
         raise InvalidParameterError("stream simulation uses single-pixel detectors")
@@ -85,7 +88,7 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
 
     root = np.random.SeedSequence(seed)
     n_blocks = -(-n_windows // pump.block_len)
-    n_chunks = -(-n_windows // CHUNK)
+    n_chunks, workers = _schedule(n_windows)
     children = root.spawn(n_chunks + 1)
 
     if pump.k > 0:
@@ -98,7 +101,7 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     log_miss_i = np.log1p(-spec_i.eta) if spec_i.eta < 1 else -np.inf
     codes = np.empty(n_windows, dtype=np.uint8)
 
-    for ci in range(n_chunks):
+    def draw_chunk(ci: int) -> None:
         lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, n_windows)
         size = hi - lo
         rng = np.random.default_rng(children[ci + 1])
@@ -106,16 +109,25 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
         lam_p = rng.gamma(params.m_p, params.b_p, size) if params.b_p > 0 \
             else np.zeros(size)
         if factors is not None:
-            lam_p *= factors[np.arange(lo, hi) // pump.block_len]
-        n_p = rng.poisson(lam_p)
-        n_s = n_p + _mandel_rice_draws(rng, params.m_s, params.b_s, size)
-        n_i = n_p + _mandel_rice_draws(rng, params.m_i, params.b_i, size)
+            first, last = lo // pump.block_len, (hi - 1) // pump.block_len
+            bounds = np.arange(first + 1, last + 1) * pump.block_len
+            lam_p *= np.repeat(factors[first:last + 1],
+                               np.diff(bounds, prepend=lo, append=hi))
+        # photon numbers are kept in the smallest dtype that holds them
+        n_p = _compact(rng.poisson(lam_p))
+        del lam_p
+        n_s = _add_noise(rng, params.m_s, params.b_s, n_p)
+        n_i = _add_noise(rng, params.m_i, params.b_i, n_p)
+        s = rng.random(size) < _click_prob(n_s, spec_s.dark, log_miss_s)
+        i = rng.random(size) < _click_prob(n_i, spec_i.dark, log_miss_i)
+        np.left_shift(i, 1, out=codes[lo:hi], dtype=np.uint8)
+        codes[lo:hi] |= s
 
-        p_click_s = 1.0 - (1.0 - spec_s.dark) * _miss_prob(n_s, log_miss_s)
-        p_click_i = 1.0 - (1.0 - spec_i.dark) * _miss_prob(n_i, log_miss_i)
-        s = rng.random(size) < p_click_s
-        i = rng.random(size) < p_click_i
-        codes[lo:hi] = s.astype(np.uint8) | (i.astype(np.uint8) << 1)
+    # numpy's generators release the GIL while drawing; imported here so
+    # that commands that simulate nothing do not load the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(draw_chunk, range(n_chunks)))   # re-raises a failure
 
     meta = {
         "params": params,
@@ -128,10 +140,34 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     return ClickStream(codes, meta)
 
 
-def _mandel_rice_draws(rng, m: float, b: float, size: int) -> np.ndarray:
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _schedule(n_windows: int) -> tuple[int, int]:
+    """``(chunks, worker threads)`` of a stream of ``n_windows``."""
+    n_chunks = -(-n_windows // CHUNK)
+    return n_chunks, min(_cpu_count(), n_chunks)
+
+
+def _compact(n: np.ndarray) -> np.ndarray:
+    return n.astype(np.min_scalar_type(n.max()), copy=False)
+
+
+def _add_noise(rng, m: float, b: float, n_p: np.ndarray) -> np.ndarray:
+    """``n_p`` plus Mandel-Rice noise photons of ``m`` modes of mean ``b``."""
     if b <= 0:
-        return np.zeros(size, dtype=np.int64)
-    return rng.poisson(rng.gamma(m, b, size))
+        return n_p
+    n = rng.poisson(rng.gamma(m, b, len(n_p)))
+    n += n_p
+    return _compact(n)
+
+
+def _click_prob(n: np.ndarray, dark: float, log_miss: float) -> np.ndarray:
+    """``1 - (1 - dark)(1 - eta)^n``, looked up in a table over ``0..max n``."""
+    k = np.arange(int(n.max()) + 1)
+    return (1.0 - (1.0 - dark) * _miss_prob(k, log_miss))[n]
 
 
 def _miss_prob(n: np.ndarray, log_miss: float) -> np.ndarray:
@@ -139,4 +175,3 @@ def _miss_prob(n: np.ndarray, log_miss: float) -> np.ndarray:
     if np.isneginf(log_miss):
         return (n == 0).astype(float)
     return np.exp(n * log_miss)
-

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (ClickStream, GroupingPolicy, averaged_correlation,
                       conditioned_sequences, group_histogram, grouped_counts,
                       window_correlation)
-from twinbeam import models
+from twinbeam import ingest, models
 from twinbeam.errors import DegenerateStreamError, StreamTooShortError
 
 
@@ -43,6 +45,31 @@ class TestGrouping:
         hb = group_histogram(b, policy).counts
         hj = group_histogram(joint, policy).counts
         assert np.array_equal(hj, ha + hb)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(codes=st.lists(st.integers(0, 3), min_size=1, max_size=120),
+           n=st.integers(1, 12), mode=st.sampled_from(["sliding", "disjoint"]),
+           chunk=st.integers(1, 40))
+    def test_chunked_histogram_equals_naive_group_sums(self, codes, n, mode,
+                                                       chunk):
+        # chunks of 1..40 windows: their ends fall inside groups, and a
+        # chunk shorter than a group still holds one whole group
+        stream = ClickStream(np.array(codes, dtype=np.uint8))
+        policy = GroupingPolicy(n, mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "GROUP_CHUNK", chunk)
+            if len(codes) < n:
+                with pytest.raises(StreamTooShortError):
+                    group_histogram(stream, policy)
+                return
+            h = group_histogram(stream, policy)
+        starts = range(0, len(codes) - n + 1, n if mode == "disjoint" else 1)
+        naive = np.zeros((n + 1, n + 1), dtype=np.int64)
+        for g in starts:
+            group = codes[g:g + n]
+            naive[sum(c & 1 for c in group), sum(c >> 1 for c in group)] += 1
+        assert h.n_groups == len(starts)
+        assert np.array_equal(h.counts, naive)
 
     def test_sliding_and_disjoint_means_agree(self, stream_1m):
         n = 20

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
+from twinbeam.simulate import CHUNK
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: Sweep CSVs recorded by the benchmark at an earlier commit (read only).
@@ -120,11 +122,14 @@ class TestCli:
             assert isinstance(ncd_report[ident]["multiple_roots"], bool)
         met_report = json.loads(open(met).read())
         assert met_report["S_cs"] < 1.0
-        # every output carries a manifest sufficient to re-run it
+        # every output carries a manifest sufficient to re-run it, and an
+        # account of the run
         for path in (clicks, hist, dist, report, grid, met):
             manifest = json.loads(open(path + ".manifest.json").read())
             assert manifest["command"]
             assert "parameters" in manifest and "versions" in manifest
+            assert manifest["run"]["wall_s"] > 0
+            assert manifest["run"]["peak_rss_mb"] > 0
 
     def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
         """Reconstruct 300 disjoint groups of n = 1000 windows."""
@@ -293,13 +298,28 @@ class TestCli:
 
 def test_cli_import_loads_no_scipy():
     # nor mpmath, which the quasi-distribution imports only when it needs
-    # extended precision
+    # extended precision, nor the thread pool that only simulate starts
     probe = ("import sys, twinbeam.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath')))")
+             "if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent')))")
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_manifest_times_its_own_process(tmp_path):
+    out = str(tmp_path / "s.clicks")
+    start = time.perf_counter()
+    proc = run_python("-m", "twinbeam.cli", "simulate", "--windows",
+                      str(CHUNK + 1), "--seed", "1", "--out", out)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads(open(out + ".manifest.json").read())
+    assert 0 < manifest["run"]["wall_s"] <= elapsed
+    # far above the few MB of an empty process, far below a leak
+    assert 10 < manifest["run"]["peak_rss_mb"] < 500
+    assert manifest["diagnostics"] == {
+        "chunks": 2, "workers": min(2, len(os.sched_getaffinity(0)))}
 
 
 #: Malformed command lines: argv (``{tmp}`` and the file names are filled

@@ -192,6 +192,15 @@ class TestClosedFormPostselection:
             assert mean == pytest.approx(cond.mean(), rel=1e-9, abs=0.0)
             assert var / mean == pytest.approx(cond.fano(), rel=1e-9, abs=0.0)
 
+    def test_heralded_photons_exact_at_a_rare_signal_click(self):
+        # p_s = 2.5e-5: forming H1 as G(1, y) - H0 would lose eps / p_s
+        params = TwbParams(0.5, 1.01, 3.23, 1e-3, 0, 0.0044)
+        spec_s = DetectorSpec(0.05, 0.0, 1)
+        cond = conditional_photon_dist(joint_twb(params), spec_s, 48, 48)
+        mean, var = models.heralded_photon_stats(params, spec_s, 48, 48)
+        assert mean == pytest.approx(cond.mean(), rel=1e-13, abs=0.0)
+        assert var / mean == pytest.approx(cond.fano(), rel=1e-13, abs=0.0)
+
     def sweep(self, tmp_path, capsys, **values):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10, **values}))

@@ -1,11 +1,37 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import pump_moment_model
 from twinbeam import (DetectorSpec, PumpCorrelation, TwbParams, fano_nrp_cov,
                       from_intensity_moments, sample_stream)
-from twinbeam import models
+from twinbeam import models, simulate
 from twinbeam.errors import InvalidParameterError
+from twinbeam.simulate import CHUNK
+
+#: SHA-256 of the ``codes`` of seed-2021 nominal streams, recorded while the
+#: chunks were still drawn one after another: ``(k, n_windows) -> digest``.
+#: Blocks of 10 000 windows straddle the chunk boundaries.
+STREAM_DIGESTS = {
+    (0.0, CHUNK - 1):
+        "d8899edf38b820c8d1f74fc9ede20c8a0ed9ea550b0588de264f8b02ac0efe91",
+    (0.0, CHUNK):
+        "8e1971593fd39496c337a18a93ab0f33b1743f9f0e6f844b7bdf5dde4c7ac9a1",
+    (0.0, CHUNK + 1):
+        "b32d33b7495fbc3e353c0b7107379ecaab317472fc9ff60ec423a07ba5b85674",
+    (0.0, 3 * CHUNK + 17):
+        "6f0db16e48dd512a7949eea84a6e61f3f35bce9ed83724d29ae5e38644a51639",
+    (models.NOMINAL_PUMP.k, CHUNK - 1):
+        "0f439bf89a45abe61110c91af211f57dc049bf028aad7c1879cbe5c3bec0fede",
+    (models.NOMINAL_PUMP.k, CHUNK):
+        "9a3a3f515e4310959ee7b75f56e327cf2f898b800ae3e2a5c39b060c98fe7492",
+    (models.NOMINAL_PUMP.k, CHUNK + 1):
+        "abf90ab18f1611856f89e8a24dc53ef20268125f451c26112dc7104fabb8a7f5",
+    (models.NOMINAL_PUMP.k, 3 * CHUNK + 17):
+        "c1349004b9de1fa1ae6ee3abc28050c857b0ab70fabcf76c43dfcd8fe38ac826",
+}
 
 
 class TestSampleStream:
@@ -70,6 +96,39 @@ class TestSampleStream:
             models.compound_click_moments(params, spec_s, spec_i, n, 2, k)))
         assert fano_d > fano_f + 0.05
         assert fano_d == pytest.approx(pred["fano_i"], rel=0.1)
+
+
+class TestParallelChunks:
+    @pytest.mark.parametrize("cpus", [1, None, 4])
+    def test_streams_match_the_recorded_digests(self, monkeypatch, nominal,
+                                                cpus):
+        # None keeps this machine's CPU count; at most 4 chunks run at once,
+        # and a short switch interval interleaves the workers finely
+        if cpus is not None:
+            monkeypatch.setattr(simulate, "_cpu_count", lambda: cpus)
+        params, spec_s, spec_i = nominal
+        heads = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for (k, n_windows), digest in STREAM_DIGESTS.items():
+                codes = sample_stream(params, spec_s, spec_i,
+                                      PumpCorrelation(k, 10_000), n_windows,
+                                      seed=2021).codes
+                assert hashlib.sha256(codes.tobytes()).hexdigest() == digest
+                # chunks are keyed by window index: a longer stream repeats
+                # the whole chunks of a shorter one
+                if n_windows >= CHUNK:
+                    heads.setdefault(k, codes[:CHUNK])
+                    assert np.array_equal(codes[:CHUNK], heads[k])
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_one_worker_per_cpu_up_to_the_chunk_count(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+        assert simulate._schedule(CHUNK - 1) == (1, 1)
+        assert simulate._schedule(CHUNK + 1) == (2, 2)
+        assert simulate._schedule(3 * CHUNK + 17) == (4, 3)
 
 
 class TestPumpMomentModel:
