@@ -172,7 +172,9 @@ def _cmd_reconstruct(args) -> None:
     tbio.write_jdist(dist, args.out)
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "converged": result.converged,
-        "iterations": result.iterations, "final_change": result.final_change})
+        "iterations": result.iterations, "final_change": result.final_change,
+        "column_sum_error": {"signal": t_s.column_sum_error(),
+                             "idler": t_i.column_sum_error()}})
     print(f"c_max={c_max} n_max={n_max} converged={result.converged} "
           f"iterations={result.iterations} "
           f"final_change={result.final_change:.3e}")
@@ -206,9 +208,10 @@ def _cmd_quasidist(args) -> None:
         raise DataError("quasi-distribution needs a photon-number input")
     grid = quasi_distribution(dist, args.s, args.w_max, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
-    _write_manifest(args.out, args, [args.dist])
-    print(f"normalization={grid_normalization(grid):.6f} "
-          f"min={grid.values.min():.4e}")
+    diagnostics = {"normalization": grid_normalization(grid),
+                   "min": float(grid.values.min())}
+    _write_manifest(args.out, args, [args.dist], diagnostics)
+    print("normalization={normalization:.6f} min={min:.4e}".format(**diagnostics))
 
 
 def _cmd_metrology(args) -> None:

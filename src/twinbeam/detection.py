@@ -8,12 +8,12 @@ probability
                  * (1 - eta (N-c+l)/N)^n .
 
 This alternating sum cancels catastrophically once ``N`` and ``c`` are
-large, so the default evaluation path uses an exactly equivalent all-positive
-formulation: each photon independently marks a uniformly chosen pixel with
-probability ``eta``; a pixel clicks when marked or on a dark count.  The
-pixel-occupancy recursion involved is stable in double precision and its
-column sums are one by construction.  An arbitrary-precision evaluation of
-the alternating sum lives with the tests as the cross-check of this path.
+large, so the matrix comes from one all-positive pixel-occupancy chain:
+dark counts mark each pixel with probability ``dark`` before the first
+photon, which is the chain's start; each photon then marks a uniformly chosen
+pixel with probability ``eta``; a pixel clicks when marked.  The chain is
+stable in double precision and its column sums are one by construction.  An
+arbitrary-precision alternating sum in the tests cross-checks it.
 Heralded photon statistics need no matrix: ``models`` takes them from the
 photon-number generating function.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTOCOUNT, PHOTON, JointDist, TwbParams, joint_twb
+from .core import PHOTOCOUNT, PHOTON, JointDist
 from .errors import (InvalidParameterError, KindMismatchError,
                      PrecisionExhaustedError)
 
@@ -112,51 +112,33 @@ def _log_factorials(k_max: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
-def _occupancy_table(pixels: int, eta: float, n_max: int) -> np.ndarray:
-    """``Q[j, n]``: probability that ``n`` photons mark exactly ``j`` pixels.
-
-    One photon is appended per step: it is detected with probability ``eta``
-    and then lands on a uniformly chosen pixel.  All recursion terms are
-    nonnegative, so double precision is exact to round-off.
-    """
-    jdim = min(pixels, n_max) + 1
-    j = np.arange(jdim, dtype=float)
-    stay = 1.0 - eta + eta * j / pixels          # photon lost or pixel already marked
-    grow = eta * (pixels - (j - 1.0)) / pixels   # photon marks a fresh pixel
-    Q = np.zeros((jdim, n_max + 1))
-    Q[0, 0] = 1.0
-    col = Q[:, 0].copy()
-    for n in range(1, n_max + 1):
-        nxt = col * stay
-        nxt[1:] += col[:-1] * grow[1:]
-        Q[:, n] = nxt
-        col = nxt
-    return Q
-
-
-def _dark_mixing(pixels: int, dark: float, jdim: int) -> np.ndarray:
-    """``B[c, j]``: probability of ``c`` total clicks given ``j`` marked pixels.
-
-    The remaining ``pixels - j`` pixels click independently with probability
-    ``dark``, so ``c - j`` follows a binomial law.
-    """
-    B = np.zeros((pixels + 1, jdim))
-    if dark == 0.0:
-        B[:jdim, :] = np.eye(jdim)
-        return B
-    c, jj = np.indices(B.shape)
-    valid = c >= jj
-    k, m = c[valid] - jj[valid], pixels - jj[valid]
-    lf = _log_factorials(pixels)
-    B[valid] = np.exp(lf[m] - lf[k] - lf[m - k]
-                      + k * np.log(dark) + (m - k) * np.log1p(-dark))
-    return B
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``P(k)`` of ``Binomial(n, p)`` for ``k = 0..n``, in log space."""
+    k = np.arange(n + 1)
+    lf = _log_factorials(n)
+    # log 0 as a large finite negative keeps 0 * log 0 at 0: point masses
+    log_p = math.log(p) if p > 0 else -1e9
+    log_q = math.log1p(-p) if p < 1 else -1e9
+    return np.exp(lf[n] - lf[k] - lf[n - k] + k * log_p + (n - k) * log_q)
 
 
 def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
-    Q = _occupancy_table(spec.pixels, spec.eta, n_max)
-    B = _dark_mixing(spec.pixels, spec.dark, Q.shape[0])
-    return B @ Q
+    """``T[c, n]``: chance that ``n`` photons leave ``c`` marked pixels.
+
+    The chain starts from ``Binomial(pixels, dark)`` dark-clicked pixels and
+    appends one photon per column, which is detected with probability ``eta``
+    and marks a uniformly chosen pixel.  All terms are nonnegative.
+    """
+    N = spec.pixels
+    fresh = spec.eta * (N - np.arange(N + 1.0)) / N   # marks a fresh pixel
+    stay = 1.0 - fresh                  # lost, or lands on a marked pixel
+    T = np.empty((N + 1, n_max + 1))
+    T[:, 0] = col = _binomial_pmf(N, spec.dark)
+    for n in range(1, n_max + 1):
+        nxt = col * stay
+        nxt[1:] += col[:-1] * fresh[:-1]
+        T[:, n] = col = nxt
+    return T
 
 
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
@@ -173,16 +155,16 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     if hit is not None:
         return hit
 
-    entries = _build_stable(spec, n_max)
-    colsum_err = np.abs(entries.sum(axis=0) - 1.0).max()
+    matrix = DetectionMatrix(_build_stable(spec, n_max), spec)
+    colsum_err = matrix.column_sum_error()
     if colsum_err > COLUMN_SUM_TOL:
         raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
+    entries = matrix.entries
     if entries.min() < -NEGATIVE_CLAMP:
         raise PrecisionExhaustedError(
             f"entry {entries.min():.3e} below the rounding clamp")
     np.clip(entries, 0.0, None, out=entries)
     entries.flags.writeable = False
-    matrix = DetectionMatrix(entries, spec)
     with _cache_lock:
         _cache[key] = matrix
     return matrix
@@ -197,18 +179,3 @@ def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
     t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
     f = t_s.entries @ p.table @ t_i.entries.T
     return JointDist(f, p.tail_mass, PHOTOCOUNT)
-
-
-def genuine_pnrd_model(params: TwbParams, spec_s: DetectorSpec,
-                       spec_i: DetectorSpec) -> JointDist:
-    """Photocounts of one strong beam on photon-number-resolving detectors.
-
-    The beam carries ``pixels`` times the constituting mode counts, i.e. the
-    same total intensity as the matching compound beam, but all photons share
-    one detector per arm.  Serves as the comparison model for the compound
-    composition.
-    """
-    if spec_s.pixels != spec_i.pixels:
-        raise InvalidParameterError("both detectors must have the same pixel count")
-    strong = params.scaled(spec_s.pixels)
-    return forward_photocounts(joint_twb(strong), spec_s, spec_i)

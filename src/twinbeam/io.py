@@ -43,12 +43,14 @@ HEADER_KEYS = {
 }
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, *chunks) -> None:
+    """Write ``chunks`` (bytes-like) one after another to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,8 +117,9 @@ def _read(path: str) -> bytes:
 # -- clicks-v1 ---------------------------------------------------------------
 
 def write_clicks(stream: ClickStream, path: str) -> None:
-    blob = CLICKS_MAGIC + struct.pack("<Q", len(stream)) + stream.codes.tobytes()
-    _atomic_write(path, blob)
+    # the codes go out from their own buffer: no stream-sized copy
+    _atomic_write(path, CLICKS_MAGIC + struct.pack("<Q", len(stream)),
+                  memoryview(np.ascontiguousarray(stream.codes)))
     meta = dict(stream.meta)
     for key in ("params", "spec_s", "spec_i", "pump"):
         if key in meta and dataclasses.is_dataclass(meta[key]):
@@ -126,14 +129,17 @@ def write_clicks(stream: ClickStream, path: str) -> None:
 
 
 def read_clicks(path: str) -> ClickStream:
-    blob = _read(path)
-    if blob[:16] != CLICKS_MAGIC:
-        raise DataError("not a clicks-v1 file")
-    (count,) = struct.unpack("<Q", blob[16:24])
-    codes = np.frombuffer(blob[24:24 + count], dtype=np.uint8).copy()
-    if len(codes) != count:
-        raise DataError(f"truncated stream: header says {count}, "
-                        f"payload has {len(codes)}")
+    with open(path, "rb") as fh:
+        head = fh.read(24)
+        if len(head) < 24 or head[:16] != CLICKS_MAGIC:
+            raise DataError("not a clicks-v1 file")
+        (count,) = struct.unpack("<Q", head[16:])
+        payload = os.fstat(fh.fileno()).st_size - 24
+        if payload < count:
+            raise DataError(f"truncated stream: header says {count}, "
+                            f"payload has {payload}")
+        codes = np.empty(count, dtype=np.uint8)    # the one stream-sized copy
+        fh.readinto(codes)                          # trailing bytes stay unread
     if codes.max(initial=0) > 3:
         raise DataError(f"window code {codes.max()} above 3: only bits 0 "
                         "(signal) and 1 (idler) may be set")

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from .core import PHOTOCOUNT, JointDist, TwbParams
-from .detection import DetectorSpec, _log_factorials, genuine_pnrd_model
+from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
+from .detection import DetectorSpec, _binomial_pmf, forward_photocounts
 from .errors import InvalidParameterError
 from .moments import NORMAL, MomentTable
 from .simulate import PumpCorrelation
@@ -51,6 +51,23 @@ def _pgf(params: TwbParams, x: float, y: float) -> float:
     return math.exp(_log_pgf(params, x, y))
 
 
+def _no_signal_click(params: TwbParams, spec_s: DetectorSpec
+                     ) -> tuple[float, float]:
+    """``(1 - p_s, p_s)`` of one window, ``p_s`` through ``expm1``."""
+    log_no_s = math.log1p(-spec_s.dark) + _log_pgf(params, 1.0 - spec_s.eta, 1.0)
+    return math.exp(log_no_s), -math.expm1(log_no_s)
+
+
+def _no_clicks(params: TwbParams, spec_s: DetectorSpec,
+               spec_i: DetectorSpec) -> tuple[float, float, float]:
+    """Chances of no signal click, no idler click and neither in one window."""
+    xs, yi = 1.0 - spec_s.eta, 1.0 - spec_i.eta
+    no_s = (1.0 - spec_s.dark) * _pgf(params, xs, 1.0)
+    no_i = (1.0 - spec_i.dark) * _pgf(params, 1.0, yi)
+    no_both = (1.0 - spec_s.dark) * (1.0 - spec_i.dark) * _pgf(params, xs, yi)
+    return no_s, no_i, no_both
+
+
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
                        spec_i: DetectorSpec,
                        pump_factor: float = 1.0) -> tuple[float, float, float]:
@@ -62,10 +79,7 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
     if pump_factor != 1.0:
         params = TwbParams(params.m_p, params.m_s, params.m_i,
                            params.b_p * pump_factor, params.b_s, params.b_i)
-    xs, yi = 1.0 - spec_s.eta, 1.0 - spec_i.eta
-    no_s = (1.0 - spec_s.dark) * _pgf(params, xs, 1.0)
-    no_i = (1.0 - spec_i.dark) * _pgf(params, 1.0, yi)
-    no_both = (1.0 - spec_s.dark) * (1.0 - spec_i.dark) * _pgf(params, xs, yi)
+    no_s, no_i, no_both = _no_clicks(params, spec_s, spec_i)
     p_s, p_i = 1.0 - no_s, 1.0 - no_i
     p11 = 1.0 - no_s - no_i + no_both
     return p_s, p_i, p11
@@ -73,10 +87,14 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
 
 def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
                        spec_i: DetectorSpec, n: int) -> JointDist:
-    """Photocounts of the equally strong genuine beam on ``n``-pixel detectors."""
-    ps = DetectorSpec(spec_s.eta, spec_s.dark, n)
-    pi = DetectorSpec(spec_i.eta, spec_i.dark, n)
-    return genuine_pnrd_model(params, ps, pi)
+    """Photocounts of the equally strong genuine beam on ``n``-pixel detectors.
+
+    The beam has ``n`` times the modes of one window, but all its photons
+    share one detector per arm: the comparison model for the compound beam.
+    """
+    return forward_photocounts(joint_twb(params.scaled(n)),
+                               DetectorSpec(spec_s.eta, spec_s.dark, n),
+                               DetectorSpec(spec_i.eta, spec_i.dark, n))
 
 
 def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
@@ -117,21 +135,22 @@ def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
 
     Windows are independent, so ``c_s`` is ``Binomial(n, p_s)`` and the idler
     count given ``c_s`` is ``Binomial(c_s, q1) + Binomial(n - c_s, q0)``, with
-    ``q1 = p11 / p_s`` and ``q0 = (p_i - p11) / (1 - p_s)`` the idler click
-    probabilities of a window with and without a signal click.
+    ``q1`` and ``q0`` the idler click probabilities of a window with and
+    without a signal click.  ``1 - q1 = (no_i - no_both) / p_s``, ``q0 =
+    (no_s - no_both) / no_s`` and ``1 - q0 = no_both / no_s`` come from the
+    no-click probabilities, so none is a difference of numbers near 1.
     """
-    p_s, p_i, p11 = window_click_probs(params, spec_s, spec_i)
-    # a q of an impossible window outcome only meets rows of zero occupancy;
-    # log 0 is a large finite negative so that 0 * log 0 stays 0
-    q1, log_s = (p11 / p_s, math.log(p_s)) if p_s > 0 else (0.0, -1e9)
-    q0, log_not = ((p_i - p11) / (1.0 - p_s), math.log1p(-p_s)) \
-        if p_s < 1 else (0.0, -1e9)
+    no_s, p_s = _no_signal_click(params, spec_s)
+    _, no_i, no_both = _no_clicks(params, spec_s, spec_i)
+    # a q of an impossible window outcome only meets rows of zero occupancy
+    not_q1 = (no_i - no_both) / p_s if p_s > 0 else 1.0
+    q0, not_q0 = ((no_s - no_both) / no_s, no_both / no_s) if no_s > 0 \
+        else (0.0, 1.0)
+    q1 = 1.0 - not_q1
     c = np.arange(n + 1)
-    lf = _log_factorials(n)
-    occupancy = np.exp(lf[n] - lf[c] - lf[n - c] + c * log_s + (n - c) * log_not)
     mean = c * q1 + (n - c) * q0
-    var = c * q1 * (1.0 - q1) + (n - c) * q0 * (1.0 - q0)
-    return occupancy, mean, var
+    var = c * q1 * not_q1 + (n - c) * q0 * not_q0
+    return _binomial_pmf(n, p_s), mean, var
 
 
 def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
@@ -157,8 +176,7 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
 
     u1, l1, l2 = log_derivs(1.0)
     ux, l1x, l2x = log_derivs(x)
-    log_no_s = math.log1p(-spec_s.dark) + _log_pgf(params, x, 1.0)
-    no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
+    no_s, p_s = _no_signal_click(params, spec_s)
     h0 = no_s * np.array([1.0, l1x, l2x + l1x * l1x])
     # H1 = p_s G(1, y) + no_s (G(1, y) - G(x, y) / G(x, 1)); in the second
     # term l1 - l1x = m_p (u1 - ux) = m_p b_p (1 - x)(1 + b_p) /

@@ -6,6 +6,9 @@ another way:
 * the textbook alternating sum of the detection matrix, evaluated at any
   precision with mpmath (the package uses the all-positive occupancy
   recursion);
+* the detection matrix in two stages: the occupancy chain from zero marked
+  pixels, then a binomial mixing matrix for the dark clicks (the package
+  starts one chain from the dark-count law);
 * the whole compound click table of ``n`` grouped windows as a four-outcome
   multinomial, cell by cell in log space, and the single-window table it
   starts from (the package takes moments and post-selection statistics of
@@ -65,6 +68,36 @@ def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:
                     acc = acc - term if l % 2 else acc + term
                 out[c, n] = float(prefactor * acc)
     return out
+
+
+def two_stage_matrix(spec: DetectorSpec, n_max: int) -> np.ndarray:
+    """``B @ Q``: dark-click mixing ``B`` times the photon occupancy table ``Q``.
+
+    ``Q[j, n]`` is the chance that ``n`` photons mark exactly ``j`` pixels,
+    grown one photon at a time from zero marked pixels; ``B[c, j]`` is the
+    chance that the other ``pixels - j`` pixels add ``c - j`` dark clicks.
+    """
+    N, eta, dark = spec.pixels, spec.eta, spec.dark
+    jdim = min(N, n_max) + 1
+    j = np.arange(jdim, dtype=float)
+    stay = 1.0 - eta + eta * j / N
+    grow = eta * (N - (j - 1.0)) / N
+    Q = np.zeros((jdim, n_max + 1))
+    Q[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        Q[:, n] = Q[:, n - 1] * stay
+        Q[1:, n] += Q[:-1, n - 1] * grow[1:]
+    c, jj = np.indices((N + 1, jdim))
+    valid = c >= jj
+    k, m = c[valid] - jj[valid], N - jj[valid]
+    lf = _log_factorials(N)
+    B = np.zeros((N + 1, jdim))
+    if dark == 0.0:
+        B[:jdim] = np.eye(jdim)
+    else:
+        B[valid] = np.exp(lf[m] - lf[k] - lf[m - k]
+                          + k * np.log(dark) + (m - k) * np.log1p(-dark))
+    return B @ Q
 
 
 def compound_photocounts(f_w: JointDist, n: int) -> JointDist:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import comb, gammaln
 
 from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      _build_extended, compound_click_dist,
                      compound_click_moments_by_table, compound_photocounts,
                      compound_photon_dist, conditional_photon_dist,
-                     window_click_dist, window_forward_dist)
+                     two_stage_matrix, window_click_dist, window_forward_dist)
 from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
-                      detection_matrix, forward_photocounts,
-                      genuine_pnrd_model, joint_twb)
+                      detection_matrix, forward_photocounts, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
-from twinbeam.detection import SUPPORT_TAIL, _log_factorials, default_n_max
+from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
+                                default_n_max)
 from twinbeam.errors import InvalidParameterError, PrecisionExhaustedError
 from twinbeam.moments import moments, to_intensity_moments
 from twinbeam import models
@@ -90,6 +92,23 @@ class TestDetectionMatrix:
         t = detection_matrix(DetectorSpec(eta, dark, pixels), 50)
         assert t.column_sum_error() < 1e-10
         assert t.entries.min() >= 0.0
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(eta=st.floats(0.0, 1.0, exclude_min=True),
+           dark=st.floats(0.0, 0.5),
+           pixels=st.integers(1, 1000),
+           n_max=st.integers(0, 300))
+    def test_chain_matches_the_two_stage_build(self, eta, dark, pixels, n_max):
+        # dark clicks as the chain's starting state against dark clicks
+        # mixed in after the photons: the same matrix
+        spec = DetectorSpec(eta, dark, pixels)
+        entries = detection._build_stable(spec, n_max)
+        assert entries.shape == (pixels + 1, n_max + 1)
+        assert entries.flags.c_contiguous
+        np.testing.assert_allclose(entries, two_stage_matrix(spec, n_max),
+                                   rtol=0, atol=1e-12)
+        assert np.abs(entries.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL
+        assert entries.min() >= 0.0
 
     def test_entries_immutable_and_cached(self):
         spec = DetectorSpec(0.4, 0.0, 2)
@@ -328,7 +347,7 @@ class TestConditional:
 class TestGenuineModel:
     def test_single_pixel_equals_compound_window(self, nominal):
         params, spec_s, spec_i = nominal
-        g = genuine_pnrd_model(params, spec_s, spec_i)
+        g = models.genuine_click_dist(params, spec_s, spec_i, 1)
         fw = window_click_dist(params, spec_s, spec_i)
         np.testing.assert_allclose(g.table, fw.table, atol=1e-12)
 
@@ -342,12 +361,6 @@ class TestGenuineModel:
         g = models.genuine_click_dist(params, spec_s, spec_i, 100)
         c = compound_click_dist(params, spec_s, spec_i, 100)
         assert g.marginal("i").fano() >= c.marginal("i").fano()
-
-    def test_mismatched_pixel_counts_rejected(self, nominal):
-        params, _, _ = nominal
-        with pytest.raises(InvalidParameterError):
-            genuine_pnrd_model(params, DetectorSpec(0.3, 0.0, 2),
-                               DetectorSpec(0.3, 0.0, 3))
 
     def test_factorization_gap_is_small_but_real(self, nominal):
         # at ~0.1 photons per pixel the many-pixel matrix nearly factorizes

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,40 @@ class TestFormats:
         with pytest.raises(DataError):
             tbio.read_clicks(str(tmp_path / "bad"))
 
+    def test_clicks_keep_one_stream_sized_buffer(self, tmp_path):
+        # reading fills the one array the stream keeps; writing sends the
+        # codes from their own buffer
+        codes = np.random.default_rng(8).integers(0, 4, 2_000_000, np.uint8)
+        stream, path = ClickStream(codes, {"seed": 8}), str(tmp_path / "s.clicks")
+        tracemalloc.start()
+        try:
+            tbio.write_clicks(stream, path)
+            written = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back = tbio.read_clicks(path)
+            read = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.codes, codes)
+        assert written <= 0.25 * codes.nbytes
+        assert read <= 1.25 * codes.nbytes
+
+    def test_clicks_bytes_and_trailing_bytes(self, tmp_path):
+        codes = np.array([0, 1, 2, 3, 1], np.uint8)
+        path = str(tmp_path / "s.clicks")
+        tbio.write_clicks(ClickStream(codes), path)
+        with open(path, "rb") as fh:
+            assert fh.read() == (tbio.CLICKS_MAGIC + (5).to_bytes(8, "little")
+                                 + codes.tobytes())
+        with open(path, "ab") as fh:
+            fh.write(b"\x07\x07")
+        assert np.array_equal(tbio.read_clicks(path).codes, codes)
+        with open(path, "r+b") as fh:
+            fh.truncate(24 + 4)
+        with pytest.raises(DataError, match="truncated"):
+            tbio.read_clicks(path)
+
     @pytest.mark.parametrize("payload", ["f64", "csv"])
     def test_jdist_round_trip(self, tmp_path, nominal, payload):
         d = window_click_dist(*nominal)
@@ -95,7 +130,7 @@ class TestCli:
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
 
-    def test_full_pipeline(self, tmp_path):
+    def test_full_pipeline(self, tmp_path, capsys):
         clicks = str(tmp_path / "run.clicks")
         hist = str(tmp_path / "h.jhist")
         dist = str(tmp_path / "p.jdist")
@@ -112,8 +147,10 @@ class TestCli:
                         "--out", dist) == 0
         assert self.run("ncd", "--dist", dist, "--identifiers",
                         "E001,M1001", "--out", report) == 0
+        capsys.readouterr()
         assert self.run("quasidist", "--dist", dist, "--s", "0.0",
                         "--out", grid) == 0
+        printed = capsys.readouterr().out
         assert self.run("metrology", "--in", clicks, "--group-n", "20",
                         "--nm", "100", "--out", met) == 0
         ncd_report = json.loads(open(report).read())
@@ -130,6 +167,16 @@ class TestCli:
             assert "parameters" in manifest and "versions" in manifest
             assert manifest["run"]["wall_s"] > 0
             assert manifest["run"]["peak_rss_mb"] > 0
+        # the numeric health checks leave their margins in the manifests
+        errors = json.loads(open(dist + ".manifest.json").read())[
+            "diagnostics"]["column_sum_error"]
+        assert set(errors) == {"signal", "idler"}
+        assert all(0 <= e <= detection.COLUMN_SUM_TOL for e in errors.values())
+        grid_diag = json.loads(open(grid + ".manifest.json").read())[
+            "diagnostics"]
+        assert set(grid_diag) == {"normalization", "min"}
+        assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
+        assert f"min={grid_diag['min']:.4e}" in printed.split()
 
     def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
         """Reconstruct 300 disjoint groups of n = 1000 windows."""
@@ -156,6 +203,8 @@ class TestCli:
         n_max = detection.default_n_max(c_max, 0.282, 1000)
         final_change = diag.pop("final_change")
         assert isinstance(final_change, float)
+        assert max(diag.pop("column_sum_error").values()) <= \
+            detection.COLUMN_SUM_TOL
         assert diag == {"c_max": c_max, "n_max": n_max, "converged": False,
                         "iterations": 30}
         assert dist.table.shape == (n_max + 1, n_max + 1)

@@ -175,6 +175,36 @@ class TestClosedFormPostselection:
             assert getattr(closed, field) == pytest.approx(
                 getattr(table, field), rel=1e-9, abs=0.0)
 
+    def test_bright_windows_against_extended_precision(self):
+        # tens of pairs per window put the optimum's Fano factor at 1e-9:
+        # 1 - q1 must not come from a difference of numbers near 1
+        import mpmath as mp
+        params = TwbParams(47.3, 4.4, 8.2, 0.5, 0, 0)
+        spec_s, spec_i = DetectorSpec(0.05, 0.035, 1), DetectorSpec(0.95, 0.05, 1)
+        n = 14
+        _, mean, var = models.postselection_stats(params, spec_s, spec_i, n)
+        with mp.workprec(200):
+            m_p, m_s, m_i, b_p, b_s, b_i = map(mp.mpf, (
+                params.m_p, params.m_s, params.m_i,
+                params.b_p, params.b_s, params.b_i))
+
+            def pgf(x, y):
+                return ((1 + b_s * (1 - x)) ** -m_s * (1 + b_i * (1 - y)) ** -m_i
+                        * (1 + b_p * (1 - x * y)) ** -m_p)
+
+            xs, yi = 1 - mp.mpf(spec_s.eta), 1 - mp.mpf(spec_i.eta)
+            ds, di = 1 - mp.mpf(spec_s.dark), 1 - mp.mpf(spec_i.dark)
+            no_s, no_i, no_both = ds * pgf(xs, 1), di * pgf(1, yi), \
+                ds * di * pgf(xs, yi)
+            q1 = 1 - (no_i - no_both) / (1 - no_s)
+            q0 = 1 - no_both / no_s
+            exact_mean = [c * q1 + (n - c) * q0 for c in range(n + 1)]
+            exact_fano = [float((c * q1 * (1 - q1) + (n - c) * q0 * (1 - q0))
+                                / m) for c, m in enumerate(exact_mean)]
+        np.testing.assert_allclose(mean, [float(m) for m in exact_mean],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(var / mean, exact_fano, rtol=1e-12, atol=0)
+
     @settings(max_examples=80, deadline=None, database=None)
     @given(m=st.tuples(*[st.floats(0.5, 20.0)] * 3),
            b_p=st.floats(1e-3, 0.05),
