@@ -2,8 +2,7 @@
 
 from .core import (PHOTON, PHOTOCOUNT, JointDist, MarginalDist, TwbParams,
                    joint_twb, mandel_rice)
-from .detection import (DetectionMatrix, DetectorSpec, detection_matrix,
-                        forward_photocounts)
+from .detection import DetectionMatrix, DetectorSpec, detection_matrix
 from .ingest import (GroupingPolicy, JointHistogram, averaged_correlation,
                      conditioned_sequences, group_histogram, grouped_counts,
                      window_correlation)

@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from . import io as tbio
 from . import models
 from .core import TwbParams, PHOTON
@@ -55,7 +56,7 @@ def _write_manifest(out: str, args: argparse.Namespace, inputs: list,
                        and v is not None},
         "inputs": [{"path": p, "sha256": _sha256(p)} for p in inputs
                    if os.path.exists(p)],
-        "versions": {"twinbeam": _version(), "numpy": np.__version__},
+        "versions": {"twinbeam": __version__, "numpy": np.__version__},
     }
     if diagnostics is not None:
         manifest["diagnostics"] = diagnostics
@@ -65,11 +66,6 @@ def _write_manifest(out: str, args: argparse.Namespace, inputs: list,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     tbio.write_json(manifest, out + ".manifest.json")
-
-
-def _version() -> str:
-    from . import __version__
-    return __version__
 
 
 def _load_params(path: str | None) -> tuple[TwbParams, DetectorSpec, DetectorSpec]:
@@ -170,11 +166,14 @@ def _cmd_reconstruct(args) -> None:
     t_i = detection_matrix(spec_i, n_max)
     dist, result = em_joint(hist, t_s, t_i, cfg)
     tbio.write_jdist(dist, args.out)
+    edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "converged": result.converged,
         "iterations": result.iterations, "final_change": result.final_change,
         "column_sum_error": {"signal": t_s.column_sum_error(),
-                             "idler": t_i.column_sum_error()}})
+                             "idler": t_i.column_sum_error()},
+        "edge_mass": float(dist.table[edge:].sum()
+                           + dist.table[:edge, edge:].sum())})
     print(f"c_max={c_max} n_max={n_max} converged={result.converged} "
           f"iterations={result.iterations} "
           f"final_change={result.final_change:.3e}")
@@ -224,45 +223,35 @@ def _cmd_metrology(args) -> None:
     _write_manifest(args.out, args, [args.infile])
 
 
+#: Sweep columns of each beam model, per moment metric.
+_MOMENT_COLUMNS = {"mean": ("mean_s", "mean_i"), "fano": ("fano_s", "fano_i"),
+                   "nrp": ("nrp",), "covariance": ("covariance",)}
+
+
 def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
     row = {"n": n}
-    if metric in ("mean", "fano", "nrp", "covariance"):
-        compound = from_intensity_moments(
-            models.compound_click_moments(params, spec_s, spec_i, n, 2))
-        genuine = moments(models.genuine_click_dist(params, spec_s, spec_i, n), 2)
-        for label, table in (("compound", compound), ("genuine", genuine)):
-            stats = fano_nrp_cov(table)
-            if metric == "mean":
-                row[f"{label}_mean_s"] = table[1, 0]
-                row[f"{label}_mean_i"] = table[0, 1]
-            elif metric == "fano":
-                row[f"{label}_fano_s"] = stats["fano_s"]
-                row[f"{label}_fano_i"] = stats["fano_i"]
-            elif metric == "nrp":
-                row[f"{label}_nrp"] = stats["nrp"]
+    if metric in _MOMENT_COLUMNS or metric in ("tau-e", "tau-m"):
+        idents = {"tau-e": E_FAMILY, "tau-m": M_FAMILY}.get(metric)
+        for label, model in (("compound", models.compound_click_moments),
+                             ("genuine", models.genuine_click_moments)):
+            normal = model(params, spec_s, spec_i, n, 5 if idents else 2)
+            if idents:
+                row.update({f"{label}_tau_{ident}": ncd(normal, ident).tau
+                            for ident in idents})
             else:
-                row[f"{label}_covariance"] = stats["covariance"]
+                stats = fano_nrp_cov(from_intensity_moments(normal))
+                row.update({f"{label}_{col}": stats[col]
+                            for col in _MOMENT_COLUMNS[metric]})
         if k > 0 and metric in ("mean", "fano", "nrp"):
-            drift = from_intensity_moments(
-                models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
-            stats = fano_nrp_cov(drift)
-            row["drift_mean_i"] = drift[0, 1]
-            row["drift_fano_i"] = stats["fano_i"]
-            row["drift_nrp"] = stats["nrp"]
+            stats = fano_nrp_cov(from_intensity_moments(
+                models.compound_click_moments(params, spec_s, spec_i, n, 2, k)))
+            row.update({f"drift_{col}": stats[col]
+                        for col in ("mean_i", "fano_i", "nrp")})
     elif metric == "eta-eff":
         table = from_intensity_moments(
             models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
         row["eta_eff_s"] = effective_efficiency(table, "s")
         row["eta_eff_i"] = effective_efficiency(table, "i")
-    elif metric in ("tau-e", "tau-m"):
-        idents = E_FAMILY if metric == "tau-e" else M_FAMILY
-        genuine = models.genuine_click_dist(params, spec_s, spec_i, n)
-        for label, normal in (
-                ("compound",
-                 models.compound_click_moments(params, spec_s, spec_i, n, 5)),
-                ("genuine", to_intensity_moments(moments(genuine, 5)))):
-            for ident in idents:
-                row[f"{label}_tau_{ident}"] = ncd(normal, ident).tau
     elif metric == "postselect":
         best = _postselect(
             *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)

@@ -88,13 +88,6 @@ class MarginalDist:
     def fano(self) -> float:
         return self.var() / self.mean()
 
-    def validate(self, atol: float = 1e-12) -> None:
-        if np.any(self.probs < -atol):
-            raise InvalidParameterError("negative probabilities in marginal")
-        total = self.probs.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-12 * max(1.0, len(self.probs) ** 0.5):
-            raise InvalidParameterError(f"marginal not normalized: {total}")
-
 
 @dataclass
 class JointDist:
@@ -126,13 +119,6 @@ class JointDist:
 
     def mean(self, arm: str) -> float:
         return self.marginal(arm).mean()
-
-    def validate(self, atol: float = 1e-12) -> None:
-        if np.any(self.table < -atol):
-            raise InvalidParameterError("negative probabilities in joint table")
-        total = self.table.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-12 * max(1.0, np.sqrt(self.table.size)):
-            raise InvalidParameterError(f"joint table not normalized: {total}")
 
 
 def mandel_rice(m: float, b: float, n_max: int) -> MarginalDist:

@@ -1,4 +1,4 @@
-"""Detection matrices for multiplexed on/off detectors and forward models.
+"""Detection matrices for multiplexed on/off detectors.
 
 An ``N``-pixel detector with quantum efficiency ``eta`` and per-pixel dark
 count probability ``dark`` maps ``n`` incident photons to ``c`` clicks with
@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTOCOUNT, PHOTON, JointDist
-from .errors import (InvalidParameterError, KindMismatchError,
-                     PrecisionExhaustedError)
+from .errors import DataError, InvalidParameterError, PrecisionExhaustedError
 
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
@@ -88,10 +86,12 @@ def default_n_max(c_max: int, eta: float, pixels: int) -> int:
     is at most ``2 P(Binomial(pixels, 1 - exp(-eta n / pixels)) <= c_max)``.
     The support ends below the first ``n`` at which this bound is
     ``SUPPORT_TAIL``; dark counts only add clicks.  Saturated data
-    (``c_max >= pixels``) bound nothing and keep ``ceil(3 (pixels + 5) / eta)``.
+    (``c_max >= pixels``) bound no support: the chance that every pixel
+    clicks grows with ``n``.
     """
     if c_max >= pixels:
-        return int(np.ceil(3.0 * (pixels + 5) / eta))
+        raise DataError(f"{c_max} clicks on {pixels} pixels: saturated data "
+                        "bound no photon support; pass --n-max")
     k = np.arange(c_max + 1)
     # log C(pixels, k) from the ratios C(pixels, k+1) / C(pixels, k)
     log_binom = np.cumsum(np.log(np.r_[1.0, (pixels - k[:-1]) / (k[:-1] + 1.0)]))
@@ -168,14 +168,3 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     with _cache_lock:
         _cache[key] = matrix
     return matrix
-
-
-def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec) -> JointDist:
-    """Joint photocount distribution of a photon-number distribution."""
-    if p.kind != PHOTON:
-        raise KindMismatchError("forward model expects a photon-number distribution")
-    t_s = detection_matrix(spec_s, p.table.shape[0] - 1)
-    t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
-    f = t_s.entries @ p.table @ t_i.entries.T
-    return JointDist(f, p.tail_mass, PHOTOCOUNT)

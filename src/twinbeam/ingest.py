@@ -147,8 +147,6 @@ def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
     """Centered moving average over ``2 delta_j + 1`` shifts, edges shrunk."""
     if delta_j < 0:
         raise InvalidParameterError("delta_j must be >= 0")
-    if delta_j == 0:
-        return np.asarray(k, dtype=float).copy()
     k = np.asarray(k, dtype=float)
     width = 2 * delta_j + 1
     kernel = np.ones(width)

@@ -22,10 +22,10 @@ import tempfile
 
 import numpy as np
 
-from .core import JointDist, TwbParams
+from .core import PHOTOCOUNT, PHOTON, JointDist, TwbParams
 from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
-from .ingest import GroupingPolicy, JointHistogram
+from .ingest import DISJOINT, SLIDING, GroupingPolicy, JointHistogram
 from .quasidist import IntensityGrid
 from .simulate import ClickStream, PumpCorrelation
 
@@ -35,11 +35,32 @@ MAGIC = {
     "jhist-v1": b"TWBJHIS1",
     "igrid-v1": b"TWBIGRD1",
 }
-#: Header keys each container reader needs.
-HEADER_KEYS = {
-    "jdist-v1": ("dims", "kind", "tail_mass", "truncation_dirty", "payload"),
-    "jhist-v1": ("dims", "n_groups", "group_n", "mode"),
-    "igrid-v1": ("dims", "w_max_s", "w_max_i", "s"),
+
+
+def _is_int(v, low: float = -math.inf) -> bool:
+    return type(v) is int and v >= low
+
+
+def _is_finite(v, low: float = -math.inf) -> bool:
+    return type(v) in (int, float) and low <= v and abs(v) < math.inf
+
+
+def _is_dims(v) -> bool:
+    return type(v) is list and len(v) == 2 and all(_is_int(d, 0) for d in v)
+
+
+#: Header keys each container reader needs, and the test each value passes
+#: (for jhist, GroupingPolicy's rules): any other value is a data error.
+HEADER_RULES = {
+    "jdist-v1": {"dims": _is_dims, "kind": lambda v: v in (PHOTON, PHOTOCOUNT),
+                 "tail_mass": lambda v: _is_finite(v, 0),
+                 "truncation_dirty": lambda v: type(v) is bool,
+                 "payload": lambda v: v in ("f64", "csv")},
+    "jhist-v1": {"dims": _is_dims, "n_groups": _is_int,
+                 "group_n": lambda v: _is_int(v, 1),
+                 "mode": lambda v: v in (SLIDING, DISJOINT)},
+    "igrid-v1": {"dims": _is_dims, "w_max_s": _is_finite,
+                 "w_max_i": _is_finite, "s": _is_finite},
 }
 
 
@@ -84,7 +105,11 @@ def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
     hlen = int.from_bytes(blob[8:12], "little")
     if len(blob) < 12 or 12 + hlen > len(blob):
         raise DataError(f"{fmt} header runs past the {len(blob)}-byte file")
-    header = _json_object(blob[12:12 + hlen], f"{fmt} header", HEADER_KEYS[fmt])
+    rules = HEADER_RULES[fmt]
+    header = _json_object(blob[12:12 + hlen], f"{fmt} header", tuple(rules))
+    for key, ok in rules.items():
+        if not ok(header[key]):
+            raise DataError(f"{fmt} header has a bad {key}: {header[key]!r}")
     return header, blob[12 + hlen:]
 
 
@@ -96,17 +121,18 @@ def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
     return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
 
 
-def _csv_table(body: bytes, shape: tuple, parse) -> list:
-    """Rows of a CSV payload, checked to be a rectangular ``shape`` table."""
+def _csv_table(body: bytes, shape: tuple, dtype) -> np.ndarray:
+    """A CSV payload of ``dtype`` values, checked to be a ``shape`` table."""
+    parse = int if dtype == np.int64 else float
     try:
         rows = [[parse(v) for v in line.split(",")]
                 for line in body.decode().splitlines()]
-    except ValueError as exc:
+        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+            raise DataError("CSV payload is not a "
+                            f"{'x'.join(map(str, shape))} table")
+        return np.array(rows, dtype=dtype).reshape(shape)
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"unreadable CSV payload ({exc})") from None
-    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
-        raise DataError("CSV payload is not a "
-                        f"{'x'.join(map(str, shape))} table")
-    return rows
 
 
 def _read(path: str) -> bytes:
@@ -179,7 +205,7 @@ def read_jdist(path: str) -> JointDist:
     if header["payload"] == "f64":
         table = _f64_table(body, shape)
     else:
-        table = np.array(_csv_table(body, shape, float))
+        table = _csv_table(body, shape, np.float64)
     d = JointDist(table, header["tail_mass"], header["kind"])
     d.truncation_dirty = header["truncation_dirty"]
     return d
@@ -197,8 +223,7 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
-    counts = np.array(_csv_table(body, tuple(header["dims"]), int),
-                      dtype=np.int64)
+    counts = _csv_table(body, tuple(header["dims"]), np.int64)
     total = int(counts.sum())
     if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:
         raise DataError("jhist counts must be nonnegative and sum to n_groups "

@@ -160,8 +160,7 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
         if len(bits) < n * n_m:
             raise InsufficientDataError(
                 f"{len(bits)} windows cannot fill one block of {n_m} groups of {n}")
-        rep = relative_error(grouped_counts(bits, policy), n_m)
-        return rep
+        return relative_error(grouped_counts(bits, policy), n_m)
 
     ref_s = report(seqs["reference_s"])
     ref_i = report(seqs["reference_i"])

@@ -13,8 +13,10 @@ click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its expansion around
 the signal outcome of each window gives the idler clicks heralded by ``c_s``
 signal clicks as two independent binomials (:func:`postselection_stats`).
 At a fixed signal outcome, the ``y``-derivatives of ``G`` give the heralded
-idler photon mean and variance (:func:`heralded_photon_stats`).  No quantity
-needs a whole compound table or a convolution power of photon tables.
+idler photon mean and variance (:func:`heralded_photon_stats`).  The genuine
+beam's click moments fold the falling factorials into its detection matrices
+(:func:`genuine_click_moments`).  No quantity needs a whole click table or a
+convolution power of photon tables.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import math
 
 import numpy as np
 
-from .core import PHOTOCOUNT, JointDist, TwbParams, joint_twb
-from .detection import DetectorSpec, _binomial_pmf, forward_photocounts
+from .core import PHOTOCOUNT, TwbParams, joint_twb
+from .detection import DetectorSpec, _binomial_pmf, detection_matrix
 from .errors import InvalidParameterError
 from .moments import NORMAL, MomentTable
 from .simulate import PumpCorrelation
@@ -85,16 +87,25 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
     return p_s, p_i, p11
 
 
-def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                       spec_i: DetectorSpec, n: int) -> JointDist:
-    """Photocounts of the equally strong genuine beam on ``n``-pixel detectors.
+def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
+                          spec_i: DetectorSpec, n: int, order: int
+                          ) -> MomentTable:
+    """Factorial click moments of the equally strong genuine beam.
 
     The beam has ``n`` times the modes of one window, but all its photons
-    share one detector per arm: the comparison model for the compound beam.
+    share one ``n``-pixel detector per arm: the comparison model for the
+    compound beam.  Each arm's detection matrix ``T`` takes the falling
+    factorials in, ``F[k, m] = sum_c (c)_k T[c, m]``, and the moments are
+    ``Fs @ p @ Fi.T`` of the joint photon table ``p``: no click table.
+    Orders above ``n`` are exact zeros.
     """
-    return forward_photocounts(joint_twb(params.scaled(n)),
-                               DetectorSpec(spec_s.eta, spec_s.dark, n),
-                               DetectorSpec(spec_i.eta, spec_i.dark, n))
+    p = joint_twb(params.scaled(n)).table
+    falling = np.vstack([np.ones(n + 1), np.cumprod(
+        np.arange(n + 1.0) - np.arange(order)[:, None], axis=0)])
+    f_s, f_i = (falling @ detection_matrix(DetectorSpec(spec.eta, spec.dark, n),
+                                           p.shape[axis] - 1).entries
+                for axis, spec in enumerate((spec_s, spec_i)))
+    return MomentTable(f_s @ p @ f_i.T, order, NORMAL, 1.0, PHOTOCOUNT)
 
 
 def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,

@@ -113,7 +113,7 @@ def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
 
 
 def fano_nrp_cov(m: MomentTable) -> dict:
-    """Marginal Fano factors, noise-reduction parameter and covariance."""
+    """Marginal means and Fano factors, noise-reduction parameter, covariance."""
     m.require(2)
     mean_s, mean_i = m[1, 0], m[0, 1]
     if mean_s <= 0 or mean_i <= 0:
@@ -122,6 +122,7 @@ def fano_nrp_cov(m: MomentTable) -> dict:
     var_i = m[0, 2] - mean_i ** 2
     cov = m[1, 1] - mean_s * mean_i
     return {
+        "mean_s": mean_s, "mean_i": mean_i,
         "fano_s": var_s / mean_s,
         "fano_i": var_i / mean_i,
         "nrp": (var_s + var_i - 2 * cov) / (mean_s + mean_i),

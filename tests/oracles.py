@@ -14,7 +14,10 @@ another way:
   starts from (the package takes moments and post-selection statistics of
   grouped clicks in closed form);
 * direct two-dimensional convolution of joint distributions;
-* the single-window click distribution through the detection matrices;
+* the forward photocount model ``T_s @ p @ T_i.T``: the single-window click
+  distribution through the detection matrices, and the whole click table of
+  the genuine beam (the package folds the falling factorials into the
+  matrices and forms no click table);
 * moments of whole compound click tables, against the closed-form
   grouped-click moments;
 * the photon-level drift moments, a closed form to hold the simulated pump
@@ -34,8 +37,7 @@ from scipy import signal
 from twinbeam import models
 from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
                            TwbParams, joint_twb)
-from twinbeam.detection import (DetectorSpec, _log_factorials,
-                                detection_matrix, forward_photocounts)
+from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
 from twinbeam.errors import DataError, InvalidParameterError, KindMismatchError
 from twinbeam.moments import MomentTable, moments, to_intensity_moments
 from twinbeam.quasidist import IntensityGrid
@@ -207,6 +209,29 @@ def self_convolve(d: JointDist, n: int) -> JointDist:
         if k:
             power = convolve_joint(power, power)
     return result
+
+
+def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
+                        spec_i: DetectorSpec) -> JointDist:
+    """Joint photocount distribution of a photon-number distribution."""
+    if p.kind != PHOTON:
+        raise KindMismatchError("forward model expects a photon-number distribution")
+    t_s = detection_matrix(spec_s, p.table.shape[0] - 1)
+    t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
+    f = t_s.entries @ p.table @ t_i.entries.T
+    return JointDist(f, p.tail_mass, PHOTOCOUNT)
+
+
+def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
+                       spec_i: DetectorSpec, n: int) -> JointDist:
+    """Photocounts of the equally strong genuine beam on ``n``-pixel detectors.
+
+    The whole ``(n + 1)^2`` table whose factorial moments
+    ``models.genuine_click_moments`` gives.
+    """
+    return forward_photocounts(joint_twb(params.scaled(n)),
+                               DetectorSpec(spec_s.eta, spec_s.dark, n),
+                               DetectorSpec(spec_i.eta, spec_i.dark, n))
 
 
 def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +11,17 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      _build_extended, compound_click_dist,
                      compound_click_moments_by_table, compound_photocounts,
                      compound_photon_dist, conditional_photon_dist,
-                     two_stage_matrix, window_click_dist, window_forward_dist)
+                     forward_photocounts, genuine_click_dist, two_stage_matrix,
+                     window_click_dist, window_forward_dist)
 from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
-                      detection_matrix, forward_photocounts, joint_twb)
+                      detection_matrix, joint_twb)
 from twinbeam.core import PHOTOCOUNT, PHOTON
+from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 default_n_max)
-from twinbeam.errors import InvalidParameterError, PrecisionExhaustedError
-from twinbeam.moments import moments, to_intensity_moments
+from twinbeam.errors import (DataError, InvalidParameterError,
+                             PrecisionExhaustedError)
+from twinbeam.moments import NORMAL, moments, to_intensity_moments
 from twinbeam import models
 
 
@@ -275,10 +281,26 @@ class TestDefaultNMax:
         exact = int(np.argmax(tails <= SUPPORT_TAIL)) - 1
         assert exact <= n_max <= 1.15 * exact
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(eta=st.floats(0.01, 1.0), pixels=st.integers(1, 200),
+           data=st.data())
+    def test_tail_property_for_random_detectors(self, eta, pixels, data):
+        # column n_max + 1 of the occupancy chain (no dark counts, which
+        # only add clicks) puts at most SUPPORT_TAIL on the rows <= c_max;
+        # the column is the one-photon step raised to the power n_max + 1
+        c_max = data.draw(st.integers(0, pixels - 1), label="c_max")
+        n_max = default_n_max(c_max, eta, pixels)
+        fresh = eta * (pixels - np.arange(pixels + 1.0)) / pixels
+        step = np.diag(1.0 - fresh) + np.diag(fresh[:-1], -1)
+        column = np.linalg.matrix_power(step, n_max + 1)[:, 0]
+        assert column[:c_max + 1].sum() <= SUPPORT_TAIL
+
     @pytest.mark.parametrize("pixels", [1, 10, 100])
-    def test_saturated_data_keep_the_group_size_rule(self, pixels):
-        assert default_n_max(pixels, 0.282, pixels) == \
-            int(np.ceil(3 * (pixels + 5) / 0.282))
+    def test_saturated_data_ask_for_a_support(self, pixels):
+        # an all-clicked group is ever likelier as n grows: nothing bounds it
+        for c_max in (pixels, pixels + 1):
+            with pytest.raises(DataError, match="--n-max"):
+                default_n_max(c_max, 0.282, pixels)
 
     def test_support_grows_with_clicks_and_shrinks_with_efficiency(self):
         sizes = [default_n_max(c, 0.282, 100) for c in range(100)]
@@ -344,21 +366,92 @@ class TestConditional:
             conditional_photon_dist(joint_twb(params), spec_s, c_s, n)
 
 
+def falling_factorial_sums(dist: JointDist, order: int) -> np.ndarray:
+    """``sum (c)_a (d)_b P(c, d)`` of a click table, exact integer factors."""
+    rows = [np.array([[math.perm(c, k) for c in range(size)]
+                      for k in range(order + 1)], dtype=float)
+            for size in dist.table.shape]
+    return rows[0] @ dist.table @ rows[1].T
+
+
+#: Beams of at most ~20 photons per window; a parameter is 0 or at least
+#: 1e-4, so no moment is subnormal and relative error means something.
+small_or_zero = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
+beams = st.builds(TwbParams, *[st.floats(0.5, 20.0)] * 3,
+                  small_or_zero, small_or_zero, small_or_zero)
+detectors = st.builds(DetectorSpec, st.floats(0.05, 1.0),
+                      st.one_of(st.just(0.0), st.floats(1e-4, 0.3)))
+
+
 class TestGenuineModel:
     def test_single_pixel_equals_compound_window(self, nominal):
         params, spec_s, spec_i = nominal
-        g = models.genuine_click_dist(params, spec_s, spec_i, 1)
+        g = genuine_click_dist(params, spec_s, spec_i, 1)
         fw = window_click_dist(params, spec_s, spec_i)
         np.testing.assert_allclose(g.table, fw.table, atol=1e-12)
+        np.testing.assert_allclose(
+            models.genuine_click_moments(params, spec_s, spec_i, 1, 5).raw,
+            models.compound_click_moments(params, spec_s, spec_i, 1, 5).raw,
+            rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", DEFAULT_GROUPS)
+    def test_moments_match_the_click_table_on_the_ladder(self, nominal, n):
+        got = models.genuine_click_moments(*nominal, n, 5)
+        assert (got.order, got.flavor, got.kind) == (5, NORMAL, PHOTOCOUNT)
+        want = falling_factorial_sums(genuine_click_dist(*nominal, n), 5)
+        np.testing.assert_allclose(got.raw, want, rtol=1e-13, atol=0)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(params=beams, spec_s=detectors, spec_i=detectors,
+           n=st.integers(1, 300), order=st.integers(1, 5))
+    def test_moments_match_the_click_table_on_random_beams(
+            self, params, spec_s, spec_i, n, order):
+        got = models.genuine_click_moments(params, spec_s, spec_i, n, order)
+        want = falling_factorial_sums(
+            genuine_click_dist(params, spec_s, spec_i, n), order)
+        np.testing.assert_allclose(got.raw, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_orders_above_the_pixel_count_are_exact_zeros(self, nominal, n):
+        raw = models.genuine_click_moments(*nominal, n, 5).raw
+        assert np.all(raw[n + 1:] == 0.0) and np.all(raw[:, n + 1:] == 0.0)
+        assert np.all(raw[:n + 1, :n + 1] > 0.0)
+
+    def test_one_window_equals_the_compound_model(self):
+        # the photon tables' truncation (at most 1e-12 per component) is
+        # all that separates the two single-window models
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            params = TwbParams(*rng.uniform(0.5, 20.0, 3),
+                               *rng.uniform(0.0, [0.5, 0.1, 0.1]))
+            spec_s, spec_i = (DetectorSpec(rng.uniform(0.05, 1.0),
+                                           rng.uniform(0.0, 0.3))
+                              for _ in range(2))
+            np.testing.assert_allclose(
+                models.genuine_click_moments(params, spec_s, spec_i, 1, 5).raw,
+                models.compound_click_moments(params, spec_s, spec_i, 1,
+                                              5).raw, rtol=0, atol=2e-12)
+
+    def test_moments_need_no_click_table(self, nominal, monkeypatch):
+        # the (n + 1)^2 click table alone would take (n + 1)^2 * 8 bytes
+        n = 1000
+        monkeypatch.setattr(detection, "_cache", {})
+        tracemalloc.start()
+        try:
+            models.genuine_click_moments(*nominal, n, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 1) ** 2 * 8
 
     def test_pileup_fano_below_one(self, nominal):
         params, spec_s, spec_i = nominal
-        g = models.genuine_click_dist(params, spec_s, spec_i, 10)
+        g = genuine_click_dist(params, spec_s, spec_i, 10)
         assert g.marginal("i").fano() < 1.0
 
     def test_weaker_pileup_than_compound_at_n100(self, nominal):
         params, spec_s, spec_i = nominal
-        g = models.genuine_click_dist(params, spec_s, spec_i, 100)
+        g = genuine_click_dist(params, spec_s, spec_i, 100)
         c = compound_click_dist(params, spec_s, spec_i, 100)
         assert g.marginal("i").fano() >= c.marginal("i").fano()
 
@@ -368,7 +461,7 @@ class TestGenuineModel:
         # measured quantity, not an assumed bound
         params, spec_s, spec_i = nominal
         n = 10
-        g = models.genuine_click_dist(params, spec_s, spec_i, n)
+        g = genuine_click_dist(params, spec_s, spec_i, n)
         c = compound_click_dist(params, spec_s, spec_i, n)
         gap = 0.5 * np.abs(g.table - c.table[:n + 1, :n + 1]).sum()
         assert 0 < gap < 5e-3

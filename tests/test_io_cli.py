@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (ClickStream, GroupingPolicy, JointDist, JointHistogram,
                       PumpCorrelation, group_histogram, quasi_distribution,
@@ -108,6 +110,30 @@ class TestFormats:
         assert back.n_groups == h.n_groups
         assert back.policy == h.policy
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(fmt=st.sampled_from(["jdist-f64", "jdist-csv", "jhist"]),
+           data=st.data())
+    def test_damaged_containers_raise_data_errors(self, valid_containers,
+                                                  tmp_path_factory, fmt, data):
+        # random byte flips or a cut anywhere: the reader returns or
+        # raises DataError, never another exception
+        blob = bytearray(valid_containers[fmt])
+        if data.draw(st.booleans(), label="cut"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="at")]
+        else:
+            flips = st.tuples(st.integers(0, len(blob) - 1),
+                              st.integers(1, 255))
+            for pos, mask in data.draw(st.lists(flips, min_size=1,
+                                                max_size=4), label="flips"):
+                blob[pos] ^= mask
+        path = tmp_path_factory.getbasetemp() / "damaged"
+        path.write_bytes(blob)
+        reader = tbio.read_jhist if fmt == "jhist" else tbio.read_jdist
+        try:
+            reader(str(path))
+        except DataError:
+            pass
+
     def test_igrid_round_trip(self, tmp_path):
         vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
         g = quasi_distribution(vac, 0.5, steps=32)
@@ -116,6 +142,20 @@ class TestFormats:
         back = tbio.read_igrid(path)
         assert np.array_equal(back.values, g.values)
         assert (back.w_max_s, back.w_max_i, back.s) == (g.w_max_s, g.w_max_i, g.s)
+
+
+@pytest.fixture(scope="module")
+def valid_containers(tmp_path_factory, nominal):
+    """Bytes of a small valid jdist (both payloads) and jhist."""
+    tmp = tmp_path_factory.mktemp("containers")
+    hist = JointHistogram(np.array([[4, 1], [2, 3]]), 10,
+                          GroupingPolicy(1, "disjoint"))
+    tbio.write_jhist(hist, str(tmp / "jhist"))
+    for payload in ("f64", "csv"):
+        tbio.write_jdist(window_click_dist(*nominal), str(tmp / payload),
+                         payload=payload)
+    return {fmt: (tmp / name).read_bytes() for fmt, name in
+            (("jhist", "jhist"), ("jdist-f64", "f64"), ("jdist-csv", "csv"))}
 
 
 class TestCli:
@@ -205,10 +245,16 @@ class TestCli:
         assert isinstance(final_change, float)
         assert max(diag.pop("column_sum_error").values()) <= \
             detection.COLUMN_SUM_TOL
+        # the mass on the last tenth of either axis, the corner once
+        edge = np.arange(n_max + 1) >= (n_max + 1) * 9 // 10
+        edge_mass = diag.pop("edge_mass")
+        assert edge_mass == pytest.approx(
+            dist.table[edge[:, None] | edge[None, :]].sum(), rel=1e-12, abs=0)
+        assert 0 <= edge_mass <= 1
         assert diag == {"c_max": c_max, "n_max": n_max, "converged": False,
                         "iterations": 30}
         assert dist.table.shape == (n_max + 1, n_max + 1)
-        assert n_max < detection.default_n_max(1000, 0.282, 1000)
+        assert n_max < int(np.ceil(3 * (1000 + 5) / 0.282))
         assert out.split() == [
             f"c_max={c_max}", f"n_max={n_max}", "converged=False",
             "iterations=30", f"final_change={final_change:.3e}"]
@@ -292,6 +338,9 @@ class TestCli:
         # nor a photon table to convolve for the heralded idler field
         assert not hasattr(detection, "conditional_photon_dist")
         assert not hasattr(core, "convolve_power_1d")
+        # nor a click table of the genuine beam
+        assert not hasattr(models, "genuine_click_dist")
+        assert not hasattr(detection, "forward_photocounts")
         _, cells = self.sweep_cells(capsys, "--metric", metric,
                                     "--groups", "2,10", "--k-pump", k_pump)
         assert cells.shape[0] == 2
@@ -450,6 +499,30 @@ BAD_INPUTS = {
     "config-not-utf8": (
         ["sweep", "--config", "{config_latin1}", "--groups", "1"],
         2, "not UTF-8"),
+    "jhist-saturated": (
+        ["reconstruct", "--hist", "{hist_saturated}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "--n-max"),
+    "jdist-tail-mass-text": (
+        ["ncd", "--dist", "{jdist_tail_mass}", "--out", "{tmp}/r.json"],
+        3, "tail_mass"),
+    "jdist-dims-not-list": (
+        ["ncd", "--dist", "{jdist_dims}", "--out", "{tmp}/r.json"],
+        3, "dims"),
+    "jhist-dims-not-list": (
+        ["reconstruct", "--hist", "{hist_dims}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "dims"),
+    "jhist-group-n-text": (
+        ["reconstruct", "--hist", "{hist_group_n}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "group_n"),
+    "jhist-mode-number": (
+        ["reconstruct", "--hist", "{hist_mode}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "mode"),
+    "jhist-group-n-zero": (
+        ["reconstruct", "--hist", "{hist_group_n_zero}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "group_n"),
+    "jdist-kind-number": (
+        ["ncd", "--dist", "{jdist_kind}", "--out", "{tmp}/r.json"],
+        3, "kind"),
 }
 
 
@@ -502,6 +575,23 @@ def bad_input_files(tmp_path, nominal):
     files["jdist_no_dims"] = str(tmp_path / "no_dims.jdist")
     with open(files["jdist_no_dims"], "wb") as fh:
         fh.write(tbio._pack("jdist-v1", header, body))
+    hist_saturated = JointHistogram(np.array([[3, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                    5, GroupingPolicy(2, "disjoint"))
+    files["hist_saturated"] = str(tmp_path / "saturated.jhist")
+    tbio.write_jhist(hist_saturated, files["hist_saturated"])
+    # headers of the right keys with values of the wrong type or range
+    for key, fmt, source, change in (
+            ("jdist_tail_mass", "jdist-v1", jdist, {"tail_mass": "x"}),
+            ("jdist_dims", "jdist-v1", jdist, {"dims": 5}),
+            ("jdist_kind", "jdist-v1", jdist, {"kind": 3}),
+            ("hist_dims", "jhist-v1", hist, {"dims": 5}),
+            ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
+            ("hist_mode", "jhist-v1", hist, {"mode": 5}),
+            ("hist_group_n_zero", "jhist-v1", hist, {"group_n": 0})):
+        header, body = tbio._unpack(fmt, open(source, "rb").read())
+        files[key] = str(tmp_path / key)
+        with open(files[key], "wb") as fh:
+            fh.write(tbio._pack(fmt, {**header, **change}, body))
     header_end = 12 + int.from_bytes(blob[8:12], "little")
     hist_blob = open(hist, "rb").read()
     for key, data in (("jdist_head", blob[:header_end - 5]),

@@ -7,7 +7,7 @@ from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
                       from_intensity_moments, joint_twb, mandel_rice, moments,
                       ncd, nci_value, to_intensity_moments, to_s_ordered)
 from oracles import (compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist)
+                     conditional_photon_dist, genuine_click_dist)
 from twinbeam import models
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError, InsufficientOrderError
@@ -251,10 +251,11 @@ class TestNcd:
         # on a single on/off window every third-or-higher-order factorial
         # moment vanishes identically; the depth search must not chase the
         # rounding noise of that exact cancellation
-        fc = compound_click_dist(*nominal, 1)
-        fg = models.genuine_click_dist(*nominal, 1)
-        for dist in (fc, fg):
-            w = to_intensity_moments(moments(dist, 5))
+        tables = [to_intensity_moments(moments(dist, 5)) for dist in
+                  (compound_click_dist(*nominal, 1),
+                   genuine_click_dist(*nominal, 1))]
+        tables.append(models.genuine_click_moments(*nominal, 1, 5))
+        for w in tables:
             for ident in ("E101", "E111", "E211"):
                 assert ncd(w, ident).tau == 0.0
             # genuinely violated identifiers keep working at the same size

@@ -102,7 +102,7 @@ class TestEmJoint:
         rows, cols = np.nonzero(h.counts)
         eta = min(spec_s.eta, spec_i.eta)
         small = default_n_max(max(rows.max(), cols.max()), eta, n)
-        wide = default_n_max(n, eta, n)
+        wide = int(np.ceil(3 * (n + 5) / eta))
 
         def run(n_max):
             est, _ = em_joint(
