@@ -208,7 +208,8 @@ def _cmd_quasidist(args) -> None:
     grid = quasi_distribution(dist, args.s, args.w_max, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
-                   "min": float(grid.values.min())}
+                   "min": float(grid.values.min()),
+                   "edge_sensitivity": grid.edge_sensitivity}
     _write_manifest(args.out, args, [args.dist], diagnostics)
     print("normalization={normalization:.6f} min={min:.4e}".format(**diagnostics))
 

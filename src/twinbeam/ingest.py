@@ -150,6 +150,6 @@ def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     width = 2 * delta_j + 1
     kernel = np.ones(width)
-    sums = np.convolve(k, kernel, mode="same")
-    norm = np.convolve(np.ones_like(k), kernel, mode="same")
+    sums = np.convolve(k, kernel)[delta_j:delta_j + len(k)]
+    norm = np.convolve(np.ones_like(k), kernel)[delta_j:delta_j + len(k)]
     return sums / norm

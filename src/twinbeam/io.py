@@ -206,6 +206,8 @@ def read_jdist(path: str) -> JointDist:
         table = _f64_table(body, shape)
     else:
         table = _csv_table(body, shape, np.float64)
+    if not ((table >= 0) & (table < math.inf)).all():
+        raise DataError("jdist cells must be finite and >= 0")
     d = JointDist(table, header["tail_mass"], header["kind"])
     d.truncation_dirty = header["truncation_dirty"]
     return d

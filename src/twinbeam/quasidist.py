@@ -11,9 +11,9 @@ with ``beta = (s+1)/(s-1)``, ``g = 4/(1-s^2)`` and standard Laguerre
 polynomials ``L_n`` (``L_n(0) = 1``).  It may take negative values; that is
 the point.  The per-axis factors are evaluated by the three-term Laguerre
 recurrence with the sign factor and the exponential damping folded in, which
-keeps every intermediate bounded near one for ``s <= 0``.  For ``s > 0`` the
-factor ``beta^n`` grows; once it threatens double-precision range the basis
-switches to arbitrary-precision evaluation.
+keeps every intermediate bounded near one for ``s <= 0``; each grid column
+keeps its power of two apart, so the damping and ``beta^n`` leave double
+range only where the values do.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ class IntensityGrid:
     w_max_s: float
     w_max_i: float
     s: float
+    edge_sensitivity: float | None = None
 
     @property
     def dw(self) -> tuple:
@@ -50,53 +51,27 @@ class IntensityGrid:
 
 
 def _basis(n_max: int, w: np.ndarray, s: float) -> np.ndarray:
-    """``A[n, g] = beta^n L_n(g_fac w_g) exp(-delta w_g)`` for all orders."""
+    """``A[n, g] = beta^n L_n(g_fac w_g) exp(-delta w_g)`` for all orders.
+
+    The recurrence runs from ``L_{-1} = 0`` on mantissas, each column's power
+    of two ``e`` kept apart: seeded where ``exp(-delta w)`` is not a normal
+    float, then moved by exact shifts, so rows in double range are bit for bit
+    those of the plain recurrence.
+    """
     beta = (s + 1.0) / (s - 1.0)
     g_fac = 4.0 / (1.0 - s * s)
     delta = 2.0 / (1.0 - s)
     x = g_fac * w
-    damp = np.exp(-delta * w)
+    e = np.where(delta * w < 700.0, 0, -delta * w // np.log(2)).astype(int)
+    prev, cur = np.zeros_like(x), np.exp(-delta * w - e * np.log(2))
     out = np.empty((n_max + 1, len(w)))
-    out[0] = damp
-    if n_max >= 1:
-        out[1] = beta * (1.0 - x) * damp
-    for n in range(1, n_max):
-        out[n + 1] = (beta * (2 * n + 1 - x) * out[n]
-                      - n * beta * beta * out[n - 1]) / (n + 1)
+    for n in range(n_max + 1):
+        out[n] = np.ldexp(cur, e)
+        prev, cur = cur, (beta * (2 * n + 1 - x) * cur
+                          - n * beta * beta * prev) / (n + 1)
+        _, k = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        prev, cur, e = np.ldexp(prev, -k), np.ldexp(cur, -k), e + k
     return out
-
-
-def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        beta = (mp.mpf(s) + 1) / (mp.mpf(s) - 1)
-        g_fac = 4 / (1 - mp.mpf(s) ** 2)
-        delta = 2 / (1 - mp.mpf(s))
-        out = np.empty((n_max + 1, len(w)))
-        for gi, wv in enumerate(w):
-            x = g_fac * mp.mpf(wv)
-            damp = mp.e ** (-delta * mp.mpf(wv))
-            prev, cur = damp, beta * (1 - x) * damp
-            out[0, gi] = float(prev)
-            if n_max >= 1:
-                out[1, gi] = float(cur)
-            for n in range(1, n_max):
-                prev, cur = cur, (beta * (2 * n + 1 - x) * cur
-                                  - n * beta * beta * prev) / (n + 1)
-                out[n + 1, gi] = float(cur)
-    return out
-
-
-def _needs_mp(n_max: int, s: float, w_max: float) -> bool:
-    # beta^n may overflow (s > 0) and the damping seed exp(-2 w/(1-s)) may
-    # land deep in the subnormal range; both lose the float64 path.
-    if 2.0 * w_max / (1.0 - s) > 600.0:
-        return True
-    if s <= 0:
-        return False
-    beta = abs((s + 1.0) / (s - 1.0))
-    return n_max * np.log(beta) > 300.0
 
 
 def default_w_max(d: JointDist, arm: str, s: float) -> float:
@@ -110,9 +85,9 @@ def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
     """Evaluate the intensity quasi-distribution of ``p`` at ordering ``s``.
 
     The grid defaults to ten standard deviations beyond each marginal mean.
-    A truncation-sensitivity check recomputes the grid from a reduced photon
-    support; disagreement flags an under-truncated input or a too-singular
-    ordering.
+    A check recomputes it from a reduced photon support, keeping the relative
+    shift as ``edge_sensitivity`` (None once read from a file); disagreement
+    flags an under-truncated input or a too-singular ordering.
     """
     if p.kind != PHOTON:
         raise InvalidParameterError("quasi-distribution needs photon numbers")
@@ -125,10 +100,8 @@ def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
     n_s_max = p.table.shape[0] - 1
     n_i_max = p.table.shape[1] - 1
 
-    build = _basis_mp if _needs_mp(max(n_s_max, n_i_max), s,
-                                   max(w_max_s, w_max_i)) else _basis
-    a_s = build(n_s_max, ws, s)
-    a_i = build(n_i_max, wi, s)
+    a_s = _basis(n_s_max, ws, s)
+    a_i = _basis(n_i_max, wi, s)
     prefactor = 4.0 / (1.0 - s) ** 2
     values = prefactor * (a_s.T @ p.table @ a_i)
 
@@ -138,11 +111,15 @@ def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
     scale = np.abs(values).max()
     edge_tail = p.table[cut_s:, :].sum() + p.table[:, cut_i:].sum()
     shift = np.abs(values - reduced).max()
+    if not np.isfinite([scale, shift]).all():
+        raise DivergentSeriesError("the intensity series leaves double range; "
+                                   "shrink the photon support or lower s")
+    sensitivity = float(shift / scale) if scale > 0 else 0.0
     if scale > 0 and shift > max(1e-6 * scale, 10.0 * edge_tail * prefactor):
         raise DivergentSeriesError(
-            f"support-edge sensitivity {shift / scale:.2e} of the intensity "
+            f"support-edge sensitivity {sensitivity:.2e} of the intensity "
             "series; enlarge the photon support or lower s")
-    return IntensityGrid(values, w_max_s, w_max_i, s)
+    return IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
 
 
 def grid_normalization(g: IntensityGrid) -> float:

@@ -26,6 +26,9 @@ another way:
   distribution heralded by ``c_s`` signal clicks as convolution powers of
   single-window tables (the package takes the heralded mean and variance
   from derivatives of the PGF);
+* the Laguerre basis of the intensity quasi-distribution, one grid point
+  at a time in mpmath arithmetic (the package runs one float64 recurrence
+  with each grid column's power of two kept apart);
 * Riemann-sum intensity moments of a quasi-distribution grid.
 """
 
@@ -343,3 +346,25 @@ def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     ws = g.centers(0) ** k
     wi = g.centers(1) ** l
     return float(ws @ g.values @ wi * dws * dwi)
+
+
+def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        beta = (mp.mpf(s) + 1) / (mp.mpf(s) - 1)
+        g_fac = 4 / (1 - mp.mpf(s) ** 2)
+        delta = 2 / (1 - mp.mpf(s))
+        out = np.empty((n_max + 1, len(w)))
+        for gi, wv in enumerate(w):
+            x = g_fac * mp.mpf(wv)
+            damp = mp.e ** (-delta * mp.mpf(wv))
+            prev, cur = damp, beta * (1 - x) * damp
+            out[0, gi] = float(prev)
+            if n_max >= 1:
+                out[1, gi] = float(cur)
+            for n in range(1, n_max):
+                prev, cur = cur, (beta * (2 * n + 1 - x) * cur
+                                  - n * beta * beta * prev) / (n + 1)
+                out[n + 1, gi] = float(cur)
+    return out

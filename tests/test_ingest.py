@@ -153,6 +153,11 @@ class TestAveragedCorrelation:
         out = averaged_correlation(np.full(50, 0.3), 24)
         np.testing.assert_allclose(out, 0.3, atol=1e-15)
 
+    def test_window_wider_than_input_keeps_its_length(self):
+        k = np.array([0.5, 2.0, -1.0, 4.0])
+        out = averaged_correlation(k, 5)
+        np.testing.assert_allclose(out, np.full(4, k.mean()), rtol=1e-15)
+
     def test_zero_window_is_identity(self):
         data = np.arange(10.0)
         assert np.array_equal(averaged_correlation(data, 0), data)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from twinbeam import (ClickStream, GroupingPolicy, JointDist, JointHistogram,
                       PumpCorrelation, group_histogram, quasi_distribution,
                       sample_stream)
-from oracles import compound_click_moments_by_table, window_click_dist
+from oracles import (compound_click_moments_by_table, compound_photon_dist,
+                     window_click_dist)
 from twinbeam import core, detection, models
 from twinbeam import io as tbio
 from twinbeam.cli import main
@@ -214,9 +216,19 @@ class TestCli:
         assert all(0 <= e <= detection.COLUMN_SUM_TOL for e in errors.values())
         grid_diag = json.loads(open(grid + ".manifest.json").read())[
             "diagnostics"]
-        assert set(grid_diag) == {"normalization", "min"}
+        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity"}
+        assert 0 <= grid_diag["edge_sensitivity"] < math.inf
         assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
         assert f"min={grid_diag['min']:.4e}" in printed.split()
+
+    def test_grid_beyond_double_range_exits_4(self, tmp_path, capsys, nominal):
+        dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
+        tbio.write_jdist(compound_photon_dist(nominal[0], 2180), dist)
+        capsys.readouterr()
+        assert self.run("quasidist", "--dist", dist, "--s", "0.5",
+                        "--steps", "8", "--out", grid) == 4
+        assert "double range" in capsys.readouterr().err
+        assert not os.path.exists(grid)
 
     def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
         """Reconstruct 300 disjoint groups of n = 1000 windows."""
@@ -395,8 +407,8 @@ class TestCli:
 
 
 def test_cli_import_loads_no_scipy():
-    # nor mpmath, which the quasi-distribution imports only when it needs
-    # extended precision, nor the thread pool that only simulate starts
+    # nor mpmath, which only the test oracles use, nor the thread pool that
+    # only simulate starts
     probe = ("import sys, twinbeam.cli; "
              "print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent')))")
@@ -523,6 +535,12 @@ BAD_INPUTS = {
     "jdist-kind-number": (
         ["ncd", "--dist", "{jdist_kind}", "--out", "{tmp}/r.json"],
         3, "kind"),
+    "jdist-nan-cell": (
+        ["ncd", "--dist", "{jdist_nan}", "--out", "{tmp}/r.json"],
+        3, "finite and >= 0"),
+    "jdist-negative-cell": (
+        ["quasidist", "--dist", "{jdist_negative}", "--s", "0",
+         "--out", "{tmp}/g.igrid"], 3, "finite and >= 0"),
 }
 
 
@@ -569,6 +587,13 @@ def bad_input_files(tmp_path, nominal):
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist
+    # payloads of one bad cell each
+    for key, cell, kind in (("jdist_nan", np.nan, core.PHOTOCOUNT),
+                            ("jdist_negative", -0.25, PHOTON)):
+        table = window_click_dist(params, spec_s, spec_i).table
+        table[1, 0] = cell
+        files[key] = str(tmp_path / f"{key}.jdist")
+        tbio.write_jdist(JointDist(table, 0.0, kind), files[key])
     blob = open(jdist, "rb").read()
     header, body = tbio._unpack("jdist-v1", blob)
     del header["dims"]

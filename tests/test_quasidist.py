@@ -1,14 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from oracles import compound_photon_dist, grid_moments
+from oracles import _basis_mp, compound_photon_dist, grid_moments
 from twinbeam import (JointDist, TwbParams, grid_normalization, joint_twb,
                       moments, quasi_distribution, to_intensity_moments,
                       to_s_ordered)
 from twinbeam.core import PHOTON
-from twinbeam.errors import InvalidParameterError
+from twinbeam.errors import DivergentSeriesError, InvalidParameterError
+from twinbeam.quasidist import _basis
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 VACUUM = JointDist(np.array([[1.0]]), 0.0, PHOTON)
+
+#: ``(n_max, w_max, s)`` of the basis checks: low orders, then orders and
+#: intensities where the damping seed or ``beta^n`` leaves double range.
+BASIS_CASES = (
+    [pytest.param(20, 3.0, s, id=str(s)) for s in (0.5, 0.0, -0.6)]
+    + [pytest.param(*case, id="n{}-w{}-s{}".format(*case))
+       for case in ((400, 500.0, 0.0), (800, 900.0, -0.5),
+                    (300, 20.0, 0.5), (700, 20.0, 0.5))])
 
 
 class TestQuasiDistribution:
@@ -63,13 +78,39 @@ class TestQuasiDistribution:
         with pytest.raises(InvalidParameterError):
             quasi_distribution(VACUUM, 1.0)
 
-    @pytest.mark.parametrize("s", [0.5, 0.0, -0.6])
-    def test_arbitrary_precision_basis_matches_float_path(self, s):
-        from twinbeam.quasidist import _basis, _basis_mp
-        w = np.linspace(0.01, 3.0, 25)
-        a = _basis(20, w, s)
-        b = _basis_mp(20, w, s)
+    @pytest.mark.parametrize("n_max, w_max, s", BASIS_CASES)
+    def test_arbitrary_precision_basis_matches_float_path(self, n_max, w_max,
+                                                          s):
+        # assert_allclose also requires each +-inf in the same cell
+        w = np.linspace(0.01, w_max, 25)
+        a = _basis(n_max, w, s)
+        b = _basis_mp(n_max, w, s)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-13)
+
+    def test_grid_beyond_double_range_raises(self, nominal):
+        # the smallest nominal compound beam whose s = 0.5 grid leaves
+        # double range instead of failing the support-edge check
+        strong = compound_photon_dist(nominal[0], 2180)
+        with pytest.raises(DivergentSeriesError, match="double range"):
+            quasi_distribution(strong, 0.5, steps=8)
+
+    def test_high_intensity_grid_needs_no_mpmath(self):
+        # hundreds of photon pairs: the damping falls to about exp(-660)
+        probe = (
+            "import sys; sys.modules['mpmath'] = None\n"
+            "import numpy as np\n"
+            "from twinbeam import (grid_normalization, joint_twb, models,\n"
+            "                      quasi_distribution)\n"
+            "p = joint_twb(models.NOMINAL_PARAMS.scaled(3000))\n"
+            "g = quasi_distribution(p, -0.5, steps=32)\n"
+            "assert 2 * g.w_max_s / 1.5 > 600\n"
+            "assert np.isfinite(g.values).all()\n"
+            "print(grid_normalization(g))\n")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestGridMoments:
