@@ -3,9 +3,8 @@
 from .core import (PHOTON, PHOTOCOUNT, JointDist, MarginalDist, TwbParams,
                    joint_twb, mandel_rice)
 from .detection import DetectionMatrix, DetectorSpec, detection_matrix
-from .ingest import (GroupingPolicy, JointHistogram, averaged_correlation,
-                     conditioned_sequences, group_histogram, grouped_counts,
-                     window_correlation)
+from .ingest import (GroupingPolicy, JointHistogram, conditioned_sequences,
+                     group_histogram, grouped_counts)
 from .metrology import (PostSelectionResult, PrecisionReport,
                         effective_efficiency, optimal_postselection,
                         precision_improvement, relative_error)
@@ -13,8 +12,7 @@ from .moments import (MomentTable, NcdResult, fano_nrp_cov,
                       from_intensity_moments, moments, ncd, nci_value,
                       to_intensity_moments, to_s_ordered)
 from .quasidist import IntensityGrid, grid_normalization, quasi_distribution
-from .reconstruct import (EmConfig, EmResult, conditional_histogram,
-                          em_conditional, em_joint)
+from .reconstruct import EmConfig, EmResult, em_joint
 from .simulate import ClickStream, PumpCorrelation, sample_stream
 
 __version__ = "0.1.0"

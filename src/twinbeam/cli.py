@@ -194,6 +194,7 @@ def _cmd_ncd(args) -> None:
             "s_threshold": outcome.s_threshold,
             "nonclassical": outcome.nonclassical,
             "value_at_normal_ordering": outcome.value_at_normal,
+            "noise_floor": outcome.noise_floor,
             "saturated": outcome.saturated,
             "multiple_roots": outcome.multiple_roots,
         }

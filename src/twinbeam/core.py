@@ -73,10 +73,6 @@ class MarginalDist:
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
 
-    @property
-    def n_max(self) -> int:
-        return len(self.probs) - 1
-
     def mean(self) -> float:
         return float(np.arange(len(self.probs)) @ self.probs)
 
@@ -159,14 +155,12 @@ def _mr_support(m: float, b: float, tail: float = COMPONENT_TAIL) -> int:
     return n
 
 
-def joint_twb(params: TwbParams, n_s_max: int | None = None,
-              n_i_max: int | None = None) -> JointDist:
+def joint_twb(params: TwbParams) -> JointDist:
     """Joint signal-idler photon-number distribution of a twin beam.
 
     ``p(n_s, n_i) = sum_n p_s(n_s - n) p_i(n_i - n) p_p(n)`` with the three
     components from :func:`mandel_rice`.  Component supports are grown until
-    each truncated tail is below :data:`COMPONENT_TAIL`; explicit bounds, if
-    given, clip the final table (the clipped mass shows up in ``tail_mass``).
+    each truncated tail is below :data:`COMPONENT_TAIL`.
     """
     kp = _mr_support(params.m_p, params.b_p)
     ks = _mr_support(params.m_s, params.b_s)
@@ -179,13 +173,5 @@ def joint_twb(params: TwbParams, n_s_max: int | None = None,
     cross = np.outer(ps, pi)
     for n in range(kp + 1):
         full[n:n + ks + 1, n:n + ki + 1] += pp[n] * cross
-
-    if n_s_max is not None or n_i_max is not None:
-        ns = full.shape[0] - 1 if n_s_max is None else n_s_max
-        ni = full.shape[1] - 1 if n_i_max is None else n_i_max
-        out = np.zeros((ns + 1, ni + 1))
-        view = full[:ns + 1, :ni + 1]
-        out[:view.shape[0], :view.shape[1]] = view
-        full = out
     tail = max(0.0, 1.0 - full.sum())
     return JointDist(full, tail, PHOTON)

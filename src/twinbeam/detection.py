@@ -60,10 +60,6 @@ class DetectionMatrix:
     entries: np.ndarray
     spec: DetectorSpec
 
-    @property
-    def n_max(self) -> int:
-        return self.entries.shape[1] - 1
-
     def column_sum_error(self) -> float:
         return float(np.abs(self.entries.sum(axis=0) - 1.0).max())
 

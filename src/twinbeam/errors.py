@@ -34,14 +34,6 @@ class StreamTooShortError(DataError):
     """A click stream is too short for the requested grouping."""
 
 
-class DegenerateStreamError(DataError):
-    """A click stream carries no clicks where some are required."""
-
-
-class EmptyConditionError(DataError):
-    """A histogram column used for conditioning contains no events."""
-
-
 class InsufficientDataError(DataError):
     """Not enough groups or blocks for the requested statistics."""
 

@@ -1,4 +1,4 @@
-"""Grouping click streams into compound-beam samples and stream statistics.
+"""Grouping click streams into compound-beam samples and heralded sequences.
 
 A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
 idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStreamError, InvalidParameterError,
-                     StreamTooShortError)
+from .errors import InvalidParameterError, StreamTooShortError
 from .simulate import ClickStream
 
 SLIDING = "sliding"
@@ -55,9 +54,6 @@ class JointHistogram:
 
     def normalized(self) -> np.ndarray:
         return self.counts / self.n_groups
-
-    def marginal_counts(self, arm: str) -> np.ndarray:
-        return self.counts.sum(axis=1 if arm == "s" else 0)
 
 
 def _check_length(windows: int, n: int) -> None:
@@ -119,37 +115,3 @@ def conditioned_sequences(stream: ClickStream) -> dict:
         "conditioned_s": s[i == 1],
         "conditioned_i": i[s == 1],
     }
-
-
-def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray:
-    """Normalized correlation of click fluctuations at window shifts ``0..dj_max``.
-
-    ``K[dj] = n_windows * sum_j dc_j dc_{j+dj} / (sum_j c_j)^2`` with the sum
-    truncated at the end of the record (no wraparound).
-    """
-    bits = stream.signal if arm == "s" else stream.idler
-    n = len(bits)
-    if n <= dj_max:
-        raise StreamTooShortError("stream shorter than the requested shift range")
-    total = int(bits.sum())
-    if total == 0:
-        raise DegenerateStreamError(f"no clicks in arm {arm!r}")
-    dc = bits.astype(np.float64) - total / n
-    # One FFT gives every shift at once; the linear (non-circular) part is
-    # exactly the truncated sum above.
-    size = 1 << int(np.ceil(np.log2(n + dj_max + 1)))
-    spec = np.fft.rfft(dc, size)
-    corr = np.fft.irfft(spec * np.conj(spec), size)[:dj_max + 1]
-    return n * corr / float(total) ** 2
-
-
-def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
-    """Centered moving average over ``2 delta_j + 1`` shifts, edges shrunk."""
-    if delta_j < 0:
-        raise InvalidParameterError("delta_j must be >= 0")
-    k = np.asarray(k, dtype=float)
-    width = 2 * delta_j + 1
-    kernel = np.ones(width)
-    sums = np.convolve(k, kernel)[delta_j:delta_j + len(k)]
-    norm = np.convolve(np.ones_like(k), kernel)[delta_j:delta_j + len(k)]
-    return sums / norm

@@ -36,6 +36,9 @@ MAGIC = {
     "igrid-v1": b"TWBIGRD1",
 }
 
+#: A jdist's cells and tail mass must sum to 1 this closely.
+MASS_TOL = 1e-6
+
 
 def _is_int(v, low: float = -math.inf) -> bool:
     return type(v) is int and v >= low
@@ -208,6 +211,9 @@ def read_jdist(path: str) -> JointDist:
         table = _csv_table(body, shape, np.float64)
     if not ((table >= 0) & (table < math.inf)).all():
         raise DataError("jdist cells must be finite and >= 0")
+    mass = float(table.sum()) + header["tail_mass"]
+    if abs(mass - 1.0) > MASS_TOL:
+        raise DataError(f"jdist cells and tail_mass sum to {mass:.9g}, not 1")
     d = JointDist(table, header["tail_mass"], header["kind"])
     d.truncation_dirty = header["truncation_dirty"]
     return d

@@ -17,12 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .core import PHOTOCOUNT, JointDist
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError)
 from .ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                      conditioned_sequences, grouped_counts)
-from .moments import MomentTable
+from .moments import MomentTable, moments
 from .simulate import ClickStream
 
 
@@ -51,32 +52,23 @@ class PostSelectionResult:
 
 
 def effective_efficiency(data: JointHistogram | MomentTable, arm: str = "s",
-                         subtract_dark: DetectorSpec | None = None,
-                         group_n: int | None = None) -> float:
+                         subtract_dark: DetectorSpec | None = None) -> float:
     """Covariance-based effective efficiency of one detector.
 
     With ``subtract_dark`` the per-group dark-count mean ``n * dark`` is
-    removed from the denominator mean first.  ``group_n`` is only needed for
-    that subtraction when ``data`` is a plain moment table.
+    removed from the denominator mean first; this needs the group size ``n``
+    of a histogram.
     """
     if isinstance(data, JointHistogram):
-        norm = data.normalized()
-        cs = np.arange(norm.shape[0], dtype=float)
-        ci = np.arange(norm.shape[1], dtype=float)
-        mean_s = cs @ norm.sum(axis=1)
-        mean_i = ci @ norm.sum(axis=0)
-        cross = cs @ norm @ ci
         n = data.policy.n
-    else:
-        data.require(2)
-        mean_s, mean_i = data[1, 0], data[0, 1]
-        cross = data[1, 1]
-        n = group_n
-    cov = cross - mean_s * mean_i
+        data = moments(JointDist(data.normalized(), 0.0, PHOTOCOUNT), 2)
+    elif subtract_dark is not None:
+        raise InvalidParameterError("dark subtraction needs a histogram")
+    data.require(2)
+    mean_s, mean_i = data[1, 0], data[0, 1]
+    cov = data[1, 1] - mean_s * mean_i
     denominator = mean_i if arm == "s" else mean_s
     if subtract_dark is not None:
-        if n is None:
-            raise InvalidParameterError("dark subtraction needs the group size")
         denominator = denominator - n * subtract_dark.dark
     if denominator <= 0:
         raise DataError("complementary-arm mean is not positive")

@@ -89,15 +89,6 @@ class MomentTable:
     def __getitem__(self, kl) -> float:
         return self.raw[kl]
 
-    def validate(self) -> None:
-        if abs(self.raw[0, 0] - 1) > 1e-10:
-            raise DataError(f"zeroth moment is {self.raw[0, 0]}, not 1")
-        if self.flavor == RAW and self.order >= 2:
-            for mean, second in ((self.raw[1, 0], self.raw[2, 0]),
-                                 (self.raw[0, 1], self.raw[0, 2])):
-                if second < mean ** 2 - 1e-10:
-                    raise DataError("second moment below squared mean")
-
 
 def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
     """Raw mixed moments of a (possibly one-dimensional) distribution."""
@@ -224,13 +215,18 @@ def _noise_floor(m: MomentTable, identifier: str, arm: str) -> float:
 
 @dataclass
 class NcdResult:
-    """Outcome of a non-classicality depth determination."""
+    """Outcome of a non-classicality depth determination.
+
+    ``nonclassical`` holds when ``value_at_normal`` is below ``-noise_floor``,
+    the round-off bound of the identifier.
+    """
 
     identifier: str
     tau: float
     s_threshold: float
     nonclassical: bool
     value_at_normal: float
+    noise_floor: float
     saturated: bool = False
     multiple_roots: bool = False
 
@@ -258,14 +254,15 @@ def ncd(m: MomentTable, identifier: str, arm: str = "s") -> NcdResult:
     floor = _noise_floor(m, identifier, arm)
     v1 = value(1.0)
     if not v1 < -floor:
-        return NcdResult(identifier, 0.0, 1.0, False, v1)
+        return NcdResult(identifier, 0.0, 1.0, False, v1, floor)
 
     grid = np.linspace(1.0, -1.0, 64)
     vals = [v1] + [value(s) for s in grid[1:]]
     sign_changes = [i for i in range(len(grid) - 1)
                     if vals[i] < -floor <= vals[i + 1]]
     if not sign_changes:
-        return NcdResult(identifier, 1.0, -1.0, True, v1, saturated=True)
+        return NcdResult(identifier, 1.0, -1.0, True, v1, floor,
+                         saturated=True)
 
     lo_i = sign_changes[0]
     hi, lo = grid[lo_i], grid[lo_i + 1]      # value(hi) < -floor <= value(lo)
@@ -276,5 +273,5 @@ def ncd(m: MomentTable, identifier: str, arm: str = "s") -> NcdResult:
         else:
             lo = mid
     s_th = 0.5 * (hi + lo)
-    return NcdResult(identifier, (1.0 - s_th) / 2.0, s_th, True, v1,
+    return NcdResult(identifier, (1.0 - s_th) / 2.0, s_th, True, v1, floor,
                      multiple_roots=len(sign_changes) > 1)

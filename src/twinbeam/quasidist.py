@@ -100,17 +100,19 @@ def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
     n_s_max = p.table.shape[0] - 1
     n_i_max = p.table.shape[1] - 1
 
-    a_s = _basis(n_s_max, ws, s)
-    a_i = _basis(n_i_max, wi, s)
     prefactor = 4.0 / (1.0 - s) ** 2
-    values = prefactor * (a_s.T @ p.table @ a_i)
-
     cut_s = max(1, int(_EDGE_FRACTION * (n_s_max + 1)))
     cut_i = max(1, int(_EDGE_FRACTION * (n_i_max + 1)))
-    reduced = prefactor * (a_s[:cut_s].T @ p.table[:cut_s, :cut_i] @ a_i[:cut_i])
-    scale = np.abs(values).max()
+    # values beyond double range overflow quietly: the check below reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_s = _basis(n_s_max, ws, s)
+        a_i = _basis(n_i_max, wi, s)
+        values = prefactor * (a_s.T @ p.table @ a_i)
+        reduced = prefactor * (a_s[:cut_s].T @ p.table[:cut_s, :cut_i]
+                               @ a_i[:cut_i])
+        scale = np.abs(values).max()
+        shift = np.abs(values - reduced).max()
     edge_tail = p.table[cut_s:, :].sum() + p.table[:, cut_i:].sum()
-    shift = np.abs(values - reduced).max()
     if not np.isfinite([scale, shift]).all():
         raise DivergentSeriesError("the intensity series leaves double range; "
                                    "shrink the photon support or lower s")

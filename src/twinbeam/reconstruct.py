@@ -9,9 +9,7 @@ expectation-maximization iteration
 i.e. the measured histogram is compared with the forward projection of the
 current estimate and the ratio is projected back through the detection
 matrices.  Because the matrices are column-stochastic, every iterate is a
-probability distribution, and the data log-likelihood never decreases.  The
-one-dimensional (conditional) reconstruction runs the same iteration with a
-single idler column and a 1x1 identity on the other axis.
+probability distribution, and the data log-likelihood never decreases.
 """
 
 from __future__ import annotations
@@ -20,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTOCOUNT, PHOTON, JointDist, MarginalDist
+from .core import PHOTOCOUNT, PHOTON, JointDist
 from .detection import DetectionMatrix
-from .errors import (DataError, EmptyConditionError, InvalidParameterError,
-                     KindMismatchError, NumericError)
+from .errors import (DataError, InvalidParameterError, KindMismatchError,
+                     NumericError)
 from .ingest import JointHistogram
 
 
@@ -68,13 +66,17 @@ def _block(t: DetectionMatrix, c_dim: int, label: str) -> np.ndarray:
     return t.entries[:c_dim]
 
 
-def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
-        cfg: EmConfig) -> tuple[np.ndarray, EmResult]:
-    """EM iteration for ``data ~ ts @ p @ ti.T`` from a uniform start.
+def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
+             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
+    """Reconstruct a joint photon-number distribution from photocounts.
 
-    Click rows and columns past the last observed count hold no data and
-    leave the update untouched, so they are cut off first.
+    EM runs from a uniform start.  Click rows and columns past the last
+    observed count hold no data and leave the update untouched, so they are
+    cut off first.
     """
+    data = _as_table(f)
+    ts = _block(t_s, data.shape[0], "signal")
+    ti = _block(t_i, data.shape[1], "idler")
     rows, cols = np.nonzero(data > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
@@ -87,7 +89,6 @@ def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
     new, diff = np.empty_like(p), np.empty_like(p)
     observed = data > 0
     history = []
-    change = np.inf
     for it in range(1, cfg.max_iters + 1):
         projected = ts @ p @ ti.T
         ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
@@ -101,35 +102,7 @@ def _em(data: np.ndarray, ts: np.ndarray, ti: np.ndarray,
                 raise NumericError(f"log-likelihood decreased at iteration {it}")
             history.append(ll)
         if change < cfg.tol:
-            return p, EmResult(True, it, change, history)
-    return p, EmResult(False, cfg.max_iters, change, history)
-
-
-def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
-             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
-    """Reconstruct a joint photon-number distribution from photocounts."""
-    data = _as_table(f)
-    p, result = _em(data, _block(t_s, data.shape[0], "signal"),
-                    _block(t_i, data.shape[1], "idler"), cfg)
-    return JointDist(p, 0.0, PHOTON), result
-
-
-def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
-                   cfg: EmConfig = EmConfig()) -> tuple[MarginalDist, EmResult]:
-    """One-dimensional reconstruction of a conditional photocount column."""
-    data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
-    data = data / data.sum()
-    p, result = _em(data[:, None], _block(t_i, len(data), "idler"),
-                    np.ones((1, 1)), cfg)
-    return MarginalDist(p[:, 0], 0.0, PHOTON), result
-
-
-def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
-    """Idler photocount distribution conditioned on a signal column."""
-    if not 0 <= c_s < h.counts.shape[0]:
-        raise InvalidParameterError(f"column {c_s} outside histogram")
-    column = h.counts[c_s, :]
-    total = column.sum()
-    if total == 0:
-        raise EmptyConditionError(f"no events with {c_s} signal clicks")
-    return MarginalDist(column / total, 0.0, PHOTOCOUNT)
+            break
+    # without a break, the last change is not below tol
+    return JointDist(p, 0.0, PHOTON), EmResult(change < cfg.tol, it, change,
+                                                history)

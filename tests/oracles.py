@@ -30,6 +30,11 @@ another way:
   at a time in mpmath arithmetic (the package runs one float64 recurrence
   with each grid column's power of two kept apart);
 * Riemann-sum intensity moments of a quasi-distribution grid.
+
+It also keeps the analyses that only the tests run: the one-dimensional
+reconstruction of the idler photocounts heralded by one signal column (the
+joint EM with a single idler column), and the window-shift correlation of a
+click stream with its moving average, which shows the pump drift's plateau.
 """
 
 import math
@@ -40,10 +45,15 @@ from scipy import signal
 from twinbeam import models
 from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
                            TwbParams, joint_twb)
-from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
-from twinbeam.errors import DataError, InvalidParameterError, KindMismatchError
+from twinbeam.detection import (DetectionMatrix, DetectorSpec,
+                                _log_factorials, detection_matrix)
+from twinbeam.errors import (DataError, InvalidParameterError,
+                             KindMismatchError, StreamTooShortError)
+from twinbeam.ingest import JointHistogram
 from twinbeam.moments import MomentTable, moments, to_intensity_moments
 from twinbeam.quasidist import IntensityGrid
+from twinbeam.reconstruct import EmConfig, EmResult, em_joint
+from twinbeam.simulate import ClickStream
 
 
 class SupportViolationError(DataError):
@@ -52,6 +62,14 @@ class SupportViolationError(DataError):
 
 class ZeroProbabilityConditionError(DataError):
     """The conditioning outcome has (numerically) zero probability."""
+
+
+class EmptyConditionError(DataError):
+    """A histogram column used for conditioning contains no events."""
+
+
+class DegenerateStreamError(DataError):
+    """A click stream carries no clicks where some are required."""
 
 
 def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:
@@ -368,3 +386,61 @@ def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:
                                   - n * beta * beta * prev) / (n + 1)
                 out[n + 1, gi] = float(cur)
     return out
+
+
+def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
+                   cfg: EmConfig = EmConfig()) -> tuple[MarginalDist, EmResult]:
+    """One-dimensional reconstruction of a conditional photocount column.
+
+    The joint EM with the column as a single idler column, detected through
+    a 1x1 identity.
+    """
+    data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
+    dist, result = em_joint(JointDist(data[:, None], 0.0, PHOTOCOUNT), t_i,
+                            DetectionMatrix(np.ones((1, 1)), t_i.spec), cfg)
+    return MarginalDist(dist.table[:, 0], 0.0, PHOTON), result
+
+
+def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
+    """Idler photocount distribution conditioned on a signal column."""
+    if not 0 <= c_s < h.counts.shape[0]:
+        raise InvalidParameterError(f"column {c_s} outside histogram")
+    column = h.counts[c_s, :]
+    total = column.sum()
+    if total == 0:
+        raise EmptyConditionError(f"no events with {c_s} signal clicks")
+    return MarginalDist(column / total, 0.0, PHOTOCOUNT)
+
+
+def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray:
+    """Normalized correlation of click fluctuations at window shifts ``0..dj_max``.
+
+    ``K[dj] = n_windows * sum_j dc_j dc_{j+dj} / (sum_j c_j)^2`` with the sum
+    truncated at the end of the record (no wraparound).
+    """
+    bits = stream.signal if arm == "s" else stream.idler
+    n = len(bits)
+    if n <= dj_max:
+        raise StreamTooShortError("stream shorter than the requested shift range")
+    total = int(bits.sum())
+    if total == 0:
+        raise DegenerateStreamError(f"no clicks in arm {arm!r}")
+    dc = bits.astype(np.float64) - total / n
+    # One FFT gives every shift at once; the linear (non-circular) part is
+    # exactly the truncated sum above.
+    size = 1 << int(np.ceil(np.log2(n + dj_max + 1)))
+    spec = np.fft.rfft(dc, size)
+    corr = np.fft.irfft(spec * np.conj(spec), size)[:dj_max + 1]
+    return n * corr / float(total) ** 2
+
+
+def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
+    """Centered moving average over ``2 delta_j + 1`` shifts, edges shrunk."""
+    if delta_j < 0:
+        raise InvalidParameterError("delta_j must be >= 0")
+    k = np.asarray(k, dtype=float)
+    width = 2 * delta_j + 1
+    kernel = np.ones(width)
+    sums = np.convolve(k, kernel)[delta_j:delta_j + len(k)]
+    norm = np.convolve(np.ones_like(k), kernel)[delta_j:delta_j + len(k)]
+    return sums / norm

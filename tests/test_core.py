@@ -87,13 +87,6 @@ class TestJointTwb:
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
 
-    def test_explicit_bounds_clip_and_report_tail(self):
-        p = TwbParams(5, 5, 5, 0.5, 0.01, 0.01)
-        j = joint_twb(p, n_s_max=2, n_i_max=2)
-        assert j.shape == (3, 3)
-        assert j.tail_mass > 1e-3
-        assert j.truncation_dirty
-
 
 class TestConvolve:
     def test_identity_element(self):

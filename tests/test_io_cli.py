@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +200,12 @@ class TestCli:
         ncd_report = json.loads(open(report).read())
         assert ncd_report["E001"]["nonclassical"]
         for ident in ("E001", "M1001"):
-            assert isinstance(ncd_report[ident]["multiple_roots"], bool)
+            outcome = ncd_report[ident]
+            assert isinstance(outcome["multiple_roots"], bool)
+            # the round-off floor that a violation has to clear
+            assert 0 <= outcome["noise_floor"] < math.inf
+            assert outcome["nonclassical"] == (
+                outcome["value_at_normal_ordering"] < -outcome["noise_floor"])
         met_report = json.loads(open(met).read())
         assert met_report["S_cs"] < 1.0
         # every output carries a manifest sufficient to re-run it, and an
@@ -221,13 +228,16 @@ class TestCli:
         assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
         assert f"min={grid_diag['min']:.4e}" in printed.split()
 
-    def test_grid_beyond_double_range_exits_4(self, tmp_path, capsys, nominal):
+    def test_grid_beyond_double_range_exits_4(self, tmp_path, nominal):
         dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
         tbio.write_jdist(compound_photon_dist(nominal[0], 2180), dist)
-        capsys.readouterr()
-        assert self.run("quasidist", "--dist", dist, "--s", "0.5",
-                        "--steps", "8", "--out", grid) == 4
-        assert "double range" in capsys.readouterr().err
+        # a fresh process, where a numpy warning would reach stderr
+        proc = run_python("-m", "twinbeam.cli", "quasidist", "--dist", dist,
+                          "--s", "0.5", "--steps", "8", "--out", grid)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [
+            "numeric error: the intensity series leaves double range; "
+            "shrink the photon support or lower s"]
         assert not os.path.exists(grid)
 
     def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
@@ -417,6 +427,40 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+#: Public functions and members that no other code of the package names,
+#: and why each stays.
+LIBRARY_ENTRY_POINTS = {
+    "read_igrid": "the reader of the igrid-v1 format that quasidist writes",
+    "optimal_postselection": "post-selection on a measured histogram "
+                             "(Criterion 7)",
+    "mean_signal": "the expected rates of perfbench/check.py",
+    "fano": "conditional Fano factors of Criteria 3 and 7",
+    "centers": "the grid moments of the quasi-distribution tests",
+}
+
+
+def _identifiers(tree: ast.AST) -> Counter:
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_package_names_each_public_function():
+    # every public top-level function and public method or property of the
+    # package is named by its other code (``__init__.py`` aside): functions
+    # that only tests call belong in tests/oracles.py
+    trees = [ast.parse(path.read_text())
+             for path in Path(SRC, "twinbeam").glob("*.py")
+             if path.name != "__init__.py"]
+    named = sum(map(_identifiers, trees), Counter())
+    unnamed = sorted(
+        func.name for tree in trees for node in tree.body
+        for func in (node.body if isinstance(node, ast.ClassDef) else [node])
+        if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")
+        and named[func.name] == _identifiers(func)[func.name])
+    assert unnamed == sorted(LIBRARY_ENTRY_POINTS)
+
+
 def test_manifest_times_its_own_process(tmp_path):
     out = str(tmp_path / "s.clicks")
     start = time.perf_counter()
@@ -541,6 +585,9 @@ BAD_INPUTS = {
     "jdist-negative-cell": (
         ["quasidist", "--dist", "{jdist_negative}", "--s", "0",
          "--out", "{tmp}/g.igrid"], 3, "finite and >= 0"),
+    "jdist-mass-off": (
+        ["ncd", "--dist", "{jdist_mass}", "--out", "{tmp}/r.json"],
+        3, "sum to 0.8"),
 }
 
 
@@ -594,6 +641,10 @@ def bad_input_files(tmp_path, nominal):
         table[1, 0] = cell
         files[key] = str(tmp_path / f"{key}.jdist")
         tbio.write_jdist(JointDist(table, 0.0, kind), files[key])
+    # cells of 0.8 and no tail: not a distribution
+    files["jdist_mass"] = str(tmp_path / "mass.jdist")
+    tbio.write_jdist(JointDist(np.array([[0.5, 0.1], [0.1, 0.1]]), 0.0),
+                     files["jdist_mass"])
     blob = open(jdist, "rb").read()
     header, body = tbio._unpack("jdist-v1", blob)
     del header["dims"]

@@ -102,17 +102,12 @@ class TestEffectiveEfficiencyEstimator:
         assert effective_efficiency(h, "s", subtract_dark=spec_i) > \
             effective_efficiency(h, "s")
 
-    def test_moment_table_input(self, stream_1m, nominal):
+    def test_moment_table_input(self, stream_1m):
         from twinbeam import JointDist, moments
-        _, _, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
         table = moments(JointDist(h.normalized(), 0.0, "photocount"), 2)
         assert effective_efficiency(table, "s") == \
             pytest.approx(effective_efficiency(h, "s"), rel=1e-12)
-        assert effective_efficiency(table, "s", subtract_dark=spec_i,
-                                    group_n=10) == \
-            pytest.approx(effective_efficiency(h, "s", subtract_dark=spec_i),
-                          rel=1e-12)
 
 
 class TestPostselection:

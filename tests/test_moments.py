@@ -55,17 +55,6 @@ class TestMoments:
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
 
-    def test_validate_accepts_model_output(self, nominal):
-        params, _, _ = nominal
-        moments(joint_twb(params), 2).validate()
-
-    def test_validate_rejects_bad_table(self):
-        bad = MomentTable(np.array([[1.0, 1.0], [1.0, 0.5]]), 1, RAW)
-        bad.validate()      # order 1: nothing to cross-check
-        worse = MomentTable(np.array([[0.9, 0.0], [0.0, 0.0]]), 1, RAW)
-        with pytest.raises(DataError):
-            worse.validate()
-
 
 class TestFanoNrpCov:
     def test_independent_poisson_arms(self):

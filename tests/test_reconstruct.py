@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
-                      GroupingPolicy, MarginalDist, conditional_histogram,
-                      detection_matrix, em_conditional, em_joint, joint_twb)
-from oracles import (compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist)
+                      GroupingPolicy, MarginalDist, detection_matrix, em_joint,
+                      joint_twb)
+from oracles import (EmptyConditionError, compound_click_dist,
+                     compound_photon_dist, conditional_histogram,
+                     conditional_photon_dist, em_conditional)
 from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
-from twinbeam.errors import DataError, EmptyConditionError, NumericError
+from twinbeam.errors import DataError, NumericError
 
 
 def tv(a, b):
