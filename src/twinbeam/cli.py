@@ -151,7 +151,7 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_reconstruct(args) -> None:
     hist = tbio.read_jhist(args.hist)
-    n = args.group_n if args.group_n else hist.policy.n
+    n = hist.policy.n
     cfg = EmConfig(max_iters=args.max_iters, tol=args.tol)
     spec_s = DetectorSpec(args.eta_s, args.dark_s, n)
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
@@ -170,13 +170,15 @@ def _cmd_reconstruct(args) -> None:
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "converged": result.converged,
         "iterations": result.iterations, "final_change": result.final_change,
+        "log_likelihood": result.log_likelihood[-1],
         "column_sum_error": {"signal": t_s.column_sum_error(),
                              "idler": t_i.column_sum_error()},
         "edge_mass": float(dist.table[edge:].sum()
                            + dist.table[:edge, edge:].sum())})
     print(f"c_max={c_max} n_max={n_max} converged={result.converged} "
           f"iterations={result.iterations} "
-          f"final_change={result.final_change:.3e}")
+          f"final_change={result.final_change:.3e} "
+          f"log_likelihood={result.log_likelihood[-1]:.10f}")
 
 
 def _cmd_ncd(args) -> None:
@@ -206,7 +208,7 @@ def _cmd_quasidist(args) -> None:
     dist = tbio.read_jdist(args.dist)
     if dist.kind != PHOTON:
         raise DataError("quasi-distribution needs a photon-number input")
-    grid = quasi_distribution(dist, args.s, args.w_max, args.w_max, args.steps)
+    grid = quasi_distribution(dist, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
                    "min": float(grid.values.min()),
@@ -330,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--eta-i", type=float, required=True)
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
-    rec.add_argument("--group-n", type=_count)
     rec.add_argument("--tol", type=_positive, default=1e-9)
     rec.add_argument("--max-iters", type=_count, default=10_000)
     rec.add_argument("--n-max", type=_count)

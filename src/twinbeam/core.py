@@ -105,16 +105,9 @@ class JointDist:
         if self.tail_mass > TAIL_CEILING:
             self.truncation_dirty = True
 
-    @property
-    def shape(self) -> tuple:
-        return self.table.shape
-
     def marginal(self, arm: str) -> MarginalDist:
         axis = 1 if arm == "s" else 0
         return MarginalDist(self.table.sum(axis=axis), self.tail_mass, self.kind)
-
-    def mean(self, arm: str) -> float:
-        return self.marginal(arm).mean()
 
 
 def mandel_rice(m: float, b: float, n_max: int) -> MarginalDist:
@@ -141,8 +134,8 @@ def mandel_rice(m: float, b: float, n_max: int) -> MarginalDist:
     return MarginalDist(probs, tail, PHOTON)
 
 
-def _mr_support(m: float, b: float, tail: float = COMPONENT_TAIL) -> int:
-    """Smallest support bound keeping the Mandel-Rice tail below ``tail``.
+def _mr_support(m: float, b: float) -> int:
+    """Smallest support bound with a Mandel-Rice tail below :data:`COMPONENT_TAIL`.
 
     Starts from a moment-based guess and grows geometrically (factor 1.5)
     until the requirement is met, so truncation never biases moments.
@@ -150,7 +143,7 @@ def _mr_support(m: float, b: float, tail: float = COMPONENT_TAIL) -> int:
     mean = m * b
     sd = np.sqrt(mean * (1.0 + b))
     n = int(np.ceil(mean + 10.0 * sd + 10))
-    while mandel_rice(m, b, n).tail_mass > tail:
+    while mandel_rice(m, b, n).tail_mass > COMPONENT_TAIL:
         n = int(np.ceil(n * 1.5)) + 5
     return n
 

@@ -112,6 +112,7 @@ def conditioned_sequences(stream: ClickStream) -> dict:
     return {
         "reference_s": s,
         "reference_i": i,
-        "conditioned_s": s[i == 1],
-        "conditioned_i": i[s == 1],
+        # the bits are 0 or 1, so they select as booleans without a mask
+        "conditioned_s": s[i.view(bool)],
+        "conditioned_i": i[s.view(bool)],
     }

@@ -6,9 +6,10 @@ click, bit 1 the idler click) and a JSON sidecar ``<path>.json`` carrying
 the generation metadata.
 
 The other formats share one container: an 8-byte magic, a little-endian u32
-header length, a JSON header and a payload that is either raw little-endian
-float64 (row-major) or CSV text, as declared in the header.  All writers are
-atomic (temporary file plus rename) and all readers round-trip bit-exactly.
+header length, a JSON header and a payload, declared in the header: raw
+little-endian float64 (row-major) for jdist and igrid, CSV text of integers
+for jhist.  All writers are atomic (temporary file plus rename) and all
+readers round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ HEADER_RULES = {
     "jdist-v1": {"dims": _is_dims, "kind": lambda v: v in (PHOTON, PHOTOCOUNT),
                  "tail_mass": lambda v: _is_finite(v, 0),
                  "truncation_dirty": lambda v: type(v) is bool,
-                 "payload": lambda v: v in ("f64", "csv")},
+                 "payload": lambda v: v == "f64"},
     "jhist-v1": {"dims": _is_dims, "n_groups": _is_int,
                  "group_n": lambda v: _is_int(v, 1),
                  "mode": lambda v: v in (SLIDING, DISJOINT)},
@@ -124,16 +125,15 @@ def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
     return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
 
 
-def _csv_table(body: bytes, shape: tuple, dtype) -> np.ndarray:
-    """A CSV payload of ``dtype`` values, checked to be a ``shape`` table."""
-    parse = int if dtype == np.int64 else float
+def _csv_table(body: bytes, shape: tuple) -> np.ndarray:
+    """A CSV payload of integers, checked to be a ``shape`` table."""
     try:
-        rows = [[parse(v) for v in line.split(",")]
+        rows = [[int(v) for v in line.split(",")]
                 for line in body.decode().splitlines()]
         if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
             raise DataError("CSV payload is not a "
                             f"{'x'.join(map(str, shape))} table")
-        return np.array(rows, dtype=dtype).reshape(shape)
+        return np.array(rows, dtype=np.int64).reshape(shape)
     except (ValueError, OverflowError) as exc:
         raise DataError(f"unreadable CSV payload ({exc})") from None
 
@@ -188,27 +188,17 @@ def read_clicks(path: str) -> ClickStream:
 
 # -- jdist-v1 ----------------------------------------------------------------
 
-def write_jdist(d: JointDist, path: str, payload: str = "f64") -> None:
+def write_jdist(d: JointDist, path: str) -> None:
     header = {"dims": list(d.table.shape), "kind": d.kind,
               "tail_mass": d.tail_mass, "truncation_dirty": d.truncation_dirty,
-              "payload": payload}
-    if payload == "f64":
-        body = np.ascontiguousarray(d.table, dtype="<f8").tobytes()
-    elif payload == "csv":
-        body = "\n".join(",".join(repr(float(v)) for v in row)
-                         for row in d.table).encode()
-    else:
-        raise DataError(f"unknown payload kind {payload!r}")
+              "payload": "f64"}
+    body = np.ascontiguousarray(d.table, dtype="<f8").tobytes()
     _atomic_write(path, _pack("jdist-v1", header, body))
 
 
 def read_jdist(path: str) -> JointDist:
     header, body = _unpack("jdist-v1", _read(path))
-    shape = tuple(header["dims"])
-    if header["payload"] == "f64":
-        table = _f64_table(body, shape)
-    else:
-        table = _csv_table(body, shape, np.float64)
+    table = _f64_table(body, tuple(header["dims"]))
     if not ((table >= 0) & (table < math.inf)).all():
         raise DataError("jdist cells must be finite and >= 0")
     mass = float(table.sum()) + header["tail_mass"]
@@ -231,7 +221,7 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
-    counts = _csv_table(body, tuple(header["dims"]), np.int64)
+    counts = _csv_table(body, tuple(header["dims"]))
     total = int(counts.sum())
     if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:
         raise DataError("jhist counts must be nonnegative and sum to n_groups "

@@ -49,25 +49,19 @@ def _log_pgf(params: TwbParams, x: float, y: float) -> float:
             - params.m_p * math.log1p(params.b_p * (1.0 - x * y)))
 
 
-def _pgf(params: TwbParams, x: float, y: float) -> float:
-    return math.exp(_log_pgf(params, x, y))
+def _log_no_click(params: TwbParams, spec_s: DetectorSpec | None,
+                  spec_i: DetectorSpec | None) -> float:
+    """Log of the chance ``q`` that no detector clicks in one window.
 
-
-def _no_signal_click(params: TwbParams, spec_s: DetectorSpec
-                     ) -> tuple[float, float]:
-    """``(1 - p_s, p_s)`` of one window, ``p_s`` through ``expm1``."""
-    log_no_s = math.log1p(-spec_s.dark) + _log_pgf(params, 1.0 - spec_s.eta, 1.0)
-    return math.exp(log_no_s), -math.expm1(log_no_s)
-
-
-def _no_clicks(params: TwbParams, spec_s: DetectorSpec,
-               spec_i: DetectorSpec) -> tuple[float, float, float]:
-    """Chances of no signal click, no idler click and neither in one window."""
-    xs, yi = 1.0 - spec_s.eta, 1.0 - spec_i.eta
-    no_s = (1.0 - spec_s.dark) * _pgf(params, xs, 1.0)
-    no_i = (1.0 - spec_i.dark) * _pgf(params, 1.0, yi)
-    no_both = (1.0 - spec_s.dark) * (1.0 - spec_i.dark) * _pgf(params, xs, yi)
-    return no_s, no_i, no_both
+    An arm given as ``None`` is not watched.  From the log, ``1 - q`` is
+    ``-expm1(log q)``, accurate however small.
+    """
+    log_q, x, y = 0.0, 1.0, 1.0
+    if spec_s is not None:
+        log_q, x = math.log1p(-spec_s.dark), 1.0 - spec_s.eta
+    if spec_i is not None:
+        log_q, y = log_q + math.log1p(-spec_i.dark), 1.0 - spec_i.eta
+    return log_q + _log_pgf(params, x, y)
 
 
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
@@ -81,10 +75,9 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
     if pump_factor != 1.0:
         params = TwbParams(params.m_p, params.m_s, params.m_i,
                            params.b_p * pump_factor, params.b_s, params.b_i)
-    no_s, no_i, no_both = _no_clicks(params, spec_s, spec_i)
-    p_s, p_i = 1.0 - no_s, 1.0 - no_i
-    p11 = 1.0 - no_s - no_i + no_both
-    return p_s, p_i, p11
+    no_s, no_i, no_both = (math.exp(_log_no_click(params, *arms)) for arms in
+                           ((spec_s, None), (None, spec_i), (spec_s, spec_i)))
+    return 1.0 - no_s, 1.0 - no_i, 1.0 - no_s - no_i + no_both
 
 
 def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
@@ -151,8 +144,10 @@ def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
     (no_s - no_both) / no_s`` and ``1 - q0 = no_both / no_s`` come from the
     no-click probabilities, so none is a difference of numbers near 1.
     """
-    no_s, p_s = _no_signal_click(params, spec_s)
-    _, no_i, no_both = _no_clicks(params, spec_s, spec_i)
+    log_no_s = _log_no_click(params, spec_s, None)
+    no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
+    no_i, no_both = (math.exp(_log_no_click(params, *arms))
+                     for arms in ((None, spec_i), (spec_s, spec_i)))
     # a q of an impossible window outcome only meets rows of zero occupancy
     not_q1 = (no_i - no_both) / p_s if p_s > 0 else 1.0
     q0, not_q0 = ((no_s - no_both) / no_s, no_both / no_s) if no_s > 0 \
@@ -187,7 +182,8 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
 
     u1, l1, l2 = log_derivs(1.0)
     ux, l1x, l2x = log_derivs(x)
-    no_s, p_s = _no_signal_click(params, spec_s)
+    log_no_s = _log_no_click(params, spec_s, None)
+    no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
     h0 = no_s * np.array([1.0, l1x, l2x + l1x * l1x])
     # H1 = p_s G(1, y) + no_s (G(1, y) - G(x, y) / G(x, 1)); in the second
     # term l1 - l1x = m_p (u1 - ux) = m_p b_p (1 - x)(1 + b_p) /

@@ -31,6 +31,7 @@ S_ORDERED = "s_ordered"
 
 E_FAMILY = ("E001", "E101", "E111", "E211")
 M_FAMILY = ("M1001", "M001001")
+#: Single-arm identifiers, read off the signal arm (the table's first axis).
 L_FAMILY = ("L11", "L21", "L31", "L41")
 IDENTIFIERS = E_FAMILY + M_FAMILY + L_FAMILY
 
@@ -160,11 +161,7 @@ def to_s_ordered(m: MomentTable, s: float) -> MomentTable:
     return MomentTable(out, m.order, S_ORDERED, s, m.kind)
 
 
-def _axis_moment(m: MomentTable, arm: str, k: int) -> float:
-    return m[k, 0] if arm == "s" else m[0, k]
-
-
-def _identifier_terms(m: MomentTable, identifier: str, arm: str) -> list:
+def _identifier_terms(m: MomentTable, identifier: str) -> list:
     """Signed summands of one identifier (their absolute sum sets its scale)."""
     if identifier not in IDENTIFIERS:
         raise InvalidParameterError(f"unknown identifier {identifier!r}")
@@ -187,16 +184,15 @@ def _identifier_terms(m: MomentTable, identifier: str, arm: str) -> list:
                 -w[1, 1] ** 2, -w[2, 0] * w[0, 1] ** 2,
                 -w[1, 0] ** 2 * w[0, 2]]
     k = int(identifier[1])
-    return [_axis_moment(m, arm, k + 1),
-            -_axis_moment(m, arm, k) * _axis_moment(m, arm, 1)]
+    return [w[k + 1, 0], -w[k, 0] * w[1, 0]]
 
 
-def nci_value(m: MomentTable, identifier: str, arm: str = "s") -> float:
+def nci_value(m: MomentTable, identifier: str) -> float:
     """Evaluate one non-classicality identifier; negative flags non-classicality."""
-    return float(sum(_identifier_terms(m, identifier, arm)))
+    return float(sum(_identifier_terms(m, identifier)))
 
 
-def _noise_floor(m: MomentTable, identifier: str, arm: str) -> float:
+def _noise_floor(m: MomentTable, identifier: str) -> float:
     """Round-off magnitude of an identifier evaluated from table ``m``.
 
     Intensity moments are alternating Stirling sums of the raw counting
@@ -209,7 +205,7 @@ def _noise_floor(m: MomentTable, identifier: str, arm: str) -> float:
     raw = np.abs(from_intensity_moments(m).raw)
     unsigned = MomentTable(_transform_2d(raw, np.abs(stirling_first(m.order))),
                            m.order, NORMAL, 1.0, m.kind)
-    terms = _identifier_terms(unsigned, identifier, arm)
+    terms = _identifier_terms(unsigned, identifier)
     return 1e-13 * float(sum(abs(term) for term in terms))
 
 
@@ -235,7 +231,7 @@ class NcdResult:
 _S_RESOLUTION = 1e-6
 
 
-def ncd(m: MomentTable, identifier: str, arm: str = "s") -> NcdResult:
+def ncd(m: MomentTable, identifier: str) -> NcdResult:
     """Non-classicality depth of one identifier via threshold search in ``s``.
 
     The identifier value is scanned over 64 orderings with s in [-1, 1]; the
@@ -247,11 +243,11 @@ def ncd(m: MomentTable, identifier: str, arm: str = "s") -> NcdResult:
         raise DataError("depth search starts from normally-ordered moments")
 
     def value(s: float) -> float:
-        return nci_value(to_s_ordered(m, s), identifier, arm)
+        return nci_value(to_s_ordered(m, s), identifier)
 
     # a violation only counts if it clears the round-off floor of the
     # expression: structurally cancelled cases are classical
-    floor = _noise_floor(m, identifier, arm)
+    floor = _noise_floor(m, identifier)
     v1 = value(1.0)
     if not v1 < -floor:
         return NcdResult(identifier, 0.0, 1.0, False, v1, floor)

@@ -79,22 +79,22 @@ def default_w_max(d: JointDist, arm: str, s: float) -> float:
     return marg.mean() + 10.0 * np.sqrt(marg.var()) + 5.0 * (1.0 - s) + 3.0
 
 
-def quasi_distribution(p: JointDist, s: float, w_max_s: float | None = None,
-                       w_max_i: float | None = None,
+def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
                        steps: int = 256) -> IntensityGrid:
     """Evaluate the intensity quasi-distribution of ``p`` at ordering ``s``.
 
-    The grid defaults to ten standard deviations beyond each marginal mean.
-    A check recomputes it from a reduced photon support, keeping the relative
-    shift as ``edge_sensitivity`` (None once read from a file); disagreement
-    flags an under-truncated input or a too-singular ordering.
+    Both axes run to ``w_max``; without it, each axis reaches ten standard
+    deviations beyond its marginal mean.  A check recomputes the grid from a
+    reduced photon support, keeping the relative shift as
+    ``edge_sensitivity`` (None once read from a file); disagreement flags an
+    under-truncated input or a too-singular ordering.
     """
     if p.kind != PHOTON:
         raise InvalidParameterError("quasi-distribution needs photon numbers")
     if s >= 1:
         raise InvalidParameterError("ordering parameter must satisfy s < 1")
-    w_max_s = default_w_max(p, "s", s) if w_max_s is None else w_max_s
-    w_max_i = default_w_max(p, "i", s) if w_max_i is None else w_max_i
+    w_max_s = default_w_max(p, "s", s) if w_max is None else w_max
+    w_max_i = default_w_max(p, "i", s) if w_max is None else w_max
     ws = (np.arange(steps) + 0.5) * (w_max_s / steps)
     wi = (np.arange(steps) + 0.5) * (w_max_i / steps)
     n_s_max = p.table.shape[0] - 1

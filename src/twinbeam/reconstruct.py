@@ -31,7 +31,6 @@ class EmConfig:
 
     max_iters: int = 10_000
     tol: float = 1e-9
-    track_likelihood: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -42,6 +41,9 @@ class EmConfig:
 
 @dataclass
 class EmResult:
+    """How EM stopped; ``log_likelihood[k]`` is the mean data log-likelihood
+    of iterate ``k``, from the uniform start to the returned estimate."""
+
     converged: bool
     iterations: int
     final_change: float
@@ -72,7 +74,9 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
 
     EM runs from a uniform start.  Click rows and columns past the last
     observed count hold no data and leave the update untouched, so they are
-    cut off first.
+    cut off first.  An iteration that lowers the data log-likelihood by more
+    than round-off raises :class:`NumericError`, as EM cannot do so with
+    nonnegative detection matrices.
     """
     data = _as_table(f)
     ts = _block(t_s, data.shape[0], "signal")
@@ -88,19 +92,19 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
     # return and re-fault their pages on every pass.
     new, diff = np.empty_like(p), np.empty_like(p)
     observed = data > 0
-    history = []
+    weights = data[observed]
+    projected = ts @ p @ ti.T
+    history = [float(weights @ np.log(projected[observed]))]
     for it in range(1, cfg.max_iters + 1):
-        projected = ts @ p @ ti.T
         ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
         np.matmul(ts.T @ ratio, ti, out=new)
         new *= p
         change = float(np.abs(np.subtract(new, p, out=diff), out=diff).max())
         p, new = new, p
-        if cfg.track_likelihood:
-            ll = float(data[observed] @ np.log(projected[observed]))
-            if history and ll < history[-1] - 1e-10:
-                raise NumericError(f"log-likelihood decreased at iteration {it}")
-            history.append(ll)
+        projected = ts @ p @ ti.T
+        history.append(float(weights @ np.log(projected[observed])))
+        if history[-1] < history[-2] - 1e-10:
+            raise NumericError(f"log-likelihood decreased at iteration {it}")
         if change < cfg.tol:
             break
     # without a break, the last change is not below tol

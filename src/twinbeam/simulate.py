@@ -64,11 +64,11 @@ class ClickStream:
 
     @property
     def signal(self) -> np.ndarray:
-        return (self.codes & 1).astype(np.uint8)
+        return self.codes & 1
 
     @property
     def idler(self) -> np.ndarray:
-        return ((self.codes >> 1) & 1).astype(np.uint8)
+        return (self.codes >> 1) & 1
 
 
 def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,

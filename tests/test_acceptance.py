@@ -163,7 +163,7 @@ class TestCriterion4:
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
-        padded[:truth.shape[0], :truth.shape[1]] = truth.table
+        padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
         fwd = tb.JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0,
                            "photocount")
         cfg = tb.EmConfig(max_iters=10_000, tol=1e-9)
@@ -409,10 +409,9 @@ class TestCriterion10:
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
         f = compound_click_dist(params, spec_s, spec_i, n)
-        # track_likelihood raises on any decrease beyond round-off
+        # EM raises on any decrease beyond round-off
         _, res = tb.em_joint(f, t_s, t_i,
-                             tb.EmConfig(max_iters=2_000, tol=1e-14,
-                                         track_likelihood=True))
+                             tb.EmConfig(max_iters=2_000, tol=1e-14))
         diffs = np.diff(res.log_likelihood)
         ok = bool((diffs >= -1e-10).all())
         verdict("10b", "EM log-likelihood monotone", ok,

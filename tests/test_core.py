@@ -67,8 +67,8 @@ class TestJointTwb:
     def test_nominal_marginal_means(self, nominal):
         params, _, _ = nominal
         j = joint_twb(params)
-        assert j.mean("s") == pytest.approx(0.10265, abs=1e-10)
-        assert j.mean("i") == pytest.approx(0.10205, abs=1e-10)
+        assert j.marginal("s").mean() == pytest.approx(0.10265, abs=1e-10)
+        assert j.marginal("i").mean() == pytest.approx(0.10205, abs=1e-10)
 
     def test_no_pairs_gives_product_distribution(self):
         p = TwbParams(1, 2, 3, 0.0, 0.2, 0.1)
@@ -80,9 +80,9 @@ class TestJointTwb:
         # <dn_s dn_i> = m_p b_p (1 + b_p), via direct summation of the table
         params, _, _ = nominal
         j = joint_twb(params)
-        ns = np.arange(j.shape[0])
-        ni = np.arange(j.shape[1])
-        mean_s, mean_i = j.mean("s"), j.mean("i")
+        ns = np.arange(j.table.shape[0])
+        ni = np.arange(j.table.shape[1])
+        mean_s, mean_i = j.marginal("s").mean(), j.marginal("i").mean()
         cov = ns @ j.table @ ni - mean_s * mean_i
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
@@ -92,7 +92,7 @@ class TestConvolve:
     def test_identity_element(self):
         d = joint_twb(TwbParams(2, 2, 2, 0.1, 0.05, 0.02))
         out = convolve_joint(delta_joint(0, 0), d)
-        np.testing.assert_allclose(out.table[:d.shape[0], :d.shape[1]],
+        np.testing.assert_allclose(out.table[:d.table.shape[0], :d.table.shape[1]],
                                    d.table, atol=1e-15)
 
     def test_shift_composition(self):
@@ -136,7 +136,8 @@ class TestConvolve:
         d = joint_twb(TwbParams(3, 3, 3, 0.05, 0.001, 0.002))
         for n in (2, 5, 9):
             out = self_convolve(d, n)
-            assert out.mean("s") == pytest.approx(n * d.mean("s"), rel=1e-12)
+            assert out.marginal("s").mean() == pytest.approx(
+                n * d.marginal("s").mean(), rel=1e-12)
 
     def test_power_1d_matches_repeated(self):
         p = np.array([0.2, 0.5, 0.3])

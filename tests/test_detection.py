@@ -321,12 +321,12 @@ class TestConditional:
         params, spec_s, _ = nominal
         j = joint_twb(params)
         cond = conditional_photon_dist(j, spec_s, 0, 1)
-        assert cond.mean() < j.mean("i")
+        assert cond.mean() < j.marginal("i").mean()
 
     def test_two_window_enumeration(self, nominal):
         params, spec_s, _ = nominal
         j = joint_twb(params)
-        t = detection_matrix(spec_s, j.shape[0] - 1)
+        t = detection_matrix(spec_s, j.table.shape[0] - 1)
         w = [t.entries[c] @ j.table for c in (0, 1)]
         # patterns (1,0) and (0,1) contribute symmetrically
         brute = np.convolve(w[1], w[0]) + np.convolve(w[0], w[1])
@@ -337,7 +337,7 @@ class TestConditional:
     def test_total_probability_recovers_marginal(self, nominal):
         params, spec_s, _ = nominal
         j = joint_twb(params)
-        t = detection_matrix(spec_s, j.shape[0] - 1)
+        t = detection_matrix(spec_s, j.table.shape[0] - 1)
         w0 = t.entries[0] @ j.table
         s0 = w0.sum()
         n = 4
@@ -347,7 +347,7 @@ class TestConditional:
             weight = comb(n, c) * (1 - s0) ** c * s0 ** (n - c)
             contribution = weight * cond.probs
             if mix is None:
-                mix = np.zeros(4 * j.shape[1])
+                mix = np.zeros(4 * j.table.shape[1])
             mix[:len(contribution)] += contribution
         marginal = compound_photon_dist(params, n).marginal("i")
         np.testing.assert_allclose(mix[:len(marginal.probs)], marginal.probs,

@@ -92,11 +92,10 @@ class TestFormats:
         with pytest.raises(DataError, match="truncated"):
             tbio.read_clicks(path)
 
-    @pytest.mark.parametrize("payload", ["f64", "csv"])
-    def test_jdist_round_trip(self, tmp_path, nominal, payload):
+    def test_jdist_round_trip(self, tmp_path, nominal):
         d = window_click_dist(*nominal)
         path = str(tmp_path / "d.jdist")
-        tbio.write_jdist(d, path, payload=payload)
+        tbio.write_jdist(d, path)
         back = tbio.read_jdist(path)
         assert np.array_equal(back.table, d.table)
         assert back.kind == d.kind
@@ -115,7 +114,7 @@ class TestFormats:
         assert back.policy == h.policy
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(fmt=st.sampled_from(["jdist-f64", "jdist-csv", "jhist"]),
+    @given(fmt=st.sampled_from(["jdist", "jhist"]),
            data=st.data())
     def test_damaged_containers_raise_data_errors(self, valid_containers,
                                                   tmp_path_factory, fmt, data):
@@ -150,16 +149,13 @@ class TestFormats:
 
 @pytest.fixture(scope="module")
 def valid_containers(tmp_path_factory, nominal):
-    """Bytes of a small valid jdist (both payloads) and jhist."""
+    """Bytes of a small valid jdist and jhist."""
     tmp = tmp_path_factory.mktemp("containers")
     hist = JointHistogram(np.array([[4, 1], [2, 3]]), 10,
                           GroupingPolicy(1, "disjoint"))
     tbio.write_jhist(hist, str(tmp / "jhist"))
-    for payload in ("f64", "csv"):
-        tbio.write_jdist(window_click_dist(*nominal), str(tmp / payload),
-                         payload=payload)
-    return {fmt: (tmp / name).read_bytes() for fmt, name in
-            (("jhist", "jhist"), ("jdist-f64", "f64"), ("jdist-csv", "csv"))}
+    tbio.write_jdist(window_click_dist(*nominal), str(tmp / "jdist"))
+    return {fmt: (tmp / fmt).read_bytes() for fmt in ("jdist", "jhist")}
 
 
 class TestCli:
@@ -253,8 +249,8 @@ class TestCli:
                         "--dark-i", "3.8e-3", "--max-iters", "30",
                         "--out", dist, *extra) == 0
         manifest = json.loads(open(dist + ".manifest.json").read())
-        return (hist, tbio.read_jdist(dist), manifest["diagnostics"],
-                capsys.readouterr().out)
+        return (tbio.read_jhist(path), tbio.read_jdist(dist),
+                manifest["diagnostics"], capsys.readouterr().out)
 
     def test_reconstruct_sizes_support_to_the_clicks(self, tmp_path, capsys,
                                                      nominal):
@@ -273,13 +269,27 @@ class TestCli:
         assert edge_mass == pytest.approx(
             dist.table[edge[:, None] | edge[None, :]].sum(), rel=1e-12, abs=0)
         assert 0 <= edge_mass <= 1
+        # the mean data log-likelihood of the written estimate, recomputed
+        # from the two files as the benchmark's check does
+        loglik = diag.pop("log_likelihood")
+        t_s, t_i = (detection.detection_matrix(
+            detection.DetectorSpec(eta, dark, hist.policy.n),
+            n_max).entries[:len(hist.counts)]
+            for eta, dark in ((0.282, 2.8e-3), (0.330, 3.8e-3)))
+        data = hist.counts / hist.counts.sum()
+        observed = data > 0
+        projected = t_s @ dist.table @ t_i.T
+        assert loglik == pytest.approx(
+            float(data[observed] @ np.log(projected[observed])),
+            rel=0, abs=1e-12)
         assert diag == {"c_max": c_max, "n_max": n_max, "converged": False,
                         "iterations": 30}
         assert dist.table.shape == (n_max + 1, n_max + 1)
         assert n_max < int(np.ceil(3 * (1000 + 5) / 0.282))
         assert out.split() == [
             f"c_max={c_max}", f"n_max={n_max}", "converged=False",
-            "iterations=30", f"final_change={final_change:.3e}"]
+            "iterations=30", f"final_change={final_change:.3e}",
+            f"log_likelihood={loglik:.10f}"]
 
     def test_explicit_n_max_wins(self, tmp_path, capsys, nominal):
         _, dist, diag, _ = self.reconstruct_thousand(tmp_path, capsys, nominal,
@@ -461,6 +471,50 @@ def test_package_names_each_public_function():
     assert unnamed == sorted(LIBRARY_ENTRY_POINTS)
 
 
+#: Defaulted parameters that no call of the package sets, and why each stays.
+UNSET_DEFAULTS = {
+    "main.argv": "the console script reads sys.argv; tests pass an argv",
+    "effective_efficiency.subtract_dark": "dark-count subtraction on a "
+                                          "measured histogram (Criterion 5a)",
+    "optimal_postselection.min_events": "the library entry point's "
+                                        "eligibility floor (Criterion 7)",
+}
+
+
+def _sets(call: ast.Call, position: int, name: str) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``."""
+    return (len(call.args) > position
+            or any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg in (name, None) for kw in call.keywords))
+
+
+def test_every_default_is_set_by_a_package_call():
+    # a default that every call of the package leaves alone is a setting
+    # with one value in use: a constant, or a value to take from the input
+    trees = [ast.parse(path.read_text())
+             for path in Path(SRC, "twinbeam").glob("*.py")]
+    methods = {id(func) for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) for func in node.body}
+    calls = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    unset = []
+    for func in (node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)):
+        params = func.args.posonlyargs + func.args.args
+        # a method's first parameter is its instance, bound before the call
+        shift = 1 if id(func) in methods else 0
+        defaulted = [(i - shift, p.arg) for i, p in enumerate(params)
+                     if i >= len(params) - len(func.args.defaults)]
+        defaulted += [(math.inf, p.arg) for p, d in
+                      zip(func.args.kwonlyargs, func.args.kw_defaults) if d]
+        for position, name in defaulted:
+            if not any(_sets(call, position, name) for call in calls
+                       if func.name in (getattr(call.func, "id", None),
+                                        getattr(call.func, "attr", None))):
+                unset.append(f"{func.name}.{name}")
+    assert sorted(unset) == sorted(UNSET_DEFAULTS)
+
+
 def test_manifest_times_its_own_process(tmp_path):
     out = str(tmp_path / "s.clicks")
     start = time.perf_counter()
@@ -588,6 +642,9 @@ BAD_INPUTS = {
     "jdist-mass-off": (
         ["ncd", "--dist", "{jdist_mass}", "--out", "{tmp}/r.json"],
         3, "sum to 0.8"),
+    "jdist-payload-csv": (
+        ["ncd", "--dist", "{jdist_payload}", "--out", "{tmp}/r.json"],
+        3, "bad payload: 'csv'"),
 }
 
 
@@ -660,6 +717,7 @@ def bad_input_files(tmp_path, nominal):
             ("jdist_tail_mass", "jdist-v1", jdist, {"tail_mass": "x"}),
             ("jdist_dims", "jdist-v1", jdist, {"dims": 5}),
             ("jdist_kind", "jdist-v1", jdist, {"kind": 3}),
+            ("jdist_payload", "jdist-v1", jdist, {"payload": "csv"}),
             ("hist_dims", "jhist-v1", hist, {"dims": 5}),
             ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
             ("hist_mode", "jhist-v1", hist, {"mode": 5}),

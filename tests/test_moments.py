@@ -169,7 +169,8 @@ class TestNci:
     def test_noiseless_pairing_e001(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.3, 0.0, 0.0))
         w = to_intensity_moments(moments(p, 2))
-        assert nci_value(w, "E001") == pytest.approx(-2 * p.mean("s"), rel=1e-9)
+        assert nci_value(w, "E001") == pytest.approx(-2 * p.marginal("s").mean(),
+                                                rel=1e-9)
 
     def test_product_poisson_m1001_vanishes(self):
         from scipy.stats import poisson
@@ -183,7 +184,7 @@ class TestNci:
         p = MarginalDist(poisson.pmf(np.arange(60), 0.8), 0.0, PHOTON)
         w = to_intensity_moments(moments(p, 5))
         for ident in ("L11", "L21", "L31", "L41"):
-            assert nci_value(w, ident, arm="s") == pytest.approx(0.0, abs=1e-12)
+            assert nci_value(w, ident) == pytest.approx(0.0, abs=1e-12)
 
     def test_raw_flavor_rejected(self, nominal):
         params, _, _ = nominal
@@ -260,8 +261,8 @@ class TestNcd:
         w = to_intensity_moments(moments(cond, 5))
         taus = []
         for ident in ("L11", "L21", "L31", "L41"):
-            assert nci_value(w, ident, arm="s") < 0
-            r = ncd(w, ident, arm="s")
+            assert nci_value(w, ident) < 0
+            r = ncd(w, ident)
             assert r.nonclassical and 0 < r.tau <= 0.5 + 1e-6
             taus.append(r.tau)
         assert taus == sorted(taus, reverse=True)

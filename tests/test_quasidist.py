@@ -56,11 +56,11 @@ class TestQuasiDistribution:
 
     def test_symmetric_input_symmetric_output(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.2, 0.01, 0.01))
-        square = np.zeros((max(p.shape),) * 2)
-        square[:p.shape[0], :p.shape[1]] = p.table
+        square = np.zeros((max(p.table.shape),) * 2)
+        square[:p.table.shape[0], :p.table.shape[1]] = p.table
         sym = 0.5 * (square + square.T)
         g = quasi_distribution(JointDist(sym / sym.sum(), 0.0, PHOTON), 0.0,
-                               w_max_s=4.0, w_max_i=4.0, steps=128)
+                               w_max=4.0, steps=128)
         np.testing.assert_allclose(g.values, g.values.T, atol=1e-12)
 
     def test_antinormal_side_is_nonnegative(self, nominal):
