@@ -12,7 +12,7 @@ from .moments import (MomentTable, NcdResult, fano_nrp_cov,
                       from_intensity_moments, moments, ncd, nci_value,
                       to_intensity_moments, to_s_ordered)
 from .quasidist import IntensityGrid, grid_normalization, quasi_distribution
-from .reconstruct import EmConfig, EmResult, em_joint
+from .reconstruct import MlResult, ml_joint
 from .simulate import ClickStream, PumpCorrelation, sample_stream
 
 __version__ = "0.1.0"

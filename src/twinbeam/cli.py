@@ -33,7 +33,7 @@ from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov,
                       from_intensity_moments, moments, ncd,
                       to_intensity_moments)
 from .quasidist import grid_normalization, quasi_distribution
-from .reconstruct import EmConfig, em_joint
+from .reconstruct import ml_joint
 from .simulate import PumpCorrelation, _schedule, sample_stream
 
 DEFAULT_GROUPS = (1, 2, 3, 5, 10, 20, 30, 50, 70, 100, 200, 300, 500, 700, 1000)
@@ -152,7 +152,6 @@ def _cmd_analyze(args) -> None:
 def _cmd_reconstruct(args) -> None:
     hist = tbio.read_jhist(args.hist)
     n = hist.policy.n
-    cfg = EmConfig(max_iters=args.max_iters, tol=args.tol)
     spec_s = DetectorSpec(args.eta_s, args.dark_s, n)
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
     clicks = np.nonzero(hist.counts)
@@ -164,21 +163,23 @@ def _cmd_reconstruct(args) -> None:
             "pass a smaller --n-max")
     t_s = detection_matrix(spec_s, n_max)
     t_i = detection_matrix(spec_i, n_max)
-    dist, result = em_joint(hist, t_s, t_i, cfg)
+    dist, result = ml_joint(hist, t_s, t_i, args.tol, args.max_iters)
     tbio.write_jdist(dist, args.out)
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
     _write_manifest(args.out, args, [args.hist], {
-        "c_max": c_max, "n_max": n_max, "converged": result.converged,
-        "iterations": result.iterations, "final_change": result.final_change,
-        "log_likelihood": result.log_likelihood[-1],
+        "c_max": c_max, "n_max": n_max, "observed_cells": result.observed_cells,
+        "converged": result.converged, "newton_steps": result.newton_steps,
+        "lindsay_bound": result.lindsay_bound,
+        "log_likelihood": result.log_likelihood,
         "column_sum_error": {"signal": t_s.column_sum_error(),
                              "idler": t_i.column_sum_error()},
         "edge_mass": float(dist.table[edge:].sum()
                            + dist.table[:edge, edge:].sum())})
-    print(f"c_max={c_max} n_max={n_max} converged={result.converged} "
-          f"iterations={result.iterations} "
-          f"final_change={result.final_change:.3e} "
-          f"log_likelihood={result.log_likelihood[-1]:.10f}")
+    print(f"c_max={c_max} n_max={n_max} "
+          f"observed_cells={result.observed_cells} "
+          f"converged={result.converged} newton_steps={result.newton_steps} "
+          f"lindsay_bound={result.lindsay_bound:.3e} "
+          f"log_likelihood={result.log_likelihood:.10f}")
 
 
 def _cmd_ncd(args) -> None:
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
     rec.add_argument("--tol", type=_positive, default=1e-9)
-    rec.add_argument("--max-iters", type=_count, default=10_000)
+    rec.add_argument("--max-iters", type=_count, default=200)
     rec.add_argument("--n-max", type=_count)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)

@@ -62,9 +62,11 @@ HEADER_RULES = {
                  "payload": lambda v: v == "f64"},
     "jhist-v1": {"dims": _is_dims, "n_groups": _is_int,
                  "group_n": lambda v: _is_int(v, 1),
-                 "mode": lambda v: v in (SLIDING, DISJOINT)},
+                 "mode": lambda v: v in (SLIDING, DISJOINT),
+                 "payload": lambda v: v == "csv"},
     "igrid-v1": {"dims": _is_dims, "w_max_s": _is_finite,
-                 "w_max_i": _is_finite, "s": _is_finite},
+                 "w_max_i": _is_finite, "s": _is_finite,
+                 "payload": lambda v: v == "f64"},
 }
 
 

@@ -1,15 +1,38 @@
-"""Maximum-likelihood reconstruction of photon statistics from photocounts.
+"""Certified maximum-likelihood reconstruction of photon statistics.
 
-The estimate is driven to the maximum-likelihood solution by the
-expectation-maximization iteration
+The estimate maximizes the mean data log-likelihood of the normalized
+histogram ``f`` over photon-number tables ``p >= 0``,
 
-    F(c_s, c_i)   = f(c_s, c_i) / sum_{n} T_s(c_s, n_s) T_i(c_i, n_i) p(n_s, n_i)
-    p(n_s, n_i) <- p(n_s, n_i) * sum_{c} F(c_s, c_i) T_s(c_s, n_s) T_i(c_i, n_i)
+    L(p) = sum_j f_j log (A p)_j,
+    A[(c_s, c_i), (n_s, n_i)] = T_s(c_s, n_s) T_i(c_i, n_i),
 
-i.e. the measured histogram is compared with the forward projection of the
-current estimate and the ratio is projected back through the detection
-matrices.  Because the matrices are column-stochastic, every iterate is a
-probability distribution, and the data log-likelihood never decreases.
+where ``j`` runs over the J observed click cells only.  This is the
+Kiefer-Wolfowitz mixture likelihood, which the paper maximizes by
+expectation-maximization.  Its convex dual has its variables in the
+observed cells alone (Koenker & Mizera, JASA 109, 674 (2014)):
+
+    min  -sum_j f_j log nu_j   subject to   A^T nu <= 1,
+
+with the slack ``z = 1 - A^T nu`` and ``p`` the multipliers of the
+constraint; at the optimum ``(A p)_j = f_j / nu_j`` and ``sum p = 1``.
+Mehrotra's predictor-corrector interior-point method (SIAM J. Optim. 2, 575
+(1992)) solves it from EM's uniform start, with separate primal and dual
+step lengths.  Each Newton step solves the J x J system
+
+    (A D A^T + diag(A p / nu)) d_nu = r,    D = p / z,
+
+for the predictor and then the corrector.  The matrix is formed through the
+Kronecker structure of ``A`` (``A`` itself is never built) and scaled to a
+unit diagonal.  numpy has no triangular solve that would let both solves
+share one factor, and an explicit inverse loses the last digits that the
+certificate needs, so each is an LU solve; at the hundred-odd cells of a
+histogram both take well under a millisecond.
+
+The estimate is the normalized ``p``.  Lindsay's bound
+``log max_k (A^T (f / A p))_k`` (Ann. Stat. 11, 86 (1983)) limits the
+log-likelihood that any table can still gain over it.  The solver stops at
+the first step that brings the bound below ``tol``, so ``converged`` means
+exactly that the estimate is certified within ``tol``.
 """
 
 from __future__ import annotations
@@ -24,30 +47,22 @@ from .errors import (DataError, InvalidParameterError, KindMismatchError,
                      NumericError)
 from .ingest import JointHistogram
 
-
-@dataclass(frozen=True)
-class EmConfig:
-    """Stopping rule of a reconstruction (the matrices fix the photon support)."""
-
-    max_iters: int = 10_000
-    tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidParameterError("tol must be > 0")
-        if self.max_iters < 1:
-            raise InvalidParameterError("max_iters must be >= 1")
+#: Fraction of the way to the boundary that a step may go; at 0.99 some
+#: histograms stall before the bound is certified.
+TO_BOUNDARY = 0.9
 
 
 @dataclass
-class EmResult:
-    """How EM stopped; ``log_likelihood[k]`` is the mean data log-likelihood
-    of iterate ``k``, from the uniform start to the returned estimate."""
+class MlResult:
+    """How the solve stopped.  ``log_likelihood`` is the mean data
+    log-likelihood of the returned estimate and ``lindsay_bound`` the most
+    any table can still gain over it."""
 
     converged: bool
-    iterations: int
-    final_change: float
-    log_likelihood: list
+    newton_steps: int
+    lindsay_bound: float
+    log_likelihood: float
+    observed_cells: int
 
 
 def _as_table(f) -> np.ndarray:
@@ -68,45 +83,113 @@ def _block(t: DetectionMatrix, c_dim: int, label: str) -> np.ndarray:
     return t.entries[:c_dim]
 
 
-def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
-             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
+def _step(x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest step in (0, 1] along ``dx`` that keeps ``x`` nonnegative."""
+    shrink = float((-dx / x).max())
+    return 1.0 if shrink <= 1.0 else 1.0 / shrink
+
+
+def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
+             max_steps: int = 200) -> tuple[JointDist, MlResult]:
     """Reconstruct a joint photon-number distribution from photocounts.
 
-    EM runs from a uniform start.  Click rows and columns past the last
-    observed count hold no data and leave the update untouched, so they are
-    cut off first.  An iteration that lowers the data log-likelihood by more
-    than round-off raises :class:`NumericError`, as EM cannot do so with
-    nonnegative detection matrices.
+    Only the observed click cells enter; the photon support is that of the
+    detection matrices.  At most ``max_steps`` Newton steps are taken.
     """
+    if not tol > 0:
+        raise InvalidParameterError("tol must be > 0")
+    if max_steps < 1:
+        raise InvalidParameterError("max_steps must be >= 1")
     data = _as_table(f)
     ts = _block(t_s, data.shape[0], "signal")
     ti = _block(t_i, data.shape[1], "idler")
+    if ts.min() < 0 or ti.min() < 0:
+        raise NumericError("a detection matrix has negative entries")
     rows, cols = np.nonzero(data > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
-    data = data[:rows.max() + 1, :cols.max() + 1]
-    ts, ti = ts[:data.shape[0]], ti[:data.shape[1]]
-    p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
-    # Full-size tables are updated in two preallocated buffers: fresh
-    # temporaries of a few hundred kB per iteration make the allocator
-    # return and re-fault their pages on every pass.
-    new, diff = np.empty_like(p), np.empty_like(p)
-    observed = data > 0
-    weights = data[observed]
-    projected = ts @ p @ ti.T
-    history = [float(weights @ np.log(projected[observed]))]
-    for it in range(1, cfg.max_iters + 1):
-        ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
-        np.matmul(ts.T @ ratio, ti, out=new)
-        new *= p
-        change = float(np.abs(np.subtract(new, p, out=diff), out=diff).max())
-        p, new = new, p
-        projected = ts @ p @ ti.T
-        history.append(float(weights @ np.log(projected[observed])))
-        if history[-1] < history[-2] - 1e-10:
-            raise NumericError(f"log-likelihood decreased at iteration {it}")
-        if change < cfg.tol:
+    weights = data[rows, cols]
+    # the distinct observed click values of each arm, and each cell's index
+    # among them: A's rows are the products S[a_j] x I[b_j]
+    rows_s, a = np.unique(rows, return_inverse=True)
+    rows_i, b = np.unique(cols, return_inverse=True)
+    s, i = ts[rows_s], ti[rows_i]
+    ks, ki = len(rows_s), len(rows_i)
+    # A D A^T at cells (j, k) is (P D Q^T)[(a_j, a_k), (b_j, b_k)], with
+    # P[(a, a'), m] = S[a, m] S[a', m] and Q the same for the idler
+    pp = (s[:, None, :] * s[None, :, :]).reshape(ks * ks, -1)
+    qq = (i[:, None, :] * i[None, :, :]).reshape(ki * ki, -1)
+    pair_s = a[:, None] * ks + a[None, :]
+    pair_i = b[:, None] * ki + b[None, :]
+    diag = np.arange(rows.size)
+    grid = np.zeros((ks, ki))
+
+    def forward(p):                 # A p
+        return (s @ p @ i.T)[a, b]
+
+    def back(v):                    # A^T v
+        grid[a, b] = v
+        return s.T @ grid @ i
+
+    # EM's uniform start, and the dual point of its ratios f / A p scaled
+    # to leave a slack of at least 1/2
+    p = np.full((s.shape[1], i.shape[1]), 1.0 / (s.shape[1] * i.shape[1]))
+    fitted = forward(p)
+    if fitted.min() <= 0:
+        raise DataError(f"{np.count_nonzero(fitted <= 0)} observed click cells "
+                        "have zero probability on this photon support")
+    nu = weights / fitted
+    nu *= 0.5 / back(nu).max()
+    z = 1.0 - back(nu)
+    best = (np.inf, None, None)     # bound, estimate, A estimate
+    for step in range(1, max_steps + 1):
+        fitted = forward(p)
+        r_dual = fitted - weights / nu
+        r_primal = back(nu) + z - 1.0
+        d = p / z
+        # the log term enters in primal-dual form, nu (A p) = f, whose
+        # diagonal (A p) / nu equals f / nu^2 at the optimum but keeps far
+        # cells from blocking the step; the symmetric scaling keeps cells
+        # whose weights span many decades apart in the solve
+        h = (pp @ d @ qq.T)[pair_s, pair_i]
+        h[diag, diag] += fitted / nu
+        scale = 1.0 / np.sqrt(h[diag, diag])
+        h *= scale[:, None] * scale
+
+        def direction(r_comp):
+            rhs = forward(r_comp / z - d * r_primal) - r_dual
+            try:
+                d_nu = scale * np.linalg.solve(h, scale * rhs)
+            except np.linalg.LinAlgError:
+                raise NumericError(f"singular Newton system at step {step}") \
+                    from None
+            d_z = -r_primal - back(d_nu)
+            return d_nu, d_z, -(r_comp + p * d_z) / z
+
+        # predictor: the affine-scaling direction
+        pz = p * z
+        mu = pz.mean()
+        d_nu, d_z, d_p = direction(pz)
+        a_primal = min(_step(nu, d_nu), _step(z, d_z))
+        a_dual = _step(p, d_p)
+        mu_aff = ((p + a_dual * d_p) * (z + a_primal * d_z)).mean()
+        sigma = (mu_aff / mu) ** 3
+        # corrector: the second-order term and centring
+        d_nu, d_z, d_p = direction(pz + d_p * d_z - sigma * mu)
+        a_primal = min(1.0, TO_BOUNDARY * min(_step(nu, d_nu), _step(z, d_z)))
+        a_dual = min(1.0, TO_BOUNDARY * _step(p, d_p))
+        nu += a_primal * d_nu
+        z += a_primal * d_z
+        p += a_dual * d_p
+        estimate = p / p.sum()      # p > 0: steps stop short of the boundary
+        projected = forward(estimate)
+        bound = float(np.log(back(weights / projected).max()))
+        if bound < best[0]:
+            best = (bound, estimate, projected)
+        if bound < tol:
             break
-    # without a break, the last change is not below tol
-    return JointDist(p, 0.0, PHOTON), EmResult(change < cfg.tol, it, change,
-                                                history)
+    bound, estimate, projected = best
+    if estimate is None:
+        raise NumericError("the interior-point solve gave no finite bound")
+    return JointDist(estimate, 0.0, PHOTON), MlResult(
+        bound < tol, step, bound, float(weights @ np.log(projected)), rows.size)

@@ -31,13 +31,17 @@ another way:
   with each grid column's power of two kept apart);
 * Riemann-sum intensity moments of a quasi-distribution grid.
 
-It also keeps the analyses that only the tests run: the one-dimensional
-reconstruction of the idler photocounts heralded by one signal column (the
-joint EM with a single idler column), and the window-shift correlation of a
-click stream with its moving average, which shows the pump drift's plateau.
+It also keeps the paper's reconstruction algorithm, expectation-maximization
+of the joint photon-number distribution, against whose likelihood the
+package's certified interior-point solve is held, and the analyses that
+only the tests run: the one-dimensional reconstruction of the idler
+photocounts heralded by one signal column (the joint EM with a single idler
+column), and the window-shift correlation of a click stream with its moving
+average, which shows the pump drift's plateau.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
@@ -48,11 +52,12 @@ from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
 from twinbeam.detection import (DetectionMatrix, DetectorSpec,
                                 _log_factorials, detection_matrix)
 from twinbeam.errors import (DataError, InvalidParameterError,
-                             KindMismatchError, StreamTooShortError)
+                             KindMismatchError, NumericError,
+                             StreamTooShortError)
 from twinbeam.ingest import JointHistogram
 from twinbeam.moments import MomentTable, moments, to_intensity_moments
 from twinbeam.quasidist import IntensityGrid
-from twinbeam.reconstruct import EmConfig, EmResult, em_joint
+from twinbeam.reconstruct import _as_table, _block
 from twinbeam.simulate import ClickStream
 
 
@@ -386,6 +391,74 @@ def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:
                                   - n * beta * beta * prev) / (n + 1)
                 out[n + 1, gi] = float(cur)
     return out
+
+
+@dataclass(frozen=True)
+class EmConfig:
+    """Stopping rule of an EM reconstruction (the matrices fix the support)."""
+
+    max_iters: int = 10_000
+    tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise InvalidParameterError("tol must be > 0")
+        if self.max_iters < 1:
+            raise InvalidParameterError("max_iters must be >= 1")
+
+
+@dataclass
+class EmResult:
+    """How EM stopped; ``log_likelihood[k]`` is the mean data log-likelihood
+    of iterate ``k``, from the uniform start to the returned estimate."""
+
+    converged: bool
+    iterations: int
+    final_change: float
+    log_likelihood: list
+
+
+def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
+             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
+    """Expectation-maximization reconstruction of the joint photon numbers.
+
+    The iteration of the paper,
+
+        F(c_s, c_i)   = f(c_s, c_i) / sum_n T_s(c_s, n_s) T_i(c_i, n_i) p(n_s, n_i)
+        p(n_s, n_i) <- p(n_s, n_i) sum_c F(c_s, c_i) T_s(c_s, n_s) T_i(c_i, n_i),
+
+    from a uniform start, until no cell moves by ``cfg.tol``.  Click rows
+    and columns past the last observed count hold no data and are cut off
+    first.  An iteration that lowers the data log-likelihood by more than
+    round-off raises :class:`NumericError`, as EM cannot do so with
+    nonnegative detection matrices.
+    """
+    data = _as_table(f)
+    ts = _block(t_s, data.shape[0], "signal")
+    ti = _block(t_i, data.shape[1], "idler")
+    rows, cols = np.nonzero(data > 0)
+    if rows.size == 0:
+        raise DataError("no observed counts to reconstruct from")
+    data = data[:rows.max() + 1, :cols.max() + 1]
+    ts, ti = ts[:data.shape[0]], ti[:data.shape[1]]
+    p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
+    observed = data > 0
+    weights = data[observed]
+    projected = ts @ p @ ti.T
+    history = [float(weights @ np.log(projected[observed]))]
+    for it in range(1, cfg.max_iters + 1):
+        ratio = np.where(observed, data / np.where(observed, projected, 1.0), 0.0)
+        new = (ts.T @ ratio @ ti) * p
+        change = float(np.abs(new - p).max())
+        p = new
+        projected = ts @ p @ ti.T
+        history.append(float(weights @ np.log(projected[observed])))
+        if history[-1] < history[-2] - 1e-10:
+            raise NumericError(f"log-likelihood decreased at iteration {it}")
+        if change < cfg.tol:
+            break
+    return JointDist(p, 0.0, PHOTON), EmResult(change < cfg.tol, it, change,
+                                                history)
 
 
 def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,

@@ -15,8 +15,9 @@ import pytest
 from scipy import stats
 
 import twinbeam as tb
-from oracles import (compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist, grid_moments, window_click_dist)
+from oracles import (EmConfig, compound_click_dist, compound_photon_dist,
+                     conditional_photon_dist, em_joint, grid_moments,
+                     window_click_dist)
 from twinbeam import models
 
 SEED_K0 = 20_260_810
@@ -166,16 +167,16 @@ class TestCriterion4:
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
         fwd = tb.JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0,
                            "photocount")
-        cfg = tb.EmConfig(max_iters=10_000, tol=1e-9)
-        est, _ = tb.em_joint(fwd, t_s, t_i, cfg)
+        est, res = tb.ml_joint(fwd, t_s, t_i)
         tv = 0.5 * np.abs(est.table - padded).sum()
 
         fc = compound_click_dist(params, spec_s, spec_i, n)
-        est2, _ = tb.em_joint(fc, t_s, t_i, cfg)
+        est2, _ = tb.ml_joint(fc, t_s, t_i)
         stats2 = tb.fano_nrp_cov(tb.moments(est2, 2))
         ok = tv <= 0.01 and stats2["nrp"] <= 0.05 and stats2["covariance"] >= 0.95
-        verdict("4", "EM reconstruction", ok,
-                f"TV={tv:.4f}, reconstructed R_n={stats2['nrp']:.4f}, "
+        verdict("4", "maximum-likelihood reconstruction", ok,
+                f"TV={tv:.4f} (Lindsay bound {res.lindsay_bound:.1e}), "
+                f"reconstructed R_n={stats2['nrp']:.4f}, "
                 f"C_n={stats2['covariance']:.4f}")
         assert tv <= 0.01
         assert stats2["nrp"] <= 0.05
@@ -410,8 +411,7 @@ class TestCriterion10:
                                   n_max)
         f = compound_click_dist(params, spec_s, spec_i, n)
         # EM raises on any decrease beyond round-off
-        _, res = tb.em_joint(f, t_s, t_i,
-                             tb.EmConfig(max_iters=2_000, tol=1e-14))
+        _, res = em_joint(f, t_s, t_i, EmConfig(max_iters=2_000, tol=1e-14))
         diffs = np.diff(res.log_likelihood)
         ok = bool((diffs >= -1e-10).all())
         verdict("10b", "EM log-likelihood monotone", ok,

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (ClickStream, GroupingPolicy, JointDist, JointHistogram,
-                      PumpCorrelation, group_histogram, quasi_distribution,
-                      sample_stream)
+from twinbeam import (ClickStream, GroupingPolicy, IntensityGrid, JointDist,
+                      JointHistogram, PumpCorrelation, group_histogram,
+                      quasi_distribution, sample_stream)
 from oracles import (compound_click_moments_by_table, compound_photon_dist,
                      window_click_dist)
 from twinbeam import core, detection, models
@@ -113,8 +113,8 @@ class TestFormats:
         assert back.n_groups == h.n_groups
         assert back.policy == h.policy
 
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(fmt=st.sampled_from(["jdist", "jhist"]),
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(fmt=st.sampled_from(["jdist", "jhist", "igrid", "clicks"]),
            data=st.data())
     def test_damaged_containers_raise_data_errors(self, valid_containers,
                                                   tmp_path_factory, fmt, data):
@@ -131,11 +131,25 @@ class TestFormats:
                 blob[pos] ^= mask
         path = tmp_path_factory.getbasetemp() / "damaged"
         path.write_bytes(blob)
-        reader = tbio.read_jhist if fmt == "jhist" else tbio.read_jdist
+        # a clicks file keeps its sidecar intact
+        (tmp_path_factory.getbasetemp() / "damaged.json").write_bytes(
+            valid_containers["clicks.json"])
+        reader = {"jdist": tbio.read_jdist, "jhist": tbio.read_jhist,
+                  "igrid": tbio.read_igrid, "clicks": tbio.read_clicks}[fmt]
         try:
             reader(str(path))
         except DataError:
             pass
+
+    def test_igrid_payload_other_than_f64_is_data_error(self, tmp_path,
+                                                        valid_containers):
+        # no command reads an igrid, so this is the library's reader alone
+        header, body = tbio._unpack("igrid-v1", valid_containers["igrid"])
+        path = tmp_path / "csv.igrid"
+        path.write_bytes(tbio._pack("igrid-v1", {**header, "payload": "csv"},
+                                    body))
+        with pytest.raises(DataError, match="bad payload: 'csv'"):
+            tbio.read_igrid(str(path))
 
     def test_igrid_round_trip(self, tmp_path):
         vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
@@ -149,13 +163,21 @@ class TestFormats:
 
 @pytest.fixture(scope="module")
 def valid_containers(tmp_path_factory, nominal):
-    """Bytes of a small valid jdist and jhist."""
+    """Bytes of a small valid jdist, jhist, igrid and clicks file, and the
+    clicks file's sidecar."""
     tmp = tmp_path_factory.mktemp("containers")
     hist = JointHistogram(np.array([[4, 1], [2, 3]]), 10,
                           GroupingPolicy(1, "disjoint"))
     tbio.write_jhist(hist, str(tmp / "jhist"))
     tbio.write_jdist(window_click_dist(*nominal), str(tmp / "jdist"))
-    return {fmt: (tmp / fmt).read_bytes() for fmt in ("jdist", "jhist")}
+    tbio.write_igrid(IntensityGrid(np.arange(6.0).reshape(2, 3), 2.0, 3.0,
+                                   -0.5), str(tmp / "igrid"))
+    tbio.write_clicks(sample_stream(*nominal, PumpCorrelation(0.0, 100), 40,
+                                    seed=2), str(tmp / "clicks"))
+    blobs = {fmt: (tmp / fmt).read_bytes()
+             for fmt in ("jdist", "jhist", "igrid", "clicks")}
+    blobs["clicks.json"] = (tmp / "clicks.json").read_bytes()
+    return blobs
 
 
 class TestCli:
@@ -259,8 +281,11 @@ class TestCli:
         rows, cols = np.nonzero(hist.counts)
         c_max = int(max(rows.max(), cols.max()))
         n_max = detection.default_n_max(c_max, 0.282, 1000)
-        final_change = diag.pop("final_change")
-        assert isinstance(final_change, float)
+        # the solve is certified: no table is more likely by the tolerance
+        bound = diag.pop("lindsay_bound")
+        assert 0 <= bound < 1e-9
+        steps = diag.pop("newton_steps")
+        assert 1 <= steps <= 30
         assert max(diag.pop("column_sum_error").values()) <= \
             detection.COLUMN_SUM_TOL
         # the mass on the last tenth of either axis, the corner once
@@ -282,14 +307,27 @@ class TestCli:
         assert loglik == pytest.approx(
             float(data[observed] @ np.log(projected[observed])),
             rel=0, abs=1e-12)
-        assert diag == {"c_max": c_max, "n_max": n_max, "converged": False,
-                        "iterations": 30}
+        cells = int(np.count_nonzero(hist.counts))
+        assert diag == {"c_max": c_max, "n_max": n_max,
+                        "observed_cells": cells, "converged": True}
         assert dist.table.shape == (n_max + 1, n_max + 1)
         assert n_max < int(np.ceil(3 * (1000 + 5) / 0.282))
         assert out.split() == [
-            f"c_max={c_max}", f"n_max={n_max}", "converged=False",
-            "iterations=30", f"final_change={final_change:.3e}",
-            f"log_likelihood={loglik:.10f}"]
+            f"c_max={c_max}", f"n_max={n_max}", f"observed_cells={cells}",
+            "converged=True", f"newton_steps={steps}",
+            f"lindsay_bound={bound:.3e}", f"log_likelihood={loglik:.10f}"]
+
+    def test_step_cap_leaves_a_valid_uncertified_estimate(self, tmp_path,
+                                                          capsys, nominal):
+        _, dist, diag, out = self.reconstruct_thousand(tmp_path, capsys,
+                                                       nominal, "--max-iters",
+                                                       "2")
+        assert diag["converged"] is False and diag["newton_steps"] == 2
+        assert diag["lindsay_bound"] >= 1e-9
+        assert "converged=False" in out.split()
+        # read back through the checked reader: a distribution
+        assert dist.table.min() >= 0
+        assert dist.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_n_max_wins(self, tmp_path, capsys, nominal):
         _, dist, diag, _ = self.reconstruct_thousand(tmp_path, capsys, nominal,
@@ -645,6 +683,13 @@ BAD_INPUTS = {
     "jdist-payload-csv": (
         ["ncd", "--dist", "{jdist_payload}", "--out", "{tmp}/r.json"],
         3, "bad payload: 'csv'"),
+    "reconstruct-support-below-clicks": (
+        ["reconstruct", "--hist", "{hist}", "--eta-s", "0.282", "--eta-i",
+         "0.33", "--n-max", "1", "--out", "{tmp}/p.jdist"], 3,
+        "zero probability"),
+    "jhist-payload-f64": (
+        ["reconstruct", "--hist", "{hist_payload}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "bad payload: 'f64'"),
 }
 
 
@@ -721,7 +766,8 @@ def bad_input_files(tmp_path, nominal):
             ("hist_dims", "jhist-v1", hist, {"dims": 5}),
             ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
             ("hist_mode", "jhist-v1", hist, {"mode": 5}),
-            ("hist_group_n_zero", "jhist-v1", hist, {"group_n": 0})):
+            ("hist_group_n_zero", "jhist-v1", hist, {"group_n": 0}),
+            ("hist_payload", "jhist-v1", hist, {"payload": "f64"})):
         header, body = tbio._unpack(fmt, open(source, "rb").read())
         files[key] = str(tmp_path / key)
         with open(files[key], "wb") as fh:

@@ -1,22 +1,122 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinbeam import (DetectorSpec, EmConfig, JointDist, JointHistogram,
-                      GroupingPolicy, MarginalDist, detection_matrix, em_joint,
-                      joint_twb)
-from oracles import (EmptyConditionError, compound_click_dist,
+from twinbeam import (DetectorSpec, JointDist, JointHistogram, GroupingPolicy,
+                      MarginalDist, detection_matrix, joint_twb, ml_joint)
+from oracles import (EmConfig, EmptyConditionError, compound_click_dist,
                      compound_photon_dist, conditional_histogram,
-                     conditional_photon_dist, em_conditional)
+                     conditional_photon_dist, em_conditional, em_joint)
 from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
-from twinbeam.errors import DataError, NumericError
+from twinbeam.errors import DataError, InvalidParameterError, NumericError
 
 
 def tv(a, b):
     return 0.5 * np.abs(a - b).sum()
 
 
+def loglik(data, t_s, t_i, p):
+    """Mean data log-likelihood of ``p`` over the observed cells."""
+    f = data / data.sum()
+    projected = t_s.entries[:f.shape[0]] @ p @ t_i.entries[:f.shape[1]].T
+    return float(f[f > 0] @ np.log(projected[f > 0]))
+
+
+class TestMlJoint:
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           dims=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+           concentration=st.floats(0.05, 2.0),
+           detectors=st.lists(st.tuples(st.floats(0.05, 0.95),
+                                        st.floats(0.0, 0.2),
+                                        st.integers(1, 8)),
+                              min_size=2, max_size=2),
+           groups=st.integers(1, 5000))
+    def test_certified_and_at_least_as_likely_as_em(self, seed, dims,
+                                                    concentration, detectors,
+                                                    groups):
+        rng = np.random.default_rng(seed)
+        truth = rng.dirichlet(np.full(dims[0] * dims[1], concentration))
+        t_s, t_i = (detection_matrix(DetectorSpec(*spec), m - 1)
+                    for spec, m in zip(detectors, dims))
+        probs = t_s.entries @ truth.reshape(dims) @ t_i.entries.T
+        counts = rng.multinomial(groups, probs.ravel() / probs.sum())
+        f = JointDist(counts.reshape(probs.shape).astype(float), 0.0,
+                      PHOTOCOUNT)
+        est, res = ml_joint(f, t_s, t_i)
+        assert res.converged and res.lindsay_bound < 1e-9
+        assert est.table.min() >= 0
+        assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.log_likelihood == pytest.approx(
+            loglik(f.table, t_s, t_i, est.table), abs=1e-12)
+        assert res.observed_cells == np.count_nonzero(counts)
+        # the certificate: no table, EM's included, is more likely by more
+        # than the bound (which is exact for one observed cell), up to
+        # round-off
+        _, em = em_joint(f, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-300))
+        assert res.log_likelihood >= (em.log_likelihood[-1]
+                                      - res.lindsay_bound - 1e-12)
+
+    def test_bound_is_lindsays_of_the_estimate(self, nominal):
+        params, spec_s, spec_i = nominal
+        f = compound_click_dist(params, spec_s, spec_i, 5)
+        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        est, res = ml_joint(f, t_s, t_i)
+        data = f.table / f.table.sum()
+        ratio = np.divide(data, t_s.entries @ est.table @ t_i.entries.T,
+                          out=np.zeros_like(data), where=data > 0)
+        gradient = t_s.entries.T @ ratio @ t_i.entries
+        assert res.converged
+        assert res.lindsay_bound == pytest.approx(np.log(gradient.max()),
+                                                  rel=0, abs=1e-15)
+        assert res.newton_steps < 200
+
+    def test_step_cap_returns_an_uncertified_distribution(self, nominal):
+        params, spec_s, spec_i = nominal
+        f = compound_click_dist(params, spec_s, spec_i, 5)
+        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        est, res = ml_joint(f, t_s, t_i, max_steps=2)
+        assert not res.converged and res.newton_steps == 2
+        assert res.lindsay_bound >= 1e-9
+        assert est.table.min() >= 0
+        assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_detection_entry_is_numeric_error(self):
+        spec = DetectorSpec(1.0, 0.0, 1)
+        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
+        t_i = DetectionMatrix(np.ones((1, 1)), spec)
+        f = JointDist(np.array([[0.8], [0.2]]), 0.0, PHOTOCOUNT)
+        with pytest.raises(NumericError, match="negative entries"):
+            ml_joint(f, t_s, t_i)
+
+    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"max_steps": 0}])
+    def test_bad_settings_rejected(self, kwargs):
+        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 3)
+        f = JointDist(np.array([[0.5, 0.1], [0.1, 0.3]]), 0.0, PHOTOCOUNT)
+        with pytest.raises(InvalidParameterError):
+            ml_joint(f, t, t, **kwargs)
+
+    def test_no_observed_counts_rejected(self):
+        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
+        with pytest.raises(DataError, match="no observed counts"):
+            ml_joint(empty, t, t)
+
+    def test_support_mismatch_rejected(self, nominal):
+        params, spec_s, spec_i = nominal
+        f = compound_click_dist(params, spec_s, spec_i, 10)
+        small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
+        with pytest.raises(DataError):
+            ml_joint(f, small, small)
+
+
 class TestEmJoint:
+    """The EM oracle of ``tests/oracles.py``, the paper's algorithm."""
+
     def test_point_mass_recovered_in_near_invertible_case(self):
         t = detection_matrix(DetectorSpec(1.0, 0.0, 10), 8)
         f = JointDist(np.outer(t.entries[:, 2], t.entries[:, 2]), 0.0,
