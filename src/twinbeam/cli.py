@@ -163,11 +163,12 @@ def _cmd_reconstruct(args) -> None:
             "pass a smaller --n-max")
     t_s = detection_matrix(spec_s, n_max)
     t_i = detection_matrix(spec_i, n_max)
-    dist, result = ml_joint(hist, t_s, t_i, args.tol, args.max_iters)
+    dist, result = ml_joint(hist, t_s, t_i, args.max_iters)
     tbio.write_jdist(dist, args.out)
+    cells = len(clicks[0])
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
     _write_manifest(args.out, args, [args.hist], {
-        "c_max": c_max, "n_max": n_max, "observed_cells": result.observed_cells,
+        "c_max": c_max, "n_max": n_max, "observed_cells": cells,
         "converged": result.converged, "newton_steps": result.newton_steps,
         "lindsay_bound": result.lindsay_bound,
         "log_likelihood": result.log_likelihood,
@@ -176,7 +177,7 @@ def _cmd_reconstruct(args) -> None:
         "edge_mass": float(dist.table[edge:].sum()
                            + dist.table[:edge, edge:].sum())})
     print(f"c_max={c_max} n_max={n_max} "
-          f"observed_cells={result.observed_cells} "
+          f"observed_cells={cells} "
           f"converged={result.converged} newton_steps={result.newton_steps} "
           f"lindsay_bound={result.lindsay_bound:.3e} "
           f"log_likelihood={result.log_likelihood:.10f}")
@@ -333,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--eta-i", type=float, required=True)
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
-    rec.add_argument("--tol", type=_positive, default=1e-9)
     rec.add_argument("--max-iters", type=_count, default=200)
     rec.add_argument("--n-max", type=_count)
     rec.add_argument("--out", required=True)

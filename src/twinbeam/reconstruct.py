@@ -21,18 +21,21 @@ step lengths.  Each Newton step solves the J x J system
 
     (A D A^T + diag(A p / nu)) d_nu = r,    D = p / z,
 
-for the predictor and then the corrector.  The matrix is formed through the
-Kronecker structure of ``A`` (``A`` itself is never built) and scaled to a
-unit diagonal.  numpy has no triangular solve that would let both solves
-share one factor, and an explicit inverse loses the last digits that the
-certificate needs, so each is an LU solve; at the hundred-odd cells of a
-histogram both take well under a millisecond.
+for the predictor and then the corrector.  The matrix is formed one distinct
+signal click value at a time through the Kronecker structure of ``A`` (``A``
+itself is never built), so beyond the J x J matrix the memory is that of one
+J x (n_max + 1) block; it is scaled to a unit diagonal.  numpy has no
+triangular solve that would let both solves share one factor, and an
+explicit inverse loses the last digits that the certificate needs, so each
+is an LU solve.  Histograms with more than ``MAX_CELLS`` observed cells are
+refused rather than given a matrix of gigabytes.
 
 The estimate is the normalized ``p``.  Lindsay's bound
 ``log max_k (A^T (f / A p))_k`` (Ann. Stat. 11, 86 (1983)) limits the
 log-likelihood that any table can still gain over it.  The solver stops at
-the first step that brings the bound below ``tol``, so ``converged`` means
-exactly that the estimate is certified within ``tol``.
+the first step that brings the bound below ``CERTIFICATE``, so ``converged``
+means exactly that the estimate is certified within it; a solve that runs
+out of steps returns its last iterate and that iterate's bound.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ from .ingest import JointHistogram
 #: histograms stall before the bound is certified.
 TO_BOUNDARY = 0.9
 
+#: Lindsay bound below which an estimate counts as the maximum-likelihood
+#: one: no table is more likely by more than this in mean log-likelihood.
+CERTIFICATE = 1e-9
+
+#: Most observed click cells the dense J x J Newton system is built for
+#: (128 MB at this size, and an LU copy of it).
+MAX_CELLS = 4096
+
 
 @dataclass
 class MlResult:
@@ -62,7 +73,6 @@ class MlResult:
     newton_steps: int
     lindsay_bound: float
     log_likelihood: float
-    observed_cells: int
 
 
 def _as_table(f) -> np.ndarray:
@@ -89,15 +99,13 @@ def _step(x: np.ndarray, dx: np.ndarray) -> float:
     return 1.0 if shrink <= 1.0 else 1.0 / shrink
 
 
-def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
+def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
              max_steps: int = 200) -> tuple[JointDist, MlResult]:
     """Reconstruct a joint photon-number distribution from photocounts.
 
     Only the observed click cells enter; the photon support is that of the
     detection matrices.  At most ``max_steps`` Newton steps are taken.
     """
-    if not tol > 0:
-        raise InvalidParameterError("tol must be > 0")
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
     data = _as_table(f)
@@ -108,21 +116,20 @@ def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
     rows, cols = np.nonzero(data > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
+    if rows.size > MAX_CELLS:
+        raise DataError(f"{rows.size} observed click cells, more than the "
+                        f"{MAX_CELLS} the Newton system is built for")
     weights = data[rows, cols]
     # the distinct observed click values of each arm, and each cell's index
     # among them: A's rows are the products S[a_j] x I[b_j]
     rows_s, a = np.unique(rows, return_inverse=True)
     rows_i, b = np.unique(cols, return_inverse=True)
     s, i = ts[rows_s], ti[rows_i]
-    ks, ki = len(rows_s), len(rows_i)
-    # A D A^T at cells (j, k) is (P D Q^T)[(a_j, a_k), (b_j, b_k)], with
-    # P[(a, a'), m] = S[a, m] S[a', m] and Q the same for the idler
-    pp = (s[:, None, :] * s[None, :, :]).reshape(ks * ks, -1)
-    qq = (i[:, None, :] * i[None, :, :]).reshape(ki * ki, -1)
-    pair_s = a[:, None] * ks + a[None, :]
-    pair_i = b[:, None] * ki + b[None, :]
+    # the cells come in row-major order, so those of each signal value are
+    # one slice
+    first = np.searchsorted(a, np.arange(len(rows_s) + 1))
     diag = np.arange(rows.size)
-    grid = np.zeros((ks, ki))
+    grid = np.zeros((len(rows_s), len(rows_i)))
 
     def forward(p):                 # A p
         return (s @ p @ i.T)[a, b]
@@ -130,6 +137,18 @@ def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
     def back(v):                    # A^T v
         grid[a, b] = v
         return s.T @ grid @ i
+
+    h = np.empty((rows.size, rows.size))
+    idler = i[b]                    # each cell's idler row
+
+    def fill_normal(d):             # h = A D A^T, one signal value's rows a time
+        for c in range(len(rows_s)):
+            lo, hi = first[c], first[c + 1]
+            # against the cells of signal values >= c, mirrored below:
+            # sum_m S[c, m] S[a_k, m] D[m, n], then the idler factors
+            right = ((s[c:] * s[c]) @ d)[a[lo:] - c] * idler[lo:]
+            h[lo:hi, lo:] = idler[lo:hi] @ right.T
+            h[lo:, lo:hi] = h[lo:hi, lo:].T
 
     # EM's uniform start, and the dual point of its ratios f / A p scaled
     # to leave a slack of at least 1/2
@@ -141,7 +160,6 @@ def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
     nu = weights / fitted
     nu *= 0.5 / back(nu).max()
     z = 1.0 - back(nu)
-    best = (np.inf, None, None)     # bound, estimate, A estimate
     for step in range(1, max_steps + 1):
         fitted = forward(p)
         r_dual = fitted - weights / nu
@@ -151,10 +169,11 @@ def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
         # diagonal (A p) / nu equals f / nu^2 at the optimum but keeps far
         # cells from blocking the step; the symmetric scaling keeps cells
         # whose weights span many decades apart in the solve
-        h = (pp @ d @ qq.T)[pair_s, pair_i]
+        fill_normal(d)
         h[diag, diag] += fitted / nu
         scale = 1.0 / np.sqrt(h[diag, diag])
-        h *= scale[:, None] * scale
+        h *= scale[:, None]
+        h *= scale
 
         def direction(r_comp):
             rhs = forward(r_comp / z - d * r_primal) - r_dual
@@ -184,12 +203,9 @@ def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix, tol: float = 1e-9,
         estimate = p / p.sum()      # p > 0: steps stop short of the boundary
         projected = forward(estimate)
         bound = float(np.log(back(weights / projected).max()))
-        if bound < best[0]:
-            best = (bound, estimate, projected)
-        if bound < tol:
+        if bound < CERTIFICATE:
             break
-    bound, estimate, projected = best
-    if estimate is None:
-        raise NumericError("the interior-point solve gave no finite bound")
+    if not np.isfinite(bound):
+        raise NumericError(f"the interior-point solve ended on a bound of {bound}")
     return JointDist(estimate, 0.0, PHOTON), MlResult(
-        bound < tol, step, bound, float(weights @ np.log(projected)), rows.size)
+        bound < CERTIFICATE, step, bound, float(weights @ np.log(projected)))

@@ -24,6 +24,7 @@ from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
+from twinbeam.reconstruct import CERTIFICATE
 from twinbeam.simulate import CHUNK
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -283,7 +284,7 @@ class TestCli:
         n_max = detection.default_n_max(c_max, 0.282, 1000)
         # the solve is certified: no table is more likely by the tolerance
         bound = diag.pop("lindsay_bound")
-        assert 0 <= bound < 1e-9
+        assert 0 <= bound < CERTIFICATE
         steps = diag.pop("newton_steps")
         assert 1 <= steps <= 30
         assert max(diag.pop("column_sum_error").values()) <= \
@@ -323,7 +324,7 @@ class TestCli:
                                                        nominal, "--max-iters",
                                                        "2")
         assert diag["converged"] is False and diag["newton_steps"] == 2
-        assert diag["lindsay_bound"] >= 1e-9
+        assert diag["lindsay_bound"] >= CERTIFICATE
         assert "converged=False" in out.split()
         # read back through the checked reader: a distribution
         assert dist.table.min() >= 0
@@ -687,6 +688,10 @@ BAD_INPUTS = {
         ["reconstruct", "--hist", "{hist}", "--eta-s", "0.282", "--eta-i",
          "0.33", "--n-max", "1", "--out", "{tmp}/p.jdist"], 3,
         "zero probability"),
+    "reconstruct-too-many-cells": (
+        ["reconstruct", "--hist", "{hist_crowded}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--n-max", "80", "--out", "{tmp}/p.jdist"], 3,
+        "observed click cells, more than the"),
     "jhist-payload-f64": (
         ["reconstruct", "--hist", "{hist_payload}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "bad payload: 'f64'"),
@@ -727,6 +732,12 @@ def bad_input_files(tmp_path, nominal):
         tbio.write_jhist(JointHistogram(np.array(counts), n_groups,
                                         GroupingPolicy(1, "disjoint")),
                          files[key])
+    # every cell of a 64-pixel histogram observed: more cells than the
+    # Newton system is built for
+    files["hist_crowded"] = str(tmp_path / "crowded.jhist")
+    tbio.write_jhist(JointHistogram(np.ones((65, 65), dtype=int), 65 * 65,
+                                    GroupingPolicy(64, "disjoint")),
+                     files["hist_crowded"])
     high = np.array(stream.codes)
     high[[3, 11]] = (7, 200)
     files["clicks_high"] = str(tmp_path / "high.clicks")
