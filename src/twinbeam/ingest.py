@@ -62,6 +62,21 @@ def _check_length(windows: int, n: int) -> None:
             f"stream of {windows} windows cannot form groups of {n}")
 
 
+def _sliding_sums(bits: np.ndarray, n: int, csum: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Sums of every ``n`` subsequent ``bits``: differences of a running sum.
+
+    The running sum goes to ``csum[1:]`` (``csum[0]`` is 0) and the sums to
+    ``out``, buffers a caller may reuse.  It is summed in place after one
+    copy, as a casting ``cumsum`` would first copy ``bits`` to int64.
+    """
+    run = csum[1:len(bits) + 1]
+    np.copyto(run, bits)
+    np.cumsum(run, out=run)
+    return np.subtract(csum[n:len(bits) + 1], csum[:len(bits) + 1 - n],
+                       out=out[:len(bits) + 1 - n])
+
+
 def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
     """Per-group sums of a sequence of per-window counts, as int64."""
     bits = np.asarray(bits)
@@ -70,8 +85,8 @@ def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
         m = len(bits) // policy.n
         groups = bits[:m * policy.n].reshape(m, policy.n)
         return groups.sum(axis=1, dtype=np.int64)
-    csum = np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
-    return csum[policy.n:] - csum[:-policy.n]
+    return _sliding_sums(bits, policy.n, np.zeros(len(bits) + 1, np.int64),
+                         np.empty(len(bits) + 1 - policy.n, np.int64))
 
 
 def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
@@ -88,6 +103,10 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
     n_groups = (len(codes) - n) // stride + 1
     per_chunk = max(1, GROUP_CHUNK // stride)
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
+    # buffers of the sliding sums that every chunk reuses: fresh ones would
+    # be page-faulted in again each time
+    csum = np.zeros(per_chunk + n, dtype=np.int64)
+    sums = np.empty(per_chunk, dtype=np.int64)
     for g0 in range(0, n_groups, per_chunk):
         g1 = min(g0 + per_chunk, n_groups)
         part = codes[g0 * stride:(g1 - 1) * stride + n]
@@ -95,7 +114,9 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
         code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
         code *= n + 1
         code += (part >> 1) & 1
-        found = np.bincount(grouped_counts(code, policy))
+        found = np.bincount(grouped_counts(code, policy)
+                            if policy.mode == DISJOINT
+                            else _sliding_sums(code, n, csum, sums))
         counts[:len(found)] += found
     return JointHistogram(counts.reshape(n + 1, n + 1), n_groups, policy)
 

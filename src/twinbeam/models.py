@@ -22,6 +22,7 @@ convolution power of photon tables.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,42 +42,41 @@ NOMINAL_IDLER = DetectorSpec(eta=0.330, dark=3.8e-3, pixels=1)
 NOMINAL_PUMP = PumpCorrelation(k=0.965e-3, block_len=10_000)
 
 
-def _log_pgf(params: TwbParams, x: float, y: float) -> float:
+def _log_pgf(params: TwbParams, x: float, y: float, pump) -> float:
     # (1 + b u)^-m as exp(-m log1p(b u)): many modes of tiny mean must not
     # raise a rounded 1 + b u to a huge power
     return (-params.m_s * math.log1p(params.b_s * (1.0 - x))
             - params.m_i * math.log1p(params.b_i * (1.0 - y))
-            - params.m_p * math.log1p(params.b_p * (1.0 - x * y)))
+            - params.m_p * np.log1p(params.b_p * pump * (1.0 - x * y)))
 
 
 def _log_no_click(params: TwbParams, spec_s: DetectorSpec | None,
-                  spec_i: DetectorSpec | None) -> float:
+                  spec_i: DetectorSpec | None, pump=1.0) -> float:
     """Log of the chance ``q`` that no detector clicks in one window.
 
-    An arm given as ``None`` is not watched.  From the log, ``1 - q`` is
-    ``-expm1(log q)``, accurate however small.
+    An arm given as ``None`` is not watched; ``pump`` (a number or an array)
+    scales the paired component's per-mode mean.  From the log, ``1 - q``
+    is ``-expm1(log q)``, accurate however small.
     """
     log_q, x, y = 0.0, 1.0, 1.0
     if spec_s is not None:
         log_q, x = math.log1p(-spec_s.dark), 1.0 - spec_s.eta
     if spec_i is not None:
         log_q, y = log_q + math.log1p(-spec_i.dark), 1.0 - spec_i.eta
-    return log_q + _log_pgf(params, x, y)
+    return log_q + _log_pgf(params, x, y, pump)
 
 
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
-                       spec_i: DetectorSpec,
-                       pump_factor: float = 1.0) -> tuple[float, float, float]:
+                       spec_i: DetectorSpec, pump_factor=1.0) -> tuple:
     """Exact single-window ``(p_s, p_i, p_coincidence)`` click probabilities.
 
     ``pump_factor`` scales the paired component's per-mode mean, which is how
-    the common-mode pump drift enters individual windows.
+    the common-mode pump drift enters individual windows; an array of
+    factors gives arrays of probabilities.
     """
-    if pump_factor != 1.0:
-        params = TwbParams(params.m_p, params.m_s, params.m_i,
-                           params.b_p * pump_factor, params.b_s, params.b_i)
-    no_s, no_i, no_both = (math.exp(_log_no_click(params, *arms)) for arms in
-                           ((spec_s, None), (None, spec_i), (spec_s, spec_i)))
+    no_s, no_i, no_both = (np.exp(_log_no_click(params, *arms, pump_factor))
+                           for arms in ((spec_s, None), (None, spec_i),
+                                        (spec_s, spec_i)))
     return 1.0 - no_s, 1.0 - no_i, 1.0 - no_s - no_i + no_both
 
 
@@ -101,6 +101,15 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     return MomentTable(f_s @ p @ f_i.T, order, NORMAL, 1.0, PHOTOCOUNT)
 
 
+@lru_cache(maxsize=None)
+def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """201 nodes and normalised weights of a standard normal, on first use."""
+    x, w = np.polynomial.hermite_e.hermegauss(201)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
                            spec_i: DetectorSpec, n: int, order: int,
                            k: float = 0.0) -> MomentTable:
@@ -117,10 +126,9 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     PumpCorrelation(k)                      # rejects an inadmissible drift
     factors, weights = np.ones(1), np.ones(1)
     if k > 0:
-        x, w = np.polynomial.hermite_e.hermegauss(201)
-        factors, weights = np.maximum(0.0, 1.0 + np.sqrt(k) * x), w / w.sum()
-    p_s, p_i, p11 = np.array([window_click_probs(params, spec_s, spec_i, f)
-                              for f in factors]).T
+        x, weights = _gauss_hermite()
+        factors = np.maximum(0.0, 1.0 + np.sqrt(k) * x)
+    p_s, p_i, p11 = window_click_probs(params, spec_s, spec_i, factors)
     out = np.zeros((order + 1, order + 1))
     for a, b in np.ndindex(out.shape):
         for c in range(min(a, b) + 1):

@@ -17,7 +17,7 @@ threshold ``s_th`` where it nullifies gives the non-classicality depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -62,14 +62,19 @@ def stirling_second(order: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def laguerre_mixing(order: int) -> tuple:
-    """Integer coefficients ``(k!)^2 / (m!^2 (k-m)!)`` of the ordering change.
+def laguerre_mixing(order: int) -> np.ndarray:
+    """Integer coefficients of the ordering change, as a ``(K, K, K)`` tensor.
 
-    Built once per order and shared, hence rows of immutable tuples.
+    ``L[k, m, k - m] = (k!)^2 / (m!^2 (k-m)!)`` multiplies ``t^(k-m) <W^m>``
+    in ``<W^k>_s``; every other entry is 0.  Built once per order and
+    shared, hence read-only.
     """
-    return tuple(tuple(factorial(k) ** 2 // (factorial(m) ** 2 * factorial(k - m))
-                       if m <= k else 0 for m in range(order + 1))
-                 for k in range(order + 1))
+    out = np.zeros((order + 1,) * 3)
+    for k, m in zip(*np.tril_indices(order + 1)):
+        out[k, m, k - m] = factorial(k) ** 2 // (factorial(m) ** 2
+                                                 * factorial(k - m))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -89,6 +94,17 @@ class MomentTable:
 
     def __getitem__(self, kl) -> float:
         return self.raw[kl]
+
+    @cached_property
+    def _t_polynomial(self) -> np.ndarray:
+        """``c[k, l, d]``, the coefficient of ``t^d`` in ``<W_s^k W_i^l>_s``."""
+        lag = laguerre_mixing(self.order)
+        # x[k, d, l, e] = L[k, a, d] L[l, b, e] raw[a, b]: one product per cell
+        x = np.tensordot(np.tensordot(lag, self.raw, (1, 0)), lag, (2, 1))
+        c = np.zeros(lag.shape[:2] + (2 * self.order + 1,), x.dtype)
+        for d in range(self.order + 1):
+            c[:, :, d:d + self.order + 1] += x[:, d]
+        return c
 
 
 def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
@@ -147,17 +163,18 @@ def from_intensity_moments(m: MomentTable) -> MomentTable:
     return MomentTable(out, m.order, RAW, 1.0, m.kind)
 
 
-def to_s_ordered(m: MomentTable, s: float) -> MomentTable:
-    """Intensity moments at operator ordering ``s`` (``s = 1`` is a no-op)."""
+def to_s_ordered(m: MomentTable, s: float | np.ndarray) -> MomentTable:
+    """Intensity moments at operator ordering ``s`` (``s = 1`` is a no-op).
+
+    An array of orderings adds a last axis to the table, one per ordering.
+    """
     if m.flavor != NORMAL:
         raise DataError("ordering change starts from normally-ordered moments")
-    if s > 1:
+    t = (1.0 - np.asarray(s, dtype=float)) / 2.0
+    if (t < 0).any():
         raise InvalidParameterError("ordering parameter must satisfy s <= 1")
-    t = (1.0 - s) / 2.0
-    mix = laguerre_mixing(m.order)
-    weighted = [[mix[k][a] * t ** (k - a) if a <= k else 0.0
-                 for a in range(m.order + 1)] for k in range(m.order + 1)]
-    out = _transform_2d(m.raw, weighted)
+    c = m._t_polynomial
+    out = c @ np.power.outer(t, np.arange(c.shape[-1])).T
     return MomentTable(out, m.order, S_ORDERED, s, m.kind)
 
 
@@ -234,10 +251,10 @@ _S_RESOLUTION = 1e-6
 def ncd(m: MomentTable, identifier: str) -> NcdResult:
     """Non-classicality depth of one identifier via threshold search in ``s``.
 
-    The identifier value is scanned over 64 orderings with s in [-1, 1]; the
-    sign change closest to ``s = 1`` is bisected down to ``1e-6``.  A
-    violation persisting at ``s = -1`` is reported saturated with ``tau = 1``
-    rather than extrapolated.
+    The identifier value is scanned over 64 orderings with s in [-1, 1] by
+    one :func:`to_s_ordered` call; the sign change closest to ``s = 1`` is
+    bisected down to ``1e-6``.  A violation persisting at ``s = -1`` is
+    reported saturated with ``tau = 1`` rather than extrapolated.
     """
     if m.flavor != NORMAL:
         raise DataError("depth search starts from normally-ordered moments")
@@ -253,7 +270,8 @@ def ncd(m: MomentTable, identifier: str) -> NcdResult:
         return NcdResult(identifier, 0.0, 1.0, False, v1, floor)
 
     grid = np.linspace(1.0, -1.0, 64)
-    vals = [v1] + [value(s) for s in grid[1:]]
+    scan = sum(_identifier_terms(to_s_ordered(m, grid[1:]), identifier))
+    vals = [v1, *scan]
     sign_changes = [i for i in range(len(grid) - 1)
                     if vals[i] < -floor <= vals[i + 1]]
     if not sign_changes:

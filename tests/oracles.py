@@ -29,7 +29,10 @@ another way:
 * the Laguerre basis of the intensity quasi-distribution, one grid point
   at a time in mpmath arithmetic (the package runs one float64 recurrence
   with each grid column's power of two kept apart);
-* Riemann-sum intensity moments of a quasi-distribution grid.
+* Riemann-sum intensity moments of a quasi-distribution grid;
+* the change of operator ordering as one matrix product ``A @ raw @ A.T``
+  per ordering, with ``A`` built as a list (the package forms each table's
+  polynomial in ``t = (1 - s)/2`` once and evaluates it).
 
 It also keeps the paper's reconstruction algorithm, expectation-maximization
 of the joint photon-number distribution, against whose likelihood the
@@ -55,7 +58,8 @@ from twinbeam.errors import (DataError, InvalidParameterError,
                              KindMismatchError, NumericError,
                              StreamTooShortError)
 from twinbeam.ingest import JointHistogram
-from twinbeam.moments import MomentTable, moments, to_intensity_moments
+from twinbeam.moments import (S_ORDERED, MomentTable, _transform_2d, moments,
+                              to_intensity_moments)
 from twinbeam.quasidist import IntensityGrid
 from twinbeam.reconstruct import _as_table, _block
 from twinbeam.simulate import ClickStream
@@ -369,6 +373,24 @@ def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     ws = g.centers(0) ** k
     wi = g.centers(1) ** l
     return float(ws @ g.values @ wi * dws * dwi)
+
+
+def to_s_ordered_by_matrix(m: MomentTable, s) -> MomentTable:
+    """Intensity moments at ordering ``s``: ``A @ raw @ A.T`` per ordering.
+
+    ``A[k, a] = (k!)^2 / (a!^2 (k-a)!) t^(k-a)`` with ``t = (1 - s)/2``.  An
+    array of orderings stacks one table per ordering along a last axis, as
+    ``moments.to_s_ordered`` does.
+    """
+    f = math.factorial
+    tables = []
+    for t in np.atleast_1d((1.0 - np.asarray(s, dtype=float)) / 2.0):
+        weighted = [[f(k) ** 2 // (f(a) ** 2 * f(k - a)) * t ** (k - a)
+                     if a <= k else 0.0 for a in range(m.order + 1)]
+                    for k in range(m.order + 1)]
+        tables.append(_transform_2d(m.raw, weighted))
+    out = tables[0] if np.ndim(s) == 0 else np.stack(tables, axis=-1)
+    return MomentTable(out, m.order, S_ORDERED, s, m.kind)
 
 
 def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:

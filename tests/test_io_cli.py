@@ -362,11 +362,13 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("metric", ["tau-e", "postselect"])
-    def test_sweep_matches_recorded_reference(self, metric, capsys):
-        # post-selection is closed-form, so it checks the whole default ladder
-        groups = ["--groups", "1,2,3,5,10"] if metric == "tau-e" else []
-        assert self.run("sweep", "--metric", metric, *groups) == 0
+    @pytest.mark.parametrize("metric, options", [
+        ("fano", []), ("tau-e", []), ("postselect", []),
+        ("eta-eff", ["--k-pump", "0.000965"])],
+        ids=["fano", "tau-e", "postselect", "eta-eff"])
+    def test_sweep_matches_recorded_reference(self, metric, options, capsys):
+        # the whole default ladder, as the benchmark's sweep workload runs it
+        assert self.run("sweep", "--metric", metric, *options) == 0
         got = capsys.readouterr().out.strip().splitlines()
         ref = (REFERENCE / f"sweep-{metric}.csv").read_text().splitlines()
         assert got[0] == ref[0]

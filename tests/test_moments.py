@@ -1,18 +1,31 @@
 from fractions import Fraction
+from importlib import import_module
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
                       from_intensity_moments, joint_twb, mandel_rice, moments,
                       ncd, nci_value, to_intensity_moments, to_s_ordered)
 from oracles import (compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist, genuine_click_dist)
+                     conditional_photon_dist, genuine_click_dist,
+                     to_s_ordered_by_matrix)
 from twinbeam import models
+from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.core import PHOTON
-from twinbeam.errors import DataError, InsufficientOrderError
-from twinbeam.moments import (MomentTable, NORMAL, RAW, laguerre_mixing,
+from twinbeam.errors import (DataError, InsufficientOrderError,
+                             InvalidParameterError)
+from twinbeam.moments import (IDENTIFIERS, MomentTable, NORMAL, RAW,
+                              _identifier_terms, _noise_floor, laguerre_mixing,
                               stirling_first, stirling_second)
+
+#: Integer weights of a joint distribution on up to 5 x 5 cells.
+weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.integers(0, 30), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda w: np.array(w).reshape(shape))).filter(lambda w: w.sum() > 0)
 
 
 def exact_moment_table(table, order):
@@ -25,6 +38,12 @@ def exact_moment_table(table, order):
                 acc += p * Fraction(ns) ** k * Fraction(ni) ** l
             raw[k, l] = acc
     return MomentTable(raw, order, RAW, 1.0, PHOTON)
+
+
+def fractions(table):
+    """The exact values of a float table, as an object array of Fractions."""
+    return np.array([[Fraction(float(p)) for p in row] for row in table],
+                    dtype=object)
 
 
 def falling(n, k):
@@ -149,8 +168,9 @@ class TestSOrdering:
 
     def test_mixing_coefficients_are_integers(self):
         mix = laguerre_mixing(6)
-        assert mix[2][1] == 4 and mix[2][0] == 2
-        assert mix[4][1] == 96
+        assert mix[2, 1, 1] == 4 and mix[2, 0, 2] == 2
+        assert mix[4, 1, 3] == 96
+        assert np.array_equal(mix, np.round(mix))
 
     def test_coherent_second_moment(self):
         # |alpha|^2 = I: <W^2>_s = I^2 + 4 I t + 2 t^2
@@ -163,6 +183,30 @@ class TestSOrdering:
         ws = to_s_ordered(w, s)
         assert ws[2, 0] == pytest.approx(lam ** 2 + 4 * lam * t + 2 * t ** 2,
                                          rel=1e-10)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(weights=weight_tables, order=st.integers(1, 5),
+           s=st.floats(-1.0, 1.0))
+    def test_polynomial_matches_matrix_product(self, weights, order, s):
+        # exact factorial moments are nonnegative, so every term of an
+        # s-ordered moment is too and both routes agree to a few ulps
+        exact = to_intensity_moments(
+            exact_moment_table(fractions(weights / weights.sum()), order))
+        w = MomentTable(exact.raw.astype(float), order, NORMAL)
+        np.testing.assert_allclose(to_s_ordered(w, s).raw,
+                                   to_s_ordered_by_matrix(w, s).raw,
+                                   rtol=1e-12, atol=0.0)
+        both = np.array([s, 0.0])
+        np.testing.assert_allclose(to_s_ordered(w, both).raw,
+                                   to_s_ordered_by_matrix(w, both).raw,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(to_s_ordered(w, 1.0).raw, w.raw)
+
+    def test_ordering_above_one_rejected(self):
+        w = MomentTable(np.ones((3, 3)), 2, NORMAL)
+        for s in (1.5, np.array([0.0, 1.0 + 1e-15])):
+            with pytest.raises(InvalidParameterError):
+                to_s_ordered(w, s)
 
 
 class TestNci:
@@ -196,6 +240,19 @@ class TestNci:
         w = MomentTable(np.ones((3, 3)), 2, NORMAL)
         with pytest.raises(InsufficientOrderError):
             nci_value(w, "E211")
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(weights=weight_tables)
+    def test_float_value_within_noise_floor(self, weights):
+        # each identifier evaluated in float64 lies within its noise floor
+        # of the same identifier on the same table in exact arithmetic
+        table = weights / weights.sum()
+        exact = to_intensity_moments(exact_moment_table(fractions(table), 5))
+        w = to_intensity_moments(moments(JointDist(table, 0.0, PHOTON), 5))
+        for ident in IDENTIFIERS:
+            error = Fraction(nci_value(w, ident)) \
+                - sum(_identifier_terms(exact, ident))
+            assert abs(error) <= Fraction(_noise_floor(w, ident)), ident
 
 
 class TestNcd:
@@ -251,6 +308,19 @@ class TestNcd:
             # genuinely violated identifiers keep working at the same size
             assert ncd(w, "E001").tau == pytest.approx(0.07198, abs=2e-4)
             assert ncd(w, "M1001").tau == pytest.approx(0.07206, abs=2e-4)
+
+    def test_depths_match_matrix_oracle_bit_for_bit(self, nominal,
+                                                     monkeypatch):
+        # the same scan and bisection, driven by one matrix product per
+        # ordering, give the same depths on the sweep's tables
+        tables = [model(*nominal, n, 5) for n in DEFAULT_GROUPS
+                  for model in (models.compound_click_moments,
+                                models.genuine_click_moments)]
+        results = [ncd(w, ident) for w in tables for ident in IDENTIFIERS]
+        monkeypatch.setattr(import_module("twinbeam.moments"), "to_s_ordered",
+                            to_s_ordered_by_matrix)
+        assert [ncd(w, ident) for w in tables
+                for ident in IDENTIFIERS] == results
 
     def test_conditional_field_l_family(self, nominal):
         # a heralded idler field is sub-Poissonian: every L identifier is

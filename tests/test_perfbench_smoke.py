@@ -30,7 +30,8 @@ def _load(name: str):
     return module
 
 
-@pytest.mark.parametrize("workload", ["stream-n10", "recon-n100"])
+@pytest.mark.parametrize("workload", ["stream-n10", "recon-n100",
+                                      "sweep-ladder"])
 def test_smoke_workload_passes_every_check(workload, tmp_path, monkeypatch,
                                            capsys):
     workloads, check = _load("workloads"), _load("check")
