@@ -3,11 +3,11 @@
 from .core import (PHOTON, PHOTOCOUNT, JointDist, MarginalDist, TwbParams,
                    joint_twb, mandel_rice)
 from .detection import DetectionMatrix, DetectorSpec, detection_matrix
-from .ingest import (GroupingPolicy, JointHistogram, conditioned_sequences,
-                     group_histogram, grouped_counts)
+from .ingest import (GroupingPolicy, JointHistogram, group_histogram,
+                     grouped_counts)
 from .metrology import (PostSelectionResult, PrecisionReport,
                         effective_efficiency, optimal_postselection,
-                        precision_improvement, relative_error)
+                        precision_improvement)
 from .moments import (MomentTable, NcdResult, fano_nrp_cov,
                       from_intensity_moments, moments, ncd, nci_value,
                       to_intensity_moments, to_s_ordered)

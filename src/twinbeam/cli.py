@@ -203,7 +203,8 @@ def _cmd_ncd(args) -> None:
             "multiple_roots": outcome.multiple_roots,
         }
     tbio.write_json(report, args.out)
-    _write_manifest(args.out, args, [args.dist])
+    _write_manifest(args.out, args, [args.dist], {
+        "tail_mass": dist.tail_mass, "truncation_dirty": dist.truncation_dirty})
 
 
 def _cmd_quasidist(args) -> None:
@@ -214,7 +215,9 @@ def _cmd_quasidist(args) -> None:
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
                    "min": float(grid.values.min()),
-                   "edge_sensitivity": grid.edge_sensitivity}
+                   "edge_sensitivity": grid.edge_sensitivity,
+                   "tail_mass": dist.tail_mass,
+                   "truncation_dirty": dist.truncation_dirty}
     _write_manifest(args.out, args, [args.dist], diagnostics)
     print("normalization={normalization:.6f} min={min:.4e}".format(**diagnostics))
 

@@ -1,4 +1,4 @@
-"""Grouping click streams into compound-beam samples and heralded sequences.
+"""Grouping click streams into compound-beam samples.
 
 A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
 idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
@@ -119,21 +119,3 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
                             else _sliding_sums(code, n, csum, sums))
         counts[:len(found)] += found
     return JointHistogram(counts.reshape(n + 1, n + 1), n_groups, policy)
-
-
-def conditioned_sequences(stream: ClickStream) -> dict:
-    """Reference and conditioned click sequences of both arms.
-
-    ``conditioned_i`` keeps the idler bits of exactly those windows in which
-    the signal detector clicked (and symmetrically for ``conditioned_s``).
-    """
-    if len(stream) == 0:
-        raise StreamTooShortError("empty stream")
-    s, i = stream.signal, stream.idler
-    return {
-        "reference_s": s,
-        "reference_i": i,
-        # the bits are 0 or 1, so they select as booleans without a mask
-        "conditioned_s": s[i.view(bool)],
-        "conditioned_i": i[s.view(bool)],
-    }

@@ -17,12 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import ingest
 from .core import PHOTOCOUNT, JointDist
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
-                     NoEligibleColumnError)
-from .ingest import (DISJOINT, GroupingPolicy, JointHistogram,
-                     conditioned_sequences, grouped_counts)
+                     NoEligibleColumnError, StreamTooShortError)
+from .ingest import DISJOINT, GroupingPolicy, JointHistogram, grouped_counts
 from .moments import MomentTable, moments
 from .simulate import ClickStream
 
@@ -109,32 +109,56 @@ def optimal_postselection(h: JointHistogram,
     return replace(best, p_success=best.p_success / h.n_groups)
 
 
-def relative_error(seq: np.ndarray, n_m: int) -> PrecisionReport:
-    """Relative error of a mean estimated from blocks of ``n_m`` repetitions.
+class _Blocks:
+    """Relative error of the mean of one run of per-window clicks, fed in chunks.
 
-    The sequence of grouped counts is cut into disjoint blocks of ``n_m``
-    values.  Each block contributes its per-measurement relative error
-    ``sqrt(<c^2> - <c>^2) / <c>`` (population-style normalization, so short
-    blocks are biased low); the block average divided by ``sqrt(n_m)`` is
-    the relative error of the estimated mean.  The classical reference is a
-    Poissonian beam of the same global mean measured equally often.
+    Windows that do not yet fill a block of ``n_m`` disjoint groups of ``n``
+    wait for the next chunk.  Each complete block keeps the per-measurement
+    relative error ``std / mean`` of its grouped counts (population
+    normalization, so short blocks are biased low) and adds its count sum.
+    The block average divided by ``sqrt(n_m)`` is the relative error of the
+    estimated mean; the classical reference is a Poissonian beam of the same
+    global mean measured equally often.
     """
-    seq = np.asarray(seq, dtype=float)
-    n_blocks = len(seq) // n_m
-    if n_blocks < 1:
-        raise InsufficientDataError(
-            f"sequence of {len(seq)} groups gives no block of {n_m}")
-    trimmed = seq[:n_blocks * n_m].reshape(n_blocks, n_m)
-    means = trimmed.mean(axis=1)
-    if np.any(means == 0):
-        raise DataError("a block has zero mean count")
-    spreads = trimmed.std(axis=1)          # population normalization (1/n_m)
-    per_measurement = float(np.mean(spreads / means))
-    global_mean = float(trimmed.mean())
-    rel = per_measurement / np.sqrt(n_m)
-    rel_classical = 1.0 / np.sqrt(global_mean * n_m)
-    return PrecisionReport(global_mean, rel, rel_classical, rel / rel_classical,
-                           len(seq), n_blocks, n_m)
+
+    def __init__(self, n: int, n_m: int):
+        self.policy, self.n_m = GroupingPolicy(n, DISJOINT), n_m
+        self.carry = np.empty(0, np.uint8)
+        self.windows = self.total = 0
+        self.ratios = []
+        self.zero_mean = False
+
+    def feed(self, bits: np.ndarray) -> None:
+        self.windows += len(bits)
+        run = np.concatenate((self.carry, bits))
+        end = len(run) - len(run) % (self.policy.n * self.n_m)
+        self.carry = run[end:]
+        if end:
+            groups = grouped_counts(run[:end], self.policy)
+            self.total += int(groups.sum())
+            blocks = groups.astype(float).reshape(-1, self.n_m)
+            means = blocks.mean(axis=1)
+            if np.any(means == 0):
+                # raised by report(), so that an earlier arm too short to
+                # fill a block is reported first
+                self.zero_mean = True
+            else:
+                self.ratios.append(blocks.std(axis=1) / means)
+
+    def report(self) -> PrecisionReport:
+        n, n_m = self.policy.n, self.n_m
+        n_blocks = self.windows // (n * n_m)
+        if n_blocks < 1:
+            raise InsufficientDataError(
+                f"{self.windows} windows cannot fill one block of {n_m} groups of {n}")
+        if self.zero_mean:
+            raise DataError("a block has zero mean count")
+        # exact, as the float sum of integer counts below 2**53 was
+        mean = self.total / (n_blocks * n_m)
+        rel = float(np.mean(np.concatenate(self.ratios))) / np.sqrt(n_m)
+        rel_classical = 1.0 / np.sqrt(mean * n_m)
+        return PrecisionReport(mean, rel, rel_classical, rel / rel_classical,
+                               self.windows // n, n_blocks, n_m)
 
 
 def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
@@ -144,27 +168,26 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     detections in heralded windows) against the idler reference measured by
     the same detector; ``S_ci`` is the mirror image.  Values below one mean
     the conditioned, sub-Poissonian field measures a mean more precisely.
+    The stream is read ``GROUP_CHUNK`` windows at a time, so the memory
+    beyond it does not grow with its length.
     """
-    seqs = conditioned_sequences(stream)
-    policy = GroupingPolicy(n, DISJOINT)
-
-    def report(bits) -> PrecisionReport:
-        if len(bits) < n * n_m:
-            raise InsufficientDataError(
-                f"{len(bits)} windows cannot fill one block of {n_m} groups of {n}")
-        return relative_error(grouped_counts(bits, policy), n_m)
-
-    ref_s = report(seqs["reference_s"])
-    ref_i = report(seqs["reference_i"])
-    cond_on_s = report(seqs["conditioned_i"])
-    cond_on_i = report(seqs["conditioned_s"])
-    cond_on_s.partial_coverage = len(seqs["conditioned_i"]) < n * n_m * 2
-    cond_on_i.partial_coverage = len(seqs["conditioned_s"]) < n * n_m * 2
-    return {
-        "reference_s": ref_s,
-        "reference_i": ref_i,
-        "conditioned_on_signal": cond_on_s,
-        "conditioned_on_idler": cond_on_i,
-        "S_cs": cond_on_s.normalized / ref_i.normalized,
-        "S_ci": cond_on_i.normalized / ref_s.normalized,
-    }
+    if not len(stream):
+        raise StreamTooShortError("empty stream")
+    arms = {key: _Blocks(n, n_m) for key in (
+        "reference_s", "reference_i",
+        "conditioned_on_signal", "conditioned_on_idler")}
+    for start in range(0, len(stream), ingest.GROUP_CHUNK):
+        chunk = ClickStream(stream.codes[start:start + ingest.GROUP_CHUNK])
+        s, i = chunk.signal, chunk.idler
+        # the bits are 0 or 1, so they select as booleans without a mask
+        for arm, bits in zip(arms.values(),
+                             (s, i, i[s.view(bool)], s[i.view(bool)])):
+            arm.feed(bits)
+    out = {key: arm.report() for key, arm in arms.items()}
+    for key in ("conditioned_on_signal", "conditioned_on_idler"):
+        out[key].partial_coverage = arms[key].windows < n * n_m * 2
+    out["S_cs"] = (out["conditioned_on_signal"].normalized
+                   / out["reference_i"].normalized)
+    out["S_ci"] = (out["conditioned_on_idler"].normalized
+                   / out["reference_s"].normalized)
+    return out

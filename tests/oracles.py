@@ -41,6 +41,11 @@ only the tests run: the one-dimensional reconstruction of the idler
 photocounts heralded by one signal column (the joint EM with a single idler
 column), and the window-shift correlation of a click stream with its moving
 average, which shows the pump drift's plateau.
+
+The precision report of the metrology is kept as it was computed in memory:
+both click sequences and both conditioned sequences built whole, grouped
+whole and cut into blocks (the package reads the stream chunk by chunk and
+keeps only each block's ratio and count sum).
 """
 
 import math
@@ -54,10 +59,12 @@ from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
                            TwbParams, joint_twb)
 from twinbeam.detection import (DetectionMatrix, DetectorSpec,
                                 _log_factorials, detection_matrix)
-from twinbeam.errors import (DataError, InvalidParameterError,
-                             KindMismatchError, NumericError,
-                             StreamTooShortError)
-from twinbeam.ingest import JointHistogram
+from twinbeam.errors import (DataError, InsufficientDataError,
+                             InvalidParameterError, KindMismatchError,
+                             NumericError, StreamTooShortError)
+from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
+                             grouped_counts)
+from twinbeam.metrology import PrecisionReport
 from twinbeam.moments import (S_ORDERED, MomentTable, _transform_2d, moments,
                               to_intensity_moments)
 from twinbeam.quasidist import IntensityGrid
@@ -539,3 +546,77 @@ def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
     sums = np.convolve(k, kernel)[delta_j:delta_j + len(k)]
     norm = np.convolve(np.ones_like(k), kernel)[delta_j:delta_j + len(k)]
     return sums / norm
+
+
+def conditioned_sequences(stream: ClickStream) -> dict:
+    """Reference and conditioned click sequences of both arms.
+
+    ``conditioned_i`` keeps the idler bits of exactly those windows in which
+    the signal detector clicked (and symmetrically for ``conditioned_s``).
+    """
+    if len(stream) == 0:
+        raise StreamTooShortError("empty stream")
+    s, i = stream.signal, stream.idler
+    return {
+        "reference_s": s,
+        "reference_i": i,
+        # the bits are 0 or 1, so they select as booleans without a mask
+        "conditioned_s": s[i.view(bool)],
+        "conditioned_i": i[s.view(bool)],
+    }
+
+
+def relative_error(seq: np.ndarray, n_m: int) -> PrecisionReport:
+    """Relative error of a mean estimated from blocks of ``n_m`` repetitions.
+
+    The sequence of grouped counts is cut into disjoint blocks of ``n_m``
+    values.  Each block contributes its per-measurement relative error
+    ``sqrt(<c^2> - <c>^2) / <c>`` (population-style normalization, so short
+    blocks are biased low); the block average divided by ``sqrt(n_m)`` is
+    the relative error of the estimated mean.  The classical reference is a
+    Poissonian beam of the same global mean measured equally often.
+    """
+    seq = np.asarray(seq, dtype=float)
+    n_blocks = len(seq) // n_m
+    if n_blocks < 1:
+        raise InsufficientDataError(
+            f"sequence of {len(seq)} groups gives no block of {n_m}")
+    trimmed = seq[:n_blocks * n_m].reshape(n_blocks, n_m)
+    means = trimmed.mean(axis=1)
+    if np.any(means == 0):
+        raise DataError("a block has zero mean count")
+    spreads = trimmed.std(axis=1)          # population normalization (1/n_m)
+    per_measurement = float(np.mean(spreads / means))
+    global_mean = float(trimmed.mean())
+    rel = per_measurement / np.sqrt(n_m)
+    rel_classical = 1.0 / np.sqrt(global_mean * n_m)
+    return PrecisionReport(global_mean, rel, rel_classical, rel / rel_classical,
+                           len(seq), n_blocks, n_m)
+
+
+def in_memory_precision_improvement(stream: ClickStream, n: int,
+                                    n_m: int) -> dict:
+    """``metrology.precision_improvement`` with every sequence held whole."""
+    seqs = conditioned_sequences(stream)
+    policy = GroupingPolicy(n, DISJOINT)
+
+    def report(bits) -> PrecisionReport:
+        if len(bits) < n * n_m:
+            raise InsufficientDataError(
+                f"{len(bits)} windows cannot fill one block of {n_m} groups of {n}")
+        return relative_error(grouped_counts(bits, policy), n_m)
+
+    ref_s = report(seqs["reference_s"])
+    ref_i = report(seqs["reference_i"])
+    cond_on_s = report(seqs["conditioned_i"])
+    cond_on_i = report(seqs["conditioned_s"])
+    cond_on_s.partial_coverage = len(seqs["conditioned_i"]) < n * n_m * 2
+    cond_on_i.partial_coverage = len(seqs["conditioned_s"]) < n * n_m * 2
+    return {
+        "reference_s": ref_s,
+        "reference_i": ref_i,
+        "conditioned_on_signal": cond_on_s,
+        "conditioned_on_idler": cond_on_i,
+        "S_cs": cond_on_s.normalized / ref_i.normalized,
+        "S_ci": cond_on_i.normalized / ref_s.normalized,
+    }

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (ClickStream, GroupingPolicy, conditioned_sequences,
-                      group_histogram, grouped_counts)
+from twinbeam import (ClickStream, GroupingPolicy, group_histogram,
+                      grouped_counts)
 from oracles import (DegenerateStreamError, averaged_correlation,
-                     window_correlation)
+                     conditioned_sequences, window_correlation)
 from twinbeam import ingest, models
 from twinbeam.errors import StreamTooShortError
 

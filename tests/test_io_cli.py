@@ -242,10 +242,34 @@ class TestCli:
         assert all(0 <= e <= detection.COLUMN_SUM_TOL for e in errors.values())
         grid_diag = json.loads(open(grid + ".manifest.json").read())[
             "diagnostics"]
-        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity"}
+        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity",
+                                  "tail_mass", "truncation_dirty"}
         assert 0 <= grid_diag["edge_sensitivity"] < math.inf
+        estimate = tbio.read_jdist(dist)
+        for path in (report, grid):
+            diag = json.loads(open(path + ".manifest.json").read())[
+                "diagnostics"]
+            assert diag["tail_mass"] == estimate.tail_mass
+            assert diag["truncation_dirty"] is estimate.truncation_dirty
         assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
         assert f"min={grid_diag['min']:.4e}" in printed.split()
+
+    def test_ncd_and_quasidist_record_the_input_truncation(self, tmp_path,
+                                                           nominal):
+        # a photon table whose truncation dropped 1e-4 of the mass
+        joint = core.joint_twb(nominal[0])
+        tail = 1e-4
+        dist = str(tmp_path / "p.jdist")
+        table = joint.table / joint.table.sum() * (1 - tail)
+        tbio.write_jdist(JointDist(table, tail, PHOTON), dist)
+        for argv in (["ncd", "--identifiers", "E001"],
+                     ["quasidist", "--s", "0"]):
+            out = str(tmp_path / argv[0])
+            assert self.run(*argv, "--dist", dist, "--out", out) == 0
+            diag = json.loads(open(out + ".manifest.json").read())[
+                "diagnostics"]
+            assert diag["tail_mass"] == tail
+            assert diag["truncation_dirty"] is True
 
     def test_grid_beyond_double_range_exits_4(self, tmp_path, nominal):
         dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")

@@ -1,19 +1,25 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import compound_click_dist, conditional_photon_dist
-from twinbeam import (DetectorSpec, GroupingPolicy, JointHistogram,
-                      PumpCorrelation, TwbParams, effective_efficiency,
-                      fano_nrp_cov, from_intensity_moments, group_histogram,
-                      joint_twb, optimal_postselection, precision_improvement,
-                      relative_error, sample_stream)
-from twinbeam import models
+from oracles import (compound_click_dist, conditional_photon_dist,
+                     in_memory_precision_improvement, relative_error)
+from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
+                      JointHistogram, PumpCorrelation, TwbParams,
+                      effective_efficiency, fano_nrp_cov,
+                      from_intensity_moments, group_histogram, joint_twb,
+                      optimal_postselection, precision_improvement,
+                      sample_stream)
+from twinbeam import ingest, models
 from twinbeam.cli import main
-from twinbeam.errors import (InsufficientDataError, NoEligibleColumnError)
+from twinbeam.errors import (DataError, InsufficientDataError,
+                             NoEligibleColumnError, StreamTooShortError,
+                             TwinbeamError)
 from twinbeam.metrology import _postselect
 
 
@@ -327,3 +333,96 @@ class TestPrecisionImprovement:
                                PumpCorrelation(0.0, 100), 5_000, seed=2)
         with pytest.raises(InsufficientDataError):
             precision_improvement(stream, 100, 500)
+
+
+def outcome(route, stream, n, n_m):
+    """The report of ``route``, or the type of the error it raised.
+
+    Blocks of one repeated count have no spread, and a reference arm made of
+    them puts 0 / 0 into ``S_cs`` or ``S_ci``: both routes then read NaN.
+    """
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return route(stream, n, n_m)
+    except TwinbeamError as err:
+        return type(err)
+
+
+def numbers(report):
+    """Every field of every entry of a precision report, in order."""
+    return [x for value in report.values()
+            for x in (dataclasses.astuple(value)
+                      if dataclasses.is_dataclass(value) else (value,))]
+
+
+def click_codes(length, weights, seed):
+    """``length`` window codes drawn from the four click outcomes."""
+    p = np.asarray(weights, dtype=float) + 1e-9
+    rng = np.random.default_rng(seed)
+    return rng.choice(4, size=length, p=p / p.sum()).astype(np.uint8)
+
+
+class TestStreamedPrecision:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(blocks=st.integers(0, 30), extra=st.integers(0, 399),
+           weights=st.tuples(*[st.floats(0.02, 1.0)] * 4),
+           seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 10), n_m=st.integers(1, 40),
+           chunk=st.sampled_from([7, 64, 1 << 18]))
+    @example(blocks=0, extra=0, weights=(1, 1, 1, 1), seed=0, n=1, n_m=1,
+             chunk=7)
+    @example(blocks=9, extra=0, weights=(0, 0, 1, 0), seed=0, n=5, n_m=10,
+             chunk=64)
+    def test_chunked_pass_equals_the_in_memory_oracle(
+            self, blocks, extra, weights, seed, n, n_m, chunk):
+        # chunks of 7 and 64 windows put block edges inside chunks and make
+        # blocks of up to 400 windows span many chunks
+        stream = ClickStream(click_codes(blocks * n * n_m + extra, weights,
+                                         seed))
+        expected = outcome(in_memory_precision_improvement, stream, n, n_m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "GROUP_CHUNK", chunk)
+            got = outcome(precision_improvement, stream, n, n_m)
+        if isinstance(expected, dict):
+            assert isinstance(got, dict) and got.keys() == expected.keys()
+            # exact, with NaN equal to NaN
+            np.testing.assert_array_equal(numbers(got), numbers(expected))
+        else:
+            assert got is expected
+
+    # window codes: bit 0 is the signal click, bit 1 the idler click
+    SILENT_SIGNAL = [0b10] * 40
+    # a signal click opens every block of six windows, every other window
+    # has an idler click: too few heralded idler windows, and the signal
+    # bits heralded by the idler are all zero
+    RARE_SIGNAL = ([0b01] + [0b10] * 5) * 5
+
+    @pytest.mark.parametrize("codes, n, n_m, error", [
+        ([], 1, 1, StreamTooShortError),
+        (SILENT_SIGNAL, 2, 3, DataError),
+        (RARE_SIGNAL, 2, 3, InsufficientDataError),
+        ([0b11] * 20, 5, 5, InsufficientDataError),
+    ], ids=["empty", "zero-mean-block", "insufficient-before-zero-mean",
+            "too-few-windows"])
+    def test_errors_match_the_oracle(self, codes, n, n_m, error):
+        stream = ClickStream(np.array(codes, dtype=np.uint8))
+        for chunk in (7, 1 << 18):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "GROUP_CHUNK", chunk)
+                assert outcome(precision_improvement, stream, n, n_m) is error
+        assert outcome(in_memory_precision_improvement, stream, n, n_m) \
+            is error
+
+    def test_memory_does_not_grow_with_the_stream(self, nominal):
+        params, spec_s, spec_i = nominal
+        p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
+        weights = (1 - p_s - p_i + p11, p_s - p11, p_i - p11, p11)
+        peaks = []
+        for length in (1_000_000, 4_000_000):
+            stream = ClickStream(click_codes(length, weights, seed=5))
+            tracemalloc.start()
+            precision_improvement(stream, 10, 500)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            tracemalloc.stop()
+        assert max(peaks) < 4, peaks
+        assert abs(peaks[1] - peaks[0]) < 1, peaks
