@@ -29,9 +29,8 @@ from .detection import DetectorSpec, default_n_max, detection_matrix
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
-from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov,
-                      from_intensity_moments, moments, ncd,
-                      to_intensity_moments)
+from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
+                      ncd)
 from .quasidist import grid_normalization, quasi_distribution
 from .reconstruct import ml_joint
 from .simulate import PumpCorrelation, _schedule, sample_stream
@@ -189,7 +188,7 @@ def _cmd_ncd(args) -> None:
     unknown = [w for w in wanted if w not in IDENTIFIERS]
     if unknown:
         raise UsageError(f"unknown identifiers: {unknown}")
-    normal = to_intensity_moments(moments(dist, order=5))
+    normal = moments(dist, order=5)
     report = {}
     for ident in wanted:
         outcome = ncd(normal, ident)
@@ -248,17 +247,16 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
                 row.update({f"{label}_tau_{ident}": ncd(normal, ident).tau
                             for ident in idents})
             else:
-                stats = fano_nrp_cov(from_intensity_moments(normal))
+                stats = fano_nrp_cov(normal)
                 row.update({f"{label}_{col}": stats[col]
                             for col in _MOMENT_COLUMNS[metric]})
         if k > 0 and metric in ("mean", "fano", "nrp"):
-            stats = fano_nrp_cov(from_intensity_moments(
-                models.compound_click_moments(params, spec_s, spec_i, n, 2, k)))
+            stats = fano_nrp_cov(
+                models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
             row.update({f"drift_{col}": stats[col]
                         for col in ("mean_i", "fano_i", "nrp")})
     elif metric == "eta-eff":
-        table = from_intensity_moments(
-            models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+        table = models.compound_click_moments(params, spec_s, spec_i, n, 2, k)
         row["eta_eff_s"] = effective_efficiency(table, "s")
         row["eta_eff_i"] = effective_efficiency(table, "i")
     elif metric == "postselect":

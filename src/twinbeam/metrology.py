@@ -169,7 +169,8 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     the same detector; ``S_ci`` is the mirror image.  Values below one mean
     the conditioned, sub-Poissonian field measures a mean more precisely.
     The stream is read ``GROUP_CHUNK`` windows at a time, so the memory
-    beyond it does not grow with its length.
+    beyond it does not grow with its length.  A reference arm with no spread
+    in any block leaves its ratio undefined, which is a ``DataError``.
     """
     if not len(stream):
         raise StreamTooShortError("empty stream")
@@ -186,8 +187,10 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     out = {key: arm.report() for key, arm in arms.items()}
     for key in ("conditioned_on_signal", "conditioned_on_idler"):
         out[key].partial_coverage = arms[key].windows < n * n_m * 2
-    out["S_cs"] = (out["conditioned_on_signal"].normalized
-                   / out["reference_i"].normalized)
-    out["S_ci"] = (out["conditioned_on_idler"].normalized
-                   / out["reference_s"].normalized)
+    for ratio, cond, ref in (("S_cs", "conditioned_on_signal", "reference_i"),
+                             ("S_ci", "conditioned_on_idler", "reference_s")):
+        if out[ref].normalized == 0:
+            raise DataError(f"{ref} has zero spread in every block: "
+                            f"{ratio} is undefined")
+        out[ratio] = out[cond].normalized / out[ref].normalized
     return out

@@ -29,7 +29,7 @@ import numpy as np
 from .core import PHOTOCOUNT, TwbParams, joint_twb
 from .detection import DetectorSpec, _binomial_pmf, detection_matrix
 from .errors import InvalidParameterError
-from .moments import NORMAL, MomentTable
+from .moments import NORMAL, MomentTable, falling_factorials
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -93,8 +93,7 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     Orders above ``n`` are exact zeros.
     """
     p = joint_twb(params.scaled(n)).table
-    falling = np.vstack([np.ones(n + 1), np.cumprod(
-        np.arange(n + 1.0) - np.arange(order)[:, None], axis=0)])
+    falling = falling_factorials(n, order)
     f_s, f_i = (falling @ detection_matrix(DetectorSpec(spec.eta, spec.dark, n),
                                            p.shape[axis] - 1).entries
                 for axis, spec in enumerate((spec_s, spec_i)))

@@ -1,9 +1,10 @@
 """Moment tables, ordering transforms and non-classicality quantification.
 
-Counting moments are turned into normally-ordered intensity moments with
-signed Stirling numbers of the first kind (the factorial-moment identity),
-and from there into moments of any operator ordering ``s`` through the
-integer Laguerre-coefficient expansion
+Normally-ordered intensity moments are the factorial moments of the counts,
+``<W_s^k W_i^l> = <(n_s)_k (n_i)_l>``, read off a distribution in one matrix
+product with the falling factorials ``(n)_k = n (n-1) ... (n-k+1)``.  They
+go into moments of any operator ordering ``s`` through the integer
+Laguerre-coefficient expansion
 
     <W^k>_s = sum_m  (k!)^2 / (m!^2 (k-m)!) * t^(k-m) * <W^m>,   t = (1-s)/2.
 
@@ -25,7 +26,6 @@ import numpy as np
 from .core import JointDist, MarginalDist
 from .errors import (DataError, InsufficientOrderError, InvalidParameterError)
 
-RAW = "raw"
 NORMAL = "normally_ordered"
 S_ORDERED = "s_ordered"
 
@@ -41,24 +41,10 @@ _REQUIRED_ORDER = {"E001": 2, "E101": 3, "E111": 4, "E211": 5,
                    "L11": 2, "L21": 3, "L31": 4, "L41": 5}
 
 
-def stirling_first(order: int) -> list:
-    """Signed Stirling numbers of the first kind, ``s[k][m]`` as exact ints."""
-    s = [[0] * (order + 1) for _ in range(order + 1)]
-    s[0][0] = 1
-    for k in range(1, order + 1):
-        for m in range(k + 1):
-            s[k][m] = (s[k - 1][m - 1] if m else 0) - (k - 1) * s[k - 1][m]
-    return s
-
-
-def stirling_second(order: int) -> list:
-    """Stirling numbers of the second kind, ``S[k][m]`` as exact ints."""
-    s = [[0] * (order + 1) for _ in range(order + 1)]
-    s[0][0] = 1
-    for k in range(1, order + 1):
-        for m in range(1, k + 1):
-            s[k][m] = s[k - 1][m - 1] + m * s[k - 1][m]
-    return s
+def falling_factorials(n_max: int, order: int) -> np.ndarray:
+    """``F[k, n] = (n)_k = n (n-1) ... (n-k+1)``, ``k <= order``, ``n <= n_max``."""
+    return np.vstack([np.ones(n_max + 1), np.cumprod(
+        np.arange(n_max + 1.0) - np.arange(order)[:, None], axis=0)])
 
 
 @lru_cache(maxsize=None)
@@ -79,11 +65,12 @@ def laguerre_mixing(order: int) -> np.ndarray:
 
 @dataclass
 class MomentTable:
-    """Mixed moments ``raw[k, l] = <x_s^k x_i^l>`` for ``k, l <= order``."""
+    """Mixed moments ``raw[k, l]``, ``k, l <= order``: normally ordered,
+    ``<(x_s)_k (x_i)_l>``, unless ``flavor`` says the ordering is ``s``."""
 
     raw: np.ndarray
     order: int
-    flavor: str = RAW
+    flavor: str = NORMAL
     s: float = 1.0
     kind: str = "photon"
 
@@ -108,59 +95,36 @@ class MomentTable:
 
 
 def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
-    """Raw mixed moments of a (possibly one-dimensional) distribution."""
+    """Normally-ordered moments ``Fs @ table @ Fi.T`` of a (possibly 1-D)
+    distribution: falling factorials, no negative term, nothing cancels."""
     if order < 1:
         raise InvalidParameterError("order must be >= 1")
     table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
-    ns = np.arange(table.shape[0], dtype=float)
-    ni = np.arange(table.shape[1], dtype=float)
-    vs = np.vander(ns, order + 1, increasing=True)   # vs[n, k] = n^k
-    vi = np.vander(ni, order + 1, increasing=True)
-    raw = vs.T @ table @ vi
-    return MomentTable(raw, order, RAW, 1.0, d.kind)
+    f_s, f_i = (falling_factorials(size - 1, order) for size in table.shape)
+    return MomentTable(f_s @ table @ f_i.T, order, NORMAL, 1.0, d.kind)
 
 
 def fano_nrp_cov(m: MomentTable) -> dict:
-    """Marginal means and Fano factors, noise-reduction parameter, covariance."""
+    """Marginal means and Fano factors, noise-reduction parameter, covariance.
+
+    ``m`` is normally ordered: the second moment of a count is
+    ``<x^2> = <(x)_2> + <x>``, and ``<x_s x_i>`` needs no change.
+    """
     m.require(2)
     mean_s, mean_i = m[1, 0], m[0, 1]
     if mean_s <= 0 or mean_i <= 0:
         raise DataError("Fano and noise-reduction need nonzero means")
-    var_s = m[2, 0] - mean_s ** 2
-    var_i = m[0, 2] - mean_i ** 2
+    second_s, second_i = m[2, 0] + mean_s, m[0, 2] + mean_i
+    var_s = second_s - mean_s ** 2
+    var_i = second_i - mean_i ** 2
     cov = m[1, 1] - mean_s * mean_i
     return {
         "mean_s": mean_s, "mean_i": mean_i,
         "fano_s": var_s / mean_s,
         "fano_i": var_i / mean_i,
         "nrp": (var_s + var_i - 2 * cov) / (mean_s + mean_i),
-        "covariance": m[1, 1] / np.sqrt(m[2, 0] * m[0, 2]),
+        "covariance": m[1, 1] / np.sqrt(second_s * second_i),
     }
-
-
-def _transform_2d(raw, matrix):
-    """Apply one lower-triangular transform to both axes: ``A @ raw @ A.T``.
-
-    Object-dtype (``Fraction``) tables get an object matrix and stay exact.
-    """
-    a = np.array(matrix, dtype=object if raw.dtype == object else None)
-    return a @ raw @ a.T
-
-
-def to_intensity_moments(m: MomentTable) -> MomentTable:
-    """Normally-ordered (factorial) moments from raw counting moments."""
-    if m.flavor != RAW:
-        raise DataError("input must carry raw moments")
-    out = _transform_2d(m.raw, stirling_first(m.order))
-    return MomentTable(out, m.order, NORMAL, 1.0, m.kind)
-
-
-def from_intensity_moments(m: MomentTable) -> MomentTable:
-    """Inverse of :func:`to_intensity_moments` (Stirling second kind)."""
-    if m.flavor != NORMAL:
-        raise DataError("input must carry normally-ordered moments")
-    out = _transform_2d(m.raw, stirling_second(m.order))
-    return MomentTable(out, m.order, RAW, 1.0, m.kind)
 
 
 def to_s_ordered(m: MomentTable, s: float | np.ndarray) -> MomentTable:
@@ -182,8 +146,6 @@ def _identifier_terms(m: MomentTable, identifier: str) -> list:
     """Signed summands of one identifier (their absolute sum sets its scale)."""
     if identifier not in IDENTIFIERS:
         raise InvalidParameterError(f"unknown identifier {identifier!r}")
-    if m.flavor == RAW:
-        raise DataError("identifiers are defined on intensity moments")
     m.require(_REQUIRED_ORDER[identifier])
     w = m.raw
     if identifier == "E001":
@@ -212,18 +174,12 @@ def nci_value(m: MomentTable, identifier: str) -> float:
 def _noise_floor(m: MomentTable, identifier: str) -> float:
     """Round-off magnitude of an identifier evaluated from table ``m``.
 
-    Intensity moments are alternating Stirling sums of the raw counting
-    moments; expressions like the third-order identifiers cancel exactly on
-    tiny supports, and what is left is pure rounding noise.  The bound
-    rebuilds each moment with unsigned Stirling coefficients, which caps the
-    cancellation noise, and sums the magnitudes of the identifier's terms
-    on that table.
+    Each moment is a sum of nonnegative terms and carries a few ulps of
+    relative error; only the identifier's own signed terms cancel, as the
+    third-order ones do exactly on tiny supports.  The bound is a small
+    multiple of the magnitudes of those terms.
     """
-    raw = np.abs(from_intensity_moments(m).raw)
-    unsigned = MomentTable(_transform_2d(raw, np.abs(stirling_first(m.order))),
-                           m.order, NORMAL, 1.0, m.kind)
-    terms = _identifier_terms(unsigned, identifier)
-    return 1e-13 * float(sum(abs(term) for term in terms))
+    return 1e-13 * float(sum(abs(t) for t in _identifier_terms(m, identifier)))
 
 
 @dataclass

@@ -20,6 +20,10 @@ another way:
   matrices and forms no click table);
 * moments of whole compound click tables, against the closed-form
   grouped-click moments;
+* raw counting moments, and the normally-ordered ones from them through
+  signed Stirling numbers of the first kind, and back through the second
+  kind (the package takes the factorial moments directly from falling
+  factorials, a sum of nonnegative terms that does not cancel);
 * the photon-level drift moments, a closed form to hold the simulated pump
   drift against;
 * the joint photon distribution of a compound beam, and the idler photon
@@ -65,8 +69,7 @@ from twinbeam.errors import (DataError, InsufficientDataError,
 from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
-from twinbeam.moments import (S_ORDERED, MomentTable, _transform_2d, moments,
-                              to_intensity_moments)
+from twinbeam.moments import NORMAL, S_ORDERED, MomentTable
 from twinbeam.quasidist import IntensityGrid
 from twinbeam.reconstruct import _as_table, _block
 from twinbeam.simulate import ClickStream
@@ -288,7 +291,8 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
 
     Per pump factor of the 201-node Gauss-Hermite rule the ``n``-window
     histogram is composed with ``compound_photocounts``; its raw moments are
-    averaged over the factors.  Same signature as
+    averaged over the factors and turned into factorial ones by Stirling
+    numbers.  Same signature as
     ``models.compound_click_moments``, which it can stand in for.
     """
     factors, weights = np.ones(1), np.ones(1)
@@ -300,8 +304,8 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
         window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
                                      [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
-        raw += weight * moments(compound_photocounts(window, n), order).raw
-    return to_intensity_moments(MomentTable(raw, order, kind=PHOTOCOUNT))
+        raw += weight * raw_moments(compound_photocounts(window, n), order).raw
+    return to_intensity_moments(MomentTable(raw, order, RAW, 1.0, PHOTOCOUNT))
 
 
 def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
@@ -380,6 +384,70 @@ def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     ws = g.centers(0) ** k
     wi = g.centers(1) ** l
     return float(ws @ g.values @ wi * dws * dwi)
+
+
+#: Flavor of a table of raw counting moments ``<x_s^k x_i^l>``.
+RAW = "raw"
+
+
+def raw_moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
+    """Raw counting moments of a distribution, ``V_s.T @ table @ V_i``.
+
+    ``V[n, k] = n^k`` is the Vandermonde matrix of each arm's counts.
+    """
+    table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
+    vs, vi = (np.vander(np.arange(size, dtype=float), order + 1,
+                        increasing=True) for size in table.shape)
+    return MomentTable(vs.T @ table @ vi, order, RAW, 1.0, d.kind)
+
+
+def stirling_first(order: int) -> list:
+    """Signed Stirling numbers of the first kind, ``s[k][m]`` as exact ints."""
+    s = [[0] * (order + 1) for _ in range(order + 1)]
+    s[0][0] = 1
+    for k in range(1, order + 1):
+        for m in range(k + 1):
+            s[k][m] = (s[k - 1][m - 1] if m else 0) - (k - 1) * s[k - 1][m]
+    return s
+
+
+def stirling_second(order: int) -> list:
+    """Stirling numbers of the second kind, ``S[k][m]`` as exact ints."""
+    s = [[0] * (order + 1) for _ in range(order + 1)]
+    s[0][0] = 1
+    for k in range(1, order + 1):
+        for m in range(1, k + 1):
+            s[k][m] = s[k - 1][m - 1] + m * s[k - 1][m]
+    return s
+
+
+def _transform_2d(raw, matrix):
+    """Apply one lower-triangular transform to both axes: ``A @ raw @ A.T``.
+
+    Object-dtype (``Fraction``) tables get an object matrix and stay exact.
+    """
+    a = np.array(matrix, dtype=object if raw.dtype == object else None)
+    return a @ raw @ a.T
+
+
+def to_intensity_moments(m: MomentTable) -> MomentTable:
+    """Normally-ordered (factorial) moments from raw counting moments.
+
+    ``(x)_k = sum_m s[k][m] x^m`` with signed Stirling numbers: an
+    alternating sum, which cancels in floating point.
+    """
+    if m.flavor != RAW:
+        raise DataError("input must carry raw moments")
+    out = _transform_2d(m.raw, stirling_first(m.order))
+    return MomentTable(out, m.order, NORMAL, 1.0, m.kind)
+
+
+def from_intensity_moments(m: MomentTable) -> MomentTable:
+    """Inverse of :func:`to_intensity_moments` (Stirling second kind)."""
+    if m.flavor != NORMAL:
+        raise DataError("input must carry normally-ordered moments")
+    out = _transform_2d(m.raw, stirling_second(m.order))
+    return MomentTable(out, m.order, RAW, 1.0, m.kind)
 
 
 def to_s_ordered_by_matrix(m: MomentTable, s) -> MomentTable:

@@ -21,7 +21,7 @@ from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 default_n_max)
 from twinbeam.errors import (DataError, InvalidParameterError,
                              PrecisionExhaustedError)
-from twinbeam.moments import NORMAL, moments, to_intensity_moments
+from twinbeam.moments import NORMAL, moments
 from twinbeam import models
 
 
@@ -218,8 +218,7 @@ class TestCompoundClickMoments:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
     def test_matches_moments_of_the_compound_table(self, nominal, n):
         closed = models.compound_click_moments(*nominal, n, 5).raw
-        table = to_intensity_moments(
-            moments(compound_click_dist(*nominal, n), 5)).raw
+        table = moments(compound_click_dist(*nominal, n), 5).raw
         a, b = np.indices(closed.shape)
         structural = np.maximum(a, b) > n      # more clicks than windows
         assert np.all(closed[structural] == 0.0)

@@ -283,6 +283,15 @@ class TestCli:
             "shrink the photon support or lower s"]
         assert not os.path.exists(grid)
 
+    def test_support_edge_sensitivity_exits_4(self, tmp_path, capsys):
+        dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
+        bright = core.TwbParams(10, 10, 10, 0.5, 0.01, 0.01)
+        tbio.write_jdist(core.joint_twb(bright), dist)
+        assert self.run("quasidist", "--dist", dist, "--s", "0.9",
+                        "--out", grid) == 4
+        assert "support-edge sensitivity" in capsys.readouterr().err
+        assert not os.path.exists(grid)
+
     def reconstruct_thousand(self, tmp_path, capsys, nominal, *extra):
         """Reconstruct 300 disjoint groups of n = 1000 windows."""
         stream = sample_stream(*nominal,
@@ -650,6 +659,9 @@ BAD_INPUTS = {
     "metrology-nm-negative": (
         ["metrology", "--in", "{clicks}", "--group-n", "5", "--nm", "-5",
          "--out", "{tmp}/m.json"], 2, "--nm"),
+    "metrology-reference-without-spread": (
+        ["metrology", "--in", "{clicks_both}", "--group-n", "2", "--nm", "10",
+         "--out", "{tmp}/m.json"], 3, "reference_i has zero spread"),
     "quasidist-steps-zero": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
          "--out", "{tmp}/g.igrid"], 2, "--steps"),
@@ -764,6 +776,10 @@ def bad_input_files(tmp_path, nominal):
     tbio.write_jhist(JointHistogram(np.ones((65, 65), dtype=int), 65 * 65,
                                     GroupingPolicy(64, "disjoint")),
                      files["hist_crowded"])
+    # every window clicks on both arms: no reference spread to divide by
+    files["clicks_both"] = str(tmp_path / "both.clicks")
+    tbio.write_clicks(ClickStream(np.full(1000, 0b11, dtype=np.uint8)),
+                      files["clicks_both"])
     high = np.array(stream.codes)
     high[[3, 11]] = (7, 200)
     files["clicks_high"] = str(tmp_path / "high.clicks")

@@ -11,11 +11,12 @@ from oracles import (compound_click_dist, conditional_photon_dist,
                      in_memory_precision_improvement, relative_error)
 from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
                       JointHistogram, PumpCorrelation, TwbParams,
-                      effective_efficiency, fano_nrp_cov,
-                      from_intensity_moments, group_histogram, joint_twb,
+                      effective_efficiency, fano_nrp_cov, group_histogram,
+                      joint_twb,
                       optimal_postselection, precision_improvement,
                       sample_stream)
 from twinbeam import ingest, models
+from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.errors import (DataError, InsufficientDataError,
                              NoEligibleColumnError, StreamTooShortError,
@@ -24,9 +25,8 @@ from twinbeam.metrology import _postselect
 
 
 def grouped_clicks(params, spec_s, spec_i, n, k=0.0):
-    """Raw moments of ``n`` grouped clicks from the closed-form model."""
-    return from_intensity_moments(
-        models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
+    """Factorial moments of ``n`` grouped clicks from the closed-form model."""
+    return models.compound_click_moments(params, spec_s, spec_i, n, 2, k)
 
 
 class TestEffectiveEfficiencyModel:
@@ -339,7 +339,7 @@ def outcome(route, stream, n, n_m):
     """The report of ``route``, or the type of the error it raised.
 
     Blocks of one repeated count have no spread, and a reference arm made of
-    them puts 0 / 0 into ``S_cs`` or ``S_ci``: both routes then read NaN.
+    them divides ``S_cs`` or ``S_ci`` by 0: the oracle then reads NaN or inf.
     """
     try:
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -373,6 +373,8 @@ class TestStreamedPrecision:
              chunk=7)
     @example(blocks=9, extra=0, weights=(0, 0, 1, 0), seed=0, n=5, n_m=10,
              chunk=64)
+    @example(blocks=9, extra=0, weights=(0, 0, 0, 1), seed=0, n=2, n_m=10,
+             chunk=7)
     def test_chunked_pass_equals_the_in_memory_oracle(
             self, blocks, extra, weights, seed, n, n_m, chunk):
         # chunks of 7 and 64 windows put block edges inside chunks and make
@@ -383,9 +385,12 @@ class TestStreamedPrecision:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "GROUP_CHUNK", chunk)
             got = outcome(precision_improvement, stream, n, n_m)
-        if isinstance(expected, dict):
+        if isinstance(expected, dict) and not np.isfinite(
+                [expected["S_cs"], expected["S_ci"]]).all():
+            # the package refuses exactly the ratios the oracle cannot form
+            assert got is DataError
+        elif isinstance(expected, dict):
             assert isinstance(got, dict) and got.keys() == expected.keys()
-            # exact, with NaN equal to NaN
             np.testing.assert_array_equal(numbers(got), numbers(expected))
         else:
             assert got is expected
@@ -412,6 +417,36 @@ class TestStreamedPrecision:
                 assert outcome(precision_improvement, stream, n, n_m) is error
         assert outcome(in_memory_precision_improvement, stream, n, n_m) \
             is error
+
+    def test_reference_without_spread_is_a_data_error(self):
+        # every window clicks on both arms: both references are constant and
+        # the oracle's ratios are 0 / 0
+        both = ClickStream(np.full(1000, 0b11, dtype=np.uint8))
+        with np.errstate(invalid="ignore"):
+            oracle = in_memory_precision_improvement(both, 2, 10)
+        assert np.isnan(oracle["S_cs"]) and np.isnan(oracle["S_ci"])
+        with pytest.raises(DataError, match="reference_i has zero spread"):
+            precision_improvement(both, 2, 10)
+        # every other window clicks on the idler, the signal at random: the
+        # idler reference is constant, the heralded idler bits are not, and
+        # the oracle's S_cs is x / 0 = inf
+        rng = np.random.default_rng(3)
+        idler = np.tile([1, 0], 500)
+        codes = (rng.integers(0, 2, 1000) | idler << 1).astype(np.uint8)
+        with np.errstate(divide="ignore"):
+            oracle = in_memory_precision_improvement(ClickStream(codes), 2, 10)
+        assert np.isinf(oracle["S_cs"]) and np.isfinite(oracle["S_ci"])
+        with pytest.raises(DataError, match="reference_i"):
+            precision_improvement(ClickStream(codes), 2, 10)
+
+    def test_cli_writes_no_report_without_spread(self, tmp_path, capsys):
+        clicks, out = tmp_path / "both.clicks", tmp_path / "m.json"
+        tbio.write_clicks(ClickStream(np.full(1000, 0b11, dtype=np.uint8)),
+                          str(clicks))
+        assert main(["metrology", "--in", str(clicks), "--group-n", "2",
+                     "--nm", "10", "--out", str(out)]) == 3
+        assert "reference_i has zero spread" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_memory_does_not_grow_with_the_stream(self, nominal):
         params, spec_s, spec_i = nominal

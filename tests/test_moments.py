@@ -7,19 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
-                      from_intensity_moments, joint_twb, mandel_rice, moments,
-                      ncd, nci_value, to_intensity_moments, to_s_ordered)
-from oracles import (compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist, genuine_click_dist,
+                      joint_twb, mandel_rice, moments, ncd, nci_value,
+                      to_s_ordered)
+from oracles import (RAW, compound_click_dist, compound_photon_dist,
+                     conditional_photon_dist, from_intensity_moments,
+                     genuine_click_dist, raw_moments, stirling_first,
+                     stirling_second, to_intensity_moments,
                      to_s_ordered_by_matrix)
 from twinbeam import models
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.core import PHOTON
 from twinbeam.errors import (DataError, InsufficientOrderError,
                              InvalidParameterError)
-from twinbeam.moments import (IDENTIFIERS, MomentTable, NORMAL, RAW,
-                              _identifier_terms, _noise_floor, laguerre_mixing,
-                              stirling_first, stirling_second)
+from twinbeam.moments import (IDENTIFIERS, MomentTable, NORMAL,
+                              _identifier_terms, _noise_floor, laguerre_mixing)
 
 #: Integer weights of a joint distribution on up to 5 x 5 cells.
 weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -29,15 +30,10 @@ weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
 
 
 def exact_moment_table(table, order):
-    """Raw moments of a small distribution in exact Fraction arithmetic."""
-    raw = np.empty((order + 1, order + 1), dtype=object)
-    for k in range(order + 1):
-        for l in range(order + 1):
-            acc = Fraction(0)
-            for (ns, ni), p in np.ndenumerate(table):
-                acc += p * Fraction(ns) ** k * Fraction(ni) ** l
-            raw[k, l] = acc
-    return MomentTable(raw, order, RAW, 1.0, PHOTON)
+    """Raw moments of a distribution in exact Fraction arithmetic."""
+    vs, vi = (np.array([[n ** k for k in range(order + 1)] for n in range(size)],
+                       dtype=object) for size in table.shape)
+    return MomentTable(vs.T @ table @ vi, order, RAW, 1.0, PHOTON)
 
 
 def fractions(table):
@@ -59,6 +55,9 @@ class TestMoments:
         table[2, 3] = 1.0
         m = moments(JointDist(table, 0.0, PHOTON), 2)
         assert m[1, 0] == 2 and m[0, 1] == 3 and m[1, 1] == 6
+        # normally ordered: falling factorials 2 * 1 and 3 * 2
+        assert m[2, 0] == 2 and m[0, 2] == 6 and m[2, 2] == 12
+        assert m.flavor == NORMAL
 
     def test_independent_arms_factorize(self):
         a = mandel_rice(3, 0.2, 25).probs
@@ -105,15 +104,15 @@ class TestStirling:
 
     def test_first_moment_unchanged(self, nominal):
         params, _, _ = nominal
-        m = moments(joint_twb(params), 3)
-        w = to_intensity_moments(m)
-        assert w[1, 0] == pytest.approx(m[1, 0], rel=1e-14)
+        m = raw_moments(joint_twb(params), 3)
+        for w in (to_intensity_moments(m), moments(joint_twb(params), 3)):
+            assert w[1, 0] == pytest.approx(m[1, 0], rel=1e-14)
 
     def test_second_factorial_moment(self):
         d = mandel_rice(2, 0.4, 40)
-        m = moments(d, 3)
-        w = to_intensity_moments(m)
-        assert w[2, 0] == pytest.approx(m[2, 0] - m[1, 0], rel=1e-12)
+        m = raw_moments(d, 3)
+        for w in (to_intensity_moments(m), moments(d, 3)):
+            assert w[2, 0] == pytest.approx(m[2, 0] - m[1, 0], rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_against_factorial_moments(self, seed):
@@ -125,31 +124,36 @@ class TestStirling:
         order = 4
         m = exact_moment_table(table, order)
         w = to_intensity_moments(m)
+        direct = moments(JointDist(table.astype(float), 0.0, PHOTON), order)
         for k in range(order + 1):
             for l in range(order + 1):
                 brute = Fraction(0)
                 for (ns, ni), p in np.ndenumerate(table):
                     brute += p * falling(ns, k) * falling(ni, l)
                 assert w[k, l] == brute    # exact equality of Fractions
+                assert abs(Fraction(direct[k, l]) - brute) <= 1e-14 * brute
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(77)
         t = rng.random((4, 4))
-        m = moments(JointDist(t / t.sum(), 0.0, PHOTON), 4)
+        d = JointDist(t / t.sum(), 0.0, PHOTON)
+        m = raw_moments(d, 4)
         back = from_intensity_moments(to_intensity_moments(m))
         np.testing.assert_allclose(back.raw, m.raw, rtol=1e-12)
+        np.testing.assert_allclose(from_intensity_moments(moments(d, 4)).raw,
+                                   m.raw, rtol=1e-12)
 
 
 class TestSOrdering:
     def test_identity_at_one(self, nominal):
         params, _, _ = nominal
-        w = to_intensity_moments(moments(joint_twb(params), 4))
+        w = moments(joint_twb(params), 4)
         w1 = to_s_ordered(w, 1.0)
         np.testing.assert_allclose(w1.raw, w.raw, rtol=0, atol=0)
 
     def test_first_moment_shift(self):
         d = mandel_rice(2, 0.4, 40)
-        w = to_intensity_moments(moments(d, 2))
+        w = moments(d, 2)
         for s in (0.5, 0.0, -1.0):
             ws = to_s_ordered(w, s)
             assert ws[1, 0] == pytest.approx(w[1, 0] + (1 - s) / 2, rel=1e-13)
@@ -158,7 +162,7 @@ class TestSOrdering:
         # at ordering s the vacuum intensity is a unit-mode thermal field
         # with mean t = (1-s)/2 and <W^k> = k! t^k
         vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
-        w = to_intensity_moments(moments(vac, 4))
+        w = moments(vac, 4)
         for s in (0.0, -0.5):
             t = (1 - s) / 2
             ws = to_s_ordered(w, s)
@@ -177,7 +181,7 @@ class TestSOrdering:
         from scipy.stats import poisson
         lam = 0.9
         p = MarginalDist(poisson.pmf(np.arange(50), lam), 0.0, PHOTON)
-        w = to_intensity_moments(moments(p, 2))
+        w = moments(p, 2)
         s = 0.2
         t = (1 - s) / 2
         ws = to_s_ordered(w, s)
@@ -212,29 +216,23 @@ class TestSOrdering:
 class TestNci:
     def test_noiseless_pairing_e001(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.3, 0.0, 0.0))
-        w = to_intensity_moments(moments(p, 2))
+        w = moments(p, 2)
         assert nci_value(w, "E001") == pytest.approx(-2 * p.marginal("s").mean(),
                                                 rel=1e-9)
 
     def test_product_poisson_m1001_vanishes(self):
         from scipy.stats import poisson
         p = poisson.pmf(np.arange(40), 0.7)
-        w = to_intensity_moments(moments(JointDist(np.outer(p, p), 0.0,
-                                                   PHOTON), 2))
+        w = moments(JointDist(np.outer(p, p), 0.0,
+                                                   PHOTON), 2)
         assert nci_value(w, "M1001") == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_l_family_vanishes(self):
         from scipy.stats import poisson
         p = MarginalDist(poisson.pmf(np.arange(60), 0.8), 0.0, PHOTON)
-        w = to_intensity_moments(moments(p, 5))
+        w = moments(p, 5)
         for ident in ("L11", "L21", "L31", "L41"):
             assert nci_value(w, ident) == pytest.approx(0.0, abs=1e-12)
-
-    def test_raw_flavor_rejected(self, nominal):
-        params, _, _ = nominal
-        m = moments(joint_twb(params), 2)
-        with pytest.raises(DataError):
-            nci_value(m, "E001")
 
     def test_order_requirement(self):
         w = MomentTable(np.ones((3, 3)), 2, NORMAL)
@@ -248,7 +246,27 @@ class TestNci:
         # of the same identifier on the same table in exact arithmetic
         table = weights / weights.sum()
         exact = to_intensity_moments(exact_moment_table(fractions(table), 5))
-        w = to_intensity_moments(moments(JointDist(table, 0.0, PHOTON), 5))
+        w = moments(JointDist(table, 0.0, PHOTON), 5)
+        for ident in IDENTIFIERS:
+            error = Fraction(nci_value(w, ident)) \
+                - sum(_identifier_terms(exact, ident))
+            assert abs(error) <= Fraction(_noise_floor(w, ident)), ident
+
+    @pytest.mark.parametrize("source", ["clicks", "photons", "log-uniform"])
+    def test_noise_floor_bounds_a_realistic_table(self, nominal, source):
+        # 40 x 40 cells: the compound click table of 39 windows, the compound
+        # photon table of 100 windows cut to 40 x 40, and cells spread over
+        # twenty decades; the float64 moments and identifiers against the
+        # same identifiers on the exact table
+        if source == "clicks":
+            table = compound_click_dist(*nominal, 39).table
+        elif source == "photons":
+            table = compound_photon_dist(nominal[0], 100).table[:40, :40]
+        else:
+            table = 10.0 ** np.random.default_rng(5).uniform(-20, 0, (40, 40))
+        table = table / table.sum()
+        exact = to_intensity_moments(exact_moment_table(fractions(table), 5))
+        w = moments(JointDist(table, 0.0, PHOTON), 5)
         for ident in IDENTIFIERS:
             error = Fraction(nci_value(w, ident)) \
                 - sum(_identifier_terms(exact, ident))
@@ -258,8 +276,8 @@ class TestNci:
 class TestNcd:
     def test_classical_field_has_zero_depth(self):
         th = mandel_rice(2, 0.3, 40)
-        w = to_intensity_moments(moments(JointDist(np.outer(th.probs, th.probs),
-                                                   0.0, PHOTON), 5))
+        w = moments(JointDist(np.outer(th.probs, th.probs),
+                                                   0.0, PHOTON), 5)
         for ident in ("E001", "E101", "M1001", "M001001"):
             r = ncd(w, ident)
             assert r.tau == 0.0 and not r.nonclassical
@@ -267,14 +285,14 @@ class TestNcd:
     def test_compound_photocount_depth_at_n50(self, nominal):
         # frozen from the exact compound click model at the demo parameters
         fc = compound_click_dist(*nominal, 50)
-        w = to_intensity_moments(moments(fc, 5))
+        w = moments(fc, 5)
         assert ncd(w, "E001").tau == pytest.approx(0.13211, abs=2e-4)
         assert ncd(w, "M1001").tau == pytest.approx(0.14240, abs=2e-4)
 
     def test_depth_bounded_for_gaussian_model_beams(self, nominal):
         params, _, _ = nominal
         j = compound_photon_dist(params, 100)
-        w = to_intensity_moments(moments(j, 5))
+        w = moments(j, 5)
         for ident in ("E001", "E111", "M1001"):
             r = ncd(w, ident)
             assert r.nonclassical
@@ -283,14 +301,23 @@ class TestNcd:
     def test_suppression_is_monotone_in_s(self, nominal):
         # ordering noise only ever weakens a violation on these beams
         fc = compound_click_dist(*nominal, 20)
-        w = to_intensity_moments(moments(fc, 5))
+        w = moments(fc, 5)
         values = [nci_value(to_s_ordered(w, s), "E001")
                   for s in np.linspace(1.0, -1.0, 41)]
         assert np.all(np.diff(values) > 0)
 
+    def test_violation_beyond_s_minus_one_is_saturated(self):
+        # <W_s W_i> far above both means: at s = -1 (t = 1) E001 is still
+        # 2.4 + 2.4 - 2 * 11.2 < 0, so the depth is reported as 1
+        w = np.zeros((3, 3))
+        w[0, 0], w[1, 0], w[0, 1], w[1, 1] = 1.0, 0.1, 0.1, 10.0
+        r = ncd(MomentTable(w, 2, NORMAL), "E001")
+        assert r.saturated and r.nonclassical and not r.multiple_roots
+        assert (r.tau, r.s_threshold, r.value_at_normal) == (1.0, -1.0, -20.0)
+
     def test_tau_equals_threshold_relation(self, nominal):
         fc = compound_click_dist(*nominal, 30)
-        w = to_intensity_moments(moments(fc, 5))
+        w = moments(fc, 5)
         r = ncd(w, "E001")
         assert r.tau == pytest.approx((1 - r.s_threshold) / 2, abs=1e-12)
 
@@ -298,7 +325,7 @@ class TestNcd:
         # on a single on/off window every third-or-higher-order factorial
         # moment vanishes identically; the depth search must not chase the
         # rounding noise of that exact cancellation
-        tables = [to_intensity_moments(moments(dist, 5)) for dist in
+        tables = [moments(dist, 5) for dist in
                   (compound_click_dist(*nominal, 1),
                    genuine_click_dist(*nominal, 1))]
         tables.append(models.genuine_click_moments(*nominal, 1, 5))
@@ -328,7 +355,7 @@ class TestNcd:
         params, spec_s, _ = nominal
         cond = conditional_photon_dist(joint_twb(params), spec_s, 2, 10)
         assert cond.fano() < 1
-        w = to_intensity_moments(moments(cond, 5))
+        w = moments(cond, 5)
         taus = []
         for ident in ("L11", "L21", "L31", "L41"):
             assert nci_value(w, ident) < 0

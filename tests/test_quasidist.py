@@ -8,8 +8,7 @@ import pytest
 
 from oracles import _basis_mp, compound_photon_dist, grid_moments
 from twinbeam import (JointDist, TwbParams, grid_normalization, joint_twb,
-                      moments, quasi_distribution, to_intensity_moments,
-                      to_s_ordered)
+                      moments, quasi_distribution, to_s_ordered)
 from twinbeam.core import PHOTON
 from twinbeam.errors import DivergentSeriesError, InvalidParameterError
 from twinbeam.quasidist import _basis
@@ -94,6 +93,15 @@ class TestQuasiDistribution:
         with pytest.raises(DivergentSeriesError, match="double range"):
             quasi_distribution(strong, 0.5, steps=8)
 
+    def test_support_edge_sensitivity_raises(self):
+        # a bright, strongly paired beam on its own default support: at
+        # s = 0.9 the grid moves by 6.65e-2 of its scale when the last 10 %
+        # of the support is dropped
+        bright = joint_twb(TwbParams(10, 10, 10, 0.5, 0.01, 0.01))
+        with pytest.raises(DivergentSeriesError,
+                           match="support-edge sensitivity 6.65e-02"):
+            quasi_distribution(bright, 0.9)
+
     def test_high_intensity_grid_needs_no_mpmath(self):
         # hundreds of photon pairs: the damping falls to about exp(-660)
         probe = (
@@ -124,7 +132,7 @@ class TestGridMoments:
         params, _, _ = nominal
         j = joint_twb(params)
         g = quasi_distribution(j, s, steps=512)
-        w = to_s_ordered(to_intensity_moments(moments(j, 2)), s)
+        w = to_s_ordered(moments(j, 2), s)
         for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
             assert grid_moments(g, k, l) == pytest.approx(w[k, l], abs=1e-2)
 
@@ -132,6 +140,6 @@ class TestGridMoments:
         params, _, _ = nominal
         strong = compound_photon_dist(params, 500)
         g = quasi_distribution(strong, 0.0, steps=512)
-        w = to_s_ordered(to_intensity_moments(moments(strong, 2)), 0.0)
+        w = to_s_ordered(moments(strong, 2), 0.0)
         assert grid_moments(g, 1, 0) == pytest.approx(w[1, 0], rel=1e-2)
         assert grid_moments(g, 1, 1) == pytest.approx(w[1, 1], rel=1e-2)

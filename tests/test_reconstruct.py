@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (DetectorSpec, JointDist, JointHistogram, GroupingPolicy,
-                      MarginalDist, detection_matrix, joint_twb, ml_joint)
+                      MarginalDist, detection_matrix, joint_twb, ml_joint,
+                      moments, ncd)
 from oracles import (EmConfig, EmptyConditionError, compound_click_dist,
                      compound_photon_dist, conditional_histogram,
                      conditional_photon_dist, em_conditional, em_joint)
@@ -119,6 +120,43 @@ class TestMlJoint:
         small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             ml_joint(f, small, small)
+
+
+class TestClosure:
+    """The pipeline's estimate on exact compound click data, against its model.
+
+    The reconstruction spreads the photons of ``n`` grouped windows over an
+    ``n``-pixel detector; in the compound beam each window is its own pixel
+    and a pair's two photons share it.  On the exact click table that
+    difference leaves tau a little above the model's, by a gap measured
+    once and pinned here on both sides, so that a change to the detector
+    model, the solver or the moments shows up.
+    """
+
+    #: Measured tau_estimate - tau_model, per group size and identifier.
+    GAPS = {(10, "E001"): 7.42e-4, (10, "M1001"): 7.40e-4,
+            (100, "E001"): 9.73e-4, (100, "M1001"): 9.78e-4}
+    #: 40 times the depth search's resolution in tau (5e-7), and 3 % of the
+    #: smallest gap.
+    MARGIN = 2e-5
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_exact_click_table_recovers_the_model_depth(self, nominal, n):
+        params, spec_s, spec_i = nominal
+        exact = compound_click_dist(params, spec_s, spec_i, n).table
+        table = np.where(exact >= 1e-10, exact, 0.0)
+        rows, cols = np.nonzero(table)
+        assert rows.size == {10: 61, 100: 340}[n]
+        c_max = int(max(rows.max(), cols.max()))
+        n_max = default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
+        t_s, t_i = (detection_matrix(DetectorSpec(spec.eta, spec.dark, n), n_max)
+                    for spec in (spec_s, spec_i))
+        est, res = ml_joint(JointDist(table, 0.0, PHOTOCOUNT), t_s, t_i)
+        assert res.converged and res.lindsay_bound < CERTIFICATE
+        w, model = moments(est, 5), moments(joint_twb(params.scaled(n)), 5)
+        for ident in ("E001", "M1001"):
+            gap = ncd(w, ident).tau - ncd(model, ident).tau
+            assert abs(gap - self.GAPS[n, ident]) <= self.MARGIN, (ident, gap)
 
 
 class TestEmJoint:
