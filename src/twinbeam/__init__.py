@@ -8,8 +8,8 @@ from .ingest import (GroupingPolicy, JointHistogram, group_histogram,
 from .metrology import (PostSelectionResult, PrecisionReport,
                         effective_efficiency, optimal_postselection,
                         precision_improvement)
-from .moments import (MomentTable, NcdResult, fano_nrp_cov, moments, ncd,
-                      nci_value, to_s_ordered)
+from .moments import (NcdResult, fano_nrp_cov, moments, ncd, nci_value,
+                      to_s_ordered)
 from .quasidist import IntensityGrid, grid_normalization, quasi_distribution
 from .reconstruct import MlResult, ml_joint
 from .simulate import ClickStream, PumpCorrelation, sample_stream

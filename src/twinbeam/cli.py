@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import io as tbio
 from . import models
-from .core import TwbParams, PHOTON
+from .core import TwbParams
 from .detection import DetectorSpec, default_n_max, detection_matrix
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
@@ -189,18 +189,7 @@ def _cmd_ncd(args) -> None:
     if unknown:
         raise UsageError(f"unknown identifiers: {unknown}")
     normal = moments(dist, order=5)
-    report = {}
-    for ident in wanted:
-        outcome = ncd(normal, ident)
-        report[ident] = {
-            "tau": outcome.tau,
-            "s_threshold": outcome.s_threshold,
-            "nonclassical": outcome.nonclassical,
-            "value_at_normal_ordering": outcome.value_at_normal,
-            "noise_floor": outcome.noise_floor,
-            "saturated": outcome.saturated,
-            "multiple_roots": outcome.multiple_roots,
-        }
+    report = {ident: dataclasses.asdict(ncd(normal, ident)) for ident in wanted}
     tbio.write_json(report, args.out)
     _write_manifest(args.out, args, [args.dist], {
         "tail_mass": dist.tail_mass, "truncation_dirty": dist.truncation_dirty})
@@ -208,8 +197,6 @@ def _cmd_ncd(args) -> None:
 
 def _cmd_quasidist(args) -> None:
     dist = tbio.read_jdist(args.dist)
-    if dist.kind != PHOTON:
-        raise DataError("quasi-distribution needs a photon-number input")
     grid = quasi_distribution(dist, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),

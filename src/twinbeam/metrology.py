@@ -23,7 +23,7 @@ from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError, StreamTooShortError)
 from .ingest import DISJOINT, GroupingPolicy, JointHistogram, grouped_counts
-from .moments import MomentTable, moments
+from .moments import moments
 from .simulate import ClickStream
 
 
@@ -51,7 +51,7 @@ class PostSelectionResult:
     p_success: float
 
 
-def effective_efficiency(data: JointHistogram | MomentTable, arm: str = "s",
+def effective_efficiency(data: JointHistogram | np.ndarray, arm: str = "s",
                          subtract_dark: DetectorSpec | None = None) -> float:
     """Covariance-based effective efficiency of one detector.
 
@@ -64,7 +64,6 @@ def effective_efficiency(data: JointHistogram | MomentTable, arm: str = "s",
         data = moments(JointDist(data.normalized(), 0.0, PHOTOCOUNT), 2)
     elif subtract_dark is not None:
         raise InvalidParameterError("dark subtraction needs a histogram")
-    data.require(2)
     mean_s, mean_i = data[1, 0], data[0, 1]
     cov = data[1, 1] - mean_s * mean_i
     denominator = mean_i if arm == "s" else mean_s

@@ -26,10 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import PHOTOCOUNT, TwbParams, joint_twb
+from .core import TwbParams, joint_twb
 from .detection import DetectorSpec, _binomial_pmf, detection_matrix
 from .errors import InvalidParameterError
-from .moments import NORMAL, MomentTable, falling_factorials
+from .moments import falling_factorials
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -82,7 +82,7 @@ def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
 
 def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
                           spec_i: DetectorSpec, n: int, order: int
-                          ) -> MomentTable:
+                          ) -> np.ndarray:
     """Factorial click moments of the equally strong genuine beam.
 
     The beam has ``n`` times the modes of one window, but all its photons
@@ -97,7 +97,7 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     f_s, f_i = (falling @ detection_matrix(DetectorSpec(spec.eta, spec.dark, n),
                                            p.shape[axis] - 1).entries
                 for axis, spec in enumerate((spec_s, spec_i)))
-    return MomentTable(f_s @ p @ f_i.T, order, NORMAL, 1.0, PHOTOCOUNT)
+    return f_s @ p @ f_i.T
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +111,7 @@ def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
 
 def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
                            spec_i: DetectorSpec, n: int, order: int,
-                           k: float = 0.0) -> MomentTable:
+                           k: float = 0.0) -> np.ndarray:
     """Factorial (normally ordered) click moments of ``n`` grouped windows.
 
     ``F[a, b] = a! b! [u^a v^b] (1 + p_s u + p_i v + p11 u v)^n``, i.e.
@@ -136,7 +136,7 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
                          * math.factorial(c)) * math.perm(n, a + b - c))
             out[a, b] += float(coeff) * (weights @ (
                 p_s ** (a - c) * p_i ** (b - c) * p11 ** c))
-    return MomentTable(out, order, NORMAL, 1.0, PHOTOCOUNT)
+    return out
 
 
 def postselection_stats(params: TwbParams, spec_s: DetectorSpec,

@@ -1,12 +1,16 @@
 """Moment tables, ordering transforms and non-classicality quantification.
 
-Normally-ordered intensity moments are the factorial moments of the counts,
-``<W_s^k W_i^l> = <(n_s)_k (n_i)_l>``, read off a distribution in one matrix
-product with the falling factorials ``(n)_k = n (n-1) ... (n-k+1)``.  They
-go into moments of any operator ordering ``s`` through the integer
-Laguerre-coefficient expansion
+A moment table is a square array ``m[k, l] = <W_s^k W_i^l>`` of order
+``m.shape[0] - 1``.  Normally-ordered intensity moments are the factorial
+moments of the counts, ``<W_s^k W_i^l> = <(n_s)_k (n_i)_l>``, read off a
+distribution in one matrix product with the falling factorials
+``(n)_k = n (n-1) ... (n-k+1)``.  They go into moments of any operator
+ordering ``s`` through the integer Laguerre-coefficient expansion
 
-    <W^k>_s = sum_m  (k!)^2 / (m!^2 (k-m)!) * t^(k-m) * <W^m>,   t = (1-s)/2.
+    <W^k>_s = sum_m  (k!)^2 / (m!^2 (k-m)!) * t^(k-m) * <W^m>,   t = (1-s)/2,
+
+a polynomial in ``t``.  Orderings compose: the noise of ``t1`` then ``t2``
+is the noise of ``t1 + t2``.
 
 A non-classicality identifier (NCI) is an intensity-moment expression that
 is negative only for non-classical fields.  Decreasing ``s`` injects
@@ -18,16 +22,13 @@ threshold ``s_th`` where it nullifies gives the non-classicality depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .core import JointDist, MarginalDist
 from .errors import (DataError, InsufficientOrderError, InvalidParameterError)
-
-NORMAL = "normally_ordered"
-S_ORDERED = "s_ordered"
 
 E_FAMILY = ("E001", "E101", "E111", "E211")
 M_FAMILY = ("M1001", "M001001")
@@ -63,54 +64,22 @@ def laguerre_mixing(order: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MomentTable:
-    """Mixed moments ``raw[k, l]``, ``k, l <= order``: normally ordered,
-    ``<(x_s)_k (x_i)_l>``, unless ``flavor`` says the ordering is ``s``."""
-
-    raw: np.ndarray
-    order: int
-    flavor: str = NORMAL
-    s: float = 1.0
-    kind: str = "photon"
-
-    def require(self, order: int) -> None:
-        if self.order < order:
-            raise InsufficientOrderError(
-                f"identifier needs order {order}, table has {self.order}")
-
-    def __getitem__(self, kl) -> float:
-        return self.raw[kl]
-
-    @cached_property
-    def _t_polynomial(self) -> np.ndarray:
-        """``c[k, l, d]``, the coefficient of ``t^d`` in ``<W_s^k W_i^l>_s``."""
-        lag = laguerre_mixing(self.order)
-        # x[k, d, l, e] = L[k, a, d] L[l, b, e] raw[a, b]: one product per cell
-        x = np.tensordot(np.tensordot(lag, self.raw, (1, 0)), lag, (2, 1))
-        c = np.zeros(lag.shape[:2] + (2 * self.order + 1,), x.dtype)
-        for d in range(self.order + 1):
-            c[:, :, d:d + self.order + 1] += x[:, d]
-        return c
-
-
-def moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
+def moments(d: JointDist | MarginalDist, order: int) -> np.ndarray:
     """Normally-ordered moments ``Fs @ table @ Fi.T`` of a (possibly 1-D)
     distribution: falling factorials, no negative term, nothing cancels."""
     if order < 1:
         raise InvalidParameterError("order must be >= 1")
     table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
     f_s, f_i = (falling_factorials(size - 1, order) for size in table.shape)
-    return MomentTable(f_s @ table @ f_i.T, order, NORMAL, 1.0, d.kind)
+    return f_s @ table @ f_i.T
 
 
-def fano_nrp_cov(m: MomentTable) -> dict:
+def fano_nrp_cov(m: np.ndarray) -> dict:
     """Marginal means and Fano factors, noise-reduction parameter, covariance.
 
     ``m`` is normally ordered: the second moment of a count is
     ``<x^2> = <(x)_2> + <x>``, and ``<x_s x_i>`` needs no change.
     """
-    m.require(2)
     mean_s, mean_i = m[1, 0], m[0, 1]
     if mean_s <= 0 or mean_i <= 0:
         raise DataError("Fano and noise-reduction need nonzero means")
@@ -127,27 +96,46 @@ def fano_nrp_cov(m: MomentTable) -> dict:
     }
 
 
-def to_s_ordered(m: MomentTable, s: float | np.ndarray) -> MomentTable:
+def _ordering(m: np.ndarray):
+    """The table ``m`` at ordering ``s``, as a function of ``s``.
+
+    ``c[k, l, d]``, the coefficient of ``t^d`` in ``<W_s^k W_i^l>_s``, is
+    formed once; each call evaluates the polynomial at ``t = (1 - s)/2``.
+    """
+    order = m.shape[0] - 1
+    lag = laguerre_mixing(order)
+    # x[k, d, l, e] = L[k, a, d] L[l, b, e] m[a, b]: one product per cell
+    x = np.tensordot(np.tensordot(lag, m, (1, 0)), lag, (2, 1))
+    c = np.zeros(lag.shape[:2] + (2 * order + 1,), x.dtype)
+    for d in range(order + 1):
+        c[:, :, d:d + order + 1] += x[:, d]
+
+    def at(s: float | np.ndarray) -> np.ndarray:
+        t = (1.0 - np.asarray(s, dtype=float)) / 2.0
+        if (t < 0).any():
+            raise InvalidParameterError("ordering parameter must satisfy s <= 1")
+        return c @ np.power.outer(t, np.arange(c.shape[-1])).T
+    return at
+
+
+def to_s_ordered(m: np.ndarray, s: float | np.ndarray) -> np.ndarray:
     """Intensity moments at operator ordering ``s`` (``s = 1`` is a no-op).
 
-    An array of orderings adds a last axis to the table, one per ordering.
+    ``m`` is a table at any ordering ``s0``; the result is at ordering
+    ``s0 + s - 1``, since ``t = (1 - s)/2`` adds.  An array of orderings adds
+    a last axis to the table, one per ordering.
     """
-    if m.flavor != NORMAL:
-        raise DataError("ordering change starts from normally-ordered moments")
-    t = (1.0 - np.asarray(s, dtype=float)) / 2.0
-    if (t < 0).any():
-        raise InvalidParameterError("ordering parameter must satisfy s <= 1")
-    c = m._t_polynomial
-    out = c @ np.power.outer(t, np.arange(c.shape[-1])).T
-    return MomentTable(out, m.order, S_ORDERED, s, m.kind)
+    return _ordering(m)(s)
 
 
-def _identifier_terms(m: MomentTable, identifier: str) -> list:
+def _identifier_terms(w: np.ndarray, identifier: str) -> list:
     """Signed summands of one identifier (their absolute sum sets its scale)."""
     if identifier not in IDENTIFIERS:
         raise InvalidParameterError(f"unknown identifier {identifier!r}")
-    m.require(_REQUIRED_ORDER[identifier])
-    w = m.raw
+    if w.shape[0] - 1 < _REQUIRED_ORDER[identifier]:
+        raise InsufficientOrderError(
+            f"identifier needs order {_REQUIRED_ORDER[identifier]}, "
+            f"table has {w.shape[0] - 1}")
     if identifier == "E001":
         return [w[2, 0], w[0, 2], -2 * w[1, 1]]
     if identifier == "E101":
@@ -166,12 +154,12 @@ def _identifier_terms(m: MomentTable, identifier: str) -> list:
     return [w[k + 1, 0], -w[k, 0] * w[1, 0]]
 
 
-def nci_value(m: MomentTable, identifier: str) -> float:
+def nci_value(m: np.ndarray, identifier: str) -> float:
     """Evaluate one non-classicality identifier; negative flags non-classicality."""
     return float(sum(_identifier_terms(m, identifier)))
 
 
-def _noise_floor(m: MomentTable, identifier: str) -> float:
+def _noise_floor(m: np.ndarray, identifier: str) -> float:
     """Round-off magnitude of an identifier evaluated from table ``m``.
 
     Each moment is a sum of nonnegative terms and carries a few ulps of
@@ -186,15 +174,15 @@ def _noise_floor(m: MomentTable, identifier: str) -> float:
 class NcdResult:
     """Outcome of a non-classicality depth determination.
 
-    ``nonclassical`` holds when ``value_at_normal`` is below ``-noise_floor``,
-    the round-off bound of the identifier.
+    ``nonclassical`` holds when ``value_at_normal_ordering`` is below
+    ``-noise_floor``, the round-off bound of the identifier.  The fields are
+    the entries of the ``ncd`` command's JSON report.
     """
 
-    identifier: str
     tau: float
     s_threshold: float
     nonclassical: bool
-    value_at_normal: float
+    value_at_normal_ordering: float
     noise_floor: float
     saturated: bool = False
     multiple_roots: bool = False
@@ -204,44 +192,40 @@ class NcdResult:
 _S_RESOLUTION = 1e-6
 
 
-def ncd(m: MomentTable, identifier: str) -> NcdResult:
+def ncd(m: np.ndarray, identifier: str) -> NcdResult:
     """Non-classicality depth of one identifier via threshold search in ``s``.
 
-    The identifier value is scanned over 64 orderings with s in [-1, 1] by
-    one :func:`to_s_ordered` call; the sign change closest to ``s = 1`` is
-    bisected down to ``1e-6``.  A violation persisting at ``s = -1`` is
-    reported saturated with ``tau = 1`` rather than extrapolated.
+    ``m`` is normally ordered, so the identifier's value at ``s = 1`` is read
+    off it directly.  A violation forms the t-polynomial of the table once;
+    its value is scanned over 64 orderings with s in [-1, 1] in one
+    evaluation, and the sign change closest to ``s = 1`` is bisected down to
+    ``1e-6``.  A violation persisting at ``s = -1`` is reported saturated
+    with ``tau = 1`` rather than extrapolated.
     """
-    if m.flavor != NORMAL:
-        raise DataError("depth search starts from normally-ordered moments")
-
-    def value(s: float) -> float:
-        return nci_value(to_s_ordered(m, s), identifier)
-
     # a violation only counts if it clears the round-off floor of the
     # expression: structurally cancelled cases are classical
     floor = _noise_floor(m, identifier)
-    v1 = value(1.0)
+    v1 = nci_value(m, identifier)
     if not v1 < -floor:
-        return NcdResult(identifier, 0.0, 1.0, False, v1, floor)
+        return NcdResult(0.0, 1.0, False, v1, floor)
 
+    ordered = _ordering(m)
     grid = np.linspace(1.0, -1.0, 64)
-    scan = sum(_identifier_terms(to_s_ordered(m, grid[1:]), identifier))
+    scan = sum(_identifier_terms(ordered(grid[1:]), identifier))
     vals = [v1, *scan]
     sign_changes = [i for i in range(len(grid) - 1)
                     if vals[i] < -floor <= vals[i + 1]]
     if not sign_changes:
-        return NcdResult(identifier, 1.0, -1.0, True, v1, floor,
-                         saturated=True)
+        return NcdResult(1.0, -1.0, True, v1, floor, saturated=True)
 
     lo_i = sign_changes[0]
-    hi, lo = grid[lo_i], grid[lo_i + 1]      # value(hi) < -floor <= value(lo)
+    hi, lo = grid[lo_i], grid[lo_i + 1]      # nci(hi) < -floor <= nci(lo)
     while hi - lo > _S_RESOLUTION:
         mid = 0.5 * (hi + lo)
-        if value(mid) < -floor:
+        if nci_value(ordered(mid), identifier) < -floor:
             hi = mid
         else:
             lo = mid
     s_th = 0.5 * (hi + lo)
-    return NcdResult(identifier, (1.0 - s_th) / 2.0, s_th, True, v1, floor,
+    return NcdResult((1.0 - s_th) / 2.0, s_th, True, v1, floor,
                      multiple_roots=len(sign_changes) > 1)

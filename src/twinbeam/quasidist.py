@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PHOTON, JointDist
-from .errors import DivergentSeriesError, InvalidParameterError
+from .errors import (DivergentSeriesError, InvalidParameterError,
+                     KindMismatchError)
 
 #: Support fraction dropped for the truncation-sensitivity check.
 _EDGE_FRACTION = 0.9
@@ -90,7 +91,7 @@ def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
     under-truncated input or a too-singular ordering.
     """
     if p.kind != PHOTON:
-        raise InvalidParameterError("quasi-distribution needs photon numbers")
+        raise KindMismatchError("quasi-distribution needs photon numbers")
     if s >= 1:
         raise InvalidParameterError("ordering parameter must satisfy s < 1")
     w_max_s = default_w_max(p, "s", s) if w_max is None else w_max

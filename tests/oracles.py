@@ -69,7 +69,6 @@ from twinbeam.errors import (DataError, InsufficientDataError,
 from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
-from twinbeam.moments import NORMAL, S_ORDERED, MomentTable
 from twinbeam.quasidist import IntensityGrid
 from twinbeam.reconstruct import _as_table, _block
 from twinbeam.simulate import ClickStream
@@ -286,7 +285,7 @@ def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
 
 def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
                                     spec_i: DetectorSpec, n: int, order: int,
-                                    k: float = 0.0) -> MomentTable:
+                                    k: float = 0.0) -> np.ndarray:
     """Factorial click moments of ``n`` grouped windows from whole tables.
 
     Per pump factor of the 201-node Gauss-Hermite rule the ``n``-window
@@ -304,8 +303,8 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
         window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
                                      [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
-        raw += weight * raw_moments(compound_photocounts(window, n), order).raw
-    return to_intensity_moments(MomentTable(raw, order, RAW, 1.0, PHOTOCOUNT))
+        raw += weight * raw_moments(compound_photocounts(window, n), order)
+    return to_intensity_moments(raw)
 
 
 def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
@@ -386,19 +385,16 @@ def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     return float(ws @ g.values @ wi * dws * dwi)
 
 
-#: Flavor of a table of raw counting moments ``<x_s^k x_i^l>``.
-RAW = "raw"
-
-
-def raw_moments(d: JointDist | MarginalDist, order: int) -> MomentTable:
-    """Raw counting moments of a distribution, ``V_s.T @ table @ V_i``.
+def raw_moments(d: JointDist | MarginalDist, order: int) -> np.ndarray:
+    """Raw counting moments ``<x_s^k x_i^l>`` of a distribution,
+    ``V_s.T @ table @ V_i``.
 
     ``V[n, k] = n^k`` is the Vandermonde matrix of each arm's counts.
     """
     table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
     vs, vi = (np.vander(np.arange(size, dtype=float), order + 1,
                         increasing=True) for size in table.shape)
-    return MomentTable(vs.T @ table @ vi, order, RAW, 1.0, d.kind)
+    return vs.T @ table @ vi
 
 
 def stirling_first(order: int) -> list:
@@ -430,42 +426,36 @@ def _transform_2d(raw, matrix):
     return a @ raw @ a.T
 
 
-def to_intensity_moments(m: MomentTable) -> MomentTable:
+def to_intensity_moments(raw: np.ndarray) -> np.ndarray:
     """Normally-ordered (factorial) moments from raw counting moments.
 
     ``(x)_k = sum_m s[k][m] x^m`` with signed Stirling numbers: an
     alternating sum, which cancels in floating point.
     """
-    if m.flavor != RAW:
-        raise DataError("input must carry raw moments")
-    out = _transform_2d(m.raw, stirling_first(m.order))
-    return MomentTable(out, m.order, NORMAL, 1.0, m.kind)
+    return _transform_2d(raw, stirling_first(raw.shape[0] - 1))
 
 
-def from_intensity_moments(m: MomentTable) -> MomentTable:
+def from_intensity_moments(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`to_intensity_moments` (Stirling second kind)."""
-    if m.flavor != NORMAL:
-        raise DataError("input must carry normally-ordered moments")
-    out = _transform_2d(m.raw, stirling_second(m.order))
-    return MomentTable(out, m.order, RAW, 1.0, m.kind)
+    return _transform_2d(m, stirling_second(m.shape[0] - 1))
 
 
-def to_s_ordered_by_matrix(m: MomentTable, s) -> MomentTable:
-    """Intensity moments at ordering ``s``: ``A @ raw @ A.T`` per ordering.
+def to_s_ordered_by_matrix(m: np.ndarray, s) -> np.ndarray:
+    """Intensity moments at ordering ``s``: ``A @ m @ A.T`` per ordering.
 
     ``A[k, a] = (k!)^2 / (a!^2 (k-a)!) t^(k-a)`` with ``t = (1 - s)/2``.  An
     array of orderings stacks one table per ordering along a last axis, as
     ``moments.to_s_ordered`` does.
     """
     f = math.factorial
+    order = m.shape[0] - 1
     tables = []
     for t in np.atleast_1d((1.0 - np.asarray(s, dtype=float)) / 2.0):
         weighted = [[f(k) ** 2 // (f(a) ** 2 * f(k - a)) * t ** (k - a)
-                     if a <= k else 0.0 for a in range(m.order + 1)]
-                    for k in range(m.order + 1)]
-        tables.append(_transform_2d(m.raw, weighted))
-    out = tables[0] if np.ndim(s) == 0 else np.stack(tables, axis=-1)
-    return MomentTable(out, m.order, S_ORDERED, s, m.kind)
+                     if a <= k else 0.0 for a in range(order + 1)]
+                    for k in range(order + 1)]
+        tables.append(_transform_2d(m, weighted))
+    return tables[0] if np.ndim(s) == 0 else np.stack(tables, axis=-1)
 
 
 def _basis_mp(n_max: int, w: np.ndarray, s: float, dps: int = 60) -> np.ndarray:

@@ -520,6 +520,8 @@ LIBRARY_ENTRY_POINTS = {
     "mean_signal": "the expected rates of perfbench/check.py",
     "fano": "conditional Fano factors of Criteria 3 and 7",
     "centers": "the grid moments of the quasi-distribution tests",
+    "to_s_ordered": "the library's ordering change, used by the acceptance "
+                    "and quasidist tests and the README",
 }
 
 
@@ -665,6 +667,9 @@ BAD_INPUTS = {
     "quasidist-steps-zero": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
          "--out", "{tmp}/g.igrid"], 2, "--steps"),
+    "quasidist-photocount-jdist": (
+        ["quasidist", "--dist", "{jdist}", "--s", "0",
+         "--out", "{tmp}/g.igrid"], 3, "photon"),
     "quasidist-w-max-negative": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
          "--out", "{tmp}/g.igrid"], 2, "--w-max"),

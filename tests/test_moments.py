@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from importlib import import_module
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
                       joint_twb, mandel_rice, moments, ncd, nci_value,
                       to_s_ordered)
-from oracles import (RAW, compound_click_dist, compound_photon_dist,
+from oracles import (compound_click_dist, compound_photon_dist,
                      conditional_photon_dist, from_intensity_moments,
                      genuine_click_dist, raw_moments, stirling_first,
                      stirling_second, to_intensity_moments,
@@ -19,8 +20,8 @@ from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.core import PHOTON
 from twinbeam.errors import (DataError, InsufficientOrderError,
                              InvalidParameterError)
-from twinbeam.moments import (IDENTIFIERS, MomentTable, NORMAL,
-                              _identifier_terms, _noise_floor, laguerre_mixing)
+from twinbeam.moments import (IDENTIFIERS, _identifier_terms, _noise_floor,
+                              laguerre_mixing)
 
 #: Integer weights of a joint distribution on up to 5 x 5 cells.
 weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -33,7 +34,7 @@ def exact_moment_table(table, order):
     """Raw moments of a distribution in exact Fraction arithmetic."""
     vs, vi = (np.array([[n ** k for k in range(order + 1)] for n in range(size)],
                        dtype=object) for size in table.shape)
-    return MomentTable(vs.T @ table @ vi, order, RAW, 1.0, PHOTON)
+    return vs.T @ table @ vi
 
 
 def fractions(table):
@@ -57,7 +58,7 @@ class TestMoments:
         assert m[1, 0] == 2 and m[0, 1] == 3 and m[1, 1] == 6
         # normally ordered: falling factorials 2 * 1 and 3 * 2
         assert m[2, 0] == 2 and m[0, 2] == 6 and m[2, 2] == 12
-        assert m.flavor == NORMAL
+        assert m.shape == (3, 3)
 
     def test_independent_arms_factorize(self):
         a = mandel_rice(3, 0.2, 25).probs
@@ -139,9 +140,9 @@ class TestStirling:
         d = JointDist(t / t.sum(), 0.0, PHOTON)
         m = raw_moments(d, 4)
         back = from_intensity_moments(to_intensity_moments(m))
-        np.testing.assert_allclose(back.raw, m.raw, rtol=1e-12)
-        np.testing.assert_allclose(from_intensity_moments(moments(d, 4)).raw,
-                                   m.raw, rtol=1e-12)
+        np.testing.assert_allclose(back, m, rtol=1e-12)
+        np.testing.assert_allclose(from_intensity_moments(moments(d, 4)), m,
+                                   rtol=1e-12)
 
 
 class TestSOrdering:
@@ -149,7 +150,7 @@ class TestSOrdering:
         params, _, _ = nominal
         w = moments(joint_twb(params), 4)
         w1 = to_s_ordered(w, 1.0)
-        np.testing.assert_allclose(w1.raw, w.raw, rtol=0, atol=0)
+        np.testing.assert_allclose(w1, w, rtol=0, atol=0)
 
     def test_first_moment_shift(self):
         d = mandel_rice(2, 0.4, 40)
@@ -196,18 +197,28 @@ class TestSOrdering:
         # s-ordered moment is too and both routes agree to a few ulps
         exact = to_intensity_moments(
             exact_moment_table(fractions(weights / weights.sum()), order))
-        w = MomentTable(exact.raw.astype(float), order, NORMAL)
-        np.testing.assert_allclose(to_s_ordered(w, s).raw,
-                                   to_s_ordered_by_matrix(w, s).raw,
+        w = exact.astype(float)
+        np.testing.assert_allclose(to_s_ordered(w, s),
+                                   to_s_ordered_by_matrix(w, s),
                                    rtol=1e-12, atol=0.0)
         both = np.array([s, 0.0])
-        np.testing.assert_allclose(to_s_ordered(w, both).raw,
-                                   to_s_ordered_by_matrix(w, both).raw,
+        np.testing.assert_allclose(to_s_ordered(w, both),
+                                   to_s_ordered_by_matrix(w, both),
                                    rtol=1e-12, atol=0.0)
-        np.testing.assert_array_equal(to_s_ordered(w, 1.0).raw, w.raw)
+        np.testing.assert_array_equal(to_s_ordered(w, 1.0), w)
+
+    @pytest.mark.parametrize("n", [1, 10, 100])
+    @pytest.mark.parametrize("s1, s2", [(0.5, 0.5), (0.0, -0.5), (0.9, -1.0),
+                                        (-1.0, 0.2)])
+    def test_orderings_compose(self, n, s1, s2):
+        # t = (1 - s)/2 adds: ordering noise t1 then t2 is noise t1 + t2
+        w = moments(joint_twb(models.NOMINAL_PARAMS.scaled(n)), 5)
+        np.testing.assert_allclose(to_s_ordered(to_s_ordered(w, s1), s2),
+                                   to_s_ordered(w, s1 + s2 - 1),
+                                   rtol=1e-12, atol=0.0)
 
     def test_ordering_above_one_rejected(self):
-        w = MomentTable(np.ones((3, 3)), 2, NORMAL)
+        w = np.ones((3, 3))
         for s in (1.5, np.array([0.0, 1.0 + 1e-15])):
             with pytest.raises(InvalidParameterError):
                 to_s_ordered(w, s)
@@ -235,7 +246,7 @@ class TestNci:
             assert nci_value(w, ident) == pytest.approx(0.0, abs=1e-12)
 
     def test_order_requirement(self):
-        w = MomentTable(np.ones((3, 3)), 2, NORMAL)
+        w = np.ones((3, 3))
         with pytest.raises(InsufficientOrderError):
             nci_value(w, "E211")
 
@@ -311,9 +322,10 @@ class TestNcd:
         # 2.4 + 2.4 - 2 * 11.2 < 0, so the depth is reported as 1
         w = np.zeros((3, 3))
         w[0, 0], w[1, 0], w[0, 1], w[1, 1] = 1.0, 0.1, 0.1, 10.0
-        r = ncd(MomentTable(w, 2, NORMAL), "E001")
+        r = ncd(w, "E001")
         assert r.saturated and r.nonclassical and not r.multiple_roots
-        assert (r.tau, r.s_threshold, r.value_at_normal) == (1.0, -1.0, -20.0)
+        assert (r.tau, r.s_threshold, r.value_at_normal_ordering) == \
+            (1.0, -1.0, -20.0)
 
     def test_tau_equals_threshold_relation(self, nominal):
         fc = compound_click_dist(*nominal, 30)
@@ -344,8 +356,8 @@ class TestNcd:
                   for model in (models.compound_click_moments,
                                 models.genuine_click_moments)]
         results = [ncd(w, ident) for w in tables for ident in IDENTIFIERS]
-        monkeypatch.setattr(import_module("twinbeam.moments"), "to_s_ordered",
-                            to_s_ordered_by_matrix)
+        monkeypatch.setattr(import_module("twinbeam.moments"), "_ordering",
+                            lambda m: partial(to_s_ordered_by_matrix, m))
         assert [ncd(w, ident) for w in tables
                 for ident in IDENTIFIERS] == results
 
