@@ -158,11 +158,11 @@ def _cmd_reconstruct(args) -> None:
     n_max = args.n_max or default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
     if (n_max + 1) ** 2 > 50_000_000:
         raise UsageError(
-            f"joint photon support {n_max + 1}^2 is too large to iterate; "
+            f"joint photon support {n_max + 1}^2 is too large to solve over; "
             "pass a smaller --n-max")
     t_s = detection_matrix(spec_s, n_max)
     t_i = detection_matrix(spec_i, n_max)
-    dist, result = ml_joint(hist, t_s, t_i, args.max_iters)
+    dist, result = ml_joint(hist.counts, t_s, t_i, args.max_iters)
     tbio.write_jdist(dist, args.out)
     cells = len(clicks[0])
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
@@ -188,7 +188,7 @@ def _cmd_ncd(args) -> None:
     unknown = [w for w in wanted if w not in IDENTIFIERS]
     if unknown:
         raise UsageError(f"unknown identifiers: {unknown}")
-    normal = moments(dist, order=5)
+    normal = moments(dist.table, order=5)
     report = {ident: dataclasses.asdict(ncd(normal, ident)) for ident in wanted}
     tbio.write_json(report, args.out)
     _write_manifest(args.out, args, [args.dist], {
@@ -222,6 +222,9 @@ def _cmd_metrology(args) -> None:
 _MOMENT_COLUMNS = {"mean": ("mean_s", "mean_i"), "fano": ("fano_s", "fano_i"),
                    "nrp": ("nrp",), "covariance": ("covariance",)}
 
+#: Sweep metrics with a pump-drift model, the only ones --k-pump may set.
+_DRIFT_METRICS = ("mean", "fano", "nrp", "eta-eff")
+
 
 def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
     row = {"n": n}
@@ -237,7 +240,7 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
                 stats = fano_nrp_cov(normal)
                 row.update({f"{label}_{col}": stats[col]
                             for col in _MOMENT_COLUMNS[metric]})
-        if k > 0 and metric in ("mean", "fano", "nrp"):
+        if k > 0:
             stats = fano_nrp_cov(
                 models.compound_click_moments(params, spec_s, spec_i, n, 2, k))
             row.update({f"drift_{col}": stats[col]
@@ -254,7 +257,7 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
         row.update(c_s_opt=best.c_s_opt, fano_click=best.fano_min,
                    mean_click=best.mean_conditional, p_success=best.p_success,
                    mean_photon=mean, fano_photon=var / mean)
-    elif metric == "precision":
+    else:                           # precision
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         row["norm_rel_err_ref_s"] = np.sqrt(1 - p_s)
         row["norm_rel_err_ref_i"] = np.sqrt(1 - p_i)
@@ -262,15 +265,12 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
         row["norm_rel_err_cond_on_i"] = np.sqrt(1 - p11 / p_i)
         row["S_cs"] = row["norm_rel_err_cond_on_s"] / row["norm_rel_err_ref_i"]
         row["S_ci"] = row["norm_rel_err_cond_on_i"] / row["norm_rel_err_ref_s"]
-    else:
-        raise UsageError(f"unknown metric {metric!r}")
     return row
 
 
 def _cmd_sweep(args) -> None:
     PumpCorrelation(args.k_pump)            # the drift range simulate accepts
-    if args.k_pump > 0 and args.metric in ("covariance", "tau-e", "tau-m",
-                                           "postselect", "precision"):
+    if args.k_pump > 0 and args.metric not in _DRIFT_METRICS:
         raise UsageError(f"metric {args.metric!r} has no pump-drift model; "
                          "drop --k-pump")
     try:

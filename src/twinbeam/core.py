@@ -6,12 +6,13 @@ component follows the Mandel-Rice law for ``m`` equally populated modes with
 ``b`` mean photons (or photon pairs) per mode.  The joint signal-idler
 photon-number distribution is the two-fold convolution of the three
 component distributions, the paired component entering both arms with the
-same photon number.
+same photon number.  Component laws are plain arrays; the joint one is a
+:class:`JointDist`, which also carries its kind and truncated tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,54 +64,29 @@ class TwbParams:
 
 
 @dataclass
-class MarginalDist:
-    """Truncated one-dimensional counting distribution."""
-
-    probs: np.ndarray
-    tail_mass: float
-    kind: str = PHOTON
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-
-    def mean(self) -> float:
-        return float(np.arange(len(self.probs)) @ self.probs)
-
-    def var(self) -> float:
-        n = np.arange(len(self.probs))
-        m = self.mean()
-        return float((n - m) ** 2 @ self.probs)
-
-    def fano(self) -> float:
-        return self.var() / self.mean()
-
-
-@dataclass
 class JointDist:
     """Truncated joint distribution over (signal, idler) counts.
 
     ``table[n_s, n_i]`` holds the probability of ``n_s`` signal and ``n_i``
     idler counts; ``tail_mass`` is whatever the truncation discarded.  A
-    distribution whose tail exceeds :data:`TAIL_CEILING` is flagged
-    ``truncation_dirty`` rather than rejected.
+    distribution whose tail exceeds :data:`TAIL_CEILING` reads
+    ``truncation_dirty``, computed from the tail, rather than being rejected.
     """
 
     table: np.ndarray
     tail_mass: float
     kind: str = PHOTON
-    truncation_dirty: bool = field(default=False)
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
-        if self.tail_mass > TAIL_CEILING:
-            self.truncation_dirty = True
 
-    def marginal(self, arm: str) -> MarginalDist:
-        axis = 1 if arm == "s" else 0
-        return MarginalDist(self.table.sum(axis=axis), self.tail_mass, self.kind)
+    @property
+    def truncation_dirty(self) -> bool:
+        # bool(): an np.float64 tail compares to an np.bool_, unfit for json
+        return bool(self.tail_mass > TAIL_CEILING)
 
 
-def mandel_rice(m: float, b: float, n_max: int) -> MarginalDist:
+def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
     """Photon-number distribution of ``m`` thermal modes with mean ``b`` each.
 
     Evaluated through the stable ratio recurrence
@@ -130,8 +106,7 @@ def mandel_rice(m: float, b: float, n_max: int) -> MarginalDist:
     probs[0] = p0
     if n_max > 0:
         probs[1:] = p0 * np.cumprod(ratios)
-    tail = max(0.0, 1.0 - probs.sum())
-    return MarginalDist(probs, tail, PHOTON)
+    return probs
 
 
 def _mr_support(m: float, b: float) -> int:
@@ -143,7 +118,7 @@ def _mr_support(m: float, b: float) -> int:
     mean = m * b
     sd = np.sqrt(mean * (1.0 + b))
     n = int(np.ceil(mean + 10.0 * sd + 10))
-    while mandel_rice(m, b, n).tail_mass > COMPONENT_TAIL:
+    while 1.0 - mandel_rice(m, b, n).sum() > COMPONENT_TAIL:
         n = int(np.ceil(n * 1.5)) + 5
     return n
 
@@ -158,9 +133,9 @@ def joint_twb(params: TwbParams) -> JointDist:
     kp = _mr_support(params.m_p, params.b_p)
     ks = _mr_support(params.m_s, params.b_s)
     ki = _mr_support(params.m_i, params.b_i)
-    pp = mandel_rice(params.m_p, params.b_p, kp).probs
-    ps = mandel_rice(params.m_s, params.b_s, ks).probs
-    pi = mandel_rice(params.m_i, params.b_i, ki).probs
+    pp = mandel_rice(params.m_p, params.b_p, kp)
+    ps = mandel_rice(params.m_s, params.b_s, ks)
+    pi = mandel_rice(params.m_i, params.b_i, ki)
 
     full = np.zeros((kp + ks + 1, kp + ki + 1))
     cross = np.outer(ps, pi)

@@ -32,9 +32,6 @@ from .errors import DataError, InvalidParameterError, PrecisionExhaustedError
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
 
-#: Entries this slightly negative are attributed to rounding and clamped.
-NEGATIVE_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -140,8 +137,8 @@ def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     """Build (or fetch from cache) the detection matrix of a detector.
 
-    Column sums are validated and tiny negative entries are clamped to zero
-    only after validation passes.
+    Column sums are validated.  No entry needs clamping: each is a sum of
+    products of nonnegative numbers.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max must be >= 0")
@@ -155,12 +152,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     colsum_err = matrix.column_sum_error()
     if colsum_err > COLUMN_SUM_TOL:
         raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
-    entries = matrix.entries
-    if entries.min() < -NEGATIVE_CLAMP:
-        raise PrecisionExhaustedError(
-            f"entry {entries.min():.3e} below the rounding clamp")
-    np.clip(entries, 0.0, None, out=entries)
-    entries.flags.writeable = False
+    matrix.entries.flags.writeable = False
     with _cache_lock:
         _cache[key] = matrix
     return matrix

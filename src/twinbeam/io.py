@@ -207,7 +207,9 @@ def read_jdist(path: str) -> JointDist:
     if abs(mass - 1.0) > MASS_TOL:
         raise DataError(f"jdist cells and tail_mass sum to {mass:.9g}, not 1")
     d = JointDist(table, header["tail_mass"], header["kind"])
-    d.truncation_dirty = header["truncation_dirty"]
+    if d.truncation_dirty != header["truncation_dirty"]:
+        raise DataError(f"jdist truncation_dirty {header['truncation_dirty']} "
+                        f"contradicts its tail_mass {header['tail_mass']!r}")
     return d
 
 

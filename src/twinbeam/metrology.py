@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ingest
-from .core import PHOTOCOUNT, JointDist
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError, StreamTooShortError)
@@ -61,7 +60,7 @@ def effective_efficiency(data: JointHistogram | np.ndarray, arm: str = "s",
     """
     if isinstance(data, JointHistogram):
         n = data.policy.n
-        data = moments(JointDist(data.normalized(), 0.0, PHOTOCOUNT), 2)
+        data = moments(data.normalized(), 2)
     elif subtract_dark is not None:
         raise InvalidParameterError("dark subtraction needs a histogram")
     mean_s, mean_i = data[1, 0], data[0, 1]

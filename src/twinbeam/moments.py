@@ -3,7 +3,7 @@
 A moment table is a square array ``m[k, l] = <W_s^k W_i^l>`` of order
 ``m.shape[0] - 1``.  Normally-ordered intensity moments are the factorial
 moments of the counts, ``<W_s^k W_i^l> = <(n_s)_k (n_i)_l>``, read off a
-distribution in one matrix product with the falling factorials
+distribution's plain 2-D table in one product with the falling factorials
 ``(n)_k = n (n-1) ... (n-k+1)``.  They go into moments of any operator
 ordering ``s`` through the integer Laguerre-coefficient expansion
 
@@ -27,7 +27,6 @@ from math import factorial
 
 import numpy as np
 
-from .core import JointDist, MarginalDist
 from .errors import (DataError, InsufficientOrderError, InvalidParameterError)
 
 E_FAMILY = ("E001", "E101", "E111", "E211")
@@ -64,12 +63,11 @@ def laguerre_mixing(order: int) -> np.ndarray:
     return out
 
 
-def moments(d: JointDist | MarginalDist, order: int) -> np.ndarray:
-    """Normally-ordered moments ``Fs @ table @ Fi.T`` of a (possibly 1-D)
-    distribution: falling factorials, no negative term, nothing cancels."""
+def moments(table: np.ndarray, order: int) -> np.ndarray:
+    """Normally-ordered moments ``Fs @ table @ Fi.T`` of a 2-D table (a 1-D
+    ``p`` as ``p[:, None]``): falling factorials, nothing cancels."""
     if order < 1:
         raise InvalidParameterError("order must be >= 1")
-    table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
     f_s, f_i = (falling_factorials(size - 1, order) for size in table.shape)
     return f_s @ table @ f_i.T
 

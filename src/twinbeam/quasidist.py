@@ -75,9 +75,13 @@ def _basis(n_max: int, w: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def default_w_max(d: JointDist, arm: str, s: float) -> float:
-    marg = d.marginal(arm)
-    return marg.mean() + 10.0 * np.sqrt(marg.var()) + 5.0 * (1.0 - s) + 3.0
+def default_w_max(table: np.ndarray, arm: str, s: float) -> float:
+    """Grid edge ten standard deviations past the mean of one arm's marginal."""
+    probs = table.sum(axis=1 if arm == "s" else 0)
+    n = np.arange(len(probs))
+    mean = float(n @ probs)
+    var = float((n - mean) ** 2 @ probs)
+    return mean + 10.0 * np.sqrt(var) + 5.0 * (1.0 - s) + 3.0
 
 
 def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
@@ -94,8 +98,8 @@ def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
         raise KindMismatchError("quasi-distribution needs photon numbers")
     if s >= 1:
         raise InvalidParameterError("ordering parameter must satisfy s < 1")
-    w_max_s = default_w_max(p, "s", s) if w_max is None else w_max
-    w_max_i = default_w_max(p, "i", s) if w_max is None else w_max
+    w_max_s = default_w_max(p.table, "s", s) if w_max is None else w_max
+    w_max_i = default_w_max(p.table, "i", s) if w_max is None else w_max
     ws = (np.arange(steps) + 0.5) * (w_max_s / steps)
     wi = (np.arange(steps) + 0.5) * (w_max_i / steps)
     n_s_max = p.table.shape[0] - 1

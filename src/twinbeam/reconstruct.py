@@ -1,7 +1,8 @@
 """Certified maximum-likelihood reconstruction of photon statistics.
 
-The estimate maximizes the mean data log-likelihood of the normalized
-histogram ``f`` over photon-number tables ``p >= 0``,
+The estimate maximizes, over photon-number tables ``p >= 0``, the mean data
+log-likelihood of a click table of counts or probabilities, ``f`` being the
+table divided by its sum,
 
     L(p) = sum_j f_j log (A p)_j,
     A[(c_s, c_i), (n_s, n_i)] = T_s(c_s, n_s) T_i(c_i, n_i),
@@ -44,11 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTOCOUNT, PHOTON, JointDist
+from .core import PHOTON, JointDist
 from .detection import DetectionMatrix
-from .errors import (DataError, InvalidParameterError, KindMismatchError,
-                     NumericError)
-from .ingest import JointHistogram
+from .errors import DataError, InvalidParameterError, NumericError
 
 #: Fraction of the way to the boundary that a step may go; at 0.99 some
 #: histograms stall before the bound is certified.
@@ -75,16 +74,6 @@ class MlResult:
     log_likelihood: float
 
 
-def _as_table(f) -> np.ndarray:
-    if isinstance(f, JointHistogram):
-        return f.normalized()
-    if isinstance(f, JointDist):
-        if f.kind != PHOTOCOUNT:
-            raise KindMismatchError("reconstruction input must be photocounts")
-        return f.table / f.table.sum()
-    raise DataError(f"cannot reconstruct from {type(f).__name__}")
-
-
 def _block(t: DetectionMatrix, c_dim: int, label: str) -> np.ndarray:
     """The first ``c_dim`` click rows of ``t``."""
     if t.entries.shape[0] < c_dim:
@@ -99,27 +88,27 @@ def _step(x: np.ndarray, dx: np.ndarray) -> float:
     return 1.0 if shrink <= 1.0 else 1.0 / shrink
 
 
-def ml_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
+def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
              max_steps: int = 200) -> tuple[JointDist, MlResult]:
-    """Reconstruct a joint photon-number distribution from photocounts.
+    """Reconstruct a joint photon-number distribution from a click table.
 
-    Only the observed click cells enter; the photon support is that of the
-    detection matrices.  At most ``max_steps`` Newton steps are taken.
+    ``f[c_s, c_i]`` is nonnegative: counts or probabilities, normalized
+    here.  Only the observed click cells enter; the photon support is that
+    of the detection matrices.  At most ``max_steps`` Newton steps are taken.
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
-    data = _as_table(f)
-    ts = _block(t_s, data.shape[0], "signal")
-    ti = _block(t_i, data.shape[1], "idler")
+    ts = _block(t_s, f.shape[0], "signal")
+    ti = _block(t_i, f.shape[1], "idler")
     if ts.min() < 0 or ti.min() < 0:
         raise NumericError("a detection matrix has negative entries")
-    rows, cols = np.nonzero(data > 0)
+    rows, cols = np.nonzero(f > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
     if rows.size > MAX_CELLS:
         raise DataError(f"{rows.size} observed click cells, more than the "
                         f"{MAX_CELLS} the Newton system is built for")
-    weights = data[rows, cols]
+    weights = f[rows, cols] / f.sum()
     # the distinct observed click values of each arm, and each cell's index
     # among them: A's rows are the products S[a_j] x I[b_j]
     rows_s, a = np.unique(rows, return_inverse=True)

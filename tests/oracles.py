@@ -46,6 +46,10 @@ photocounts heralded by one signal column (the joint EM with a single idler
 column), and the window-shift correlation of a click stream with its moving
 average, which shows the pump drift's plateau.
 
+One-dimensional distributions, the marginals and heralded conditionals that
+only the tests examine, are a ``MarginalDist`` with its mean, variance and
+Fano factor (the package passes such laws as plain arrays).
+
 The precision report of the metrology is kept as it was computed in memory:
 both click sequences and both conditioned sequences built whole, grouped
 whole and cut into blocks (the package reads the stream chunk by chunk and
@@ -59,8 +63,7 @@ import numpy as np
 from scipy import signal
 
 from twinbeam import models
-from twinbeam.core import (PHOTOCOUNT, PHOTON, JointDist, MarginalDist,
-                           TwbParams, joint_twb)
+from twinbeam.core import PHOTOCOUNT, PHOTON, JointDist, TwbParams, joint_twb
 from twinbeam.detection import (DetectionMatrix, DetectorSpec,
                                 _log_factorials, detection_matrix)
 from twinbeam.errors import (DataError, InsufficientDataError,
@@ -70,8 +73,37 @@ from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
 from twinbeam.quasidist import IntensityGrid
-from twinbeam.reconstruct import _as_table, _block
+from twinbeam.reconstruct import _block
 from twinbeam.simulate import ClickStream
+
+
+@dataclass
+class MarginalDist:
+    """Truncated one-dimensional counting distribution."""
+
+    probs: np.ndarray
+    tail_mass: float
+    kind: str = PHOTON
+
+    def __post_init__(self):
+        self.probs = np.asarray(self.probs, dtype=float)
+
+    def mean(self) -> float:
+        return float(np.arange(len(self.probs)) @ self.probs)
+
+    def var(self) -> float:
+        n = np.arange(len(self.probs))
+        m = self.mean()
+        return float((n - m) ** 2 @ self.probs)
+
+    def fano(self) -> float:
+        return self.var() / self.mean()
+
+
+def marginal(d: JointDist, arm: str) -> MarginalDist:
+    """The signal (``"s"``) or idler marginal of a joint distribution."""
+    axis = 1 if arm == "s" else 0
+    return MarginalDist(d.table.sum(axis=axis), d.tail_mass, d.kind)
 
 
 class SupportViolationError(DataError):
@@ -303,7 +335,8 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
         window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
                                      [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
-        raw += weight * raw_moments(compound_photocounts(window, n), order)
+        raw += weight * raw_moments(compound_photocounts(window, n).table,
+                                    order)
     return to_intensity_moments(raw)
 
 
@@ -385,13 +418,12 @@ def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     return float(ws @ g.values @ wi * dws * dwi)
 
 
-def raw_moments(d: JointDist | MarginalDist, order: int) -> np.ndarray:
-    """Raw counting moments ``<x_s^k x_i^l>`` of a distribution,
+def raw_moments(table: np.ndarray, order: int) -> np.ndarray:
+    """Raw counting moments ``<x_s^k x_i^l>`` of a 2-D distribution table,
     ``V_s.T @ table @ V_i``.
 
     ``V[n, k] = n^k`` is the Vandermonde matrix of each arm's counts.
     """
-    table = d.probs[:, None] if isinstance(d, MarginalDist) else d.table
     vs, vi = (np.vander(np.arange(size, dtype=float), order + 1,
                         increasing=True) for size in table.shape)
     return vs.T @ table @ vi
@@ -505,7 +537,7 @@ class EmResult:
     log_likelihood: list
 
 
-def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
+def em_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
              cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
     """Expectation-maximization reconstruction of the joint photon numbers.
 
@@ -514,19 +546,19 @@ def em_joint(f, t_s: DetectionMatrix, t_i: DetectionMatrix,
         F(c_s, c_i)   = f(c_s, c_i) / sum_n T_s(c_s, n_s) T_i(c_i, n_i) p(n_s, n_i)
         p(n_s, n_i) <- p(n_s, n_i) sum_c F(c_s, c_i) T_s(c_s, n_s) T_i(c_i, n_i),
 
-    from a uniform start, until no cell moves by ``cfg.tol``.  Click rows
+    from a uniform start, until no cell moves by ``cfg.tol``; ``f`` is the
+    click table of counts or probabilities, divided by its sum.  Click rows
     and columns past the last observed count hold no data and are cut off
     first.  An iteration that lowers the data log-likelihood by more than
     round-off raises :class:`NumericError`, as EM cannot do so with
     nonnegative detection matrices.
     """
-    data = _as_table(f)
-    ts = _block(t_s, data.shape[0], "signal")
-    ti = _block(t_i, data.shape[1], "idler")
-    rows, cols = np.nonzero(data > 0)
+    ts = _block(t_s, f.shape[0], "signal")
+    ti = _block(t_i, f.shape[1], "idler")
+    rows, cols = np.nonzero(f > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
-    data = data[:rows.max() + 1, :cols.max() + 1]
+    data = f[:rows.max() + 1, :cols.max() + 1] / f.sum()
     ts, ti = ts[:data.shape[0]], ti[:data.shape[1]]
     p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
     observed = data > 0
@@ -556,7 +588,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     a 1x1 identity.
     """
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
-    dist, result = em_joint(JointDist(data[:, None], 0.0, PHOTOCOUNT), t_i,
+    dist, result = em_joint(data[:, None], t_i,
                             DetectionMatrix(np.ones((1, 1)), t_i.spec), cfg)
     return MarginalDist(dist.table[:, 0], 0.0, PHOTON), result
 

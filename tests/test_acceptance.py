@@ -17,7 +17,7 @@ from scipy import stats
 import twinbeam as tb
 from oracles import (EmConfig, compound_click_dist, compound_photon_dist,
                      conditional_photon_dist, em_joint, grid_moments,
-                     to_intensity_moments, window_click_dist)
+                     marginal, to_intensity_moments, window_click_dist)
 from twinbeam import models
 
 SEED_K0 = 20_260_810
@@ -112,7 +112,7 @@ class TestCriterion3:
     def test_noise_reduction_parameter(self, stream_k0, compound_family):
         model_values = {}
         for n in (1, 10, 100, 1000):
-            m = tb.moments(compound_family[n], 2)
+            m = tb.moments(compound_family[n].table, 2)
             model_values[n] = tb.fano_nrp_cov(m)["nrp"]
         flat = max(model_values.values()) - min(model_values.values())
         in_band = all(abs(v - 0.70) <= 0.02 for v in model_values.values())
@@ -120,7 +120,7 @@ class TestCriterion3:
         sim_values = {}
         for n in (1, 10, 100):
             h = tb.group_histogram(stream_k0, tb.GroupingPolicy(n, "disjoint"))
-            m = tb.moments(tb.JointDist(h.normalized(), 0.0, "photocount"), 2)
+            m = tb.moments(h.normalized(), 2)
             sim_values[n] = tb.fano_nrp_cov(m)["nrp"]
         sim_in_band = all(abs(v - 0.70) <= 0.02 for v in sim_values.values())
 
@@ -132,7 +132,7 @@ class TestCriterion3:
         assert flat < 1e-6      # independent windows: exactly flat in n
 
     def test_pileup_keeps_fano_below_one(self, compound_family):
-        fanos = [compound_family[n].marginal(arm).fano()
+        fanos = [marginal(compound_family[n], arm).fano()
                  for n in (1, 10, 100, 1000) for arm in "si"]
         ok = all(f < 1.0 for f in fanos)
         verdict("3b-i", "pile-up bound F < 1", ok,
@@ -146,8 +146,8 @@ class TestCriterion3:
                "band [0.985, 1.0) is unreachable at a 3.1-3.7% per-window "
                "click rate (see decisions ledger)")
     def test_fano_band_as_stated(self, compound_family):
-        f_s = compound_family[10].marginal("s").fano()
-        f_i = compound_family[10].marginal("i").fano()
+        f_s = marginal(compound_family[10], "s").fano()
+        f_i = marginal(compound_family[10], "i").fano()
         ok = 0.985 <= f_s < 1.0 and 0.985 <= f_i < 1.0
         verdict("3b-ii", "marginal Fano in [0.985, 1.0)", ok,
                 f"F_c,s={f_s:.4f}, F_c,i={f_i:.4f}")
@@ -165,14 +165,13 @@ class TestCriterion4:
                                   n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
-        fwd = tb.JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0,
-                           "photocount")
+        fwd = t_s.entries @ padded @ t_i.entries.T
         est, res = tb.ml_joint(fwd, t_s, t_i)
         tv = 0.5 * np.abs(est.table - padded).sum()
 
         fc = compound_click_dist(params, spec_s, spec_i, n)
-        est2, _ = tb.ml_joint(fc, t_s, t_i)
-        stats2 = tb.fano_nrp_cov(tb.moments(est2, 2))
+        est2, _ = tb.ml_joint(fc.table, t_s, t_i)
+        stats2 = tb.fano_nrp_cov(tb.moments(est2.table, 2))
         ok = tv <= 0.01 and stats2["nrp"] <= 0.05 and stats2["covariance"] >= 0.95
         verdict("4", "maximum-likelihood reconstruction", ok,
                 f"TV={tv:.4f} (Lindsay bound {res.lindsay_bound:.1e}), "
@@ -250,14 +249,14 @@ class TestCriterion6:
         params, _, _ = nominal
         tau_e, tau_m = {}, {}
         for n in SWEEP_NS:
-            w = tb.moments(compound_family[n], 5)
+            w = tb.moments(compound_family[n].table, 5)
             tau_e[n] = tb.ncd(w, "E001").tau
             tau_m[n] = tb.ncd(w, "M1001").tau
         peak_n = max(tau_e, key=tau_e.get)
         peak = tau_e[peak_n]
         photon_taus = []
         for n in (10, 100, 1000):
-            w = tb.moments(compound_photon_dist(params, n), 5)
+            w = tb.moments(compound_photon_dist(params, n).table, 5)
             photon_taus += [tb.ncd(w, "E001").tau, tb.ncd(w, "M1001").tau]
         all_taus = list(tau_e.values()) + list(tau_m.values()) + photon_taus
         ok = (abs(peak - 0.14) <= 0.02 and 20 <= peak_n <= 100
@@ -346,7 +345,7 @@ class TestCriterion9:
             for s in (0.0, 0.5):
                 grid = tb.quasi_distribution(dist, s, steps=512)
                 norms.append(tb.grid_normalization(grid))
-                w = tb.to_s_ordered(tb.moments(dist, 2), s)
+                w = tb.to_s_ordered(tb.moments(dist.table, 2), s)
                 for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
                     moment_errs.append(abs(grid_moments(grid, k, l)
                                            - w[k, l]))
@@ -383,8 +382,7 @@ class TestCriterion10:
                                     for (ns, ni), p in np.ndenumerate(table))
             w = to_intensity_moments(raw)
             # the package's falling factorials, in float64, on the same table
-            direct = tb.moments(tb.JointDist(table.astype(float), 0.0,
-                                             "photon"), order)
+            direct = tb.moments(table.astype(float), order)
             for k in range(order + 1):
                 for l in range(order + 1):
                     brute = F(0)
@@ -410,7 +408,7 @@ class TestCriterion10:
                                   n_max)
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
-        f = compound_click_dist(params, spec_s, spec_i, n)
+        f = compound_click_dist(params, spec_s, spec_i, n).table
         # EM raises on any decrease beyond round-off
         _, res = em_joint(f, t_s, t_i, EmConfig(max_iters=2_000, tol=1e-14))
         diffs = np.diff(res.log_likelihood)

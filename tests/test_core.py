@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import convolve_joint, convolve_power_1d, self_convolve
+from oracles import convolve_joint, convolve_power_1d, marginal, self_convolve
 from twinbeam import JointDist, TwbParams, joint_twb, mandel_rice
 from twinbeam.core import PHOTON
 from twinbeam.errors import InvalidParameterError, KindMismatchError
@@ -16,32 +16,32 @@ def delta_joint(i, j, shape=(3, 3), kind=PHOTON):
 class TestMandelRice:
     def test_zero_intensity_is_vacuum(self):
         d = mandel_rice(10, 0.0, 5)
-        assert np.array_equal(d.probs, [1, 0, 0, 0, 0, 0])
+        assert np.array_equal(d, [1, 0, 0, 0, 0, 0])
 
     def test_single_mode_is_geometric(self):
         d = mandel_rice(1, 1.0, 2)
-        np.testing.assert_allclose(d.probs, [0.5, 0.25, 0.125], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d, [0.5, 0.25, 0.125], rtol=0, atol=1e-15)
 
     def test_single_mode_geometric_exact_tail(self):
         b = 0.7
         d = mandel_rice(1, b, 30)
         n = np.arange(31)
-        np.testing.assert_allclose(d.probs, b ** n / (1 + b) ** (n + 1), rtol=1e-14)
+        np.testing.assert_allclose(d, b ** n / (1 + b) ** (n + 1), rtol=1e-14)
 
     def test_mean_and_fano_closed_form(self):
         # closed form checked against direct summation over the table
         d = mandel_rice(10, 1.0185e-2, 40)
         n = np.arange(41)
-        mean = n @ d.probs
-        var = (n - mean) ** 2 @ d.probs
+        mean = n @ d
+        var = (n - mean) ** 2 @ d
         assert mean == pytest.approx(0.10185, abs=1e-12)
         assert var / mean == pytest.approx(1.010185, abs=1e-9)
 
     @pytest.mark.parametrize("m,b", [(0.5, 2.0), (3.7, 0.01), (200, 0.004)])
     def test_real_valued_mode_counts_normalize(self, m, b):
         d = mandel_rice(m, b, 400)
-        assert d.probs.sum() + d.tail_mass == pytest.approx(1.0, abs=1e-12)
-        assert np.all(d.probs >= 0)
+        assert d.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(d >= 0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -53,8 +53,8 @@ class TestMandelRice:
 
     def test_zero_support(self):
         d = mandel_rice(2, 0.5, 0)
-        assert d.probs.shape == (1,)
-        assert d.probs[0] + d.tail_mass == pytest.approx(1.0)
+        assert d.shape == (1,)
+        assert d[0] == pytest.approx(1.5 ** -2)
 
 
 class TestJointTwb:
@@ -67,13 +67,13 @@ class TestJointTwb:
     def test_nominal_marginal_means(self, nominal):
         params, _, _ = nominal
         j = joint_twb(params)
-        assert j.marginal("s").mean() == pytest.approx(0.10265, abs=1e-10)
-        assert j.marginal("i").mean() == pytest.approx(0.10205, abs=1e-10)
+        assert marginal(j, "s").mean() == pytest.approx(0.10265, abs=1e-10)
+        assert marginal(j, "i").mean() == pytest.approx(0.10205, abs=1e-10)
 
     def test_no_pairs_gives_product_distribution(self):
         p = TwbParams(1, 2, 3, 0.0, 0.2, 0.1)
         j = joint_twb(p)
-        ms, mi = j.marginal("s").probs, j.marginal("i").probs
+        ms, mi = marginal(j, "s").probs, marginal(j, "i").probs
         np.testing.assert_allclose(j.table, np.outer(ms, mi), atol=1e-15)
 
     def test_photon_number_covariance_identity(self, nominal):
@@ -82,7 +82,7 @@ class TestJointTwb:
         j = joint_twb(params)
         ns = np.arange(j.table.shape[0])
         ni = np.arange(j.table.shape[1])
-        mean_s, mean_i = j.marginal("s").mean(), j.marginal("i").mean()
+        mean_s, mean_i = marginal(j, "s").mean(), marginal(j, "i").mean()
         cov = ns @ j.table @ ni - mean_s * mean_i
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
@@ -136,8 +136,8 @@ class TestConvolve:
         d = joint_twb(TwbParams(3, 3, 3, 0.05, 0.001, 0.002))
         for n in (2, 5, 9):
             out = self_convolve(d, n)
-            assert out.marginal("s").mean() == pytest.approx(
-                n * d.marginal("s").mean(), rel=1e-12)
+            assert marginal(out, "s").mean() == pytest.approx(
+                n * marginal(d, "s").mean(), rel=1e-12)
 
     def test_power_1d_matches_repeated(self):
         p = np.array([0.2, 0.5, 0.3])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from twinbeam import (ClickStream, GroupingPolicy, IntensityGrid, JointDist,
                       JointHistogram, PumpCorrelation, group_histogram,
-                      quasi_distribution, sample_stream)
+                      joint_twb, quasi_distribution, sample_stream)
 from oracles import (compound_click_moments_by_table, compound_photon_dist,
                      window_click_dist)
 from twinbeam import core, detection, models
@@ -101,6 +101,18 @@ class TestFormats:
         assert np.array_equal(back.table, d.table)
         assert back.kind == d.kind
         assert back.tail_mass == d.tail_mass
+
+    def test_twb_jdist_round_trip(self, tmp_path, nominal):
+        # joint_twb's tail is an np.float64, whose comparison with the
+        # ceiling is an np.bool_ that the JSON header could not hold
+        d = joint_twb(nominal[0].scaled(10))
+        assert isinstance(d.tail_mass, np.float64)
+        path = str(tmp_path / "twb.jdist")
+        tbio.write_jdist(d, path)
+        back = tbio.read_jdist(path)
+        assert np.array_equal(back.table, d.table)
+        assert back.tail_mass == d.tail_mass
+        assert back.truncation_dirty is d.truncation_dirty is False
 
     def test_jhist_round_trip(self, tmp_path, nominal):
         params, spec_s, spec_i = nominal
@@ -518,7 +530,6 @@ LIBRARY_ENTRY_POINTS = {
     "optimal_postselection": "post-selection on a measured histogram "
                              "(Criterion 7)",
     "mean_signal": "the expected rates of perfbench/check.py",
-    "fano": "conditional Fano factors of Criteria 3 and 7",
     "centers": "the grid moments of the quasi-distribution tests",
     "to_s_ordered": "the library's ordering change, used by the acceptance "
                     "and quasidist tests and the README",
@@ -697,6 +708,9 @@ BAD_INPUTS = {
     "jdist-tail-mass-text": (
         ["ncd", "--dist", "{jdist_tail_mass}", "--out", "{tmp}/r.json"],
         3, "tail_mass"),
+    "jdist-truncation-flag-disagrees": (
+        ["ncd", "--dist", "{jdist_flag_off}", "--out", "{tmp}/r.json"],
+        3, "truncation_dirty False contradicts"),
     "jdist-dims-not-list": (
         ["ncd", "--dist", "{jdist_dims}", "--out", "{tmp}/r.json"],
         3, "dims"),
@@ -805,6 +819,10 @@ def bad_input_files(tmp_path, nominal):
     files["jdist_mass"] = str(tmp_path / "mass.jdist")
     tbio.write_jdist(JointDist(np.array([[0.5, 0.1], [0.1, 0.1]]), 0.0),
                      files["jdist_mass"])
+    # a tail of 1e-4, above the truncation ceiling: its header flag is set
+    dirty = str(tmp_path / "dirty.jdist")
+    tbio.write_jdist(JointDist(window_click_dist(params, spec_s, spec_i).table
+                               * (1 - 1e-4), 1e-4), dirty)
     blob = open(jdist, "rb").read()
     header, body = tbio._unpack("jdist-v1", blob)
     del header["dims"]
@@ -821,6 +839,7 @@ def bad_input_files(tmp_path, nominal):
             ("jdist_dims", "jdist-v1", jdist, {"dims": 5}),
             ("jdist_kind", "jdist-v1", jdist, {"kind": 3}),
             ("jdist_payload", "jdist-v1", jdist, {"payload": "csv"}),
+            ("jdist_flag_off", "jdist-v1", dirty, {"truncation_dirty": False}),
             ("hist_dims", "jhist-v1", hist, {"dims": 5}),
             ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
             ("hist_mode", "jhist-v1", hist, {"mode": 5}),

@@ -109,9 +109,9 @@ class TestEffectiveEfficiencyEstimator:
             effective_efficiency(h, "s")
 
     def test_moment_table_input(self, stream_1m):
-        from twinbeam import JointDist, moments
+        from twinbeam import moments
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
-        table = moments(JointDist(h.normalized(), 0.0, "photocount"), 2)
+        table = moments(h.normalized(), 2)
         assert effective_efficiency(table, "s") == \
             pytest.approx(effective_efficiency(h, "s"), rel=1e-12)
 

@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (JointDist, MarginalDist, TwbParams, fano_nrp_cov,
-                      joint_twb, mandel_rice, moments, ncd, nci_value,
-                      to_s_ordered)
+from twinbeam import (TwbParams, fano_nrp_cov, joint_twb, mandel_rice,
+                      moments, ncd, nci_value, to_s_ordered)
 from oracles import (compound_click_dist, compound_photon_dist,
                      conditional_photon_dist, from_intensity_moments,
-                     genuine_click_dist, raw_moments, stirling_first,
-                     stirling_second, to_intensity_moments,
+                     genuine_click_dist, marginal, raw_moments,
+                     stirling_first, stirling_second, to_intensity_moments,
                      to_s_ordered_by_matrix)
 from twinbeam import models
 from twinbeam.cli import DEFAULT_GROUPS
-from twinbeam.core import PHOTON
 from twinbeam.errors import (DataError, InsufficientOrderError,
                              InvalidParameterError)
 from twinbeam.moments import (IDENTIFIERS, _identifier_terms, _noise_floor,
@@ -54,22 +52,22 @@ class TestMoments:
     def test_point_mass(self):
         table = np.zeros((3, 4))
         table[2, 3] = 1.0
-        m = moments(JointDist(table, 0.0, PHOTON), 2)
+        m = moments(table, 2)
         assert m[1, 0] == 2 and m[0, 1] == 3 and m[1, 1] == 6
         # normally ordered: falling factorials 2 * 1 and 3 * 2
         assert m[2, 0] == 2 and m[0, 2] == 6 and m[2, 2] == 12
         assert m.shape == (3, 3)
 
     def test_independent_arms_factorize(self):
-        a = mandel_rice(3, 0.2, 25).probs
-        b = mandel_rice(2, 0.1, 25).probs
-        m = moments(JointDist(np.outer(a, b), 0.0, PHOTON), 3)
+        a = mandel_rice(3, 0.2, 25)
+        b = mandel_rice(2, 0.1, 25)
+        m = moments(np.outer(a, b), 3)
         assert m[1, 1] == pytest.approx(m[1, 0] * m[0, 1], abs=1e-13)
         assert m[2, 1] == pytest.approx(m[2, 0] * m[0, 1], abs=1e-13)
 
     def test_twb_cross_covariance(self, nominal):
         params, _, _ = nominal
-        m = moments(joint_twb(params), 2)
+        m = moments(joint_twb(params).table, 2)
         cov = m[1, 1] - m[1, 0] * m[0, 1]
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
@@ -79,21 +77,20 @@ class TestFanoNrpCov:
     def test_independent_poisson_arms(self):
         from scipy.stats import poisson
         p = poisson.pmf(np.arange(40), 1.3)
-        m = moments(JointDist(np.outer(p, p), 0.0, PHOTON), 2)
+        m = moments(np.outer(p, p), 2)
         stats = fano_nrp_cov(m)
         assert stats["fano_s"] == pytest.approx(1.0, abs=1e-9)
         assert stats["fano_i"] == pytest.approx(1.0, abs=1e-9)
         assert stats["nrp"] == pytest.approx(1.0, abs=1e-9)
 
     def test_perfect_diagonal_correlation(self):
-        diag = np.diag(mandel_rice(1, 0.8, 30).probs)
-        stats = fano_nrp_cov(moments(JointDist(diag, 0.0, PHOTON), 2))
+        diag = np.diag(mandel_rice(1, 0.8, 30))
+        stats = fano_nrp_cov(moments(diag, 2))
         assert stats["nrp"] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_mean_arm_rejected(self):
-        vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
         with pytest.raises(DataError):
-            fano_nrp_cov(moments(vac, 2))
+            fano_nrp_cov(moments(np.array([[1.0]]), 2))
 
 
 class TestStirling:
@@ -105,12 +102,13 @@ class TestStirling:
 
     def test_first_moment_unchanged(self, nominal):
         params, _, _ = nominal
-        m = raw_moments(joint_twb(params), 3)
-        for w in (to_intensity_moments(m), moments(joint_twb(params), 3)):
+        table = joint_twb(params).table
+        m = raw_moments(table, 3)
+        for w in (to_intensity_moments(m), moments(table, 3)):
             assert w[1, 0] == pytest.approx(m[1, 0], rel=1e-14)
 
     def test_second_factorial_moment(self):
-        d = mandel_rice(2, 0.4, 40)
+        d = mandel_rice(2, 0.4, 40)[:, None]
         m = raw_moments(d, 3)
         for w in (to_intensity_moments(m), moments(d, 3)):
             assert w[2, 0] == pytest.approx(m[2, 0] - m[1, 0], rel=1e-12)
@@ -125,7 +123,7 @@ class TestStirling:
         order = 4
         m = exact_moment_table(table, order)
         w = to_intensity_moments(m)
-        direct = moments(JointDist(table.astype(float), 0.0, PHOTON), order)
+        direct = moments(table.astype(float), order)
         for k in range(order + 1):
             for l in range(order + 1):
                 brute = Fraction(0)
@@ -137,7 +135,7 @@ class TestStirling:
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(77)
         t = rng.random((4, 4))
-        d = JointDist(t / t.sum(), 0.0, PHOTON)
+        d = t / t.sum()
         m = raw_moments(d, 4)
         back = from_intensity_moments(to_intensity_moments(m))
         np.testing.assert_allclose(back, m, rtol=1e-12)
@@ -148,13 +146,12 @@ class TestStirling:
 class TestSOrdering:
     def test_identity_at_one(self, nominal):
         params, _, _ = nominal
-        w = moments(joint_twb(params), 4)
+        w = moments(joint_twb(params).table, 4)
         w1 = to_s_ordered(w, 1.0)
         np.testing.assert_allclose(w1, w, rtol=0, atol=0)
 
     def test_first_moment_shift(self):
-        d = mandel_rice(2, 0.4, 40)
-        w = moments(d, 2)
+        w = moments(mandel_rice(2, 0.4, 40)[:, None], 2)
         for s in (0.5, 0.0, -1.0):
             ws = to_s_ordered(w, s)
             assert ws[1, 0] == pytest.approx(w[1, 0] + (1 - s) / 2, rel=1e-13)
@@ -162,8 +159,7 @@ class TestSOrdering:
     def test_vacuum_moments_are_ordering_noise_moments(self):
         # at ordering s the vacuum intensity is a unit-mode thermal field
         # with mean t = (1-s)/2 and <W^k> = k! t^k
-        vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
-        w = moments(vac, 4)
+        w = moments(np.array([[1.0]]), 4)
         for s in (0.0, -0.5):
             t = (1 - s) / 2
             ws = to_s_ordered(w, s)
@@ -181,8 +177,7 @@ class TestSOrdering:
         # |alpha|^2 = I: <W^2>_s = I^2 + 4 I t + 2 t^2
         from scipy.stats import poisson
         lam = 0.9
-        p = MarginalDist(poisson.pmf(np.arange(50), lam), 0.0, PHOTON)
-        w = moments(p, 2)
+        w = moments(poisson.pmf(np.arange(50), lam)[:, None], 2)
         s = 0.2
         t = (1 - s) / 2
         ws = to_s_ordered(w, s)
@@ -212,7 +207,7 @@ class TestSOrdering:
                                         (-1.0, 0.2)])
     def test_orderings_compose(self, n, s1, s2):
         # t = (1 - s)/2 adds: ordering noise t1 then t2 is noise t1 + t2
-        w = moments(joint_twb(models.NOMINAL_PARAMS.scaled(n)), 5)
+        w = moments(joint_twb(models.NOMINAL_PARAMS.scaled(n)).table, 5)
         np.testing.assert_allclose(to_s_ordered(to_s_ordered(w, s1), s2),
                                    to_s_ordered(w, s1 + s2 - 1),
                                    rtol=1e-12, atol=0.0)
@@ -227,21 +222,19 @@ class TestSOrdering:
 class TestNci:
     def test_noiseless_pairing_e001(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.3, 0.0, 0.0))
-        w = moments(p, 2)
-        assert nci_value(w, "E001") == pytest.approx(-2 * p.marginal("s").mean(),
-                                                rel=1e-9)
+        w = moments(p.table, 2)
+        assert nci_value(w, "E001") == pytest.approx(
+            -2 * marginal(p, "s").mean(), rel=1e-9)
 
     def test_product_poisson_m1001_vanishes(self):
         from scipy.stats import poisson
         p = poisson.pmf(np.arange(40), 0.7)
-        w = moments(JointDist(np.outer(p, p), 0.0,
-                                                   PHOTON), 2)
+        w = moments(np.outer(p, p), 2)
         assert nci_value(w, "M1001") == pytest.approx(0.0, abs=1e-12)
 
     def test_poisson_l_family_vanishes(self):
         from scipy.stats import poisson
-        p = MarginalDist(poisson.pmf(np.arange(60), 0.8), 0.0, PHOTON)
-        w = moments(p, 5)
+        w = moments(poisson.pmf(np.arange(60), 0.8)[:, None], 5)
         for ident in ("L11", "L21", "L31", "L41"):
             assert nci_value(w, ident) == pytest.approx(0.0, abs=1e-12)
 
@@ -257,7 +250,7 @@ class TestNci:
         # of the same identifier on the same table in exact arithmetic
         table = weights / weights.sum()
         exact = to_intensity_moments(exact_moment_table(fractions(table), 5))
-        w = moments(JointDist(table, 0.0, PHOTON), 5)
+        w = moments(table, 5)
         for ident in IDENTIFIERS:
             error = Fraction(nci_value(w, ident)) \
                 - sum(_identifier_terms(exact, ident))
@@ -277,7 +270,7 @@ class TestNci:
             table = 10.0 ** np.random.default_rng(5).uniform(-20, 0, (40, 40))
         table = table / table.sum()
         exact = to_intensity_moments(exact_moment_table(fractions(table), 5))
-        w = moments(JointDist(table, 0.0, PHOTON), 5)
+        w = moments(table, 5)
         for ident in IDENTIFIERS:
             error = Fraction(nci_value(w, ident)) \
                 - sum(_identifier_terms(exact, ident))
@@ -287,8 +280,7 @@ class TestNci:
 class TestNcd:
     def test_classical_field_has_zero_depth(self):
         th = mandel_rice(2, 0.3, 40)
-        w = moments(JointDist(np.outer(th.probs, th.probs),
-                                                   0.0, PHOTON), 5)
+        w = moments(np.outer(th, th), 5)
         for ident in ("E001", "E101", "M1001", "M001001"):
             r = ncd(w, ident)
             assert r.tau == 0.0 and not r.nonclassical
@@ -296,14 +288,14 @@ class TestNcd:
     def test_compound_photocount_depth_at_n50(self, nominal):
         # frozen from the exact compound click model at the demo parameters
         fc = compound_click_dist(*nominal, 50)
-        w = moments(fc, 5)
+        w = moments(fc.table, 5)
         assert ncd(w, "E001").tau == pytest.approx(0.13211, abs=2e-4)
         assert ncd(w, "M1001").tau == pytest.approx(0.14240, abs=2e-4)
 
     def test_depth_bounded_for_gaussian_model_beams(self, nominal):
         params, _, _ = nominal
         j = compound_photon_dist(params, 100)
-        w = moments(j, 5)
+        w = moments(j.table, 5)
         for ident in ("E001", "E111", "M1001"):
             r = ncd(w, ident)
             assert r.nonclassical
@@ -312,7 +304,7 @@ class TestNcd:
     def test_suppression_is_monotone_in_s(self, nominal):
         # ordering noise only ever weakens a violation on these beams
         fc = compound_click_dist(*nominal, 20)
-        w = moments(fc, 5)
+        w = moments(fc.table, 5)
         values = [nci_value(to_s_ordered(w, s), "E001")
                   for s in np.linspace(1.0, -1.0, 41)]
         assert np.all(np.diff(values) > 0)
@@ -329,7 +321,7 @@ class TestNcd:
 
     def test_tau_equals_threshold_relation(self, nominal):
         fc = compound_click_dist(*nominal, 30)
-        w = moments(fc, 5)
+        w = moments(fc.table, 5)
         r = ncd(w, "E001")
         assert r.tau == pytest.approx((1 - r.s_threshold) / 2, abs=1e-12)
 
@@ -337,7 +329,7 @@ class TestNcd:
         # on a single on/off window every third-or-higher-order factorial
         # moment vanishes identically; the depth search must not chase the
         # rounding noise of that exact cancellation
-        tables = [moments(dist, 5) for dist in
+        tables = [moments(dist.table, 5) for dist in
                   (compound_click_dist(*nominal, 1),
                    genuine_click_dist(*nominal, 1))]
         tables.append(models.genuine_click_moments(*nominal, 1, 5))
@@ -367,7 +359,7 @@ class TestNcd:
         params, spec_s, _ = nominal
         cond = conditional_photon_dist(joint_twb(params), spec_s, 2, 10)
         assert cond.fano() < 1
-        w = moments(cond, 5)
+        w = moments(cond.probs[:, None], 5)
         taus = []
         for ident in ("L11", "L21", "L31", "L41"):
             assert nci_value(w, ident) < 0

@@ -134,7 +134,7 @@ class TestGridMoments:
         params, _, _ = nominal
         j = joint_twb(params)
         g = quasi_distribution(j, s, steps=512)
-        w = to_s_ordered(moments(j, 2), s)
+        w = to_s_ordered(moments(j.table, 2), s)
         for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
             assert grid_moments(g, k, l) == pytest.approx(w[k, l], abs=1e-2)
 
@@ -142,6 +142,6 @@ class TestGridMoments:
         params, _, _ = nominal
         strong = compound_photon_dist(params, 500)
         g = quasi_distribution(strong, 0.0, steps=512)
-        w = to_s_ordered(moments(strong, 2), 0.0)
+        w = to_s_ordered(moments(strong.table, 2), 0.0)
         assert grid_moments(g, 1, 0) == pytest.approx(w[1, 0], rel=1e-2)
         assert grid_moments(g, 1, 1) == pytest.approx(w[1, 1], rel=1e-2)

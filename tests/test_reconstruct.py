@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (DetectorSpec, JointDist, JointHistogram, GroupingPolicy,
-                      MarginalDist, detection_matrix, joint_twb, ml_joint,
-                      moments, ncd)
-from oracles import (EmConfig, EmptyConditionError, compound_click_dist,
-                     compound_photon_dist, conditional_histogram,
-                     conditional_photon_dist, em_conditional, em_joint)
+from twinbeam import (DetectorSpec, JointHistogram, GroupingPolicy,
+                      detection_matrix, joint_twb, ml_joint, moments, ncd)
+from oracles import (EmConfig, EmptyConditionError, MarginalDist,
+                     compound_click_dist, compound_photon_dist,
+                     conditional_histogram, conditional_photon_dist,
+                     em_conditional, em_joint, marginal)
 from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
 from twinbeam.errors import DataError, InvalidParameterError, NumericError
@@ -46,14 +46,13 @@ class TestMlJoint:
                     for spec, m in zip(detectors, dims))
         probs = t_s.entries @ truth.reshape(dims) @ t_i.entries.T
         counts = rng.multinomial(groups, probs.ravel() / probs.sum())
-        f = JointDist(counts.reshape(probs.shape).astype(float), 0.0,
-                      PHOTOCOUNT)
+        f = counts.reshape(probs.shape)
         est, res = ml_joint(f, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
         assert est.table.min() >= 0
         assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.log_likelihood == pytest.approx(
-            loglik(f.table, t_s, t_i, est.table), abs=1e-12)
+            loglik(f, t_s, t_i, est.table), abs=1e-12)
         # the certificate: no table, EM's included, is more likely by more
         # than the bound (which is exact for one observed cell), up to
         # round-off
@@ -63,11 +62,11 @@ class TestMlJoint:
 
     def test_bound_is_lindsays_of_the_estimate(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5)
+        f = compound_click_dist(params, spec_s, spec_i, 5).table
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i)
-        data = f.table / f.table.sum()
+        data = f / f.sum()
         ratio = np.divide(data, t_s.entries @ est.table @ t_i.entries.T,
                           out=np.zeros_like(data), where=data > 0)
         gradient = t_s.entries.T @ ratio @ t_i.entries
@@ -78,7 +77,7 @@ class TestMlJoint:
 
     def test_step_cap_returns_an_uncertified_distribution(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5)
+        f = compound_click_dist(params, spec_s, spec_i, 5).table
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i, max_steps=2)
@@ -91,20 +90,20 @@ class TestMlJoint:
         spec = DetectorSpec(1.0, 0.0, 1)
         t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
         t_i = DetectionMatrix(np.ones((1, 1)), spec)
-        f = JointDist(np.array([[0.8], [0.2]]), 0.0, PHOTOCOUNT)
+        f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="negative entries"):
             ml_joint(f, t_s, t_i)
 
     def test_step_cap_below_one_rejected(self):
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 3)
-        f = JointDist(np.array([[0.5, 0.1], [0.1, 0.3]]), 0.0, PHOTOCOUNT)
+        f = np.array([[0.5, 0.1], [0.1, 0.3]])
         with pytest.raises(InvalidParameterError):
             ml_joint(f, t, t, max_steps=0)
 
     def test_more_cells_than_the_newton_system_holds_rejected(self):
         side = int(np.sqrt(MAX_CELLS)) + 1
         t = detection_matrix(DetectorSpec(0.4, 0.0, side - 1), side - 1)
-        f = JointDist(np.ones((side, side)), 0.0, PHOTOCOUNT)
+        f = np.ones((side, side))
         with pytest.raises(DataError, match=f"more than the {MAX_CELLS}"):
             ml_joint(f, t, t)
 
@@ -112,14 +111,29 @@ class TestMlJoint:
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
         empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
         with pytest.raises(DataError, match="no observed counts"):
-            ml_joint(empty, t, t)
+            ml_joint(empty.counts, t, t)
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 10)
+        f = compound_click_dist(params, spec_s, spec_i, 10).table
         small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             ml_joint(f, small, small)
+
+    def test_counts_and_probabilities_give_the_same_bits(self, stream_1m,
+                                                         nominal):
+        # the solve divides the observed weights by the table's sum, so a
+        # histogram's counts and its normalized table are one input
+        from twinbeam import group_histogram
+        _, spec_s, spec_i = nominal
+        h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
+        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        by_counts, res_counts = ml_joint(h.counts, t_s, t_i)
+        by_probs, res_probs = ml_joint(h.normalized(), t_s, t_i)
+        assert res_counts.converged
+        assert np.array_equal(by_counts.table, by_probs.table)
+        assert res_counts == res_probs
 
 
 class TestClosure:
@@ -151,9 +165,10 @@ class TestClosure:
         n_max = default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
         t_s, t_i = (detection_matrix(DetectorSpec(spec.eta, spec.dark, n), n_max)
                     for spec in (spec_s, spec_i))
-        est, res = ml_joint(JointDist(table, 0.0, PHOTOCOUNT), t_s, t_i)
+        est, res = ml_joint(table, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
-        w, model = moments(est, 5), moments(joint_twb(params.scaled(n)), 5)
+        w = moments(est.table, 5)
+        model = moments(joint_twb(params.scaled(n)).table, 5)
         for ident in ("E001", "M1001"):
             gap = ncd(w, ident).tau - ncd(model, ident).tau
             assert abs(gap - self.GAPS[n, ident]) <= self.MARGIN, (ident, gap)
@@ -164,8 +179,7 @@ class TestEmJoint:
 
     def test_point_mass_recovered_in_near_invertible_case(self):
         t = detection_matrix(DetectorSpec(1.0, 0.0, 10), 8)
-        f = JointDist(np.outer(t.entries[:, 2], t.entries[:, 2]), 0.0,
-                      PHOTOCOUNT)
+        f = np.outer(t.entries[:, 2], t.entries[:, 2])
         truth = np.zeros((9, 9))
         truth[2, 2] = 1.0
         est, res = em_joint(f, t, t, EmConfig(max_iters=400_000, tol=1e-15))
@@ -180,13 +194,13 @@ class TestEmJoint:
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
-        fwd = JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0, PHOTOCOUNT)
+        fwd = t_s.entries @ padded @ t_i.entries.T
         est, res = em_joint(fwd, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-9))
         assert tv(est.table, padded) <= 0.01
 
     def test_every_iterate_normalized_and_loglik_monotone(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5)
+        f = compound_click_dist(params, spec_s, spec_i, 5).table
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = em_joint(f, t_s, t_i, EmConfig(max_iters=500, tol=1e-14))
@@ -202,7 +216,7 @@ class TestEmJoint:
         spec = DetectorSpec(1.0, 0.0, 1)
         t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
         t_i = DetectionMatrix(np.ones((1, 1)), spec)
-        f = JointDist(np.array([[0.8], [0.2]]), 0.0, PHOTOCOUNT)
+        f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="decreased at iteration 2"):
             em_joint(f, t_s, t_i, EmConfig(max_iters=50))
 
@@ -216,12 +230,12 @@ class TestEmJoint:
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 3), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
-        f = JointDist(t_s.entries @ padded @ t_i.entries.T, 0.0, PHOTOCOUNT)
+        f = t_s.entries @ padded @ t_i.entries.T
         cfg = EmConfig(max_iters=200_000, tol=1e-10)
         est, res = em_joint(f, t_s, t_i, cfg)
         assert res.converged
         refwd = t_s.entries @ est.table @ t_i.entries.T
-        assert np.abs(refwd - f.table).max() < cfg.tol * est.table.size
+        assert np.abs(refwd - f).max() < cfg.tol * est.table.size
 
     def test_histogram_input_accepted(self, stream_1m, nominal):
         from twinbeam import group_histogram
@@ -229,8 +243,8 @@ class TestEmJoint:
         h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 60)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 60)
-        est, res = em_joint(h, t_s, t_i, EmConfig(max_iters=300))
-        mean_i = est.marginal("i").mean()
+        est, res = em_joint(h.counts, t_s, t_i, EmConfig(max_iters=300))
+        mean_i = marginal(est, "i").mean()
         # reconstruction undoes detection losses: mean near 5 * 0.102
         assert mean_i == pytest.approx(5 * 0.10205, rel=0.05)
 
@@ -250,7 +264,7 @@ class TestEmJoint:
 
         def run(n_max):
             est, _ = em_joint(
-                h, detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
+                h.counts, detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
                 detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
                 EmConfig(max_iters=300))
             return est.table
@@ -269,7 +283,7 @@ class TestEmJoint:
         data[:4, :4] = compound_click_dist(params, spec_s, spec_i, 3).table
         t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
-        est, _ = em_joint(JointDist(data, 0.0, PHOTOCOUNT), t_s, t_i,
+        est, _ = em_joint(data, t_s, t_i,
                           EmConfig(max_iters=50, tol=1e-300))
         p = np.full((31, 31), 1 / 31 ** 2)
         for _ in range(50):
@@ -283,11 +297,11 @@ class TestEmJoint:
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
         empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
         with pytest.raises(DataError, match="no observed counts"):
-            em_joint(empty, t, t)
+            em_joint(empty.counts, t, t)
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 10)
+        f = compound_click_dist(params, spec_s, spec_i, 10).table
         small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             em_joint(f, small, small)
