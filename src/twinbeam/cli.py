@@ -33,7 +33,7 @@ from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
                       ncd)
 from .quasidist import grid_normalization, quasi_distribution
 from .reconstruct import ml_joint
-from .simulate import PumpCorrelation, _schedule, sample_stream
+from .simulate import ClickStream, PumpCorrelation, _schedule, sample_stream
 
 DEFAULT_GROUPS = (1, 2, 3, 5, 10, 20, 30, 50, 70, 100, 200, 300, 500, 700, 1000)
 
@@ -135,10 +135,25 @@ def _cmd_simulate(args) -> None:
     params, spec_s, spec_i = _load_params(args.params)
     pump = PumpCorrelation(args.k_pump, args.block_len)
     stream = sample_stream(params, spec_s, spec_i, pump, args.windows, args.seed)
-    tbio.write_clicks(stream, args.out)
+    clicks = np.zeros(3, dtype=np.int64)      # signal, idler, coincidence
+
+    def counted():
+        for chunk in stream.chunks():
+            clicks[:] += [np.count_nonzero(chunk & 1),
+                          np.count_nonzero(chunk & 2),
+                          np.count_nonzero(chunk == 3)]
+            yield chunk
+
+    tbio.write_clicks(ClickStream(len(stream), counted, stream.meta), args.out)
     chunks, workers = _schedule(args.windows)
-    _write_manifest(args.out, args, [args.params] if args.params else [],
-                    {"chunks": chunks, "workers": workers})
+    # realised click rates per window, next to the model's over the drift
+    model = models.compound_click_moments(params, spec_s, spec_i, 1, 1, pump.k)
+    names = ("signal", "idler", "coincidence")
+    _write_manifest(args.out, args, [args.params] if args.params else [], {
+        "chunks": chunks, "workers": workers,
+        "rates": dict(zip(names, clicks / args.windows)),
+        "model_rates": dict(zip(names, (model[1, 0], model[0, 1],
+                                        model[1, 1])))})
 
 
 def _cmd_analyze(args) -> None:
@@ -287,7 +302,7 @@ def _cmd_sweep(args) -> None:
                        else str(row[k]) for k in keys) for row in rows]
     payload = "\n".join(lines) + "\n"
     if args.out:
-        tbio._atomic_write(args.out, payload.encode())
+        tbio._atomic_write(args.out, [payload.encode()])
         _write_manifest(args.out, args, [args.params] if args.params else [])
     else:
         sys.stdout.write(payload)

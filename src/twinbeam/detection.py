@@ -61,6 +61,10 @@ class DetectionMatrix:
         return float(np.abs(self.entries.sum(axis=0) - 1.0).max())
 
 
+#: Bytes of matrices the cache keeps: past it, the least recently used go.
+CACHE_BYTES = 64 << 20
+
+# insertion-ordered from the least to the most recently used
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
@@ -135,7 +139,7 @@ def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
 
 
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
-    """Build (or fetch from cache) the detection matrix of a detector.
+    """Build (or fetch from a cache of ``CACHE_BYTES``) a detector's matrix.
 
     Column sums are validated.  No entry needs clamping: each is a sum of
     products of nonnegative numbers.
@@ -144,9 +148,10 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
         raise InvalidParameterError("n_max must be >= 0")
     key = (spec, n_max)
     with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
+        hit = _cache.pop(key, None)
+        if hit is not None:
+            _cache[key] = hit                       # now the most recent
+            return hit
 
     matrix = DetectionMatrix(_build_stable(spec, n_max), spec)
     colsum_err = matrix.column_sum_error()
@@ -155,4 +160,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     matrix.entries.flags.writeable = False
     with _cache_lock:
         _cache[key] = matrix
+        size = sum(m.entries.nbytes for m in _cache.values())
+        while size > CACHE_BYTES and len(_cache) > 1:
+            size -= _cache.pop(next(iter(_cache))).entries.nbytes
     return matrix

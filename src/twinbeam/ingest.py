@@ -3,7 +3,7 @@
 A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
 idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
 its histogram cell, and a ``bincount`` of the sums counts the cells, one
-bounded chunk of the stream at a time.
+chunk of the stream at a time.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .simulate import ClickStream
 
 SLIDING = "sliding"
 DISJOINT = "disjoint"
-
-#: Windows grouped per chunk of :func:`group_histogram`.
-GROUP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -92,30 +89,39 @@ def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
 def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
     """Joint histogram of grouped signal and idler click numbers.
 
-    Groups are counted ``GROUP_CHUNK`` windows at a time, so the temporaries
-    stay bounded whatever the stream length.
+    Groups are counted chunk by chunk as the stream yields them; the windows
+    of a group that a chunk cuts (``n - 1`` sliding, ``len % n`` disjoint)
+    carry over to the next, so the memory stays bounded whatever the stream
+    length.
     """
     n = policy.n
-    codes = stream.codes
-    _check_length(len(codes), n)
+    _check_length(len(stream), n)
     # windows between the starts of successive groups
     stride = n if policy.mode == DISJOINT else 1
-    n_groups = (len(codes) - n) // stride + 1
-    per_chunk = max(1, GROUP_CHUNK // stride)
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
-    # buffers of the sliding sums that every chunk reuses: fresh ones would
-    # be page-faulted in again each time
-    csum = np.zeros(per_chunk + n, dtype=np.int64)
-    sums = np.empty(per_chunk, dtype=np.int64)
-    for g0 in range(0, n_groups, per_chunk):
-        g1 = min(g0 + per_chunk, n_groups)
-        part = codes[g0 * stride:(g1 - 1) * stride + n]
+    carry = np.empty(0, np.uint8)
+    csum = out = np.empty(0, np.int64)
+    for chunk in stream.chunks():
+        part = np.concatenate((carry, chunk))
+        groups = max(0, (len(part) - n) // stride + 1)
+        carry = part[groups * stride:]
+        if not groups:
+            continue
         # in place, as each temporary is chunk-sized; the dtype holds n + 2
         code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
         code *= n + 1
         code += (part >> 1) & 1
-        found = np.bincount(grouped_counts(code, policy)
-                            if policy.mode == DISJOINT
-                            else _sliding_sums(code, n, csum, sums))
+        if policy.mode == DISJOINT:
+            sums = grouped_counts(code, policy)
+        else:
+            if len(csum) <= len(part):
+                # buffers of the sliding sums that later chunks reuse, with
+                # room for the carried windows: fresh ones would be
+                # page-faulted in again each time
+                csum = np.zeros(len(part) + n, np.int64)
+                out = np.empty_like(csum)
+            sums = _sliding_sums(code, n, csum, out)
+        found = np.bincount(sums)
         counts[:len(found)] += found
-    return JointHistogram(counts.reshape(n + 1, n + 1), n_groups, policy)
+    return JointHistogram(counts.reshape(n + 1, n + 1), int(counts.sum()),
+                          policy)

@@ -3,7 +3,8 @@
 ``clicks-v1`` is a fixed binary layout: a 16-byte magic/version field, the
 window count as little-endian u64, one byte per window (bit 0 the signal
 click, bit 1 the idler click) and a JSON sidecar ``<path>.json`` carrying
-the generation metadata.
+the generation metadata.  Streams are written and read one chunk at a time,
+so their memory does not grow with their length.
 
 The other formats share one container: an 8-byte magic, a little-endian u32
 header length, a JSON header and a payload, declared in the header: raw
@@ -15,6 +16,7 @@ readers round-trip bit-exactly.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
 from .ingest import DISJOINT, SLIDING, GroupingPolicy, JointHistogram
 from .quasidist import IntensityGrid
-from .simulate import ClickStream, PumpCorrelation
+from .simulate import CHUNK, ClickStream, PumpCorrelation
 
 CLICKS_MAGIC = b"twinbeam-clicks1"
 MAGIC = {
@@ -70,8 +72,8 @@ HEADER_RULES = {
 }
 
 
-def _atomic_write(path: str, *chunks) -> None:
-    """Write ``chunks`` (bytes-like) one after another to ``path``, atomically."""
+def _atomic_write(path: str, chunks) -> None:
+    """Write ``chunks`` (bytes-like, as they come) to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -148,32 +150,46 @@ def _read(path: str) -> bytes:
 # -- clicks-v1 ---------------------------------------------------------------
 
 def write_clicks(stream: ClickStream, path: str) -> None:
-    # the codes go out from their own buffer: no stream-sized copy
-    _atomic_write(path, CLICKS_MAGIC + struct.pack("<Q", len(stream)),
-                  memoryview(np.ascontiguousarray(stream.codes)))
+    """Write ``stream`` to ``path`` chunk by chunk, and its sidecar."""
+    header = CLICKS_MAGIC + struct.pack("<Q", len(stream))
+    _atomic_write(path, itertools.chain([header], stream.chunks()))
     meta = dict(stream.meta)
     for key in ("params", "spec_s", "spec_i", "pump"):
         if key in meta and dataclasses.is_dataclass(meta[key]):
             meta[key] = dataclasses.asdict(meta[key])
     meta["format"] = "clicks-v1"
-    _atomic_write(path + ".json", json.dumps(meta, indent=2, sort_keys=True).encode())
+    _atomic_write(path + ".json",
+                  [json.dumps(meta, indent=2, sort_keys=True).encode()])
 
 
 def read_clicks(path: str) -> ClickStream:
+    """The stream of a clicks-v1 file, read ``CHUNK`` windows at a time.
+
+    The header, the payload size and the sidecar are checked here; a code
+    above 3 is a ``DataError`` from the chunk that holds it.
+    """
     with open(path, "rb") as fh:
         head = fh.read(24)
         if len(head) < 24 or head[:16] != CLICKS_MAGIC:
             raise DataError("not a clicks-v1 file")
         (count,) = struct.unpack("<Q", head[16:])
         payload = os.fstat(fh.fileno()).st_size - 24
-        if payload < count:
-            raise DataError(f"truncated stream: header says {count}, "
-                            f"payload has {payload}")
-        codes = np.empty(count, dtype=np.uint8)    # the one stream-sized copy
-        fh.readinto(codes)                          # trailing bytes stay unread
-    if codes.max(initial=0) > 3:
-        raise DataError(f"window code {codes.max()} above 3: only bits 0 "
-                        "(signal) and 1 (idler) may be set")
+    if payload < count:
+        raise DataError(f"truncated stream: header says {count}, "
+                        f"payload has {payload}")
+
+    def chunks():
+        with open(path, "rb") as fh:
+            fh.seek(24)                             # trailing bytes stay unread
+            for start in range(0, count, CHUNK):
+                codes = np.empty(min(CHUNK, count - start), dtype=np.uint8)
+                if fh.readinto(codes) < len(codes):
+                    raise DataError(f"{path} was cut while it was read")
+                if codes.max() > 3:
+                    raise DataError(f"window code {codes.max()} above 3: only "
+                                    "bits 0 (signal) and 1 (idler) may be set")
+                yield codes
+
     meta = {}
     sidecar = path + ".json"
     if os.path.exists(sidecar):
@@ -185,7 +201,7 @@ def read_clicks(path: str) -> ClickStream:
                     meta[key] = cls(**meta[key])
                 except (TypeError, TwinbeamError) as exc:
                     raise DataError(f"{sidecar}: bad {key!r} ({exc})") from None
-    return ClickStream(codes, meta)
+    return ClickStream(count, chunks, meta)
 
 
 # -- jdist-v1 ----------------------------------------------------------------
@@ -195,7 +211,7 @@ def write_jdist(d: JointDist, path: str) -> None:
               "tail_mass": d.tail_mass, "truncation_dirty": d.truncation_dirty,
               "payload": "f64"}
     body = np.ascontiguousarray(d.table, dtype="<f8").tobytes()
-    _atomic_write(path, _pack("jdist-v1", header, body))
+    _atomic_write(path, [_pack("jdist-v1", header, body)])
 
 
 def read_jdist(path: str) -> JointDist:
@@ -220,7 +236,7 @@ def write_jhist(h: JointHistogram, path: str) -> None:
               "group_n": h.policy.n, "mode": h.policy.mode, "payload": "csv"}
     body = "\n".join(",".join(str(int(v)) for v in row)
                      for row in h.counts).encode()
-    _atomic_write(path, _pack("jhist-v1", header, body))
+    _atomic_write(path, [_pack("jhist-v1", header, body)])
 
 
 def read_jhist(path: str) -> JointHistogram:
@@ -240,7 +256,7 @@ def write_igrid(g: IntensityGrid, path: str) -> None:
     header = {"dims": list(g.values.shape), "w_max_s": g.w_max_s,
               "w_max_i": g.w_max_i, "s": g.s, "payload": "f64"}
     body = np.ascontiguousarray(g.values, dtype="<f8").tobytes()
-    _atomic_write(path, _pack("igrid-v1", header, body))
+    _atomic_write(path, [_pack("igrid-v1", header, body)])
 
 
 def read_igrid(path: str) -> IntensityGrid:
@@ -251,4 +267,4 @@ def read_igrid(path: str) -> IntensityGrid:
 
 
 def write_json(obj, path: str) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True).encode())
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True).encode()])

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ingest
 from .detection import DetectorSpec
 from .errors import (DataError, InsufficientDataError, InvalidParameterError,
                      NoEligibleColumnError, StreamTooShortError)
@@ -166,18 +165,17 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     detections in heralded windows) against the idler reference measured by
     the same detector; ``S_ci`` is the mirror image.  Values below one mean
     the conditioned, sub-Poissonian field measures a mean more precisely.
-    The stream is read ``GROUP_CHUNK`` windows at a time, so the memory
-    beyond it does not grow with its length.  A reference arm with no spread
-    in any block leaves its ratio undefined, which is a ``DataError``.
+    The stream is consumed chunk by chunk, so the memory does not grow with
+    its length.  A reference arm with no spread in any block leaves its
+    ratio undefined, which is a ``DataError``.
     """
     if not len(stream):
         raise StreamTooShortError("empty stream")
     arms = {key: _Blocks(n, n_m) for key in (
         "reference_s", "reference_i",
         "conditioned_on_signal", "conditioned_on_idler")}
-    for start in range(0, len(stream), ingest.GROUP_CHUNK):
-        chunk = ClickStream(stream.codes[start:start + ingest.GROUP_CHUNK])
-        s, i = chunk.signal, chunk.idler
+    for chunk in stream.chunks():
+        s, i = chunk & 1, (chunk >> 1) & 1
         # the bits are 0 or 1, so they select as booleans without a mask
         for arm, bits in zip(arms.values(),
                              (s, i, i[s.view(bool)], s[i.view(bool)])):

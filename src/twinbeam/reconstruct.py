@@ -92,9 +92,10 @@ def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
              max_steps: int = 200) -> tuple[JointDist, MlResult]:
     """Reconstruct a joint photon-number distribution from a click table.
 
-    ``f[c_s, c_i]`` is nonnegative: counts or probabilities, normalized
-    here.  Only the observed click cells enter; the photon support is that
-    of the detection matrices.  At most ``max_steps`` Newton steps are taken.
+    ``f[c_s, c_i]`` is finite and nonnegative: counts or probabilities,
+    normalized here.  Only the observed click cells enter; the photon
+    support is that of the detection matrices.  At most ``max_steps`` Newton
+    steps are taken.
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
@@ -102,6 +103,8 @@ def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
     ti = _block(t_i, f.shape[1], "idler")
     if ts.min() < 0 or ti.min() < 0:
         raise NumericError("a detection matrix has negative entries")
+    if not ((f >= 0) & (f < np.inf)).all():
+        raise DataError("click table cells must be finite and >= 0")
     rows, cols = np.nonzero(f > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")

@@ -13,7 +13,8 @@ distinct windows of a block.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,9 +22,13 @@ from .core import TwbParams
 from .detection import DetectorSpec
 from .errors import InvalidParameterError
 
-#: Windows drawn per RNG chunk.  Chunks are keyed by window index, so the
-#: stream is reproducible independently of how work is scheduled.
+#: Windows per chunk of a stream, drawn or read.  Drawn chunks are keyed by
+#: window index, so the stream is reproducible however work is scheduled.
 CHUNK = 1 << 18
+
+#: Windows per block of the draws within a chunk.  The generators yield the
+#: same numbers a block at a time as in one call, with smaller temporaries.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,30 +50,25 @@ class PumpCorrelation:
             raise InvalidParameterError("block_len must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClickStream:
-    """Per-window click bits plus the parameters that generated them.
+    """Per-window click codes, one chunk at a time, plus their parameters.
 
-    ``codes[j]`` packs window ``j``: bit 0 is the signal click, bit 1 the
-    idler click.
+    A code packs one window: bit 0 is the signal click, bit 1 the idler
+    click.  ``chunks()`` yields the ``len(stream)`` codes in window order as
+    ``uint8`` arrays, afresh on every call, so a consumer holds one chunk at
+    a time whatever the stream length.
     """
 
-    codes: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.uint8)
+    n_windows: int
+    source: Callable[[], Iterator[np.ndarray]]
+    meta: dict
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self.n_windows
 
-    @property
-    def signal(self) -> np.ndarray:
-        return self.codes & 1
-
-    @property
-    def idler(self) -> np.ndarray:
-        return (self.codes >> 1) & 1
+    def chunks(self) -> Iterator[np.ndarray]:
+        return self.source()
 
 
 def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
@@ -77,9 +77,10 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
 
     The stream is a pure function of its arguments: block factors come from
     one dedicated child RNG, window-level draws from per-chunk child RNGs
-    keyed by window index.  The chunks run in threads, one per available
-    CPU; each writes its own slice, so the bytes do not depend on the CPU
-    count.
+    keyed by window index.  Each pass over its chunks draws them in
+    threads, one per available CPU, at most two chunks per thread ahead of
+    the consumer, and hands them out in window order, so neither the bytes
+    nor the memory depend on the CPU count or the stream length.
     """
     if spec_s.pixels != 1 or spec_i.pixels != 1:
         raise InvalidParameterError("stream simulation uses single-pixel detectors")
@@ -99,9 +100,8 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
 
     log_miss_s = np.log1p(-spec_s.eta) if spec_s.eta < 1 else -np.inf
     log_miss_i = np.log1p(-spec_i.eta) if spec_i.eta < 1 else -np.inf
-    codes = np.empty(n_windows, dtype=np.uint8)
 
-    def draw_chunk(ci: int) -> None:
+    def draw_chunk(ci: int) -> np.ndarray:
         lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, n_windows)
         size = hi - lo
         rng = np.random.default_rng(children[ci + 1])
@@ -109,25 +109,31 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
         lam_p = rng.gamma(params.m_p, params.b_p, size) if params.b_p > 0 \
             else np.zeros(size)
         if factors is not None:
-            first, last = lo // pump.block_len, (hi - 1) // pump.block_len
-            bounds = np.arange(first + 1, last + 1) * pump.block_len
-            lam_p *= np.repeat(factors[first:last + 1],
-                               np.diff(bounds, prepend=lo, append=hi))
-        # photon numbers are kept in the smallest dtype that holds them
-        n_p = _compact(rng.poisson(lam_p))
+            for a in range(0, size, BLOCK):
+                window = np.arange(lo + a, min(lo + a + BLOCK, hi))
+                lam_p[a:a + BLOCK] *= factors[window // pump.block_len]
+        n_p = _poisson(rng, lam_p)
         del lam_p
         n_s = _add_noise(rng, params.m_s, params.b_s, n_p)
         n_i = _add_noise(rng, params.m_i, params.b_i, n_p)
-        s = rng.random(size) < _click_prob(n_s, spec_s.dark, log_miss_s)
-        i = rng.random(size) < _click_prob(n_i, spec_i.dark, log_miss_i)
-        np.left_shift(i, 1, out=codes[lo:hi], dtype=np.uint8)
-        codes[lo:hi] |= s
+        s = _clicks(rng, n_s, spec_s.dark, log_miss_s)
+        i = _clicks(rng, n_i, spec_i.dark, log_miss_i)
+        codes = np.left_shift(i, 1, dtype=np.uint8)
+        codes |= s
+        return codes
 
-    # numpy's generators release the GIL while drawing; imported here so
-    # that commands that simulate nothing do not load the thread pool
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(draw_chunk, range(n_chunks)))   # re-raises a failure
+    def chunks() -> Iterator[np.ndarray]:
+        # numpy's generators release the GIL while drawing; imported here so
+        # that commands that simulate nothing do not load the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            ahead = []
+            for ci in range(n_chunks):
+                ahead.append(pool.submit(draw_chunk, ci))
+                if len(ahead) == 2 * workers:
+                    yield ahead.pop(0).result()     # re-raises a failure
+            while ahead:
+                yield ahead.pop(0).result()
 
     meta = {
         "params": params,
@@ -137,7 +143,7 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
         "n_windows": n_windows,
         "seed": seed,
     }
-    return ClickStream(codes, meta)
+    return ClickStream(n_windows, chunks, meta)
 
 
 def _cpu_count() -> int:
@@ -155,19 +161,27 @@ def _compact(n: np.ndarray) -> np.ndarray:
     return n.astype(np.min_scalar_type(n.max()), copy=False)
 
 
+def _poisson(rng, lam: np.ndarray) -> np.ndarray:
+    """Poisson counts of means ``lam``, kept in the smallest dtype."""
+    return np.concatenate([_compact(rng.poisson(lam[a:a + BLOCK]))
+                           for a in range(0, len(lam), BLOCK)])
+
+
 def _add_noise(rng, m: float, b: float, n_p: np.ndarray) -> np.ndarray:
     """``n_p`` plus Mandel-Rice noise photons of ``m`` modes of mean ``b``."""
     if b <= 0:
         return n_p
-    n = rng.poisson(rng.gamma(m, b, len(n_p)))
-    n += n_p
-    return _compact(n)
+    noise = _poisson(rng, rng.gamma(m, b, len(n_p)))
+    top = int(noise.max()) + int(n_p.max())
+    return np.add(noise, n_p, dtype=np.min_scalar_type(top))
 
 
-def _click_prob(n: np.ndarray, dark: float, log_miss: float) -> np.ndarray:
-    """``1 - (1 - dark)(1 - eta)^n``, looked up in a table over ``0..max n``."""
+def _clicks(rng, n: np.ndarray, dark: float, log_miss: float) -> np.ndarray:
+    """Clicks of chance ``1 - (1 - dark)(1 - eta)^n`` for ``n`` photons."""
     k = np.arange(int(n.max()) + 1)
-    return (1.0 - (1.0 - dark) * _miss_prob(k, log_miss))[n]
+    prob = 1.0 - (1.0 - dark) * _miss_prob(k, log_miss)
+    return np.concatenate([rng.random(len(part)) < prob[part] for part in
+                           np.split(n, range(BLOCK, len(n), BLOCK))])
 
 
 def _miss_prob(n: np.ndarray, log_miss: float) -> np.ndarray:

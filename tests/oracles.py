@@ -54,6 +54,10 @@ The precision report of the metrology is kept as it was computed in memory:
 both click sequences and both conditioned sequences built whole, grouped
 whole and cut into blocks (the package reads the stream chunk by chunk and
 keeps only each block's ratio and count sum).
+
+Click streams held whole are the tests' too: ``stream_of`` serves an array of
+window codes in chunks of any size through the package's chunked path, and
+``codes_of`` joins the chunks of any stream back into one array.
 """
 
 import math
@@ -74,7 +78,7 @@ from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
 from twinbeam.metrology import PrecisionReport
 from twinbeam.quasidist import IntensityGrid
 from twinbeam.reconstruct import _block
-from twinbeam.simulate import ClickStream
+from twinbeam.simulate import CHUNK, ClickStream
 
 
 @dataclass
@@ -604,13 +608,42 @@ def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
     return MarginalDist(column / total, 0.0, PHOTOCOUNT)
 
 
+def stream_of(codes, meta: dict | None = None,
+              chunk: int = CHUNK) -> ClickStream:
+    """A stream of the window ``codes`` held in memory, ``chunk`` at a time."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    return ClickStream(len(codes), lambda: (codes[i:i + chunk] for i in
+                                            range(0, len(codes), chunk)),
+                       dict(meta or {}))
+
+
+def codes_of(stream: ClickStream) -> np.ndarray:
+    """Every window code of ``stream``, its chunks joined."""
+    return np.concatenate([np.empty(0, np.uint8), *stream.chunks()])
+
+
+def held(stream: ClickStream) -> ClickStream:
+    """``stream`` drawn or read once and held in memory."""
+    return stream_of(codes_of(stream), stream.meta)
+
+
+def signal_bits(stream: ClickStream) -> np.ndarray:
+    """The signal click bit of every window."""
+    return codes_of(stream) & 1
+
+
+def idler_bits(stream: ClickStream) -> np.ndarray:
+    """The idler click bit of every window."""
+    return (codes_of(stream) >> 1) & 1
+
+
 def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray:
     """Normalized correlation of click fluctuations at window shifts ``0..dj_max``.
 
     ``K[dj] = n_windows * sum_j dc_j dc_{j+dj} / (sum_j c_j)^2`` with the sum
     truncated at the end of the record (no wraparound).
     """
-    bits = stream.signal if arm == "s" else stream.idler
+    bits = signal_bits(stream) if arm == "s" else idler_bits(stream)
     n = len(bits)
     if n <= dj_max:
         raise StreamTooShortError("stream shorter than the requested shift range")
@@ -646,7 +679,7 @@ def conditioned_sequences(stream: ClickStream) -> dict:
     """
     if len(stream) == 0:
         raise StreamTooShortError("empty stream")
-    s, i = stream.signal, stream.idler
+    s, i = signal_bits(stream), idler_bits(stream)
     return {
         "reference_s": s,
         "reference_i": i,

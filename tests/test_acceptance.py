@@ -15,9 +15,10 @@ import pytest
 from scipy import stats
 
 import twinbeam as tb
-from oracles import (EmConfig, compound_click_dist, compound_photon_dist,
-                     conditional_photon_dist, em_joint, grid_moments,
-                     marginal, to_intensity_moments, window_click_dist)
+from oracles import (EmConfig, codes_of, compound_click_dist,
+                     compound_photon_dist, conditional_photon_dist, em_joint,
+                     grid_moments, held, idler_bits, marginal, stream_of,
+                     to_intensity_moments, window_click_dist)
 from twinbeam import models
 
 SEED_K0 = 20_260_810
@@ -33,15 +34,16 @@ def verdict(number: str, label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def stream_k0(nominal):
     params, spec_s, spec_i = nominal
-    return tb.sample_stream(params, spec_s, spec_i,
-                            tb.PumpCorrelation(0.0, 10_000), WINDOWS, SEED_K0)
+    return held(tb.sample_stream(params, spec_s, spec_i,
+                                 tb.PumpCorrelation(0.0, 10_000), WINDOWS,
+                                 SEED_K0))
 
 
 @pytest.fixture(scope="module")
 def stream_k(nominal):
     params, spec_s, spec_i = nominal
-    return tb.sample_stream(params, spec_s, spec_i, models.NOMINAL_PUMP,
-                            WINDOWS, SEED_K)
+    return held(tb.sample_stream(params, spec_s, spec_i, models.NOMINAL_PUMP,
+                                 WINDOWS, SEED_K))
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +56,10 @@ def compound_family(nominal):
 def segment_estimates(stream, estimator, segments=10):
     """Estimator value on contiguous sub-streams, for spread-based errors."""
     size = len(stream) // segments
+    codes = codes_of(stream)
     values = []
     for i in range(segments):
-        part = tb.ClickStream(stream.codes[i * size:(i + 1) * size])
+        part = stream_of(codes[i * size:(i + 1) * size])
         values.append(estimator(part))
     values = np.asarray(values)
     return values.mean(), values.std(ddof=1) / np.sqrt(segments)
@@ -83,7 +86,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_window_distribution_chi_square(self, stream_k0, nominal):
         fw = window_click_dist(*nominal)
-        counts = np.bincount(stream_k0.codes, minlength=4).astype(float)
+        counts = np.bincount(codes_of(stream_k0), minlength=4).astype(float)
         expected = np.array([fw.table[0, 0], fw.table[1, 0],
                              fw.table[0, 1], fw.table[1, 1]]) * len(stream_k0)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -319,7 +322,7 @@ class TestCriterion8:
         d_cs = out["conditioned_on_signal"].normalized
         d_ci = out["conditioned_on_idler"].normalized
         improvements = (1 - out["S_cs"], 1 - out["S_ci"])
-        h200 = tb.grouped_counts(stream_k0.idler,
+        h200 = tb.grouped_counts(idler_bits(stream_k0),
                                  tb.GroupingPolicy(200, "disjoint"))
         mean200 = h200.mean()
         ok = (abs(d_cs - 0.82) <= 0.03 and abs(d_ci - 0.85) <= 0.03

@@ -125,6 +125,21 @@ class TestDetectionMatrix:
         with pytest.raises(ValueError):
             a.entries[0, 0] = 0.5
 
+    def test_cache_evicts_the_least_recently_used(self, monkeypatch):
+        # matrices of 4 x 11 float64 cells, and room for two of them
+        monkeypatch.setattr(detection, "_cache", {})
+        monkeypatch.setattr(detection, "CACHE_BYTES", 2 * 4 * 11 * 8)
+        specs = [DetectorSpec(eta, 0.0, 3) for eta in (0.4, 0.5, 0.6)]
+        a, b = (detection_matrix(spec, 10) for spec in specs[:2])
+        assert detection_matrix(specs[0], 10) is a      # now the most recent
+        detection_matrix(specs[2], 10)                  # evicts b
+        assert list(detection._cache) == [(specs[0], 10), (specs[2], 10)]
+        assert detection_matrix(specs[0], 10) is a
+        assert detection_matrix(specs[1], 10) is not b
+        # a matrix above the whole budget is kept alone
+        big = detection_matrix(specs[0], 100)
+        assert list(detection._cache.values()) == [big]
+
 
 class TestForward:
     def test_vacuum_maps_to_no_clicks(self):

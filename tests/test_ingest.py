@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from twinbeam import (ClickStream, GroupingPolicy, group_histogram,
                       grouped_counts)
 from oracles import (DegenerateStreamError, averaged_correlation,
-                     conditioned_sequences, window_correlation)
-from twinbeam import ingest, models
+                     conditioned_sequences, idler_bits, signal_bits,
+                     stream_of, window_correlation)
+from twinbeam import models
 from twinbeam.errors import StreamTooShortError
 
 
 def stream_from_pairs(pairs):
     codes = np.array([s | (i << 1) for s, i in pairs], dtype=np.uint8)
-    return ClickStream(codes)
+    return stream_of(codes)
 
 
 class TestGrouping:
@@ -38,13 +39,12 @@ class TestGrouping:
 
     def test_disjoint_concatenation_property(self):
         rng = np.random.default_rng(4)
-        a = ClickStream(rng.integers(0, 4, 600).astype(np.uint8))
-        b = ClickStream(rng.integers(0, 4, 900).astype(np.uint8))
+        a = rng.integers(0, 4, 600).astype(np.uint8)
+        b = rng.integers(0, 4, 900).astype(np.uint8)
         policy = GroupingPolicy(3, "disjoint")
-        joint = ClickStream(np.concatenate([a.codes, b.codes]))
-        ha = group_histogram(a, policy).counts
-        hb = group_histogram(b, policy).counts
-        hj = group_histogram(joint, policy).counts
+        ha = group_histogram(stream_of(a), policy).counts
+        hb = group_histogram(stream_of(b), policy).counts
+        hj = group_histogram(stream_of(np.concatenate([a, b])), policy).counts
         assert np.array_equal(hj, ha + hb)
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -53,17 +53,15 @@ class TestGrouping:
            chunk=st.integers(1, 40))
     def test_chunked_histogram_equals_naive_group_sums(self, codes, n, mode,
                                                        chunk):
-        # chunks of 1..40 windows: their ends fall inside groups, and a
-        # chunk shorter than a group still holds one whole group
-        stream = ClickStream(np.array(codes, dtype=np.uint8))
+        # chunks of 1..40 windows: their ends fall inside groups, and
+        # chunks shorter than a group carry their windows on
+        stream = stream_of(codes, chunk=chunk)
         policy = GroupingPolicy(n, mode)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "GROUP_CHUNK", chunk)
-            if len(codes) < n:
-                with pytest.raises(StreamTooShortError):
-                    group_histogram(stream, policy)
-                return
-            h = group_histogram(stream, policy)
+        if len(codes) < n:
+            with pytest.raises(StreamTooShortError):
+                group_histogram(stream, policy)
+            return
+        h = group_histogram(stream, policy)
         starts = range(0, len(codes) - n + 1, n if mode == "disjoint" else 1)
         naive = np.zeros((n + 1, n + 1), dtype=np.int64)
         for g in starts:
@@ -72,17 +70,39 @@ class TestGrouping:
         assert h.n_groups == len(starts)
         assert np.array_equal(h.counts, naive)
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(codes=st.lists(st.integers(0, 3), min_size=1, max_size=300),
+           cuts=st.lists(st.integers(0, 300), max_size=12),
+           n=st.integers(1, 12), mode=st.sampled_from(["sliding", "disjoint"]))
+    def test_irregular_chunks_equal_the_whole_array(self, codes, cuts, n,
+                                                    mode):
+        # chunks of any sizes in one stream, empty ones and ones shorter
+        # than a group among them
+        codes = np.array(codes, dtype=np.uint8)
+        chunks = np.split(codes, sorted(c % (len(codes) + 1) for c in cuts))
+        stream = ClickStream(len(codes), lambda: iter(chunks), {})
+        policy = GroupingPolicy(n, mode)
+        if len(codes) < n:
+            with pytest.raises(StreamTooShortError):
+                group_histogram(stream, policy)
+            return
+        h = group_histogram(stream, policy)
+        s, i = (grouped_counts(bits, policy) for bits in (codes & 1, codes >> 1))
+        whole = np.bincount(s * (n + 1) + i, minlength=(n + 1) ** 2)
+        assert h.n_groups == len(s)
+        assert np.array_equal(h.counts, whole.reshape(n + 1, n + 1))
+
     def test_sliding_and_disjoint_means_agree(self, stream_1m):
         n = 20
-        gs = grouped_counts(stream_1m.idler, GroupingPolicy(n, "sliding"))
-        gd = grouped_counts(stream_1m.idler, GroupingPolicy(n, "disjoint"))
+        gs = grouped_counts(idler_bits(stream_1m), GroupingPolicy(n, "sliding"))
+        gd = grouped_counts(idler_bits(stream_1m), GroupingPolicy(n, "disjoint"))
         se = gd.std() / np.sqrt(len(gd))
         assert abs(gs.mean() - gd.mean()) < 4 * se
 
     def test_marginal_counts_commute_with_single_arm_grouping(self, stream_1m):
         policy = GroupingPolicy(10, "disjoint")
         h = group_histogram(stream_1m, policy)
-        gs = grouped_counts(stream_1m.signal, policy)
+        gs = grouped_counts(signal_bits(stream_1m), policy)
         direct = np.bincount(gs, minlength=11)
         assert np.array_equal(h.counts.sum(axis=1), direct)
 
@@ -115,7 +135,7 @@ class TestWindowCorrelation:
         rng = np.random.default_rng(10)
         p = 0.07
         bits = (rng.random(400_000) < p).astype(np.uint8)
-        k = window_correlation(ClickStream(bits), "s", 10)
+        k = window_correlation(stream_of(bits), "s", 10)
         p_hat = bits.mean()
         assert k[0] == pytest.approx((1 - p_hat) / p_hat, rel=1e-9)
 
@@ -124,7 +144,7 @@ class TestWindowCorrelation:
         n = 400_000
         p = 0.05
         bits = (rng.random(n) < p).astype(np.uint8)
-        k = window_correlation(ClickStream(bits), "s", 40)
+        k = window_correlation(stream_of(bits), "s", 40)
         # iid null spread: std(K) ~ (1 - p) / (p sqrt(n))
         sigma = (1 - p) / (p * np.sqrt(n))
         assert np.all(np.abs(k[1:]) < 5 * sigma)
@@ -146,7 +166,7 @@ class TestWindowCorrelation:
 
     def test_degenerate_stream_raises(self):
         with pytest.raises(DegenerateStreamError):
-            window_correlation(ClickStream(np.zeros(100, dtype=np.uint8)), "s", 5)
+            window_correlation(stream_of(np.zeros(100, dtype=np.uint8)), "s", 5)
 
 
 class TestAveragedCorrelation:

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (ClickStream, GroupingPolicy, IntensityGrid, JointDist,
+from twinbeam import (GroupingPolicy, IntensityGrid, JointDist,
                       JointHistogram, PumpCorrelation, group_histogram,
                       joint_twb, quasi_distribution, sample_stream)
-from oracles import (compound_click_moments_by_table, compound_photon_dist,
-                     window_click_dist)
-from twinbeam import core, detection, models
+from oracles import (codes_of, compound_click_moments_by_table,
+                     compound_photon_dist, stream_of, window_click_dist)
+from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.core import PHOTON
@@ -47,7 +47,7 @@ class TestFormats:
         path = str(tmp_path / "s.clicks")
         tbio.write_clicks(stream, path)
         back = tbio.read_clicks(path)
-        assert np.array_equal(back.codes, stream.codes)
+        assert np.array_equal(codes_of(back), codes_of(stream))
         assert back.meta["seed"] == 5
         assert back.meta["params"] == params
         assert back.meta["pump"] == PumpCorrelation(1e-3, 100)
@@ -59,35 +59,36 @@ class TestFormats:
         with pytest.raises(DataError):
             tbio.read_clicks(str(tmp_path / "bad"))
 
-    def test_clicks_keep_one_stream_sized_buffer(self, tmp_path):
-        # reading fills the one array the stream keeps; writing sends the
-        # codes from their own buffer
-        codes = np.random.default_rng(8).integers(0, 4, 2_000_000, np.uint8)
-        stream, path = ClickStream(codes, {"seed": 8}), str(tmp_path / "s.clicks")
+    def test_clicks_keep_no_stream_sized_buffer(self, tmp_path):
+        # writing sends each chunk from its own buffer; reading holds one
+        # chunk at a time
+        codes = np.random.default_rng(8).integers(0, 4, 8 * CHUNK, np.uint8)
+        stream, path = stream_of(codes, {"seed": 8}), str(tmp_path / "s.clicks")
         tracemalloc.start()
         try:
             tbio.write_clicks(stream, path)
             written = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            back = tbio.read_clicks(path)
+            for _ in tbio.read_clicks(path).chunks():
+                pass
             read = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert np.array_equal(back.codes, codes)
-        assert written <= 0.25 * codes.nbytes
-        assert read <= 1.25 * codes.nbytes
+        assert np.array_equal(codes_of(tbio.read_clicks(path)), codes)
+        assert written <= 0.25 * CHUNK
+        assert read <= 2.25 * CHUNK
 
     def test_clicks_bytes_and_trailing_bytes(self, tmp_path):
         codes = np.array([0, 1, 2, 3, 1], np.uint8)
         path = str(tmp_path / "s.clicks")
-        tbio.write_clicks(ClickStream(codes), path)
+        tbio.write_clicks(stream_of(codes), path)
         with open(path, "rb") as fh:
             assert fh.read() == (tbio.CLICKS_MAGIC + (5).to_bytes(8, "little")
                                  + codes.tobytes())
         with open(path, "ab") as fh:
             fh.write(b"\x07\x07")
-        assert np.array_equal(tbio.read_clicks(path).codes, codes)
+        assert np.array_equal(codes_of(tbio.read_clicks(path)), codes)
         with open(path, "r+b") as fh:
             fh.truncate(24 + 4)
         with pytest.raises(DataError, match="truncated"):
@@ -131,8 +132,9 @@ class TestFormats:
            data=st.data())
     def test_damaged_containers_raise_data_errors(self, valid_containers,
                                                   tmp_path_factory, fmt, data):
-        # random byte flips or a cut anywhere: the reader returns or
-        # raises DataError, never another exception
+        # random byte flips or a cut anywhere: the reader (and a pass over
+        # a stream's chunks) returns or raises DataError, never another
+        # exception
         blob = bytearray(valid_containers[fmt])
         if data.draw(st.booleans(), label="cut"):
             blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="at")]
@@ -150,7 +152,9 @@ class TestFormats:
         reader = {"jdist": tbio.read_jdist, "jhist": tbio.read_jhist,
                   "igrid": tbio.read_igrid, "clicks": tbio.read_clicks}[fmt]
         try:
-            reader(str(path))
+            read = reader(str(path))
+            if fmt == "clicks":
+                codes_of(read)
         except DataError:
             pass
 
@@ -602,7 +606,7 @@ def test_every_default_is_set_by_a_package_call():
     assert sorted(unset) == sorted(UNSET_DEFAULTS)
 
 
-def test_manifest_times_its_own_process(tmp_path):
+def test_manifest_times_its_own_process(tmp_path, nominal):
     out = str(tmp_path / "s.clicks")
     start = time.perf_counter()
     proc = run_python("-m", "twinbeam.cli", "simulate", "--windows",
@@ -613,8 +617,58 @@ def test_manifest_times_its_own_process(tmp_path):
     assert 0 < manifest["run"]["wall_s"] <= elapsed
     # far above the few MB of an empty process, far below a leak
     assert 10 < manifest["run"]["peak_rss_mb"] < 500
+    # the realised rates are counted off the written file, the model's are
+    # those of the nominal beam without drift
+    codes = np.frombuffer(open(out, "rb").read()[24:], np.uint8)
+    model = models.compound_click_moments(*nominal, 1, 1)
     assert manifest["diagnostics"] == {
-        "chunks": 2, "workers": min(2, len(os.sched_getaffinity(0)))}
+        "chunks": 2, "workers": min(2, len(os.sched_getaffinity(0))),
+        "rates": {"signal": np.mean(codes & 1), "idler": np.mean(codes >> 1),
+                  "coincidence": np.mean(codes == 3)},
+        "model_rates": {"signal": model[1, 0], "idler": model[0, 1],
+                        "coincidence": model[1, 1]}}
+
+
+def test_stream_commands_hold_no_stream_sized_buffer(tmp_path, monkeypatch):
+    # one worker, so that the peak does not hang on how the draws of several
+    # threads overlap; a first small run loads what the commands cache
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+
+    def peaks(windows: int) -> list:
+        out, found = str(tmp_path / f"{windows}.clicks"), []
+        for argv in (["simulate", "--windows", str(windows), "--seed", "3",
+                      "--k-pump", "0.000965", "--out", out],
+                     ["analyze", "--in", out, "--group-n", "10",
+                      "--out", out + ".jhist"],
+                     ["metrology", "--in", out, "--group-n", "10",
+                      "--out", out + ".json"]):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0, argv
+                found.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return found
+
+    peaks(CHUNK + 5)
+    short, long = peaks(2 * CHUNK + 5), peaks(14 * CHUNK + 5)
+    # twelve chunks more grow each peak by less than one chunk of codes
+    assert all(b - a < CHUNK for a, b in zip(short, long)), (short, long)
+
+
+def test_bad_code_in_the_last_chunk_exits_3_without_output(tmp_path, capsys):
+    codes = np.zeros(2 * CHUNK + 9, np.uint8)
+    codes[-1] = 4
+    clicks = str(tmp_path / "late.clicks")
+    tbio.write_clicks(stream_of(codes), clicks)
+    for argv, out in ((["analyze", "--in", clicks, "--group-n", "5"],
+                       tmp_path / "h.jhist"),
+                      (["metrology", "--in", clicks, "--group-n", "5",
+                        "--nm", "10"], tmp_path / "m.json")):
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "window code 4 above 3" in capsys.readouterr().err
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
 
 
 #: Malformed command lines: argv (``{tmp}`` and the file names are filled
@@ -797,12 +851,12 @@ def bad_input_files(tmp_path, nominal):
                      files["hist_crowded"])
     # every window clicks on both arms: no reference spread to divide by
     files["clicks_both"] = str(tmp_path / "both.clicks")
-    tbio.write_clicks(ClickStream(np.full(1000, 0b11, dtype=np.uint8)),
+    tbio.write_clicks(stream_of(np.full(1000, 0b11, dtype=np.uint8)),
                       files["clicks_both"])
-    high = np.array(stream.codes)
+    high = codes_of(stream)
     high[[3, 11]] = (7, 200)
     files["clicks_high"] = str(tmp_path / "high.clicks")
-    tbio.write_clicks(ClickStream(high, stream.meta), files["clicks_high"])
+    tbio.write_clicks(stream_of(high, stream.meta), files["clicks_high"])
     files["config_latin1"] = str(tmp_path / "latin1.cfg")
     (tmp_path / "latin1.cfg").write_bytes(b"metric = nrp  # caf\xe9\n")
     jdist = str(tmp_path / "d.jdist")

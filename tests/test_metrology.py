@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (compound_click_dist, conditional_photon_dist,
-                     in_memory_precision_improvement, relative_error)
+                     in_memory_precision_improvement, relative_error,
+                     stream_of)
 from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
                       JointHistogram, PumpCorrelation, TwbParams,
                       effective_efficiency, fano_nrp_cov, group_histogram,
                       joint_twb,
                       optimal_postselection, precision_improvement,
                       sample_stream)
-from twinbeam import ingest, models
+from twinbeam import models
 from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.errors import (DataError, InsufficientDataError,
@@ -355,6 +356,19 @@ def numbers(report):
                       if dataclasses.is_dataclass(value) else (value,))]
 
 
+def assert_same_outcome(got, expected):
+    """The package's outcome is the oracle's, bit for bit."""
+    if isinstance(expected, dict) and not np.isfinite(
+            [expected["S_cs"], expected["S_ci"]]).all():
+        # the package refuses exactly the ratios the oracle cannot form
+        assert got is DataError
+    elif isinstance(expected, dict):
+        assert isinstance(got, dict) and got.keys() == expected.keys()
+        np.testing.assert_array_equal(numbers(got), numbers(expected))
+    else:
+        assert got is expected
+
+
 def click_codes(length, weights, seed):
     """``length`` window codes drawn from the four click outcomes."""
     p = np.asarray(weights, dtype=float) + 1e-9
@@ -368,7 +382,7 @@ class TestStreamedPrecision:
            weights=st.tuples(*[st.floats(0.02, 1.0)] * 4),
            seed=st.integers(0, 2**32 - 1),
            n=st.integers(1, 10), n_m=st.integers(1, 40),
-           chunk=st.sampled_from([7, 64, 1 << 18]))
+           chunk=st.one_of(st.integers(1, 500), st.just(1 << 18)))
     @example(blocks=0, extra=0, weights=(1, 1, 1, 1), seed=0, n=1, n_m=1,
              chunk=7)
     @example(blocks=9, extra=0, weights=(0, 0, 1, 0), seed=0, n=5, n_m=10,
@@ -377,23 +391,30 @@ class TestStreamedPrecision:
              chunk=7)
     def test_chunked_pass_equals_the_in_memory_oracle(
             self, blocks, extra, weights, seed, n, n_m, chunk):
-        # chunks of 7 and 64 windows put block edges inside chunks and make
-        # blocks of up to 400 windows span many chunks
-        stream = ClickStream(click_codes(blocks * n * n_m + extra, weights,
-                                         seed))
-        expected = outcome(in_memory_precision_improvement, stream, n, n_m)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "GROUP_CHUNK", chunk)
-            got = outcome(precision_improvement, stream, n, n_m)
-        if isinstance(expected, dict) and not np.isfinite(
-                [expected["S_cs"], expected["S_ci"]]).all():
-            # the package refuses exactly the ratios the oracle cannot form
-            assert got is DataError
-        elif isinstance(expected, dict):
-            assert isinstance(got, dict) and got.keys() == expected.keys()
-            np.testing.assert_array_equal(numbers(got), numbers(expected))
-        else:
-            assert got is expected
+        # chunks of up to 500 windows, shorter than a group or not a
+        # multiple of it, put block edges inside chunks and make blocks of
+        # up to 400 windows span many chunks
+        codes = click_codes(blocks * n * n_m + extra, weights, seed)
+        expected = outcome(in_memory_precision_improvement, stream_of(codes),
+                           n, n_m)
+        got = outcome(precision_improvement, stream_of(codes, chunk=chunk),
+                      n, n_m)
+        assert_same_outcome(got, expected)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(codes=st.lists(st.integers(0, 3), max_size=400),
+           cuts=st.lists(st.integers(0, 400), max_size=12),
+           n=st.integers(1, 6), n_m=st.integers(1, 8))
+    def test_irregular_chunks_equal_the_in_memory_oracle(self, codes, cuts,
+                                                         n, n_m):
+        # chunks of any sizes in one stream, empty ones and ones shorter
+        # than a group among them
+        codes = np.array(codes, dtype=np.uint8)
+        chunks = np.split(codes, sorted(c % (len(codes) + 1) for c in cuts))
+        stream = ClickStream(len(codes), lambda: iter(chunks), {})
+        assert_same_outcome(outcome(precision_improvement, stream, n, n_m),
+                            outcome(in_memory_precision_improvement,
+                                    stream_of(codes), n, n_m))
 
     # window codes: bit 0 is the signal click, bit 1 the idler click
     SILENT_SIGNAL = [0b10] * 40
@@ -410,18 +431,16 @@ class TestStreamedPrecision:
     ], ids=["empty", "zero-mean-block", "insufficient-before-zero-mean",
             "too-few-windows"])
     def test_errors_match_the_oracle(self, codes, n, n_m, error):
-        stream = ClickStream(np.array(codes, dtype=np.uint8))
         for chunk in (7, 1 << 18):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(ingest, "GROUP_CHUNK", chunk)
-                assert outcome(precision_improvement, stream, n, n_m) is error
-        assert outcome(in_memory_precision_improvement, stream, n, n_m) \
-            is error
+            assert outcome(precision_improvement,
+                           stream_of(codes, chunk=chunk), n, n_m) is error
+        assert outcome(in_memory_precision_improvement, stream_of(codes), n,
+                       n_m) is error
 
     def test_reference_without_spread_is_a_data_error(self):
         # every window clicks on both arms: both references are constant and
         # the oracle's ratios are 0 / 0
-        both = ClickStream(np.full(1000, 0b11, dtype=np.uint8))
+        both = stream_of(np.full(1000, 0b11, dtype=np.uint8))
         with np.errstate(invalid="ignore"):
             oracle = in_memory_precision_improvement(both, 2, 10)
         assert np.isnan(oracle["S_cs"]) and np.isnan(oracle["S_ci"])
@@ -434,14 +453,14 @@ class TestStreamedPrecision:
         idler = np.tile([1, 0], 500)
         codes = (rng.integers(0, 2, 1000) | idler << 1).astype(np.uint8)
         with np.errstate(divide="ignore"):
-            oracle = in_memory_precision_improvement(ClickStream(codes), 2, 10)
+            oracle = in_memory_precision_improvement(stream_of(codes), 2, 10)
         assert np.isinf(oracle["S_cs"]) and np.isfinite(oracle["S_ci"])
         with pytest.raises(DataError, match="reference_i"):
-            precision_improvement(ClickStream(codes), 2, 10)
+            precision_improvement(stream_of(codes), 2, 10)
 
     def test_cli_writes_no_report_without_spread(self, tmp_path, capsys):
         clicks, out = tmp_path / "both.clicks", tmp_path / "m.json"
-        tbio.write_clicks(ClickStream(np.full(1000, 0b11, dtype=np.uint8)),
+        tbio.write_clicks(stream_of(np.full(1000, 0b11, dtype=np.uint8)),
                           str(clicks))
         assert main(["metrology", "--in", str(clicks), "--group-n", "2",
                      "--nm", "10", "--out", str(out)]) == 3
@@ -454,7 +473,7 @@ class TestStreamedPrecision:
         weights = (1 - p_s - p_i + p11, p_s - p11, p_i - p11, p11)
         peaks = []
         for length in (1_000_000, 4_000_000):
-            stream = ClickStream(click_codes(length, weights, seed=5))
+            stream = stream_of(click_codes(length, weights, seed=5))
             tracemalloc.start()
             precision_improvement(stream, 10, 500)
             peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)

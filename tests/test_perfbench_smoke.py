@@ -3,10 +3,14 @@
 The command sequences come from ``perfbench/workloads.py`` and the checks
 from ``perfbench/check.py``; both are only imported (without writing
 bytecode next to them), and every output goes to a temporary directory.
+The benchmark's tracer, ``perfbench/traced_cli.py``, runs the smoke stream
+commands in a fresh interpreter and must count what they did.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +19,7 @@ import pytest
 from twinbeam.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = str(PERFBENCH.parent / "src")
 
 
 def _load(name: str):
@@ -50,3 +55,23 @@ def test_smoke_workload_passes_every_check(workload, tmp_path, monkeypatch,
     assert len(report["checks"]) == len(commands)
     failed = [c for c in report["checks"] if not c[2]]
     assert not failed, failed
+
+
+def test_tracer_counts_the_smoke_stream(tmp_path):
+    # the tracer reads len() off what sample_stream returns, the paths off
+    # the io calls and n_groups off group_histogram's result
+    commands, spec = _load("workloads").build("stream-n10", 1, smoke=True)
+    counts = {}
+    for argv in commands[:2]:                   # simulate, analyze
+        assert argv[0] in ("simulate", "analyze")
+        spans = tmp_path / f"{argv[0]}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
+             *argv], cwd=tmp_path, capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=SRC,
+                                  PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        counts.update(json.loads(spans.read_text())["counts"])
+    assert spec["mode"] == "sliding"
+    assert counts["simulate.windows"] == spec["windows"]
+    assert counts["ingest.groups"] == spec["windows"] - spec["n"] + 1

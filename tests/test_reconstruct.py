@@ -113,6 +113,14 @@ class TestMlJoint:
         with pytest.raises(DataError, match="no observed counts"):
             ml_joint(empty.counts, t, t)
 
+    @pytest.mark.parametrize("cell", [-0.2, np.nan, np.inf])
+    def test_negative_or_not_finite_cell_rejected(self, cell):
+        # a negative cell would be skipped as unobserved but still counted
+        # in the table's sum, and the solve could not certify
+        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        with pytest.raises(DataError, match="finite and >= 0"):
+            ml_joint(np.array([[0.5, cell], [0.2, 0.5]]), t, t)
+
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 10).table
