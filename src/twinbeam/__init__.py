@@ -1,7 +1,6 @@
 """Compound twin beams: simulation, reconstruction and analysis toolkit."""
 
-from .core import (PHOTON, PHOTOCOUNT, JointDist, TwbParams, joint_twb,
-                   mandel_rice)
+from .core import JointDist, TwbParams, joint_twb, mandel_rice
 from .detection import DetectionMatrix, DetectorSpec, detection_matrix
 from .ingest import (GroupingPolicy, JointHistogram, group_histogram,
                      grouped_counts)

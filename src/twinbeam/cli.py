@@ -212,7 +212,7 @@ def _cmd_ncd(args) -> None:
 
 def _cmd_quasidist(args) -> None:
     dist = tbio.read_jdist(args.dist)
-    grid = quasi_distribution(dist, args.s, args.w_max, args.steps)
+    grid = quasi_distribution(dist.table, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
                    "min": float(grid.values.min()),
@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     qd = sub.add_parser("quasidist", help="intensity quasi-distribution grid")
     qd.add_argument("--dist", required=True)
-    qd.add_argument("--s", type=float, required=True)
+    qd.add_argument("--s", type=_bounded(float, "a number < 1",
+                                         lambda v: v < 1), required=True)
     qd.add_argument("--w-max", type=_positive)
     qd.add_argument("--steps", type=_count, default=256)
     qd.add_argument("--out", required=True)

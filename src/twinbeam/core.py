@@ -7,7 +7,7 @@ component follows the Mandel-Rice law for ``m`` equally populated modes with
 photon-number distribution is the two-fold convolution of the three
 component distributions, the paired component entering both arms with the
 same photon number.  Component laws are plain arrays; the joint one is a
-:class:`JointDist`, which also carries its kind and truncated tail.
+:class:`JointDist`, which also carries its truncated tail.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError
-
-PHOTON = "photon"
-PHOTOCOUNT = "photocount"
 
 #: Largest probability mass a truncated distribution may silently discard.
 TAIL_CEILING = 1e-10
@@ -65,17 +62,16 @@ class TwbParams:
 
 @dataclass
 class JointDist:
-    """Truncated joint distribution over (signal, idler) counts.
+    """Truncated joint distribution over (signal, idler) photon numbers.
 
     ``table[n_s, n_i]`` holds the probability of ``n_s`` signal and ``n_i``
-    idler counts; ``tail_mass`` is whatever the truncation discarded.  A
+    idler photons; ``tail_mass`` is whatever the truncation discarded.  A
     distribution whose tail exceeds :data:`TAIL_CEILING` reads
     ``truncation_dirty``, computed from the tail, rather than being rejected.
     """
 
     table: np.ndarray
     tail_mass: float
-    kind: str = PHOTON
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
@@ -142,4 +138,4 @@ def joint_twb(params: TwbParams) -> JointDist:
     for n in range(kp + 1):
         full[n:n + ks + 1, n:n + ki + 1] += pp[n] * cross
     tail = max(0.0, 1.0 - full.sum())
-    return JointDist(full, tail, PHOTON)
+    return JointDist(full, tail)

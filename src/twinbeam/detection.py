@@ -55,7 +55,6 @@ class DetectionMatrix:
     """Immutable click-from-photon transfer matrix ``entries[c, n]``."""
 
     entries: np.ndarray
-    spec: DetectorSpec
 
     def column_sum_error(self) -> float:
         return float(np.abs(self.entries.sum(axis=0) - 1.0).max())
@@ -153,7 +152,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
             _cache[key] = hit                       # now the most recent
             return hit
 
-    matrix = DetectionMatrix(_build_stable(spec, n_max), spec)
+    matrix = DetectionMatrix(_build_stable(spec, n_max))
     colsum_err = matrix.column_sum_error()
     if colsum_err > COLUMN_SUM_TOL:
         raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")

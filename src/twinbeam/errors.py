@@ -26,10 +26,6 @@ class InvalidParameterError(UsageError):
     """A physical parameter is outside its admissible range."""
 
 
-class KindMismatchError(DataError):
-    """Distributions of different kinds (photon vs photocount) were mixed."""
-
-
 class StreamTooShortError(DataError):
     """A click stream is too short for the requested grouping."""
 

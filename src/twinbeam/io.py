@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .core import PHOTOCOUNT, PHOTON, JointDist, TwbParams
+from .core import JointDist, TwbParams
 from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
 from .ingest import DISJOINT, SLIDING, GroupingPolicy, JointHistogram
@@ -58,7 +58,7 @@ def _is_dims(v) -> bool:
 #: Header keys each container reader needs, and the test each value passes
 #: (for jhist, GroupingPolicy's rules): any other value is a data error.
 HEADER_RULES = {
-    "jdist-v1": {"dims": _is_dims, "kind": lambda v: v in (PHOTON, PHOTOCOUNT),
+    "jdist-v1": {"dims": _is_dims, "kind": lambda v: v == "photon",
                  "tail_mass": lambda v: _is_finite(v, 0),
                  "truncation_dirty": lambda v: type(v) is bool,
                  "payload": lambda v: v == "f64"},
@@ -207,7 +207,7 @@ def read_clicks(path: str) -> ClickStream:
 # -- jdist-v1 ----------------------------------------------------------------
 
 def write_jdist(d: JointDist, path: str) -> None:
-    header = {"dims": list(d.table.shape), "kind": d.kind,
+    header = {"dims": list(d.table.shape), "kind": "photon",
               "tail_mass": d.tail_mass, "truncation_dirty": d.truncation_dirty,
               "payload": "f64"}
     body = np.ascontiguousarray(d.table, dtype="<f8").tobytes()
@@ -222,7 +222,7 @@ def read_jdist(path: str) -> JointDist:
     mass = float(table.sum()) + header["tail_mass"]
     if abs(mass - 1.0) > MASS_TOL:
         raise DataError(f"jdist cells and tail_mass sum to {mass:.9g}, not 1")
-    d = JointDist(table, header["tail_mass"], header["kind"])
+    d = JointDist(table, header["tail_mass"])
     if d.truncation_dirty != header["truncation_dirty"]:
         raise DataError(f"jdist truncation_dirty {header['truncation_dirty']} "
                         f"contradicts its tail_mass {header['tail_mass']!r}")

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTON, JointDist
-from .errors import (DivergentSeriesError, InvalidParameterError,
-                     KindMismatchError)
+from .errors import DivergentSeriesError, InvalidParameterError
 
 #: Support fraction dropped for the truncation-sensitivity check.
 _EDGE_FRACTION = 0.9
@@ -44,11 +42,6 @@ class IntensityGrid:
     def dw(self) -> tuple:
         return (self.w_max_s / self.values.shape[0],
                 self.w_max_i / self.values.shape[1])
-
-    def centers(self, axis: int) -> np.ndarray:
-        n = self.values.shape[axis]
-        w = (self.w_max_s, self.w_max_i)[axis]
-        return (np.arange(n) + 0.5) * (w / n)
 
 
 def _basis(n_max: int, w: np.ndarray, s: float) -> np.ndarray:
@@ -84,26 +77,26 @@ def default_w_max(table: np.ndarray, arm: str, s: float) -> float:
     return mean + 10.0 * np.sqrt(var) + 5.0 * (1.0 - s) + 3.0
 
 
-def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
+def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
                        steps: int = 256) -> IntensityGrid:
-    """Evaluate the intensity quasi-distribution of ``p`` at ordering ``s``.
+    """Evaluate the intensity quasi-distribution of a photon table at ``s``.
 
-    Both axes run to ``w_max``; without it, each axis reaches ten standard
+    ``table[n_s, n_i]`` holds the joint photon-number probabilities.  Both
+    axes run to ``w_max``; without it, each axis reaches ten standard
     deviations beyond its marginal mean.  A check recomputes the grid from a
     reduced photon support, keeping the relative shift as
     ``edge_sensitivity`` (None once read from a file); disagreement flags an
     under-truncated input or a too-singular ordering.
     """
-    if p.kind != PHOTON:
-        raise KindMismatchError("quasi-distribution needs photon numbers")
-    if s >= 1:
-        raise InvalidParameterError("ordering parameter must satisfy s < 1")
-    w_max_s = default_w_max(p.table, "s", s) if w_max is None else w_max
-    w_max_i = default_w_max(p.table, "i", s) if w_max is None else w_max
+    if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
+        raise InvalidParameterError("ordering parameter must satisfy s < 1, "
+                                    f"with s^2 in double range; got {s!r}")
+    w_max_s = default_w_max(table, "s", s) if w_max is None else w_max
+    w_max_i = default_w_max(table, "i", s) if w_max is None else w_max
     ws = (np.arange(steps) + 0.5) * (w_max_s / steps)
     wi = (np.arange(steps) + 0.5) * (w_max_i / steps)
-    n_s_max = p.table.shape[0] - 1
-    n_i_max = p.table.shape[1] - 1
+    n_s_max = table.shape[0] - 1
+    n_i_max = table.shape[1] - 1
 
     prefactor = 4.0 / (1.0 - s) ** 2
     cut_s = max(1, int(_EDGE_FRACTION * (n_s_max + 1)))
@@ -112,12 +105,12 @@ def quasi_distribution(p: JointDist, s: float, w_max: float | None = None,
     with np.errstate(over="ignore", invalid="ignore"):
         a_s = _basis(n_s_max, ws, s)
         a_i = _basis(n_i_max, wi, s)
-        values = prefactor * (a_s.T @ p.table @ a_i)
-        reduced = prefactor * (a_s[:cut_s].T @ p.table[:cut_s, :cut_i]
+        values = prefactor * (a_s.T @ table @ a_i)
+        reduced = prefactor * (a_s[:cut_s].T @ table[:cut_s, :cut_i]
                                @ a_i[:cut_i])
         scale = np.abs(values).max()
         shift = np.abs(values - reduced).max()
-    edge_tail = p.table[cut_s:, :].sum() + p.table[:, cut_i:].sum()
+    edge_tail = table[cut_s:, :].sum() + table[:, cut_i:].sum()
     if not np.isfinite([scale, shift]).all():
         raise DivergentSeriesError("the intensity series leaves double range; "
                                    "shrink the photon support or lower s")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PHOTON, JointDist
+from .core import JointDist
 from .detection import DetectionMatrix
 from .errors import DataError, InvalidParameterError, NumericError
 
@@ -199,5 +199,5 @@ def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
             break
     if not np.isfinite(bound):
         raise NumericError(f"the interior-point solve ended on a bound of {bound}")
-    return JointDist(estimate, 0.0, PHOTON), MlResult(
+    return JointDist(estimate, 0.0), MlResult(
         bound < CERTIFICATE, step, bound, float(weights @ np.log(projected)))

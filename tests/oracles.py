@@ -33,7 +33,8 @@ another way:
 * the Laguerre basis of the intensity quasi-distribution, one grid point
   at a time in mpmath arithmetic (the package runs one float64 recurrence
   with each grid column's power of two kept apart);
-* Riemann-sum intensity moments of a quasi-distribution grid;
+* cell midpoints and Riemann-sum intensity moments of a quasi-distribution
+  grid;
 * the change of operator ordering as one matrix product ``A @ raw @ A.T``
   per ordering, with ``A`` built as a list (the package forms each table's
   polynomial in ``t = (1 - s)/2`` once and evaluates it).
@@ -48,7 +49,9 @@ average, which shows the pump drift's plateau.
 
 One-dimensional distributions, the marginals and heralded conditionals that
 only the tests examine, are a ``MarginalDist`` with its mean, variance and
-Fano factor (the package passes such laws as plain arrays).
+Fano factor (the package passes such laws as plain arrays).  The click
+tables of these oracles ride in a ``JointDist`` like photon tables, untagged:
+the package makes no click table, and its jdist files hold photon tables only.
 
 The precision report of the metrology is kept as it was computed in memory:
 both click sequences and both conditioned sequences built whole, grouped
@@ -67,12 +70,12 @@ import numpy as np
 from scipy import signal
 
 from twinbeam import models
-from twinbeam.core import PHOTOCOUNT, PHOTON, JointDist, TwbParams, joint_twb
+from twinbeam.core import JointDist, TwbParams, joint_twb
 from twinbeam.detection import (DetectionMatrix, DetectorSpec,
                                 _log_factorials, detection_matrix)
 from twinbeam.errors import (DataError, InsufficientDataError,
-                             InvalidParameterError, KindMismatchError,
-                             NumericError, StreamTooShortError)
+                             InvalidParameterError, NumericError,
+                             StreamTooShortError)
 from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
@@ -87,7 +90,6 @@ class MarginalDist:
 
     probs: np.ndarray
     tail_mass: float
-    kind: str = PHOTON
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -107,7 +109,7 @@ class MarginalDist:
 def marginal(d: JointDist, arm: str) -> MarginalDist:
     """The signal (``"s"``) or idler marginal of a joint distribution."""
     axis = 1 if arm == "s" else 0
-    return MarginalDist(d.table.sum(axis=axis), d.tail_mass, d.kind)
+    return MarginalDist(d.table.sum(axis=axis), d.tail_mass)
 
 
 class SupportViolationError(DataError):
@@ -185,8 +187,6 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
     space.  All contributions are positive, so each cell is accurate to
     round-off and the support is exactly ``0..n`` per axis.
     """
-    if f_w.kind != PHOTOCOUNT:
-        raise KindMismatchError("compound composition expects photocounts")
     if n < 1:
         raise InvalidParameterError("group size must be >= 1")
     table = f_w.table
@@ -223,7 +223,7 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
         acc[k:, k:] += np.exp(np.where(valid, lp, -np.inf))
     out[:c_cap + 1, :r_cap + 1] = acc
     tail = min(1.0, n * f_w.tail_mass) + max(0.0, 1.0 - out.sum())
-    return JointDist(out, tail, PHOTOCOUNT)
+    return JointDist(out, tail)
 
 
 def _support_cap(p: float, n: int) -> int:
@@ -243,7 +243,7 @@ def window_click_dist(params: TwbParams, spec_s: DetectorSpec,
     p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
     table = np.array([[1.0 - p_s - p_i + p11, p_i - p11],
                       [p_s - p11, p11]])
-    return JointDist(table, 0.0, PHOTOCOUNT)
+    return JointDist(table, 0.0)
 
 
 def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,
@@ -254,8 +254,6 @@ def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,
 
 def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
     """Distribution of the cell-wise sum of two independent joint counts."""
-    if a.kind != b.kind:
-        raise KindMismatchError(f"cannot convolve {a.kind} with {b.kind}")
     big = a.table.size * b.table.size > 1e8
     table = signal.fftconvolve(a.table, b.table) if big else \
         signal.convolve2d(a.table, b.table)
@@ -264,7 +262,7 @@ def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
         raise InvalidParameterError("convolution produced negative mass")
     np.clip(table, 0.0, None, out=table)
     tail = min(1.0, a.tail_mass + b.tail_mass)
-    return JointDist(table, tail, a.kind)
+    return JointDist(table, tail)
 
 
 def self_convolve(d: JointDist, n: int) -> JointDist:
@@ -289,12 +287,10 @@ def self_convolve(d: JointDist, n: int) -> JointDist:
 def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
                         spec_i: DetectorSpec) -> JointDist:
     """Joint photocount distribution of a photon-number distribution."""
-    if p.kind != PHOTON:
-        raise KindMismatchError("forward model expects a photon-number distribution")
     t_s = detection_matrix(spec_s, p.table.shape[0] - 1)
     t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
     f = t_s.entries @ p.table @ t_i.entries.T
-    return JointDist(f, p.tail_mass, PHOTOCOUNT)
+    return JointDist(f, p.tail_mass)
 
 
 def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
@@ -338,7 +334,7 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
     for factor, weight in zip(factors, weights):
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
         window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
-                                     [p_s - p11, p11]]), 0.0, PHOTOCOUNT)
+                                     [p_s - p11, p11]]), 0.0)
         raw += weight * raw_moments(compound_photocounts(window, n).table,
                                     order)
     return to_intensity_moments(raw)
@@ -411,14 +407,21 @@ def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
     weights = np.convolve(convolve_power_1d(w1, c_s),
                           convolve_power_1d(w0, n - c_s))
     total = weights.sum()
-    return MarginalDist(weights / total, 0.0, PHOTON)
+    return MarginalDist(weights / total, 0.0)
+
+
+def grid_centers(g: IntensityGrid, axis: int) -> np.ndarray:
+    """Midpoints of the grid's cells along ``axis`` (0 signal, 1 idler)."""
+    n = g.values.shape[axis]
+    w = (g.w_max_s, g.w_max_i)[axis]
+    return (np.arange(n) + 0.5) * (w / n)
 
 
 def grid_moments(g: IntensityGrid, k: int, l: int) -> float:
     """Riemann-sum intensity moment ``<W_s^k W_i^l>`` of the grid."""
     dws, dwi = g.dw
-    ws = g.centers(0) ** k
-    wi = g.centers(1) ** l
+    ws = grid_centers(g, 0) ** k
+    wi = grid_centers(g, 1) ** l
     return float(ws @ g.values @ wi * dws * dwi)
 
 
@@ -580,8 +583,7 @@ def em_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
             raise NumericError(f"log-likelihood decreased at iteration {it}")
         if change < cfg.tol:
             break
-    return JointDist(p, 0.0, PHOTON), EmResult(change < cfg.tol, it, change,
-                                                history)
+    return JointDist(p, 0.0), EmResult(change < cfg.tol, it, change, history)
 
 
 def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
@@ -593,8 +595,8 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     """
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
     dist, result = em_joint(data[:, None], t_i,
-                            DetectionMatrix(np.ones((1, 1)), t_i.spec), cfg)
-    return MarginalDist(dist.table[:, 0], 0.0, PHOTON), result
+                            DetectionMatrix(np.ones((1, 1))), cfg)
+    return MarginalDist(dist.table[:, 0], 0.0), result
 
 
 def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
@@ -605,7 +607,7 @@ def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
     total = column.sum()
     if total == 0:
         raise EmptyConditionError(f"no events with {c_s} signal clicks")
-    return MarginalDist(column / total, 0.0, PHOTOCOUNT)
+    return MarginalDist(column / total, 0.0)
 
 
 def stream_of(codes, meta: dict | None = None,

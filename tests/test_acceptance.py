@@ -341,19 +341,19 @@ class TestCriterion8:
 class TestCriterion9:
     def test_quasi_distribution(self, nominal):
         params, _, _ = nominal
-        vacuum = tb.JointDist(np.array([[1.0]]), 0.0, "photon")
-        weak = tb.joint_twb(params)
+        vacuum = np.array([[1.0]])
+        weak = tb.joint_twb(params).table
         norms, moment_errs = [], []
-        for dist in (vacuum, weak):
+        for table in (vacuum, weak):
             for s in (0.0, 0.5):
-                grid = tb.quasi_distribution(dist, s, steps=512)
+                grid = tb.quasi_distribution(table, s, steps=512)
                 norms.append(tb.grid_normalization(grid))
-                w = tb.to_s_ordered(tb.moments(dist.table, 2), s)
+                w = tb.to_s_ordered(tb.moments(table, 2), s)
                 for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
                     moment_errs.append(abs(grid_moments(grid, k, l)
                                            - w[k, l]))
         strong = compound_photon_dist(params, 1000)
-        grid1000 = tb.quasi_distribution(strong, 0.0, steps=256)
+        grid1000 = tb.quasi_distribution(strong.table, 0.0, steps=256)
         has_negative = bool((grid1000.values < 0).any())
         norm_ok = all(abs(n - 1) <= 1e-3 for n in norms)
         moments_ok = max(moment_errs) <= 1e-2

@@ -3,14 +3,13 @@ import pytest
 
 from oracles import convolve_joint, convolve_power_1d, marginal, self_convolve
 from twinbeam import JointDist, TwbParams, joint_twb, mandel_rice
-from twinbeam.core import PHOTON
-from twinbeam.errors import InvalidParameterError, KindMismatchError
+from twinbeam.errors import InvalidParameterError
 
 
-def delta_joint(i, j, shape=(3, 3), kind=PHOTON):
+def delta_joint(i, j, shape=(3, 3)):
     table = np.zeros(shape)
     table[i, j] = 1.0
-    return JointDist(table, 0.0, kind)
+    return JointDist(table, 0.0)
 
 
 class TestMandelRice:
@@ -104,7 +103,7 @@ class TestConvolve:
         rng = np.random.default_rng(5)
         table = rng.random((3, 4))
         table /= table.sum()
-        d = JointDist(table, 0.0, PHOTON)
+        d = JointDist(table, 0.0)
         three = self_convolve(d, 3)
         brute = np.zeros((7, 10))
         for (a, b), pa in np.ndenumerate(table):
@@ -118,7 +117,7 @@ class TestConvolve:
         ds = []
         for _ in range(3):
             t = rng.random((3, 3))
-            ds.append(JointDist(t / t.sum(), 0.0, PHOTON))
+            ds.append(JointDist(t / t.sum(), 0.0))
         a, b, c = ds
         left = convolve_joint(convolve_joint(a, b), c)
         right = convolve_joint(a, convolve_joint(b, c))
@@ -126,11 +125,6 @@ class TestConvolve:
         ab = convolve_joint(a, b)
         ba = convolve_joint(b, a)
         np.testing.assert_allclose(ab.table, ba.table, atol=1e-13)
-
-    def test_kind_mismatch_rejected(self):
-        with pytest.raises(KindMismatchError):
-            convolve_joint(delta_joint(0, 0, kind="photon"),
-                           delta_joint(0, 0, kind="photocount"))
 
     def test_nfold_mean_is_linear(self):
         d = joint_twb(TwbParams(3, 3, 3, 0.05, 0.001, 0.002))

@@ -15,7 +15,6 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      two_stage_matrix, window_click_dist, window_forward_dist)
 from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
                       detection_matrix, joint_twb)
-from twinbeam.core import PHOTOCOUNT, PHOTON
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 default_n_max)
@@ -143,7 +142,7 @@ class TestDetectionMatrix:
 
 class TestForward:
     def test_vacuum_maps_to_no_clicks(self):
-        vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
+        vac = JointDist(np.array([[1.0]]), 0.0)
         f = forward_photocounts(vac, DetectorSpec(0.5, 0.0, 1),
                                 DetectorSpec(0.9, 0.0, 1))
         np.testing.assert_array_equal(f.table, [[1.0, 0.0], [0.0, 0.0]])
@@ -151,7 +150,7 @@ class TestForward:
     def test_lossless_single_pair(self):
         pair = np.zeros((2, 2))
         pair[1, 1] = 1.0
-        f = forward_photocounts(JointDist(pair, 0.0, PHOTON),
+        f = forward_photocounts(JointDist(pair, 0.0),
                                 DetectorSpec(1.0, 0.0, 1),
                                 DetectorSpec(1.0, 0.0, 1))
         assert f.table[1, 1] == 1.0
@@ -180,7 +179,7 @@ def test_log_factorials_match_gammaln():
 
 class TestCompound:
     def test_no_clicks_stays_point_mass(self):
-        fw = JointDist(np.array([[1.0, 0], [0, 0]]), 0.0, PHOTOCOUNT)
+        fw = JointDist(np.array([[1.0, 0], [0, 0]]), 0.0)
         out = compound_photocounts(fw, 1000)
         assert out.table[0, 0] == pytest.approx(1.0, abs=1e-14)
         assert out.table.sum() == pytest.approx(1.0, abs=1e-12)
@@ -209,7 +208,7 @@ class TestCompound:
             assert mean == pytest.approx(n * p_s, rel=1e-12)
 
     def test_support_violation_rejected(self):
-        bad = JointDist(np.diag([0.5, 0.3, 0.2]), 0.0, PHOTOCOUNT)
+        bad = JointDist(np.diag([0.5, 0.3, 0.2]), 0.0)
         with pytest.raises(SupportViolationError):
             compound_photocounts(bad, 5)
 
@@ -369,7 +368,7 @@ class TestConditional:
                                    atol=1e-10)
 
     def test_zero_probability_condition(self):
-        vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
+        vac = JointDist(np.array([[1.0]]), 0.0)
         with pytest.raises(ZeroProbabilityConditionError):
             conditional_photon_dist(vac, DetectorSpec(0.5, 0.0, 1), 800, 800)
 

@@ -22,7 +22,6 @@ from oracles import (codes_of, compound_click_moments_by_table,
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import main
-from twinbeam.core import PHOTON
 from twinbeam.errors import DataError
 from twinbeam.reconstruct import CERTIFICATE
 from twinbeam.simulate import CHUNK
@@ -100,7 +99,9 @@ class TestFormats:
         tbio.write_jdist(d, path)
         back = tbio.read_jdist(path)
         assert np.array_equal(back.table, d.table)
-        assert back.kind == d.kind
+        # the header tag that perfbench/check.py requires of every jdist
+        with open(path, "rb") as fh:
+            assert b'"kind": "photon"' in fh.read()
         assert back.tail_mass == d.tail_mass
 
     def test_twb_jdist_round_trip(self, tmp_path, nominal):
@@ -169,8 +170,7 @@ class TestFormats:
             tbio.read_igrid(str(path))
 
     def test_igrid_round_trip(self, tmp_path):
-        vac = JointDist(np.array([[1.0]]), 0.0, PHOTON)
-        g = quasi_distribution(vac, 0.5, steps=32)
+        g = quasi_distribution(np.array([[1.0]]), 0.5, steps=32)
         path = str(tmp_path / "g.igrid")
         tbio.write_igrid(g, path)
         back = tbio.read_igrid(path)
@@ -277,7 +277,7 @@ class TestCli:
         tail = 1e-4
         dist = str(tmp_path / "p.jdist")
         table = joint.table / joint.table.sum() * (1 - tail)
-        tbio.write_jdist(JointDist(table, tail, PHOTON), dist)
+        tbio.write_jdist(JointDist(table, tail), dist)
         for argv in (["ncd", "--identifiers", "E001"],
                      ["quasidist", "--s", "0"]):
             out = str(tmp_path / argv[0])
@@ -491,7 +491,7 @@ class TestCli:
 
     def test_usage_error_exit_code(self, tmp_path):
         dist = str(tmp_path / "p.jdist")
-        tbio.write_jdist(JointDist(np.array([[1.0]]), 0.0, PHOTON), dist)
+        tbio.write_jdist(JointDist(np.array([[1.0]]), 0.0), dist)
         assert self.run("ncd", "--dist", dist, "--identifiers", "bogus",
                         "--out", str(tmp_path / "r.json")) == 2
 
@@ -534,7 +534,6 @@ LIBRARY_ENTRY_POINTS = {
     "optimal_postselection": "post-selection on a measured histogram "
                              "(Criterion 7)",
     "mean_signal": "the expected rates of perfbench/check.py",
-    "centers": "the grid moments of the quasi-distribution tests",
     "to_s_ordered": "the library's ordering change, used by the acceptance "
                     "and quasidist tests and the README",
 }
@@ -560,6 +559,24 @@ def test_package_names_each_public_function():
         if isinstance(func, ast.FunctionDef) and not func.name.startswith("_")
         and named[func.name] == _identifiers(func)[func.name])
     assert unnamed == sorted(LIBRARY_ENTRY_POINTS)
+
+
+def test_package_raises_or_catches_each_error():
+    # every exception class of errors.py is raised or caught by the
+    # package's other modules: one that only the tests raise belongs in
+    # tests/oracles.py
+    errors = Path(SRC, "twinbeam", "errors.py")
+    classes = [node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    used = Counter()
+    for path in Path(SRC, "twinbeam").glob("*.py"):
+        if path != errors:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    used += _identifiers(node.exc)
+                elif isinstance(node, ast.ExceptHandler) and node.type:
+                    used += _identifiers(node.type)
+    assert [name for name in classes if not used[name]] == []
 
 
 #: Defaulted parameters that no call of the package sets, and why each stays.
@@ -733,8 +750,20 @@ BAD_INPUTS = {
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
          "--out", "{tmp}/g.igrid"], 2, "--steps"),
     "quasidist-photocount-jdist": (
-        ["quasidist", "--dist", "{jdist}", "--s", "0",
-         "--out", "{tmp}/g.igrid"], 3, "photon"),
+        ["quasidist", "--dist", "{jdist_photocount}", "--s", "0",
+         "--out", "{tmp}/g.igrid"], 3, "kind"),
+    "ncd-photocount-jdist": (
+        ["ncd", "--dist", "{jdist_photocount}", "--out", "{tmp}/r.json"],
+        3, "kind"),
+    "quasidist-s-nan": (
+        ["quasidist", "--dist", "{jdist}", "--s=nan",
+         "--out", "{tmp}/g.igrid"], 2, "--s"),
+    "quasidist-s-minus-inf": (
+        ["quasidist", "--dist", "{jdist}", "--s=-inf",
+         "--out", "{tmp}/g.igrid"], 2, "--s"),
+    "quasidist-s-out-of-double-range": (
+        ["quasidist", "--dist", "{jdist}", "--s=-1e300",
+         "--out", "{tmp}/g.igrid"], 2, "double range"),
     "quasidist-w-max-negative": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
          "--out", "{tmp}/g.igrid"], 2, "--w-max"),
@@ -863,12 +892,11 @@ def bad_input_files(tmp_path, nominal):
     tbio.write_jdist(window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist
     # payloads of one bad cell each
-    for key, cell, kind in (("jdist_nan", np.nan, core.PHOTOCOUNT),
-                            ("jdist_negative", -0.25, PHOTON)):
+    for key, cell in (("jdist_nan", np.nan), ("jdist_negative", -0.25)):
         table = window_click_dist(params, spec_s, spec_i).table
         table[1, 0] = cell
         files[key] = str(tmp_path / f"{key}.jdist")
-        tbio.write_jdist(JointDist(table, 0.0, kind), files[key])
+        tbio.write_jdist(JointDist(table, 0.0), files[key])
     # cells of 0.8 and no tail: not a distribution
     files["jdist_mass"] = str(tmp_path / "mass.jdist")
     tbio.write_jdist(JointDist(np.array([[0.5, 0.1], [0.1, 0.1]]), 0.0),
@@ -892,6 +920,7 @@ def bad_input_files(tmp_path, nominal):
             ("jdist_tail_mass", "jdist-v1", jdist, {"tail_mass": "x"}),
             ("jdist_dims", "jdist-v1", jdist, {"dims": 5}),
             ("jdist_kind", "jdist-v1", jdist, {"kind": 3}),
+            ("jdist_photocount", "jdist-v1", jdist, {"kind": "photocount"}),
             ("jdist_payload", "jdist-v1", jdist, {"payload": "csv"}),
             ("jdist_flag_off", "jdist-v1", dirty, {"truncation_dirty": False}),
             ("hist_dims", "jhist-v1", hist, {"dims": 5}),

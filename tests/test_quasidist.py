@@ -6,15 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import _basis_mp, compound_photon_dist, grid_moments
-from twinbeam import (JointDist, TwbParams, grid_normalization, joint_twb,
-                      moments, quasi_distribution, to_s_ordered)
-from twinbeam.core import PHOTON
+from oracles import _basis_mp, compound_photon_dist, grid_centers, grid_moments
+from twinbeam import (TwbParams, grid_normalization, joint_twb, moments,
+                      quasi_distribution, to_s_ordered)
 from twinbeam.errors import DivergentSeriesError, InvalidParameterError
 from twinbeam.quasidist import _basis
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-VACUUM = JointDist(np.array([[1.0]]), 0.0, PHOTON)
+VACUUM = np.array([[1.0]])
 
 #: ``(n_max, w_max, s)`` of the basis checks: low orders, then orders and
 #: intensities where the damping seed or ``beta^n`` leaves double range.
@@ -28,13 +27,13 @@ BASIS_CASES = (
 class TestQuasiDistribution:
     def test_vacuum_closed_form(self):
         g = quasi_distribution(VACUUM, 0.0, steps=64)
-        ws = g.centers(0)[:, None]
-        wi = g.centers(1)[None, :]
+        ws = grid_centers(g, 0)[:, None]
+        wi = grid_centers(g, 1)[None, :]
         np.testing.assert_allclose(g.values, 4 * np.exp(-2 * (ws + wi)),
                                    rtol=1e-12)
         # value at the origin approaches 4
         assert g.values[0, 0] == pytest.approx(
-            4 * np.exp(-2 * (g.centers(0)[0] + g.centers(1)[0])), rel=1e-12)
+            4 * np.exp(-2 * (ws[0, 0] + wi[0, 0])), rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, -0.7])
     def test_vacuum_normalization(self, s):
@@ -46,8 +45,8 @@ class TestQuasiDistribution:
         # intensity quasi-distribution 2 exp(-2W)(4W - 1) at s = 0
         table = np.zeros((2, 2))
         table[1, 0] = 1.0
-        g = quasi_distribution(JointDist(table, 0.0, PHOTON), 0.0, steps=256)
-        w = g.centers(0)
+        g = quasi_distribution(table, 0.0, steps=256)
+        w = grid_centers(g, 0)
         marginal = g.values.sum(axis=1) * g.dw[1]
         np.testing.assert_allclose(marginal, 2 * np.exp(-2 * w) * (4 * w - 1),
                                    atol=1e-3)
@@ -58,24 +57,29 @@ class TestQuasiDistribution:
         square = np.zeros((max(p.table.shape),) * 2)
         square[:p.table.shape[0], :p.table.shape[1]] = p.table
         sym = 0.5 * (square + square.T)
-        g = quasi_distribution(JointDist(sym / sym.sum(), 0.0, PHOTON), 0.0,
-                               w_max=4.0, steps=128)
+        g = quasi_distribution(sym / sym.sum(), 0.0, w_max=4.0, steps=128)
         np.testing.assert_allclose(g.values, g.values.T, atol=1e-12)
 
     def test_antinormal_side_is_nonnegative(self, nominal):
         params, _, _ = nominal
-        g = quasi_distribution(joint_twb(params), -1.2, steps=128)
+        g = quasi_distribution(joint_twb(params).table, -1.2, steps=128)
         assert g.values.min() >= -1e-15
 
     def test_strong_beam_develops_negative_regions(self, nominal):
         params, _, _ = nominal
         strong = compound_photon_dist(params, 1000)
-        g = quasi_distribution(strong, 0.0, steps=128)
+        g = quasi_distribution(strong.table, 0.0, steps=128)
         assert g.values.min() < 0
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(InvalidParameterError):
             quasi_distribution(VACUUM, 1.0)
+
+    @pytest.mark.parametrize("s", [np.nan, -np.inf, -1e300])
+    def test_ordering_nan_or_out_of_range_rejected(self, s):
+        # NaN fails every comparison; at s = -1e300, (1 - s)^2 overflows
+        with pytest.raises(InvalidParameterError, match="s < 1"):
+            quasi_distribution(VACUUM, s)
 
     @pytest.mark.parametrize("n_max, w_max, s", BASIS_CASES)
     def test_arbitrary_precision_basis_matches_float_path(self, n_max, w_max,
@@ -93,7 +97,7 @@ class TestQuasiDistribution:
         # double range instead of failing the support-edge check
         strong = compound_photon_dist(nominal[0], 2180)
         with pytest.raises(DivergentSeriesError, match="double range"):
-            quasi_distribution(strong, 0.5, steps=8)
+            quasi_distribution(strong.table, 0.5, steps=8)
 
     def test_support_edge_sensitivity_raises(self):
         # a bright, strongly paired beam on its own default support: at
@@ -102,7 +106,7 @@ class TestQuasiDistribution:
         bright = joint_twb(TwbParams(10, 10, 10, 0.5, 0.01, 0.01))
         with pytest.raises(DivergentSeriesError,
                            match="support-edge sensitivity 6.65e-02"):
-            quasi_distribution(bright, 0.9)
+            quasi_distribution(bright.table, 0.9)
 
     def test_high_intensity_grid_needs_no_mpmath(self):
         # hundreds of photon pairs: the damping falls to about exp(-660)
@@ -112,7 +116,7 @@ class TestQuasiDistribution:
             "from twinbeam import (grid_normalization, joint_twb, models,\n"
             "                      quasi_distribution)\n"
             "p = joint_twb(models.NOMINAL_PARAMS.scaled(3000))\n"
-            "g = quasi_distribution(p, -0.5, steps=32)\n"
+            "g = quasi_distribution(p.table, -0.5, steps=32)\n"
             "assert 2 * g.w_max_s / 1.5 > 600\n"
             "assert np.isfinite(g.values).all()\n"
             "print(grid_normalization(g))\n")
@@ -133,7 +137,7 @@ class TestGridMoments:
     def test_moments_match_ordering_transform(self, nominal, s):
         params, _, _ = nominal
         j = joint_twb(params)
-        g = quasi_distribution(j, s, steps=512)
+        g = quasi_distribution(j.table, s, steps=512)
         w = to_s_ordered(moments(j.table, 2), s)
         for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
             assert grid_moments(g, k, l) == pytest.approx(w[k, l], abs=1e-2)
@@ -141,7 +145,7 @@ class TestGridMoments:
     def test_strong_beam_moments_relative(self, nominal):
         params, _, _ = nominal
         strong = compound_photon_dist(params, 500)
-        g = quasi_distribution(strong, 0.0, steps=512)
+        g = quasi_distribution(strong.table, 0.0, steps=512)
         w = to_s_ordered(moments(strong.table, 2), 0.0)
         assert grid_moments(g, 1, 0) == pytest.approx(w[1, 0], rel=1e-2)
         assert grid_moments(g, 1, 1) == pytest.approx(w[1, 1], rel=1e-2)

@@ -9,7 +9,6 @@ from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      compound_click_dist, compound_photon_dist,
                      conditional_histogram, conditional_photon_dist,
                      em_conditional, em_joint, marginal)
-from twinbeam.core import PHOTOCOUNT
 from twinbeam.detection import DetectionMatrix, default_n_max
 from twinbeam.errors import DataError, InvalidParameterError, NumericError
 from twinbeam.reconstruct import CERTIFICATE, MAX_CELLS
@@ -87,9 +86,8 @@ class TestMlJoint:
         assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_detection_entry_is_numeric_error(self):
-        spec = DetectorSpec(1.0, 0.0, 1)
-        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
-        t_i = DetectionMatrix(np.ones((1, 1)), spec)
+        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]))
+        t_i = DetectionMatrix(np.ones((1, 1)))
         f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="negative entries"):
             ml_joint(f, t_s, t_i)
@@ -221,9 +219,8 @@ class TestEmJoint:
         # EM on mixture weights is monotone for any nonnegative matrix; a
         # negative entry (columns summing to 0.9 and 0.3) drives an iterate
         # negative, and the second iteration lowers the likelihood
-        spec = DetectorSpec(1.0, 0.0, 1)
-        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]), spec)
-        t_i = DetectionMatrix(np.ones((1, 1)), spec)
+        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]))
+        t_i = DetectionMatrix(np.ones((1, 1)))
         f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="decreased at iteration 2"):
             em_joint(f, t_s, t_i, EmConfig(max_iters=50))
@@ -318,7 +315,7 @@ class TestEmJoint:
 class TestEmConditional:
     def test_pure_no_click_column_gives_vacuum(self):
         t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
-        data = MarginalDist(np.array([1.0, 0.0]), 0.0, PHOTOCOUNT)
+        data = MarginalDist(np.array([1.0, 0.0]), 0.0)
         est, res = em_conditional(data, t, EmConfig(max_iters=5_000))
         assert est.probs[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -329,8 +326,7 @@ class TestEmConditional:
         n_max = 60
         t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         f_ci = t_i.entries @ truth.probs[:n_max + 1]
-        est, res = em_conditional(MarginalDist(f_ci / f_ci.sum(), 0.0,
-                                               PHOTOCOUNT), t_i,
+        est, res = em_conditional(MarginalDist(f_ci / f_ci.sum(), 0.0), t_i,
                                   EmConfig(max_iters=150_000, tol=1e-13))
         assert tv(est.probs, truth.probs[:n_max + 1]) <= 0.01
         assert est.mean() == pytest.approx(truth.mean(), rel=1e-3)
