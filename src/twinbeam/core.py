@@ -16,13 +16,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PrecisionExhaustedError
 
 #: Largest probability mass a truncated distribution may silently discard.
 TAIL_CEILING = 1e-10
 
 #: Per-component truncation target used when growing supports automatically.
 COMPONENT_TAIL = 1e-12
+
+#: Largest component support grown automatically: no joint table that wide
+#: fits in memory, and a tail that rounding holds above the target stops here.
+MAX_SUPPORT = 1 << 20
+
+#: Floor of ``log p(0)`` of a Mandel-Rice law: ``p(0) >= 1 / DBL_MAX`` keeps
+#: every ratio product ``p(n) / p(0) <= 1 / p(0)`` finite.
+LOG_P0_MIN = -float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,9 @@ def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
 
     Evaluated through the stable ratio recurrence
     ``p[n+1] = p[n] * (n + m)/(n + 1) * b/(1 + b)`` which avoids Gamma
-    overflow for supports reaching into the thousands.
+    overflow for supports reaching into the thousands.  It starts from
+    ``p[0] = (1 + b)^-m``; past :data:`LOG_P0_MIN` the products overflow,
+    and it raises.
     """
     if not np.isfinite(m) or m <= 0:
         raise InvalidParameterError(f"mode count must be finite and > 0, got {m}")
@@ -95,9 +105,14 @@ def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
         raise InvalidParameterError(f"mean per mode must be finite and >= 0, got {b}")
     if n_max < 0:
         raise InvalidParameterError("n_max must be >= 0")
+    log_p0 = -m * np.log1p(b)
+    if log_p0 < LOG_P0_MIN:
+        raise PrecisionExhaustedError(
+            f"p(0) = exp({log_p0:.6g}) of {m:.6g} modes of mean {b:.6g} "
+            "lies below double range")
     n = np.arange(n_max, dtype=float)
     ratios = (n + m) / (n + 1.0) * (b / (1.0 + b))
-    p0 = np.exp(-m * np.log1p(b))
+    p0 = np.exp(log_p0)
     probs = np.empty(n_max + 1)
     probs[0] = p0
     if n_max > 0:
@@ -109,12 +124,17 @@ def _mr_support(m: float, b: float) -> int:
     """Smallest support bound with a Mandel-Rice tail below :data:`COMPONENT_TAIL`.
 
     Starts from a moment-based guess and grows geometrically (factor 1.5)
-    until the requirement is met, so truncation never biases moments.
+    until the requirement is met, so truncation never biases moments; past
+    :data:`MAX_SUPPORT` it raises.
     """
     mean = m * b
     sd = np.sqrt(mean * (1.0 + b))
     n = int(np.ceil(mean + 10.0 * sd + 10))
     while 1.0 - mandel_rice(m, b, n).sum() > COMPONENT_TAIL:
+        if n > MAX_SUPPORT:
+            raise PrecisionExhaustedError(
+                f"the tail of {m:.6g} modes of mean {b:.6g} stays above "
+                f"{COMPONENT_TAIL:g} on {n + 1} photon numbers")
         n = int(np.ceil(n * 1.5)) + 5
     return n
 

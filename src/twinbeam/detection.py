@@ -14,8 +14,10 @@ photon, which is the chain's start; each photon then marks a uniformly chosen
 pixel with probability ``eta``; a pixel clicks when marked.  The chain is
 stable in double precision and its column sums are one by construction.  An
 arbitrary-precision alternating sum in the tests cross-checks it.
-Heralded photon statistics need no matrix: ``models`` takes them from the
-photon-number generating function.
+:func:`detection_matrix` stores the chain's columns; :func:`fold_detection`
+projects them onto a few rows block by block as the chain runs, which is all
+the genuine beam's click moments need.  Heralded photon statistics need no
+matrix: ``models`` takes them from the photon-number generating function.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return np.exp(lf[n] - lf[k] - lf[n - k] + k * log_p + (n - k) * log_q)
 
 
-def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
-    """``T[c, n]``: chance that ``n`` photons leave ``c`` marked pixels.
+def _columns(spec: DetectorSpec, n_max: int):
+    """Yield ``T[:, n]``, the chance that ``n`` photons leave ``c`` marked pixels.
 
     The chain starts from ``Binomial(pixels, dark)`` dark-clicked pixels and
     appends one photon per column, which is detected with probability ``eta``
@@ -128,13 +130,27 @@ def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
     N = spec.pixels
     fresh = spec.eta * (N - np.arange(N + 1.0)) / N   # marks a fresh pixel
     stay = 1.0 - fresh                  # lost, or lands on a marked pixel
-    T = np.empty((N + 1, n_max + 1))
-    T[:, 0] = col = _binomial_pmf(N, spec.dark)
-    for n in range(1, n_max + 1):
+    col = _binomial_pmf(N, spec.dark)
+    yield col
+    for _ in range(n_max):
         nxt = col * stay
         nxt[1:] += col[:-1] * fresh[:-1]
-        T[:, n] = col = nxt
+        yield nxt
+        col = nxt
+
+
+def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
+    """``T[c, n]`` for ``n = 0..n_max``, column by column from the chain."""
+    T = np.empty((spec.pixels + 1, n_max + 1))
+    for n, col in enumerate(_columns(spec, n_max)):
+        T[:, n] = col
     return T
+
+
+def _check_columns(entries: np.ndarray) -> None:
+    colsum_err = DetectionMatrix(entries).column_sum_error()
+    if colsum_err > COLUMN_SUM_TOL:
+        raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
 
 
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
@@ -153,9 +169,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
             return hit
 
     matrix = DetectionMatrix(_build_stable(spec, n_max))
-    colsum_err = matrix.column_sum_error()
-    if colsum_err > COLUMN_SUM_TOL:
-        raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
+    _check_columns(matrix.entries)
     matrix.entries.flags.writeable = False
     with _cache_lock:
         _cache[key] = matrix
@@ -163,3 +177,26 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
         while size > CACHE_BYTES and len(_cache) > 1:
             size -= _cache.pop(next(iter(_cache))).entries.nbytes
     return matrix
+
+
+def fold_detection(rows: np.ndarray, spec: DetectorSpec, n_max: int
+                   ) -> np.ndarray:
+    """``rows @ T`` of the detector's matrix ``T``, without building ``T``.
+
+    The chain's columns gather in a reused buffer of 64; each full block, and
+    the last, is validated as :func:`detection_matrix` validates its columns
+    and then projected.  The cache is neither read nor filled.
+    """
+    if n_max < 0:
+        raise InvalidParameterError("n_max must be >= 0")
+    width = 64
+    out = np.empty((rows.shape[0], n_max + 1))
+    buf = np.empty((spec.pixels + 1, width))
+    for n, col in enumerate(_columns(spec, n_max)):
+        k = n % width
+        buf[:, k] = col
+        if k == width - 1 or n == n_max:
+            block = buf[:, :k + 1]
+            _check_columns(block)
+            out[:, n - k:n + 1] = rows @ block
+    return out

@@ -14,9 +14,10 @@ the signal outcome of each window gives the idler clicks heralded by ``c_s``
 signal clicks as two independent binomials (:func:`postselection_stats`).
 At a fixed signal outcome, the ``y``-derivatives of ``G`` give the heralded
 idler photon mean and variance (:func:`heralded_photon_stats`).  The genuine
-beam's click moments fold the falling factorials into its detection matrices
-(:func:`genuine_click_moments`).  No quantity needs a whole click table or a
-convolution power of photon tables.
+beam's click moments fold the falling factorials into each arm's pixel
+occupancy chain as it runs (:func:`genuine_click_moments`).  No quantity needs
+a whole click table, a detection matrix or a convolution power of photon
+tables.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import TwbParams, joint_twb
-from .detection import DetectorSpec, _binomial_pmf, detection_matrix
-from .errors import InvalidParameterError
+from .core import LOG_P0_MIN, TwbParams, joint_twb
+from .detection import DetectorSpec, _binomial_pmf, fold_detection
+from .errors import InvalidParameterError, PrecisionExhaustedError
 from .moments import falling_factorials
 from .simulate import PumpCorrelation
 
@@ -87,15 +88,26 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
 
     The beam has ``n`` times the modes of one window, but all its photons
     share one ``n``-pixel detector per arm: the comparison model for the
-    compound beam.  Each arm's detection matrix ``T`` takes the falling
-    factorials in, ``F[k, m] = sum_c (c)_k T[c, m]``, and the moments are
-    ``Fs @ p @ Fi.T`` of the joint photon table ``p``: no click table.
-    Orders above ``n`` are exact zeros.
+    compound beam.  Each arm's falling factorials fold into its pixel
+    occupancy chain, ``F[k, m] = sum_c (c)_k T[c, m]``, block by block
+    (:func:`~twinbeam.detection.fold_detection`), and the moments are
+    ``Fs @ p @ Fi.T`` of the joint photon table ``p``: neither a click table
+    nor a detection matrix.  Orders above ``n`` are exact zeros.  Past the
+    largest ``n`` whose photon table the Mandel-Rice recurrence can start
+    (``log p(0) >= LOG_P0_MIN`` for each component), it raises
+    :class:`PrecisionExhaustedError` naming that ``n``.
     """
+    per_window = max(m * math.log1p(b) for m, b in (
+        (params.m_p, params.b_p), (params.m_s, params.b_s),
+        (params.m_i, params.b_i)))
+    if n * per_window > -LOG_P0_MIN:
+        raise PrecisionExhaustedError(
+            f"the photon table of {n} genuine windows leaves double range; "
+            f"the largest feasible n is {math.floor(-LOG_P0_MIN / per_window)}")
     p = joint_twb(params.scaled(n)).table
     falling = falling_factorials(n, order)
-    f_s, f_i = (falling @ detection_matrix(DetectorSpec(spec.eta, spec.dark, n),
-                                           p.shape[axis] - 1).entries
+    f_s, f_i = (fold_detection(falling, DetectorSpec(spec.eta, spec.dark, n),
+                               p.shape[axis] - 1)
                 for axis, spec in enumerate((spec_s, spec_i)))
     return f_s @ p @ f_i.T
 

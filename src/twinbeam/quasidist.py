@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentSeriesError, InvalidParameterError
+from .errors import (DivergentSeriesError, InvalidParameterError,
+                     PrecisionExhaustedError)
 
 #: Support fraction dropped for the truncation-sensitivity check.
 _EDGE_FRACTION = 0.9
@@ -86,7 +87,9 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
     deviations beyond its marginal mean.  A check recomputes the grid from a
     reduced photon support, keeping the relative shift as
     ``edge_sensitivity`` (None once read from a file); disagreement flags an
-    under-truncated input or a too-singular ordering.
+    under-truncated input or a too-singular ordering.  A grid that holds less
+    than half of the table's mass, as near ``s = 1`` where the damping
+    underflows on every cell, raises; an all-zero table gives a zero grid.
     """
     if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
         raise InvalidParameterError("ordering parameter must satisfy s < 1, "
@@ -119,7 +122,13 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
         raise DivergentSeriesError(
             f"support-edge sensitivity {sensitivity:.2e} of the intensity "
             "series; enlarge the photon support or lower s")
-    return IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
+    grid = IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
+    norm, mass = grid_normalization(grid), table.sum()
+    if norm < 0.5 * mass:
+        raise PrecisionExhaustedError(
+            f"the grid holds {norm:.3g} of the table's mass {mass:.3g}; "
+            "lower s, or raise the steps or the grid edge")
+    return grid
 
 
 def grid_normalization(g: IntensityGrid) -> float:

@@ -3,7 +3,8 @@ import pytest
 
 from oracles import convolve_joint, convolve_power_1d, marginal, self_convolve
 from twinbeam import JointDist, TwbParams, joint_twb, mandel_rice
-from twinbeam.errors import InvalidParameterError
+from twinbeam.core import LOG_P0_MIN, _mr_support
+from twinbeam.errors import InvalidParameterError, PrecisionExhaustedError
 
 
 def delta_joint(i, j, shape=(3, 3)):
@@ -54,6 +55,26 @@ class TestMandelRice:
         d = mandel_rice(2, 0.5, 0)
         assert d.shape == (1,)
         assert d[0] == pytest.approx(1.5 ** -2)
+
+    @pytest.mark.parametrize("windows", [10_000, 20_000])
+    def test_p0_out_of_double_range_raises(self, windows):
+        # the paired component of that many nominal windows: p(0) underflows
+        # and the ratio products overflow, which left a NaN table
+        with pytest.raises(PrecisionExhaustedError, match="below double range"):
+            mandel_rice(10.0 * windows, 1.0185e-2, 10)
+
+    def test_lowest_p0_keeps_a_normalised_law(self):
+        b = 1.0185e-2
+        m = -LOG_P0_MIN / np.log1p(b) * (1 - 1e-12)
+        d = mandel_rice(m, b, _mr_support(m, b))
+        assert np.isfinite(d).all()
+        assert d.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_support_growth_is_capped(self):
+        # 1e5 photons per component: rounding holds the computed tail near
+        # 1.7e-12, above COMPONENT_TAIL, however far the support grows
+        with pytest.raises(PrecisionExhaustedError, match="stays above"):
+            _mr_support(10.0, 1e4)
 
 
 class TestJointTwb:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import comb, gammaln
 
@@ -20,7 +20,7 @@ from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 default_n_max)
 from twinbeam.errors import (DataError, InvalidParameterError,
                              PrecisionExhaustedError)
-from twinbeam.moments import moments
+from twinbeam.moments import falling_factorials, moments
 from twinbeam import models
 
 
@@ -138,6 +138,43 @@ class TestDetectionMatrix:
         # a matrix above the whole budget is kept alone
         big = detection_matrix(specs[0], 100)
         assert list(detection._cache.values()) == [big]
+
+
+class TestFoldDetection:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           dark=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+           pixels=st.integers(1, 1000), n_max=st.integers(0, 300),
+           order=st.integers(0, 5))
+    @example(eta=1.0, dark=0.0, pixels=1000, n_max=64, order=5)
+    @example(eta=0.282, dark=2.8e-3, pixels=1000, n_max=200, order=5)
+    def test_fold_equals_the_matrix_product(self, eta, dark, pixels, n_max,
+                                            order):
+        # bit-equal but where BLAS sums a short last block in another order
+        # (one column goes through a matrix-vector product)
+        spec = DetectorSpec(eta, dark, pixels)
+        falling = falling_factorials(pixels, order)
+        got = detection.fold_detection(falling, spec, n_max)
+        assert got.shape == (order + 1, n_max + 1)
+        np.testing.assert_allclose(
+            got, falling @ detection_matrix(spec, n_max).entries,
+            rtol=1e-13, atol=0)
+
+    def test_corrupted_chain_fails_validation(self, monkeypatch):
+        # the 16-bit alternating sum as the chain's columns, with column
+        # sums off by up to 43: the fold's column-sum check must refuse them
+        monkeypatch.setattr(detection, "_cache", {})
+        monkeypatch.setattr(
+            detection, "_columns",
+            lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
+        with pytest.raises(PrecisionExhaustedError, match="column sums"):
+            detection.fold_detection(falling_factorials(16, 2),
+                                     DetectorSpec(0.7, 1e-3, 16), 10)
+        assert detection._cache == {}
+
+    def test_negative_support_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            detection.fold_detection(np.ones((1, 2)), DetectorSpec(0.5), -1)
 
 
 class TestForward:
@@ -447,8 +484,10 @@ class TestGenuineModel:
                                               5), rtol=0, atol=2e-12)
 
     def test_moments_need_no_click_table(self, nominal, monkeypatch):
-        # the (n + 1)^2 click table alone would take (n + 1)^2 * 8 bytes
+        # one arm's (n + 1) x (n_max + 1) detection matrix alone would take
+        # (n + 1) * (n_max + 1) * 8 bytes; the fold keeps a 64-column block
         n = 1000
+        n_max = min(joint_twb(nominal[0].scaled(n)).table.shape) - 1
         monkeypatch.setattr(detection, "_cache", {})
         tracemalloc.start()
         try:
@@ -456,7 +495,20 @@ class TestGenuineModel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < (n + 1) ** 2 * 8
+        assert peak < (n + 1) * (n_max + 1) * 8
+        assert detection._cache == {}
+
+    @pytest.mark.parametrize("n", [10_000, 20_000])
+    def test_past_the_largest_feasible_n_raises(self, nominal, n):
+        # the paired component's p(0) = exp(-0.1013 n) underflowed past
+        # n = 7351, and the moments came out NaN
+        with pytest.raises(PrecisionExhaustedError,
+                           match="largest feasible n is 7004"):
+            models.genuine_click_moments(*nominal, n, 2)
+
+    def test_the_largest_feasible_n_is_evaluated(self, nominal):
+        raw = models.genuine_click_moments(*nominal, 7004, 2)
+        assert np.isfinite(raw).all() and raw[0, 0] == pytest.approx(1.0)
 
     def test_pileup_fano_below_one(self, nominal):
         params, spec_s, spec_i = nominal

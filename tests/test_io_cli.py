@@ -287,6 +287,17 @@ class TestCli:
             assert diag["tail_mass"] == tail
             assert diag["truncation_dirty"] is True
 
+    def test_quasidist_of_an_all_tail_table_is_a_zero_grid(self, tmp_path):
+        # a table whose truncation dropped all of its mass has none for the
+        # grid to lose, even where the damping underflows on every cell
+        dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
+        tbio.write_jdist(JointDist(np.zeros((2, 2)), 1.0), dist)
+        assert self.run("quasidist", "--dist", dist, "--s",
+                        "0.9999999999999999", "--steps", "16",
+                        "--out", grid) == 0
+        diag = json.loads(open(grid + ".manifest.json").read())["diagnostics"]
+        assert diag["normalization"] == 0.0 and diag["tail_mass"] == 1.0
+
     def test_grid_beyond_double_range_exits_4(self, tmp_path, nominal):
         dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
         tbio.write_jdist(compound_photon_dist(nominal[0], 2180), dist)
@@ -767,6 +778,16 @@ BAD_INPUTS = {
     "quasidist-w-max-negative": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
          "--out", "{tmp}/g.igrid"], 2, "--w-max"),
+    "quasidist-s-near-one": (
+        ["quasidist", "--dist", "{jdist}", "--s", "0.9999999999999999",
+         "--steps", "16", "--out", "{tmp}/g.igrid"], 4,
+        "the grid holds 0 of the table's mass 1"),
+    "sweep-fano-past-largest-n": (
+        ["sweep", "--metric", "fano", "--groups", "10000"], 4,
+        "largest feasible n is 7004"),
+    "sweep-tau-e-past-largest-n": (
+        ["sweep", "--metric", "tau-e", "--groups", "20000"], 4,
+        "largest feasible n is 7004"),
     "jhist-all-zero": (
         ["reconstruct", "--hist", "{hist_zero}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "sum to 0"),

@@ -4,7 +4,8 @@ The command sequences come from ``perfbench/workloads.py`` and the checks
 from ``perfbench/check.py``; both are only imported (without writing
 bytecode next to them), and every output goes to a temporary directory.
 The benchmark's tracer, ``perfbench/traced_cli.py``, runs the smoke stream
-commands in a fresh interpreter and must count what they did.
+commands in a fresh interpreter and must count what they did; it must also
+run the smoke sweep commands, reading the detection cache after each.
 """
 
 import importlib.util
@@ -75,3 +76,20 @@ def test_tracer_counts_the_smoke_stream(tmp_path):
     assert spec["mode"] == "sliding"
     assert counts["simulate.windows"] == spec["windows"]
     assert counts["ingest.groups"] == spec["windows"] - spec["n"] + 1
+
+
+def test_tracer_runs_the_smoke_sweep(tmp_path):
+    # the tracer reads detection._cache after every command; the genuine
+    # beam's moments fold the detection chain and leave the cache empty
+    commands, _ = _load("workloads").build("sweep-ladder", 1, smoke=True)
+    for argv in commands:
+        assert argv[0] == "sweep"
+        spans = tmp_path / f"{argv[2]}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans),
+             *argv], cwd=tmp_path, capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=SRC,
+                                  PYTHONDONTWRITEBYTECODE="1"))
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(spans.read_text())["counts"]
+        assert counts["detection.cache_entries"] == 0, argv

@@ -9,7 +9,8 @@ import pytest
 from oracles import _basis_mp, compound_photon_dist, grid_centers, grid_moments
 from twinbeam import (TwbParams, grid_normalization, joint_twb, moments,
                       quasi_distribution, to_s_ordered)
-from twinbeam.errors import DivergentSeriesError, InvalidParameterError
+from twinbeam.errors import (DivergentSeriesError, InvalidParameterError,
+                             PrecisionExhaustedError)
 from twinbeam.quasidist import _basis
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -98,6 +99,19 @@ class TestQuasiDistribution:
         strong = compound_photon_dist(nominal[0], 2180)
         with pytest.raises(DivergentSeriesError, match="double range"):
             quasi_distribution(strong.table, 0.5, steps=8)
+
+    @pytest.mark.parametrize("s, steps", [(0.9999999999999999, 16),
+                                          (0.999, 16), (0.0, 1)])
+    def test_grid_that_lost_the_mass_raises(self, nominal, s, steps):
+        # near s = 1 the damping underflows on every cell; a single cell
+        # samples the tail of the distribution
+        table = joint_twb(nominal[0].scaled(10)).table
+        with pytest.raises(PrecisionExhaustedError, match="of the table's"):
+            quasi_distribution(table, s, steps=steps)
+
+    def test_all_tail_table_gives_a_zero_grid(self):
+        g = quasi_distribution(np.zeros((3, 3)), 0.9999999999999999, steps=16)
+        assert grid_normalization(g) == 0.0
 
     def test_support_edge_sensitivity_raises(self):
         # a bright, strongly paired beam on its own default support: at
