@@ -120,8 +120,8 @@ def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
     return probs
 
 
-def _mr_support(m: float, b: float) -> int:
-    """Smallest support bound with a Mandel-Rice tail below :data:`COMPONENT_TAIL`.
+def _mr_law(m: float, b: float) -> np.ndarray:
+    """A Mandel-Rice law on a support whose tail is below :data:`COMPONENT_TAIL`.
 
     Starts from a moment-based guess and grows geometrically (factor 1.5)
     until the requirement is met, so truncation never biases moments; past
@@ -130,13 +130,13 @@ def _mr_support(m: float, b: float) -> int:
     mean = m * b
     sd = np.sqrt(mean * (1.0 + b))
     n = int(np.ceil(mean + 10.0 * sd + 10))
-    while 1.0 - mandel_rice(m, b, n).sum() > COMPONENT_TAIL:
+    while 1.0 - (law := mandel_rice(m, b, n)).sum() > COMPONENT_TAIL:
         if n > MAX_SUPPORT:
             raise PrecisionExhaustedError(
                 f"the tail of {m:.6g} modes of mean {b:.6g} stays above "
                 f"{COMPONENT_TAIL:g} on {n + 1} photon numbers")
         n = int(np.ceil(n * 1.5)) + 5
-    return n
+    return law
 
 
 def joint_twb(params: TwbParams) -> JointDist:
@@ -146,12 +146,10 @@ def joint_twb(params: TwbParams) -> JointDist:
     components from :func:`mandel_rice`.  Component supports are grown until
     each truncated tail is below :data:`COMPONENT_TAIL`.
     """
-    kp = _mr_support(params.m_p, params.b_p)
-    ks = _mr_support(params.m_s, params.b_s)
-    ki = _mr_support(params.m_i, params.b_i)
-    pp = mandel_rice(params.m_p, params.b_p, kp)
-    ps = mandel_rice(params.m_s, params.b_s, ks)
-    pi = mandel_rice(params.m_i, params.b_i, ki)
+    pp = _mr_law(params.m_p, params.b_p)
+    ps = _mr_law(params.m_s, params.b_s)
+    pi = _mr_law(params.m_i, params.b_i)
+    kp, ks, ki = len(pp) - 1, len(ps) - 1, len(pi) - 1
 
     full = np.zeros((kp + ks + 1, kp + ki + 1))
     cross = np.outer(ps, pi)

@@ -13,11 +13,12 @@ dark counts mark each pixel with probability ``dark`` before the first
 photon, which is the chain's start; each photon then marks a uniformly chosen
 pixel with probability ``eta``; a pixel clicks when marked.  The chain is
 stable in double precision and its column sums are one by construction.  An
-arbitrary-precision alternating sum in the tests cross-checks it.
-:func:`detection_matrix` stores the chain's columns; :func:`fold_detection`
-projects them onto a few rows block by block as the chain runs, which is all
-the genuine beam's click moments need.  Heralded photon statistics need no
-matrix: ``models`` takes them from the photon-number generating function.
+arbitrary-precision alternating sum in the tests cross-checks it.  The
+chain runs as one stream of column blocks, each block's column sums checked:
+:func:`detection_matrix` stores the blocks, and :func:`fold_detection`
+projects them onto a few rows, which is all the genuine beam's click moments
+need.  Heralded photon statistics need no matrix: ``models`` takes them from
+the photon-number generating function.
 """
 
 from __future__ import annotations
@@ -121,12 +122,7 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
 
 
 def _columns(spec: DetectorSpec, n_max: int):
-    """Yield ``T[:, n]``, the chance that ``n`` photons leave ``c`` marked pixels.
-
-    The chain starts from ``Binomial(pixels, dark)`` dark-clicked pixels and
-    appends one photon per column, which is detected with probability ``eta``
-    and marks a uniformly chosen pixel.  All terms are nonnegative.
-    """
+    """Yield ``T[:, n]`` for ``n = 0..n_max``: the chain, one photon a step."""
     N = spec.pixels
     fresh = spec.eta * (N - np.arange(N + 1.0)) / N   # marks a fresh pixel
     stay = 1.0 - fresh                  # lost, or lands on a marked pixel
@@ -139,18 +135,22 @@ def _columns(spec: DetectorSpec, n_max: int):
         col = nxt
 
 
-def _build_stable(spec: DetectorSpec, n_max: int) -> np.ndarray:
-    """``T[c, n]`` for ``n = 0..n_max``, column by column from the chain."""
-    T = np.empty((spec.pixels + 1, n_max + 1))
+def _blocks(spec: DetectorSpec, n_max: int):
+    """Yield ``(n, T[:, n:n + k])``, the chain's columns in blocks of up to 64.
+
+    The blocks share one buffer, and each is valid until the next is drawn.
+    """
+    width = 64
+    buf = np.empty((spec.pixels + 1, width))
     for n, col in enumerate(_columns(spec, n_max)):
-        T[:, n] = col
-    return T
-
-
-def _check_columns(entries: np.ndarray) -> None:
-    colsum_err = DetectionMatrix(entries).column_sum_error()
-    if colsum_err > COLUMN_SUM_TOL:
-        raise PrecisionExhaustedError(f"column sums off by {colsum_err:.3e}")
+        k = n % width
+        buf[:, k] = col
+        if k == width - 1 or n == n_max:
+            block = buf[:, :k + 1]
+            err = DetectionMatrix(block).column_sum_error()
+            if err > COLUMN_SUM_TOL:
+                raise PrecisionExhaustedError(f"column sums off by {err:.3e}")
+            yield n - k, block
 
 
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
@@ -168,8 +168,9 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
             _cache[key] = hit                       # now the most recent
             return hit
 
-    matrix = DetectionMatrix(_build_stable(spec, n_max))
-    _check_columns(matrix.entries)
+    matrix = DetectionMatrix(np.empty((spec.pixels + 1, n_max + 1)))
+    for n, block in _blocks(spec, n_max):
+        matrix.entries[:, n:n + block.shape[1]] = block
     matrix.entries.flags.writeable = False
     with _cache_lock:
         _cache[key] = matrix
@@ -183,20 +184,11 @@ def fold_detection(rows: np.ndarray, spec: DetectorSpec, n_max: int
                    ) -> np.ndarray:
     """``rows @ T`` of the detector's matrix ``T``, without building ``T``.
 
-    The chain's columns gather in a reused buffer of 64; each full block, and
-    the last, is validated as :func:`detection_matrix` validates its columns
-    and then projected.  The cache is neither read nor filled.
+    Blocks are projected as they come; the cache is neither read nor filled.
     """
     if n_max < 0:
         raise InvalidParameterError("n_max must be >= 0")
-    width = 64
     out = np.empty((rows.shape[0], n_max + 1))
-    buf = np.empty((spec.pixels + 1, width))
-    for n, col in enumerate(_columns(spec, n_max)):
-        k = n % width
-        buf[:, k] = col
-        if k == width - 1 or n == n_max:
-            block = buf[:, :k + 1]
-            _check_columns(block)
-            out[:, n - k:n + 1] = rows @ block
+    for n, block in _blocks(spec, n_max):
+        out[:, n:n + block.shape[1]] = rows @ block
     return out

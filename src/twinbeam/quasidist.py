@@ -89,7 +89,8 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
     ``edge_sensitivity`` (None once read from a file); disagreement flags an
     under-truncated input or a too-singular ordering.  A grid that holds less
     than half of the table's mass, as near ``s = 1`` where the damping
-    underflows on every cell, raises; an all-zero table gives a zero grid.
+    underflows on every cell, or more than twice it, as a coarse grid on a
+    peaked high-``s`` series, raises; an all-zero table gives a zero grid.
     """
     if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
         raise InvalidParameterError("ordering parameter must satisfy s < 1, "
@@ -124,7 +125,7 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
             "series; enlarge the photon support or lower s")
     grid = IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
     norm, mass = grid_normalization(grid), table.sum()
-    if norm < 0.5 * mass:
+    if not 0.5 * mass <= norm <= 2.0 * mass:
         raise PrecisionExhaustedError(
             f"the grid holds {norm:.3g} of the table's mass {mass:.3g}; "
             "lower s, or raise the steps or the grid edge")

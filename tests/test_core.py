@@ -3,7 +3,7 @@ import pytest
 
 from oracles import convolve_joint, convolve_power_1d, marginal, self_convolve
 from twinbeam import JointDist, TwbParams, joint_twb, mandel_rice
-from twinbeam.core import LOG_P0_MIN, _mr_support
+from twinbeam.core import LOG_P0_MIN, _mr_law
 from twinbeam.errors import InvalidParameterError, PrecisionExhaustedError
 
 
@@ -66,7 +66,7 @@ class TestMandelRice:
     def test_lowest_p0_keeps_a_normalised_law(self):
         b = 1.0185e-2
         m = -LOG_P0_MIN / np.log1p(b) * (1 - 1e-12)
-        d = mandel_rice(m, b, _mr_support(m, b))
+        d = _mr_law(m, b)
         assert np.isfinite(d).all()
         assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -74,7 +74,7 @@ class TestMandelRice:
         # 1e5 photons per component: rounding holds the computed tail near
         # 1.7e-12, above COMPONENT_TAIL, however far the support grows
         with pytest.raises(PrecisionExhaustedError, match="stays above"):
-            _mr_support(10.0, 1e4)
+            _mr_law(10.0, 1e4)
 
 
 class TestJointTwb:

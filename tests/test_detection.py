@@ -84,12 +84,14 @@ class TestDetectionMatrix:
     def test_low_precision_bits_fail_validation(self, monkeypatch):
         # the alternating sum at 16 bits cancels to garbage, with column sums
         # off by about 1e24; the column-sum check must refuse whatever the
-        # build step returns
+        # chain yields, and nothing is cached
         monkeypatch.setattr(detection, "_cache", {})
-        monkeypatch.setattr(detection, "_build_stable",
-                            lambda spec, n_max: _build_extended(spec, n_max, 16))
+        monkeypatch.setattr(
+            detection, "_columns",
+            lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
         with pytest.raises(PrecisionExhaustedError):
             detection_matrix(DetectorSpec(0.7, 1e-3, 64), 40)
+        assert detection._cache == {}
 
     @pytest.mark.parametrize("pixels", [1, 10, 100])
     @pytest.mark.parametrize("eta", [0.282, 1.0])
@@ -108,7 +110,7 @@ class TestDetectionMatrix:
         # dark clicks as the chain's starting state against dark clicks
         # mixed in after the photons: the same matrix
         spec = DetectorSpec(eta, dark, pixels)
-        entries = detection._build_stable(spec, n_max)
+        entries = detection_matrix(spec, n_max).entries
         assert entries.shape == (pixels + 1, n_max + 1)
         assert entries.flags.c_contiguous
         np.testing.assert_allclose(entries, two_stage_matrix(spec, n_max),
@@ -148,10 +150,12 @@ class TestFoldDetection:
            order=st.integers(0, 5))
     @example(eta=1.0, dark=0.0, pixels=1000, n_max=64, order=5)
     @example(eta=0.282, dark=2.8e-3, pixels=1000, n_max=200, order=5)
+    @example(eta=0.5, dark=0.1, pixels=10, n_max=0, order=3)
     def test_fold_equals_the_matrix_product(self, eta, dark, pixels, n_max,
                                             order):
         # bit-equal but where BLAS sums a short last block in another order
-        # (one column goes through a matrix-vector product)
+        # (one column goes through a matrix-vector product); the examples
+        # end on a last block of 1 column, of 9, and on a lone first column
         spec = DetectorSpec(eta, dark, pixels)
         falling = falling_factorials(pixels, order)
         got = detection.fold_detection(falling, spec, n_max)
@@ -162,19 +166,27 @@ class TestFoldDetection:
 
     def test_corrupted_chain_fails_validation(self, monkeypatch):
         # the 16-bit alternating sum as the chain's columns, with column
-        # sums off by up to 43: the fold's column-sum check must refuse them
+        # sums off by up to 43: the matrix and the fold read the chain
+        # through one block stream, and its column-sum check refuses it
         monkeypatch.setattr(detection, "_cache", {})
         monkeypatch.setattr(
             detection, "_columns",
             lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
+        spec = DetectorSpec(0.7, 1e-3, 16)
         with pytest.raises(PrecisionExhaustedError, match="column sums"):
-            detection.fold_detection(falling_factorials(16, 2),
-                                     DetectorSpec(0.7, 1e-3, 16), 10)
+            detection.fold_detection(falling_factorials(16, 2), spec, 10)
+        with pytest.raises(PrecisionExhaustedError, match="column sums"):
+            detection_matrix(spec, 10)
         assert detection._cache == {}
 
     def test_negative_support_rejected(self):
+        # no buffer fits 1e15 pixels: either entry point that allocated one
+        # before checking the support would fail with a MemoryError
+        spec = DetectorSpec(0.5, 0.0, 10**15)
         with pytest.raises(InvalidParameterError):
-            detection.fold_detection(np.ones((1, 2)), DetectorSpec(0.5), -1)
+            detection.fold_detection(np.ones((1, 2)), spec, -1)
+        with pytest.raises(InvalidParameterError):
+            detection_matrix(spec, -1)
 
 
 class TestForward:

@@ -782,6 +782,9 @@ BAD_INPUTS = {
         ["quasidist", "--dist", "{jdist}", "--s", "0.9999999999999999",
          "--steps", "16", "--out", "{tmp}/g.igrid"], 4,
         "the grid holds 0 of the table's mass 1"),
+    "quasidist-grid-above-the-mass": (
+        ["quasidist", "--dist", "{jdist_twb10}", "--s", "0.5", "--steps", "16",
+         "--out", "{tmp}/g.igrid"], 4, "the grid holds 754 of the table's"),
     "sweep-fano-past-largest-n": (
         ["sweep", "--metric", "fano", "--groups", "10000"], 4,
         "largest feasible n is 7004"),
@@ -912,6 +915,9 @@ def bad_input_files(tmp_path, nominal):
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist
+    # ten nominal beams: a 16-step grid at s = 0.5 holds 754 times their mass
+    files["jdist_twb10"] = str(tmp_path / "twb10.jdist")
+    tbio.write_jdist(core.joint_twb(params.scaled(10)), files["jdist_twb10"])
     # payloads of one bad cell each
     for key, cell in (("jdist_nan", np.nan), ("jdist_negative", -0.25)):
         table = window_click_dist(params, spec_s, spec_i).table

@@ -5,7 +5,8 @@ from ``perfbench/check.py``; both are only imported (without writing
 bytecode next to them), and every output goes to a temporary directory.
 The benchmark's tracer, ``perfbench/traced_cli.py``, runs the smoke stream
 commands in a fresh interpreter and must count what they did; it must also
-run the smoke sweep commands, reading the detection cache after each.
+run the smoke sweep commands, reading the detection cache after each, and
+the smoke reconstruct, counting the cells of its two detection matrices.
 """
 
 import importlib.util
@@ -93,3 +94,25 @@ def test_tracer_runs_the_smoke_sweep(tmp_path):
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(spans.read_text())["counts"]
         assert counts["detection.cache_entries"] == 0, argv
+
+
+def test_tracer_counts_the_smoke_reconstruct(tmp_path, monkeypatch):
+    # reconstruct is the only command that builds detection matrices: the
+    # tracer reads each one's entries and the two are left in the cache
+    commands, spec = _load("workloads").build("recon-n100", 1, smoke=True)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands[:2]:                   # simulate, analyze
+        assert main(list(argv)) == 0, argv
+    argv = commands[2]
+    assert argv[0] == "reconstruct"
+    spans = tmp_path / "reconstruct.spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    manifest = json.loads((tmp_path / "dist.jdist.manifest.json").read_text())
+    n_max = manifest["diagnostics"]["n_max"]
+    assert counts["detection.matrix_cells"] == 2 * (spec["n"] + 1) * (n_max + 1)
+    assert counts["detection.cache_entries"] == 2
