@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import math
 import os
 import resource
@@ -39,6 +38,8 @@ DEFAULT_GROUPS = (1, 2, 3, 5, 10, 20, 30, 50, 70, 100, 200, 300, 500, 700, 1000)
 
 
 def _sha256(path: str) -> str:
+    # imported here: hashlib maps OpenSSL, which sweep and --help never need
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -146,21 +147,41 @@ def _cmd_simulate(args) -> None:
 
     tbio.write_clicks(ClickStream(len(stream), counted, stream.meta), args.out)
     chunks, workers = _schedule(args.windows)
-    # realised click rates per window, next to the model's over the drift
+    # realised click rates per window, next to the model's over the drift;
+    # two windows of one block share its pump factor, so the n = 2 moments
+    # give each window probability's second moment E[p^2] over the drift
     model = models.compound_click_moments(params, spec_s, spec_i, 1, 1, pump.k)
+    pair = models.compound_click_moments(params, spec_s, spec_i, 2, 2, pump.k)
+    mean = np.array([model[1, 0], model[0, 1], model[1, 1]])
+    second = np.array([pair[2, 0] / 2, pair[0, 2] / 2, pair[2, 2] / 4])
+    var = mean * (1 - mean) + (pump.block_len - 1) * (second - mean ** 2)
+    rates = clicks / args.windows
+    # null where the model leaves no spread: a rate that is surely 0 or 1
+    z = [(r - m) / math.sqrt(v / args.windows) if v > 0 else None
+         for r, m, v in zip(rates, mean, var)]
     names = ("signal", "idler", "coincidence")
     _write_manifest(args.out, args, [args.params] if args.params else [], {
         "chunks": chunks, "workers": workers,
-        "rates": dict(zip(names, clicks / args.windows)),
-        "model_rates": dict(zip(names, (model[1, 0], model[0, 1],
-                                        model[1, 1])))})
+        "rates": dict(zip(names, rates)),
+        "model_rates": dict(zip(names, mean)),
+        "rate_z": dict(zip(names, z))})
 
 
 def _cmd_analyze(args) -> None:
     stream = tbio.read_clicks(args.infile)
     policy = GroupingPolicy(args.group_n, args.mode)
-    tbio.write_jhist(group_histogram(stream, policy), args.out)
-    _write_manifest(args.out, args, [args.infile])
+    hist = group_histogram(stream, policy)
+    tbio.write_jhist(hist, args.out)
+    # without dark subtraction, the quantity sweep --metric eta-eff models;
+    # null where the other arm never clicked
+    efficiency = {}
+    for name, arm in (("signal", "s"), ("idler", "i")):
+        try:
+            efficiency[name] = effective_efficiency(hist, arm)
+        except DataError:
+            efficiency[name] = None
+    _write_manifest(args.out, args, [args.infile],
+                    {"effective_efficiency": efficiency})
 
 
 def _cmd_reconstruct(args) -> None:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import main
 from twinbeam.errors import DataError
+from twinbeam.metrology import effective_efficiency
 from twinbeam.reconstruct import CERTIFICATE
 from twinbeam.simulate import CHUNK
 
@@ -511,6 +513,80 @@ class TestCli:
         assert self.run("analyze", "--in", missing, "--group-n", "3",
                         "--out", str(tmp_path / "h.jhist")) == 3
 
+    @pytest.mark.parametrize("k", [0.0, 0.000965])
+    def test_simulate_rate_z_scores(self, tmp_path, nominal, k):
+        # the per-window variance m (1 - m) + (block_len - 1) between, for
+        # the default blocks of 10 000 windows, with the drift's between-
+        # window term taken by perfbench/check.py's quadrature of the window
+        # probabilities over the pump factor, not by the n = 2 moments
+        x, w = np.polynomial.hermite_e.hermegauss(201)
+        w = w / w.sum()
+        probs = np.array(models.window_click_probs(
+            *nominal, np.maximum(0.0, 1.0 + np.sqrt(k) * x)))
+        mean = probs @ w
+        var = mean * (1 - mean) + 9_999 * (probs ** 2 @ w - mean ** 2)
+        out = str(tmp_path / "s.clicks")
+        for seed in (1, 2, 3):
+            assert self.run("simulate", "--windows", "300000", "--seed",
+                            str(seed), "--k-pump", str(k), "--out", out) == 0
+            diag = json.loads(open(out + ".manifest.json").read())[
+                "diagnostics"]
+            names = ("signal", "idler", "coincidence")
+            rates = np.array([diag["rates"][name] for name in names])
+            z = np.array([diag["rate_z"][name] for name in names])
+            assert z == pytest.approx((rates - mean) / np.sqrt(var / 300_000),
+                                      rel=1e-6, abs=1e-9)
+            assert np.all(np.abs(z) < 5)
+
+    def test_simulate_rate_z_is_null_without_spread(self, tmp_path):
+        params = tmp_path / "vacuum.json"
+        params.write_text(json.dumps({
+            "m_p": 1, "m_s": 1, "m_i": 1, "b_p": 0.0, "b_s": 0.0, "b_i": 0.0,
+            "dark_s": 0.0, "dark_i": 0.0}))
+        out = str(tmp_path / "s.clicks")
+        assert self.run("simulate", "--windows", "1000", "--seed", "1",
+                        "--params", str(params), "--out", out) == 0
+        diag = json.loads(open(out + ".manifest.json").read())["diagnostics"]
+        assert diag["rate_z"] == {"signal": None, "idler": None,
+                                  "coincidence": None}
+
+    def test_analyze_records_effective_efficiencies(self, tmp_path, stream_1m,
+                                                    nominal):
+        # 100 000 disjoint groups: the estimates scatter by 0.0023 (signal)
+        # and 0.0024 (idler) over seeds 1-10, so 0.012 is about five of that
+        clicks, hist = str(tmp_path / "s.clicks"), str(tmp_path / "h.jhist")
+        tbio.write_clicks(stream_1m, clicks)
+        assert self.run("analyze", "--in", clicks, "--group-n", "10",
+                        "--mode", "disjoint", "--out", hist) == 0
+        diag = json.loads(open(hist + ".manifest.json").read())["diagnostics"]
+        table = models.compound_click_moments(*nominal, 10, 2)
+        for name, arm in (("signal", "s"), ("idler", "i")):
+            assert diag["effective_efficiency"][name] == pytest.approx(
+                effective_efficiency(table, arm), abs=0.012)
+
+    def test_analyze_efficiency_is_null_where_an_arm_never_clicks(self,
+                                                                   tmp_path):
+        clicks, hist = str(tmp_path / "s.clicks"), str(tmp_path / "h.jhist")
+        tbio.write_clicks(stream_of(np.tile([0, 1], 500)), clicks)
+        assert self.run("analyze", "--in", clicks, "--group-n", "10",
+                        "--out", hist) == 0
+        diag = json.loads(open(hist + ".manifest.json").read())["diagnostics"]
+        # the signal's effective efficiency divides by the idler's mean
+        assert diag["effective_efficiency"] == {"signal": None, "idler": 0.0}
+
+    def test_manifest_digest_covers_every_read_block(self, tmp_path):
+        # 3 MB of codes: two full 1 MiB digest blocks and a partial one
+        clicks, hist = str(tmp_path / "s.clicks"), str(tmp_path / "h.jhist")
+        codes = np.random.default_rng(3).integers(0, 4, 3_000_000)
+        tbio.write_clicks(stream_of(codes), clicks)
+        assert self.run("analyze", "--in", clicks, "--group-n", "10",
+                        "--mode", "disjoint", "--out", hist) == 0
+        data = open(clicks, "rb").read()
+        assert len(data) > 2 << 20
+        manifest = json.loads(open(hist + ".manifest.json").read())
+        assert manifest["inputs"] == [
+            {"path": clicks, "sha256": hashlib.sha256(data).hexdigest()}]
+
     def test_manifest_regenerates_output(self, tmp_path):
         first = str(tmp_path / "a.clicks")
         assert self.run("simulate", "--windows", "30000", "--seed", "11",
@@ -529,13 +605,33 @@ class TestCli:
 
 def test_cli_import_loads_no_scipy():
     # nor mpmath, which only the test oracles use, nor the thread pool that
-    # only simulate starts
+    # only simulate starts, nor hashlib and the OpenSSL it maps, which only
+    # the commands that digest an input need
     probe = ("import sys, twinbeam.cli; "
              "print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent')))")
+             "if m.split('.')[0] in ('scipy', 'mpmath', 'concurrent', "
+             "'hashlib', '_hashlib')))")
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--metric", "fano", "--groups", "1,10", "--out", "{tmp}/f.csv"],
+    ["--help"]], ids=["sweep", "help"])
+def test_commands_without_inputs_leave_openssl_unloaded(tmp_path, argv):
+    # a sweep digests no input, so its process never maps libcrypto
+    probe = ("import sys\n"
+             "from twinbeam.cli import main\n"
+             "try:\n"
+             "    code = main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "print(code, '_hashlib' in sys.modules)")
+    proc = run_python("-c", probe,
+                      *(arg.format(tmp=tmp_path) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 #: Public functions and members that no other code of the package names,
@@ -649,6 +745,13 @@ def test_manifest_times_its_own_process(tmp_path, nominal):
     # those of the nominal beam without drift
     codes = np.frombuffer(open(out, "rb").read()[24:], np.uint8)
     model = models.compound_click_moments(*nominal, 1, 1)
+    # without drift the windows are independent Bernoulli trials
+    z = {name: (rate - m) / np.sqrt(m * (1 - m) / len(codes))
+         for name, rate, m in (
+             ("signal", np.mean(codes & 1), model[1, 0]),
+             ("idler", np.mean(codes >> 1), model[0, 1]),
+             ("coincidence", np.mean(codes == 3), model[1, 1]))}
+    assert manifest["diagnostics"].pop("rate_z") == pytest.approx(z, rel=1e-9)
     assert manifest["diagnostics"] == {
         "chunks": 2, "workers": min(2, len(os.sched_getaffinity(0))),
         "rates": {"signal": np.mean(codes & 1), "idler": np.mean(codes >> 1),
