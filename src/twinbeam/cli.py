@@ -24,7 +24,8 @@ from . import __version__
 from . import io as tbio
 from . import models
 from .core import TwbParams
-from .detection import DetectorSpec, default_n_max, detection_matrix
+from .detection import (DetectorSpec, column_sum_error, default_n_max,
+                        detection_matrix)
 from .errors import DataError, NumericError, TwinbeamError, UsageError
 from .ingest import GroupingPolicy, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
@@ -35,6 +36,9 @@ from .reconstruct import ml_joint
 from .simulate import ClickStream, PumpCorrelation, _schedule, sample_stream
 
 DEFAULT_GROUPS = (1, 2, 3, 5, 10, 20, 30, 50, 70, 100, 200, 300, 500, 700, 1000)
+
+#: Most cells of a dense square table a command allocates: 400 MB of float64.
+MAX_TABLE_CELLS = 50_000_000
 
 
 def _sha256(path: str) -> str:
@@ -130,6 +134,12 @@ _seed = _bounded(int, "an integer >= 0", lambda v: v >= 0)
 _positive = _bounded(float, "a number > 0", lambda v: v > 0)
 
 
+def _check_cells(side: int, what: str, flag: str) -> None:
+    if side ** 2 > MAX_TABLE_CELLS:
+        raise UsageError(f"{what} {side}^2 is more than the {MAX_TABLE_CELLS} "
+                         f"cells a table may hold; pass a smaller {flag}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_simulate(args) -> None:
@@ -168,16 +178,18 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_analyze(args) -> None:
+    _check_cells(args.group_n + 1, "histogram", "--group-n")
     stream = tbio.read_clicks(args.infile)
     policy = GroupingPolicy(args.group_n, args.mode)
     hist = group_histogram(stream, policy)
     tbio.write_jhist(hist, args.out)
     # without dark subtraction, the quantity sweep --metric eta-eff models;
     # null where the other arm never clicked
+    normal = moments(hist.normalized(), 2)
     efficiency = {}
     for name, arm in (("signal", "s"), ("idler", "i")):
         try:
-            efficiency[name] = effective_efficiency(hist, arm)
+            efficiency[name] = effective_efficiency(normal, arm)
         except DataError:
             efficiency[name] = None
     _write_manifest(args.out, args, [args.infile],
@@ -192,12 +204,9 @@ def _cmd_reconstruct(args) -> None:
     clicks = np.nonzero(hist.counts)
     c_max = int(max(clicks[0].max(), clicks[1].max()))
     n_max = args.n_max or default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
-    if (n_max + 1) ** 2 > 50_000_000:
-        raise UsageError(
-            f"joint photon support {n_max + 1}^2 is too large to solve over; "
-            "pass a smaller --n-max")
-    t_s = detection_matrix(spec_s, n_max)
-    t_i = detection_matrix(spec_i, n_max)
+    _check_cells(n_max + 1, "joint photon support", "--n-max")
+    t_s = detection_matrix(spec_s, n_max).entries
+    t_i = detection_matrix(spec_i, n_max).entries
     dist, result = ml_joint(hist.counts, t_s, t_i, args.max_iters)
     tbio.write_jdist(dist, args.out)
     cells = len(clicks[0])
@@ -207,8 +216,8 @@ def _cmd_reconstruct(args) -> None:
         "converged": result.converged, "newton_steps": result.newton_steps,
         "lindsay_bound": result.lindsay_bound,
         "log_likelihood": result.log_likelihood,
-        "column_sum_error": {"signal": t_s.column_sum_error(),
-                             "idler": t_i.column_sum_error()},
+        "column_sum_error": {"signal": column_sum_error(t_s),
+                             "idler": column_sum_error(t_i)},
         "edge_mass": float(dist.table[edge:].sum()
                            + dist.table[:edge, edge:].sum())})
     print(f"c_max={c_max} n_max={n_max} "
@@ -232,6 +241,7 @@ def _cmd_ncd(args) -> None:
 
 
 def _cmd_quasidist(args) -> None:
+    _check_cells(args.steps, "grid", "--steps")
     dist = tbio.read_jdist(args.dist)
     grid = quasi_distribution(dist.table, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
@@ -358,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--eta-i", type=float, required=True)
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
-    rec.add_argument("--max-iters", type=_count, default=200)
+    rec.add_argument("--max-iters", type=_count, default=200,
+                     help="cap on the interior-point solver's Newton steps "
+                          "(default %(default)s)")
     rec.add_argument("--n-max", type=_count)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)

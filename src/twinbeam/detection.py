@@ -59,8 +59,10 @@ class DetectionMatrix:
 
     entries: np.ndarray
 
-    def column_sum_error(self) -> float:
-        return float(np.abs(self.entries.sum(axis=0) - 1.0).max())
+
+def column_sum_error(t: np.ndarray) -> float:
+    """Largest deviation from 1 of the column sums of a detection matrix."""
+    return float(np.abs(t.sum(axis=0) - 1.0).max())
 
 
 #: Bytes of matrices the cache keeps: past it, the least recently used go.
@@ -147,7 +149,7 @@ def _blocks(spec: DetectorSpec, n_max: int):
         buf[:, k] = col
         if k == width - 1 or n == n_max:
             block = buf[:, :k + 1]
-            err = DetectionMatrix(block).column_sum_error()
+            err = column_sum_error(block)
             if err > COLUMN_SUM_TOL:
                 raise PrecisionExhaustedError(f"column sums off by {err:.3e}")
             yield n - k, block

@@ -17,11 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import DetectorSpec
-from .errors import (DataError, InsufficientDataError, InvalidParameterError,
-                     NoEligibleColumnError, StreamTooShortError)
-from .ingest import DISJOINT, GroupingPolicy, JointHistogram, grouped_counts
-from .moments import moments
+from .errors import (DataError, InsufficientDataError, NoEligibleColumnError,
+                     StreamTooShortError)
+from .ingest import DISJOINT, GroupingPolicy, grouped_counts
 from .simulate import ClickStream
 
 
@@ -49,24 +47,17 @@ class PostSelectionResult:
     p_success: float
 
 
-def effective_efficiency(data: JointHistogram | np.ndarray, arm: str = "s",
-                         subtract_dark: DetectorSpec | None = None) -> float:
+def effective_efficiency(m: np.ndarray, arm: str = "s",
+                         dark_mean: float = 0.0) -> float:
     """Covariance-based effective efficiency of one detector.
 
-    With ``subtract_dark`` the per-group dark-count mean ``n * dark`` is
-    removed from the denominator mean first; this needs the group size ``n``
-    of a histogram.
+    ``m`` is a normally-ordered moment table of order 2 or more.  The other
+    arm's mean dark clicks per group, ``dark_mean = n * dark``, are removed
+    from the denominator mean first.
     """
-    if isinstance(data, JointHistogram):
-        n = data.policy.n
-        data = moments(data.normalized(), 2)
-    elif subtract_dark is not None:
-        raise InvalidParameterError("dark subtraction needs a histogram")
-    mean_s, mean_i = data[1, 0], data[0, 1]
-    cov = data[1, 1] - mean_s * mean_i
-    denominator = mean_i if arm == "s" else mean_s
-    if subtract_dark is not None:
-        denominator = denominator - n * subtract_dark.dark
+    mean_s, mean_i = m[1, 0], m[0, 1]
+    cov = m[1, 1] - mean_s * mean_i
+    denominator = (mean_i if arm == "s" else mean_s) - dark_mean
     if denominator <= 0:
         raise DataError("complementary-arm mean is not positive")
     return float(cov / denominator)
@@ -89,21 +80,21 @@ def _postselect(occupancy: np.ndarray, mean: np.ndarray, var: np.ndarray,
                                float(mean[c_s]), float(occupancy[c_s]))
 
 
-def optimal_postselection(h: JointHistogram,
+def optimal_postselection(counts: np.ndarray,
                           min_events: int = 100) -> PostSelectionResult:
     """Conditioning signal photocount minimizing the conditional Fano factor.
 
-    Columns with fewer than ``min_events`` groups are excluded: their sample
-    Fano factors are too noisy to rank.
+    Rows of ``counts``, a histogram's table, with fewer than ``min_events``
+    groups are excluded: their sample Fano factors are too noisy to rank.
     """
-    occupancy = h.counts.sum(axis=1)
-    probs = h.counts / np.maximum(occupancy, 1)[:, None]
+    occupancy = counts.sum(axis=1)
+    probs = counts / np.maximum(occupancy, 1)[:, None]
     c_i = np.arange(probs.shape[1])
     mean = probs @ c_i
     # centred, so that a row of one value reads exactly 0
     var = ((c_i - mean[:, None]) ** 2 * probs).sum(axis=1)
     best = _postselect(occupancy, mean, var, min_events)
-    return replace(best, p_success=best.p_success / h.n_groups)
+    return replace(best, p_success=best.p_success / occupancy.sum())
 
 
 class _Blocks:

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JointDist
-from .detection import DetectionMatrix
 from .errors import DataError, InvalidParameterError, NumericError
 
 #: Fraction of the way to the boundary that a step may go; at 0.99 some
@@ -74,21 +73,13 @@ class MlResult:
     log_likelihood: float
 
 
-def _block(t: DetectionMatrix, c_dim: int, label: str) -> np.ndarray:
-    """The first ``c_dim`` click rows of ``t``."""
-    if t.entries.shape[0] < c_dim:
-        raise DataError(f"{label} matrix covers {t.entries.shape[0]} click values, "
-                        f"data needs {c_dim}")
-    return t.entries[:c_dim]
-
-
 def _step(x: np.ndarray, dx: np.ndarray) -> float:
     """Largest step in (0, 1] along ``dx`` that keeps ``x`` nonnegative."""
     shrink = float((-dx / x).max())
     return 1.0 if shrink <= 1.0 else 1.0 / shrink
 
 
-def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
+def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
              max_steps: int = 200) -> tuple[JointDist, MlResult]:
     """Reconstruct a joint photon-number distribution from a click table.
 
@@ -99,8 +90,11 @@ def ml_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
     """
     if max_steps < 1:
         raise InvalidParameterError("max_steps must be >= 1")
-    ts = _block(t_s, f.shape[0], "signal")
-    ti = _block(t_i, f.shape[1], "idler")
+    ts, ti = t_s[:f.shape[0]], t_i[:f.shape[1]]
+    for label, t, need in zip(("signal", "idler"), (ts, ti), f.shape):
+        if len(t) < need:
+            raise DataError(f"{label} matrix covers {len(t)} click values, "
+                            f"data needs {need}")
     if ts.min() < 0 or ti.min() < 0:
         raise NumericError("a detection matrix has negative entries")
     if not ((f >= 0) & (f < np.inf)).all():

@@ -71,8 +71,7 @@ from scipy import signal
 
 from twinbeam import models
 from twinbeam.core import JointDist, TwbParams, joint_twb
-from twinbeam.detection import (DetectionMatrix, DetectorSpec,
-                                _log_factorials, detection_matrix)
+from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
 from twinbeam.errors import (DataError, InsufficientDataError,
                              InvalidParameterError, NumericError,
                              StreamTooShortError)
@@ -80,7 +79,6 @@ from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
 from twinbeam.quasidist import IntensityGrid
-from twinbeam.reconstruct import _block
 from twinbeam.simulate import CHUNK, ClickStream
 
 
@@ -544,7 +542,7 @@ class EmResult:
     log_likelihood: list
 
 
-def em_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
+def em_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
              cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
     """Expectation-maximization reconstruction of the joint photon numbers.
 
@@ -560,13 +558,15 @@ def em_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
     round-off raises :class:`NumericError`, as EM cannot do so with
     nonnegative detection matrices.
     """
-    ts = _block(t_s, f.shape[0], "signal")
-    ti = _block(t_i, f.shape[1], "idler")
+    for label, t, need in zip(("signal", "idler"), (t_s, t_i), f.shape):
+        if len(t) < need:
+            raise DataError(f"{label} matrix covers {len(t)} click values, "
+                            f"data needs {need}")
     rows, cols = np.nonzero(f > 0)
     if rows.size == 0:
         raise DataError("no observed counts to reconstruct from")
     data = f[:rows.max() + 1, :cols.max() + 1] / f.sum()
-    ts, ti = ts[:data.shape[0]], ti[:data.shape[1]]
+    ts, ti = t_s[:data.shape[0]], t_i[:data.shape[1]]
     p = np.full((ts.shape[1], ti.shape[1]), 1.0 / (ts.shape[1] * ti.shape[1]))
     observed = data > 0
     weights = data[observed]
@@ -586,7 +586,7 @@ def em_joint(f: np.ndarray, t_s: DetectionMatrix, t_i: DetectionMatrix,
     return JointDist(p, 0.0), EmResult(change < cfg.tol, it, change, history)
 
 
-def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
+def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: np.ndarray,
                    cfg: EmConfig = EmConfig()) -> tuple[MarginalDist, EmResult]:
     """One-dimensional reconstruction of a conditional photocount column.
 
@@ -594,8 +594,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: DetectionMatrix,
     a 1x1 identity.
     """
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
-    dist, result = em_joint(data[:, None], t_i,
-                            DetectionMatrix(np.ones((1, 1))), cfg)
+    dist, result = em_joint(data[:, None], t_i, np.ones((1, 1)), cfg)
     return MarginalDist(dist.table[:, 0], 0.0), result
 
 

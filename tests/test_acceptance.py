@@ -20,6 +20,7 @@ from oracles import (EmConfig, codes_of, compound_click_dist,
                      grid_moments, held, idler_bits, marginal, stream_of,
                      to_intensity_moments, window_click_dist)
 from twinbeam import models
+from twinbeam.detection import column_sum_error
 
 SEED_K0 = 20_260_810
 SEED_K = 20_260_811
@@ -73,7 +74,7 @@ class TestCriterion1:
                 for dark in (0.0, 3.8e-3):
                     t = tb.detection_matrix(tb.DetectorSpec(eta, dark, pixels),
                                             300)
-                    worst_sum = max(worst_sum, t.column_sum_error())
+                    worst_sum = max(worst_sum, column_sum_error(t.entries))
                     worst_entry = min(worst_entry, float(t.entries.min()))
         ok = worst_sum < 1e-10 and worst_entry >= -1e-12
         verdict("1", "detection matrices", ok,
@@ -169,11 +170,11 @@ class TestCriterion4:
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
         fwd = t_s.entries @ padded @ t_i.entries.T
-        est, res = tb.ml_joint(fwd, t_s, t_i)
+        est, res = tb.ml_joint(fwd, t_s.entries, t_i.entries)
         tv = 0.5 * np.abs(est.table - padded).sum()
 
         fc = compound_click_dist(params, spec_s, spec_i, n)
-        est2, _ = tb.ml_joint(fc.table, t_s, t_i)
+        est2, _ = tb.ml_joint(fc.table, t_s.entries, t_i.entries)
         stats2 = tb.fano_nrp_cov(tb.moments(est2.table, 2))
         ok = tv <= 0.01 and stats2["nrp"] <= 0.05 and stats2["covariance"] >= 0.95
         verdict("4", "maximum-likelihood reconstruction", ok,
@@ -195,8 +196,9 @@ class TestCriterion5:
     def test_nominal_efficiency_band_as_stated(self, stream_k0, nominal):
         _, spec_s, spec_i = nominal
         h = tb.group_histogram(stream_k0, tb.GroupingPolicy(10, "disjoint"))
-        eff_s = tb.effective_efficiency(h, "s", subtract_dark=spec_i)
-        eff_i = tb.effective_efficiency(h, "i", subtract_dark=spec_s)
+        normal = tb.moments(h.normalized(), 2)
+        eff_s = tb.effective_efficiency(normal, "s", dark_mean=10 * spec_i.dark)
+        eff_i = tb.effective_efficiency(normal, "i", dark_mean=10 * spec_s.dark)
         ok = abs(eff_s - 0.282) <= 0.01 and abs(eff_i - 0.330) <= 0.01
         verdict("5a", "efficiency within 0.01 of nominal", ok,
                 f"eta_s^eff={eff_s:.4f} (target 0.282), "
@@ -211,7 +213,8 @@ class TestCriterion5:
 
             def estimate(part, n=n):
                 h = tb.group_histogram(part, tb.GroupingPolicy(n, "disjoint"))
-                return tb.effective_efficiency(h, "s")
+                return tb.effective_efficiency(
+                    tb.moments(h.normalized(), 2), "s")
 
             mean, err = segment_estimates(stream_k0, estimate)
             outcomes[n] = (mean, err, tb.effective_efficiency(pred, "s"))
@@ -228,7 +231,8 @@ class TestCriterion5:
         for n in (10, 100, 1000):
             def estimate(part, n=n):
                 h = tb.group_histogram(part, tb.GroupingPolicy(n, "disjoint"))
-                return tb.effective_efficiency(h, "s")
+                return tb.effective_efficiency(
+                    tb.moments(h.normalized(), 2), "s")
 
             mean, err = segment_estimates(stream_k, estimate)
             pred = models.compound_click_moments(params, spec_s, spec_i, n, 2,
@@ -279,7 +283,7 @@ class TestCriterion7:
     def test_single_window_postselection(self, stream_k0, nominal):
         params, spec_s, spec_i = nominal
         h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1, "disjoint"))
-        best = tb.optimal_postselection(h, min_events=500)
+        best = tb.optimal_postselection(h.counts, min_events=500)
         cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
                                        best.c_s_opt, 1)
         # simulated conditional click rate agrees with the model rate
@@ -303,7 +307,7 @@ class TestCriterion7:
     def test_thousand_window_postselection(self, stream_k0, nominal):
         params, spec_s, spec_i = nominal
         h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1000, "disjoint"))
-        best = tb.optimal_postselection(h, min_events=600)
+        best = tb.optimal_postselection(h.counts, min_events=600)
         cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
                                        best.c_s_opt, 1000)
         ok = (abs(cond.mean() - 100) <= 10 and abs(cond.fano() - 0.7) <= 0.1
@@ -413,7 +417,8 @@ class TestCriterion10:
                                   n_max)
         f = compound_click_dist(params, spec_s, spec_i, n).table
         # EM raises on any decrease beyond round-off
-        _, res = em_joint(f, t_s, t_i, EmConfig(max_iters=2_000, tol=1e-14))
+        _, res = em_joint(f, t_s.entries, t_i.entries,
+                          EmConfig(max_iters=2_000, tol=1e-14))
         diffs = np.diff(res.log_likelihood)
         ok = bool((diffs >= -1e-10).all())
         verdict("10b", "EM log-likelihood monotone", ok,

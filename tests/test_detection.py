@@ -17,7 +17,7 @@ from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
                       detection_matrix, joint_twb)
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
-                                default_n_max)
+                                column_sum_error, default_n_max)
 from twinbeam.errors import (DataError, InvalidParameterError,
                              PrecisionExhaustedError)
 from twinbeam.moments import falling_factorials, moments
@@ -98,8 +98,14 @@ class TestDetectionMatrix:
     @pytest.mark.parametrize("dark", [0.0, 3.8e-3])
     def test_column_stochastic(self, pixels, eta, dark):
         t = detection_matrix(DetectorSpec(eta, dark, pixels), 50)
-        assert t.column_sum_error() < 1e-10
+        assert column_sum_error(t.entries) < 1e-10
         assert t.entries.min() >= 0.0
+
+    def test_column_sum_error_is_the_largest_deviation(self):
+        # column sums 1.0, 0.75 and 1.5: the last is furthest from one
+        t = np.array([[0.5, 0.25, 1.0], [0.5, 0.5, 0.5]])
+        assert column_sum_error(t) == 0.5
+        assert column_sum_error(np.eye(3)) == 0.0
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(eta=st.floats(0.0, 1.0, exclude_min=True),

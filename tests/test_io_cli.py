@@ -689,8 +689,8 @@ def test_package_raises_or_catches_each_error():
 #: Defaulted parameters that no call of the package sets, and why each stays.
 UNSET_DEFAULTS = {
     "main.argv": "the console script reads sys.argv; tests pass an argv",
-    "effective_efficiency.subtract_dark": "dark-count subtraction on a "
-                                          "measured histogram (Criterion 5a)",
+    "effective_efficiency.dark_mean": "dark-count subtraction on a "
+                                      "measured histogram (Criterion 5a)",
     "optimal_postselection.min_events": "the library entry point's "
                                         "eligibility floor (Criterion 7)",
 }
@@ -860,6 +860,13 @@ BAD_INPUTS = {
     "metrology-reference-without-spread": (
         ["metrology", "--in", "{clicks_both}", "--group-n", "2", "--nm", "10",
          "--out", "{tmp}/m.json"], 3, "reference_i has zero spread"),
+    "quasidist-grid-too-large": (
+        ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "100000",
+         "--out", "{tmp}/g.igrid"], 2, "pass a smaller --steps"),
+    "analyze-histogram-too-large": (
+        ["analyze", "--in", "{clicks}", "--group-n", "100000",
+         "--mode", "disjoint", "--out", "{tmp}/h2.jhist"], 2,
+        "pass a smaller --group-n"),
     "quasidist-steps-zero": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
          "--out", "{tmp}/g.igrid"], 2, "--steps"),

@@ -11,9 +11,8 @@ from oracles import (compound_click_dist, conditional_photon_dist,
                      in_memory_precision_improvement, relative_error,
                      stream_of)
 from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
-                      JointHistogram, PumpCorrelation, TwbParams,
-                      effective_efficiency, fano_nrp_cov, group_histogram,
-                      joint_twb,
+                      PumpCorrelation, TwbParams, effective_efficiency,
+                      fano_nrp_cov, group_histogram, joint_twb, moments,
                       optimal_postselection, precision_improvement,
                       sample_stream)
 from twinbeam import models
@@ -28,6 +27,11 @@ from twinbeam.metrology import _postselect
 def grouped_clicks(params, spec_s, spec_i, n, k=0.0):
     """Factorial moments of ``n`` grouped clicks from the closed-form model."""
     return models.compound_click_moments(params, spec_s, spec_i, n, 2, k)
+
+
+def histogram_moments(h):
+    """Factorial moments of a measured histogram, as ``analyze`` takes them."""
+    return moments(h.normalized(), 2)
 
 
 class TestEffectiveEfficiencyModel:
@@ -93,48 +97,51 @@ class TestEffectiveEfficiencyEstimator:
                                DetectorSpec(0.5, 0.0, 1),
                                PumpCorrelation(0.0, 100), 400_000, seed=17)
         h = group_histogram(stream, GroupingPolicy(10, "disjoint"))
-        eff = effective_efficiency(h, "s")
+        eff = effective_efficiency(histogram_moments(h), "s")
         assert abs(eff) < 0.02
 
     def test_matches_click_level_model(self, stream_1m, nominal):
         params, spec_s, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
         pred = effective_efficiency(grouped_clicks(params, spec_s, spec_i, 10))
-        eff = effective_efficiency(h, "s")
+        eff = effective_efficiency(histogram_moments(h), "s")
         assert eff == pytest.approx(pred, abs=0.01)
 
     def test_dark_subtraction_raises_value(self, stream_1m, nominal):
         _, _, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
-        assert effective_efficiency(h, "s", subtract_dark=spec_i) > \
-            effective_efficiency(h, "s")
+        table = histogram_moments(h)
+        assert effective_efficiency(table, "s", dark_mean=10 * spec_i.dark) > \
+            effective_efficiency(table, "s")
 
     def test_moment_table_input(self, stream_1m):
-        from twinbeam import moments
+        # a histogram's moment table gives the sample covariance of the two
+        # arms over the other arm's sample mean
         h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
-        table = moments(h.normalized(), 2)
-        assert effective_efficiency(table, "s") == \
-            pytest.approx(effective_efficiency(h, "s"), rel=1e-12)
+        f = h.normalized()
+        c = np.arange(f.shape[0])
+        mean_s, mean_i = c @ f.sum(axis=1), c @ f.sum(axis=0)
+        cov = c @ f @ c - mean_s * mean_i
+        assert effective_efficiency(histogram_moments(h), "s") == \
+            pytest.approx(cov / mean_i, rel=1e-12)
 
 
 class TestPostselection:
     def test_diagonal_histogram_fano_zero(self):
         counts = np.diag([0, 500, 300, 100])
-        h = JointHistogram(counts, 900, GroupingPolicy(3, "disjoint"))
-        best = optimal_postselection(h, min_events=100)
+        best = optimal_postselection(counts, min_events=100)
         assert best.fano_min == 0.0
         assert best.p_success == pytest.approx(
             counts[best.c_s_opt].sum() / 900)
 
     def test_min_events_floor(self):
         counts = np.array([[50, 0], [0, 50]])
-        h = JointHistogram(counts, 100, GroupingPolicy(1, "disjoint"))
         with pytest.raises(NoEligibleColumnError):
-            optimal_postselection(h, min_events=1000)
+            optimal_postselection(counts, min_events=1000)
 
     def test_nominal_single_window_optimum(self, stream_1m, nominal):
         h = group_histogram(stream_1m, GroupingPolicy(1, "disjoint"))
-        best = optimal_postselection(h, min_events=500)
+        best = optimal_postselection(h.counts, min_events=500)
         assert best.c_s_opt == 1
         params, spec_s, spec_i = nominal
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)

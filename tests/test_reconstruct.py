@@ -9,9 +9,14 @@ from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      compound_click_dist, compound_photon_dist,
                      conditional_histogram, conditional_photon_dist,
                      em_conditional, em_joint, marginal)
-from twinbeam.detection import DetectionMatrix, default_n_max
+from twinbeam.detection import default_n_max
 from twinbeam.errors import DataError, InvalidParameterError, NumericError
 from twinbeam.reconstruct import CERTIFICATE, MAX_CELLS
+
+
+def matrix(spec, n_max):
+    """A detector's matrix as the array the solvers take."""
+    return detection_matrix(spec, n_max).entries
 
 
 def tv(a, b):
@@ -21,7 +26,7 @@ def tv(a, b):
 def loglik(data, t_s, t_i, p):
     """Mean data log-likelihood of ``p`` over the observed cells."""
     f = data / data.sum()
-    projected = t_s.entries[:f.shape[0]] @ p @ t_i.entries[:f.shape[1]].T
+    projected = t_s[:f.shape[0]] @ p @ t_i[:f.shape[1]].T
     return float(f[f > 0] @ np.log(projected[f > 0]))
 
 
@@ -41,9 +46,9 @@ class TestMlJoint:
                                                     groups):
         rng = np.random.default_rng(seed)
         truth = rng.dirichlet(np.full(dims[0] * dims[1], concentration))
-        t_s, t_i = (detection_matrix(DetectorSpec(*spec), m - 1)
+        t_s, t_i = (matrix(DetectorSpec(*spec), m - 1)
                     for spec, m in zip(detectors, dims))
-        probs = t_s.entries @ truth.reshape(dims) @ t_i.entries.T
+        probs = t_s @ truth.reshape(dims) @ t_i.T
         counts = rng.multinomial(groups, probs.ravel() / probs.sum())
         f = counts.reshape(probs.shape)
         est, res = ml_joint(f, t_s, t_i)
@@ -62,13 +67,13 @@ class TestMlJoint:
     def test_bound_is_lindsays_of_the_estimate(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 5).table
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i)
         data = f / f.sum()
-        ratio = np.divide(data, t_s.entries @ est.table @ t_i.entries.T,
+        ratio = np.divide(data, t_s @ est.table @ t_i.T,
                           out=np.zeros_like(data), where=data > 0)
-        gradient = t_s.entries.T @ ratio @ t_i.entries
+        gradient = t_s.T @ ratio @ t_i
         assert res.converged
         assert res.lindsay_bound == pytest.approx(np.log(gradient.max()),
                                                   rel=0, abs=1e-15)
@@ -77,8 +82,8 @@ class TestMlJoint:
     def test_step_cap_returns_an_uncertified_distribution(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 5).table
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i, max_steps=2)
         assert not res.converged and res.newton_steps == 2
         assert res.lindsay_bound >= CERTIFICATE
@@ -86,27 +91,27 @@ class TestMlJoint:
         assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_detection_entry_is_numeric_error(self):
-        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]))
-        t_i = DetectionMatrix(np.ones((1, 1)))
+        t_s = np.array([[0.3, -0.2], [0.6, 0.5]])
+        t_i = np.ones((1, 1))
         f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="negative entries"):
             ml_joint(f, t_s, t_i)
 
     def test_step_cap_below_one_rejected(self):
-        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 3)
+        t = matrix(DetectorSpec(0.4, 0.0, 1), 3)
         f = np.array([[0.5, 0.1], [0.1, 0.3]])
         with pytest.raises(InvalidParameterError):
             ml_joint(f, t, t, max_steps=0)
 
     def test_more_cells_than_the_newton_system_holds_rejected(self):
         side = int(np.sqrt(MAX_CELLS)) + 1
-        t = detection_matrix(DetectorSpec(0.4, 0.0, side - 1), side - 1)
+        t = matrix(DetectorSpec(0.4, 0.0, side - 1), side - 1)
         f = np.ones((side, side))
         with pytest.raises(DataError, match=f"more than the {MAX_CELLS}"):
             ml_joint(f, t, t)
 
     def test_no_observed_counts_rejected(self):
-        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
         empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
         with pytest.raises(DataError, match="no observed counts"):
             ml_joint(empty.counts, t, t)
@@ -115,16 +120,25 @@ class TestMlJoint:
     def test_negative_or_not_finite_cell_rejected(self, cell):
         # a negative cell would be skipped as unobserved but still counted
         # in the table's sum, and the solve could not certify
-        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
         with pytest.raises(DataError, match="finite and >= 0"):
             ml_joint(np.array([[0.5, cell], [0.2, 0.5]]), t, t)
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 10).table
-        small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
+        small = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             ml_joint(f, small, small)
+
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    def test_matrix_with_too_few_click_rows_names_its_arm(self, arm):
+        t = matrix(DetectorSpec(0.4, 0.0, 2), 10)
+        t_s, t_i = (t[:2], t) if arm == "signal" else (t, t[:2])
+        f = np.full((3, 3), 0.1)
+        with pytest.raises(DataError, match=f"^{arm} matrix covers 2 click "
+                                            "values, data needs 3$"):
+            ml_joint(f, t_s, t_i)
 
     def test_counts_and_probabilities_give_the_same_bits(self, stream_1m,
                                                          nominal):
@@ -133,8 +147,8 @@ class TestMlJoint:
         from twinbeam import group_histogram
         _, spec_s, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         by_counts, res_counts = ml_joint(h.counts, t_s, t_i)
         by_probs, res_probs = ml_joint(h.normalized(), t_s, t_i)
         assert res_counts.converged
@@ -169,7 +183,7 @@ class TestClosure:
         assert rows.size == {10: 61, 100: 340}[n]
         c_max = int(max(rows.max(), cols.max()))
         n_max = default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
-        t_s, t_i = (detection_matrix(DetectorSpec(spec.eta, spec.dark, n), n_max)
+        t_s, t_i = (matrix(DetectorSpec(spec.eta, spec.dark, n), n_max)
                     for spec in (spec_s, spec_i))
         est, res = ml_joint(table, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
@@ -184,8 +198,8 @@ class TestEmJoint:
     """The EM oracle of ``tests/oracles.py``, the paper's algorithm."""
 
     def test_point_mass_recovered_in_near_invertible_case(self):
-        t = detection_matrix(DetectorSpec(1.0, 0.0, 10), 8)
-        f = np.outer(t.entries[:, 2], t.entries[:, 2])
+        t = matrix(DetectorSpec(1.0, 0.0, 10), 8)
+        f = np.outer(t[:, 2], t[:, 2])
         truth = np.zeros((9, 9))
         truth[2, 2] = 1.0
         est, res = em_joint(f, t, t, EmConfig(max_iters=400_000, tol=1e-15))
@@ -196,19 +210,19 @@ class TestEmJoint:
         n = 10
         n_max = 60
         truth = compound_photon_dist(params, n)
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
-        fwd = t_s.entries @ padded @ t_i.entries.T
+        fwd = t_s @ padded @ t_i.T
         est, res = em_joint(fwd, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-9))
         assert tv(est.table, padded) <= 0.01
 
     def test_every_iterate_normalized_and_loglik_monotone(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 5).table
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = em_joint(f, t_s, t_i, EmConfig(max_iters=500, tol=1e-14))
         # EM raises on any decrease; check that every iterate was seen
         assert len(res.log_likelihood) == res.iterations + 1
@@ -219,8 +233,8 @@ class TestEmJoint:
         # EM on mixture weights is monotone for any nonnegative matrix; a
         # negative entry (columns summing to 0.9 and 0.3) drives an iterate
         # negative, and the second iteration lowers the likelihood
-        t_s = DetectionMatrix(np.array([[0.3, -0.2], [0.6, 0.5]]))
-        t_i = DetectionMatrix(np.ones((1, 1)))
+        t_s = np.array([[0.3, -0.2], [0.6, 0.5]])
+        t_i = np.ones((1, 1))
         f = np.array([[0.8], [0.2]])
         with pytest.raises(NumericError, match="decreased at iteration 2"):
             em_joint(f, t_s, t_i, EmConfig(max_iters=50))
@@ -231,23 +245,23 @@ class TestEmJoint:
         params, spec_s, spec_i = nominal
         truth = compound_photon_dist(params, 3)
         n_max = 30
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 3), n_max)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 3), n_max)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 3), n_max)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 3), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
         padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
-        f = t_s.entries @ padded @ t_i.entries.T
+        f = t_s @ padded @ t_i.T
         cfg = EmConfig(max_iters=200_000, tol=1e-10)
         est, res = em_joint(f, t_s, t_i, cfg)
         assert res.converged
-        refwd = t_s.entries @ est.table @ t_i.entries.T
+        refwd = t_s @ est.table @ t_i.T
         assert np.abs(refwd - f).max() < cfg.tol * est.table.size
 
     def test_histogram_input_accepted(self, stream_1m, nominal):
         from twinbeam import group_histogram
         params, spec_s, spec_i = nominal
         h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 60)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 60)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 60)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 60)
         est, res = em_joint(h.counts, t_s, t_i, EmConfig(max_iters=300))
         mean_i = marginal(est, "i").mean()
         # reconstruction undoes detection losses: mean near 5 * 0.102
@@ -269,8 +283,8 @@ class TestEmJoint:
 
         def run(n_max):
             est, _ = em_joint(
-                h.counts, detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
-                detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
+                h.counts, matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
+                matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
                 EmConfig(max_iters=300))
             return est.table
 
@@ -286,20 +300,20 @@ class TestEmJoint:
         params, spec_s, spec_i = nominal
         data = np.zeros((11, 11))
         data[:4, :4] = compound_click_dist(params, spec_s, spec_i, 3).table
-        t_s = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
         est, _ = em_joint(data, t_s, t_i,
                           EmConfig(max_iters=50, tol=1e-300))
         p = np.full((31, 31), 1 / 31 ** 2)
         for _ in range(50):
-            projected = t_s.entries @ p @ t_i.entries.T
+            projected = t_s @ p @ t_i.T
             ratio = np.divide(data, projected, out=np.zeros_like(data),
                               where=data > 0)
-            p = p * (t_s.entries.T @ ratio @ t_i.entries)
+            p = p * (t_s.T @ ratio @ t_i)
         np.testing.assert_allclose(est.table, p, rtol=1e-12, atol=1e-300)
 
     def test_no_observed_counts_rejected(self):
-        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
         empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
         with pytest.raises(DataError, match="no observed counts"):
             em_joint(empty.counts, t, t)
@@ -307,14 +321,14 @@ class TestEmJoint:
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
         f = compound_click_dist(params, spec_s, spec_i, 10).table
-        small = detection_matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
+        small = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             em_joint(f, small, small)
 
 
 class TestEmConditional:
     def test_pure_no_click_column_gives_vacuum(self):
-        t = detection_matrix(DetectorSpec(0.4, 0.0, 1), 10)
+        t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
         data = MarginalDist(np.array([1.0, 0.0]), 0.0)
         est, res = em_conditional(data, t, EmConfig(max_iters=5_000))
         assert est.probs[0] == pytest.approx(1.0, abs=1e-5)
@@ -324,8 +338,8 @@ class TestEmConditional:
         n, c_s = 10, 2
         truth = conditional_photon_dist(joint_twb(params), spec_s, c_s, n)
         n_max = 60
-        t_i = detection_matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
-        f_ci = t_i.entries @ truth.probs[:n_max + 1]
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
+        f_ci = t_i @ truth.probs[:n_max + 1]
         est, res = em_conditional(MarginalDist(f_ci / f_ci.sum(), 0.0), t_i,
                                   EmConfig(max_iters=150_000, tol=1e-13))
         assert tv(est.probs, truth.probs[:n_max + 1]) <= 0.01
