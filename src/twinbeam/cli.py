@@ -5,7 +5,8 @@ resolved parameters, the seed, input digests and package versions, so any
 result can be regenerated from scratch.  Numeric output is CSV or JSON only;
 plotting is deliberately left to external tools.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error (an
+allocation that runs out of memory among them).
 """
 
 from __future__ import annotations
@@ -426,6 +427,9 @@ def main(argv: list | None = None) -> int:
         return 3
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"numeric error: out of memory ({exc})", file=sys.stderr)
         return 4
     except TwinbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError, PrecisionExhaustedError
+from .errors import NumericError, UsageError
 
 #: Largest probability mass a truncated distribution may silently discard.
 TAIL_CEILING = 1e-10
@@ -53,11 +53,11 @@ class TwbParams:
         for name in ("m_p", "m_s", "m_i"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
-                raise InvalidParameterError(f"{name} must be finite and > 0, got {v}")
+                raise UsageError(f"{name} must be finite and > 0, got {v}")
         for name in ("b_p", "b_s", "b_i"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
-                raise InvalidParameterError(f"{name} must be finite and >= 0, got {v}")
+                raise UsageError(f"{name} must be finite and >= 0, got {v}")
 
     @property
     def mean_signal(self) -> float:
@@ -100,14 +100,14 @@ def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
     and it raises.
     """
     if not np.isfinite(m) or m <= 0:
-        raise InvalidParameterError(f"mode count must be finite and > 0, got {m}")
+        raise UsageError(f"mode count must be finite and > 0, got {m}")
     if not np.isfinite(b) or b < 0:
-        raise InvalidParameterError(f"mean per mode must be finite and >= 0, got {b}")
+        raise UsageError(f"mean per mode must be finite and >= 0, got {b}")
     if n_max < 0:
-        raise InvalidParameterError("n_max must be >= 0")
+        raise UsageError("n_max must be >= 0")
     log_p0 = -m * np.log1p(b)
     if log_p0 < LOG_P0_MIN:
-        raise PrecisionExhaustedError(
+        raise NumericError(
             f"p(0) = exp({log_p0:.6g}) of {m:.6g} modes of mean {b:.6g} "
             "lies below double range")
     n = np.arange(n_max, dtype=float)
@@ -132,7 +132,7 @@ def _mr_law(m: float, b: float) -> np.ndarray:
     n = int(np.ceil(mean + 10.0 * sd + 10))
     while 1.0 - (law := mandel_rice(m, b, n)).sum() > COMPONENT_TAIL:
         if n > MAX_SUPPORT:
-            raise PrecisionExhaustedError(
+            raise NumericError(
                 f"the tail of {m:.6g} modes of mean {b:.6g} stays above "
                 f"{COMPONENT_TAIL:g} on {n + 1} photon numbers")
         n = int(np.ceil(n * 1.5)) + 5

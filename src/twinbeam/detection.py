@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InvalidParameterError, PrecisionExhaustedError
+from .errors import DataError, NumericError, UsageError
 
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
@@ -46,11 +46,11 @@ class DetectorSpec:
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
-            raise InvalidParameterError(f"eta must be in (0, 1], got {self.eta}")
+            raise UsageError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 <= self.dark < 1.0:
-            raise InvalidParameterError(f"dark must be in [0, 1), got {self.dark}")
+            raise UsageError(f"dark must be in [0, 1), got {self.dark}")
         if self.pixels < 1:
-            raise InvalidParameterError(f"pixels must be >= 1, got {self.pixels}")
+            raise UsageError(f"pixels must be >= 1, got {self.pixels}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _blocks(spec: DetectorSpec, n_max: int):
             block = buf[:, :k + 1]
             err = column_sum_error(block)
             if err > COLUMN_SUM_TOL:
-                raise PrecisionExhaustedError(f"column sums off by {err:.3e}")
+                raise NumericError(f"column sums off by {err:.3e}")
             yield n - k, block
 
 
@@ -162,7 +162,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     products of nonnegative numbers.
     """
     if n_max < 0:
-        raise InvalidParameterError("n_max must be >= 0")
+        raise UsageError("n_max must be >= 0")
     key = (spec, n_max)
     with _cache_lock:
         hit = _cache.pop(key, None)
@@ -189,7 +189,7 @@ def fold_detection(rows: np.ndarray, spec: DetectorSpec, n_max: int
     Blocks are projected as they come; the cache is neither read nor filled.
     """
     if n_max < 0:
-        raise InvalidParameterError("n_max must be >= 0")
+        raise UsageError("n_max must be >= 0")
     out = np.empty((rows.shape[0], n_max + 1))
     for n, block in _blocks(spec, n_max):
         out[:, n:n + block.shape[1]] = rows @ block

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, StreamTooShortError
+from .errors import DataError, UsageError
 from .simulate import ClickStream
 
 SLIDING = "sliding"
@@ -33,9 +33,9 @@ class GroupingPolicy:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidParameterError("group size must be >= 1")
+            raise UsageError("group size must be >= 1")
         if self.mode not in (SLIDING, DISJOINT):
-            raise InvalidParameterError(f"unknown grouping mode {self.mode!r}")
+            raise UsageError(f"unknown grouping mode {self.mode!r}")
 
 
 @dataclass
@@ -55,7 +55,7 @@ class JointHistogram:
 
 def _check_length(windows: int, n: int) -> None:
     if windows < n:
-        raise StreamTooShortError(
+        raise DataError(
             f"stream of {windows} windows cannot form groups of {n}")
 
 

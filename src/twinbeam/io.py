@@ -241,6 +241,10 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
+    side = header["group_n"] + 1            # 0..n clicks on either arm
+    if header["dims"] != [side, side]:
+        raise DataError(f"jhist dims {header['dims']} do not fit group_n "
+                        f"{header['group_n']}: need [{side}, {side}]")
     counts = _csv_table(body, tuple(header["dims"]))
     total = int(counts.sum())
     if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:

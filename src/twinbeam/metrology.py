@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DataError, InsufficientDataError, NoEligibleColumnError,
-                     StreamTooShortError)
+from .errors import DataError, UsageError
 from .ingest import DISJOINT, GroupingPolicy, grouped_counts
 from .simulate import ClickStream
 
@@ -55,6 +54,8 @@ def effective_efficiency(m: np.ndarray, arm: str = "s",
     arm's mean dark clicks per group, ``dark_mean = n * dark``, are removed
     from the denominator mean first.
     """
+    if arm not in ("s", "i"):
+        raise UsageError(f"arm must be 's' or 'i', got {arm!r}")
     mean_s, mean_i = m[1, 0], m[0, 1]
     cov = m[1, 1] - mean_s * mean_i
     denominator = (mean_i if arm == "s" else mean_s) - dark_mean
@@ -73,7 +74,7 @@ def _postselect(occupancy: np.ndarray, mean: np.ndarray, var: np.ndarray,
     """
     eligible = np.flatnonzero((occupancy >= floor) & (occupancy > 0) & (mean > 0))
     if not eligible.size:
-        raise NoEligibleColumnError(
+        raise DataError(
             f"no signal column reaches the eligibility floor {floor:g}")
     c_s = eligible[np.argmin(var[eligible] / mean[eligible])]
     return PostSelectionResult(int(c_s), float(var[c_s] / mean[c_s]),
@@ -137,7 +138,7 @@ class _Blocks:
         n, n_m = self.policy.n, self.n_m
         n_blocks = self.windows // (n * n_m)
         if n_blocks < 1:
-            raise InsufficientDataError(
+            raise DataError(
                 f"{self.windows} windows cannot fill one block of {n_m} groups of {n}")
         if self.zero_mean:
             raise DataError("a block has zero mean count")
@@ -161,7 +162,7 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     ratio undefined, which is a ``DataError``.
     """
     if not len(stream):
-        raise StreamTooShortError("empty stream")
+        raise DataError("empty stream")
     arms = {key: _Blocks(n, n_m) for key in (
         "reference_s", "reference_i",
         "conditioned_on_signal", "conditioned_on_idler")}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import LOG_P0_MIN, TwbParams, joint_twb
 from .detection import DetectorSpec, _binomial_pmf, fold_detection
-from .errors import InvalidParameterError, PrecisionExhaustedError
+from .errors import NumericError, UsageError
 from .moments import falling_factorials
 from .simulate import PumpCorrelation
 
@@ -95,13 +95,13 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     nor a detection matrix.  Orders above ``n`` are exact zeros.  Past the
     largest ``n`` whose photon table the Mandel-Rice recurrence can start
     (``log p(0) >= LOG_P0_MIN`` for each component), it raises
-    :class:`PrecisionExhaustedError` naming that ``n``.
+    :class:`NumericError` naming that ``n``.
     """
     per_window = max(m * math.log1p(b) for m, b in (
         (params.m_p, params.b_p), (params.m_s, params.b_s),
         (params.m_i, params.b_i)))
     if n * per_window > -LOG_P0_MIN:
-        raise PrecisionExhaustedError(
+        raise NumericError(
             f"the photon table of {n} genuine windows leaves double range; "
             f"the largest feasible n is {math.floor(-LOG_P0_MIN / per_window)}")
     p = joint_twb(params.scaled(n)).table
@@ -133,7 +133,7 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     group sits inside one block).  Orders above ``n`` are exact zeros.
     """
     if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
+        raise UsageError("group size must be >= 1")
     PumpCorrelation(k)                      # rejects an inadmissible drift
     factors, weights = np.ones(1), np.ones(1)
     if k > 0:
@@ -189,7 +189,7 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
     and its derivatives are sums of positive terms: no difference near 1.
     """
     if not 0 <= c_s <= n:
-        raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
+        raise UsageError(f"need 0 <= c_s <= {n}, got {c_s}")
     x = 1.0 - spec_s.eta
 
     def log_derivs(x: float) -> tuple[float, float, float]:

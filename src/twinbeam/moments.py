@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import (DataError, InsufficientOrderError, InvalidParameterError)
+from .errors import DataError, UsageError
 
 E_FAMILY = ("E001", "E101", "E111", "E211")
 M_FAMILY = ("M1001", "M001001")
@@ -67,7 +67,7 @@ def moments(table: np.ndarray, order: int) -> np.ndarray:
     """Normally-ordered moments ``Fs @ table @ Fi.T`` of a 2-D table (a 1-D
     ``p`` as ``p[:, None]``): falling factorials, nothing cancels."""
     if order < 1:
-        raise InvalidParameterError("order must be >= 1")
+        raise UsageError("order must be >= 1")
     f_s, f_i = (falling_factorials(size - 1, order) for size in table.shape)
     return f_s @ table @ f_i.T
 
@@ -111,7 +111,7 @@ def _ordering(m: np.ndarray):
     def at(s: float | np.ndarray) -> np.ndarray:
         t = (1.0 - np.asarray(s, dtype=float)) / 2.0
         if (t < 0).any():
-            raise InvalidParameterError("ordering parameter must satisfy s <= 1")
+            raise UsageError("ordering parameter must satisfy s <= 1")
         return c @ np.power.outer(t, np.arange(c.shape[-1])).T
     return at
 
@@ -129,9 +129,9 @@ def to_s_ordered(m: np.ndarray, s: float | np.ndarray) -> np.ndarray:
 def _identifier_terms(w: np.ndarray, identifier: str) -> list:
     """Signed summands of one identifier (their absolute sum sets its scale)."""
     if identifier not in IDENTIFIERS:
-        raise InvalidParameterError(f"unknown identifier {identifier!r}")
+        raise UsageError(f"unknown identifier {identifier!r}")
     if w.shape[0] - 1 < _REQUIRED_ORDER[identifier]:
-        raise InsufficientOrderError(
+        raise DataError(
             f"identifier needs order {_REQUIRED_ORDER[identifier]}, "
             f"table has {w.shape[0] - 1}")
     if identifier == "E001":

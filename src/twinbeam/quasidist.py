@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergentSeriesError, InvalidParameterError,
-                     PrecisionExhaustedError)
+from .errors import NumericError, UsageError
 
 #: Support fraction dropped for the truncation-sensitivity check.
 _EDGE_FRACTION = 0.9
@@ -93,8 +92,8 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
     peaked high-``s`` series, raises; an all-zero table gives a zero grid.
     """
     if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
-        raise InvalidParameterError("ordering parameter must satisfy s < 1, "
-                                    f"with s^2 in double range; got {s!r}")
+        raise UsageError("ordering parameter must satisfy s < 1, "
+                         f"with s^2 in double range; got {s!r}")
     w_max_s = default_w_max(table, "s", s) if w_max is None else w_max
     w_max_i = default_w_max(table, "i", s) if w_max is None else w_max
     ws = (np.arange(steps) + 0.5) * (w_max_s / steps)
@@ -116,17 +115,17 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
         shift = np.abs(values - reduced).max()
     edge_tail = table[cut_s:, :].sum() + table[:, cut_i:].sum()
     if not np.isfinite([scale, shift]).all():
-        raise DivergentSeriesError("the intensity series leaves double range; "
-                                   "shrink the photon support or lower s")
+        raise NumericError("the intensity series leaves double range; "
+                           "shrink the photon support or lower s")
     sensitivity = float(shift / scale) if scale > 0 else 0.0
     if scale > 0 and shift > max(1e-6 * scale, 10.0 * edge_tail * prefactor):
-        raise DivergentSeriesError(
+        raise NumericError(
             f"support-edge sensitivity {sensitivity:.2e} of the intensity "
             "series; enlarge the photon support or lower s")
     grid = IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
     norm, mass = grid_normalization(grid), table.sum()
     if not 0.5 * mass <= norm <= 2.0 * mass:
-        raise PrecisionExhaustedError(
+        raise NumericError(
             f"the grid holds {norm:.3g} of the table's mass {mass:.3g}; "
             "lower s, or raise the steps or the grid edge")
     return grid

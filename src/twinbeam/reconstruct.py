@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JointDist
-from .errors import DataError, InvalidParameterError, NumericError
+from .errors import DataError, NumericError, UsageError
 
 #: Fraction of the way to the boundary that a step may go; at 0.99 some
 #: histograms stall before the bound is certified.
@@ -89,7 +89,7 @@ def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
     steps are taken.
     """
     if max_steps < 1:
-        raise InvalidParameterError("max_steps must be >= 1")
+        raise UsageError("max_steps must be >= 1")
     ts, ti = t_s[:f.shape[0]], t_i[:f.shape[1]]
     for label, t, need in zip(("signal", "idler"), (ts, ti), f.shape):
         if len(t) < need:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import TwbParams
 from .detection import DetectorSpec
-from .errors import InvalidParameterError
+from .errors import UsageError
 
 #: Windows per chunk of a stream, drawn or read.  Drawn chunks are keyed by
 #: window index, so the stream is reproducible however work is scheduled.
@@ -40,14 +40,14 @@ class PumpCorrelation:
 
     def __post_init__(self):
         if not np.isfinite(self.k) or self.k < 0:
-            raise InvalidParameterError(f"k must be finite and >= 0, got {self.k}")
+            raise UsageError(f"k must be finite and >= 0, got {self.k}")
         # keep three standard deviations of the common-mode factor above
         # zero, so clamping negative intensities stays a rare event
         if 3.0 * np.sqrt(self.k) >= 1.0:
-            raise InvalidParameterError(
+            raise UsageError(
                 f"k = {self.k} puts the drift factor at zero within 3 sigma")
         if self.block_len < 1:
-            raise InvalidParameterError("block_len must be >= 1")
+            raise UsageError("block_len must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     nor the memory depend on the CPU count or the stream length.
     """
     if spec_s.pixels != 1 or spec_i.pixels != 1:
-        raise InvalidParameterError("stream simulation uses single-pixel detectors")
+        raise UsageError("stream simulation uses single-pixel detectors")
     if n_windows < 1:
-        raise InvalidParameterError("n_windows must be >= 1")
+        raise UsageError("n_windows must be >= 1")
 
     root = np.random.SeedSequence(seed)
     n_blocks = -(-n_windows // pump.block_len)

@@ -72,9 +72,7 @@ from scipy import signal
 from twinbeam import models
 from twinbeam.core import JointDist, TwbParams, joint_twb
 from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
-from twinbeam.errors import (DataError, InsufficientDataError,
-                             InvalidParameterError, NumericError,
-                             StreamTooShortError)
+from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
                              grouped_counts)
 from twinbeam.metrology import PrecisionReport
@@ -186,7 +184,7 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
     round-off and the support is exactly ``0..n`` per axis.
     """
     if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
+        raise UsageError("group size must be >= 1")
     table = f_w.table
     if table.shape[0] > 2 or table.shape[1] > 2:
         if np.abs(table[2:, :]).sum() + np.abs(table[:, 2:]).sum() > 1e-15:
@@ -257,7 +255,7 @@ def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
         signal.convolve2d(a.table, b.table)
     # FFT round-off may leave tiny negatives; anything worse is a real bug.
     if table.min() < -1e-12:
-        raise InvalidParameterError("convolution produced negative mass")
+        raise UsageError("convolution produced negative mass")
     np.clip(table, 0.0, None, out=table)
     tail = min(1.0, a.tail_mass + b.tail_mass)
     return JointDist(table, tail)
@@ -269,7 +267,7 @@ def self_convolve(d: JointDist, n: int) -> JointDist:
     Uses binary exponentiation, so only ``O(log n)`` convolutions run.
     """
     if n < 1:
-        raise InvalidParameterError("fold count must be >= 1")
+        raise UsageError("fold count must be >= 1")
     result = None
     power = d
     k = n
@@ -346,7 +344,7 @@ def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
     ``<W_p^w>`` the per-window paired mean.
     """
     if n < 1:
-        raise InvalidParameterError("group size must be >= 1")
+        raise UsageError("group size must be >= 1")
     w_window = params.m_p * params.b_p
     mean = n * w_window
     var = n * params.m_p * params.b_p ** 2
@@ -387,9 +385,9 @@ def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
     convolution of ``w_0``.
     """
     if spec_s.pixels != 1:
-        raise InvalidParameterError("conditioning detector must be a single pixel")
+        raise UsageError("conditioning detector must be a single pixel")
     if not 0 <= c_s <= n:
-        raise InvalidParameterError(f"need 0 <= c_s <= {n}, got {c_s}")
+        raise UsageError(f"need 0 <= c_s <= {n}, got {c_s}")
     t_s = detection_matrix(spec_s, p_w.table.shape[0] - 1)
     w0 = t_s.entries[0] @ p_w.table
     w1 = t_s.entries[1] @ p_w.table
@@ -526,9 +524,9 @@ class EmConfig:
 
     def __post_init__(self):
         if self.tol <= 0:
-            raise InvalidParameterError("tol must be > 0")
+            raise UsageError("tol must be > 0")
         if self.max_iters < 1:
-            raise InvalidParameterError("max_iters must be >= 1")
+            raise UsageError("max_iters must be >= 1")
 
 
 @dataclass
@@ -601,7 +599,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: np.ndarray,
 def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
     """Idler photocount distribution conditioned on a signal column."""
     if not 0 <= c_s < h.counts.shape[0]:
-        raise InvalidParameterError(f"column {c_s} outside histogram")
+        raise UsageError(f"column {c_s} outside histogram")
     column = h.counts[c_s, :]
     total = column.sum()
     if total == 0:
@@ -647,7 +645,7 @@ def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray
     bits = signal_bits(stream) if arm == "s" else idler_bits(stream)
     n = len(bits)
     if n <= dj_max:
-        raise StreamTooShortError("stream shorter than the requested shift range")
+        raise DataError("stream shorter than the requested shift range")
     total = int(bits.sum())
     if total == 0:
         raise DegenerateStreamError(f"no clicks in arm {arm!r}")
@@ -663,7 +661,7 @@ def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray
 def averaged_correlation(k: np.ndarray, delta_j: int) -> np.ndarray:
     """Centered moving average over ``2 delta_j + 1`` shifts, edges shrunk."""
     if delta_j < 0:
-        raise InvalidParameterError("delta_j must be >= 0")
+        raise UsageError("delta_j must be >= 0")
     k = np.asarray(k, dtype=float)
     width = 2 * delta_j + 1
     kernel = np.ones(width)
@@ -679,7 +677,7 @@ def conditioned_sequences(stream: ClickStream) -> dict:
     the signal detector clicked (and symmetrically for ``conditioned_s``).
     """
     if len(stream) == 0:
-        raise StreamTooShortError("empty stream")
+        raise DataError("empty stream")
     s, i = signal_bits(stream), idler_bits(stream)
     return {
         "reference_s": s,
@@ -703,7 +701,7 @@ def relative_error(seq: np.ndarray, n_m: int) -> PrecisionReport:
     seq = np.asarray(seq, dtype=float)
     n_blocks = len(seq) // n_m
     if n_blocks < 1:
-        raise InsufficientDataError(
+        raise DataError(
             f"sequence of {len(seq)} groups gives no block of {n_m}")
     trimmed = seq[:n_blocks * n_m].reshape(n_blocks, n_m)
     means = trimmed.mean(axis=1)
@@ -726,7 +724,7 @@ def in_memory_precision_improvement(stream: ClickStream, n: int,
 
     def report(bits) -> PrecisionReport:
         if len(bits) < n * n_m:
-            raise InsufficientDataError(
+            raise DataError(
                 f"{len(bits)} windows cannot fill one block of {n_m} groups of {n}")
         return relative_error(grouped_counts(bits, policy), n_m)
 

@@ -18,8 +18,7 @@ from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 column_sum_error, default_n_max)
-from twinbeam.errors import (DataError, InvalidParameterError,
-                             PrecisionExhaustedError)
+from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.moments import falling_factorials, moments
 from twinbeam import models
 
@@ -89,7 +88,7 @@ class TestDetectionMatrix:
         monkeypatch.setattr(
             detection, "_columns",
             lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
-        with pytest.raises(PrecisionExhaustedError):
+        with pytest.raises(NumericError, match="column sums off by"):
             detection_matrix(DetectorSpec(0.7, 1e-3, 64), 40)
         assert detection._cache == {}
 
@@ -179,9 +178,9 @@ class TestFoldDetection:
             detection, "_columns",
             lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
         spec = DetectorSpec(0.7, 1e-3, 16)
-        with pytest.raises(PrecisionExhaustedError, match="column sums"):
+        with pytest.raises(NumericError, match="column sums"):
             detection.fold_detection(falling_factorials(16, 2), spec, 10)
-        with pytest.raises(PrecisionExhaustedError, match="column sums"):
+        with pytest.raises(NumericError, match="column sums"):
             detection_matrix(spec, 10)
         assert detection._cache == {}
 
@@ -189,9 +188,9 @@ class TestFoldDetection:
         # no buffer fits 1e15 pixels: either entry point that allocated one
         # before checking the support would fail with a MemoryError
         spec = DetectorSpec(0.5, 0.0, 10**15)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UsageError, match="n_max must be >= 0"):
             detection.fold_detection(np.ones((1, 2)), spec, -1)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UsageError, match="n_max must be >= 0"):
             detection_matrix(spec, -1)
 
 
@@ -306,9 +305,11 @@ class TestCompoundClickMoments:
         np.testing.assert_allclose(closed[~structural], oracle[~structural],
                                    rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("n, k", [(0, 0.0), (3, -1e-3), (3, 0.2)])
-    def test_invalid_arguments_rejected(self, nominal, n, k):
-        with pytest.raises(InvalidParameterError):
+    @pytest.mark.parametrize("n, k, message", [
+        (0, 0.0, "group size must be"), (3, -1e-3, "k must be finite"),
+        (3, 0.2, "drift factor at zero")], ids=["0-0.0", "3--0.001", "3-0.2"])
+    def test_invalid_arguments_rejected(self, nominal, n, k, message):
+        with pytest.raises(UsageError, match=message):
             models.compound_click_moments(*nominal, n, 2, k)
 
 
@@ -520,7 +521,7 @@ class TestGenuineModel:
     def test_past_the_largest_feasible_n_raises(self, nominal, n):
         # the paired component's p(0) = exp(-0.1013 n) underflowed past
         # n = 7351, and the moments came out NaN
-        with pytest.raises(PrecisionExhaustedError,
+        with pytest.raises(NumericError,
                            match="largest feasible n is 7004"):
             models.genuine_click_moments(*nominal, n, 2)
 

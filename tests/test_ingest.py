@@ -9,7 +9,7 @@ from oracles import (DegenerateStreamError, averaged_correlation,
                      conditioned_sequences, idler_bits, signal_bits,
                      stream_of, window_correlation)
 from twinbeam import models
-from twinbeam.errors import StreamTooShortError
+from twinbeam.errors import DataError
 
 
 def stream_from_pairs(pairs):
@@ -34,7 +34,7 @@ class TestGrouping:
 
     def test_too_short_stream(self):
         stream = stream_from_pairs([(1, 0)])
-        with pytest.raises(StreamTooShortError):
+        with pytest.raises(DataError, match="cannot form groups"):
             group_histogram(stream, GroupingPolicy(5, "disjoint"))
 
     def test_disjoint_concatenation_property(self):
@@ -58,7 +58,7 @@ class TestGrouping:
         stream = stream_of(codes, chunk=chunk)
         policy = GroupingPolicy(n, mode)
         if len(codes) < n:
-            with pytest.raises(StreamTooShortError):
+            with pytest.raises(DataError, match="cannot form groups"):
                 group_histogram(stream, policy)
             return
         h = group_histogram(stream, policy)
@@ -83,7 +83,7 @@ class TestGrouping:
         stream = ClickStream(len(codes), lambda: iter(chunks), {})
         policy = GroupingPolicy(n, mode)
         if len(codes) < n:
-            with pytest.raises(StreamTooShortError):
+            with pytest.raises(DataError, match="cannot form groups"):
                 group_histogram(stream, policy)
             return
         h = group_histogram(stream, policy)

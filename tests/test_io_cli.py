@@ -686,6 +686,43 @@ def test_package_raises_or_catches_each_error():
     assert [name for name in classes if not used[name]] == []
 
 
+def test_main_names_each_error_class_in_a_handler():
+    # each class of errors.py has its own exit code: a subclass that no
+    # except clause of cli.main names is one that no caller tells apart
+    errors = Path(SRC, "twinbeam", "errors.py")
+    classes = [node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    cli_tree = ast.parse(Path(SRC, "twinbeam", "cli.py").read_text())
+    main_def = next(node for node in cli_tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "main")
+    handled = Counter()
+    for node in ast.walk(main_def):
+        if isinstance(node, ast.ExceptHandler) and node.type:
+            handled += _identifiers(node.type)
+    assert [name for name in classes if not handled[name]] == []
+    assert handled["MemoryError"]
+
+
+def test_memory_error_exits_4_without_traceback(tmp_path, capsys,
+                                                monkeypatch, nominal):
+    stream = sample_stream(*nominal, PumpCorrelation(0.0, 100), 2_000, seed=8)
+    hist = str(tmp_path / "h.jhist")
+    tbio.write_jhist(group_histogram(stream, GroupingPolicy(5, "disjoint")),
+                     hist)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("twinbeam.cli.ml_joint", exhausted)
+    out = tmp_path / "p.jdist"
+    assert main(["reconstruct", "--hist", hist, "--eta-s", "0.282",
+                 "--eta-i", "0.33", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == \
+        "numeric error: out of memory (Unable to allocate 74.5 GiB)\n"
+    assert not out.exists()
+
+
 #: Defaulted parameters that no call of the package sets, and why each stays.
 UNSET_DEFAULTS = {
     "main.argv": "the console script reads sys.argv; tests pass an argv",
@@ -943,6 +980,10 @@ BAD_INPUTS = {
     "jhist-group-n-zero": (
         ["reconstruct", "--hist", "{hist_group_n_zero}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "group_n"),
+    "jhist-dims-disagree-with-group-n": (
+        ["reconstruct", "--hist", "{hist_group_n_wide}", "--eta-s", "0.3",
+         "--eta-i", "0.3", "--out", "{tmp}/p.jdist"], 3,
+        "jhist dims [3, 3] do not fit group_n 50"),
     "jdist-kind-number": (
         ["ncd", "--dist", "{jdist_kind}", "--out", "{tmp}/r.json"],
         3, "kind"),
@@ -1064,6 +1105,8 @@ def bad_input_files(tmp_path, nominal):
             ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
             ("hist_mode", "jhist-v1", hist, {"mode": 5}),
             ("hist_group_n_zero", "jhist-v1", hist, {"group_n": 0}),
+            ("hist_group_n_wide", "jhist-v1", files["hist_saturated"],
+             {"group_n": 50}),
             ("hist_payload", "jhist-v1", hist, {"payload": "f64"})):
         header, body = tbio._unpack(fmt, open(source, "rb").read())
         files[key] = str(tmp_path / key)

@@ -18,9 +18,7 @@ from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
 from twinbeam import models
 from twinbeam import io as tbio
 from twinbeam.cli import main
-from twinbeam.errors import (DataError, InsufficientDataError,
-                             NoEligibleColumnError, StreamTooShortError,
-                             TwinbeamError)
+from twinbeam.errors import DataError, TwinbeamError, UsageError
 from twinbeam.metrology import _postselect
 
 
@@ -66,6 +64,13 @@ class TestEffectiveEfficiencyModel:
                           params.b_p, params.b_s, params.b_i * 200)
         assert effective_efficiency(grouped_clicks(noisy, spec_s, spec_i, 10)) \
             < base
+
+    @pytest.mark.parametrize("arm", ["signal", "idler", "S", ""])
+    def test_unknown_arm_rejected(self, nominal, arm):
+        # the manifests name the arms "signal" and "idler", but only "s"
+        # and "i" select one: any other name must not read as the idler
+        with pytest.raises(UsageError, match="arm must be 's' or 'i'"):
+            effective_efficiency(grouped_clicks(*nominal, 10), arm)
 
     def test_drift_raises_with_group_size(self, nominal):
         k = 1e-3
@@ -136,7 +141,7 @@ class TestPostselection:
 
     def test_min_events_floor(self):
         counts = np.array([[50, 0], [0, 50]])
-        with pytest.raises(NoEligibleColumnError):
+        with pytest.raises(DataError, match="eligibility floor 1000"):
             optimal_postselection(counts, min_events=1000)
 
     def test_nominal_single_window_optimum(self, stream_1m, nominal):
@@ -274,7 +279,7 @@ class TestClosedFormPostselection:
                                   dark_s=0.0, dark_i=0.0)
         assert code == 3
         assert "eligibility floor" in err
-        with pytest.raises(NoEligibleColumnError):
+        with pytest.raises(DataError, match="eligibility floor 0.001"):
             table_postselection(TwbParams(10, 10, 10, 0.0, 0.0, 0.0),
                                 DetectorSpec(0.282, 0.0, 1),
                                 DetectorSpec(0.330, 0.0, 1), 10)
@@ -307,7 +312,7 @@ class TestRelativeError:
         assert rep2.normalized == pytest.approx(rep.normalized, rel=1e-12)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="gives no block of 100"):
             relative_error(np.ones(10), 100)
 
 
@@ -339,12 +344,12 @@ class TestPrecisionImprovement:
         stream = sample_stream(params, DetectorSpec(0.3, 0.0, 1),
                                DetectorSpec(0.3, 0.0, 1),
                                PumpCorrelation(0.0, 100), 5_000, seed=2)
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DataError, match="cannot fill one block"):
             precision_improvement(stream, 100, 500)
 
 
 def outcome(route, stream, n, n_m):
-    """The report of ``route``, or the type of the error it raised.
+    """The report of ``route``, or the type and message of its error.
 
     Blocks of one repeated count have no spread, and a reference arm made of
     them divides ``S_cs`` or ``S_ci`` by 0: the oracle then reads NaN or inf.
@@ -353,7 +358,7 @@ def outcome(route, stream, n, n_m):
         with np.errstate(invalid="ignore", divide="ignore"):
             return route(stream, n, n_m)
     except TwinbeamError as err:
-        return type(err)
+        return type(err), str(err)
 
 
 def numbers(report):
@@ -368,12 +373,12 @@ def assert_same_outcome(got, expected):
     if isinstance(expected, dict) and not np.isfinite(
             [expected["S_cs"], expected["S_ci"]]).all():
         # the package refuses exactly the ratios the oracle cannot form
-        assert got is DataError
+        assert got[0] is DataError and "zero spread" in got[1]
     elif isinstance(expected, dict):
         assert isinstance(got, dict) and got.keys() == expected.keys()
         np.testing.assert_array_equal(numbers(got), numbers(expected))
     else:
-        assert got is expected
+        assert got == expected
 
 
 def click_codes(length, weights, seed):
@@ -430,19 +435,20 @@ class TestStreamedPrecision:
     # bits heralded by the idler are all zero
     RARE_SIGNAL = ([0b01] + [0b10] * 5) * 5
 
-    @pytest.mark.parametrize("codes, n, n_m, error", [
-        ([], 1, 1, StreamTooShortError),
-        (SILENT_SIGNAL, 2, 3, DataError),
-        (RARE_SIGNAL, 2, 3, InsufficientDataError),
-        ([0b11] * 20, 5, 5, InsufficientDataError),
+    @pytest.mark.parametrize("codes, n, n_m, message", [
+        ([], 1, 1, "empty stream"),
+        (SILENT_SIGNAL, 2, 3, "zero mean count"),
+        (RARE_SIGNAL, 2, 3, "cannot fill one block"),
+        ([0b11] * 20, 5, 5, "cannot fill one block"),
     ], ids=["empty", "zero-mean-block", "insufficient-before-zero-mean",
             "too-few-windows"])
-    def test_errors_match_the_oracle(self, codes, n, n_m, error):
+    def test_errors_match_the_oracle(self, codes, n, n_m, message):
+        expected = outcome(in_memory_precision_improvement, stream_of(codes),
+                           n, n_m)
+        assert expected[0] is DataError and message in expected[1]
         for chunk in (7, 1 << 18):
             assert outcome(precision_improvement,
-                           stream_of(codes, chunk=chunk), n, n_m) is error
-        assert outcome(in_memory_precision_improvement, stream_of(codes), n,
-                       n_m) is error
+                           stream_of(codes, chunk=chunk), n, n_m) == expected
 
     def test_reference_without_spread_is_a_data_error(self):
         # every window clicks on both arms: both references are constant and

@@ -16,8 +16,7 @@ from oracles import (compound_click_dist, compound_photon_dist,
                      to_s_ordered_by_matrix)
 from twinbeam import models
 from twinbeam.cli import DEFAULT_GROUPS
-from twinbeam.errors import (DataError, InsufficientOrderError,
-                             InvalidParameterError)
+from twinbeam.errors import DataError, UsageError
 from twinbeam.moments import (IDENTIFIERS, _identifier_terms, _noise_floor,
                               laguerre_mixing)
 
@@ -215,7 +214,7 @@ class TestSOrdering:
     def test_ordering_above_one_rejected(self):
         w = np.ones((3, 3))
         for s in (1.5, np.array([0.0, 1.0 + 1e-15])):
-            with pytest.raises(InvalidParameterError):
+            with pytest.raises(UsageError, match="must satisfy s <= 1"):
                 to_s_ordered(w, s)
 
 
@@ -240,7 +239,7 @@ class TestNci:
 
     def test_order_requirement(self):
         w = np.ones((3, 3))
-        with pytest.raises(InsufficientOrderError):
+        with pytest.raises(DataError, match="identifier needs order 5"):
             nci_value(w, "E211")
 
     @settings(max_examples=60, deadline=None, database=None)

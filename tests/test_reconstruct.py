@@ -10,7 +10,7 @@ from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      conditional_histogram, conditional_photon_dist,
                      em_conditional, em_joint, marginal)
 from twinbeam.detection import default_n_max
-from twinbeam.errors import DataError, InvalidParameterError, NumericError
+from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.reconstruct import CERTIFICATE, MAX_CELLS
 
 
@@ -100,7 +100,7 @@ class TestMlJoint:
     def test_step_cap_below_one_rejected(self):
         t = matrix(DetectorSpec(0.4, 0.0, 1), 3)
         f = np.array([[0.5, 0.1], [0.1, 0.3]])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UsageError, match="max_steps must be"):
             ml_joint(f, t, t, max_steps=0)
 
     def test_more_cells_than_the_newton_system_holds_rejected(self):

@@ -8,7 +8,7 @@ from oracles import codes_of, idler_bits, pump_moment_model, signal_bits
 from twinbeam import (DetectorSpec, PumpCorrelation, TwbParams, fano_nrp_cov,
                       sample_stream)
 from twinbeam import models, simulate
-from twinbeam.errors import InvalidParameterError
+from twinbeam.errors import UsageError
 from twinbeam.simulate import CHUNK
 
 #: SHA-256 of the ``codes`` of seed-2021 nominal streams, recorded while the
@@ -74,12 +74,12 @@ class TestSampleStream:
 
     def test_multi_pixel_detector_rejected(self, nominal):
         params, spec_s, _ = nominal
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UsageError, match="single-pixel detectors"):
             sample_stream(params, spec_s, DetectorSpec(0.3, 0.0, 4),
                           PumpCorrelation(0.0, 10), 10, seed=0)
 
     def test_overstrong_drift_rejected(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(UsageError, match="drift factor at zero"):
             PumpCorrelation(0.2, 100)
 
     def test_pump_drift_raises_grouped_variance(self, nominal):
