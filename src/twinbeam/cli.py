@@ -12,7 +12,6 @@ allocation that runs out of memory among them).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import resource
@@ -27,7 +26,7 @@ from . import models
 from .core import TwbParams
 from .detection import (DetectorSpec, column_sum_error, default_n_max,
                         detection_matrix)
-from .errors import DataError, NumericError, TwinbeamError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .ingest import GroupingPolicy, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
 from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
@@ -214,9 +213,7 @@ def _cmd_reconstruct(args) -> None:
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "observed_cells": cells,
-        "converged": result.converged, "newton_steps": result.newton_steps,
-        "lindsay_bound": result.lindsay_bound,
-        "log_likelihood": result.log_likelihood,
+        **vars(result),
         "column_sum_error": {"signal": column_sum_error(t_s),
                              "idler": column_sum_error(t_i)},
         "edge_mass": float(dist.table[edge:].sum()
@@ -235,8 +232,7 @@ def _cmd_ncd(args) -> None:
     if unknown:
         raise UsageError(f"unknown identifiers: {unknown}")
     normal = moments(dist.table, order=5)
-    report = {ident: dataclasses.asdict(ncd(normal, ident)) for ident in wanted}
-    tbio.write_json(report, args.out)
+    tbio.write_json({ident: ncd(normal, ident) for ident in wanted}, args.out)
     _write_manifest(args.out, args, [args.dist], {
         "tail_mass": dist.tail_mass, "truncation_dirty": dist.truncation_dirty})
 
@@ -257,11 +253,8 @@ def _cmd_quasidist(args) -> None:
 
 def _cmd_metrology(args) -> None:
     stream = tbio.read_clicks(args.infile)
-    result = precision_improvement(stream, args.group_n, args.nm)
-    report = {key: (dataclasses.asdict(val)
-                    if dataclasses.is_dataclass(val) else val)
-              for key, val in result.items()}
-    tbio.write_json(report, args.out)
+    tbio.write_json(precision_improvement(stream, args.group_n, args.nm),
+                    args.out)
     _write_manifest(args.out, args, [args.infile])
 
 
@@ -431,9 +424,6 @@ def main(argv: list | None = None) -> int:
     except MemoryError as exc:
         print(f"numeric error: out of memory ({exc})", file=sys.stderr)
         return 4
-    except TwinbeamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -153,13 +153,7 @@ def write_clicks(stream: ClickStream, path: str) -> None:
     """Write ``stream`` to ``path`` chunk by chunk, and its sidecar."""
     header = CLICKS_MAGIC + struct.pack("<Q", len(stream))
     _atomic_write(path, itertools.chain([header], stream.chunks()))
-    meta = dict(stream.meta)
-    for key in ("params", "spec_s", "spec_i", "pump"):
-        if key in meta and dataclasses.is_dataclass(meta[key]):
-            meta[key] = dataclasses.asdict(meta[key])
-    meta["format"] = "clicks-v1"
-    _atomic_write(path + ".json",
-                  [json.dumps(meta, indent=2, sort_keys=True).encode()])
+    write_json(dict(stream.meta, format="clicks-v1"), path + ".json")
 
 
 def read_clicks(path: str) -> ClickStream:
@@ -271,4 +265,6 @@ def read_igrid(path: str) -> IntensityGrid:
 
 
 def write_json(obj, path: str) -> None:
-    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True).encode()])
+    """Write ``obj`` as JSON, each dataclass record in it as its fields."""
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True,
+                                    default=dataclasses.asdict).encode()])

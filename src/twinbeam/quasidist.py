@@ -9,8 +9,10 @@ to a quasi-distribution of the two integrated intensities,
 
 with ``beta = (s+1)/(s-1)``, ``g = 4/(1-s^2)`` and standard Laguerre
 polynomials ``L_n`` (``L_n(0) = 1``).  It may take negative values; that is
-the point.  The per-axis factors are evaluated by the three-term Laguerre
-recurrence with the sign factor and the exponential damping folded in, which
+the point.  At ``s = -1``, the Husimi Q function, ``beta^n L_n(g W)`` tends
+to ``W^n/n!``.  The per-axis factors are evaluated by the three-term Laguerre
+recurrence, written in ``beta`` and ``delta = 2/(1-s)`` alone (``beta g =
+-delta^2``) with the sign factor and the exponential damping folded in, which
 keeps every intermediate bounded near one for ``s <= 0``; each grid column
 keeps its power of two apart, so the damping and ``beta^n`` leave double
 range only where the values do.
@@ -53,15 +55,14 @@ def _basis(n_max: int, w: np.ndarray, s: float) -> np.ndarray:
     those of the plain recurrence.
     """
     beta = (s + 1.0) / (s - 1.0)
-    g_fac = 4.0 / (1.0 - s * s)
     delta = 2.0 / (1.0 - s)
-    x = g_fac * w
+    x = delta * delta * w                   # -beta g_fac w, finite at s = -1
     e = np.where(delta * w < 700.0, 0, -delta * w // np.log(2)).astype(int)
     prev, cur = np.zeros_like(x), np.exp(-delta * w - e * np.log(2))
     out = np.empty((n_max + 1, len(w)))
     for n in range(n_max + 1):
         out[n] = np.ldexp(cur, e)
-        prev, cur = cur, (beta * (2 * n + 1 - x) * cur
+        prev, cur = cur, ((beta * (2 * n + 1) + x) * cur
                           - n * beta * beta * prev) / (n + 1)
         _, k = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
         prev, cur, e = np.ldexp(prev, -k), np.ldexp(cur, -k), e + k

@@ -26,7 +26,7 @@ from twinbeam.cli import main
 from twinbeam.errors import DataError
 from twinbeam.metrology import effective_efficiency
 from twinbeam.reconstruct import CERTIFICATE
-from twinbeam.simulate import CHUNK
+from twinbeam.simulate import CHUNK, ClickStream
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 #: Sweep CSVs recorded by the benchmark at an earlier commit (read only).
@@ -94,6 +94,52 @@ class TestFormats:
             fh.truncate(24 + 4)
         with pytest.raises(DataError, match="truncated"):
             tbio.read_clicks(path)
+
+    def test_clicks_cut_after_the_header_check_is_a_data_error(self,
+                                                                tmp_path):
+        path = str(tmp_path / "s.clicks")
+        tbio.write_clicks(stream_of(np.zeros(2 * CHUNK, np.uint8)), path)
+        stream = tbio.read_clicks(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(24 + CHUNK + 7)
+        with pytest.raises(DataError, match="was cut while it was read"):
+            codes_of(stream)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield np.zeros(CHUNK, np.uint8)
+            raise RuntimeError("drawing stopped")
+
+        with pytest.raises(RuntimeError, match="drawing stopped"):
+            tbio.write_clicks(ClickStream(2 * CHUNK, chunks, {}),
+                              str(tmp_path / "s.clicks"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sidecar_holds_each_record_as_its_fields(self, tmp_path,
+                                                     nominal):
+        params, spec_s, spec_i = nominal
+        stream = sample_stream(params, spec_s, spec_i,
+                               PumpCorrelation(1e-3, 100), 10, seed=5)
+        path = str(tmp_path / "s.clicks")
+        tbio.write_clicks(stream, path)
+        meta = json.loads(open(path + ".json").read())
+        assert meta == {"format": "clicks-v1", "n_windows": 10, "seed": 5,
+                        "params": vars(params), "spec_s": vars(spec_s),
+                        "spec_i": vars(spec_i),
+                        "pump": {"k": 1e-3, "block_len": 100}}
+
+    def test_write_json_encodes_nested_records_as_their_fields(self,
+                                                               tmp_path):
+        path = str(tmp_path / "r.json")
+        pump = PumpCorrelation(1e-3, 100)
+        tbio.write_json({"arms": [pump, {"pump": pump}], "n": 2}, path)
+        fields = {"block_len": 100, "k": 1e-3}
+        assert json.loads(open(path).read()) == {
+            "arms": [fields, {"pump": fields}], "n": 2}
+        with pytest.raises(TypeError):
+            tbio.write_json({"table": np.zeros(2)}, path)
+        with pytest.raises(TypeError):
+            tbio.write_json([PumpCorrelation], path)    # the class, no record
 
     def test_jdist_round_trip(self, tmp_path, nominal):
         d = window_click_dist(*nominal)
@@ -497,10 +543,12 @@ class TestCli:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("metric = nrp\ngroups = 1,10,100  # ladder\n")
+        cfg.write_text("# a sweep\n\n   \nmetric = nrp\n"
+                       "groups = 1,10,100  # ladder\n  # metric = fano\n")
         assert self.run("sweep", "--config", str(cfg), "--groups", "1") == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 2
+        assert out.startswith("n,compound_nrp,genuine_nrp\n1,")
 
     def test_usage_error_exit_code(self, tmp_path):
         dist = str(tmp_path / "p.jdist")
@@ -687,11 +735,14 @@ def test_package_raises_or_catches_each_error():
 
 
 def test_main_names_each_error_class_in_a_handler():
-    # each class of errors.py has its own exit code: a subclass that no
-    # except clause of cli.main names is one that no caller tells apart
+    # each subclass of TwinbeamError has its own exit code: one that no
+    # except clause of cli.main names is one that no caller tells apart;
+    # cli.main has no handler for the base, so no raise may name it
     errors = Path(SRC, "twinbeam", "errors.py")
     classes = [node.name for node in ast.parse(errors.read_text()).body
-               if isinstance(node, ast.ClassDef)]
+               if isinstance(node, ast.ClassDef)
+               and _identifiers(node)["TwinbeamError"]]
+    assert sorted(classes) == ["DataError", "NumericError", "UsageError"]
     cli_tree = ast.parse(Path(SRC, "twinbeam", "cli.py").read_text())
     main_def = next(node for node in cli_tree.body
                     if isinstance(node, ast.FunctionDef)
@@ -702,6 +753,25 @@ def test_main_names_each_error_class_in_a_handler():
             handled += _identifiers(node.type)
     assert [name for name in classes if not handled[name]] == []
     assert handled["MemoryError"]
+    for path in Path(SRC, "twinbeam").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                assert not _identifiers(node.exc)["TwinbeamError"], \
+                    f"{path.name}:{node.lineno}"
+
+
+def test_only_io_turns_records_into_json():
+    # io.write_json encodes a dataclass record as its fields, so no other
+    # module serialises JSON or converts a record by hand
+    names = ("dumps", "asdict", "is_dataclass")
+    for path in Path(SRC, "twinbeam").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named = _identifiers(tree) + Counter(
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names)
+        found = [name for name in names if named[name]]
+        assert found == (["dumps", "asdict"] if path.name == "io.py"
+                         else []), path.name
 
 
 def test_memory_error_exits_4_without_traceback(tmp_path, capsys,
@@ -1007,6 +1077,11 @@ BAD_INPUTS = {
         ["reconstruct", "--hist", "{hist_crowded}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--n-max", "80", "--out", "{tmp}/p.jdist"], 3,
         "observed click cells, more than the"),
+    "config-line-without-equals": (
+        ["sweep", "--config", "{config_no_equals}"], 2,
+        "config line without '=': 'groups 1,2'"),
+    "config-without-path": (["sweep", "--metric", "nrp", "--config"], 2,
+                            "--config needs a path"),
     "jhist-payload-f64": (
         ["reconstruct", "--hist", "{hist_payload}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "bad payload: 'f64'"),
@@ -1063,6 +1138,8 @@ def bad_input_files(tmp_path, nominal):
     tbio.write_clicks(stream_of(high, stream.meta), files["clicks_high"])
     files["config_latin1"] = str(tmp_path / "latin1.cfg")
     (tmp_path / "latin1.cfg").write_bytes(b"metric = nrp  # caf\xe9\n")
+    files["config_no_equals"] = str(tmp_path / "no_equals.cfg")
+    (tmp_path / "no_equals.cfg").write_text("metric = nrp\ngroups 1,2\n")
     jdist = str(tmp_path / "d.jdist")
     tbio.write_jdist(window_click_dist(params, spec_s, spec_i), jdist)
     files["jdist"] = jdist
@@ -1131,3 +1208,69 @@ def test_bad_input_exits_without_traceback(bad_input_files, case):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert fragment in proc.stderr
+
+
+#: Each command's numeric flags, after the flags it needs to run on the
+#: ``bad_input_files`` (a later ``--flag=value`` overrides an earlier one).
+NUMERIC_FLAGS = {
+    "simulate": (["--windows", "1000", "--seed", "1",
+                  "--out", "{tmp}/x.clicks"],
+                 ["--windows", "--seed", "--k-pump", "--block-len"]),
+    "analyze": (["--in", "{clicks}", "--group-n", "5",
+                 "--out", "{tmp}/x.jhist"], ["--group-n"]),
+    "reconstruct": (["--hist", "{hist}", "--eta-s", "0.282", "--eta-i", "0.33",
+                     "--out", "{tmp}/x.jdist"],
+                    ["--eta-s", "--eta-i", "--dark-s", "--dark-i",
+                     "--max-iters", "--n-max"]),
+    "quasidist": (["--dist", "{jdist}", "--s", "0", "--steps", "32",
+                   "--out", "{tmp}/x.igrid"], ["--s", "--w-max", "--steps"]),
+    "metrology": (["--in", "{clicks}", "--group-n", "5", "--nm", "10",
+                   "--out", "{tmp}/x.json"], ["--group-n", "--nm"]),
+    "sweep": (["--metric", "fano", "--groups", "1,10", "--out", "{tmp}/x.csv"],
+              ["--groups", "--k-pump"]),
+}
+EXTREMES = ("0", "-1", "nan", "inf", "-inf", "1e18", str(2 ** 63))
+
+#: Runs each argv list of the JSON file ``argv[1]`` through ``cli.main`` with
+#: the address space capped at 1 GiB above the loaded package, and writes
+#: each exit code, or the exception that escaped, to ``argv[2]``.
+_EXTREME_CHILD = """
+import json, os, resource, sys
+from twinbeam.cli import main
+pages = int(open("/proc/self/statm").read().split()[0])
+limit = pages * os.sysconf("SC_PAGE_SIZE") + 2 ** 30
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+results = []
+for argv in json.load(open(sys.argv[1])):
+    try:
+        results.append(main(argv))
+    except SystemExit as exc:
+        results.append(exc.code)
+    except Exception as exc:
+        results.append(repr(exc))
+json.dump(results, open(sys.argv[2], "w"))
+"""
+
+
+def test_numeric_flags_at_extreme_values_exit_with_a_code(bad_input_files,
+                                                          tmp_path):
+    # every value of EXTREMES for every numeric flag, in one child process
+    # under an address-space limit, so an oversized allocation is a
+    # MemoryError there; simulate --windows 2^63 is left out, because it
+    # draws 2^63 windows for as long as it takes
+    cases = [[command, *(arg.format(**bad_input_files) for arg in base),
+              f"{flag}={value}"]
+             for command, (base, flags) in NUMERIC_FLAGS.items()
+             for flag in flags for value in EXTREMES
+             if (command, flag, value) != ("simulate", "--windows",
+                                           str(2 ** 63))]
+    assert len(cases) == 125
+    cases_file, results_file = tmp_path / "cases.json", tmp_path / "codes.json"
+    cases_file.write_text(json.dumps(cases))
+    proc = run_python("-c", _EXTREME_CHILD, str(cases_file), str(results_file))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    codes = json.loads(results_file.read_text())
+    bad = [(argv[0], argv[-1], code) for argv, code in zip(cases, codes)
+           if code not in (0, 2, 3, 4)]
+    assert bad == []

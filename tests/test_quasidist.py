@@ -5,10 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from oracles import _basis_mp, compound_photon_dist, grid_centers, grid_moments
 from twinbeam import (TwbParams, grid_normalization, joint_twb, moments,
                       quasi_distribution, to_s_ordered)
+from twinbeam import io as tbio
+from twinbeam.cli import main
 from twinbeam.errors import NumericError, UsageError
 from twinbeam.quasidist import _basis
 
@@ -64,6 +67,31 @@ class TestQuasiDistribution:
         params, _, _ = nominal
         g = quasi_distribution(joint_twb(params).table, -1.2, steps=128)
         assert g.values.min() >= -1e-15
+
+    def test_husimi_q_closed_form(self, nominal):
+        # at s = -1, beta = 0 and g = 4/(1-s^2) is infinite, but
+        # beta^n L_n(g W) tends to W^n/n!: the grid is the Q function
+        # sum p(n_s, n_i) e^-W_s W_s^n_s/n_s! e^-W_i W_i^n_i/n_i!
+        table = compound_photon_dist(nominal[0], 10).table
+        g = quasi_distribution(table, -1.0, steps=64)
+
+        def poisson(w, n_max):
+            n = np.arange(n_max + 1)[:, None]
+            return np.exp(n * np.log(w) - w - gammaln(n + 1))
+
+        q = (poisson(grid_centers(g, 0), table.shape[0] - 1).T @ table
+             @ poisson(grid_centers(g, 1), table.shape[1] - 1))
+        assert np.abs(g.values - q).max() <= 1e-12 * q.max()
+
+    def test_cli_writes_the_q_function(self, tmp_path, nominal):
+        dist = str(tmp_path / "p.jdist")
+        tbio.write_jdist(compound_photon_dist(nominal[0], 10), dist)
+        out = str(tmp_path / "q.igrid")
+        assert main(["quasidist", "--dist", dist, "--s", "-1", "--steps", "32",
+                     "--out", out]) == 0
+        expected = quasi_distribution(tbio.read_jdist(dist).table, -1.0,
+                                      steps=32)
+        assert np.array_equal(tbio.read_igrid(out).values, expected.values)
 
     def test_strong_beam_develops_negative_regions(self, nominal):
         params, _, _ = nominal
