@@ -53,39 +53,6 @@ class JointHistogram:
         return self.counts / self.n_groups
 
 
-def _check_length(windows: int, n: int) -> None:
-    if windows < n:
-        raise DataError(
-            f"stream of {windows} windows cannot form groups of {n}")
-
-
-def _sliding_sums(bits: np.ndarray, n: int, csum: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Sums of every ``n`` subsequent ``bits``: differences of a running sum.
-
-    The running sum goes to ``csum[1:]`` (``csum[0]`` is 0) and the sums to
-    ``out``, buffers a caller may reuse.  It is summed in place after one
-    copy, as a casting ``cumsum`` would first copy ``bits`` to int64.
-    """
-    run = csum[1:len(bits) + 1]
-    np.copyto(run, bits)
-    np.cumsum(run, out=run)
-    return np.subtract(csum[n:len(bits) + 1], csum[:len(bits) + 1 - n],
-                       out=out[:len(bits) + 1 - n])
-
-
-def grouped_counts(bits: np.ndarray, policy: GroupingPolicy) -> np.ndarray:
-    """Per-group sums of a sequence of per-window counts, as int64."""
-    bits = np.asarray(bits)
-    _check_length(len(bits), policy.n)
-    if policy.mode == DISJOINT:
-        m = len(bits) // policy.n
-        groups = bits[:m * policy.n].reshape(m, policy.n)
-        return groups.sum(axis=1, dtype=np.int64)
-    return _sliding_sums(bits, policy.n, np.zeros(len(bits) + 1, np.int64),
-                         np.empty(len(bits) + 1 - policy.n, np.int64))
-
-
 def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
     """Joint histogram of grouped signal and idler click numbers.
 
@@ -95,7 +62,9 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
     length.
     """
     n = policy.n
-    _check_length(len(stream), n)
+    if len(stream) < n:
+        raise DataError(
+            f"stream of {len(stream)} windows cannot form groups of {n}")
     # windows between the starts of successive groups
     stride = n if policy.mode == DISJOINT else 1
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
@@ -112,7 +81,8 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
         code *= n + 1
         code += (part >> 1) & 1
         if policy.mode == DISJOINT:
-            sums = grouped_counts(code, policy)
+            sums = code[:groups * n].reshape(groups, n).sum(axis=1,
+                                                            dtype=np.int64)
         else:
             if len(csum) <= len(part):
                 # buffers of the sliding sums that later chunks reuse, with
@@ -120,7 +90,14 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
                 # page-faulted in again each time
                 csum = np.zeros(len(part) + n, np.int64)
                 out = np.empty_like(csum)
-            sums = _sliding_sums(code, n, csum, out)
+            # differences of the running sum in csum[1:] (csum[0] is 0),
+            # summed in place after one copy, as a casting cumsum would
+            # first copy the codes to int64
+            run = csum[1:len(part) + 1]
+            np.copyto(run, code)
+            np.cumsum(run, out=run)
+            sums = np.subtract(csum[n:len(part) + 1], csum[:groups],
+                               out=out[:groups])
         found = np.bincount(sums)
         counts[:len(found)] += found
     return JointHistogram(counts.reshape(n + 1, n + 1), int(counts.sum()),

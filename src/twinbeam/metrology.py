@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, UsageError
-from .ingest import DISJOINT, GroupingPolicy, grouped_counts
+from .moments import _require_order
 from .simulate import ClickStream
 
 
@@ -50,12 +50,13 @@ def effective_efficiency(m: np.ndarray, arm: str = "s",
                          dark_mean: float = 0.0) -> float:
     """Covariance-based effective efficiency of one detector.
 
-    ``m`` is a normally-ordered moment table of order 2 or more.  The other
+    ``m`` is a normally-ordered moment table of order 1 or more.  The other
     arm's mean dark clicks per group, ``dark_mean = n * dark``, are removed
     from the denominator mean first.
     """
     if arm not in ("s", "i"):
         raise UsageError(f"arm must be 's' or 'i', got {arm!r}")
+    _require_order(m, 1, "effective efficiency")
     mean_s, mean_i = m[1, 0], m[0, 1]
     cov = m[1, 1] - mean_s * mean_i
     denominator = (mean_i if arm == "s" else mean_s) - dark_mean
@@ -111,7 +112,7 @@ class _Blocks:
     """
 
     def __init__(self, n: int, n_m: int):
-        self.policy, self.n_m = GroupingPolicy(n, DISJOINT), n_m
+        self.n, self.n_m = n, n_m
         self.carry = np.empty(0, np.uint8)
         self.windows = self.total = 0
         self.ratios = []
@@ -120,12 +121,13 @@ class _Blocks:
     def feed(self, bits: np.ndarray) -> None:
         self.windows += len(bits)
         run = np.concatenate((self.carry, bits))
-        end = len(run) - len(run) % (self.policy.n * self.n_m)
+        end = len(run) - len(run) % (self.n * self.n_m)
         self.carry = run[end:]
         if end:
-            groups = grouped_counts(run[:end], self.policy)
+            groups = run[:end].reshape(-1, self.n_m, self.n).sum(
+                axis=2, dtype=np.int64)
             self.total += int(groups.sum())
-            blocks = groups.astype(float).reshape(-1, self.n_m)
+            blocks = groups.astype(float)
             means = blocks.mean(axis=1)
             if np.any(means == 0):
                 # raised by report(), so that an earlier arm too short to
@@ -135,7 +137,7 @@ class _Blocks:
                 self.ratios.append(blocks.std(axis=1) / means)
 
     def report(self) -> PrecisionReport:
-        n, n_m = self.policy.n, self.n_m
+        n, n_m = self.n, self.n_m
         n_blocks = self.windows // (n * n_m)
         if n_blocks < 1:
             raise DataError(
@@ -163,6 +165,10 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     """
     if not len(stream):
         raise DataError("empty stream")
+    if n < 1:
+        raise UsageError("group size must be >= 1")
+    if n_m < 1:
+        raise UsageError(f"n_m must be >= 1, got {n_m}")
     arms = {key: _Blocks(n, n_m) for key in (
         "reference_s", "reference_i",
         "conditioned_on_signal", "conditioned_on_idler")}

@@ -97,6 +97,10 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     (``log p(0) >= LOG_P0_MIN`` for each component), it raises
     :class:`NumericError` naming that ``n``.
     """
+    if n < 1:
+        raise UsageError("group size must be >= 1")
+    if order < 1:
+        raise UsageError("order must be >= 1")
     per_window = max(m * math.log1p(b) for m, b in (
         (params.m_p, params.b_p), (params.m_s, params.b_s),
         (params.m_i, params.b_i)))
@@ -134,6 +138,8 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     """
     if n < 1:
         raise UsageError("group size must be >= 1")
+    if order < 1:
+        raise UsageError("order must be >= 1")
     PumpCorrelation(k)                      # rejects an inadmissible drift
     factors, weights = np.ones(1), np.ones(1)
     if k > 0:

@@ -63,6 +63,12 @@ def laguerre_mixing(order: int) -> np.ndarray:
     return out
 
 
+def _require_order(m: np.ndarray, order: int, what: str) -> None:
+    """Refuse a moment table ``m`` of lower order than ``what`` needs."""
+    if m.shape[0] - 1 < order:
+        raise DataError(f"{what} needs order {order}, table has {m.shape[0] - 1}")
+
+
 def moments(table: np.ndarray, order: int) -> np.ndarray:
     """Normally-ordered moments ``Fs @ table @ Fi.T`` of a 2-D table (a 1-D
     ``p`` as ``p[:, None]``): falling factorials, nothing cancels."""
@@ -78,6 +84,7 @@ def fano_nrp_cov(m: np.ndarray) -> dict:
     ``m`` is normally ordered: the second moment of a count is
     ``<x^2> = <(x)_2> + <x>``, and ``<x_s x_i>`` needs no change.
     """
+    _require_order(m, 2, "Fano and noise-reduction")
     mean_s, mean_i = m[1, 0], m[0, 1]
     if mean_s <= 0 or mean_i <= 0:
         raise DataError("Fano and noise-reduction need nonzero means")
@@ -130,10 +137,7 @@ def _identifier_terms(w: np.ndarray, identifier: str) -> list:
     """Signed summands of one identifier (their absolute sum sets its scale)."""
     if identifier not in IDENTIFIERS:
         raise UsageError(f"unknown identifier {identifier!r}")
-    if w.shape[0] - 1 < _REQUIRED_ORDER[identifier]:
-        raise DataError(
-            f"identifier needs order {_REQUIRED_ORDER[identifier]}, "
-            f"table has {w.shape[0] - 1}")
+    _require_order(w, _REQUIRED_ORDER[identifier], "identifier")
     if identifier == "E001":
         return [w[2, 0], w[0, 2], -2 * w[1, 1]]
     if identifier == "E101":
@@ -155,17 +159,6 @@ def _identifier_terms(w: np.ndarray, identifier: str) -> list:
 def nci_value(m: np.ndarray, identifier: str) -> float:
     """Evaluate one non-classicality identifier; negative flags non-classicality."""
     return float(sum(_identifier_terms(m, identifier)))
-
-
-def _noise_floor(m: np.ndarray, identifier: str) -> float:
-    """Round-off magnitude of an identifier evaluated from table ``m``.
-
-    Each moment is a sum of nonnegative terms and carries a few ulps of
-    relative error; only the identifier's own signed terms cancel, as the
-    third-order ones do exactly on tiny supports.  The bound is a small
-    multiple of the magnitudes of those terms.
-    """
-    return 1e-13 * float(sum(abs(t) for t in _identifier_terms(m, identifier)))
 
 
 @dataclass
@@ -201,9 +194,13 @@ def ncd(m: np.ndarray, identifier: str) -> NcdResult:
     with ``tau = 1`` rather than extrapolated.
     """
     # a violation only counts if it clears the round-off floor of the
-    # expression: structurally cancelled cases are classical
-    floor = _noise_floor(m, identifier)
-    v1 = nci_value(m, identifier)
+    # expression: structurally cancelled cases are classical.  Each moment
+    # carries a few ulps of relative error; only the identifier's own signed
+    # terms cancel, as the third-order ones do exactly on tiny supports, so
+    # the floor is a small multiple of their magnitudes
+    terms = _identifier_terms(m, identifier)
+    v1 = float(sum(terms))
+    floor = 1e-13 * float(sum(abs(t) for t in terms))
     if not v1 < -floor:
         return NcdResult(0.0, 1.0, False, v1, floor)
 

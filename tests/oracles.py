@@ -33,6 +33,10 @@ another way:
 * the Laguerre basis of the intensity quasi-distribution, one grid point
   at a time in mpmath arithmetic (the package runs one float64 recurrence
   with each grid column's power of two kept apart);
+* group sums of a whole array of per-window counts, sliding by a
+  convolution and disjoint by a reshape (the package sums each chunk's
+  groups as the stream yields it, sliding ones as differences of a
+  running sum);
 * cell midpoints and Riemann-sum intensity moments of a quasi-distribution
   grid;
 * the change of operator ordering as one matrix product ``A @ raw @ A.T``
@@ -73,8 +77,7 @@ from twinbeam import models
 from twinbeam.core import JointDist, TwbParams, joint_twb
 from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
 from twinbeam.errors import DataError, NumericError, UsageError
-from twinbeam.ingest import (DISJOINT, GroupingPolicy, JointHistogram,
-                             grouped_counts)
+from twinbeam.ingest import JointHistogram
 from twinbeam.metrology import PrecisionReport
 from twinbeam.quasidist import IntensityGrid
 from twinbeam.simulate import CHUNK, ClickStream
@@ -636,6 +639,21 @@ def idler_bits(stream: ClickStream) -> np.ndarray:
     return (codes_of(stream) >> 1) & 1
 
 
+def group_sums(bits, n: int, mode: str = "sliding") -> np.ndarray:
+    """Sums of ``n`` subsequent per-window counts, the whole array at once.
+
+    Sliding groups start at every window: a convolution with ``n`` ones.
+    Disjoint groups tile the array, its last incomplete group dropped: one
+    reshape.  Both in int64, exact.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    if len(bits) < n:
+        raise ValueError(f"{len(bits)} windows form no group of {n}")
+    if mode == "disjoint":
+        return bits[:len(bits) // n * n].reshape(-1, n).sum(axis=1)
+    return np.convolve(bits, np.ones(n, np.int64), "valid")
+
+
 def window_correlation(stream: ClickStream, arm: str, dj_max: int) -> np.ndarray:
     """Normalized correlation of click fluctuations at window shifts ``0..dj_max``.
 
@@ -720,13 +738,12 @@ def in_memory_precision_improvement(stream: ClickStream, n: int,
                                     n_m: int) -> dict:
     """``metrology.precision_improvement`` with every sequence held whole."""
     seqs = conditioned_sequences(stream)
-    policy = GroupingPolicy(n, DISJOINT)
 
     def report(bits) -> PrecisionReport:
         if len(bits) < n * n_m:
             raise DataError(
                 f"{len(bits)} windows cannot fill one block of {n_m} groups of {n}")
-        return relative_error(grouped_counts(bits, policy), n_m)
+        return relative_error(group_sums(bits, n, "disjoint"), n_m)
 
     ref_s = report(seqs["reference_s"])
     ref_i = report(seqs["reference_i"])

@@ -17,8 +17,8 @@ from scipy import stats
 import twinbeam as tb
 from oracles import (EmConfig, codes_of, compound_click_dist,
                      compound_photon_dist, conditional_photon_dist, em_joint,
-                     grid_moments, held, idler_bits, marginal, stream_of,
-                     to_intensity_moments, window_click_dist)
+                     grid_moments, group_sums, held, idler_bits, marginal,
+                     stream_of, to_intensity_moments, window_click_dist)
 from twinbeam import models
 from twinbeam.detection import column_sum_error
 
@@ -326,8 +326,7 @@ class TestCriterion8:
         d_cs = out["conditioned_on_signal"].normalized
         d_ci = out["conditioned_on_idler"].normalized
         improvements = (1 - out["S_cs"], 1 - out["S_ci"])
-        h200 = tb.grouped_counts(idler_bits(stream_k0),
-                                 tb.GroupingPolicy(200, "disjoint"))
+        h200 = group_sums(idler_bits(stream_k0), 200, "disjoint")
         mean200 = h200.mean()
         ok = (abs(d_cs - 0.82) <= 0.03 and abs(d_ci - 0.85) <= 0.03
               and all(0.10 <= imp <= 0.19 for imp in improvements)

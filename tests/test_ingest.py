@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (ClickStream, GroupingPolicy, group_histogram,
-                      grouped_counts)
+from twinbeam import ClickStream, GroupingPolicy, group_histogram
 from oracles import (DegenerateStreamError, averaged_correlation,
-                     conditioned_sequences, idler_bits, signal_bits,
-                     stream_of, window_correlation)
+                     conditioned_sequences, group_sums, idler_bits,
+                     signal_bits, stream_of, window_correlation)
 from twinbeam import models
 from twinbeam.errors import DataError
 
@@ -87,22 +86,21 @@ class TestGrouping:
                 group_histogram(stream, policy)
             return
         h = group_histogram(stream, policy)
-        s, i = (grouped_counts(bits, policy) for bits in (codes & 1, codes >> 1))
+        s, i = (group_sums(bits, n, mode) for bits in (codes & 1, codes >> 1))
         whole = np.bincount(s * (n + 1) + i, minlength=(n + 1) ** 2)
         assert h.n_groups == len(s)
         assert np.array_equal(h.counts, whole.reshape(n + 1, n + 1))
 
     def test_sliding_and_disjoint_means_agree(self, stream_1m):
         n = 20
-        gs = grouped_counts(idler_bits(stream_1m), GroupingPolicy(n, "sliding"))
-        gd = grouped_counts(idler_bits(stream_1m), GroupingPolicy(n, "disjoint"))
+        gs = group_sums(idler_bits(stream_1m), n, "sliding")
+        gd = group_sums(idler_bits(stream_1m), n, "disjoint")
         se = gd.std() / np.sqrt(len(gd))
         assert abs(gs.mean() - gd.mean()) < 4 * se
 
     def test_marginal_counts_commute_with_single_arm_grouping(self, stream_1m):
-        policy = GroupingPolicy(10, "disjoint")
-        h = group_histogram(stream_1m, policy)
-        gs = grouped_counts(signal_bits(stream_1m), policy)
+        h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
+        gs = group_sums(signal_bits(stream_1m), 10, "disjoint")
         direct = np.bincount(gs, minlength=11)
         assert np.array_equal(h.counts.sum(axis=1), direct)
 

@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (GroupingPolicy, IntensityGrid, JointDist,
-                      JointHistogram, PumpCorrelation, group_histogram,
-                      joint_twb, quasi_distribution, sample_stream)
+                      JointHistogram, PumpCorrelation, fano_nrp_cov,
+                      group_histogram, joint_twb, precision_improvement,
+                      quasi_distribution, sample_stream)
 from oracles import (codes_of, compound_click_moments_by_table,
                      compound_photon_dist, stream_of, window_click_dist)
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import main
-from twinbeam.errors import DataError
+from twinbeam.errors import DataError, UsageError
 from twinbeam.metrology import effective_efficiency
 from twinbeam.reconstruct import CERTIFICATE
 from twinbeam.simulate import CHUNK, ClickStream
@@ -1274,3 +1275,50 @@ def test_numeric_flags_at_extreme_values_exit_with_a_code(bad_input_files,
     bad = [(argv[0], argv[-1], code) for argv, code in zip(cases, codes)
            if code not in (0, 2, 3, 4)]
     assert bad == []
+
+
+#: Library calls with a size the CLI's argument types refuse, or a moment
+#: table too small for the quantity: (call, error class, message fragment).
+_STREAM = np.tile(np.arange(4, dtype=np.uint8), 250)
+_TABLE = np.full((3, 3), 1 / 9)
+TOO_SMALL = {
+    "metrology-nm-0": (lambda nominal: precision_improvement(
+        stream_of(_STREAM), 10, 0), UsageError, "n_m must be >= 1"),
+    "metrology-nm--1": (lambda nominal: precision_improvement(
+        stream_of(_STREAM), 10, -1), UsageError, "n_m must be >= 1"),
+    "quasidist-steps-0": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, steps=0), UsageError, "steps must be >= 1"),
+    "quasidist-steps--1": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, steps=-1), UsageError, "steps must be >= 1"),
+    "quasidist-w-max-0": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, 0.0), UsageError, "w_max must be finite and > 0"),
+    "quasidist-w-max--1": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, -1.0), UsageError, "w_max must be finite and > 0"),
+    "quasidist-w-max-inf": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, math.inf), UsageError, "w_max must be finite and > 0"),
+    "quasidist-w-max-nan": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, math.nan), UsageError, "w_max must be finite and > 0"),
+    "compound-order-0": (lambda nominal: models.compound_click_moments(
+        *nominal, 10, 0), UsageError, "order must be >= 1"),
+    "compound-order--1": (lambda nominal: models.compound_click_moments(
+        *nominal, 10, -1), UsageError, "order must be >= 1"),
+    "genuine-n-0": (lambda nominal: models.genuine_click_moments(
+        *nominal, 0, 2), UsageError, "group size must be >= 1"),
+    "genuine-n--1": (lambda nominal: models.genuine_click_moments(
+        *nominal, -1, 2), UsageError, "group size must be >= 1"),
+    "genuine-order-0": (lambda nominal: models.genuine_click_moments(
+        *nominal, 10, 0), UsageError, "order must be >= 1"),
+    "genuine-order--1": (lambda nominal: models.genuine_click_moments(
+        *nominal, 10, -1), UsageError, "order must be >= 1"),
+    "fano-order-1": (lambda nominal: fano_nrp_cov(np.ones((2, 2))),
+                     DataError, "needs order 2, table has 1"),
+    "efficiency-order-0": (lambda nominal: effective_efficiency(
+        np.ones((1, 1))), DataError, "needs order 1, table has 0"),
+}
+
+
+@pytest.mark.parametrize("case", TOO_SMALL.values(), ids=TOO_SMALL.keys())
+def test_library_refuses_too_small_arguments(nominal, case):
+    call, error, message = case
+    with pytest.raises(error, match=message):
+        call(nominal)

@@ -17,8 +17,7 @@ from oracles import (compound_click_dist, compound_photon_dist,
 from twinbeam import models
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.errors import DataError, UsageError
-from twinbeam.moments import (IDENTIFIERS, _identifier_terms, _noise_floor,
-                              laguerre_mixing)
+from twinbeam.moments import IDENTIFIERS, _identifier_terms, laguerre_mixing
 
 #: Integer weights of a joint distribution on up to 5 x 5 cells.
 weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -253,7 +252,7 @@ class TestNci:
         for ident in IDENTIFIERS:
             error = Fraction(nci_value(w, ident)) \
                 - sum(_identifier_terms(exact, ident))
-            assert abs(error) <= Fraction(_noise_floor(w, ident)), ident
+            assert abs(error) <= Fraction(ncd(w, ident).noise_floor), ident
 
     @pytest.mark.parametrize("source", ["clicks", "photons", "log-uniform"])
     def test_noise_floor_bounds_a_realistic_table(self, nominal, source):
@@ -273,7 +272,7 @@ class TestNci:
         for ident in IDENTIFIERS:
             error = Fraction(nci_value(w, ident)) \
                 - sum(_identifier_terms(exact, ident))
-            assert abs(error) <= Fraction(_noise_floor(w, ident)), ident
+            assert abs(error) <= Fraction(ncd(w, ident).noise_floor), ident
 
 
 class TestNcd:
