@@ -2,7 +2,7 @@
 
 from .core import JointDist, TwbParams, joint_twb, mandel_rice
 from .detection import DetectionMatrix, DetectorSpec, detection_matrix
-from .ingest import GroupingPolicy, JointHistogram, group_histogram
+from .ingest import JointHistogram, group_histogram
 from .metrology import (PostSelectionResult, PrecisionReport,
                         effective_efficiency, optimal_postselection,
                         precision_improvement)

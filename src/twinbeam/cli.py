@@ -27,7 +27,7 @@ from .core import TwbParams
 from .detection import (DetectorSpec, column_sum_error, default_n_max,
                         detection_matrix)
 from .errors import DataError, NumericError, UsageError
-from .ingest import GroupingPolicy, group_histogram
+from .ingest import DISJOINT, SLIDING, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
 from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
                       ncd)
@@ -180,8 +180,7 @@ def _cmd_simulate(args) -> None:
 def _cmd_analyze(args) -> None:
     _check_cells(args.group_n + 1, "histogram", "--group-n")
     stream = tbio.read_clicks(args.infile)
-    policy = GroupingPolicy(args.group_n, args.mode)
-    hist = group_histogram(stream, policy)
+    hist = group_histogram(stream, args.group_n, args.mode)
     tbio.write_jhist(hist, args.out)
     # without dark subtraction, the quantity sweep --metric eta-eff models;
     # null where the other arm never clicked
@@ -198,7 +197,7 @@ def _cmd_analyze(args) -> None:
 
 def _cmd_reconstruct(args) -> None:
     hist = tbio.read_jhist(args.hist)
-    n = hist.policy.n
+    n = hist.counts.shape[0] - 1
     spec_s = DetectorSpec(args.eta_s, args.dark_s, n)
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
     clicks = np.nonzero(hist.counts)
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="group a stream into a histogram")
     ana.add_argument("--in", dest="infile", required=True)
     ana.add_argument("--group-n", type=_count, required=True)
-    ana.add_argument("--mode", choices=("sliding", "disjoint"),
-                     default="sliding")
+    ana.add_argument("--mode", choices=(SLIDING, DISJOINT), default=SLIDING)
     ana.add_argument("--out", required=True)
     ana.set_defaults(func=_cmd_analyze)
 

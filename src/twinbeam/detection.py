@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_size
 
 #: Column sums of a valid matrix must match 1 this tightly.
 COLUMN_SUM_TOL = 1e-10
@@ -49,8 +49,7 @@ class DetectorSpec:
             raise UsageError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 <= self.dark < 1.0:
             raise UsageError(f"dark must be in [0, 1), got {self.dark}")
-        if self.pixels < 1:
-            raise UsageError(f"pixels must be >= 1, got {self.pixels}")
+        check_size(self.pixels, "pixels")
 
 
 @dataclass(frozen=True)

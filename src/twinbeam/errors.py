@@ -2,8 +2,11 @@
 
 There is one class per exit code of the command-line front end:
 ``UsageError`` maps to exit code 2, ``DataError`` to 3 and ``NumericError``
-to 4.  The message says which check failed.
+to 4.  The message says which check failed.  ``check_size`` is the one
+check of a count: a group size, block length, grid side or pixel count.
 """
+
+import numbers
 
 
 class TwinbeamError(Exception):
@@ -20,3 +23,11 @@ class DataError(TwinbeamError):
 
 class NumericError(TwinbeamError):
     """A numerical procedure failed a validation or left double range."""
+
+
+def check_size(value, name: str) -> None:
+    """Refuse a size that is not an integer >= 1, naming its value."""
+    if not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1, got {value}")

@@ -12,61 +12,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_size
 from .simulate import ClickStream
 
 SLIDING = "sliding"
 DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class GroupingPolicy:
-    """How many subsequent windows form one group and how groups overlap.
-
-    Sliding groups reuse windows (every shift by one window starts a new
-    group) and are therefore statistically dependent; disjoint groups are
-    independent and preferred for variance-based statistics.
-    """
-
-    n: int
-    mode: str = SLIDING
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise UsageError("group size must be >= 1")
-        if self.mode not in (SLIDING, DISJOINT):
-            raise UsageError(f"unknown grouping mode {self.mode!r}")
-
-
 @dataclass
 class JointHistogram:
-    """Counts of (signal, idler) group sums over ``0..n`` squared."""
+    """Counts of (signal, idler) group sums over ``0..n`` squared, and the
+    grouping mode; the group size ``n`` is ``counts.shape[0] - 1``."""
 
     counts: np.ndarray
-    n_groups: int
-    policy: GroupingPolicy
+    mode: str
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
+
+    @property
+    def n_groups(self) -> int:
+        return int(self.counts.sum())
 
     def normalized(self) -> np.ndarray:
         return self.counts / self.n_groups
 
 
-def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogram:
+def group_histogram(stream: ClickStream, n: int,
+                    mode: str = SLIDING) -> JointHistogram:
     """Joint histogram of grouped signal and idler click numbers.
 
-    Groups are counted chunk by chunk as the stream yields them; the windows
-    of a group that a chunk cuts (``n - 1`` sliding, ``len % n`` disjoint)
-    carry over to the next, so the memory stays bounded whatever the stream
-    length.
+    A group is ``n`` subsequent windows.  Sliding groups reuse windows
+    (every shift by one window starts a new group) and are therefore
+    statistically dependent; disjoint groups are independent and preferred
+    for variance-based statistics.  Groups are counted chunk by chunk as the
+    stream yields them; the windows of a group that a chunk cuts (``n - 1``
+    sliding, ``len % n`` disjoint) carry over to the next, so the memory
+    stays bounded whatever the stream length.
     """
-    n = policy.n
+    check_size(n, "group size")
+    if mode not in (SLIDING, DISJOINT):
+        raise UsageError(f"unknown grouping mode {mode!r}")
     if len(stream) < n:
         raise DataError(
             f"stream of {len(stream)} windows cannot form groups of {n}")
     # windows between the starts of successive groups
-    stride = n if policy.mode == DISJOINT else 1
+    stride = n if mode == DISJOINT else 1
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
     carry = np.empty(0, np.uint8)
     csum = out = np.empty(0, np.int64)
@@ -80,7 +71,7 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
         code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
         code *= n + 1
         code += (part >> 1) & 1
-        if policy.mode == DISJOINT:
+        if mode == DISJOINT:
             sums = code[:groups * n].reshape(groups, n).sum(axis=1,
                                                             dtype=np.int64)
         else:
@@ -100,5 +91,4 @@ def group_histogram(stream: ClickStream, policy: GroupingPolicy) -> JointHistogr
                                out=out[:groups])
         found = np.bincount(sums)
         counts[:len(found)] += found
-    return JointHistogram(counts.reshape(n + 1, n + 1), int(counts.sum()),
-                          policy)
+    return JointHistogram(counts.reshape(n + 1, n + 1), mode)

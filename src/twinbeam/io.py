@@ -28,7 +28,7 @@ import numpy as np
 from .core import JointDist, TwbParams
 from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
-from .ingest import DISJOINT, SLIDING, GroupingPolicy, JointHistogram
+from .ingest import DISJOINT, SLIDING, JointHistogram
 from .quasidist import IntensityGrid
 from .simulate import CHUNK, ClickStream, PumpCorrelation
 
@@ -56,7 +56,7 @@ def _is_dims(v) -> bool:
 
 
 #: Header keys each container reader needs, and the test each value passes
-#: (for jhist, GroupingPolicy's rules): any other value is a data error.
+#: (for jhist, ``group_histogram``'s rules): any other value is a data error.
 HEADER_RULES = {
     "jdist-v1": {"dims": _is_dims, "kind": lambda v: v == "photon",
                  "tail_mass": lambda v: _is_finite(v, 0),
@@ -227,7 +227,8 @@ def read_jdist(path: str) -> JointDist:
 
 def write_jhist(h: JointHistogram, path: str) -> None:
     header = {"dims": list(h.counts.shape), "n_groups": h.n_groups,
-              "group_n": h.policy.n, "mode": h.policy.mode, "payload": "csv"}
+              "group_n": h.counts.shape[0] - 1, "mode": h.mode,
+              "payload": "csv"}
     body = "\n".join(",".join(str(int(v)) for v in row)
                      for row in h.counts).encode()
     _atomic_write(path, [_pack("jhist-v1", header, body)])
@@ -244,8 +245,7 @@ def read_jhist(path: str) -> JointHistogram:
     if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:
         raise DataError("jhist counts must be nonnegative and sum to n_groups "
                         f"= {header['n_groups']} > 0; they sum to {total}")
-    policy = GroupingPolicy(header["group_n"], header["mode"])
-    return JointHistogram(counts, header["n_groups"], policy)
+    return JointHistogram(counts, header["mode"])
 
 
 # -- igrid-v1 ----------------------------------------------------------------

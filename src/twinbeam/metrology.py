@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_size
 from .moments import _require_order
 from .simulate import ClickStream
 
@@ -165,10 +165,8 @@ def precision_improvement(stream: ClickStream, n: int, n_m: int) -> dict:
     """
     if not len(stream):
         raise DataError("empty stream")
-    if n < 1:
-        raise UsageError("group size must be >= 1")
-    if n_m < 1:
-        raise UsageError(f"n_m must be >= 1, got {n_m}")
+    check_size(n, "group size")
+    check_size(n_m, "n_m")
     arms = {key: _Blocks(n, n_m) for key in (
         "reference_s", "reference_i",
         "conditioned_on_signal", "conditioned_on_idler")}

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import LOG_P0_MIN, TwbParams, joint_twb
 from .detection import DetectorSpec, _binomial_pmf, fold_detection
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, check_size
 from .moments import falling_factorials
 from .simulate import PumpCorrelation
 
@@ -97,8 +97,7 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     (``log p(0) >= LOG_P0_MIN`` for each component), it raises
     :class:`NumericError` naming that ``n``.
     """
-    if n < 1:
-        raise UsageError("group size must be >= 1")
+    check_size(n, "group size")
     if order < 1:
         raise UsageError("order must be >= 1")
     per_window = max(m * math.log1p(b) for m, b in (
@@ -136,8 +135,7 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     ``max(0, 1 + sqrt(k) g)`` by 201-node Gauss-Hermite quadrature (the whole
     group sits inside one block).  Orders above ``n`` are exact zeros.
     """
-    if n < 1:
-        raise UsageError("group size must be >= 1")
+    check_size(n, "group size")
     if order < 1:
         raise UsageError("order must be >= 1")
     PumpCorrelation(k)                      # rejects an inadmissible drift
@@ -169,6 +167,7 @@ def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
     (no_s - no_both) / no_s`` and ``1 - q0 = no_both / no_s`` come from the
     no-click probabilities, so none is a difference of numbers near 1.
     """
+    check_size(n, "group size")
     log_no_s = _log_no_click(params, spec_s, None)
     no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
     no_i, no_both = (math.exp(_log_no_click(params, *arms))
@@ -194,6 +193,7 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
     ``H1 / H1(1)``, the other ``n - c_s`` those of ``H0 / H0(1)``.  ``H1``
     and its derivatives are sums of positive terms: no difference near 1.
     """
+    check_size(n, "group size")
     if not 0 <= c_s <= n:
         raise UsageError(f"need 0 <= c_s <= {n}, got {c_s}")
     x = 1.0 - spec_s.eta

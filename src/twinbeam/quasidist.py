@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, check_size
 
 #: Support fraction dropped for the truncation-sensitivity check.
 _EDGE_FRACTION = 0.9
@@ -95,8 +95,7 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
     if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
         raise UsageError("ordering parameter must satisfy s < 1, "
                          f"with s^2 in double range; got {s!r}")
-    if steps < 1:
-        raise UsageError(f"steps must be >= 1, got {steps}")
+    check_size(steps, "steps")
     if w_max is not None and not 0 < w_max < np.inf:     # NaN fails too
         raise UsageError(f"w_max must be finite and > 0, got {w_max!r}")
     w_max_s = default_w_max(table, "s", s) if w_max is None else w_max

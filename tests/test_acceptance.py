@@ -97,7 +97,7 @@ class TestCriterion2:
         assert p > 0.001
 
     def test_grouped_histogram_chi_square(self, stream_k0, compound_family):
-        h = tb.group_histogram(stream_k0, tb.GroupingPolicy(10, "disjoint"))
+        h = tb.group_histogram(stream_k0, 10, "disjoint")
         expected = compound_family[10].table * h.n_groups
         keep = expected >= 5.0
         chi2 = float((((h.counts - expected)[keep]) ** 2 / expected[keep]).sum())
@@ -123,7 +123,7 @@ class TestCriterion3:
 
         sim_values = {}
         for n in (1, 10, 100):
-            h = tb.group_histogram(stream_k0, tb.GroupingPolicy(n, "disjoint"))
+            h = tb.group_histogram(stream_k0, n, "disjoint")
             m = tb.moments(h.normalized(), 2)
             sim_values[n] = tb.fano_nrp_cov(m)["nrp"]
         sim_in_band = all(abs(v - 0.70) <= 0.02 for v in sim_values.values())
@@ -195,7 +195,7 @@ class TestCriterion5:
                "outside 0.282/0.330 +- 0.01 (see decisions ledger)")
     def test_nominal_efficiency_band_as_stated(self, stream_k0, nominal):
         _, spec_s, spec_i = nominal
-        h = tb.group_histogram(stream_k0, tb.GroupingPolicy(10, "disjoint"))
+        h = tb.group_histogram(stream_k0, 10, "disjoint")
         normal = tb.moments(h.normalized(), 2)
         eff_s = tb.effective_efficiency(normal, "s", dark_mean=10 * spec_i.dark)
         eff_i = tb.effective_efficiency(normal, "i", dark_mean=10 * spec_s.dark)
@@ -212,7 +212,7 @@ class TestCriterion5:
             pred = models.compound_click_moments(params, spec_s, spec_i, n, 2)
 
             def estimate(part, n=n):
-                h = tb.group_histogram(part, tb.GroupingPolicy(n, "disjoint"))
+                h = tb.group_histogram(part, n, "disjoint")
                 return tb.effective_efficiency(
                     tb.moments(h.normalized(), 2), "s")
 
@@ -230,7 +230,7 @@ class TestCriterion5:
         results = {}
         for n in (10, 100, 1000):
             def estimate(part, n=n):
-                h = tb.group_histogram(part, tb.GroupingPolicy(n, "disjoint"))
+                h = tb.group_histogram(part, n, "disjoint")
                 return tb.effective_efficiency(
                     tb.moments(h.normalized(), 2), "s")
 
@@ -282,7 +282,7 @@ class TestCriterion6:
 class TestCriterion7:
     def test_single_window_postselection(self, stream_k0, nominal):
         params, spec_s, spec_i = nominal
-        h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1, "disjoint"))
+        h = tb.group_histogram(stream_k0, 1, "disjoint")
         best = tb.optimal_postselection(h.counts, min_events=500)
         cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
                                        best.c_s_opt, 1)
@@ -306,7 +306,7 @@ class TestCriterion7:
 
     def test_thousand_window_postselection(self, stream_k0, nominal):
         params, spec_s, spec_i = nominal
-        h = tb.group_histogram(stream_k0, tb.GroupingPolicy(1000, "disjoint"))
+        h = tb.group_histogram(stream_k0, 1000, "disjoint")
         best = tb.optimal_postselection(h.counts, min_events=600)
         cond = conditional_photon_dist(tb.joint_twb(params), spec_s,
                                        best.c_s_opt, 1000)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import ClickStream, GroupingPolicy, group_histogram
+from twinbeam import ClickStream, group_histogram
 from oracles import (DegenerateStreamError, averaged_correlation,
                      conditioned_sequences, group_sums, idler_bits,
                      signal_bits, stream_of, window_correlation)
 from twinbeam import models
-from twinbeam.errors import DataError
+from twinbeam.errors import DataError, UsageError
 
 
 def stream_from_pairs(pairs):
@@ -19,14 +19,14 @@ def stream_from_pairs(pairs):
 class TestGrouping:
     def test_disjoint_hand_count(self):
         stream = stream_from_pairs([(1, 1), (0, 0), (1, 0)])
-        h = group_histogram(stream, GroupingPolicy(3, "disjoint"))
+        h = group_histogram(stream, 3, "disjoint")
         assert h.n_groups == 1
         assert h.counts[2, 1] == 1
         assert h.counts.sum() == 1
 
     def test_sliding_hand_count(self):
         stream = stream_from_pairs([(1, 1), (0, 0), (1, 0)])
-        h = group_histogram(stream, GroupingPolicy(2, "sliding"))
+        h = group_histogram(stream, 2, "sliding")
         assert h.n_groups == 2
         assert h.counts[1, 1] == 1
         assert h.counts[1, 0] == 1
@@ -34,16 +34,31 @@ class TestGrouping:
     def test_too_short_stream(self):
         stream = stream_from_pairs([(1, 0)])
         with pytest.raises(DataError, match="cannot form groups"):
-            group_histogram(stream, GroupingPolicy(5, "disjoint"))
+            group_histogram(stream, 5, "disjoint")
+
+    @pytest.mark.parametrize("n, mode, message", [
+        (0, "disjoint", "group size must be >= 1"),
+        (-1, "sliding", "group size must be >= 1"),
+        (2.5, "sliding", "group size must be an integer, got 2.5"),
+        (3, "tumbling", "unknown grouping mode 'tumbling'")],
+        ids=["n-0", "n--1", "n-2.5", "mode-tumbling"])
+    def test_bad_arguments_refused_before_a_chunk_is_read(self, n, mode,
+                                                          message):
+        def unread():
+            raise AssertionError("the stream was read")
+
+        stream = ClickStream(100, unread, {})
+        with pytest.raises(UsageError, match=message):
+            group_histogram(stream, n, mode)
 
     def test_disjoint_concatenation_property(self):
         rng = np.random.default_rng(4)
         a = rng.integers(0, 4, 600).astype(np.uint8)
         b = rng.integers(0, 4, 900).astype(np.uint8)
-        policy = GroupingPolicy(3, "disjoint")
-        ha = group_histogram(stream_of(a), policy).counts
-        hb = group_histogram(stream_of(b), policy).counts
-        hj = group_histogram(stream_of(np.concatenate([a, b])), policy).counts
+        ha = group_histogram(stream_of(a), 3, "disjoint").counts
+        hb = group_histogram(stream_of(b), 3, "disjoint").counts
+        hj = group_histogram(stream_of(np.concatenate([a, b])), 3,
+                             "disjoint").counts
         assert np.array_equal(hj, ha + hb)
 
     @settings(max_examples=150, deadline=None, database=None)
@@ -55,12 +70,11 @@ class TestGrouping:
         # chunks of 1..40 windows: their ends fall inside groups, and
         # chunks shorter than a group carry their windows on
         stream = stream_of(codes, chunk=chunk)
-        policy = GroupingPolicy(n, mode)
         if len(codes) < n:
             with pytest.raises(DataError, match="cannot form groups"):
-                group_histogram(stream, policy)
+                group_histogram(stream, n, mode)
             return
-        h = group_histogram(stream, policy)
+        h = group_histogram(stream, n, mode)
         starts = range(0, len(codes) - n + 1, n if mode == "disjoint" else 1)
         naive = np.zeros((n + 1, n + 1), dtype=np.int64)
         for g in starts:
@@ -80,12 +94,11 @@ class TestGrouping:
         codes = np.array(codes, dtype=np.uint8)
         chunks = np.split(codes, sorted(c % (len(codes) + 1) for c in cuts))
         stream = ClickStream(len(codes), lambda: iter(chunks), {})
-        policy = GroupingPolicy(n, mode)
         if len(codes) < n:
             with pytest.raises(DataError, match="cannot form groups"):
-                group_histogram(stream, policy)
+                group_histogram(stream, n, mode)
             return
-        h = group_histogram(stream, policy)
+        h = group_histogram(stream, n, mode)
         s, i = (group_sums(bits, n, mode) for bits in (codes & 1, codes >> 1))
         whole = np.bincount(s * (n + 1) + i, minlength=(n + 1) ** 2)
         assert h.n_groups == len(s)
@@ -99,7 +112,7 @@ class TestGrouping:
         assert abs(gs.mean() - gd.mean()) < 4 * se
 
     def test_marginal_counts_commute_with_single_arm_grouping(self, stream_1m):
-        h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
+        h = group_histogram(stream_1m, 10, "disjoint")
         gs = group_sums(signal_bits(stream_1m), 10, "disjoint")
         direct = np.bincount(gs, minlength=11)
         assert np.array_equal(h.counts.sum(axis=1), direct)

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (GroupingPolicy, IntensityGrid, JointDist,
-                      JointHistogram, PumpCorrelation, fano_nrp_cov,
-                      group_histogram, joint_twb, precision_improvement,
-                      quasi_distribution, sample_stream)
+from twinbeam import (IntensityGrid, JointDist, JointHistogram,
+                      PumpCorrelation, fano_nrp_cov, group_histogram,
+                      joint_twb, precision_improvement, quasi_distribution,
+                      sample_stream)
 from oracles import (codes_of, compound_click_moments_by_table,
                      compound_photon_dist, stream_of, window_click_dist)
 from twinbeam import core, detection, models, simulate
@@ -169,13 +169,14 @@ class TestFormats:
         params, spec_s, spec_i = nominal
         stream = sample_stream(params, spec_s, spec_i,
                                PumpCorrelation(0.0, 100), 20_000, seed=6)
-        h = group_histogram(stream, GroupingPolicy(5, "disjoint"))
+        h = group_histogram(stream, 5, "disjoint")
         path = str(tmp_path / "h.jhist")
         tbio.write_jhist(h, path)
         back = tbio.read_jhist(path)
         assert np.array_equal(back.counts, h.counts)
-        assert back.n_groups == h.n_groups
-        assert back.policy == h.policy
+        assert back.n_groups == h.n_groups == 4_000
+        assert back.mode == h.mode == "disjoint"
+        assert back.counts.shape[0] - 1 == 5
 
     @settings(max_examples=400, deadline=None, database=None)
     @given(fmt=st.sampled_from(["jdist", "jhist", "igrid", "clicks"]),
@@ -232,8 +233,7 @@ def valid_containers(tmp_path_factory, nominal):
     """Bytes of a small valid jdist, jhist, igrid and clicks file, and the
     clicks file's sidecar."""
     tmp = tmp_path_factory.mktemp("containers")
-    hist = JointHistogram(np.array([[4, 1], [2, 3]]), 10,
-                          GroupingPolicy(1, "disjoint"))
+    hist = JointHistogram(np.array([[4, 1], [2, 3]]), "disjoint")
     tbio.write_jhist(hist, str(tmp / "jhist"))
     tbio.write_jdist(window_click_dist(*nominal), str(tmp / "jdist"))
     tbio.write_igrid(IntensityGrid(np.arange(6.0).reshape(2, 3), 2.0, 3.0,
@@ -372,7 +372,7 @@ class TestCli:
         """Reconstruct 300 disjoint groups of n = 1000 windows."""
         stream = sample_stream(*nominal,
                                PumpCorrelation(0.0, 100), 300_000, seed=4)
-        hist = group_histogram(stream, GroupingPolicy(1000, "disjoint"))
+        hist = group_histogram(stream, 1000, "disjoint")
         path, dist = str(tmp_path / "h.jhist"), str(tmp_path / "p.jdist")
         tbio.write_jhist(hist, path)
         capsys.readouterr()
@@ -408,7 +408,7 @@ class TestCli:
         # from the two files as the benchmark's check does
         loglik = diag.pop("log_likelihood")
         t_s, t_i = (detection.detection_matrix(
-            detection.DetectorSpec(eta, dark, hist.policy.n),
+            detection.DetectorSpec(eta, dark, len(hist.counts) - 1),
             n_max).entries[:len(hist.counts)]
             for eta, dark in ((0.282, 2.8e-3), (0.330, 3.8e-3)))
         data = hist.counts / hist.counts.sum()
@@ -779,7 +779,7 @@ def test_memory_error_exits_4_without_traceback(tmp_path, capsys,
                                                 monkeypatch, nominal):
     stream = sample_stream(*nominal, PumpCorrelation(0.0, 100), 2_000, seed=8)
     hist = str(tmp_path / "h.jhist")
-    tbio.write_jhist(group_histogram(stream, GroupingPolicy(5, "disjoint")),
+    tbio.write_jhist(group_histogram(stream, 5, "disjoint"),
                      hist)
 
     def exhausted(*args, **kwargs):
@@ -1095,7 +1095,7 @@ def bad_input_files(tmp_path, nominal):
     stream = sample_stream(params, spec_s, spec_i,
                            PumpCorrelation(0.0, 100), 2_000, seed=8)
     hist = str(tmp_path / "h.jhist")
-    tbio.write_jhist(group_histogram(stream, GroupingPolicy(5, "disjoint")), hist)
+    tbio.write_jhist(group_histogram(stream, 5, "disjoint"), hist)
     partial = tmp_path / "params.json"
     partial.write_text(json.dumps({"m_p": 10, "m_s": 10, "m_i": 10,
                                    "b_p": 0.01, "b_s": 0.0}))
@@ -1116,18 +1116,22 @@ def bad_input_files(tmp_path, nominal):
     (tmp_path / "text.json").write_text(json.dumps(
         {"m_p": "ten", "m_s": 10, "m_i": 10, "b_p": 0.01, "b_s": 0.0,
          "b_i": 0.0}))
-    for key, counts, n_groups in (("hist_zero", [[0, 0], [0, 0]], 0),
-                                  ("hist_negative", [[4, -1], [2, 5]], 10),
-                                  ("hist_total", [[4, 1], [2, 3]], 12)):
+    for key, counts in (("hist_zero", [[0, 0], [0, 0]]),
+                        ("hist_negative", [[4, -1], [2, 5]])):
         files[key] = str(tmp_path / f"{key}.jhist")
-        tbio.write_jhist(JointHistogram(np.array(counts), n_groups,
-                                        GroupingPolicy(1, "disjoint")),
+        tbio.write_jhist(JointHistogram(np.array(counts), "disjoint"),
                          files[key])
+    # counts summing to 10 under a header that says 12: write_jhist derives
+    # n_groups from the counts, so the header is made by hand
+    files["hist_total"] = str(tmp_path / "hist_total.jhist")
+    with open(files["hist_total"], "wb") as fh:
+        fh.write(tbio._pack("jhist-v1", {
+            "dims": [2, 2], "n_groups": 12, "group_n": 1, "mode": "disjoint",
+            "payload": "csv"}, b"4,1\n2,3"))
     # every cell of a 64-pixel histogram observed: more cells than the
     # Newton system is built for
     files["hist_crowded"] = str(tmp_path / "crowded.jhist")
-    tbio.write_jhist(JointHistogram(np.ones((65, 65), dtype=int), 65 * 65,
-                                    GroupingPolicy(64, "disjoint")),
+    tbio.write_jhist(JointHistogram(np.ones((65, 65), dtype=int), "disjoint"),
                      files["hist_crowded"])
     # every window clicks on both arms: no reference spread to divide by
     files["clicks_both"] = str(tmp_path / "both.clicks")
@@ -1168,7 +1172,7 @@ def bad_input_files(tmp_path, nominal):
     with open(files["jdist_no_dims"], "wb") as fh:
         fh.write(tbio._pack("jdist-v1", header, body))
     hist_saturated = JointHistogram(np.array([[3, 0, 0], [0, 1, 0], [0, 0, 1]]),
-                                    5, GroupingPolicy(2, "disjoint"))
+                                    "disjoint")
     files["hist_saturated"] = str(tmp_path / "saturated.jhist")
     tbio.write_jhist(hist_saturated, files["hist_saturated"])
     # headers of the right keys with values of the wrong type or range
@@ -1277,8 +1281,9 @@ def test_numeric_flags_at_extreme_values_exit_with_a_code(bad_input_files,
     assert bad == []
 
 
-#: Library calls with a size the CLI's argument types refuse, or a moment
-#: table too small for the quantity: (call, error class, message fragment).
+#: Library calls with a size the CLI's argument types refuse (below 1 or not
+#: an integer), or a moment table too small for the quantity: (call, error
+#: class, message fragment).
 _STREAM = np.tile(np.arange(4, dtype=np.uint8), 250)
 _TABLE = np.full((3, 3), 1 / 9)
 TOO_SMALL = {
@@ -1314,6 +1319,26 @@ TOO_SMALL = {
                      DataError, "needs order 2, table has 1"),
     "efficiency-order-0": (lambda nominal: effective_efficiency(
         np.ones((1, 1))), DataError, "needs order 1, table has 0"),
+    "postselection-n-0": (lambda nominal: models.postselection_stats(
+        *nominal, 0), UsageError, "group size must be >= 1"),
+    "postselection-n--1": (lambda nominal: models.postselection_stats(
+        *nominal, -1), UsageError, "group size must be >= 1"),
+    "heralded-n-0": (lambda nominal: models.heralded_photon_stats(
+        nominal[0], nominal[1], 0, 0), UsageError, "group size must be >= 1"),
+    "metrology-n-2.5": (lambda nominal: precision_improvement(
+        stream_of(_STREAM), 2.5, 10), UsageError,
+        "group size must be an integer, got 2.5"),
+    "metrology-nm-2.5": (lambda nominal: precision_improvement(
+        stream_of(_STREAM), 10, 2.5), UsageError,
+        "n_m must be an integer, got 2.5"),
+    "quasidist-steps-2.5": (lambda nominal: quasi_distribution(
+        _TABLE, 0.0, steps=2.5), UsageError,
+        "steps must be an integer, got 2.5"),
+    "compound-n-2.5": (lambda nominal: models.compound_click_moments(
+        *nominal, 2.5, 2), UsageError,
+        "group size must be an integer, got 2.5"),
+    "pixels-2.5": (lambda nominal: detection.DetectorSpec(0.5, 0.0, 2.5),
+                   UsageError, "pixels must be an integer, got 2.5"),
 }
 
 
@@ -1322,3 +1347,4 @@ def test_library_refuses_too_small_arguments(nominal, case):
     call, error, message = case
     with pytest.raises(error, match=message):
         call(nominal)
+

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from oracles import (compound_click_dist, conditional_photon_dist,
                      in_memory_precision_improvement, relative_error,
                      stream_of)
-from twinbeam import (ClickStream, DetectorSpec, GroupingPolicy,
-                      PumpCorrelation, TwbParams, effective_efficiency,
-                      fano_nrp_cov, group_histogram, joint_twb, moments,
-                      optimal_postselection, precision_improvement,
-                      sample_stream)
+from twinbeam import (ClickStream, DetectorSpec, PumpCorrelation, TwbParams,
+                      effective_efficiency, fano_nrp_cov, group_histogram,
+                      joint_twb, moments, optimal_postselection,
+                      precision_improvement, sample_stream)
 from twinbeam import models
 from twinbeam import io as tbio
 from twinbeam.cli import main
@@ -101,20 +100,20 @@ class TestEffectiveEfficiencyEstimator:
         stream = sample_stream(params, DetectorSpec(0.5, 0.0, 1),
                                DetectorSpec(0.5, 0.0, 1),
                                PumpCorrelation(0.0, 100), 400_000, seed=17)
-        h = group_histogram(stream, GroupingPolicy(10, "disjoint"))
+        h = group_histogram(stream, 10, "disjoint")
         eff = effective_efficiency(histogram_moments(h), "s")
         assert abs(eff) < 0.02
 
     def test_matches_click_level_model(self, stream_1m, nominal):
         params, spec_s, spec_i = nominal
-        h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
+        h = group_histogram(stream_1m, 10, "disjoint")
         pred = effective_efficiency(grouped_clicks(params, spec_s, spec_i, 10))
         eff = effective_efficiency(histogram_moments(h), "s")
         assert eff == pytest.approx(pred, abs=0.01)
 
     def test_dark_subtraction_raises_value(self, stream_1m, nominal):
         _, _, spec_i = nominal
-        h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
+        h = group_histogram(stream_1m, 10, "disjoint")
         table = histogram_moments(h)
         assert effective_efficiency(table, "s", dark_mean=10 * spec_i.dark) > \
             effective_efficiency(table, "s")
@@ -122,7 +121,7 @@ class TestEffectiveEfficiencyEstimator:
     def test_moment_table_input(self, stream_1m):
         # a histogram's moment table gives the sample covariance of the two
         # arms over the other arm's sample mean
-        h = group_histogram(stream_1m, GroupingPolicy(10, "disjoint"))
+        h = group_histogram(stream_1m, 10, "disjoint")
         f = h.normalized()
         c = np.arange(f.shape[0])
         mean_s, mean_i = c @ f.sum(axis=1), c @ f.sum(axis=0)
@@ -145,7 +144,7 @@ class TestPostselection:
             optimal_postselection(counts, min_events=1000)
 
     def test_nominal_single_window_optimum(self, stream_1m, nominal):
-        h = group_histogram(stream_1m, GroupingPolicy(1, "disjoint"))
+        h = group_histogram(stream_1m, 1, "disjoint")
         best = optimal_postselection(h.counts, min_events=500)
         assert best.c_s_opt == 1
         params, spec_s, spec_i = nominal

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (DetectorSpec, JointHistogram, GroupingPolicy,
-                      detection_matrix, joint_twb, ml_joint, moments, ncd)
+from twinbeam import (DetectorSpec, JointHistogram, detection_matrix,
+                      joint_twb, ml_joint, moments, ncd)
 from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      compound_click_dist, compound_photon_dist,
                      conditional_histogram, conditional_photon_dist,
@@ -112,7 +112,7 @@ class TestMlJoint:
 
     def test_no_observed_counts_rejected(self):
         t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
-        empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
+        empty = JointHistogram(np.zeros((2, 2)), "disjoint")
         with pytest.raises(DataError, match="no observed counts"):
             ml_joint(empty.counts, t, t)
 
@@ -146,7 +146,7 @@ class TestMlJoint:
         # histogram's counts and its normalized table are one input
         from twinbeam import group_histogram
         _, spec_s, spec_i = nominal
-        h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
+        h = group_histogram(stream_1m, 5, "disjoint")
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         by_counts, res_counts = ml_joint(h.counts, t_s, t_i)
@@ -259,7 +259,7 @@ class TestEmJoint:
     def test_histogram_input_accepted(self, stream_1m, nominal):
         from twinbeam import group_histogram
         params, spec_s, spec_i = nominal
-        h = group_histogram(stream_1m, GroupingPolicy(5, "disjoint"))
+        h = group_histogram(stream_1m, 5, "disjoint")
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 60)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 60)
         est, res = em_joint(h.counts, t_s, t_i, EmConfig(max_iters=300))
@@ -275,7 +275,7 @@ class TestEmJoint:
         from twinbeam import group_histogram
         _, spec_s, spec_i = nominal
         n = 20
-        h = group_histogram(stream_1m, GroupingPolicy(n, "disjoint"))
+        h = group_histogram(stream_1m, n, "disjoint")
         rows, cols = np.nonzero(h.counts)
         eta = min(spec_s.eta, spec_i.eta)
         small = default_n_max(max(rows.max(), cols.max()), eta, n)
@@ -314,7 +314,7 @@ class TestEmJoint:
 
     def test_no_observed_counts_rejected(self):
         t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
-        empty = JointHistogram(np.zeros((2, 2)), 1, GroupingPolicy(1, "disjoint"))
+        empty = JointHistogram(np.zeros((2, 2)), "disjoint")
         with pytest.raises(DataError, match="no observed counts"):
             em_joint(empty.counts, t, t)
 
@@ -350,18 +350,18 @@ class TestEmConditional:
 class TestConditionalHistogram:
     def test_diagonal_histogram(self):
         counts = np.diag([4, 5, 7])
-        h = JointHistogram(counts, 16, GroupingPolicy(2, "disjoint"))
+        h = JointHistogram(counts, "disjoint")
         cond = conditional_histogram(h, 1)
         assert np.array_equal(cond.probs, [0, 1, 0])
 
     def test_uniform_column(self):
-        h = JointHistogram(np.full((2, 2), 3), 12, GroupingPolicy(1, "disjoint"))
+        h = JointHistogram(np.full((2, 2), 3), "disjoint")
         cond = conditional_histogram(h, 0)
         np.testing.assert_allclose(cond.probs, [0.5, 0.5])
 
     def test_empty_column_raises(self):
         counts = np.zeros((3, 3), dtype=int)
         counts[0, 0] = 5
-        h = JointHistogram(counts, 5, GroupingPolicy(2, "disjoint"))
+        h = JointHistogram(counts, "disjoint")
         with pytest.raises(EmptyConditionError):
             conditional_histogram(h, 2)
