@@ -1,6 +1,6 @@
 """Compound twin beams: simulation, reconstruction and analysis toolkit."""
 
-from .core import JointDist, TwbParams, joint_twb, mandel_rice
+from .core import TwbParams, joint_twb, mandel_rice
 from .detection import DetectionMatrix, DetectorSpec, detection_matrix
 from .ingest import JointHistogram, group_histogram
 from .metrology import (PostSelectionResult, PrecisionReport,

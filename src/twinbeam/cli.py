@@ -215,8 +215,7 @@ def _cmd_reconstruct(args) -> None:
         **vars(result),
         "column_sum_error": {"signal": column_sum_error(t_s),
                              "idler": column_sum_error(t_i)},
-        "edge_mass": float(dist.table[edge:].sum()
-                           + dist.table[:edge, edge:].sum())})
+        "edge_mass": float(dist[edge:].sum() + dist[:edge, edge:].sum())})
     print(f"c_max={c_max} n_max={n_max} "
           f"observed_cells={cells} "
           f"converged={result.converged} newton_steps={result.newton_steps} "
@@ -230,22 +229,19 @@ def _cmd_ncd(args) -> None:
     unknown = [w for w in wanted if w not in IDENTIFIERS]
     if unknown:
         raise UsageError(f"unknown identifiers: {unknown}")
-    normal = moments(dist.table, order=5)
+    normal = moments(dist, order=5)
     tbio.write_json({ident: ncd(normal, ident) for ident in wanted}, args.out)
-    _write_manifest(args.out, args, [args.dist], {
-        "tail_mass": dist.tail_mass, "truncation_dirty": dist.truncation_dirty})
+    _write_manifest(args.out, args, [args.dist], {})
 
 
 def _cmd_quasidist(args) -> None:
     _check_cells(args.steps, "grid", "--steps")
     dist = tbio.read_jdist(args.dist)
-    grid = quasi_distribution(dist.table, args.s, args.w_max, args.steps)
+    grid = quasi_distribution(dist, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
                    "min": float(grid.values.min()),
-                   "edge_sensitivity": grid.edge_sensitivity,
-                   "tail_mass": dist.tail_mass,
-                   "truncation_dirty": dist.truncation_dirty}
+                   "edge_sensitivity": grid.edge_sensitivity}
     _write_manifest(args.out, args, [args.dist], diagnostics)
     print("normalization={normalization:.6f} min={min:.4e}".format(**diagnostics))
 

@@ -6,8 +6,7 @@ component follows the Mandel-Rice law for ``m`` equally populated modes with
 ``b`` mean photons (or photon pairs) per mode.  The joint signal-idler
 photon-number distribution is the two-fold convolution of the three
 component distributions, the paired component entering both arms with the
-same photon number.  Component laws are plain arrays; the joint one is a
-:class:`JointDist`, which also carries its truncated tail.
+same photon number.  Component laws and the joint table are plain arrays.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericError, UsageError
-
-#: Largest probability mass a truncated distribution may silently discard.
-TAIL_CEILING = 1e-10
 
 #: Per-component truncation target used when growing supports automatically.
 COMPONENT_TAIL = 1e-12
@@ -66,28 +62,6 @@ class TwbParams:
     def scaled(self, n: int) -> "TwbParams":
         """Parameters of ``n`` such beams combined (mode counts scaled)."""
         return replace(self, m_p=self.m_p * n, m_s=self.m_s * n, m_i=self.m_i * n)
-
-
-@dataclass
-class JointDist:
-    """Truncated joint distribution over (signal, idler) photon numbers.
-
-    ``table[n_s, n_i]`` holds the probability of ``n_s`` signal and ``n_i``
-    idler photons; ``tail_mass`` is whatever the truncation discarded.  A
-    distribution whose tail exceeds :data:`TAIL_CEILING` reads
-    ``truncation_dirty``, computed from the tail, rather than being rejected.
-    """
-
-    table: np.ndarray
-    tail_mass: float
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-
-    @property
-    def truncation_dirty(self) -> bool:
-        # bool(): an np.float64 tail compares to an np.bool_, unfit for json
-        return bool(self.tail_mass > TAIL_CEILING)
 
 
 def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
@@ -139,12 +113,13 @@ def _mr_law(m: float, b: float) -> np.ndarray:
     return law
 
 
-def joint_twb(params: TwbParams) -> JointDist:
-    """Joint signal-idler photon-number distribution of a twin beam.
+def joint_twb(params: TwbParams) -> np.ndarray:
+    """Joint signal-idler photon-number table of a twin beam.
 
-    ``p(n_s, n_i) = sum_n p_s(n_s - n) p_i(n_i - n) p_p(n)`` with the three
+    ``p[n_s, n_i] = sum_n p_s(n_s - n) p_i(n_i - n) p_p(n)`` with the three
     components from :func:`mandel_rice`.  Component supports are grown until
-    each truncated tail is below :data:`COMPONENT_TAIL`.
+    each truncated tail is below :data:`COMPONENT_TAIL`, so the table misses
+    less than three times that of its mass.
     """
     pp = _mr_law(params.m_p, params.b_p)
     ps = _mr_law(params.m_s, params.b_s)
@@ -155,5 +130,4 @@ def joint_twb(params: TwbParams) -> JointDist:
     cross = np.outer(ps, pi)
     for n in range(kp + 1):
         full[n:n + ks + 1, n:n + ki + 1] += pp[n] * cross
-    tail = max(0.0, 1.0 - full.sum())
-    return JointDist(full, tail)
+    return full

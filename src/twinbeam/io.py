@@ -25,7 +25,7 @@ import tempfile
 
 import numpy as np
 
-from .core import JointDist, TwbParams
+from .core import TwbParams
 from .detection import DetectorSpec
 from .errors import DataError, TwinbeamError
 from .ingest import DISJOINT, SLIDING, JointHistogram
@@ -39,7 +39,7 @@ MAGIC = {
     "igrid-v1": b"TWBIGRD1",
 }
 
-#: A jdist's cells and tail mass must sum to 1 this closely.
+#: A jdist's cells must sum to 1 this closely.
 MASS_TOL = 1e-6
 
 
@@ -47,20 +47,19 @@ def _is_int(v, low: float = -math.inf) -> bool:
     return type(v) is int and v >= low
 
 
-def _is_finite(v, low: float = -math.inf) -> bool:
-    return type(v) in (int, float) and low <= v and abs(v) < math.inf
+def _is_finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) < math.inf
 
 
 def _is_dims(v) -> bool:
     return type(v) is list and len(v) == 2 and all(_is_int(d, 0) for d in v)
 
 
-#: Header keys each container reader needs, and the test each value passes
-#: (for jhist, ``group_histogram``'s rules): any other value is a data error.
+#: Header keys each container needs, and the test each value passes (for
+#: jhist, ``group_histogram``'s rules): any other value is a data error,
+#: whether it is written or read.
 HEADER_RULES = {
     "jdist-v1": {"dims": _is_dims, "kind": lambda v: v == "photon",
-                 "tail_mass": lambda v: _is_finite(v, 0),
-                 "truncation_dirty": lambda v: type(v) is bool,
                  "payload": lambda v: v == "f64"},
     "jhist-v1": {"dims": _is_dims, "n_groups": _is_int,
                  "group_n": lambda v: _is_int(v, 1),
@@ -89,6 +88,7 @@ def _atomic_write(path: str, chunks) -> None:
 
 def _pack(fmt: str, header: dict, payload: bytes) -> bytes:
     head = json.dumps(header, sort_keys=True).encode()
+    _header(fmt, head)              # refuse what a reader would refuse
     return MAGIC[fmt] + struct.pack("<I", len(head)) + head + payload
 
 
@@ -113,12 +113,22 @@ def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
     hlen = int.from_bytes(blob[8:12], "little")
     if len(blob) < 12 or 12 + hlen > len(blob):
         raise DataError(f"{fmt} header runs past the {len(blob)}-byte file")
+    return _header(fmt, blob[12:12 + hlen]), blob[12 + hlen:]
+
+
+def _header(fmt: str, text: bytes) -> dict:
+    """The ``fmt`` header that ``text`` encodes, if it keeps the format's rules."""
     rules = HEADER_RULES[fmt]
-    header = _json_object(blob[12:12 + hlen], f"{fmt} header", tuple(rules))
+    header = _json_object(text, f"{fmt} header", tuple(rules))
     for key, ok in rules.items():
         if not ok(header[key]):
             raise DataError(f"{fmt} header has a bad {key}: {header[key]!r}")
-    return header, blob[12 + hlen:]
+    if fmt == "jhist-v1":
+        side = header["group_n"] + 1        # 0..n clicks on either arm
+        if header["dims"] != [side, side]:
+            raise DataError(f"jhist dims {header['dims']} do not fit group_n "
+                            f"{header['group_n']}: need [{side}, {side}]")
+    return header
 
 
 def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
@@ -200,27 +210,21 @@ def read_clicks(path: str) -> ClickStream:
 
 # -- jdist-v1 ----------------------------------------------------------------
 
-def write_jdist(d: JointDist, path: str) -> None:
-    header = {"dims": list(d.table.shape), "kind": "photon",
-              "tail_mass": d.tail_mass, "truncation_dirty": d.truncation_dirty,
-              "payload": "f64"}
-    body = np.ascontiguousarray(d.table, dtype="<f8").tobytes()
+def write_jdist(table: np.ndarray, path: str) -> None:
+    header = {"dims": list(table.shape), "kind": "photon", "payload": "f64"}
+    body = np.ascontiguousarray(table, dtype="<f8").tobytes()
     _atomic_write(path, [_pack("jdist-v1", header, body)])
 
 
-def read_jdist(path: str) -> JointDist:
+def read_jdist(path: str) -> np.ndarray:
     header, body = _unpack("jdist-v1", _read(path))
     table = _f64_table(body, tuple(header["dims"]))
     if not ((table >= 0) & (table < math.inf)).all():
         raise DataError("jdist cells must be finite and >= 0")
-    mass = float(table.sum()) + header["tail_mass"]
+    mass = float(table.sum())
     if abs(mass - 1.0) > MASS_TOL:
-        raise DataError(f"jdist cells and tail_mass sum to {mass:.9g}, not 1")
-    d = JointDist(table, header["tail_mass"])
-    if d.truncation_dirty != header["truncation_dirty"]:
-        raise DataError(f"jdist truncation_dirty {header['truncation_dirty']} "
-                        f"contradicts its tail_mass {header['tail_mass']!r}")
-    return d
+        raise DataError(f"jdist cells sum to {mass:.9g}, not 1")
+    return table
 
 
 # -- jhist-v1 ----------------------------------------------------------------
@@ -236,10 +240,6 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
-    side = header["group_n"] + 1            # 0..n clicks on either arm
-    if header["dims"] != [side, side]:
-        raise DataError(f"jhist dims {header['dims']} do not fit group_n "
-                        f"{header['group_n']}: need [{side}, {side}]")
     counts = _csv_table(body, tuple(header["dims"]))
     total = int(counts.sum())
     if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:

@@ -23,6 +23,7 @@ tables.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -107,7 +108,7 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
         raise NumericError(
             f"the photon table of {n} genuine windows leaves double range; "
             f"the largest feasible n is {math.floor(-LOG_P0_MIN / per_window)}")
-    p = joint_twb(params.scaled(n)).table
+    p = joint_twb(params.scaled(n))
     falling = falling_factorials(n, order)
     f_s, f_i = (fold_detection(falling, DetectorSpec(spec.eta, spec.dark, n),
                                p.shape[axis] - 1)
@@ -194,8 +195,8 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
     and its derivatives are sums of positive terms: no difference near 1.
     """
     check_size(n, "group size")
-    if not 0 <= c_s <= n:
-        raise UsageError(f"need 0 <= c_s <= {n}, got {c_s}")
+    if not (isinstance(c_s, numbers.Integral) and 0 <= c_s <= n):
+        raise UsageError(f"need an integer 0 <= c_s <= {n}, got {c_s!r}")
     x = 1.0 - spec_s.eta
 
     def log_derivs(x: float) -> tuple[float, float, float]:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JointDist
 from .errors import DataError, NumericError, UsageError
 
 #: Fraction of the way to the boundary that a step may go; at 0.99 some
@@ -80,7 +79,7 @@ def _step(x: np.ndarray, dx: np.ndarray) -> float:
 
 
 def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
-             max_steps: int = 200) -> tuple[JointDist, MlResult]:
+             max_steps: int = 200) -> tuple[np.ndarray, MlResult]:
     """Reconstruct a joint photon-number distribution from a click table.
 
     ``f[c_s, c_i]`` is finite and nonnegative: counts or probabilities,
@@ -193,5 +192,5 @@ def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
             break
     if not np.isfinite(bound):
         raise NumericError(f"the interior-point solve ended on a bound of {bound}")
-    return JointDist(estimate, 0.0), MlResult(
+    return estimate, MlResult(
         bound < CERTIFICATE, step, bound, float(weights @ np.log(projected)))

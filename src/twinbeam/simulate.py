@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import TwbParams
 from .detection import DetectorSpec
-from .errors import UsageError
+from .errors import UsageError, check_size
 
 #: Windows per chunk of a stream, drawn or read.  Drawn chunks are keyed by
 #: window index, so the stream is reproducible however work is scheduled.
@@ -46,8 +46,7 @@ class PumpCorrelation:
         if 3.0 * np.sqrt(self.k) >= 1.0:
             raise UsageError(
                 f"k = {self.k} puts the drift factor at zero within 3 sigma")
-        if self.block_len < 1:
-            raise UsageError("block_len must be >= 1")
+        check_size(self.block_len, "block_len")
 
 
 @dataclass(frozen=True)
@@ -84,8 +83,7 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     """
     if spec_s.pixels != 1 or spec_i.pixels != 1:
         raise UsageError("stream simulation uses single-pixel detectors")
-    if n_windows < 1:
-        raise UsageError("n_windows must be >= 1")
+    check_size(n_windows, "n_windows")
 
     root = np.random.SeedSequence(seed)
     n_blocks = -(-n_windows // pump.block_len)

@@ -54,8 +54,8 @@ average, which shows the pump drift's plateau.
 One-dimensional distributions, the marginals and heralded conditionals that
 only the tests examine, are a ``MarginalDist`` with its mean, variance and
 Fano factor (the package passes such laws as plain arrays).  The click
-tables of these oracles ride in a ``JointDist`` like photon tables, untagged:
-the package makes no click table, and its jdist files hold photon tables only.
+tables of these oracles are plain 2-D arrays like photon tables: the package
+makes no click table, and its jdist files hold photon tables only.
 
 The precision report of the metrology is kept as it was computed in memory:
 both click sequences and both conditioned sequences built whole, grouped
@@ -74,7 +74,7 @@ import numpy as np
 from scipy import signal
 
 from twinbeam import models
-from twinbeam.core import JointDist, TwbParams, joint_twb
+from twinbeam.core import TwbParams, joint_twb
 from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.ingest import JointHistogram
@@ -85,10 +85,9 @@ from twinbeam.simulate import CHUNK, ClickStream
 
 @dataclass
 class MarginalDist:
-    """Truncated one-dimensional counting distribution."""
+    """One-dimensional counting distribution."""
 
     probs: np.ndarray
-    tail_mass: float
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
@@ -105,10 +104,9 @@ class MarginalDist:
         return self.var() / self.mean()
 
 
-def marginal(d: JointDist, arm: str) -> MarginalDist:
-    """The signal (``"s"``) or idler marginal of a joint distribution."""
-    axis = 1 if arm == "s" else 0
-    return MarginalDist(d.table.sum(axis=axis), d.tail_mass)
+def marginal(d: np.ndarray, arm: str) -> MarginalDist:
+    """The signal (``"s"``) or idler marginal of a joint table."""
+    return MarginalDist(d.sum(axis=1 if arm == "s" else 0))
 
 
 class SupportViolationError(DataError):
@@ -178,7 +176,7 @@ def two_stage_matrix(spec: DetectorSpec, n_max: int) -> np.ndarray:
     return B @ Q
 
 
-def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
+def compound_photocounts(table: np.ndarray, n: int) -> np.ndarray:
     """Photocount distribution of ``n`` independently detected weak beams.
 
     The per-window distribution must live on {0,1} x {0,1}; the compound
@@ -188,7 +186,6 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
     """
     if n < 1:
         raise UsageError("group size must be >= 1")
-    table = f_w.table
     if table.shape[0] > 2 or table.shape[1] > 2:
         if np.abs(table[2:, :]).sum() + np.abs(table[:, 2:]).sum() > 1e-15:
             raise SupportViolationError(
@@ -221,8 +218,7 @@ def compound_photocounts(f_w: JointDist, n: int) -> JointDist:
               + bk * logw[0, 1] + rest * logw[0, 0])
         acc[k:, k:] += np.exp(np.where(valid, lp, -np.inf))
     out[:c_cap + 1, :r_cap + 1] = acc
-    tail = min(1.0, n * f_w.tail_mass) + max(0.0, 1.0 - out.sum())
-    return JointDist(out, tail)
+    return out
 
 
 def _support_cap(p: float, n: int) -> int:
@@ -237,34 +233,29 @@ def _support_cap(p: float, n: int) -> int:
 
 
 def window_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                      spec_i: DetectorSpec) -> JointDist:
+                      spec_i: DetectorSpec) -> np.ndarray:
     """Exact 2x2 joint click distribution of one detection window."""
     p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
-    table = np.array([[1.0 - p_s - p_i + p11, p_i - p11],
-                      [p_s - p11, p11]])
-    return JointDist(table, 0.0)
+    return np.array([[1.0 - p_s - p_i + p11, p_i - p11], [p_s - p11, p11]])
 
 
 def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec, n: int) -> JointDist:
+                        spec_i: DetectorSpec, n: int) -> np.ndarray:
     """Joint click distribution of ``n`` grouped windows (compound beam)."""
     return compound_photocounts(window_click_dist(params, spec_s, spec_i), n)
 
 
-def convolve_joint(a: JointDist, b: JointDist) -> JointDist:
+def convolve_joint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distribution of the cell-wise sum of two independent joint counts."""
-    big = a.table.size * b.table.size > 1e8
-    table = signal.fftconvolve(a.table, b.table) if big else \
-        signal.convolve2d(a.table, b.table)
+    big = a.size * b.size > 1e8
+    table = signal.fftconvolve(a, b) if big else signal.convolve2d(a, b)
     # FFT round-off may leave tiny negatives; anything worse is a real bug.
     if table.min() < -1e-12:
         raise UsageError("convolution produced negative mass")
-    np.clip(table, 0.0, None, out=table)
-    tail = min(1.0, a.tail_mass + b.tail_mass)
-    return JointDist(table, tail)
+    return np.clip(table, 0.0, None, out=table)
 
 
-def self_convolve(d: JointDist, n: int) -> JointDist:
+def self_convolve(d: np.ndarray, n: int) -> np.ndarray:
     """``n``-fold convolution of a joint distribution with itself.
 
     Uses binary exponentiation, so only ``O(log n)`` convolutions run.
@@ -283,17 +274,16 @@ def self_convolve(d: JointDist, n: int) -> JointDist:
     return result
 
 
-def forward_photocounts(p: JointDist, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec) -> JointDist:
+def forward_photocounts(p: np.ndarray, spec_s: DetectorSpec,
+                        spec_i: DetectorSpec) -> np.ndarray:
     """Joint photocount distribution of a photon-number distribution."""
-    t_s = detection_matrix(spec_s, p.table.shape[0] - 1)
-    t_i = detection_matrix(spec_i, p.table.shape[1] - 1)
-    f = t_s.entries @ p.table @ t_i.entries.T
-    return JointDist(f, p.tail_mass)
+    t_s = detection_matrix(spec_s, p.shape[0] - 1)
+    t_i = detection_matrix(spec_i, p.shape[1] - 1)
+    return t_s.entries @ p @ t_i.entries.T
 
 
 def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
-                       spec_i: DetectorSpec, n: int) -> JointDist:
+                       spec_i: DetectorSpec, n: int) -> np.ndarray:
     """Photocounts of the equally strong genuine beam on ``n``-pixel detectors.
 
     The whole ``(n + 1)^2`` table whose factorial moments
@@ -305,7 +295,7 @@ def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
 
 
 def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec) -> JointDist:
+                        spec_i: DetectorSpec) -> np.ndarray:
     """Single-window click distribution via the detection-matrix route.
 
     Numerically redundant with :func:`window_click_dist`; kept as the
@@ -332,10 +322,9 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
     raw = np.zeros((order + 1, order + 1))
     for factor, weight in zip(factors, weights):
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)
-        window = JointDist(np.array([[1.0 - p_s - p_i + p11, p_i - p11],
-                                     [p_s - p11, p11]]), 0.0)
-        raw += weight * raw_moments(compound_photocounts(window, n).table,
-                                    order)
+        window = np.array([[1.0 - p_s - p_i + p11, p_i - p11],
+                           [p_s - p11, p11]])
+        raw += weight * raw_moments(compound_photocounts(window, n), order)
     return to_intensity_moments(raw)
 
 
@@ -355,7 +344,7 @@ def pump_moment_model(params: TwbParams, k: float, n: int) -> dict:
     return {"w_all_mean": mean, "w_all_sq": second}
 
 
-def compound_photon_dist(params: TwbParams, n: int) -> JointDist:
+def compound_photon_dist(params: TwbParams, n: int) -> np.ndarray:
     """Joint photon-number distribution of ``n`` combined constituting beams."""
     return joint_twb(params.scaled(n))
 
@@ -376,7 +365,7 @@ def convolve_power_1d(p: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
+def conditional_photon_dist(p_w: np.ndarray, spec_s: DetectorSpec, c_s: int,
                             n: int) -> MarginalDist:
     """Idler photon distribution after ``c_s`` signal clicks in ``n`` windows.
 
@@ -391,9 +380,9 @@ def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
         raise UsageError("conditioning detector must be a single pixel")
     if not 0 <= c_s <= n:
         raise UsageError(f"need 0 <= c_s <= {n}, got {c_s}")
-    t_s = detection_matrix(spec_s, p_w.table.shape[0] - 1)
-    w0 = t_s.entries[0] @ p_w.table
-    w1 = t_s.entries[1] @ p_w.table
+    t_s = detection_matrix(spec_s, p_w.shape[0] - 1)
+    w0 = t_s.entries[0] @ p_w
+    w1 = t_s.entries[1] @ p_w
     # log of C(n, c_s) s1^c_s s0^(n - c_s); huge n must not overflow
     log_prob = math.lgamma(n + 1) - math.lgamma(c_s + 1) - math.lgamma(n - c_s + 1)
     for count, mass in ((c_s, w1.sum()), (n - c_s, w0.sum())):
@@ -406,7 +395,7 @@ def conditional_photon_dist(p_w: JointDist, spec_s: DetectorSpec, c_s: int,
     weights = np.convolve(convolve_power_1d(w1, c_s),
                           convolve_power_1d(w0, n - c_s))
     total = weights.sum()
-    return MarginalDist(weights / total, 0.0)
+    return MarginalDist(weights / total)
 
 
 def grid_centers(g: IntensityGrid, axis: int) -> np.ndarray:
@@ -544,7 +533,7 @@ class EmResult:
 
 
 def em_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
-             cfg: EmConfig = EmConfig()) -> tuple[JointDist, EmResult]:
+             cfg: EmConfig = EmConfig()) -> tuple[np.ndarray, EmResult]:
     """Expectation-maximization reconstruction of the joint photon numbers.
 
     The iteration of the paper,
@@ -584,7 +573,7 @@ def em_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
             raise NumericError(f"log-likelihood decreased at iteration {it}")
         if change < cfg.tol:
             break
-    return JointDist(p, 0.0), EmResult(change < cfg.tol, it, change, history)
+    return p, EmResult(change < cfg.tol, it, change, history)
 
 
 def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: np.ndarray,
@@ -596,7 +585,7 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: np.ndarray,
     """
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
     dist, result = em_joint(data[:, None], t_i, np.ones((1, 1)), cfg)
-    return MarginalDist(dist.table[:, 0], 0.0), result
+    return MarginalDist(dist[:, 0]), result
 
 
 def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
@@ -607,7 +596,7 @@ def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:
     total = column.sum()
     if total == 0:
         raise EmptyConditionError(f"no events with {c_s} signal clicks")
-    return MarginalDist(column / total, 0.0)
+    return MarginalDist(column / total)
 
 
 def stream_of(codes, meta: dict | None = None,

@@ -88,8 +88,8 @@ class TestCriterion2:
     def test_window_distribution_chi_square(self, stream_k0, nominal):
         fw = window_click_dist(*nominal)
         counts = np.bincount(codes_of(stream_k0), minlength=4).astype(float)
-        expected = np.array([fw.table[0, 0], fw.table[1, 0],
-                             fw.table[0, 1], fw.table[1, 1]]) * len(stream_k0)
+        expected = np.array([fw[0, 0], fw[1, 0],
+                             fw[0, 1], fw[1, 1]]) * len(stream_k0)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         p = float(stats.chi2.sf(chi2, df=3))
         verdict("2a", "per-window clicks vs model", p > 0.001,
@@ -98,7 +98,7 @@ class TestCriterion2:
 
     def test_grouped_histogram_chi_square(self, stream_k0, compound_family):
         h = tb.group_histogram(stream_k0, 10, "disjoint")
-        expected = compound_family[10].table * h.n_groups
+        expected = compound_family[10] * h.n_groups
         keep = expected >= 5.0
         chi2 = float((((h.counts - expected)[keep]) ** 2 / expected[keep]).sum())
         dof = int(keep.sum()) - 1
@@ -116,7 +116,7 @@ class TestCriterion3:
     def test_noise_reduction_parameter(self, stream_k0, compound_family):
         model_values = {}
         for n in (1, 10, 100, 1000):
-            m = tb.moments(compound_family[n].table, 2)
+            m = tb.moments(compound_family[n], 2)
             model_values[n] = tb.fano_nrp_cov(m)["nrp"]
         flat = max(model_values.values()) - min(model_values.values())
         in_band = all(abs(v - 0.70) <= 0.02 for v in model_values.values())
@@ -168,14 +168,14 @@ class TestCriterion4:
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
-        padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
+        padded[:truth.shape[0], :truth.shape[1]] = truth
         fwd = t_s.entries @ padded @ t_i.entries.T
         est, res = tb.ml_joint(fwd, t_s.entries, t_i.entries)
-        tv = 0.5 * np.abs(est.table - padded).sum()
+        tv = 0.5 * np.abs(est - padded).sum()
 
         fc = compound_click_dist(params, spec_s, spec_i, n)
-        est2, _ = tb.ml_joint(fc.table, t_s.entries, t_i.entries)
-        stats2 = tb.fano_nrp_cov(tb.moments(est2.table, 2))
+        est2, _ = tb.ml_joint(fc, t_s.entries, t_i.entries)
+        stats2 = tb.fano_nrp_cov(tb.moments(est2, 2))
         ok = tv <= 0.01 and stats2["nrp"] <= 0.05 and stats2["covariance"] >= 0.95
         verdict("4", "maximum-likelihood reconstruction", ok,
                 f"TV={tv:.4f} (Lindsay bound {res.lindsay_bound:.1e}), "
@@ -256,14 +256,14 @@ class TestCriterion6:
         params, _, _ = nominal
         tau_e, tau_m = {}, {}
         for n in SWEEP_NS:
-            w = tb.moments(compound_family[n].table, 5)
+            w = tb.moments(compound_family[n], 5)
             tau_e[n] = tb.ncd(w, "E001").tau
             tau_m[n] = tb.ncd(w, "M1001").tau
         peak_n = max(tau_e, key=tau_e.get)
         peak = tau_e[peak_n]
         photon_taus = []
         for n in (10, 100, 1000):
-            w = tb.moments(compound_photon_dist(params, n).table, 5)
+            w = tb.moments(compound_photon_dist(params, n), 5)
             photon_taus += [tb.ncd(w, "E001").tau, tb.ncd(w, "M1001").tau]
         all_taus = list(tau_e.values()) + list(tau_m.values()) + photon_taus
         ok = (abs(peak - 0.14) <= 0.02 and 20 <= peak_n <= 100
@@ -345,7 +345,7 @@ class TestCriterion9:
     def test_quasi_distribution(self, nominal):
         params, _, _ = nominal
         vacuum = np.array([[1.0]])
-        weak = tb.joint_twb(params).table
+        weak = tb.joint_twb(params)
         norms, moment_errs = [], []
         for table in (vacuum, weak):
             for s in (0.0, 0.5):
@@ -356,7 +356,7 @@ class TestCriterion9:
                     moment_errs.append(abs(grid_moments(grid, k, l)
                                            - w[k, l]))
         strong = compound_photon_dist(params, 1000)
-        grid1000 = tb.quasi_distribution(strong.table, 0.0, steps=256)
+        grid1000 = tb.quasi_distribution(strong, 0.0, steps=256)
         has_negative = bool((grid1000.values < 0).any())
         norm_ok = all(abs(n - 1) <= 1e-3 for n in norms)
         moments_ok = max(moment_errs) <= 1e-2
@@ -414,7 +414,7 @@ class TestCriterion10:
                                   n_max)
         t_i = tb.detection_matrix(tb.DetectorSpec(spec_i.eta, spec_i.dark, n),
                                   n_max)
-        f = compound_click_dist(params, spec_s, spec_i, n).table
+        f = compound_click_dist(params, spec_s, spec_i, n)
         # EM raises on any decrease beyond round-off
         _, res = em_joint(f, t_s.entries, t_i.entries,
                           EmConfig(max_iters=2_000, tol=1e-14))

@@ -13,8 +13,8 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      compound_photon_dist, conditional_photon_dist,
                      forward_photocounts, genuine_click_dist, marginal,
                      two_stage_matrix, window_click_dist, window_forward_dist)
-from twinbeam import (DetectorSpec, JointDist, TwbParams, detection,
-                      detection_matrix, joint_twb)
+from twinbeam import (DetectorSpec, TwbParams, detection, detection_matrix,
+                      joint_twb)
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 column_sum_error, default_n_max)
@@ -196,26 +196,25 @@ class TestFoldDetection:
 
 class TestForward:
     def test_vacuum_maps_to_no_clicks(self):
-        vac = JointDist(np.array([[1.0]]), 0.0)
+        vac = np.array([[1.0]])
         f = forward_photocounts(vac, DetectorSpec(0.5, 0.0, 1),
                                 DetectorSpec(0.9, 0.0, 1))
-        np.testing.assert_array_equal(f.table, [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(f, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_lossless_single_pair(self):
         pair = np.zeros((2, 2))
         pair[1, 1] = 1.0
-        f = forward_photocounts(JointDist(pair, 0.0),
+        f = forward_photocounts(pair,
                                 DetectorSpec(1.0, 0.0, 1),
                                 DetectorSpec(1.0, 0.0, 1))
-        assert f.table[1, 1] == 1.0
+        assert f[1, 1] == 1.0
 
     def test_matrix_route_matches_generating_function(self, nominal):
         params, spec_s, spec_i = nominal
         via_matrix = window_forward_dist(params, spec_s, spec_i)
         via_pgf = window_click_dist(params, spec_s, spec_i)
-        np.testing.assert_allclose(via_matrix.table, via_pgf.table, atol=1e-13)
-        assert via_matrix.table.sum() + via_matrix.tail_mass == \
-            pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(via_matrix, via_pgf, atol=1e-13)
+        assert via_matrix.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_pileup_lowers_fano(self):
         # single on/off pixel: photocount Fano <= photon Fano
@@ -233,36 +232,36 @@ def test_log_factorials_match_gammaln():
 
 class TestCompound:
     def test_no_clicks_stays_point_mass(self):
-        fw = JointDist(np.array([[1.0, 0], [0, 0]]), 0.0)
+        fw = np.array([[1.0, 0], [0, 0]])
         out = compound_photocounts(fw, 1000)
-        assert out.table[0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert out.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_single_window_is_identity(self, nominal):
         fw = window_click_dist(*nominal)
         out = compound_photocounts(fw, 1)
-        np.testing.assert_allclose(out.table, fw.table, atol=1e-14)
+        np.testing.assert_allclose(out, fw, atol=1e-14)
 
     def test_three_windows_against_enumeration(self, nominal):
         fw = window_click_dist(*nominal)
         out = compound_photocounts(fw, 3)
         brute = np.zeros((4, 4))
-        for (a, b), pa in np.ndenumerate(fw.table):
-            for (c, d), pb in np.ndenumerate(fw.table):
-                for (e, f), pc in np.ndenumerate(fw.table):
+        for (a, b), pa in np.ndenumerate(fw):
+            for (c, d), pb in np.ndenumerate(fw):
+                for (e, f), pc in np.ndenumerate(fw):
                     brute[a + c + e, b + d + f] += pa * pb * pc
-        np.testing.assert_allclose(out.table, brute, atol=1e-15)
+        np.testing.assert_allclose(out, brute, atol=1e-15)
 
     def test_mean_scales_exactly(self, nominal):
         fw = window_click_dist(*nominal)
-        p_s = fw.table[1].sum()
+        p_s = fw[1].sum()
         for n in (10, 100, 1000):
             out = compound_photocounts(fw, n)
-            mean = np.arange(n + 1) @ out.table.sum(axis=1)
+            mean = np.arange(n + 1) @ out.sum(axis=1)
             assert mean == pytest.approx(n * p_s, rel=1e-12)
 
     def test_support_violation_rejected(self):
-        bad = JointDist(np.diag([0.5, 0.3, 0.2]), 0.0)
+        bad = np.diag([0.5, 0.3, 0.2])
         with pytest.raises(SupportViolationError):
             compound_photocounts(bad, 5)
 
@@ -273,21 +272,21 @@ class TestCompound:
         fw = window_click_dist(*nominal)
         n = 257
         out = compound_photocounts(fw, n)
-        ladder, power, k = None, fw.table, n
+        ladder, power, k = None, fw, n
         while k:
             if k & 1:
                 ladder = power if ladder is None else fftconvolve(ladder, power)
             k >>= 1
             if k:
                 power = fftconvolve(power, power)
-        assert np.abs(out.table - ladder).max() < 1e-12
+        assert np.abs(out - ladder).max() < 1e-12
 
 
 class TestCompoundClickMoments:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
     def test_matches_moments_of_the_compound_table(self, nominal, n):
         closed = models.compound_click_moments(*nominal, n, 5)
-        table = moments(compound_click_dist(*nominal, n).table, 5)
+        table = moments(compound_click_dist(*nominal, n), 5)
         a, b = np.indices(closed.shape)
         structural = np.maximum(a, b) > n      # more clicks than windows
         assert np.all(closed[structural] == 0.0)
@@ -396,8 +395,8 @@ class TestConditional:
     def test_two_window_enumeration(self, nominal):
         params, spec_s, _ = nominal
         j = joint_twb(params)
-        t = detection_matrix(spec_s, j.table.shape[0] - 1)
-        w = [t.entries[c] @ j.table for c in (0, 1)]
+        t = detection_matrix(spec_s, j.shape[0] - 1)
+        w = [t.entries[c] @ j for c in (0, 1)]
         # patterns (1,0) and (0,1) contribute symmetrically
         brute = np.convolve(w[1], w[0]) + np.convolve(w[0], w[1])
         brute /= brute.sum()
@@ -407,8 +406,8 @@ class TestConditional:
     def test_total_probability_recovers_marginal(self, nominal):
         params, spec_s, _ = nominal
         j = joint_twb(params)
-        t = detection_matrix(spec_s, j.table.shape[0] - 1)
-        w0 = t.entries[0] @ j.table
+        t = detection_matrix(spec_s, j.shape[0] - 1)
+        w0 = t.entries[0] @ j
         s0 = w0.sum()
         n = 4
         mix = None
@@ -417,14 +416,14 @@ class TestConditional:
             weight = comb(n, c) * (1 - s0) ** c * s0 ** (n - c)
             contribution = weight * cond.probs
             if mix is None:
-                mix = np.zeros(4 * j.table.shape[1])
+                mix = np.zeros(4 * j.shape[1])
             mix[:len(contribution)] += contribution
         idler = marginal(compound_photon_dist(params, n), "i")
         np.testing.assert_allclose(mix[:len(idler.probs)], idler.probs,
                                    atol=1e-10)
 
     def test_zero_probability_condition(self):
-        vac = JointDist(np.array([[1.0]]), 0.0)
+        vac = np.array([[1.0]])
         with pytest.raises(ZeroProbabilityConditionError):
             conditional_photon_dist(vac, DetectorSpec(0.5, 0.0, 1), 800, 800)
 
@@ -436,12 +435,12 @@ class TestConditional:
             conditional_photon_dist(joint_twb(params), spec_s, c_s, n)
 
 
-def falling_factorial_sums(dist: JointDist, order: int) -> np.ndarray:
+def falling_factorial_sums(dist: np.ndarray, order: int) -> np.ndarray:
     """``sum (c)_a (d)_b P(c, d)`` of a click table, exact integer factors."""
     rows = [np.array([[math.perm(c, k) for c in range(size)]
                       for k in range(order + 1)], dtype=float)
-            for size in dist.table.shape]
-    return rows[0] @ dist.table @ rows[1].T
+            for size in dist.shape]
+    return rows[0] @ dist @ rows[1].T
 
 
 #: Beams of at most ~20 photons per window; a parameter is 0 or at least
@@ -458,7 +457,7 @@ class TestGenuineModel:
         params, spec_s, spec_i = nominal
         g = genuine_click_dist(params, spec_s, spec_i, 1)
         fw = window_click_dist(params, spec_s, spec_i)
-        np.testing.assert_allclose(g.table, fw.table, atol=1e-12)
+        np.testing.assert_allclose(g, fw, atol=1e-12)
         np.testing.assert_allclose(
             models.genuine_click_moments(params, spec_s, spec_i, 1, 5),
             models.compound_click_moments(params, spec_s, spec_i, 1, 5),
@@ -506,7 +505,7 @@ class TestGenuineModel:
         # one arm's (n + 1) x (n_max + 1) detection matrix alone would take
         # (n + 1) * (n_max + 1) * 8 bytes; the fold keeps a 64-column block
         n = 1000
-        n_max = min(joint_twb(nominal[0].scaled(n)).table.shape) - 1
+        n_max = min(joint_twb(nominal[0].scaled(n)).shape) - 1
         monkeypatch.setattr(detection, "_cache", {})
         tracemalloc.start()
         try:
@@ -548,5 +547,5 @@ class TestGenuineModel:
         n = 10
         g = genuine_click_dist(params, spec_s, spec_i, n)
         c = compound_click_dist(params, spec_s, spec_i, n)
-        gap = 0.5 * np.abs(g.table - c.table[:n + 1, :n + 1]).sum()
+        gap = 0.5 * np.abs(g - c[:n + 1, :n + 1]).sum()
         assert 0 < gap < 5e-3

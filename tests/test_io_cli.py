@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbeam import (IntensityGrid, JointDist, JointHistogram,
-                      PumpCorrelation, fano_nrp_cov, group_histogram,
-                      joint_twb, precision_improvement, quasi_distribution,
-                      sample_stream)
+from twinbeam import (IntensityGrid, JointHistogram, PumpCorrelation,
+                      fano_nrp_cov, group_histogram, joint_twb,
+                      precision_improvement, quasi_distribution, sample_stream)
 from oracles import (codes_of, compound_click_moments_by_table,
                      compound_photon_dist, stream_of, window_click_dist)
 from twinbeam import core, detection, models, simulate
@@ -39,6 +38,34 @@ def run_python(*argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def container(fmt: str, header: dict, body: bytes) -> bytes:
+    """The bytes of a ``fmt`` container, even of a header the writers refuse."""
+    head = json.dumps(header, sort_keys=True).encode()
+    return tbio.MAGIC[fmt] + len(head).to_bytes(4, "little") + head + body
+
+
+#: Records each writer refuses, by format: the record, the header the writer
+#: would have written, and the message that writer and reader both give.
+WRITE_REFUSALS = {
+    "jhist-mode": (
+        "jhist", JointHistogram(np.ones((2, 2)), "tumbling"),
+        {"dims": [2, 2], "n_groups": 4, "group_n": 1, "mode": "tumbling",
+         "payload": "csv"}, "jhist-v1 header has a bad mode: 'tumbling'"),
+    "jhist-not-square": (
+        "jhist", JointHistogram(np.ones((2, 3)), "sliding"),
+        {"dims": [2, 3], "n_groups": 6, "group_n": 1, "mode": "sliding",
+         "payload": "csv"},
+        r"jhist dims \[2, 3\] do not fit group_n 1: need \[2, 2\]"),
+    "igrid-w-max-nan": (
+        "igrid", IntensityGrid(np.zeros((2, 2)), math.nan, 1.0, 0.0),
+        {"dims": [2, 2], "w_max_s": math.nan, "w_max_i": 1.0, "s": 0.0,
+         "payload": "f64"}, "igrid-v1 header has a bad w_max_s: nan"),
+    "jdist-one-axis": (
+        "jdist", np.zeros(3), {"dims": [3], "kind": "photon", "payload": "f64"},
+        r"jdist-v1 header has a bad dims: \[3\]"),
+}
 
 
 class TestFormats:
@@ -147,23 +174,54 @@ class TestFormats:
         path = str(tmp_path / "d.jdist")
         tbio.write_jdist(d, path)
         back = tbio.read_jdist(path)
-        assert np.array_equal(back.table, d.table)
+        assert np.array_equal(back, d)
         # the header tag that perfbench/check.py requires of every jdist
-        with open(path, "rb") as fh:
-            assert b'"kind": "photon"' in fh.read()
-        assert back.tail_mass == d.tail_mass
+        header, _ = tbio._unpack("jdist-v1", open(path, "rb").read())
+        assert header == {"dims": [2, 2], "kind": "photon", "payload": "f64"}
 
     def test_twb_jdist_round_trip(self, tmp_path, nominal):
-        # joint_twb's tail is an np.float64, whose comparison with the
-        # ceiling is an np.bool_ that the JSON header could not hold
         d = joint_twb(nominal[0].scaled(10))
-        assert isinstance(d.tail_mass, np.float64)
         path = str(tmp_path / "twb.jdist")
         tbio.write_jdist(d, path)
         back = tbio.read_jdist(path)
-        assert np.array_equal(back.table, d.table)
-        assert back.tail_mass == d.tail_mass
-        assert back.truncation_dirty is d.truncation_dirty is False
+        assert np.array_equal(back, d)
+        assert back.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_jdist_with_the_old_tail_header_reads_the_same(self, tmp_path,
+                                                            nominal):
+        # jdist files once carried tail_mass and truncation_dirty; such a
+        # file gives the same table, and ncd and quasidist the same bytes
+        table = joint_twb(nominal[0].scaled(10))
+        new, old = str(tmp_path / "new.jdist"), str(tmp_path / "old.jdist")
+        tbio.write_jdist(table, new)
+        header, body = tbio._unpack("jdist-v1", open(new, "rb").read())
+        with open(old, "wb") as fh:
+            fh.write(tbio._pack("jdist-v1", {**header, "tail_mass": 0.0,
+                                             "truncation_dirty": False}, body))
+        assert np.array_equal(tbio.read_jdist(old), table)
+        outputs = []
+        for name, dist in (("new", new), ("old", old)):
+            report, grid = str(tmp_path / f"{name}.json"), \
+                str(tmp_path / f"{name}.igrid")
+            assert main(["ncd", "--dist", dist, "--out", report]) == 0
+            assert main(["quasidist", "--dist", dist, "--s", "-0.5",
+                         "--steps", "32", "--out", grid]) == 0
+            outputs.append([open(p, "rb").read() for p in (report, grid)])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case", WRITE_REFUSALS.values(),
+                             ids=WRITE_REFUSALS.keys())
+    def test_writers_refuse_what_readers_refuse(self, tmp_path, case):
+        # the refused write leaves no file, and the header it would have
+        # written, packed by hand, is refused on reading with its message
+        fmt, record, header, message = case
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(DataError, match=message):
+            getattr(tbio, f"write_{fmt}")(record, str(path))
+        assert not path.exists() and os.listdir(tmp_path) == []
+        path.write_bytes(container(f"{fmt}-v1", header, b""))
+        with pytest.raises(DataError, match=message):
+            getattr(tbio, f"read_{fmt}")(str(path))
 
     def test_jhist_round_trip(self, tmp_path, nominal):
         params, spec_s, spec_i = nominal
@@ -214,8 +272,8 @@ class TestFormats:
         # no command reads an igrid, so this is the library's reader alone
         header, body = tbio._unpack("igrid-v1", valid_containers["igrid"])
         path = tmp_path / "csv.igrid"
-        path.write_bytes(tbio._pack("igrid-v1", {**header, "payload": "csv"},
-                                    body))
+        path.write_bytes(container("igrid-v1", {**header, "payload": "csv"},
+                                   body))
         with pytest.raises(DataError, match="bad payload: 'csv'"):
             tbio.read_igrid(str(path))
 
@@ -307,45 +365,12 @@ class TestCli:
         assert all(0 <= e <= detection.COLUMN_SUM_TOL for e in errors.values())
         grid_diag = json.loads(open(grid + ".manifest.json").read())[
             "diagnostics"]
-        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity",
-                                  "tail_mass", "truncation_dirty"}
+        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity"}
         assert 0 <= grid_diag["edge_sensitivity"] < math.inf
-        estimate = tbio.read_jdist(dist)
-        for path in (report, grid):
-            diag = json.loads(open(path + ".manifest.json").read())[
-                "diagnostics"]
-            assert diag["tail_mass"] == estimate.tail_mass
-            assert diag["truncation_dirty"] is estimate.truncation_dirty
+        assert json.loads(open(report + ".manifest.json").read())[
+            "diagnostics"] == {}
         assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
         assert f"min={grid_diag['min']:.4e}" in printed.split()
-
-    def test_ncd_and_quasidist_record_the_input_truncation(self, tmp_path,
-                                                           nominal):
-        # a photon table whose truncation dropped 1e-4 of the mass
-        joint = core.joint_twb(nominal[0])
-        tail = 1e-4
-        dist = str(tmp_path / "p.jdist")
-        table = joint.table / joint.table.sum() * (1 - tail)
-        tbio.write_jdist(JointDist(table, tail), dist)
-        for argv in (["ncd", "--identifiers", "E001"],
-                     ["quasidist", "--s", "0"]):
-            out = str(tmp_path / argv[0])
-            assert self.run(*argv, "--dist", dist, "--out", out) == 0
-            diag = json.loads(open(out + ".manifest.json").read())[
-                "diagnostics"]
-            assert diag["tail_mass"] == tail
-            assert diag["truncation_dirty"] is True
-
-    def test_quasidist_of_an_all_tail_table_is_a_zero_grid(self, tmp_path):
-        # a table whose truncation dropped all of its mass has none for the
-        # grid to lose, even where the damping underflows on every cell
-        dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
-        tbio.write_jdist(JointDist(np.zeros((2, 2)), 1.0), dist)
-        assert self.run("quasidist", "--dist", dist, "--s",
-                        "0.9999999999999999", "--steps", "16",
-                        "--out", grid) == 0
-        diag = json.loads(open(grid + ".manifest.json").read())["diagnostics"]
-        assert diag["normalization"] == 0.0 and diag["tail_mass"] == 1.0
 
     def test_grid_beyond_double_range_exits_4(self, tmp_path, nominal):
         dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
@@ -402,7 +427,7 @@ class TestCli:
         edge = np.arange(n_max + 1) >= (n_max + 1) * 9 // 10
         edge_mass = diag.pop("edge_mass")
         assert edge_mass == pytest.approx(
-            dist.table[edge[:, None] | edge[None, :]].sum(), rel=1e-12, abs=0)
+            dist[edge[:, None] | edge[None, :]].sum(), rel=1e-12, abs=0)
         assert 0 <= edge_mass <= 1
         # the mean data log-likelihood of the written estimate, recomputed
         # from the two files as the benchmark's check does
@@ -413,14 +438,14 @@ class TestCli:
             for eta, dark in ((0.282, 2.8e-3), (0.330, 3.8e-3)))
         data = hist.counts / hist.counts.sum()
         observed = data > 0
-        projected = t_s @ dist.table @ t_i.T
+        projected = t_s @ dist @ t_i.T
         assert loglik == pytest.approx(
             float(data[observed] @ np.log(projected[observed])),
             rel=0, abs=1e-12)
         cells = int(np.count_nonzero(hist.counts))
         assert diag == {"c_max": c_max, "n_max": n_max,
                         "observed_cells": cells, "converged": True}
-        assert dist.table.shape == (n_max + 1, n_max + 1)
+        assert dist.shape == (n_max + 1, n_max + 1)
         assert n_max < int(np.ceil(3 * (1000 + 5) / 0.282))
         assert out.split() == [
             f"c_max={c_max}", f"n_max={n_max}", f"observed_cells={cells}",
@@ -436,14 +461,14 @@ class TestCli:
         assert diag["lindsay_bound"] >= CERTIFICATE
         assert "converged=False" in out.split()
         # read back through the checked reader: a distribution
-        assert dist.table.min() >= 0
-        assert dist.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert dist.min() >= 0
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_explicit_n_max_wins(self, tmp_path, capsys, nominal):
         _, dist, diag, _ = self.reconstruct_thousand(tmp_path, capsys, nominal,
                                                      "--n-max", "90")
         assert diag["n_max"] == 90
-        assert dist.table.shape == (91, 91)
+        assert dist.shape == (91, 91)
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -553,7 +578,7 @@ class TestCli:
 
     def test_usage_error_exit_code(self, tmp_path):
         dist = str(tmp_path / "p.jdist")
-        tbio.write_jdist(JointDist(np.array([[1.0]]), 0.0), dist)
+        tbio.write_jdist(np.array([[1.0]]), dist)
         assert self.run("ncd", "--dist", dist, "--identifiers", "bogus",
                         "--out", str(tmp_path / "r.json")) == 2
 
@@ -1021,6 +1046,10 @@ BAD_INPUTS = {
     "simulate-seed-negative": (
         ["simulate", "--windows", "100", "--seed", "-1",
          "--out", "{tmp}/s.clicks"], 2, "--seed"),
+    "clicks-block-len-not-integer": (
+        ["analyze", "--in", "{clicks_block_len}", "--group-n", "5",
+         "--out", "{tmp}/h2.jhist"], 3,
+        "bad 'pump' (block_len must be an integer, got 2.5)"),
     "clicks-code-above-3": (
         ["analyze", "--in", "{clicks_high}", "--group-n", "5",
          "--out", "{tmp}/h2.jhist"], 3, "above 3"),
@@ -1030,12 +1059,6 @@ BAD_INPUTS = {
     "jhist-saturated": (
         ["reconstruct", "--hist", "{hist_saturated}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "--n-max"),
-    "jdist-tail-mass-text": (
-        ["ncd", "--dist", "{jdist_tail_mass}", "--out", "{tmp}/r.json"],
-        3, "tail_mass"),
-    "jdist-truncation-flag-disagrees": (
-        ["ncd", "--dist", "{jdist_flag_off}", "--out", "{tmp}/r.json"],
-        3, "truncation_dirty False contradicts"),
     "jdist-dims-not-list": (
         ["ncd", "--dist", "{jdist_dims}", "--out", "{tmp}/r.json"],
         3, "dims"),
@@ -1104,7 +1127,9 @@ def bad_input_files(tmp_path, nominal):
     files = {"tmp": str(tmp_path), "hist": hist, "params": str(partial),
              "clicks": clicks}
     for key, sidecar in (("clicks_cut", "{bad"), ("clicks_list", "[1]"),
-                         ("clicks_params", '{"params": {"m_p": 1}}')):
+                         ("clicks_params", '{"params": {"m_p": 1}}'),
+                         ("clicks_block_len",
+                          '{"pump": {"k": 0.0, "block_len": 2.5}}')):
         files[key] = str(tmp_path / f"{key}.clicks")
         tbio.write_clicks(stream, files[key])
         (tmp_path / f"{key}.clicks.json").write_text(sidecar)
@@ -1153,36 +1178,29 @@ def bad_input_files(tmp_path, nominal):
     tbio.write_jdist(core.joint_twb(params.scaled(10)), files["jdist_twb10"])
     # payloads of one bad cell each
     for key, cell in (("jdist_nan", np.nan), ("jdist_negative", -0.25)):
-        table = window_click_dist(params, spec_s, spec_i).table
+        table = window_click_dist(params, spec_s, spec_i)
         table[1, 0] = cell
         files[key] = str(tmp_path / f"{key}.jdist")
-        tbio.write_jdist(JointDist(table, 0.0), files[key])
-    # cells of 0.8 and no tail: not a distribution
+        tbio.write_jdist(table, files[key])
+    # cells of 0.8: not a distribution
     files["jdist_mass"] = str(tmp_path / "mass.jdist")
-    tbio.write_jdist(JointDist(np.array([[0.5, 0.1], [0.1, 0.1]]), 0.0),
-                     files["jdist_mass"])
-    # a tail of 1e-4, above the truncation ceiling: its header flag is set
-    dirty = str(tmp_path / "dirty.jdist")
-    tbio.write_jdist(JointDist(window_click_dist(params, spec_s, spec_i).table
-                               * (1 - 1e-4), 1e-4), dirty)
+    tbio.write_jdist(np.array([[0.5, 0.1], [0.1, 0.1]]), files["jdist_mass"])
     blob = open(jdist, "rb").read()
     header, body = tbio._unpack("jdist-v1", blob)
     del header["dims"]
     files["jdist_no_dims"] = str(tmp_path / "no_dims.jdist")
     with open(files["jdist_no_dims"], "wb") as fh:
-        fh.write(tbio._pack("jdist-v1", header, body))
+        fh.write(container("jdist-v1", header, body))
     hist_saturated = JointHistogram(np.array([[3, 0, 0], [0, 1, 0], [0, 0, 1]]),
                                     "disjoint")
     files["hist_saturated"] = str(tmp_path / "saturated.jhist")
     tbio.write_jhist(hist_saturated, files["hist_saturated"])
     # headers of the right keys with values of the wrong type or range
     for key, fmt, source, change in (
-            ("jdist_tail_mass", "jdist-v1", jdist, {"tail_mass": "x"}),
             ("jdist_dims", "jdist-v1", jdist, {"dims": 5}),
             ("jdist_kind", "jdist-v1", jdist, {"kind": 3}),
             ("jdist_photocount", "jdist-v1", jdist, {"kind": "photocount"}),
             ("jdist_payload", "jdist-v1", jdist, {"payload": "csv"}),
-            ("jdist_flag_off", "jdist-v1", dirty, {"truncation_dirty": False}),
             ("hist_dims", "jhist-v1", hist, {"dims": 5}),
             ("hist_group_n", "jhist-v1", hist, {"group_n": "2"}),
             ("hist_mode", "jhist-v1", hist, {"mode": 5}),
@@ -1193,7 +1211,7 @@ def bad_input_files(tmp_path, nominal):
         header, body = tbio._unpack(fmt, open(source, "rb").read())
         files[key] = str(tmp_path / key)
         with open(files[key], "wb") as fh:
-            fh.write(tbio._pack(fmt, {**header, **change}, body))
+            fh.write(container(fmt, {**header, **change}, body))
     header_end = 12 + int.from_bytes(blob[8:12], "little")
     hist_blob = open(hist, "rb").read()
     for key, data in (("jdist_head", blob[:header_end - 5]),
@@ -1339,6 +1357,22 @@ TOO_SMALL = {
         "group size must be an integer, got 2.5"),
     "pixels-2.5": (lambda nominal: detection.DetectorSpec(0.5, 0.0, 2.5),
                    UsageError, "pixels must be an integer, got 2.5"),
+    "heralded-c_s-2.5": (lambda nominal: models.heralded_photon_stats(
+        nominal[0], nominal[1], 2.5, 5), UsageError,
+        "need an integer 0 <= c_s <= 5, got 2.5"),
+    "heralded-c_s-6": (lambda nominal: models.heralded_photon_stats(
+        nominal[0], nominal[1], 6, 5), UsageError,
+        "need an integer 0 <= c_s <= 5, got 6"),
+    "block-len-2.5": (lambda nominal: PumpCorrelation(1e-4, 2.5), UsageError,
+                      "block_len must be an integer, got 2.5"),
+    "block-len-0": (lambda nominal: PumpCorrelation(1e-4, 0), UsageError,
+                    "block_len must be >= 1, got 0"),
+    "n-windows-2.5": (lambda nominal: sample_stream(
+        *nominal, PumpCorrelation(), 2.5, 1), UsageError,
+        "n_windows must be an integer, got 2.5"),
+    "n-windows-0": (lambda nominal: sample_stream(
+        *nominal, PumpCorrelation(), 0, 1), UsageError,
+        "n_windows must be >= 1, got 0"),
 }
 
 

@@ -155,7 +155,7 @@ class TestPostselection:
 
 def table_postselection(params, spec_s, spec_i, n, floor=1e-3):
     """Post-selection on the whole compound click table, row by row."""
-    table = compound_click_dist(params, spec_s, spec_i, n).table
+    table = compound_click_dist(params, spec_s, spec_i, n)
     occupancy = table.sum(axis=1)
     probs = table / np.where(occupancy > 0, occupancy, 1.0)[:, None]
     c_i = np.arange(table.shape[1])

@@ -65,7 +65,7 @@ class TestMoments:
 
     def test_twb_cross_covariance(self, nominal):
         params, _, _ = nominal
-        m = moments(joint_twb(params).table, 2)
+        m = moments(joint_twb(params), 2)
         cov = m[1, 1] - m[1, 0] * m[0, 1]
         assert cov == pytest.approx(params.m_p * params.b_p * (1 + params.b_p),
                                     abs=1e-9)
@@ -100,7 +100,7 @@ class TestStirling:
 
     def test_first_moment_unchanged(self, nominal):
         params, _, _ = nominal
-        table = joint_twb(params).table
+        table = joint_twb(params)
         m = raw_moments(table, 3)
         for w in (to_intensity_moments(m), moments(table, 3)):
             assert w[1, 0] == pytest.approx(m[1, 0], rel=1e-14)
@@ -144,7 +144,7 @@ class TestStirling:
 class TestSOrdering:
     def test_identity_at_one(self, nominal):
         params, _, _ = nominal
-        w = moments(joint_twb(params).table, 4)
+        w = moments(joint_twb(params), 4)
         w1 = to_s_ordered(w, 1.0)
         np.testing.assert_allclose(w1, w, rtol=0, atol=0)
 
@@ -205,7 +205,7 @@ class TestSOrdering:
                                         (-1.0, 0.2)])
     def test_orderings_compose(self, n, s1, s2):
         # t = (1 - s)/2 adds: ordering noise t1 then t2 is noise t1 + t2
-        w = moments(joint_twb(models.NOMINAL_PARAMS.scaled(n)).table, 5)
+        w = moments(joint_twb(models.NOMINAL_PARAMS.scaled(n)), 5)
         np.testing.assert_allclose(to_s_ordered(to_s_ordered(w, s1), s2),
                                    to_s_ordered(w, s1 + s2 - 1),
                                    rtol=1e-12, atol=0.0)
@@ -220,7 +220,7 @@ class TestSOrdering:
 class TestNci:
     def test_noiseless_pairing_e001(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.3, 0.0, 0.0))
-        w = moments(p.table, 2)
+        w = moments(p, 2)
         assert nci_value(w, "E001") == pytest.approx(
             -2 * marginal(p, "s").mean(), rel=1e-9)
 
@@ -261,9 +261,9 @@ class TestNci:
         # twenty decades; the float64 moments and identifiers against the
         # same identifiers on the exact table
         if source == "clicks":
-            table = compound_click_dist(*nominal, 39).table
+            table = compound_click_dist(*nominal, 39)
         elif source == "photons":
-            table = compound_photon_dist(nominal[0], 100).table[:40, :40]
+            table = compound_photon_dist(nominal[0], 100)[:40, :40]
         else:
             table = 10.0 ** np.random.default_rng(5).uniform(-20, 0, (40, 40))
         table = table / table.sum()
@@ -286,14 +286,14 @@ class TestNcd:
     def test_compound_photocount_depth_at_n50(self, nominal):
         # frozen from the exact compound click model at the demo parameters
         fc = compound_click_dist(*nominal, 50)
-        w = moments(fc.table, 5)
+        w = moments(fc, 5)
         assert ncd(w, "E001").tau == pytest.approx(0.13211, abs=2e-4)
         assert ncd(w, "M1001").tau == pytest.approx(0.14240, abs=2e-4)
 
     def test_depth_bounded_for_gaussian_model_beams(self, nominal):
         params, _, _ = nominal
         j = compound_photon_dist(params, 100)
-        w = moments(j.table, 5)
+        w = moments(j, 5)
         for ident in ("E001", "E111", "M1001"):
             r = ncd(w, ident)
             assert r.nonclassical
@@ -302,7 +302,7 @@ class TestNcd:
     def test_suppression_is_monotone_in_s(self, nominal):
         # ordering noise only ever weakens a violation on these beams
         fc = compound_click_dist(*nominal, 20)
-        w = moments(fc.table, 5)
+        w = moments(fc, 5)
         values = [nci_value(to_s_ordered(w, s), "E001")
                   for s in np.linspace(1.0, -1.0, 41)]
         assert np.all(np.diff(values) > 0)
@@ -319,7 +319,7 @@ class TestNcd:
 
     def test_tau_equals_threshold_relation(self, nominal):
         fc = compound_click_dist(*nominal, 30)
-        w = moments(fc.table, 5)
+        w = moments(fc, 5)
         r = ncd(w, "E001")
         assert r.tau == pytest.approx((1 - r.s_threshold) / 2, abs=1e-12)
 
@@ -327,7 +327,7 @@ class TestNcd:
         # on a single on/off window every third-or-higher-order factorial
         # moment vanishes identically; the depth search must not chase the
         # rounding noise of that exact cancellation
-        tables = [moments(dist.table, 5) for dist in
+        tables = [moments(dist, 5) for dist in
                   (compound_click_dist(*nominal, 1),
                    genuine_click_dist(*nominal, 1))]
         tables.append(models.genuine_click_moments(*nominal, 1, 5))

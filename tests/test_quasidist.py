@@ -57,22 +57,22 @@ class TestQuasiDistribution:
 
     def test_symmetric_input_symmetric_output(self):
         p = joint_twb(TwbParams(2, 1, 1, 0.2, 0.01, 0.01))
-        square = np.zeros((max(p.table.shape),) * 2)
-        square[:p.table.shape[0], :p.table.shape[1]] = p.table
+        square = np.zeros((max(p.shape),) * 2)
+        square[:p.shape[0], :p.shape[1]] = p
         sym = 0.5 * (square + square.T)
         g = quasi_distribution(sym / sym.sum(), 0.0, w_max=4.0, steps=128)
         np.testing.assert_allclose(g.values, g.values.T, atol=1e-12)
 
     def test_antinormal_side_is_nonnegative(self, nominal):
         params, _, _ = nominal
-        g = quasi_distribution(joint_twb(params).table, -1.2, steps=128)
+        g = quasi_distribution(joint_twb(params), -1.2, steps=128)
         assert g.values.min() >= -1e-15
 
     def test_husimi_q_closed_form(self, nominal):
         # at s = -1, beta = 0 and g = 4/(1-s^2) is infinite, but
         # beta^n L_n(g W) tends to W^n/n!: the grid is the Q function
         # sum p(n_s, n_i) e^-W_s W_s^n_s/n_s! e^-W_i W_i^n_i/n_i!
-        table = compound_photon_dist(nominal[0], 10).table
+        table = compound_photon_dist(nominal[0], 10)
         g = quasi_distribution(table, -1.0, steps=64)
 
         def poisson(w, n_max):
@@ -89,14 +89,14 @@ class TestQuasiDistribution:
         out = str(tmp_path / "q.igrid")
         assert main(["quasidist", "--dist", dist, "--s", "-1", "--steps", "32",
                      "--out", out]) == 0
-        expected = quasi_distribution(tbio.read_jdist(dist).table, -1.0,
+        expected = quasi_distribution(tbio.read_jdist(dist), -1.0,
                                       steps=32)
         assert np.array_equal(tbio.read_igrid(out).values, expected.values)
 
     def test_strong_beam_develops_negative_regions(self, nominal):
         params, _, _ = nominal
         strong = compound_photon_dist(params, 1000)
-        g = quasi_distribution(strong.table, 0.0, steps=128)
+        g = quasi_distribution(strong, 0.0, steps=128)
         assert g.values.min() < 0
 
     def test_invalid_ordering_rejected(self):
@@ -125,7 +125,7 @@ class TestQuasiDistribution:
         # double range instead of failing the support-edge check
         strong = compound_photon_dist(nominal[0], 2180)
         with pytest.raises(NumericError, match="intensity series leaves double range"):
-            quasi_distribution(strong.table, 0.5, steps=8)
+            quasi_distribution(strong, 0.5, steps=8)
 
     @pytest.mark.parametrize("s, steps", [(0.9999999999999999, 16),
                                           (0.999, 16), (0.0, 1), (0.5, 16),
@@ -135,12 +135,15 @@ class TestQuasiDistribution:
         # samples the tail of the distribution; at s = 0.5 and 0.9 the
         # series peaks too sharply for the grid, which holds 754 and 4.8e34
         # times the mass
-        table = joint_twb(nominal[0].scaled(10)).table
+        table = joint_twb(nominal[0].scaled(10))
         with pytest.raises(NumericError, match="of the table's"):
             quasi_distribution(table, s, steps=steps)
 
     def test_all_tail_table_gives_a_zero_grid(self):
+        # an all-zero table has no mass for the grid to lose, even where the
+        # damping underflows on every cell
         g = quasi_distribution(np.zeros((3, 3)), 0.9999999999999999, steps=16)
+        assert not g.values.any()
         assert grid_normalization(g) == 0.0
 
     def test_support_edge_sensitivity_raises(self):
@@ -150,7 +153,7 @@ class TestQuasiDistribution:
         bright = joint_twb(TwbParams(10, 10, 10, 0.5, 0.01, 0.01))
         with pytest.raises(NumericError,
                            match="support-edge sensitivity 6.65e-02"):
-            quasi_distribution(bright.table, 0.9)
+            quasi_distribution(bright, 0.9)
 
     def test_high_intensity_grid_needs_no_mpmath(self):
         # hundreds of photon pairs: the damping falls to about exp(-660)
@@ -160,7 +163,7 @@ class TestQuasiDistribution:
             "from twinbeam import (grid_normalization, joint_twb, models,\n"
             "                      quasi_distribution)\n"
             "p = joint_twb(models.NOMINAL_PARAMS.scaled(3000))\n"
-            "g = quasi_distribution(p.table, -0.5, steps=32)\n"
+            "g = quasi_distribution(p, -0.5, steps=32)\n"
             "assert 2 * g.w_max_s / 1.5 > 600\n"
             "assert np.isfinite(g.values).all()\n"
             "print(grid_normalization(g))\n")
@@ -181,15 +184,15 @@ class TestGridMoments:
     def test_moments_match_ordering_transform(self, nominal, s):
         params, _, _ = nominal
         j = joint_twb(params)
-        g = quasi_distribution(j.table, s, steps=512)
-        w = to_s_ordered(moments(j.table, 2), s)
+        g = quasi_distribution(j, s, steps=512)
+        w = to_s_ordered(moments(j, 2), s)
         for k, l in ((1, 0), (0, 1), (1, 1), (2, 0)):
             assert grid_moments(g, k, l) == pytest.approx(w[k, l], abs=1e-2)
 
     def test_strong_beam_moments_relative(self, nominal):
         params, _, _ = nominal
         strong = compound_photon_dist(params, 500)
-        g = quasi_distribution(strong.table, 0.0, steps=512)
-        w = to_s_ordered(moments(strong.table, 2), 0.0)
+        g = quasi_distribution(strong, 0.0, steps=512)
+        w = to_s_ordered(moments(strong, 2), 0.0)
         assert grid_moments(g, 1, 0) == pytest.approx(w[1, 0], rel=1e-2)
         assert grid_moments(g, 1, 1) == pytest.approx(w[1, 1], rel=1e-2)

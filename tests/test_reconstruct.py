@@ -53,10 +53,10 @@ class TestMlJoint:
         f = counts.reshape(probs.shape)
         est, res = ml_joint(f, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
-        assert est.table.min() >= 0
-        assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert est.min() >= 0
+        assert est.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.log_likelihood == pytest.approx(
-            loglik(f, t_s, t_i, est.table), abs=1e-12)
+            loglik(f, t_s, t_i, est), abs=1e-12)
         # the certificate: no table, EM's included, is more likely by more
         # than the bound (which is exact for one observed cell), up to
         # round-off
@@ -66,12 +66,12 @@ class TestMlJoint:
 
     def test_bound_is_lindsays_of_the_estimate(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5).table
+        f = compound_click_dist(params, spec_s, spec_i, 5)
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i)
         data = f / f.sum()
-        ratio = np.divide(data, t_s @ est.table @ t_i.T,
+        ratio = np.divide(data, t_s @ est @ t_i.T,
                           out=np.zeros_like(data), where=data > 0)
         gradient = t_s.T @ ratio @ t_i
         assert res.converged
@@ -81,14 +81,14 @@ class TestMlJoint:
 
     def test_step_cap_returns_an_uncertified_distribution(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5).table
+        f = compound_click_dist(params, spec_s, spec_i, 5)
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = ml_joint(f, t_s, t_i, max_steps=2)
         assert not res.converged and res.newton_steps == 2
         assert res.lindsay_bound >= CERTIFICATE
-        assert est.table.min() >= 0
-        assert est.table.sum() == pytest.approx(1.0, abs=1e-12)
+        assert est.min() >= 0
+        assert est.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_detection_entry_is_numeric_error(self):
         t_s = np.array([[0.3, -0.2], [0.6, 0.5]])
@@ -126,7 +126,7 @@ class TestMlJoint:
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 10).table
+        f = compound_click_dist(params, spec_s, spec_i, 10)
         small = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             ml_joint(f, small, small)
@@ -152,7 +152,7 @@ class TestMlJoint:
         by_counts, res_counts = ml_joint(h.counts, t_s, t_i)
         by_probs, res_probs = ml_joint(h.normalized(), t_s, t_i)
         assert res_counts.converged
-        assert np.array_equal(by_counts.table, by_probs.table)
+        assert np.array_equal(by_counts, by_probs)
         assert res_counts == res_probs
 
 
@@ -177,7 +177,7 @@ class TestClosure:
     @pytest.mark.parametrize("n", [10, 100])
     def test_exact_click_table_recovers_the_model_depth(self, nominal, n):
         params, spec_s, spec_i = nominal
-        exact = compound_click_dist(params, spec_s, spec_i, n).table
+        exact = compound_click_dist(params, spec_s, spec_i, n)
         table = np.where(exact >= 1e-10, exact, 0.0)
         rows, cols = np.nonzero(table)
         assert rows.size == {10: 61, 100: 340}[n]
@@ -187,8 +187,8 @@ class TestClosure:
                     for spec in (spec_s, spec_i))
         est, res = ml_joint(table, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
-        w = moments(est.table, 5)
-        model = moments(joint_twb(params.scaled(n)).table, 5)
+        w = moments(est, 5)
+        model = moments(joint_twb(params.scaled(n)), 5)
         for ident in ("E001", "M1001"):
             gap = ncd(w, ident).tau - ncd(model, ident).tau
             assert abs(gap - self.GAPS[n, ident]) <= self.MARGIN, (ident, gap)
@@ -203,7 +203,7 @@ class TestEmJoint:
         truth = np.zeros((9, 9))
         truth[2, 2] = 1.0
         est, res = em_joint(f, t, t, EmConfig(max_iters=400_000, tol=1e-15))
-        assert tv(est.table, truth) < 1e-6
+        assert tv(est, truth) < 1e-6
 
     def test_self_consistent_forward_recovered(self, nominal):
         params, spec_s, spec_i = nominal
@@ -213,21 +213,21 @@ class TestEmJoint:
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
-        padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
+        padded[:truth.shape[0], :truth.shape[1]] = truth
         fwd = t_s @ padded @ t_i.T
         est, res = em_joint(fwd, t_s, t_i, EmConfig(max_iters=10_000, tol=1e-9))
-        assert tv(est.table, padded) <= 0.01
+        assert tv(est, padded) <= 0.01
 
     def test_every_iterate_normalized_and_loglik_monotone(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 5).table
+        f = compound_click_dist(params, spec_s, spec_i, 5)
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         est, res = em_joint(f, t_s, t_i, EmConfig(max_iters=500, tol=1e-14))
         # EM raises on any decrease; check that every iterate was seen
         assert len(res.log_likelihood) == res.iterations + 1
-        assert est.table.sum() == pytest.approx(1.0, abs=1e-10)
-        assert est.table.min() >= 0
+        assert est.sum() == pytest.approx(1.0, abs=1e-10)
+        assert est.min() >= 0
 
     def test_likelihood_decrease_is_numeric_error(self):
         # EM on mixture weights is monotone for any nonnegative matrix; a
@@ -248,13 +248,13 @@ class TestEmJoint:
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 3), n_max)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 3), n_max)
         padded = np.zeros((n_max + 1, n_max + 1))
-        padded[:truth.table.shape[0], :truth.table.shape[1]] = truth.table
+        padded[:truth.shape[0], :truth.shape[1]] = truth
         f = t_s @ padded @ t_i.T
         cfg = EmConfig(max_iters=200_000, tol=1e-10)
         est, res = em_joint(f, t_s, t_i, cfg)
         assert res.converged
-        refwd = t_s @ est.table @ t_i.T
-        assert np.abs(refwd - f).max() < cfg.tol * est.table.size
+        refwd = t_s @ est @ t_i.T
+        assert np.abs(refwd - f).max() < cfg.tol * est.size
 
     def test_histogram_input_accepted(self, stream_1m, nominal):
         from twinbeam import group_histogram
@@ -286,7 +286,7 @@ class TestEmJoint:
                 h.counts, matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
                 matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
                 EmConfig(max_iters=300))
-            return est.table
+            return est
 
         k = small + 1
         right, full = run(small), run(wide)
@@ -299,7 +299,7 @@ class TestEmJoint:
         # 4..10 hold no data; textbook EM over every row gives the same
         params, spec_s, spec_i = nominal
         data = np.zeros((11, 11))
-        data[:4, :4] = compound_click_dist(params, spec_s, spec_i, 3).table
+        data[:4, :4] = compound_click_dist(params, spec_s, spec_i, 3)
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 10), 30)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 10), 30)
         est, _ = em_joint(data, t_s, t_i,
@@ -310,7 +310,7 @@ class TestEmJoint:
             ratio = np.divide(data, projected, out=np.zeros_like(data),
                               where=data > 0)
             p = p * (t_s.T @ ratio @ t_i)
-        np.testing.assert_allclose(est.table, p, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(est, p, rtol=1e-12, atol=1e-300)
 
     def test_no_observed_counts_rejected(self):
         t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
@@ -320,7 +320,7 @@ class TestEmJoint:
 
     def test_support_mismatch_rejected(self, nominal):
         params, spec_s, spec_i = nominal
-        f = compound_click_dist(params, spec_s, spec_i, 10).table
+        f = compound_click_dist(params, spec_s, spec_i, 10)
         small = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 30)
         with pytest.raises(DataError):
             em_joint(f, small, small)
@@ -329,7 +329,7 @@ class TestEmJoint:
 class TestEmConditional:
     def test_pure_no_click_column_gives_vacuum(self):
         t = matrix(DetectorSpec(0.4, 0.0, 1), 10)
-        data = MarginalDist(np.array([1.0, 0.0]), 0.0)
+        data = MarginalDist(np.array([1.0, 0.0]))
         est, res = em_conditional(data, t, EmConfig(max_iters=5_000))
         assert est.probs[0] == pytest.approx(1.0, abs=1e-5)
 
@@ -340,7 +340,7 @@ class TestEmConditional:
         n_max = 60
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max)
         f_ci = t_i @ truth.probs[:n_max + 1]
-        est, res = em_conditional(MarginalDist(f_ci / f_ci.sum(), 0.0), t_i,
+        est, res = em_conditional(MarginalDist(f_ci / f_ci.sum()), t_i,
                                   EmConfig(max_iters=150_000, tol=1e-13))
         assert tv(est.probs, truth.probs[:n_max + 1]) <= 0.01
         assert est.mean() == pytest.approx(truth.mean(), rel=1e-3)
