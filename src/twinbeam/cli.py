@@ -26,7 +26,7 @@ from . import models
 from .core import TwbParams
 from .detection import (DetectorSpec, column_sum_error, default_n_max,
                         detection_matrix)
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, UsageError, check_size
 from .ingest import DISJOINT, SLIDING, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
 from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
@@ -116,26 +116,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list) -> list:
     return rest[:1] + injected + rest[1:]
 
 
-def _bounded(kind, rule: str, ok):
-    """argparse type: a finite ``kind`` value for which ``ok`` holds."""
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and ok(value)):
-            raise argparse.ArgumentTypeError(f"need {rule}, got {text!r}")
-        return value
-    return parse
-
-
-_count = _bounded(int, "an integer >= 1", lambda v: v >= 1)
-_seed = _bounded(int, "an integer >= 0", lambda v: v >= 0)
-_positive = _bounded(float, "a number > 0", lambda v: v > 0)
-
-
 def _check_cells(side: int, what: str, flag: str) -> None:
-    if side ** 2 > MAX_TABLE_CELLS:
+    # a side <= 0 is left to the library's rule for the size it comes from
+    if side > 0 and side ** 2 > MAX_TABLE_CELLS:
         raise UsageError(f"{what} {side}^2 is more than the {MAX_TABLE_CELLS} "
                          f"cells a table may hold; pass a smaller {flag}")
 
@@ -202,7 +185,8 @@ def _cmd_reconstruct(args) -> None:
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
     clicks = np.nonzero(hist.counts)
     c_max = int(max(clicks[0].max(), clicks[1].max()))
-    n_max = args.n_max or default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
+    n_max = (default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
+             if args.n_max is None else args.n_max)
     _check_cells(n_max + 1, "joint photon support", "--n-max")
     t_s = detection_matrix(spec_s, n_max).entries
     t_i = detection_matrix(spec_i, n_max).entries
@@ -309,10 +293,12 @@ def _cmd_sweep(args) -> None:
         raise UsageError(f"metric {args.metric!r} has no pump-drift model; "
                          "drop --k-pump")
     try:
-        groups = [_count(g) for g in args.groups.split(",")] if args.groups \
+        groups = [int(g) for g in args.groups.split(",")] if args.groups \
             else list(DEFAULT_GROUPS)
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise UsageError(f"--groups: {exc}") from None
+    for n in groups:                # the precision metric checks no n itself
+        check_size(n, "group size")
     params, spec_s, spec_i = _load_params(args.params)
     rows = [_sweep_row(args.metric, n, params, spec_s, spec_i, args.k_pump)
             for n in groups]
@@ -335,17 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate a click stream")
-    sim.add_argument("--windows", type=_count, required=True)
-    sim.add_argument("--seed", type=_seed, required=True)
+    sim.add_argument("--windows", type=int, required=True)
+    sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--params", help="JSON file with beam/detector parameters")
     sim.add_argument("--k-pump", type=float, default=0.0)
-    sim.add_argument("--block-len", type=_count, default=10_000)
+    sim.add_argument("--block-len", type=int, default=10_000)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="group a stream into a histogram")
     ana.add_argument("--in", dest="infile", required=True)
-    ana.add_argument("--group-n", type=_count, required=True)
+    ana.add_argument("--group-n", type=int, required=True)
     ana.add_argument("--mode", choices=(SLIDING, DISJOINT), default=SLIDING)
     ana.add_argument("--out", required=True)
     ana.set_defaults(func=_cmd_analyze)
@@ -356,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--eta-i", type=float, required=True)
     rec.add_argument("--dark-s", type=float, default=0.0)
     rec.add_argument("--dark-i", type=float, default=0.0)
-    rec.add_argument("--max-iters", type=_count, default=200,
+    rec.add_argument("--max-iters", type=int, default=200,
                      help="cap on the interior-point solver's Newton steps "
                           "(default %(default)s)")
-    rec.add_argument("--n-max", type=_count)
+    rec.add_argument("--n-max", type=int)
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=_cmd_reconstruct)
 
@@ -371,17 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     qd = sub.add_parser("quasidist", help="intensity quasi-distribution grid")
     qd.add_argument("--dist", required=True)
-    qd.add_argument("--s", type=_bounded(float, "a number < 1",
-                                         lambda v: v < 1), required=True)
-    qd.add_argument("--w-max", type=_positive)
-    qd.add_argument("--steps", type=_count, default=256)
+    qd.add_argument("--s", type=float, required=True)
+    qd.add_argument("--w-max", type=float)
+    qd.add_argument("--steps", type=int, default=256)
     qd.add_argument("--out", required=True)
     qd.set_defaults(func=_cmd_quasidist)
 
     met = sub.add_parser("metrology", help="sub-shot-noise precision report")
     met.add_argument("--in", dest="infile", required=True)
-    met.add_argument("--group-n", type=_count, required=True)
-    met.add_argument("--nm", type=_count, default=500)
+    met.add_argument("--group-n", type=int, required=True)
+    met.add_argument("--nm", type=int, default=500)
     met.add_argument("--out", required=True)
     met.set_defaults(func=_cmd_metrology)
 

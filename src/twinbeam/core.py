@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, check_size
 
 #: Per-component truncation target used when growing supports automatically.
 COMPONENT_TAIL = 1e-12
@@ -77,8 +77,7 @@ def mandel_rice(m: float, b: float, n_max: int) -> np.ndarray:
         raise UsageError(f"mode count must be finite and > 0, got {m}")
     if not np.isfinite(b) or b < 0:
         raise UsageError(f"mean per mode must be finite and >= 0, got {b}")
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    check_size(n_max, "n_max", 0)
     log_p0 = -m * np.log1p(b)
     if log_p0 < LOG_P0_MIN:
         raise NumericError(

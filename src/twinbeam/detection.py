@@ -160,8 +160,7 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     Column sums are validated.  No entry needs clamping: each is a sum of
     products of nonnegative numbers.
     """
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    check_size(n_max, "n_max", 0)
     key = (spec, n_max)
     with _cache_lock:
         hit = _cache.pop(key, None)
@@ -187,8 +186,7 @@ def fold_detection(rows: np.ndarray, spec: DetectorSpec, n_max: int
 
     Blocks are projected as they come; the cache is neither read nor filled.
     """
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    check_size(n_max, "n_max", 0)
     out = np.empty((rows.shape[0], n_max + 1))
     for n, block in _blocks(spec, n_max):
         out[:, n:n + block.shape[1]] = rows @ block

@@ -3,7 +3,7 @@
 There is one class per exit code of the command-line front end:
 ``UsageError`` maps to exit code 2, ``DataError`` to 3 and ``NumericError``
 to 4.  The message says which check failed.  ``check_size`` is the one
-check of a count: a group size, block length, grid side or pixel count.
+check of a count, and so of each integer flag of the command line.
 """
 
 import numbers
@@ -25,9 +25,9 @@ class NumericError(TwinbeamError):
     """A numerical procedure failed a validation or left double range."""
 
 
-def check_size(value, name: str) -> None:
-    """Refuse a size that is not an integer >= 1, naming its value."""
+def check_size(value, name: str, low: int = 1) -> None:
+    """Refuse a size that is not an integer >= ``low``, naming its value."""
     if not isinstance(value, numbers.Integral):
         raise UsageError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise UsageError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")

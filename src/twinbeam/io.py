@@ -159,10 +159,19 @@ def _read(path: str) -> bytes:
 
 # -- clicks-v1 ---------------------------------------------------------------
 
+def _codes(chunk: np.ndarray) -> np.ndarray:
+    """``chunk``, if each of its window codes is at most 3."""
+    if chunk.max(initial=0) > 3:
+        raise DataError(f"window code {chunk.max()} above 3: only "
+                        "bits 0 (signal) and 1 (idler) may be set")
+    return chunk
+
+
 def write_clicks(stream: ClickStream, path: str) -> None:
     """Write ``stream`` to ``path`` chunk by chunk, and its sidecar."""
     header = CLICKS_MAGIC + struct.pack("<Q", len(stream))
-    _atomic_write(path, itertools.chain([header], stream.chunks()))
+    _atomic_write(path, itertools.chain(
+        [header], map(_codes, stream.chunks())))
     write_json(dict(stream.meta, format="clicks-v1"), path + ".json")
 
 
@@ -189,10 +198,7 @@ def read_clicks(path: str) -> ClickStream:
                 codes = np.empty(min(CHUNK, count - start), dtype=np.uint8)
                 if fh.readinto(codes) < len(codes):
                     raise DataError(f"{path} was cut while it was read")
-                if codes.max() > 3:
-                    raise DataError(f"window code {codes.max()} above 3: only "
-                                    "bits 0 (signal) and 1 (idler) may be set")
-                yield codes
+                yield _codes(codes)
 
     meta = {}
     sidecar = path + ".json"
@@ -210,15 +216,8 @@ def read_clicks(path: str) -> ClickStream:
 
 # -- jdist-v1 ----------------------------------------------------------------
 
-def write_jdist(table: np.ndarray, path: str) -> None:
-    header = {"dims": list(table.shape), "kind": "photon", "payload": "f64"}
-    body = np.ascontiguousarray(table, dtype="<f8").tobytes()
-    _atomic_write(path, [_pack("jdist-v1", header, body)])
-
-
-def read_jdist(path: str) -> np.ndarray:
-    header, body = _unpack("jdist-v1", _read(path))
-    table = _f64_table(body, tuple(header["dims"]))
+def _photon_table(table: np.ndarray) -> np.ndarray:
+    """``table``, if its cells are finite, >= 0 and sum to 1."""
     if not ((table >= 0) & (table < math.inf)).all():
         raise DataError("jdist cells must be finite and >= 0")
     mass = float(table.sum())
@@ -227,7 +226,29 @@ def read_jdist(path: str) -> np.ndarray:
     return table
 
 
+def write_jdist(table: np.ndarray, path: str) -> None:
+    header = {"dims": list(table.shape), "kind": "photon", "payload": "f64"}
+    cells = np.ascontiguousarray(table, dtype="<f8")
+    blob = _pack("jdist-v1", header, cells.tobytes())   # header, then cells,
+    _photon_table(cells)                                # as on reading
+    _atomic_write(path, [blob])
+
+
+def read_jdist(path: str) -> np.ndarray:
+    header, body = _unpack("jdist-v1", _read(path))
+    return _photon_table(_f64_table(body, tuple(header["dims"])))
+
+
 # -- jhist-v1 ----------------------------------------------------------------
+
+def _counts(counts: np.ndarray, n_groups: int) -> np.ndarray:
+    """``counts``, if they are nonnegative and sum to ``n_groups`` > 0."""
+    total = int(counts.sum())
+    if counts.min(initial=0) < 0 or total < 1 or total != n_groups:
+        raise DataError("jhist counts must be nonnegative and sum to n_groups "
+                        f"= {n_groups} > 0; they sum to {total}")
+    return counts
+
 
 def write_jhist(h: JointHistogram, path: str) -> None:
     header = {"dims": list(h.counts.shape), "n_groups": h.n_groups,
@@ -235,17 +256,15 @@ def write_jhist(h: JointHistogram, path: str) -> None:
               "payload": "csv"}
     body = "\n".join(",".join(str(int(v)) for v in row)
                      for row in h.counts).encode()
-    _atomic_write(path, [_pack("jhist-v1", header, body)])
+    blob = _pack("jhist-v1", header, body)      # header, then counts,
+    _counts(h.counts, h.n_groups)               # as on reading
+    _atomic_write(path, [blob])
 
 
 def read_jhist(path: str) -> JointHistogram:
     header, body = _unpack("jhist-v1", _read(path))
     counts = _csv_table(body, tuple(header["dims"]))
-    total = int(counts.sum())
-    if counts.min(initial=0) < 0 or total < 1 or total != header["n_groups"]:
-        raise DataError("jhist counts must be nonnegative and sum to n_groups "
-                        f"= {header['n_groups']} > 0; they sum to {total}")
-    return JointHistogram(counts, header["mode"])
+    return JointHistogram(_counts(counts, header["n_groups"]), header["mode"])
 
 
 # -- igrid-v1 ----------------------------------------------------------------

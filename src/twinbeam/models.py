@@ -99,8 +99,7 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     :class:`NumericError` naming that ``n``.
     """
     check_size(n, "group size")
-    if order < 1:
-        raise UsageError("order must be >= 1")
+    check_size(order, "order")
     per_window = max(m * math.log1p(b) for m, b in (
         (params.m_p, params.b_p), (params.m_s, params.b_s),
         (params.m_i, params.b_i)))
@@ -137,8 +136,7 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     group sits inside one block).  Orders above ``n`` are exact zeros.
     """
     check_size(n, "group size")
-    if order < 1:
-        raise UsageError("order must be >= 1")
+    check_size(order, "order")
     PumpCorrelation(k)                      # rejects an inadmissible drift
     factors, weights = np.ones(1), np.ones(1)
     if k > 0:

@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_size
 
 E_FAMILY = ("E001", "E101", "E111", "E211")
 M_FAMILY = ("M1001", "M001001")
@@ -72,8 +72,7 @@ def _require_order(m: np.ndarray, order: int, what: str) -> None:
 def moments(table: np.ndarray, order: int) -> np.ndarray:
     """Normally-ordered moments ``Fs @ table @ Fi.T`` of a 2-D table (a 1-D
     ``p`` as ``p[:, None]``): falling factorials, nothing cancels."""
-    if order < 1:
-        raise UsageError("order must be >= 1")
+    check_size(order, "order")
     f_s, f_i = (falling_factorials(size - 1, order) for size in table.shape)
     return f_s @ table @ f_i.T
 

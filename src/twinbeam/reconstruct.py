@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NumericError, check_size
 
 #: Fraction of the way to the boundary that a step may go; at 0.99 some
 #: histograms stall before the bound is certified.
@@ -87,8 +87,7 @@ def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
     support is that of the detection matrices.  At most ``max_steps`` Newton
     steps are taken.
     """
-    if max_steps < 1:
-        raise UsageError("max_steps must be >= 1")
+    check_size(max_steps, "max_steps")
     ts, ti = t_s[:f.shape[0]], t_i[:f.shape[1]]
     for label, t, need in zip(("signal", "idler"), (ts, ti), f.shape):
         if len(t) < need:

@@ -84,6 +84,7 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     if spec_s.pixels != 1 or spec_i.pixels != 1:
         raise UsageError("stream simulation uses single-pixel detectors")
     check_size(n_windows, "n_windows")
+    check_size(seed, "seed", 0)
 
     root = np.random.SeedSequence(seed)
     n_blocks = -(-n_windows // pump.block_len)

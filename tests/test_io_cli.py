@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -16,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (IntensityGrid, JointHistogram, PumpCorrelation,
-                      fano_nrp_cov, group_histogram, joint_twb,
-                      precision_improvement, quasi_distribution, sample_stream)
+                      fano_nrp_cov, group_histogram, joint_twb, ml_joint,
+                      moments, precision_improvement, quasi_distribution,
+                      sample_stream)
 from oracles import (codes_of, compound_click_moments_by_table,
                      compound_photon_dist, stream_of, window_click_dist)
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
-from twinbeam.cli import main
+from twinbeam.cli import build_parser, main
 from twinbeam.errors import DataError, UsageError
 from twinbeam.metrology import effective_efficiency
 from twinbeam.reconstruct import CERTIFICATE
@@ -46,25 +48,66 @@ def container(fmt: str, header: dict, body: bytes) -> bytes:
     return tbio.MAGIC[fmt] + len(head).to_bytes(4, "little") + head + body
 
 
-#: Records each writer refuses, by format: the record, the header the writer
+def jdist_bytes(table: np.ndarray) -> bytes:
+    """The bytes of a jdist of ``table``, even of cells the writer refuses."""
+    return container("jdist-v1", {"dims": list(table.shape), "kind": "photon",
+                                  "payload": "f64"},
+                     table.astype("<f8").tobytes())
+
+
+def jhist_bytes(counts: np.ndarray, mode: str = "disjoint") -> bytes:
+    """The bytes of a jhist of ``counts``, even of counts the writer refuses."""
+    body = "\n".join(",".join(map(str, row)) for row in counts).encode()
+    return container("jhist-v1", {
+        "dims": list(counts.shape), "n_groups": int(counts.sum()),
+        "group_n": counts.shape[0] - 1, "mode": mode, "payload": "csv"}, body)
+
+
+def clicks_bytes(codes: np.ndarray) -> bytes:
+    """The bytes of a clicks-v1 file of ``codes``, even of codes above 3."""
+    return (tbio.CLICKS_MAGIC + len(codes).to_bytes(8, "little")
+            + np.asarray(codes, dtype=np.uint8).tobytes())
+
+
+#: Records each writer refuses, by format: the record, the bytes the writer
 #: would have written, and the message that writer and reader both give.
 WRITE_REFUSALS = {
     "jhist-mode": (
         "jhist", JointHistogram(np.ones((2, 2)), "tumbling"),
-        {"dims": [2, 2], "n_groups": 4, "group_n": 1, "mode": "tumbling",
-         "payload": "csv"}, "jhist-v1 header has a bad mode: 'tumbling'"),
+        jhist_bytes(np.ones((2, 2), int), "tumbling"),
+        "jhist-v1 header has a bad mode: 'tumbling'"),
     "jhist-not-square": (
         "jhist", JointHistogram(np.ones((2, 3)), "sliding"),
-        {"dims": [2, 3], "n_groups": 6, "group_n": 1, "mode": "sliding",
-         "payload": "csv"},
+        jhist_bytes(np.ones((2, 3), int), "sliding"),
         r"jhist dims \[2, 3\] do not fit group_n 1: need \[2, 2\]"),
+    "jhist-negative-count": (
+        "jhist", JointHistogram(np.array([[4, -1], [2, 5]]), "disjoint"),
+        jhist_bytes(np.array([[4, -1], [2, 5]])),
+        "jhist counts must be nonnegative and sum to n_groups = 10 > 0; "
+        "they sum to 10"),
+    "jhist-all-zero": (
+        "jhist", JointHistogram(np.zeros((2, 2)), "disjoint"),
+        jhist_bytes(np.zeros((2, 2), int)), "they sum to 0"),
     "igrid-w-max-nan": (
         "igrid", IntensityGrid(np.zeros((2, 2)), math.nan, 1.0, 0.0),
-        {"dims": [2, 2], "w_max_s": math.nan, "w_max_i": 1.0, "s": 0.0,
-         "payload": "f64"}, "igrid-v1 header has a bad w_max_s: nan"),
+        container("igrid-v1", {"dims": [2, 2], "w_max_s": math.nan,
+                               "w_max_i": 1.0, "s": 0.0, "payload": "f64"},
+                  bytes(32)),
+        "igrid-v1 header has a bad w_max_s: nan"),
     "jdist-one-axis": (
-        "jdist", np.zeros(3), {"dims": [3], "kind": "photon", "payload": "f64"},
+        "jdist", np.zeros(3), jdist_bytes(np.zeros(3)),
         r"jdist-v1 header has a bad dims: \[3\]"),
+    "jdist-mass": (
+        "jdist", np.array([[0.5, 0.1], [0.1, 0.1]]),
+        jdist_bytes(np.array([[0.5, 0.1], [0.1, 0.1]])),
+        "jdist cells sum to 0.8, not 1"),
+    "jdist-nan": (
+        "jdist", np.array([[0.5, np.nan], [0.25, 0.25]]),
+        jdist_bytes(np.array([[0.5, np.nan], [0.25, 0.25]])),
+        "jdist cells must be finite and >= 0"),
+    "clicks-code-7": (
+        "clicks", stream_of([0, 1, 7, 3]), clicks_bytes([0, 1, 7, 3]),
+        "window code 7 above 3"),
 }
 
 
@@ -212,16 +255,19 @@ class TestFormats:
     @pytest.mark.parametrize("case", WRITE_REFUSALS.values(),
                              ids=WRITE_REFUSALS.keys())
     def test_writers_refuse_what_readers_refuse(self, tmp_path, case):
-        # the refused write leaves no file, and the header it would have
-        # written, packed by hand, is refused on reading with its message
-        fmt, record, header, message = case
+        # the refused write leaves no file, temporary or sidecar, and the
+        # bytes it would have written, made by hand, are refused on reading
+        # (a stream's chunks as they are read) with its message
+        fmt, record, blob, message = case
         path = tmp_path / f"out.{fmt}"
         with pytest.raises(DataError, match=message):
             getattr(tbio, f"write_{fmt}")(record, str(path))
-        assert not path.exists() and os.listdir(tmp_path) == []
-        path.write_bytes(container(f"{fmt}-v1", header, b""))
+        assert os.listdir(tmp_path) == []
+        path.write_bytes(blob)
         with pytest.raises(DataError, match=message):
-            getattr(tbio, f"read_{fmt}")(str(path))
+            read = getattr(tbio, f"read_{fmt}")(str(path))
+            if fmt == "clicks":
+                codes_of(read)
 
     def test_jhist_round_trip(self, tmp_path, nominal):
         params, spec_s, spec_i = nominal
@@ -469,6 +515,17 @@ class TestCli:
                                                      "--n-max", "90")
         assert diag["n_max"] == 90
         assert dist.shape == (91, 91)
+
+    def test_n_max_zero_is_a_support_not_the_default(self, tmp_path, capsys,
+                                                     nominal):
+        # photon number 0 alone, which the dark counts reach
+        _, dist, diag, _ = self.reconstruct_thousand(tmp_path, capsys, nominal,
+                                                     "--n-max", "0")
+        manifest = json.loads(open(str(tmp_path / "p.jdist")
+                                   + ".manifest.json").read())
+        assert manifest["parameters"]["n_max"] == 0
+        assert diag["n_max"] == 0
+        assert dist.shape == (1, 1)
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -760,6 +817,20 @@ def test_package_raises_or_catches_each_error():
     assert [name for name in classes if not used[name]] == []
 
 
+def test_no_argument_rule_lives_in_argparse():
+    # a flag's range is the library's rule, checked once there: argparse
+    # only turns text into a number, so no second rule set grows back
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    types = {(command, action.dest): action.type
+             for command, parser in commands.choices.items()
+             for action in parser._actions}
+    assert {"simulate", "analyze", "sweep"} <= set(commands.choices)
+    assert types[("simulate", "seed")] is int
+    assert {key: kind for key, kind in types.items()
+            if kind not in (None, int, float)} == {}
+
+
 def test_main_names_each_error_class_in_a_handler():
     # each subclass of TwinbeamError has its own exit code: one that no
     # except clause of cli.main names is one that no caller tells apart;
@@ -924,7 +995,7 @@ def test_bad_code_in_the_last_chunk_exits_3_without_output(tmp_path, capsys):
     codes = np.zeros(2 * CHUNK + 9, np.uint8)
     codes[-1] = 4
     clicks = str(tmp_path / "late.clicks")
-    tbio.write_clicks(stream_of(codes), clicks)
+    Path(clicks).write_bytes(clicks_bytes(codes))
     for argv, out in ((["analyze", "--in", clicks, "--group-n", "5"],
                        tmp_path / "h.jhist"),
                       (["metrology", "--in", clicks, "--group-n", "5",
@@ -978,31 +1049,36 @@ BAD_INPUTS = {
         ["analyze", "--in", "{clicks_params}", "--group-n", "5",
          "--out", "{tmp}/h2.jhist"], 3, "'params'"),
     "sweep-groups-zero": (
-        ["sweep", "--metric", "eta-eff", "--groups", "0"], 2, "--groups"),
+        ["sweep", "--metric", "eta-eff", "--groups", "0"], 2,
+        "group size must be >= 1, got 0"),
     "sweep-groups-negative": (
-        ["sweep", "--metric", "nrp", "--groups", "-3"], 2, "--groups"),
+        ["sweep", "--metric", "nrp", "--groups", "-3"], 2,
+        "group size must be >= 1, got -3"),
     "sweep-k-pump-negative": (
         ["sweep", "--metric", "fano", "--groups", "2", "--k-pump", "-1"],
         2, "k must be"),
     "metrology-nm-zero": (
         ["metrology", "--in", "{clicks}", "--group-n", "5", "--nm", "0",
-         "--out", "{tmp}/m.json"], 2, "--nm"),
+         "--out", "{tmp}/m.json"], 2, "n_m must be >= 1, got 0"),
     "metrology-nm-negative": (
         ["metrology", "--in", "{clicks}", "--group-n", "5", "--nm", "-5",
-         "--out", "{tmp}/m.json"], 2, "--nm"),
+         "--out", "{tmp}/m.json"], 2, "n_m must be >= 1, got -5"),
     "metrology-reference-without-spread": (
         ["metrology", "--in", "{clicks_both}", "--group-n", "2", "--nm", "10",
          "--out", "{tmp}/m.json"], 3, "reference_i has zero spread"),
     "quasidist-grid-too-large": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "100000",
          "--out", "{tmp}/g.igrid"], 2, "pass a smaller --steps"),
+    "analyze-group-n-far-below-one": (
+        ["analyze", "--in", "{clicks}", "--group-n", "-10000",
+         "--out", "{tmp}/h2.jhist"], 2, "group size must be >= 1, got -10000"),
     "analyze-histogram-too-large": (
         ["analyze", "--in", "{clicks}", "--group-n", "100000",
          "--mode", "disjoint", "--out", "{tmp}/h2.jhist"], 2,
         "pass a smaller --group-n"),
     "quasidist-steps-zero": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--steps", "0",
-         "--out", "{tmp}/g.igrid"], 2, "--steps"),
+         "--out", "{tmp}/g.igrid"], 2, "steps must be >= 1, got 0"),
     "quasidist-photocount-jdist": (
         ["quasidist", "--dist", "{jdist_photocount}", "--s", "0",
          "--out", "{tmp}/g.igrid"], 3, "kind"),
@@ -1011,16 +1087,19 @@ BAD_INPUTS = {
         3, "kind"),
     "quasidist-s-nan": (
         ["quasidist", "--dist", "{jdist}", "--s=nan",
-         "--out", "{tmp}/g.igrid"], 2, "--s"),
+         "--out", "{tmp}/g.igrid"], 2, "must satisfy s < 1, with s^2 in "
+        "double range; got nan"),
     "quasidist-s-minus-inf": (
         ["quasidist", "--dist", "{jdist}", "--s=-inf",
-         "--out", "{tmp}/g.igrid"], 2, "--s"),
+         "--out", "{tmp}/g.igrid"], 2, "must satisfy s < 1, with s^2 in "
+        "double range; got -inf"),
     "quasidist-s-out-of-double-range": (
         ["quasidist", "--dist", "{jdist}", "--s=-1e300",
          "--out", "{tmp}/g.igrid"], 2, "double range"),
     "quasidist-w-max-negative": (
         ["quasidist", "--dist", "{jdist}", "--s", "0", "--w-max", "-1",
-         "--out", "{tmp}/g.igrid"], 2, "--w-max"),
+         "--out", "{tmp}/g.igrid"], 2,
+        "w_max must be finite and > 0, got -1.0"),
     "quasidist-s-near-one": (
         ["quasidist", "--dist", "{jdist}", "--s", "0.9999999999999999",
          "--steps", "16", "--out", "{tmp}/g.igrid"], 4,
@@ -1045,7 +1124,7 @@ BAD_INPUTS = {
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "n_groups = 12"),
     "simulate-seed-negative": (
         ["simulate", "--windows", "100", "--seed", "-1",
-         "--out", "{tmp}/s.clicks"], 2, "--seed"),
+         "--out", "{tmp}/s.clicks"], 2, "seed must be >= 0, got -1"),
     "clicks-block-len-not-integer": (
         ["analyze", "--in", "{clicks_block_len}", "--group-n", "5",
          "--out", "{tmp}/h2.jhist"], 3,
@@ -1144,8 +1223,7 @@ def bad_input_files(tmp_path, nominal):
     for key, counts in (("hist_zero", [[0, 0], [0, 0]]),
                         ("hist_negative", [[4, -1], [2, 5]])):
         files[key] = str(tmp_path / f"{key}.jhist")
-        tbio.write_jhist(JointHistogram(np.array(counts), "disjoint"),
-                         files[key])
+        Path(files[key]).write_bytes(jhist_bytes(np.array(counts)))
     # counts summing to 10 under a header that says 12: write_jhist derives
     # n_groups from the counts, so the header is made by hand
     files["hist_total"] = str(tmp_path / "hist_total.jhist")
@@ -1165,7 +1243,7 @@ def bad_input_files(tmp_path, nominal):
     high = codes_of(stream)
     high[[3, 11]] = (7, 200)
     files["clicks_high"] = str(tmp_path / "high.clicks")
-    tbio.write_clicks(stream_of(high, stream.meta), files["clicks_high"])
+    Path(files["clicks_high"]).write_bytes(clicks_bytes(high))
     files["config_latin1"] = str(tmp_path / "latin1.cfg")
     (tmp_path / "latin1.cfg").write_bytes(b"metric = nrp  # caf\xe9\n")
     files["config_no_equals"] = str(tmp_path / "no_equals.cfg")
@@ -1181,10 +1259,11 @@ def bad_input_files(tmp_path, nominal):
         table = window_click_dist(params, spec_s, spec_i)
         table[1, 0] = cell
         files[key] = str(tmp_path / f"{key}.jdist")
-        tbio.write_jdist(table, files[key])
+        Path(files[key]).write_bytes(jdist_bytes(table))
     # cells of 0.8: not a distribution
     files["jdist_mass"] = str(tmp_path / "mass.jdist")
-    tbio.write_jdist(np.array([[0.5, 0.1], [0.1, 0.1]]), files["jdist_mass"])
+    Path(files["jdist_mass"]).write_bytes(
+        jdist_bytes(np.array([[0.5, 0.1], [0.1, 0.1]])))
     blob = open(jdist, "rb").read()
     header, body = tbio._unpack("jdist-v1", blob)
     del header["dims"]
@@ -1299,8 +1378,9 @@ def test_numeric_flags_at_extreme_values_exit_with_a_code(bad_input_files,
     assert bad == []
 
 
-#: Library calls with a size the CLI's argument types refuse (below 1 or not
-#: an integer), or a moment table too small for the quantity: (call, error
+#: Library calls with a count that is not an integer or lies below its least
+#: value, the one check of that count (the CLI parses its flags without
+#: judging them), or a moment table too small for the quantity: (call, error
 #: class, message fragment).
 _STREAM = np.tile(np.arange(4, dtype=np.uint8), 250)
 _TABLE = np.full((3, 3), 1 / 9)
@@ -1373,6 +1453,28 @@ TOO_SMALL = {
     "n-windows-0": (lambda nominal: sample_stream(
         *nominal, PumpCorrelation(), 0, 1), UsageError,
         "n_windows must be >= 1, got 0"),
+    "moments-order-2.5": (lambda nominal: moments(_TABLE, 2.5), UsageError,
+                          "order must be an integer, got 2.5"),
+    "ml-joint-max-steps-2.5": (lambda nominal: ml_joint(
+        _TABLE, np.eye(3), np.eye(3), 2.5), UsageError,
+        "max_steps must be an integer, got 2.5"),
+    "detection-matrix-n-max-2.5": (lambda nominal: detection.detection_matrix(
+        nominal[1], 2.5), UsageError, "n_max must be an integer, got 2.5"),
+    "fold-detection-n-max-2.5": (lambda nominal: detection.fold_detection(
+        np.ones((1, 2)), nominal[1], 2.5), UsageError,
+        "n_max must be an integer, got 2.5"),
+    "compound-order-2.5": (lambda nominal: models.compound_click_moments(
+        *nominal, 10, 2.5), UsageError, "order must be an integer, got 2.5"),
+    "genuine-order-2.5": (lambda nominal: models.genuine_click_moments(
+        *nominal, 10, 2.5), UsageError, "order must be an integer, got 2.5"),
+    "mandel-rice-n-max-2.5": (lambda nominal: core.mandel_rice(1, 0.1, 2.5),
+                              UsageError, "n_max must be an integer, got 2.5"),
+    "seed--1": (lambda nominal: sample_stream(
+        *nominal, PumpCorrelation(), 10, -1), UsageError,
+        "seed must be >= 0, got -1"),
+    "seed-2.5": (lambda nominal: sample_stream(
+        *nominal, PumpCorrelation(), 10, 2.5), UsageError,
+        "seed must be an integer, got 2.5"),
 }
 
 
