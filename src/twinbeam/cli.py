@@ -29,8 +29,7 @@ from .detection import (DetectorSpec, column_sum_error, default_n_max,
 from .errors import DataError, NumericError, UsageError, check_size
 from .ingest import DISJOINT, SLIDING, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
-from .moments import (E_FAMILY, IDENTIFIERS, M_FAMILY, fano_nrp_cov, moments,
-                      ncd)
+from .moments import E_FAMILY, M_FAMILY, fano_nrp_cov, moments, ncd
 from .quasidist import grid_normalization, quasi_distribution
 from .reconstruct import ml_joint
 from .simulate import ClickStream, PumpCorrelation, _schedule, sample_stream
@@ -208,13 +207,9 @@ def _cmd_reconstruct(args) -> None:
 
 
 def _cmd_ncd(args) -> None:
-    dist = tbio.read_jdist(args.dist)
-    wanted = args.identifiers.split(",")
-    unknown = [w for w in wanted if w not in IDENTIFIERS]
-    if unknown:
-        raise UsageError(f"unknown identifiers: {unknown}")
-    normal = moments(dist, order=5)
-    tbio.write_json({ident: ncd(normal, ident) for ident in wanted}, args.out)
+    normal = moments(tbio.read_jdist(args.dist), order=5)
+    tbio.write_json({ident: ncd(normal, ident)
+                     for ident in args.identifiers.split(",")}, args.out)
     _write_manifest(args.out, args, [args.dist], {})
 
 
@@ -293,8 +288,8 @@ def _cmd_sweep(args) -> None:
         raise UsageError(f"metric {args.metric!r} has no pump-drift model; "
                          "drop --k-pump")
     try:
-        groups = [int(g) for g in args.groups.split(",")] if args.groups \
-            else list(DEFAULT_GROUPS)
+        groups = list(DEFAULT_GROUPS) if args.groups is None \
+            else [int(g) for g in args.groups.split(",")]
     except ValueError as exc:
         raise UsageError(f"--groups: {exc}") from None
     for n in groups:                # the precision metric checks no n itself

@@ -3,8 +3,8 @@
 ``clicks-v1`` is a fixed binary layout: a 16-byte magic/version field, the
 window count as little-endian u64, one byte per window (bit 0 the signal
 click, bit 1 the idler click) and a JSON sidecar ``<path>.json`` carrying
-the generation metadata.  Streams are written and read one chunk at a time,
-so their memory does not grow with their length.
+the generation metadata.  Streams are written and read one chunk at a time
+as ``ClickStream.chunks()`` yields and checks them, so memory stays flat.
 
 The other formats share one container: an 8-byte magic, a little-endian u32
 header length, a JSON header and a payload, declared in the header: raw
@@ -159,27 +159,18 @@ def _read(path: str) -> bytes:
 
 # -- clicks-v1 ---------------------------------------------------------------
 
-def _codes(chunk: np.ndarray) -> np.ndarray:
-    """``chunk``, if each of its window codes is at most 3."""
-    if chunk.max(initial=0) > 3:
-        raise DataError(f"window code {chunk.max()} above 3: only "
-                        "bits 0 (signal) and 1 (idler) may be set")
-    return chunk
-
-
 def write_clicks(stream: ClickStream, path: str) -> None:
     """Write ``stream`` to ``path`` chunk by chunk, and its sidecar."""
     header = CLICKS_MAGIC + struct.pack("<Q", len(stream))
-    _atomic_write(path, itertools.chain(
-        [header], map(_codes, stream.chunks())))
+    _atomic_write(path, itertools.chain([header], stream.chunks()))
     write_json(dict(stream.meta, format="clicks-v1"), path + ".json")
 
 
 def read_clicks(path: str) -> ClickStream:
     """The stream of a clicks-v1 file, read ``CHUNK`` windows at a time.
 
-    The header, the payload size and the sidecar are checked here; a code
-    above 3 is a ``DataError`` from the chunk that holds it.
+    The header, the payload size and the sidecar are checked here, and the
+    codes and their count by ``ClickStream.chunks()`` as they are read.
     """
     with open(path, "rb") as fh:
         head = fh.read(24)
@@ -188,17 +179,15 @@ def read_clicks(path: str) -> ClickStream:
         (count,) = struct.unpack("<Q", head[16:])
         payload = os.fstat(fh.fileno()).st_size - 24
     if payload < count:
-        raise DataError(f"truncated stream: header says {count}, "
-                        f"payload has {payload}")
+        raise DataError(f"truncated stream: it declares {count} windows "
+                        f"and holds {payload}")
 
     def chunks():
         with open(path, "rb") as fh:
             fh.seek(24)                             # trailing bytes stay unread
             for start in range(0, count, CHUNK):
                 codes = np.empty(min(CHUNK, count - start), dtype=np.uint8)
-                if fh.readinto(codes) < len(codes):
-                    raise DataError(f"{path} was cut while it was read")
-                yield _codes(codes)
+                yield codes[:fh.readinto(codes)]
 
     meta = {}
     sidecar = path + ".json"

@@ -35,11 +35,6 @@ M_FAMILY = ("M1001", "M001001")
 L_FAMILY = ("L11", "L21", "L31", "L41")
 IDENTIFIERS = E_FAMILY + M_FAMILY + L_FAMILY
 
-#: Total moment order each identifier needs.
-_REQUIRED_ORDER = {"E001": 2, "E101": 3, "E111": 4, "E211": 5,
-                   "M1001": 2, "M001001": 2,
-                   "L11": 2, "L21": 3, "L31": 4, "L41": 5}
-
 
 def falling_factorials(n_max: int, order: int) -> np.ndarray:
     """``F[k, n] = (n)_k = n (n-1) ... (n-k+1)``, ``k <= order``, ``n <= n_max``."""
@@ -133,26 +128,26 @@ def to_s_ordered(m: np.ndarray, s: float | np.ndarray) -> np.ndarray:
 
 
 def _identifier_terms(w: np.ndarray, identifier: str) -> list:
-    """Signed summands of one identifier (their absolute sum sets its scale)."""
+    """Signed summands of one identifier (their absolute sum sets its scale).
+
+    ``Ejk1`` is ``<W_s^j W_i^k (W_s - W_i)^2>``, of order ``j + k + 2``;
+    ``Lk1`` is ``<W_s^(k+1)> - <W_s^k><W_s>``, of order ``k + 1``; the two M
+    identifiers are of order 2.
+    """
     if identifier not in IDENTIFIERS:
         raise UsageError(f"unknown identifier {identifier!r}")
-    _require_order(w, _REQUIRED_ORDER[identifier], "identifier")
-    if identifier == "E001":
-        return [w[2, 0], w[0, 2], -2 * w[1, 1]]
-    if identifier == "E101":
-        return [w[3, 0], w[1, 2], -2 * w[2, 1]]
-    if identifier == "E111":
-        return [w[3, 1], w[1, 3], -2 * w[2, 2]]
-    if identifier == "E211":
-        return [w[4, 1], w[2, 3], -2 * w[3, 2]]
+    j, k = int(identifier[1]), int(identifier[-2])      # Ejk1, Lk1
+    _require_order(w, {"E": j + k + 2, "M": 2, "L": k + 1}[identifier[0]],
+                   "identifier")
+    if identifier[0] == "E":
+        return [w[j + 2, k], w[j, k + 2], -2 * w[j + 1, k + 1]]
+    if identifier[0] == "L":
+        return [w[k + 1, 0], -w[k, 0] * w[1, 0]]
     if identifier == "M1001":
         return [w[2, 0] * w[0, 2], -w[1, 1] ** 2]
-    if identifier == "M001001":
-        return [w[2, 0] * w[0, 2], 2 * w[1, 1] * w[1, 0] * w[0, 1],
-                -w[1, 1] ** 2, -w[2, 0] * w[0, 1] ** 2,
-                -w[1, 0] ** 2 * w[0, 2]]
-    k = int(identifier[1])
-    return [w[k + 1, 0], -w[k, 0] * w[1, 0]]
+    return [w[2, 0] * w[0, 2], 2 * w[1, 1] * w[1, 0] * w[0, 1],
+            -w[1, 1] ** 2, -w[2, 0] * w[0, 1] ** 2,
+            -w[1, 0] ** 2 * w[0, 2]]
 
 
 def nci_value(m: np.ndarray, identifier: str) -> float:

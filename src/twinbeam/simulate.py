@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import TwbParams
 from .detection import DetectorSpec
-from .errors import UsageError, check_size
+from .errors import DataError, UsageError, check_size
 
 #: Windows per chunk of a stream, drawn or read.  Drawn chunks are keyed by
 #: window index, so the stream is reproducible however work is scheduled.
@@ -56,7 +56,9 @@ class ClickStream:
     A code packs one window: bit 0 is the signal click, bit 1 the idler
     click.  ``chunks()`` yields the ``len(stream)`` codes in window order as
     ``uint8`` arrays, afresh on every call, so a consumer holds one chunk at
-    a time whatever the stream length.
+    a time whatever the stream length.  A chunk of another dtype or with a
+    code above 3 is a ``DataError`` before it is yielded, and so is a source
+    of another length as soon as it shows.
     """
 
     n_windows: int
@@ -67,7 +69,21 @@ class ClickStream:
         return self.n_windows
 
     def chunks(self) -> Iterator[np.ndarray]:
-        return self.source()
+        held = 0
+        for chunk in self.source():
+            held += len(chunk)
+            if chunk.dtype != np.uint8:
+                raise DataError(f"window codes are uint8, not {chunk.dtype}")
+            if chunk.max(initial=0) > 3:
+                raise DataError(f"window code {chunk.max()} above 3: only "
+                                "bits 0 (signal) and 1 (idler) may be set")
+            if held > self.n_windows:
+                raise DataError(f"overlong stream: it declares "
+                                f"{self.n_windows} windows and holds more")
+            yield chunk
+        if held < self.n_windows:
+            raise DataError(f"truncated stream: it declares {self.n_windows} "
+                            f"windows and holds {held}")
 
 
 def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,

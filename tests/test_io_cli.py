@@ -63,14 +63,35 @@ def jhist_bytes(counts: np.ndarray, mode: str = "disjoint") -> bytes:
         "group_n": counts.shape[0] - 1, "mode": mode, "payload": "csv"}, body)
 
 
-def clicks_bytes(codes: np.ndarray) -> bytes:
-    """The bytes of a clicks-v1 file of ``codes``, even of codes above 3."""
-    return (tbio.CLICKS_MAGIC + len(codes).to_bytes(8, "little")
+def clicks_bytes(codes: np.ndarray, count: int | None = None) -> bytes:
+    """The bytes of a clicks-v1 file of ``codes`` under a header of ``count``
+    windows (by default as many as the codes), even of codes above 3."""
+    count = len(codes) if count is None else count
+    return (tbio.CLICKS_MAGIC + count.to_bytes(8, "little")
             + np.asarray(codes, dtype=np.uint8).tobytes())
 
 
+#: Streams that break ``ClickStream``'s contract, by the rule they break: a
+#: code above 3, fewer or more codes than they declare, and codes of a wider
+#: dtype than uint8.  Each holds its stream, the bytes of a clicks-v1 file of
+#: it (None where no file holds it) and the message it is refused with.
+BAD_STREAMS = {
+    "code-7": (stream_of([0, 1, 7, 3]), clicks_bytes([0, 1, 7, 3]),
+               "window code 7 above 3"),
+    "short": (ClickStream(5, lambda: iter([np.zeros(3, np.uint8)]), {}),
+              clicks_bytes([0, 0, 0], 5),
+              "truncated stream: it declares 5 windows and holds 3"),
+    "long": (ClickStream(3, lambda: iter([np.zeros(5, np.uint8)]), {}), None,
+             "overlong stream: it declares 3 windows and holds more"),
+    "int64": (ClickStream(4, lambda: iter([np.arange(4, dtype=np.int64)]),
+                          {}),
+              None, "window codes are uint8, not int64"),
+}
+
+
 #: Records each writer refuses, by format: the record, the bytes the writer
-#: would have written, and the message that writer and reader both give.
+#: would have written (None where no file holds the record), and the message
+#: that writer and reader both give.
 WRITE_REFUSALS = {
     "jhist-mode": (
         "jhist", JointHistogram(np.ones((2, 2)), "tumbling"),
@@ -105,9 +126,7 @@ WRITE_REFUSALS = {
         "jdist", np.array([[0.5, np.nan], [0.25, 0.25]]),
         jdist_bytes(np.array([[0.5, np.nan], [0.25, 0.25]])),
         "jdist cells must be finite and >= 0"),
-    "clicks-code-7": (
-        "clicks", stream_of([0, 1, 7, 3]), clicks_bytes([0, 1, 7, 3]),
-        "window code 7 above 3"),
+    **{f"clicks-{key}": ("clicks", *case) for key, case in BAD_STREAMS.items()},
 }
 
 
@@ -173,7 +192,8 @@ class TestFormats:
         stream = tbio.read_clicks(path)
         with open(path, "r+b") as fh:
             fh.truncate(24 + CHUNK + 7)
-        with pytest.raises(DataError, match="was cut while it was read"):
+        with pytest.raises(DataError, match="truncated stream: it declares "
+                           f"{2 * CHUNK} windows and holds {CHUNK + 7}"):
             codes_of(stream)
 
     def test_failed_write_leaves_no_file(self, tmp_path):
@@ -263,6 +283,8 @@ class TestFormats:
         with pytest.raises(DataError, match=message):
             getattr(tbio, f"write_{fmt}")(record, str(path))
         assert os.listdir(tmp_path) == []
+        if blob is None:
+            return
         path.write_bytes(blob)
         with pytest.raises(DataError, match=message):
             read = getattr(tbio, f"read_{fmt}")(str(path))
@@ -1006,6 +1028,17 @@ def test_bad_code_in_the_last_chunk_exits_3_without_output(tmp_path, capsys):
         assert not Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("case", BAD_STREAMS.values(), ids=BAD_STREAMS.keys())
+@pytest.mark.parametrize("consume", [
+    lambda stream: group_histogram(stream, 2),
+    lambda stream: precision_improvement(stream, 1, 2)],
+    ids=["group_histogram", "precision_improvement"])
+def test_stream_consumers_refuse_a_broken_contract(case, consume):
+    stream, _, message = case
+    with pytest.raises(DataError, match=message):
+        consume(stream)
+
+
 #: Malformed command lines: argv (``{tmp}`` and the file names are filled
 #: from the ``bad_input_files`` fixture), exit code, and a fragment of the
 #: error message.
@@ -1185,6 +1218,11 @@ BAD_INPUTS = {
         "config line without '=': 'groups 1,2'"),
     "config-without-path": (["sweep", "--metric", "nrp", "--config"], 2,
                             "--config needs a path"),
+    "sweep-groups-empty": (
+        ["sweep", "--metric", "nrp", "--groups", ""], 2, "--groups: "),
+    "ncd-unknown-identifier": (
+        ["ncd", "--dist", "{jdist}", "--identifiers", "E001,bogus",
+         "--out", "{tmp}/ncd.json"], 2, "unknown identifier 'bogus'"),
     "jhist-payload-f64": (
         ["reconstruct", "--hist", "{hist_payload}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "bad payload: 'f64'"),
@@ -1304,12 +1342,15 @@ def bad_input_files(tmp_path, nominal):
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_without_traceback(bad_input_files, case):
+    # a refused command writes no file, output or manifest
     argv, code, fragment = BAD_INPUTS[case]
+    files = set(os.listdir(bad_input_files["tmp"]))
     proc = run_python("-m", "twinbeam.cli",
                       *(arg.format(**bad_input_files) for arg in argv))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert fragment in proc.stderr
+    assert set(os.listdir(bad_input_files["tmp"])) == files
 
 
 #: Each command's numeric flags, after the flags it needs to run on the

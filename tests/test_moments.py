@@ -26,6 +26,26 @@ weight_tables = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
         lambda w: np.array(w).reshape(shape))).filter(lambda w: w.sum() > 0)
 
 
+#: Each identifier's order and terms, written out one by one: the reference
+#: that ``_identifier_terms``, which reads them off the name, matches bit for
+#: bit.
+WRITTEN_OUT = {
+    "E001": (2, lambda w: [w[2, 0], w[0, 2], -2 * w[1, 1]]),
+    "E101": (3, lambda w: [w[3, 0], w[1, 2], -2 * w[2, 1]]),
+    "E111": (4, lambda w: [w[3, 1], w[1, 3], -2 * w[2, 2]]),
+    "E211": (5, lambda w: [w[4, 1], w[2, 3], -2 * w[3, 2]]),
+    "M1001": (2, lambda w: [w[2, 0] * w[0, 2], -w[1, 1] ** 2]),
+    "M001001": (2, lambda w: [w[2, 0] * w[0, 2],
+                              2 * w[1, 1] * w[1, 0] * w[0, 1], -w[1, 1] ** 2,
+                              -w[2, 0] * w[0, 1] ** 2,
+                              -w[1, 0] ** 2 * w[0, 2]]),
+    "L11": (2, lambda w: [w[2, 0], -w[1, 0] * w[1, 0]]),
+    "L21": (3, lambda w: [w[3, 0], -w[2, 0] * w[1, 0]]),
+    "L31": (4, lambda w: [w[4, 0], -w[3, 0] * w[1, 0]]),
+    "L41": (5, lambda w: [w[5, 0], -w[4, 0] * w[1, 0]]),
+}
+
+
 def exact_moment_table(table, order):
     """Raw moments of a distribution in exact Fraction arithmetic."""
     vs, vi = (np.array([[n ** k for k in range(order + 1)] for n in range(size)],
@@ -240,6 +260,23 @@ class TestNci:
         w = np.ones((3, 3))
         with pytest.raises(DataError, match="identifier needs order 5"):
             nci_value(w, "E211")
+
+    @pytest.mark.parametrize("ident", IDENTIFIERS)
+    def test_each_identifier_needs_its_order(self, ident):
+        order = WRITTEN_OUT[ident][0]
+        w = np.random.default_rng(3).random((order + 1, order + 1))
+        with pytest.raises(DataError, match=f"identifier needs order {order}, "
+                           f"table has {order - 1}"):
+            nci_value(w[:order, :order], ident)
+        assert np.isfinite(nci_value(w, ident))
+
+    @pytest.mark.parametrize("ident", IDENTIFIERS)
+    def test_terms_equal_the_written_out_ones(self, ident):
+        # the same summands in the same order, so every value and depth
+        # keeps its bits
+        w = np.random.default_rng(4).random((6, 6))
+        assert np.array(_identifier_terms(w, ident)).tobytes() == \
+            np.array(WRITTEN_OUT[ident][1](w)).tobytes()
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(weights=weight_tables)
