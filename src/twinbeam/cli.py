@@ -272,11 +272,11 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
                    mean_click=best.mean_conditional, p_success=best.p_success,
                    mean_photon=mean, fano_photon=var / mean)
     else:                           # precision
-        p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
-        row["norm_rel_err_ref_s"] = np.sqrt(1 - p_s)
-        row["norm_rel_err_ref_i"] = np.sqrt(1 - p_i)
-        row["norm_rel_err_cond_on_s"] = np.sqrt(1 - p11 / p_s)
-        row["norm_rel_err_cond_on_i"] = np.sqrt(1 - p11 / p_i)
+        w00, w10, w01, w11 = models.window_click_law(params, spec_s, spec_i)
+        row["norm_rel_err_ref_s"] = np.sqrt(w00 + w01)
+        row["norm_rel_err_ref_i"] = np.sqrt(w00 + w10)
+        row["norm_rel_err_cond_on_s"] = np.sqrt(w10 / (w10 + w11))
+        row["norm_rel_err_cond_on_i"] = np.sqrt(w01 / (w01 + w11))
         row["S_cs"] = row["norm_rel_err_cond_on_s"] / row["norm_rel_err_ref_i"]
         row["S_ci"] = row["norm_rel_err_cond_on_i"] / row["norm_rel_err_ref_s"]
     return row

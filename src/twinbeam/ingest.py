@@ -71,24 +71,19 @@ def group_histogram(stream: ClickStream, n: int,
         code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
         code *= n + 1
         code += (part >> 1) & 1
-        if mode == DISJOINT:
-            sums = code[:groups * n].reshape(groups, n).sum(axis=1,
-                                                            dtype=np.int64)
-        else:
-            if len(csum) <= len(part):
-                # buffers of the sliding sums that later chunks reuse, with
-                # room for the carried windows: fresh ones would be
-                # page-faulted in again each time
-                csum = np.zeros(len(part) + n, np.int64)
-                out = np.empty_like(csum)
-            # differences of the running sum in csum[1:] (csum[0] is 0),
-            # summed in place after one copy, as a casting cumsum would
-            # first copy the codes to int64
-            run = csum[1:len(part) + 1]
-            np.copyto(run, code)
-            np.cumsum(run, out=run)
-            sums = np.subtract(csum[n:len(part) + 1], csum[:groups],
-                               out=out[:groups])
+        if len(csum) <= len(part):
+            # buffers that later chunks reuse, with room for the carried
+            # windows: fresh ones would be page-faulted in again each time
+            csum = np.zeros(len(part) + n, np.int64)
+            out = np.empty_like(csum)
+        # group sums: differences n windows apart of the running sum in
+        # csum[1:] (csum[0] is 0), at every stride-th start; summed in place
+        # after one copy, as a casting cumsum would first copy to int64
+        run = csum[1:len(part) + 1]
+        np.copyto(run, code)
+        np.cumsum(run, out=run)
+        sums = np.subtract(csum[n:n + groups * stride:stride],
+                           csum[:groups * stride:stride], out=out[:groups])
         found = np.bincount(sums)
         counts[:len(found)] += found
     return JointHistogram(counts.reshape(n + 1, n + 1), mode)

@@ -5,10 +5,10 @@ The probability generating function of the joint photon numbers,
     G(x, y) = (1 + b_s (1-x))^(-m_s) (1 + b_i (1-y))^(-m_i)
               (1 + b_p (1-x y))^(-m_p),
 
-yields the single-window click probabilities of two on/off detectors in
-closed form, independently of any truncation.  ``n`` grouped windows have the
-click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its expansion around
-``x = y = 1`` gives every grouped-click moment in closed form
+yields the four click chances of a window's two on/off detectors in closed
+form (:func:`window_click_law`, the one place they are computed).  ``n``
+grouped windows have the click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its
+expansion around ``x = y = 1`` gives every grouped-click moment in closed form
 (:func:`compound_click_moments`, pump drift included), and setting ``x`` to
 the signal outcome of each window gives the idler clicks heralded by ``c_s``
 signal clicks as two independent binomials (:func:`postselection_stats`).
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -44,42 +45,43 @@ NOMINAL_IDLER = DetectorSpec(eta=0.330, dark=3.8e-3, pixels=1)
 NOMINAL_PUMP = PumpCorrelation(k=0.965e-3, block_len=10_000)
 
 
-def _log_pgf(params: TwbParams, x: float, y: float, pump) -> float:
-    # (1 + b u)^-m as exp(-m log1p(b u)): many modes of tiny mean must not
-    # raise a rounded 1 + b u to a huge power
-    return (-params.m_s * math.log1p(params.b_s * (1.0 - x))
-            - params.m_i * math.log1p(params.b_i * (1.0 - y))
-            - params.m_p * np.log1p(params.b_p * pump * (1.0 - x * y)))
+def _log_dark(params: TwbParams, spec: DetectorSpec, m: float, b: float,
+              pair_mean) -> float:
+    """Log of the chance that an arm's dark count, its ``m`` noise modes of
+    per-mode mean ``b`` and the pairs of per-mode mean ``pair_mean`` all miss
+    it.  ``(1 + b eta)^-m`` is ``exp(-m log1p(b eta))``: many modes of tiny
+    mean must not raise a rounded ``1 + b eta`` to a huge power."""
+    return (math.log1p(-spec.dark) - m * math.log1p(b * spec.eta)
+            - params.m_p * np.log1p(pair_mean * spec.eta))
 
 
-def _log_no_click(params: TwbParams, spec_s: DetectorSpec | None,
-                  spec_i: DetectorSpec | None, pump=1.0) -> float:
-    """Log of the chance ``q`` that no detector clicks in one window.
-
-    An arm given as ``None`` is not watched; ``pump`` (a number or an array)
-    scales the paired component's per-mode mean.  From the log, ``1 - q``
-    is ``-expm1(log q)``, accurate however small.
-    """
-    log_q, x, y = 0.0, 1.0, 1.0
-    if spec_s is not None:
-        log_q, x = math.log1p(-spec_s.dark), 1.0 - spec_s.eta
-    if spec_i is not None:
-        log_q, y = log_q + math.log1p(-spec_i.dark), 1.0 - spec_i.eta
-    return log_q + _log_pgf(params, x, y, pump)
+def window_click_law(params: TwbParams, spec_s: DetectorSpec,
+                     spec_i: DetectorSpec, pump_factor=1.0) -> tuple:
+    """One window's click chances ``(w00, w10, w01, w11)``, ``w10`` a signal
+    click with the idler dark; ``pump_factor`` (a number or an array) scales
+    the pairs' per-mode mean ``a``.  With the idler dark the signal sees a
+    pair mean of ``a (1 - eta_i) / (1 + a eta_i)``; both arms stay dark
+    ``exp(tie)`` times likelier than independent ones.  No cell is a
+    difference of numbers near 1."""
+    a = params.b_p * pump_factor
+    eta_s, eta_i = spec_s.eta, spec_i.eta
+    log_s, s_given_i = (_log_dark(params, spec_s, params.m_s, params.b_s, u)
+                        for u in (a, a * (1.0 - eta_i) / (1.0 + a * eta_i)))
+    log_i, i_given_s = (_log_dark(params, spec_i, params.m_i, params.b_i, u)
+                        for u in (a, a * (1.0 - eta_s) / (1.0 + a * eta_s)))
+    tie = params.m_p * np.log1p(a * (1.0 + a) * eta_s * eta_i / (
+        1.0 + a * (eta_s + eta_i - eta_s * eta_i)))
+    return (np.exp(log_i + s_given_i), -np.exp(log_i) * np.expm1(s_given_i),
+            -np.exp(log_s) * np.expm1(i_given_s),
+            np.expm1(log_s) * np.expm1(log_i)
+            + np.exp(log_s + log_i) * np.expm1(tie))
 
 
 def window_click_probs(params: TwbParams, spec_s: DetectorSpec,
                        spec_i: DetectorSpec, pump_factor=1.0) -> tuple:
-    """Exact single-window ``(p_s, p_i, p_coincidence)`` click probabilities.
-
-    ``pump_factor`` scales the paired component's per-mode mean, which is how
-    the common-mode pump drift enters individual windows; an array of
-    factors gives arrays of probabilities.
-    """
-    no_s, no_i, no_both = (np.exp(_log_no_click(params, *arms, pump_factor))
-                           for arms in ((spec_s, None), (None, spec_i),
-                                        (spec_s, spec_i)))
-    return 1.0 - no_s, 1.0 - no_i, 1.0 - no_s - no_i + no_both
+    """Single-window ``(p_s, p_i, p_coincidence)``: sums of the law's cells."""
+    _, w10, w01, w11 = window_click_law(params, spec_s, spec_i, pump_factor)
+    return w10 + w11, w01 + w11, w11
 
 
 def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
@@ -133,7 +135,8 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     ``sum_c a! b! / ((a-c)! (b-c)! c!) perm(n, a+b-c) p_s^(a-c) p_i^(b-c)
     p11^c``, averaged for ``k > 0`` over the block's common pump factor
     ``max(0, 1 + sqrt(k) g)`` by 201-node Gauss-Hermite quadrature (the whole
-    group sits inside one block).  Orders above ``n`` are exact zeros.
+    group sits inside one block).  Orders above ``n`` are exact zeros; a
+    coefficient past double range is a :class:`NumericError`.
     """
     check_size(n, "group size")
     check_size(order, "order")
@@ -149,6 +152,8 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
             coeff = (math.factorial(a) * math.factorial(b)
                      // (math.factorial(a - c) * math.factorial(b - c)
                          * math.factorial(c)) * math.perm(n, a + b - c))
+            if coeff > sys.float_info.max:
+                raise NumericError(f"click moments of {n} windows overflow")
             out[a, b] += float(coeff) * (weights @ (
                 p_s ** (a - c) * p_i ** (b - c) * p11 ** c))
     return out
@@ -161,21 +166,20 @@ def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
 
     Windows are independent, so ``c_s`` is ``Binomial(n, p_s)`` and the idler
     count given ``c_s`` is ``Binomial(c_s, q1) + Binomial(n - c_s, q0)``, with
-    ``q1`` and ``q0`` the idler click probabilities of a window with and
-    without a signal click.  ``1 - q1 = (no_i - no_both) / p_s``, ``q0 =
-    (no_s - no_both) / no_s`` and ``1 - q0 = no_both / no_s`` come from the
-    no-click probabilities, so none is a difference of numbers near 1.
+    ``q1 = w11 / p_s`` and ``q0 = w01 / (w00 + w01)`` the idler click
+    chances of a window with and without a signal click: they and their
+    complements ``w10 / p_s`` and ``w00 / (w00 + w01)`` are ratios of the
+    window's cells, none a difference of numbers near 1.  More than 2^53
+    windows, a count no double holds, are a :class:`NumericError`.
     """
     check_size(n, "group size")
-    log_no_s = _log_no_click(params, spec_s, None)
-    no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
-    no_i, no_both = (math.exp(_log_no_click(params, *arms))
-                     for arms in ((None, spec_i), (spec_s, spec_i)))
+    if n > 2 ** 53:
+        raise NumericError(f"group size {n} > 2**53 leaves exact doubles")
+    w00, w10, w01, w11 = window_click_law(params, spec_s, spec_i)
+    p_s, no_s = w10 + w11, w00 + w01
     # a q of an impossible window outcome only meets rows of zero occupancy
-    not_q1 = (no_i - no_both) / p_s if p_s > 0 else 1.0
-    q0, not_q0 = ((no_s - no_both) / no_s, no_both / no_s) if no_s > 0 \
-        else (0.0, 1.0)
-    q1 = 1.0 - not_q1
+    q1, not_q1 = (w11 / p_s, w10 / p_s) if p_s > 0 else (0.0, 1.0)
+    q0, not_q0 = (w01 / no_s, w00 / no_s) if no_s > 0 else (0.0, 1.0)
     c = np.arange(n + 1)
     mean = c * q1 + (n - c) * q0
     var = c * q1 * not_q1 + (n - c) * q0 * not_q0
@@ -206,7 +210,7 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
 
     u1, l1, l2 = log_derivs(1.0)
     ux, l1x, l2x = log_derivs(x)
-    log_no_s = _log_no_click(params, spec_s, None)
+    log_no_s = _log_dark(params, spec_s, params.m_s, params.b_s, params.b_p)
     no_s, p_s = math.exp(log_no_s), -math.expm1(log_no_s)
     h0 = no_s * np.array([1.0, l1x, l2x + l1x * l1x])
     # H1 = p_s G(1, y) + no_s (G(1, y) - G(x, y) / G(x, 1)); in the second

@@ -13,6 +13,9 @@ another way:
   multinomial, cell by cell in log space, and the single-window table it
   starts from (the package takes moments and post-selection statistics of
   grouped clicks in closed form);
+* one window's four click chances from the no-click chances of the PGF in
+  mpmath arithmetic (the package forms each cell from per-arm logs, none a
+  difference of numbers near 1);
 * direct two-dimensional convolution of joint distributions;
 * the forward photocount model ``T_s @ p @ T_i.T``: the single-window click
   distribution through the detection matrices, and the whole click table of
@@ -235,8 +238,37 @@ def _support_cap(p: float, n: int) -> int:
 def window_click_dist(params: TwbParams, spec_s: DetectorSpec,
                       spec_i: DetectorSpec) -> np.ndarray:
     """Exact 2x2 joint click distribution of one detection window."""
-    p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
-    return np.array([[1.0 - p_s - p_i + p11, p_i - p11], [p_s - p11, p11]])
+    w00, w10, w01, w11 = models.window_click_law(params, spec_s, spec_i)
+    return np.array([[w00, w01], [w10, w11]])
+
+
+def extended_window_cells(params: TwbParams, spec_s: DetectorSpec,
+                          spec_i: DetectorSpec, bits: int = 240) -> list:
+    """One window's click chances ``[w00, w10, w01, w11]`` as floats, from
+    the no-click chances of the photon-number PGF in mpmath arithmetic.
+
+    A difference of no-click chances cancels about ``-log2`` of the smallest
+    nonzero per-mode mean or dark chance in bits; twice that many are added
+    to ``bits``."""
+    import mpmath as mp
+
+    tiny = min(v for v in (params.b_p, params.b_s, params.b_i, spec_s.dark,
+                           spec_i.dark, 1.0) if v > 0)
+    with mp.workprec(bits + 2 * math.ceil(-math.log2(tiny))):
+        m_p, m_s, m_i, b_p, b_s, b_i = map(mp.mpf, (
+            params.m_p, params.m_s, params.m_i,
+            params.b_p, params.b_s, params.b_i))
+
+        def pgf(x, y):
+            return ((1 + b_s * (1 - x)) ** -m_s * (1 + b_i * (1 - y)) ** -m_i
+                    * (1 + b_p * (1 - x * y)) ** -m_p)
+
+        x, y = 1 - mp.mpf(spec_s.eta), 1 - mp.mpf(spec_i.eta)
+        ds, di = 1 - mp.mpf(spec_s.dark), 1 - mp.mpf(spec_i.dark)
+        no_s, no_i, no_both = ds * pgf(x, 1), di * pgf(1, y), \
+            ds * di * pgf(x, y)
+        return [float(w) for w in (no_both, no_i - no_both, no_s - no_both,
+                                   1 - no_s - no_i + no_both)]
 
 
 def compound_click_dist(params: TwbParams, spec_s: DetectorSpec,

@@ -1146,6 +1146,16 @@ BAD_INPUTS = {
     "sweep-tau-e-past-largest-n": (
         ["sweep", "--metric", "tau-e", "--groups", "20000"], 4,
         "largest feasible n is 7004"),
+    # refused before any row is allocated or any factorial is looped over
+    "sweep-postselect-groups-2-63": (
+        ["sweep", "--metric", "postselect", "--groups", str(2 ** 63),
+         "--out", "{tmp}/s.csv"], 4, "> 2**53"),
+    "sweep-postselect-groups-10-80": (
+        ["sweep", "--metric", "postselect", "--groups", str(10 ** 80),
+         "--out", "{tmp}/s.csv"], 4, "> 2**53"),
+    "sweep-tau-e-groups-10-80": (
+        ["sweep", "--metric", "tau-e", "--groups", str(10 ** 80),
+         "--out", "{tmp}/s.csv"], 4, "click moments of 1"),
     "jhist-all-zero": (
         ["reconstruct", "--hist", "{hist_zero}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "sum to 0"),

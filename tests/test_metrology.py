@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (compound_click_dist, conditional_photon_dist,
-                     in_memory_precision_improvement, relative_error,
-                     stream_of)
+                     extended_window_cells, in_memory_precision_improvement,
+                     relative_error, stream_of)
 from twinbeam import (ClickStream, DetectorSpec, PumpCorrelation, TwbParams,
                       effective_efficiency, fano_nrp_cov, group_histogram,
                       joint_twb, moments, optimal_postselection,
@@ -151,6 +151,49 @@ class TestPostselection:
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i)
         assert best.fano_min == pytest.approx(1 - p11 / p_s, abs=0.01)
         assert best.p_success == pytest.approx(p_s, abs=0.001)
+
+
+@st.composite
+def weak_windows(draw):
+    """Parameters and detectors of a window of 1e-10 to 1 pair, with noise
+    of up to 30 % of the pairs in each arm."""
+    m_p, m_s, m_i = (draw(st.floats(0.5, 100.0)) for _ in range(3))
+    pairs = 10.0 ** draw(st.floats(-10.0, 0.0))
+    noise_s, noise_i = (pairs * draw(st.floats(0.0, 0.3)) for _ in range(2))
+    dark = st.one_of(st.just(0.0), st.floats(1e-12, 0.05))
+    return (TwbParams(m_p, m_s, m_i, pairs / m_p, noise_s / m_s, noise_i / m_i),
+            *(DetectorSpec(draw(st.floats(0.05, 1.0)), draw(dark), 1)
+              for _ in range(2)))
+
+
+class TestWindowClickLaw:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(window=weak_windows())
+    @example(window=(TwbParams(10, 10, 10, 1e-10, 0, 0),
+                     DetectorSpec(0.282, 0.0, 1), DetectorSpec(0.330, 0.0, 1)))
+    @example(window=(TwbParams(10, 10, 10, 1e-3, 0, 0),
+                     DetectorSpec(0.3, 0.0, 1), DetectorSpec(1 - 1e-9, 0.0, 1)))
+    @example(window=(TwbParams(1, 1, 1, 1, 0, 2.2e-183),
+                     DetectorSpec(1.0, 0.0, 1), DetectorSpec(1.0, 0.0, 1)))
+    def test_weak_windows_against_extended_precision(self, window):
+        # in a weak window every click chance is far below 1: none may come
+        # from a difference of no-click chances near 1.  At an idler
+        # efficiency near 1, w10 must not come from the signal's no-click
+        # log plus the tie, which cancel; a noise far below the pairs leaves
+        # w01 far below every other cell.  Below the smallest normal double
+        # no float has relative precision to hold to the bound
+        w00, w10, w01, w11 = exact = extended_window_cells(*window)
+        _, mean, _ = models.postselection_stats(*window, 1)
+        np.testing.assert_allclose(
+            [*models.window_click_law(*window),
+             *models.window_click_probs(*window), mean[1], mean[0]],
+            [*exact, w10 + w11, w01 + w11, w11, w11 / (w10 + w11),
+             w01 / (w00 + w01)], rtol=1e-10, atol=np.finfo(float).tiny)
+        factors = np.array([0.0, 0.5, 1.0, 1.7])
+        np.testing.assert_array_equal(
+            models.window_click_law(*window, factors),
+            np.transpose([models.window_click_law(*window, f)
+                          for f in factors]))
 
 
 def table_postselection(params, spec_s, spec_i, n, floor=1e-3):
