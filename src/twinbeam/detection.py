@@ -14,11 +14,9 @@ photon, which is the chain's start; each photon then marks a uniformly chosen
 pixel with probability ``eta``; a pixel clicks when marked.  The chain is
 stable in double precision and its column sums are one by construction.  An
 arbitrary-precision alternating sum in the tests cross-checks it.  The
-chain runs as one stream of column blocks, each block's column sums checked:
-:func:`detection_matrix` stores the blocks, and :func:`fold_detection`
-projects them onto a few rows, which is all the genuine beam's click moments
-need.  Heralded photon statistics need no matrix: ``models`` takes them from
-the photon-number generating function.
+genuine beam's click moments need no matrix: the chain carries its factorial
+moments in ``order + 1`` numbers (:func:`click_factorials`), and ``models``
+takes heralded photon statistics from the photon-number generating function.
 """
 
 from __future__ import annotations
@@ -136,24 +134,6 @@ def _columns(spec: DetectorSpec, n_max: int):
         col = nxt
 
 
-def _blocks(spec: DetectorSpec, n_max: int):
-    """Yield ``(n, T[:, n:n + k])``, the chain's columns in blocks of up to 64.
-
-    The blocks share one buffer, and each is valid until the next is drawn.
-    """
-    width = 64
-    buf = np.empty((spec.pixels + 1, width))
-    for n, col in enumerate(_columns(spec, n_max)):
-        k = n % width
-        buf[:, k] = col
-        if k == width - 1 or n == n_max:
-            block = buf[:, :k + 1]
-            err = column_sum_error(block)
-            if err > COLUMN_SUM_TOL:
-                raise NumericError(f"column sums off by {err:.3e}")
-            yield n - k, block
-
-
 def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     """Build (or fetch from a cache of ``CACHE_BYTES``) a detector's matrix.
 
@@ -168,10 +148,14 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
             _cache[key] = hit                       # now the most recent
             return hit
 
-    matrix = DetectionMatrix(np.empty((spec.pixels + 1, n_max + 1)))
-    for n, block in _blocks(spec, n_max):
-        matrix.entries[:, n:n + block.shape[1]] = block
-    matrix.entries.flags.writeable = False
+    entries = np.empty((spec.pixels + 1, n_max + 1))
+    for n, col in enumerate(_columns(spec, n_max)):
+        entries[:, n] = col
+    err = column_sum_error(entries)
+    if err > COLUMN_SUM_TOL:
+        raise NumericError(f"column sums off by {err:.3e}")
+    entries.flags.writeable = False
+    matrix = DetectionMatrix(entries)
     with _cache_lock:
         _cache[key] = matrix
         size = sum(m.entries.nbytes for m in _cache.values())
@@ -180,14 +164,25 @@ def detection_matrix(spec: DetectorSpec, n_max: int) -> DetectionMatrix:
     return matrix
 
 
-def fold_detection(rows: np.ndarray, spec: DetectorSpec, n_max: int
-                   ) -> np.ndarray:
-    """``rows @ T`` of the detector's matrix ``T``, without building ``T``.
+def click_factorials(spec: DetectorSpec, n_max: int, order: int
+                     ) -> np.ndarray:
+    """``F[k, m] = <(c)_k>`` of ``m = 0..n_max`` photons, ``k <= order``.
 
-    Blocks are projected as they come; the cache is neither read nor filled.
+    A photon adds a click with chance ``eta (N - c) / N``, turning ``(c)_k``
+    into ``(c)_k + k (c)_(k-1)``, so ``F[k, m+1] = (1 - k eta/N) F[k, m] +
+    k eta (N - k + 1)/N F[k-1, m]`` from ``F[k, 0] = (N)_k dark^k``.  For
+    ``k <= N`` no factor is negative and nothing cancels; rows past ``N``
+    are exact zeros.
     """
     check_size(n_max, "n_max", 0)
-    out = np.empty((rows.shape[0], n_max + 1))
-    for n, block in _blocks(spec, n_max):
-        out[:, n:n + block.shape[1]] = rows @ block
+    check_size(order, "order", 0)
+    N, eta = spec.pixels, spec.eta
+    k = np.arange(min(order, N) + 1.0)
+    keep, gain = 1.0 - k * eta / N, k[1:] * eta * (N - k[1:] + 1.0) / N
+    out = np.zeros((order + 1, n_max + 1))
+    f = out[:k.size]
+    f[:, 0] = np.cumprod(np.r_[1.0, (N - k[:-1]) * spec.dark])
+    for m in range(n_max):
+        f[:, m + 1] = keep * f[:, m]
+        f[1:, m + 1] += gain * f[:-1, m]
     return out

@@ -17,9 +17,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, UsageError, check_size
+from .errors import DataError, NumericError, UsageError, check_size
 from .moments import _require_order
 from .simulate import ClickStream
+
+
+#: Most rounding allowed in an effective efficiency: relative, absolute below 1.
+EFFICIENCY_TOL = 1e-6
 
 
 @dataclass
@@ -52,7 +56,7 @@ def effective_efficiency(m: np.ndarray, arm: str = "s",
 
     ``m`` is a normally-ordered moment table of order 1 or more.  The other
     arm's mean dark clicks per group, ``dark_mean = n * dark``, are removed
-    from the denominator mean first.
+    from the denominator first.  Rounding past ``EFFICIENCY_TOL``: NumericError.
     """
     if arm not in ("s", "i"):
         raise UsageError(f"arm must be 's' or 'i', got {arm!r}")
@@ -62,6 +66,9 @@ def effective_efficiency(m: np.ndarray, arm: str = "s",
     denominator = (mean_i if arm == "s" else mean_s) - dark_mean
     if denominator <= 0:
         raise DataError("complementary-arm mean is not positive")
+    lost = np.finfo(float).eps * (abs(m[1, 1]) + abs(mean_s * mean_i))
+    if lost > EFFICIENCY_TOL * max(denominator, abs(cov)):
+        raise NumericError(f"covariance {cov:.3e} lost to rounding {lost:.1e}")
     return float(cov / denominator)
 
 

@@ -14,10 +14,10 @@ the signal outcome of each window gives the idler clicks heralded by ``c_s``
 signal clicks as two independent binomials (:func:`postselection_stats`).
 At a fixed signal outcome, the ``y``-derivatives of ``G`` give the heralded
 idler photon mean and variance (:func:`heralded_photon_stats`).  The genuine
-beam's click moments fold the falling factorials into each arm's pixel
-occupancy chain as it runs (:func:`genuine_click_moments`).  No quantity needs
-a whole click table, a detection matrix or a convolution power of photon
-tables.
+beam's click moments come from each arm's factorial click moments per photon
+number, a recurrence in ``order + 1`` numbers (:func:`genuine_click_moments`).
+No quantity needs a whole click table, a detection matrix or a convolution
+power of photon tables.
 """
 
 from __future__ import annotations
@@ -30,9 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from .core import LOG_P0_MIN, TwbParams, joint_twb
-from .detection import DetectorSpec, _binomial_pmf, fold_detection
+from .detection import DetectorSpec, _binomial_pmf, click_factorials
 from .errors import NumericError, UsageError, check_size
-from .moments import falling_factorials
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -91,13 +90,13 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
 
     The beam has ``n`` times the modes of one window, but all its photons
     share one ``n``-pixel detector per arm: the comparison model for the
-    compound beam.  Each arm's falling factorials fold into its pixel
-    occupancy chain, ``F[k, m] = sum_c (c)_k T[c, m]``, block by block
-    (:func:`~twinbeam.detection.fold_detection`), and the moments are
-    ``Fs @ p @ Fi.T`` of the joint photon table ``p``: neither a click table
-    nor a detection matrix.  Orders above ``n`` are exact zeros.  Past the
-    largest ``n`` whose photon table the Mandel-Rice recurrence can start
-    (``log p(0) >= LOG_P0_MIN`` for each component), it raises
+    compound beam.  Each arm's factorial click moments of ``m`` photons,
+    ``F[k, m] = <(c)_k>``, follow a recurrence in ``m`` with no negative
+    term (:func:`~twinbeam.detection.click_factorials`), and the moments
+    are ``Fs @ p @ Fi.T`` of the joint photon table ``p``: neither a click
+    table nor a detection matrix.  Orders above ``n`` are exact zeros.
+    Past the largest ``n`` whose photon table the Mandel-Rice recurrence can
+    start (``log p(0) >= LOG_P0_MIN`` for each component), it raises
     :class:`NumericError` naming that ``n``.
     """
     check_size(n, "group size")
@@ -110,9 +109,8 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
             f"the photon table of {n} genuine windows leaves double range; "
             f"the largest feasible n is {math.floor(-LOG_P0_MIN / per_window)}")
     p = joint_twb(params.scaled(n))
-    falling = falling_factorials(n, order)
-    f_s, f_i = (fold_detection(falling, DetectorSpec(spec.eta, spec.dark, n),
-                               p.shape[axis] - 1)
+    f_s, f_i = (click_factorials(DetectorSpec(spec.eta, spec.dark, n),
+                                 p.shape[axis] - 1, order)
                 for axis, spec in enumerate((spec_s, spec_i)))
     return f_s @ p @ f_i.T
 

@@ -19,8 +19,11 @@ another way:
 * direct two-dimensional convolution of joint distributions;
 * the forward photocount model ``T_s @ p @ T_i.T``: the single-window click
   distribution through the detection matrices, and the whole click table of
-  the genuine beam (the package folds the falling factorials into the
-  matrices and forms no click table);
+  the genuine beam (the package runs a recurrence of each arm's factorial
+  click moments and forms no click table);
+* the genuine beam's factorial click moments in long double: the occupancy
+  chain from a 128-bit binomial start, projected onto exact falling
+  factorials (the package's recurrence in double precision is held to it);
 * moments of whole compound click tables, against the closed-form
   grouped-click moments;
 * raw counting moments, and the normally-ordered ones from them through
@@ -324,6 +327,51 @@ def genuine_click_dist(params: TwbParams, spec_s: DetectorSpec,
     return forward_photocounts(joint_twb(params.scaled(n)),
                                DetectorSpec(spec_s.eta, spec_s.dark, n),
                                DetectorSpec(spec_i.eta, spec_i.dark, n))
+
+
+def _longdouble(x) -> np.longdouble:
+    """An mpmath number rounded to long double through a double-double."""
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - hi))
+
+
+def click_factorials_extended(spec: DetectorSpec, n_max: int, order: int
+                              ) -> np.ndarray:
+    """``rows @ T``, the factorial click moments ``<(c)_k>`` of ``0..n_max``
+    photons, with the chain in long double from a 128-bit binomial start."""
+    import mpmath as mp
+
+    N = spec.pixels
+    with mp.workprec(128):
+        dark = mp.mpf(spec.dark)
+        col = np.array([_longdouble(mp.binomial(N, c) * dark ** c
+                                    * (1 - dark) ** (N - c))
+                        for c in range(N + 1)])
+    rows = np.array([[math.perm(c, k) for c in range(N + 1)]
+                     for k in range(order + 1)], dtype=np.longdouble)
+    fresh = np.longdouble(spec.eta) * np.arange(N, -1, -1,
+                                                dtype=np.longdouble) / N
+    out = np.empty((order + 1, n_max + 1), dtype=np.longdouble)
+    out[:, 0] = rows @ col
+    for m in range(1, n_max + 1):
+        nxt = col * (1 - fresh)
+        nxt[1:] += col[:-1] * fresh[:-1]
+        col = nxt
+        out[:, m] = rows @ col
+    return out
+
+
+def genuine_click_moments_extended(params: TwbParams, spec_s: DetectorSpec,
+                                   spec_i: DetectorSpec, n: int, order: int
+                                   ) -> np.ndarray:
+    """``Fs @ p @ Fi.T`` in long double, ``F`` from
+    :func:`click_factorials_extended`: the moments
+    ``models.genuine_click_moments`` gives, rounded to double at the end."""
+    p = joint_twb(params.scaled(n)).astype(np.longdouble)
+    f_s, f_i = (click_factorials_extended(
+        DetectorSpec(spec.eta, spec.dark, n), p.shape[axis] - 1, order)
+        for axis, spec in enumerate((spec_s, spec_i)))
+    return (f_s @ p @ f_i.T).astype(float)
 
 
 def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -8,18 +7,20 @@ from hypothesis import strategies as st
 from scipy.special import comb, gammaln
 
 from oracles import (SupportViolationError, ZeroProbabilityConditionError,
-                     _build_extended, compound_click_dist,
-                     compound_click_moments_by_table, compound_photocounts,
-                     compound_photon_dist, conditional_photon_dist,
-                     forward_photocounts, genuine_click_dist, marginal,
-                     two_stage_matrix, window_click_dist, window_forward_dist)
+                     _build_extended, click_factorials_extended,
+                     compound_click_dist, compound_click_moments_by_table,
+                     compound_photocounts, compound_photon_dist,
+                     conditional_photon_dist, forward_photocounts,
+                     genuine_click_dist, genuine_click_moments_extended,
+                     marginal, two_stage_matrix, window_click_dist,
+                     window_forward_dist)
 from twinbeam import (DetectorSpec, TwbParams, detection, detection_matrix,
                       joint_twb)
 from twinbeam.cli import DEFAULT_GROUPS
 from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
                                 column_sum_error, default_n_max)
 from twinbeam.errors import DataError, NumericError, UsageError
-from twinbeam.moments import falling_factorials, moments
+from twinbeam.moments import moments
 from twinbeam import models
 
 
@@ -92,6 +93,17 @@ class TestDetectionMatrix:
             detection_matrix(DetectorSpec(0.7, 1e-3, 64), 40)
         assert detection._cache == {}
 
+    def test_corrupted_chain_fails_validation(self, monkeypatch):
+        # the 16-bit alternating sum as the chain's columns, with column
+        # sums off by up to 43: the whole matrix's check refuses it
+        monkeypatch.setattr(detection, "_cache", {})
+        monkeypatch.setattr(
+            detection, "_columns",
+            lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
+        with pytest.raises(NumericError, match="column sums"):
+            detection_matrix(DetectorSpec(0.7, 1e-3, 16), 10)
+        assert detection._cache == {}
+
     @pytest.mark.parametrize("pixels", [1, 10, 100])
     @pytest.mark.parametrize("eta", [0.282, 1.0])
     @pytest.mark.parametrize("dark", [0.0, 3.8e-3])
@@ -147,51 +159,39 @@ class TestDetectionMatrix:
         assert list(detection._cache.values()) == [big]
 
 
-class TestFoldDetection:
+class TestClickFactorials:
     @settings(max_examples=60, deadline=None, database=None)
-    @given(eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    @given(eta=st.one_of(st.just(1.0), st.floats(1e-30, 1.0)),
            dark=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
            pixels=st.integers(1, 1000), n_max=st.integers(0, 300),
            order=st.integers(0, 5))
     @example(eta=1.0, dark=0.0, pixels=1000, n_max=64, order=5)
     @example(eta=0.282, dark=2.8e-3, pixels=1000, n_max=200, order=5)
     @example(eta=0.5, dark=0.1, pixels=10, n_max=0, order=3)
-    def test_fold_equals_the_matrix_product(self, eta, dark, pixels, n_max,
-                                            order):
-        # bit-equal but where BLAS sums a short last block in another order
-        # (one column goes through a matrix-vector product); the examples
-        # end on a last block of 1 column, of 9, and on a lone first column
+    def test_factorials_match_the_extended_chain(self, eta, dark, pixels,
+                                                 n_max, order):
+        # the long-double chain projected onto the falling factorials; eta
+        # from 1e-30, where a dark-free order-5 moment is still a normal
+        # double; rows past the pixel count are exact zeros on both sides
         spec = DetectorSpec(eta, dark, pixels)
-        falling = falling_factorials(pixels, order)
-        got = detection.fold_detection(falling, spec, n_max)
+        got = detection.click_factorials(spec, n_max, order)
         assert got.shape == (order + 1, n_max + 1)
+        assert np.all(got[pixels + 1:] == 0.0)
         np.testing.assert_allclose(
-            got, falling @ detection_matrix(spec, n_max).entries,
+            got, click_factorials_extended(spec, n_max, order).astype(float),
             rtol=1e-13, atol=0)
 
-    def test_corrupted_chain_fails_validation(self, monkeypatch):
-        # the 16-bit alternating sum as the chain's columns, with column
-        # sums off by up to 43: the matrix and the fold read the chain
-        # through one block stream, and its column-sum check refuses it
-        monkeypatch.setattr(detection, "_cache", {})
-        monkeypatch.setattr(
-            detection, "_columns",
-            lambda spec, n_max: iter(_build_extended(spec, n_max, 16).T))
-        spec = DetectorSpec(0.7, 1e-3, 16)
-        with pytest.raises(NumericError, match="column sums"):
-            detection.fold_detection(falling_factorials(16, 2), spec, 10)
-        with pytest.raises(NumericError, match="column sums"):
-            detection_matrix(spec, 10)
-        assert detection._cache == {}
-
     def test_negative_support_rejected(self):
-        # no buffer fits 1e15 pixels: either entry point that allocated one
-        # before checking the support would fail with a MemoryError
+        # no column fits 1e15 pixels: the matrix must check the support
+        # before it allocates, and the recurrence holds order + 1 numbers
         spec = DetectorSpec(0.5, 0.0, 10**15)
         with pytest.raises(UsageError, match="n_max must be >= 0"):
-            detection.fold_detection(np.ones((1, 2)), spec, -1)
+            detection.click_factorials(spec, -1, 2)
         with pytest.raises(UsageError, match="n_max must be >= 0"):
             detection_matrix(spec, -1)
+        with pytest.raises(UsageError, match="order must be >= 0"):
+            detection.click_factorials(spec, 2, -1)
+        assert detection.click_factorials(spec, 2, 2).shape == (3, 3)
 
 
 class TestForward:
@@ -435,14 +435,6 @@ class TestConditional:
             conditional_photon_dist(joint_twb(params), spec_s, c_s, n)
 
 
-def falling_factorial_sums(dist: np.ndarray, order: int) -> np.ndarray:
-    """``sum (c)_a (d)_b P(c, d)`` of a click table, exact integer factors."""
-    rows = [np.array([[math.perm(c, k) for c in range(size)]
-                      for k in range(order + 1)], dtype=float)
-            for size in dist.shape]
-    return rows[0] @ dist @ rows[1].T
-
-
 #: Beams of at most ~20 photons per window; a parameter is 0 or at least
 #: 1e-4, so no moment is subnormal and relative error means something.
 small_or_zero = st.one_of(st.just(0.0), st.floats(1e-4, 0.05))
@@ -465,9 +457,11 @@ class TestGenuineModel:
 
     @pytest.mark.parametrize("n", DEFAULT_GROUPS)
     def test_moments_match_the_click_table_on_the_ladder(self, nominal, n):
+        # each arm's click table in long double, projected onto the falling
+        # factorials; a double-precision table carries 5e-13 at n = 1000
         got = models.genuine_click_moments(*nominal, n, 5)
         assert got.shape == (6, 6)
-        want = falling_factorial_sums(genuine_click_dist(*nominal, n), 5)
+        want = genuine_click_moments_extended(*nominal, n, 5)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @settings(max_examples=30, deadline=None, database=None)
@@ -476,8 +470,8 @@ class TestGenuineModel:
     def test_moments_match_the_click_table_on_random_beams(
             self, params, spec_s, spec_i, n, order):
         got = models.genuine_click_moments(params, spec_s, spec_i, n, order)
-        want = falling_factorial_sums(
-            genuine_click_dist(params, spec_s, spec_i, n), order)
+        want = genuine_click_moments_extended(params, spec_s, spec_i, n,
+                                              order)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -503,7 +497,8 @@ class TestGenuineModel:
 
     def test_moments_need_no_click_table(self, nominal, monkeypatch):
         # one arm's (n + 1) x (n_max + 1) detection matrix alone would take
-        # (n + 1) * (n_max + 1) * 8 bytes; the fold keeps a 64-column block
+        # (n + 1) * (n_max + 1) * 8 bytes; the recurrence keeps order + 1
+        # numbers per photon number
         n = 1000
         n_max = min(joint_twb(nominal[0].scaled(n)).shape) - 1
         monkeypatch.setattr(detection, "_cache", {})
@@ -515,6 +510,14 @@ class TestGenuineModel:
             tracemalloc.stop()
         assert peak < (n + 1) * (n_max + 1) * 8
         assert detection._cache == {}
+
+    def test_moments_run_no_occupancy_chain(self, nominal, monkeypatch):
+        def chain(spec, n_max):
+            raise AssertionError("the occupancy chain ran")
+
+        monkeypatch.setattr(detection, "_columns", chain)
+        raw = models.genuine_click_moments(*nominal, 1000, 5)
+        assert raw.shape == (6, 6) and np.isfinite(raw).all()
 
     @pytest.mark.parametrize("n", [10_000, 20_000])
     def test_past_the_largest_feasible_n_raises(self, nominal, n):

@@ -1084,6 +1084,12 @@ BAD_INPUTS = {
     "sweep-groups-zero": (
         ["sweep", "--metric", "eta-eff", "--groups", "0"], 2,
         "group size must be >= 1, got 0"),
+    "sweep-eta-eff-groups-2-50": (
+        ["sweep", "--metric", "eta-eff", "--groups", str(2 ** 50),
+         "--out", "{tmp}/e.csv"], 4, "covariance"),
+    "sweep-eta-eff-groups-2-63": (
+        ["sweep", "--metric", "eta-eff", "--groups", str(2 ** 63),
+         "--out", "{tmp}/e.csv"], 4, "covariance"),
     "sweep-groups-negative": (
         ["sweep", "--metric", "nrp", "--groups", "-3"], 2,
         "group size must be >= 1, got -3"),
@@ -1511,9 +1517,12 @@ TOO_SMALL = {
         "max_steps must be an integer, got 2.5"),
     "detection-matrix-n-max-2.5": (lambda nominal: detection.detection_matrix(
         nominal[1], 2.5), UsageError, "n_max must be an integer, got 2.5"),
-    "fold-detection-n-max-2.5": (lambda nominal: detection.fold_detection(
-        np.ones((1, 2)), nominal[1], 2.5), UsageError,
-        "n_max must be an integer, got 2.5"),
+    "click-factorials-n-max-2.5": (
+        lambda nominal: detection.click_factorials(nominal[1], 2.5, 2),
+        UsageError, "n_max must be an integer, got 2.5"),
+    "click-factorials-order-2.5": (
+        lambda nominal: detection.click_factorials(nominal[1], 2, 2.5),
+        UsageError, "order must be an integer, got 2.5"),
     "compound-order-2.5": (lambda nominal: models.compound_click_moments(
         *nominal, 10, 2.5), UsageError, "order must be an integer, got 2.5"),
     "genuine-order-2.5": (lambda nominal: models.genuine_click_moments(

@@ -71,6 +71,21 @@ class TestEffectiveEfficiencyModel:
         with pytest.raises(UsageError, match="arm must be 's' or 'i'"):
             effective_efficiency(grouped_clicks(*nominal, 10), arm)
 
+    def test_no_pairs_read_zero_not_a_rounding_error(self, nominal):
+        # a covariance that is truly 0 has no relative precision; what
+        # counts is the efficiency's rounding, about 2 n eps p_s
+        _, spec_s, spec_i = nominal
+        params = TwbParams(10, 10, 10, 0.0, 8e-3, 2e-3)
+        for n in (1, 10, 1000):
+            assert abs(effective_efficiency(
+                grouped_clicks(params, spec_s, spec_i, n))) < 1e-12
+
+    def test_huge_drift_covariance_passes_the_rounding_check(self, nominal):
+        # at 2^40 windows the drift's covariance, 1e18, is 6e-13 off at
+        # most: an efficiency far above 1, but twelve digits hold
+        got = effective_efficiency(grouped_clicks(*nominal, 2 ** 40, 0.965e-3))
+        assert got > 1e7
+
     def test_drift_raises_with_group_size(self, nominal):
         k = 1e-3
         lo = effective_efficiency(grouped_clicks(*nominal, 10, k))

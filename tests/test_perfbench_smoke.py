@@ -81,7 +81,7 @@ def test_tracer_counts_the_smoke_stream(tmp_path):
 
 def test_tracer_runs_the_smoke_sweep(tmp_path):
     # the tracer reads detection._cache after every command; the genuine
-    # beam's moments fold the detection chain and leave the cache empty
+    # beam's moments need no detection matrix and leave the cache empty
     commands, _ = _load("workloads").build("sweep-ladder", 1, smoke=True)
     for argv in commands:
         assert argv[0] == "sweep"
