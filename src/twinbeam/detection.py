@@ -105,19 +105,18 @@ def default_n_max(c_max: int, eta: float, pixels: int) -> int:
     return bisect.bisect_left(range(1, 1 << 62), True, key=covered)
 
 
-def _log_factorials(k_max: int) -> np.ndarray:
-    """``log(k!)`` for ``k = 0..k_max``."""
-    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
-
-
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """``P(k)`` of ``Binomial(n, p)`` for ``k = 0..n``, in log space."""
-    k = np.arange(n + 1)
-    lf = _log_factorials(n)
-    # log 0 as a large finite negative keeps 0 * log 0 at 0: point masses
-    log_p = math.log(p) if p > 0 else -1e9
-    log_q = math.log1p(-p) if p < 1 else -1e9
-    return np.exp(lf[n] - lf[k] - lf[n - k] + k * log_p + (n - k) * log_q)
+    """``P(k)``, ``k = 0..n``, of ``Binomial(n, p)``: exact neighbour ratios
+    out from 1 at the mode (far cells underflow to 0), over their ``fsum``."""
+    k, mode = np.arange(n + 1.0), min(n, math.floor((n + 1) * p))
+    pmf = np.ones(n + 1)
+    if mode < n:                            # so p < 1
+        up = (n - k[mode:-1]) / k[mode + 1:]
+        pmf[mode + 1:] = np.cumprod(up * (p / (1 - p)))
+    if mode > 0:                            # so p > 0
+        down = k[mode:0:-1] / (n - k[mode - 1::-1])
+        pmf[mode - 1::-1] = np.cumprod(down * ((1 - p) / p))
+    return pmf / math.fsum(pmf)
 
 
 def _columns(spec: DetectorSpec, n_max: int):

@@ -147,9 +147,7 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
     out = np.zeros((order + 1, order + 1))
     for a, b in np.ndindex(out.shape):
         for c in range(min(a, b) + 1):
-            coeff = (math.factorial(a) * math.factorial(b)
-                     // (math.factorial(a - c) * math.factorial(b - c)
-                         * math.factorial(c)) * math.perm(n, a + b - c))
+            coeff = math.comb(a, c) * math.perm(b, c) * math.perm(n, a + b - c)
             if coeff > sys.float_info.max:
                 raise NumericError(f"click moments of {n} windows overflow")
             out[a, b] += float(coeff) * (weights @ (

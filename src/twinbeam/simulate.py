@@ -113,9 +113,6 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
     else:
         factors = None
 
-    log_miss_s = np.log1p(-spec_s.eta) if spec_s.eta < 1 else -np.inf
-    log_miss_i = np.log1p(-spec_i.eta) if spec_i.eta < 1 else -np.inf
-
     def draw_chunk(ci: int) -> np.ndarray:
         lo, hi = ci * CHUNK, min((ci + 1) * CHUNK, n_windows)
         size = hi - lo
@@ -131,8 +128,8 @@ def sample_stream(params: TwbParams, spec_s: DetectorSpec, spec_i: DetectorSpec,
         del lam_p
         n_s = _add_noise(rng, params.m_s, params.b_s, n_p)
         n_i = _add_noise(rng, params.m_i, params.b_i, n_p)
-        s = _clicks(rng, n_s, spec_s.dark, log_miss_s)
-        i = _clicks(rng, n_i, spec_i.dark, log_miss_i)
+        s = _clicks(rng, n_s, spec_s)
+        i = _clicks(rng, n_i, spec_i)
         codes = np.left_shift(i, 1, dtype=np.uint8)
         codes |= s
         return codes
@@ -191,16 +188,10 @@ def _add_noise(rng, m: float, b: float, n_p: np.ndarray) -> np.ndarray:
     return np.add(noise, n_p, dtype=np.min_scalar_type(top))
 
 
-def _clicks(rng, n: np.ndarray, dark: float, log_miss: float) -> np.ndarray:
-    """Clicks of chance ``1 - (1 - dark)(1 - eta)^n`` for ``n`` photons."""
-    k = np.arange(int(n.max()) + 1)
-    prob = 1.0 - (1.0 - dark) * _miss_prob(k, log_miss)
+def _clicks(rng, n: np.ndarray, spec: DetectorSpec) -> np.ndarray:
+    """Clicks of ``n`` photons, of chance ``1 - (1 - dark)(1 - eta)^n``."""
+    # numpy takes 0.0 ** 0 as 1, the limit that unit efficiency needs
+    miss = (1.0 - spec.eta) ** np.arange(int(n.max()) + 1)
+    prob = 1.0 - (1.0 - spec.dark) * miss
     return np.concatenate([rng.random(len(part)) < prob[part] for part in
                            np.split(n, range(BLOCK, len(n), BLOCK))])
-
-
-def _miss_prob(n: np.ndarray, log_miss: float) -> np.ndarray:
-    """``(1 - eta)^n`` with the unit-efficiency limit ``0^0 = 1`` handled."""
-    if np.isneginf(log_miss):
-        return (n == 0).astype(float)
-    return np.exp(n * log_miss)

@@ -6,6 +6,9 @@ another way:
 * the textbook alternating sum of the detection matrix, evaluated at any
   precision with mpmath (the package uses the all-positive occupancy
   recursion);
+* the binomial law at 160 bits in mpmath, from ``(1 - p)^n`` by the
+  neighbour ratios (the package runs them in double precision out from the
+  mode), and the log-factorials that the log-space oracles below sum;
 * the detection matrix in two stages: the occupancy chain from zero marked
   pixels, then a binomial mixing matrix for the dark clicks (the package
   starts one chain from the dark-count law);
@@ -81,7 +84,7 @@ from scipy import signal
 
 from twinbeam import models
 from twinbeam.core import TwbParams, joint_twb
-from twinbeam.detection import DetectorSpec, _log_factorials, detection_matrix
+from twinbeam.detection import DetectorSpec, detection_matrix
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.ingest import JointHistogram
 from twinbeam.metrology import PrecisionReport
@@ -129,6 +132,28 @@ class EmptyConditionError(DataError):
 
 class DegenerateStreamError(DataError):
     """A click stream carries no clicks where some are required."""
+
+
+def binomial_pmf_extended(n: int, p: float, bits: int = 160) -> list:
+    """``P(k)`` of ``Binomial(n, p)``, ``k = 0..n``, as ``bits``-bit mpfs.
+
+    ``(1 - p)^n`` times the ratios ``(n - k)/(k + 1) p/(1 - p)``; mpmath's
+    exponent range holds every cell, so none underflows.
+    """
+    import mpmath as mp
+
+    with mp.workprec(bits):
+        p = mp.mpf(p)
+        q = 1 - p
+        cells = [q ** n]
+        for k in range(n):
+            cells.append(cells[-1] * (n - k) / (k + 1) * p / q)
+    return cells
+
+
+def _log_factorials(k_max: int) -> np.ndarray:
+    """``log(k!)`` for ``k = 0..k_max``."""
+    return np.array([math.lgamma(k + 1.0) for k in range(k_max + 1)])
 
 
 def _build_extended(spec: DetectorSpec, n_max: int, bits: int) -> np.ndarray:

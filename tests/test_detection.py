@@ -1,5 +1,8 @@
+import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import comb, gammaln
 
 from oracles import (SupportViolationError, ZeroProbabilityConditionError,
-                     _build_extended, click_factorials_extended,
+                     _build_extended, _log_factorials, binomial_pmf_extended,
+                     click_factorials_extended,
                      compound_click_dist, compound_click_moments_by_table,
                      compound_photocounts, compound_photon_dist,
                      conditional_photon_dist, forward_photocounts,
@@ -17,7 +21,7 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
 from twinbeam import (DetectorSpec, TwbParams, detection, detection_matrix,
                       joint_twb)
 from twinbeam.cli import DEFAULT_GROUPS
-from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _log_factorials,
+from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _binomial_pmf,
                                 column_sum_error, default_n_max)
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.moments import moments
@@ -228,6 +232,48 @@ def test_log_factorials_match_gammaln():
     k = np.arange(20_001)
     np.testing.assert_allclose(_log_factorials(20_000), gammaln(k + 1.0),
                                rtol=1e-13, atol=0)
+
+
+class TestBinomialPmf:
+    """The ``Binomial(N, dark)`` start of every detection matrix column."""
+
+    # far cells underflow in rows 2, 3, 4 and 6: 786, 598, 6032 and 603
+    @pytest.mark.parametrize("n, p", [
+        (100, 2.8e-3), (1000, 2.8e-3), (1000, 0.0312), (7004, 0.0312),
+        (1000, 0.5), (1000, 0.97)])
+    def test_matches_160_bit_oracle(self, n, p):
+        exact = binomial_pmf_extended(n, p)
+        with mpmath.workprec(160):
+            assert abs(mpmath.fsum(exact) - 1) < 1e-40   # the oracle's own sum
+        ref = np.array([float(c) for c in exact])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = _binomial_pmf(n, p)
+        held = ref > 1e-300
+        np.testing.assert_allclose(pmf[held], ref[held], rtol=1e-13, atol=0)
+        assert not pmf[ref == 0].any()        # no double holds these cells
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_point_masses(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zero, at_one = _binomial_pmf(n, 0.0), _binomial_pmf(n, 1.0)
+        assert at_zero[0] == 1.0 and not at_zero[1:].any()
+        assert at_one[n] == 1.0 and not at_one[:n].any()
+
+    @pytest.mark.parametrize("dark", [0.0, 1e-310])
+    def test_tiny_dark_raises_no_warning(self, dark):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = _binomial_pmf(1000, dark)
+            t = detection_matrix(DetectorSpec(0.41, dark, 1000), 3)
+        assert pmf[0] == 1.0 and pmf[1] == pytest.approx(1000 * dark)
+        assert column_sum_error(t.entries) <= 1e-15
+
+    def test_detection_matrix_column_sums_at_n_1000(self):
+        t = detection_matrix(DetectorSpec(0.282, 2.8e-3, 1000), 890)
+        assert column_sum_error(t.entries) <= 1e-14
 
 
 class TestCompound:
