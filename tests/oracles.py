@@ -134,15 +134,15 @@ class DegenerateStreamError(DataError):
     """A click stream carries no clicks where some are required."""
 
 
-def binomial_pmf_extended(n: int, p: float, bits: int = 160) -> list:
-    """``P(k)`` of ``Binomial(n, p)``, ``k = 0..n``, as ``bits``-bit mpfs.
+def binomial_pmf_extended(n: int, p: float) -> list:
+    """``P(k)`` of ``Binomial(n, p)``, ``k = 0..n``, as 160-bit mpfs.
 
     ``(1 - p)^n`` times the ratios ``(n - k)/(k + 1) p/(1 - p)``; mpmath's
     exponent range holds every cell, so none underflows.
     """
     import mpmath as mp
 
-    with mp.workprec(bits):
+    with mp.workprec(160):
         p = mp.mpf(p)
         q = 1 - p
         cells = [q ** n]
