@@ -193,9 +193,13 @@ def _cmd_reconstruct(args) -> None:
     tbio.write_jdist(dist, args.out)
     cells = len(clicks[0])
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
+    f = hist.counts[clicks] / hist.n_groups
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "observed_cells": cells,
+        "saturated": c_max >= n,        # the data identify no photon table
         **vars(result),
+        # G^2 over the observed cells; an efficiency set too low raises it
+        "deviance": 2 * hist.n_groups * (f @ np.log(f) - result.log_likelihood),
         "column_sum_error": {"signal": column_sum_error(t_s),
                              "idler": column_sum_error(t_i)},
         "edge_mass": float(dist[edge:].sum() + dist[:edge, edge:].sum())})

@@ -3,7 +3,9 @@
 A joint histogram takes one pass: each window is coded ``signal * (n + 1) +
 idler``, so a group's summed code ``c_s (n + 1) + c_i`` is the flat index of
 its histogram cell, and a ``bincount`` of the sums counts the cells, one
-chunk of the stream at a time.
+chunk of the stream at a time.  The sums are differences of a running sum
+taken in the narrowest signed dtype that holds ``n (n + 2)``: it wraps, but
+each difference is a group's summed code in ``[0, n (n + 2)]``, and exact.
 """
 
 from __future__ import annotations
@@ -58,32 +60,24 @@ def group_histogram(stream: ClickStream, n: int,
             f"stream of {len(stream)} windows cannot form groups of {n}")
     # windows between the starts of successive groups
     stride = n if mode == DISJOINT else 1
+    # holds n (n + 2), the largest group sum (see the module docstring)
+    dtype = np.min_scalar_type(-n * (n + 2) - 1)
     counts = np.zeros((n + 1) ** 2, dtype=np.int64)
     carry = np.empty(0, np.uint8)
-    csum = out = np.empty(0, np.int64)
     for chunk in stream.chunks():
         part = np.concatenate((carry, chunk))
         groups = max(0, (len(part) - n) // stride + 1)
         carry = part[groups * stride:]
         if not groups:
             continue
-        # in place, as each temporary is chunk-sized; the dtype holds n + 2
-        code = np.bitwise_and(part, 1, dtype=np.min_scalar_type(n + 2))
+        # codes (<= 3, as chunks() checks) summed in place after csum[0] = 0;
+        # a group's sum is csum's difference n windows apart, stride by stride
+        csum = np.zeros(len(part) + 1, dtype)
+        code = np.bitwise_and(part, 1, out=csum[1:])
         code *= n + 1
-        code += (part >> 1) & 1
-        if len(csum) <= len(part):
-            # buffers that later chunks reuse, with room for the carried
-            # windows: fresh ones would be page-faulted in again each time
-            csum = np.zeros(len(part) + n, np.int64)
-            out = np.empty_like(csum)
-        # group sums: differences n windows apart of the running sum in
-        # csum[1:] (csum[0] is 0), at every stride-th start; summed in place
-        # after one copy, as a casting cumsum would first copy to int64
-        run = csum[1:len(part) + 1]
-        np.copyto(run, code)
-        np.cumsum(run, out=run)
-        sums = np.subtract(csum[n:n + groups * stride:stride],
-                           csum[:groups * stride:stride], out=out[:groups])
-        found = np.bincount(sums)
+        code += part >> 1
+        np.cumsum(code, out=code)
+        found = np.bincount(csum[n:n + groups * stride:stride]
+                            - csum[:groups * stride:stride])
         counts[:len(found)] += found
     return JointHistogram(counts.reshape(n + 1, n + 1), mode)

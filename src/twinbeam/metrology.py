@@ -131,10 +131,9 @@ class _Blocks:
         end = len(run) - len(run) % (self.n * self.n_m)
         self.carry = run[end:]
         if end:
-            groups = run[:end].reshape(-1, self.n_m, self.n).sum(
-                axis=2, dtype=np.int64)
-            self.total += int(groups.sum())
-            blocks = groups.astype(float)
+            blocks = run[:end].reshape(-1, self.n_m, self.n).sum(
+                axis=2, dtype=float)
+            self.total += int(blocks.sum())
             means = blocks.mean(axis=1)
             if np.any(means == 0):
                 # raised by report(), so that an earlier arm too short to

@@ -25,11 +25,11 @@ step lengths.  Each Newton step solves the J x J system
 for the predictor and then the corrector.  The matrix is formed one distinct
 signal click value at a time through the Kronecker structure of ``A`` (``A``
 itself is never built), so beyond the J x J matrix the memory is that of one
-J x (n_max + 1) block; it is scaled to a unit diagonal.  numpy has no
-triangular solve that would let both solves share one factor, and an
-explicit inverse loses the last digits that the certificate needs, so each
-is an LU solve.  Histograms with more than ``MAX_CELLS`` observed cells are
-refused rather than given a matrix of gigabytes.
+J x (n_max + 1) block; it is scaled to a unit diagonal.  Both solves are
+LU solves: to share one Cholesky factor they need a triangular substitution
+written by hand, which numpy lacks, and an explicit inverse loses the last
+digits that the certificate needs.  Histograms with more than ``MAX_CELLS``
+observed cells are refused rather than given a matrix of gigabytes.
 
 The estimate is the normalized ``p``.  Lindsay's bound
 ``log max_k (A^T (f / A p))_k`` (Ann. Stat. 11, 86 (1983)) limits the

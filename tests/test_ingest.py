@@ -104,6 +104,24 @@ class TestGrouping:
         assert h.n_groups == len(s)
         assert np.array_equal(h.counts, whole.reshape(n + 1, n + 1))
 
+    @pytest.mark.parametrize("mode", ["sliding", "disjoint"])
+    @pytest.mark.parametrize("n", [10, 11, 180, 181])
+    def test_narrow_running_sums_are_exact_at_the_dtype_edges(self, n, mode):
+        # n (n + 2) is 120 and 32760 at n = 10 and 180, the most that int8
+        # and int16 hold; n = 11 and 181 need the next width.  The running
+        # sums wrap, the group sums must not: a run of code 3, whose groups
+        # sum to n (n + 2), straddles the first chunk's end, so that the
+        # group across it is summed from carried windows
+        chunk = 997
+        codes = np.random.default_rng(n).integers(0, 4, 3 * chunk).astype(
+            np.uint8)
+        codes[chunk - 2 * n:chunk + 2 * n] = 3
+        h = group_histogram(stream_of(codes, chunk=chunk), n, mode)
+        s, i = (group_sums(bits, n, mode) for bits in (codes & 1, codes >> 1))
+        whole = np.bincount(s * (n + 1) + i, minlength=(n + 1) ** 2)
+        assert np.array_equal(h.counts, whole.reshape(n + 1, n + 1))
+        assert h.counts[n, n] > 0
+
     def test_sliding_and_disjoint_means_agree(self, stream_1m):
         n = 20
         gs = group_sums(idler_bits(stream_1m), n, "sliding")

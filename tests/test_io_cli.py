@@ -55,6 +55,13 @@ def jdist_bytes(table: np.ndarray) -> bytes:
                      table.astype("<f8").tobytes())
 
 
+def deviance(counts: np.ndarray, projected: np.ndarray) -> float:
+    """``G^2 = 2 sum_j N_j log(N_j / (N q_j))`` over the observed cells."""
+    observed = counts > 0
+    found, total = counts[observed], counts.sum()
+    return float(2 * found @ np.log(found / (total * projected[observed])))
+
+
 def jhist_bytes(counts: np.ndarray, mode: str = "disjoint") -> bytes:
     """The bytes of a jhist of ``counts``, even of counts the writer refuses."""
     body = "\n".join(",".join(map(str, row)) for row in counts).encode()
@@ -510,6 +517,10 @@ class TestCli:
         assert loglik == pytest.approx(
             float(data[observed] @ np.log(projected[observed])),
             rel=0, abs=1e-12)
+        # 300 groups of 1000 windows leave far fewer clicks than pixels
+        assert diag.pop("saturated") is False
+        assert diag.pop("deviance") == pytest.approx(
+            deviance(hist.counts, projected), rel=1e-9)
         cells = int(np.count_nonzero(hist.counts))
         assert diag == {"c_max": c_max, "n_max": n_max,
                         "observed_cells": cells, "converged": True}
@@ -548,6 +559,48 @@ class TestCli:
         assert manifest["parameters"]["n_max"] == 0
         assert diag["n_max"] == 0
         assert dist.shape == (1, 1)
+
+    def reconstruct_chain(self, tmp_path, windows, seed, n, *extra):
+        """Simulate without drift, group disjoint by ``n`` and reconstruct
+        with the nominal detectors: the histogram, the detection matrices'
+        click rows, the estimate and the manifest's diagnostics."""
+        clicks, hist, dist = (str(tmp_path / name) for name in
+                              ("s.clicks", "h.jhist", "p.jdist"))
+        assert self.run("simulate", "--windows", str(windows), "--seed",
+                        str(seed), "--out", clicks) == 0
+        assert self.run("analyze", "--in", clicks, "--group-n", str(n),
+                        "--mode", "disjoint", "--out", hist) == 0
+        assert self.run("reconstruct", "--hist", hist, "--eta-s", "0.282",
+                        "--eta-i", "0.330", "--dark-s", "0.0028",
+                        "--dark-i", "0.0038", "--out", dist, *extra) == 0
+        diag = json.loads(open(dist + ".manifest.json").read())["diagnostics"]
+        t_s, t_i = (detection.detection_matrix(
+            detection.DetectorSpec(eta, dark, n), diag["n_max"]).entries
+            for eta, dark in ((0.282, 0.0028), (0.330, 0.0038)))
+        return tbio.read_jhist(hist).counts, t_s, t_i, tbio.read_jdist(dist), diag
+
+    def test_saturated_single_windows_are_flagged(self, tmp_path):
+        # one window per group clicks up to its one pixel: four cells that a
+        # photon table on any support fits exactly
+        counts, t_s, t_i, dist, diag = self.reconstruct_chain(
+            tmp_path, 100_000, 2, 1, "--n-max", "10")
+        assert diag["c_max"] == 1 and diag["saturated"] is True
+        assert diag["converged"] is True
+        assert abs(diag["deviance"]) < 1e-6
+        assert diag["deviance"] == pytest.approx(
+            deviance(counts, t_s @ dist @ t_i.T), rel=0, abs=1e-6)
+
+    def test_identified_rung_has_a_nonnegative_deviance(self, tmp_path):
+        # the sizes of the benchmark's recon-n100 workload, seed 1
+        counts, t_s, t_i, dist, diag = self.reconstruct_chain(
+            tmp_path, 2_000_000, 1, 100, "--max-iters", "300")
+        assert diag["c_max"] < 100 and diag["saturated"] is False
+        assert diag["converged"] is True
+        # no photon table fits the observed cells better than their own
+        # frequencies do
+        assert diag["deviance"] >= 0
+        assert diag["deviance"] == pytest.approx(
+            deviance(counts, t_s @ dist @ t_i.T), rel=1e-9)
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -1011,6 +1064,25 @@ def test_stream_commands_hold_no_stream_sized_buffer(tmp_path, monkeypatch):
     short, long = peaks(2 * CHUNK + 5), peaks(14 * CHUNK + 5)
     # twelve chunks more grow each peak by less than one chunk of codes
     assert all(b - a < CHUNK for a, b in zip(short, long)), (short, long)
+
+
+@pytest.mark.parametrize("n, mode", [(10, "sliding"), (100, "disjoint")])
+def test_analyze_keeps_no_wide_running_sums(tmp_path, monkeypatch, n, mode):
+    # the group sums of a chunk are one byte a window for n = 10, and
+    # bincount takes an intp copy of them, 8 bytes; int64 running sums and
+    # differences kept from chunk to chunk would add 16 bytes a window more
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    out = str(tmp_path / "s.clicks")
+    assert main(["simulate", "--windows", str(2 * CHUNK + 5), "--seed", "3",
+                 "--k-pump", "0.000965", "--out", out]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--in", out, "--group-n", str(n), "--mode",
+                     mode, "--out", out + ".jhist"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * CHUNK, peak / 2**20
 
 
 def test_bad_code_in_the_last_chunk_exits_3_without_output(tmp_path, capsys):
