@@ -24,8 +24,8 @@ from . import __version__
 from . import io as tbio
 from . import models
 from .core import TwbParams
-from .detection import (DetectorSpec, column_sum_error, default_n_max,
-                        detection_matrix)
+from .detection import (SUPPORT_TAIL, DetectorSpec, column_sum_error,
+                        default_n_max, detection_matrix)
 from .errors import DataError, NumericError, UsageError, check_size
 from .ingest import DISJOINT, SLIDING, group_histogram
 from .metrology import _postselect, effective_efficiency, precision_improvement
@@ -165,8 +165,11 @@ def _cmd_analyze(args) -> None:
     hist = group_histogram(stream, args.group_n, args.mode)
     tbio.write_jhist(hist, args.out)
     # without dark subtraction, the quantity sweep --metric eta-eff models;
-    # null where the other arm never clicked
-    normal = moments(hist.normalized(), 2)
+    # null where the other arm never clicked.  It reads order-1 moments only:
+    # exact int64 sums of the counts, over the group count
+    c, counts, total = np.arange(args.group_n + 1), hist.counts, hist.n_groups
+    normal = np.array([[total, c @ counts.sum(axis=0)],
+                       [c @ counts.sum(axis=1), c @ counts @ c]]) / total
     efficiency = {}
     for name, arm in (("signal", "s"), ("idler", "i")):
         try:
@@ -193,6 +196,7 @@ def _cmd_reconstruct(args) -> None:
     tbio.write_jdist(dist, args.out)
     cells = len(clicks[0])
     edge = (n_max + 1) * 9 // 10        # the last 10 % of the support
+    edge_mass = float(dist[edge:].sum() + dist[:edge, edge:].sum())
     f = hist.counts[clicks] / hist.n_groups
     _write_manifest(args.out, args, [args.hist], {
         "c_max": c_max, "n_max": n_max, "observed_cells": cells,
@@ -202,7 +206,9 @@ def _cmd_reconstruct(args) -> None:
         "deviance": 2 * hist.n_groups * (f @ np.log(f) - result.log_likelihood),
         "column_sum_error": {"signal": column_sum_error(t_s),
                              "idler": column_sum_error(t_i)},
-        "edge_mass": float(dist[edge:].sum() + dist[:edge, edge:].sum())})
+        # an identified estimate leaves no more than the support's tail there
+        "edge_mass": edge_mass, "edge_mass_limit": SUPPORT_TAIL,
+        "edge_mass_ok": edge_mass <= SUPPORT_TAIL})
     print(f"c_max={c_max} n_max={n_max} "
           f"observed_cells={cells} "
           f"converged={result.converged} newton_steps={result.newton_steps} "

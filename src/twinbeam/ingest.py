@@ -36,9 +36,6 @@ class JointHistogram:
     def n_groups(self) -> int:
         return int(self.counts.sum())
 
-    def normalized(self) -> np.ndarray:
-        return self.counts / self.n_groups
-
 
 def group_histogram(stream: ClickStream, n: int,
                     mode: str = SLIDING) -> JointHistogram:

@@ -9,8 +9,8 @@ as ``ClickStream.chunks()`` yields and checks them, so memory stays flat.
 The other formats share one container: an 8-byte magic, a little-endian u32
 header length, a JSON header and a payload, declared in the header: raw
 little-endian float64 (row-major) for jdist and igrid, CSV text of integers
-for jhist.  All writers are atomic (temporary file plus rename) and all
-readers round-trip bit-exactly.
+for jhist, parsed by numpy.  All writers are atomic (temporary file plus
+rename) and all readers round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -139,19 +139,6 @@ def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
     return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
 
 
-def _csv_table(body: bytes, shape: tuple) -> np.ndarray:
-    """A CSV payload of integers, checked to be a ``shape`` table."""
-    try:
-        rows = [[int(v) for v in line.split(",")]
-                for line in body.decode().splitlines()]
-        if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
-            raise DataError("CSV payload is not a "
-                            f"{'x'.join(map(str, shape))} table")
-        return np.array(rows, dtype=np.int64).reshape(shape)
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"unreadable CSV payload ({exc})") from None
-
-
 def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
         return fh.read()
@@ -243,7 +230,7 @@ def write_jhist(h: JointHistogram, path: str) -> None:
     header = {"dims": list(h.counts.shape), "n_groups": h.n_groups,
               "group_n": h.counts.shape[0] - 1, "mode": h.mode,
               "payload": "csv"}
-    body = "\n".join(",".join(str(int(v)) for v in row)
+    body = "\n".join(",".join(map(str, row.tolist()))
                      for row in h.counts).encode()
     blob = _pack("jhist-v1", header, body)      # header, then counts,
     _counts(h.counts, h.n_groups)               # as on reading
@@ -251,8 +238,18 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 
 
 def read_jhist(path: str) -> JointHistogram:
+    """The histogram of a jhist file.  numpy parses its CSV payload once the
+    lines are counted, as ``np.loadtxt`` would skip a blank one."""
     header, body = _unpack("jhist-v1", _read(path))
-    counts = _csv_table(body, tuple(header["dims"]))
+    shape = tuple(header["dims"])
+    try:
+        lines = body.decode().splitlines()
+        counts = np.loadtxt(lines, np.int64, comments=None, delimiter=",",
+                            ndmin=2) if len(lines) == shape[0] else None
+    except ValueError as exc:
+        raise DataError(f"unreadable CSV payload ({exc})") from None
+    if counts is None or counts.shape != shape:
+        raise DataError(f"CSV payload is not a {shape[0]}x{shape[1]} table")
     return JointHistogram(_counts(counts, header["n_groups"]), header["mode"])
 
 

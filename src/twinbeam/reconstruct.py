@@ -64,12 +64,14 @@ MAX_CELLS = 4096
 class MlResult:
     """How the solve stopped.  ``log_likelihood`` is the mean data
     log-likelihood of the returned estimate and ``lindsay_bound`` the most
-    any table can still gain over it."""
+    any table can still gain over it; ``trajectory`` holds both for the
+    estimate of each Newton step, the last one returned."""
 
     converged: bool
     newton_steps: int
     lindsay_bound: float
     log_likelihood: float
+    trajectory: list
 
 
 def _step(x: np.ndarray, dx: np.ndarray) -> float:
@@ -144,6 +146,7 @@ def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
     nu = weights / fitted
     nu *= 0.5 / back(nu).max()
     z = 1.0 - back(nu)
+    trajectory = []
     for step in range(1, max_steps + 1):
         fitted = forward(p)
         r_dual = fitted - weights / nu
@@ -187,9 +190,11 @@ def ml_joint(f: np.ndarray, t_s: np.ndarray, t_i: np.ndarray,
         estimate = p / p.sum()      # p > 0: steps stop short of the boundary
         projected = forward(estimate)
         bound = float(np.log(back(weights / projected).max()))
+        loglik = float(weights @ np.log(projected))
+        trajectory.append({"lindsay_bound": bound, "log_likelihood": loglik})
         if bound < CERTIFICATE:
             break
     if not np.isfinite(bound):
         raise NumericError(f"the interior-point solve ended on a bound of {bound}")
-    return estimate, MlResult(
-        bound < CERTIFICATE, step, bound, float(weights @ np.log(projected)))
+    return estimate, MlResult(bound < CERTIFICATE, step, bound, loglik,
+                              trajectory)

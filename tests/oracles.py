@@ -29,6 +29,8 @@ another way:
   factorials (the package's recurrence in double precision is held to it);
 * moments of whole compound click tables, against the closed-form
   grouped-click moments;
+* a histogram's frequencies as one float64 table (the package takes the
+  order-1 moments of grouped clicks as integer sums of the counts);
 * raw counting moments, and the normally-ordered ones from them through
   signed Stirling numbers of the first kind, and back through the second
   kind (the package takes the factorial moments directly from falling
@@ -691,6 +693,11 @@ def em_conditional(f_ci: MarginalDist | np.ndarray, t_i: np.ndarray,
     data = f_ci.probs if isinstance(f_ci, MarginalDist) else np.asarray(f_ci, float)
     dist, result = em_joint(data[:, None], t_i, np.ones((1, 1)), cfg)
     return MarginalDist(dist[:, 0]), result
+
+
+def normalized(h: JointHistogram) -> np.ndarray:
+    """The histogram's counts over its group count, a float64 click table."""
+    return h.counts / h.n_groups
 
 
 def conditional_histogram(h: JointHistogram, c_s: int) -> MarginalDist:

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from oracles import (codes_of, compound_click_moments_by_table,
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import build_parser, main
+from twinbeam.detection import SUPPORT_TAIL
 from twinbeam.errors import DataError, UsageError
 from twinbeam.metrology import effective_efficiency
 from twinbeam.reconstruct import CERTIFICATE
@@ -68,6 +71,24 @@ def jhist_bytes(counts: np.ndarray, mode: str = "disjoint") -> bytes:
     return container("jhist-v1", {
         "dims": list(counts.shape), "n_groups": int(counts.sum()),
         "group_n": counts.shape[0] - 1, "mode": mode, "payload": "csv"}, body)
+
+
+#: CSV payloads that a 3 x 3 jhist (group_n 2) may not hold, by what is wrong.
+BAD_CSV = {
+    "cell-not-integer": b"1,1,1\n1,4.5,1\n1,1,1",
+    "row-short": b"1,1,1\n1,1\n1,1,1",
+    "row-long": b"1,1,1\n1,1,1,1\n1,1,1",
+    "blank-line": b"1,1,1\n\n1,1,1\n1,1,1",
+    "cell-past-int64": b"1,1,1\n1,9223372036854775808,1\n1,1,1",
+    "empty": b"",
+}
+
+
+def bad_csv_jhist(payload: bytes) -> bytes:
+    """A 3 x 3 jhist of nine groups whose payload is ``payload``."""
+    return container("jhist-v1", {"dims": [3, 3], "n_groups": 9, "group_n": 2,
+                                  "mode": "disjoint", "payload": "csv"},
+                     payload)
 
 
 def clicks_bytes(codes: np.ndarray, count: int | None = None) -> bytes:
@@ -311,6 +332,28 @@ class TestFormats:
         assert back.mode == h.mode == "disjoint"
         assert back.counts.shape[0] - 1 == 5
 
+    def test_jhist_bytes_are_fixed(self, tmp_path):
+        path = tmp_path / "h.jhist"
+        counts = np.array([[0, 12, 3], [7, 0, 100], [1, 0, 2]])
+        tbio.write_jhist(JointHistogram(counts, "sliding"), str(path))
+        head = (b'{"dims": [3, 3], "group_n": 2, "mode": "sliding", '
+                b'"n_groups": 125, "payload": "csv"}')
+        assert path.read_bytes() == (b"TWBJHIS1" + bytes([len(head), 0, 0, 0])
+                                     + head + b"0,12,3\n7,0,100\n1,0,2")
+
+    @pytest.mark.parametrize("payload", BAD_CSV.values(), ids=BAD_CSV.keys())
+    def test_bad_csv_payload_is_refused_without_a_warning(self, tmp_path,
+                                                          payload):
+        # numpy would skip a blank line and warn of an empty payload; the
+        # reader refuses both, as it refuses every other malformed table
+        path = tmp_path / "bad.jhist"
+        path.write_bytes(bad_csv_jhist(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="CSV payload"):
+                tbio.read_jhist(str(path))
+        assert caught == []
+
     @settings(max_examples=400, deadline=None, database=None)
     @given(fmt=st.sampled_from(["jdist", "jhist", "igrid", "clicks"]),
            data=st.data())
@@ -504,6 +547,8 @@ class TestCli:
         assert edge_mass == pytest.approx(
             dist[edge[:, None] | edge[None, :]].sum(), rel=1e-12, abs=0)
         assert 0 <= edge_mass <= 1
+        assert diag.pop("edge_mass_limit") == SUPPORT_TAIL
+        assert diag.pop("edge_mass_ok") is (edge_mass <= SUPPORT_TAIL)
         # the mean data log-likelihood of the written estimate, recomputed
         # from the two files as the benchmark's check does
         loglik = diag.pop("log_likelihood")
@@ -517,6 +562,11 @@ class TestCli:
         assert loglik == pytest.approx(
             float(data[observed] @ np.log(projected[observed])),
             rel=0, abs=1e-12)
+        # each Newton step's bound and log-likelihood, the last reported
+        trajectory = diag.pop("trajectory")
+        assert len(trajectory) == steps
+        assert trajectory[-1] == {"lindsay_bound": bound,
+                                  "log_likelihood": loglik}
         # 300 groups of 1000 windows leave far fewer clicks than pixels
         assert diag.pop("saturated") is False
         assert diag.pop("deviance") == pytest.approx(
@@ -601,6 +651,22 @@ class TestCli:
         assert diag["deviance"] >= 0
         assert diag["deviance"] == pytest.approx(
             deviance(counts, t_s @ dist @ t_i.T), rel=1e-9)
+
+    def test_saturated_single_windows_fail_the_edge_check(self, tmp_path):
+        # the estimate follows the support that --n-max sets: its last
+        # tenth holds far more than the support's tail
+        *_, diag = self.reconstruct_chain(tmp_path, 100_000, 2, 1,
+                                          "--n-max", "10")
+        assert diag["edge_mass"] > 100 * SUPPORT_TAIL
+        assert diag["edge_mass_limit"] == SUPPORT_TAIL
+        assert diag["edge_mass_ok"] is False
+
+    def test_identified_rung_passes_the_edge_check(self, tmp_path):
+        # the sizes of the benchmark's recon-n100 workload, seed 1
+        *_, diag = self.reconstruct_chain(tmp_path, 2_000_000, 1, 100,
+                                          "--max-iters", "300")
+        assert 0 <= diag["edge_mass"] < 1e-6 * SUPPORT_TAIL
+        assert diag["edge_mass_ok"] is True
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -769,6 +835,27 @@ class TestCli:
         for name, arm in (("signal", "s"), ("idler", "i")):
             assert diag["effective_efficiency"][name] == pytest.approx(
                 effective_efficiency(table, arm), abs=0.012)
+
+    def test_analyze_efficiencies_round_only_their_last_steps(self, tmp_path,
+                                                              stream_1m):
+        # sliding n = 1000: the moments are integer sums over the group
+        # count, so only their quotients, the covariance and the division
+        # round, by less than effective_efficiency's own bound on the
+        # digits the covariance loses
+        clicks, hist = str(tmp_path / "s.clicks"), str(tmp_path / "h.jhist")
+        tbio.write_clicks(stream_1m, clicks)
+        assert self.run("analyze", "--in", clicks, "--group-n", "1000",
+                        "--out", hist) == 0
+        diag = json.loads(open(hist + ".manifest.json").read())["diagnostics"]
+        counts, c = tbio.read_jhist(hist).counts, np.arange(1001)
+        total = int(counts.sum())
+        m10, m01, m11 = (Fraction(int(s), total) for s in (
+            c @ counts.sum(axis=1), c @ counts.sum(axis=0), c @ counts @ c))
+        lost = np.finfo(float).eps * float(m11 + m10 * m01)
+        for name, other in (("signal", m01), ("idler", m10)):
+            exact = (m11 - m10 * m01) / other
+            assert abs(diag["effective_efficiency"][name] - exact) \
+                <= 2 * lost / other, name
 
     def test_analyze_efficiency_is_null_where_an_arm_never_clicks(self,
                                                                    tmp_path):
@@ -1085,6 +1172,45 @@ def test_analyze_keeps_no_wide_running_sums(tmp_path, monkeypatch, n, mode):
     assert peak < 16 * CHUNK, peak / 2**20
 
 
+#: Bytes of one int64 table of 1001^2 cells, a histogram at n = 1000.
+TABLE_1000 = 8 * 1001 ** 2
+
+
+def test_jhist_reader_holds_no_second_table(tmp_path):
+    # a Python int or a list slot per cell would hold as much again as the
+    # int64 counts that the reader returns
+    counts = np.zeros((1001, 1001), np.int64)
+    counts[:40, :40] = np.random.default_rng(5).integers(0, 10 ** 6, (40, 40))
+    path = str(tmp_path / "h.jhist")
+    tbio.write_jhist(JointHistogram(counts, "sliding"), path)
+    tracemalloc.start()
+    try:
+        back = tbio.read_jhist(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.counts, counts)
+    assert peak < 2 * TABLE_1000, peak / 2**20
+
+
+def test_analyze_holds_no_float_copy_of_the_histogram(tmp_path, monkeypatch):
+    # the efficiencies need order-1 moments, integer sums of the counts: a
+    # float64 table of the frequencies would double the memory at n = 1000
+    monkeypatch.setattr(simulate, "_cpu_count", lambda: 1)
+    out = str(tmp_path / "s.clicks")
+    assert main(["simulate", "--windows", str(2 * CHUNK + 5), "--seed", "3",
+                 "--k-pump", "0.000965", "--out", out]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--in", out, "--group-n", "1000",
+                     "--out", out + ".jhist"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the counts, and the grouping's buffers of a chunk (5.6 MB at n = 1000)
+    assert peak < TABLE_1000 + 7 * 2**20, peak / 2**20
+
+
 def test_bad_code_in_the_last_chunk_exits_3_without_output(tmp_path, capsys):
     codes = np.zeros(2 * CHUNK + 9, np.uint8)
     codes[-1] = 4
@@ -1314,6 +1440,26 @@ BAD_INPUTS = {
     "jhist-payload-f64": (
         ["reconstruct", "--hist", "{hist_payload}", "--eta-s", "0.282",
          "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "bad payload: 'f64'"),
+    "jhist-csv-cell-not-integer": (
+        ["reconstruct", "--hist", "{hist_csv_cell-not-integer}", "--eta-s",
+         "0.282", "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3,
+        "CSV payload"),
+    "jhist-csv-row-short": (
+        ["reconstruct", "--hist", "{hist_csv_row-short}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
+    "jhist-csv-row-long": (
+        ["reconstruct", "--hist", "{hist_csv_row-long}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
+    "jhist-csv-blank-line": (
+        ["reconstruct", "--hist", "{hist_csv_blank-line}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
+    "jhist-csv-cell-past-int64": (
+        ["reconstruct", "--hist", "{hist_csv_cell-past-int64}", "--eta-s",
+         "0.282", "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3,
+        "CSV payload"),
+    "jhist-csv-empty": (
+        ["reconstruct", "--hist", "{hist_csv_empty}", "--eta-s", "0.282",
+         "--eta-i", "0.33", "--out", "{tmp}/p.jdist"], 3, "CSV payload"),
 }
 
 
@@ -1357,6 +1503,9 @@ def bad_input_files(tmp_path, nominal):
         fh.write(tbio._pack("jhist-v1", {
             "dims": [2, 2], "n_groups": 12, "group_n": 1, "mode": "disjoint",
             "payload": "csv"}, b"4,1\n2,3"))
+    for key, payload in BAD_CSV.items():
+        files[f"hist_csv_{key}"] = str(tmp_path / f"csv_{key}.jhist")
+        Path(files[f"hist_csv_{key}"]).write_bytes(bad_csv_jhist(payload))
     # every cell of a 64-pixel histogram observed: more cells than the
     # Newton system is built for
     files["hist_crowded"] = str(tmp_path / "crowded.jhist")

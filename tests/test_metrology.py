@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (compound_click_dist, conditional_photon_dist,
                      extended_window_cells, in_memory_precision_improvement,
-                     relative_error, stream_of)
+                     normalized, relative_error, stream_of)
 from twinbeam import (ClickStream, DetectorSpec, PumpCorrelation, TwbParams,
                       effective_efficiency, fano_nrp_cov, group_histogram,
                       joint_twb, moments, optimal_postselection,
@@ -28,7 +28,7 @@ def grouped_clicks(params, spec_s, spec_i, n, k=0.0):
 
 def histogram_moments(h):
     """Factorial moments of a measured histogram, as ``analyze`` takes them."""
-    return moments(h.normalized(), 2)
+    return moments(normalized(h), 2)
 
 
 class TestEffectiveEfficiencyModel:
@@ -137,7 +137,7 @@ class TestEffectiveEfficiencyEstimator:
         # a histogram's moment table gives the sample covariance of the two
         # arms over the other arm's sample mean
         h = group_histogram(stream_1m, 10, "disjoint")
-        f = h.normalized()
+        f = normalized(h)
         c = np.arange(f.shape[0])
         mean_s, mean_i = c @ f.sum(axis=1), c @ f.sum(axis=0)
         cov = c @ f @ c - mean_s * mean_i

@@ -8,7 +8,7 @@ from twinbeam import (DetectorSpec, JointHistogram, detection_matrix,
 from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      compound_click_dist, compound_photon_dist,
                      conditional_histogram, conditional_photon_dist,
-                     em_conditional, em_joint, marginal)
+                     em_conditional, em_joint, marginal, normalized)
 from twinbeam.detection import default_n_max
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.reconstruct import CERTIFICATE, MAX_CELLS
@@ -90,6 +90,21 @@ class TestMlJoint:
         assert est.min() >= 0
         assert est.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("max_steps", [3, 200])
+    def test_trajectory_ends_at_the_returned_estimate(self, nominal,
+                                                      max_steps):
+        params, spec_s, spec_i = nominal
+        f = compound_click_dist(params, spec_s, spec_i, 5)
+        t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
+        t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
+        _, res = ml_joint(f, t_s, t_i, max_steps)
+        assert len(res.trajectory) == res.newton_steps
+        assert res.trajectory[-1] == {"lindsay_bound": res.lindsay_bound,
+                                      "log_likelihood": res.log_likelihood}
+        # the solve stops at the first certified step
+        assert all(step["lindsay_bound"] >= CERTIFICATE
+                   for step in res.trajectory[:-1])
+
     def test_negative_detection_entry_is_numeric_error(self):
         t_s = np.array([[0.3, -0.2], [0.6, 0.5]])
         t_i = np.ones((1, 1))
@@ -150,7 +165,7 @@ class TestMlJoint:
         t_s = matrix(DetectorSpec(spec_s.eta, spec_s.dark, 5), 40)
         t_i = matrix(DetectorSpec(spec_i.eta, spec_i.dark, 5), 40)
         by_counts, res_counts = ml_joint(h.counts, t_s, t_i)
-        by_probs, res_probs = ml_joint(h.normalized(), t_s, t_i)
+        by_probs, res_probs = ml_joint(normalized(h), t_s, t_i)
         assert res_counts.converged
         assert np.array_equal(by_counts, by_probs)
         assert res_counts == res_probs
