@@ -229,8 +229,10 @@ def _cmd_quasidist(args) -> None:
     grid = quasi_distribution(dist, args.s, args.w_max, args.steps)
     tbio.write_igrid(grid, args.out)
     diagnostics = {"normalization": grid_normalization(grid),
+                   "normalization_window": grid.mass_window,
                    "min": float(grid.values.min()),
-                   "edge_sensitivity": grid.edge_sensitivity}
+                   "edge_sensitivity": grid.edge_sensitivity,
+                   "edge_sensitivity_limit": grid.edge_limit}
     _write_manifest(args.out, args, [args.dist], diagnostics)
     print("normalization={normalization:.6f} min={min:.4e}".format(**diagnostics))
 

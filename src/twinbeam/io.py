@@ -86,10 +86,11 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def _pack(fmt: str, header: dict, payload: bytes) -> bytes:
+def _pack(fmt: str, header: dict) -> bytes:
+    """A container's magic, header length and header: the payload follows."""
     head = json.dumps(header, sort_keys=True).encode()
     _header(fmt, head)              # refuse what a reader would refuse
-    return MAGIC[fmt] + struct.pack("<I", len(head)) + head + payload
+    return MAGIC[fmt] + struct.pack("<I", len(head)) + head
 
 
 def _json_object(text: bytes, what: str, keys: tuple = ()) -> dict:
@@ -205,9 +206,9 @@ def _photon_table(table: np.ndarray) -> np.ndarray:
 def write_jdist(table: np.ndarray, path: str) -> None:
     header = {"dims": list(table.shape), "kind": "photon", "payload": "f64"}
     cells = np.ascontiguousarray(table, dtype="<f8")
-    blob = _pack("jdist-v1", header, cells.tobytes())   # header, then cells,
-    _photon_table(cells)                                # as on reading
-    _atomic_write(path, [blob])
+    prefix = _pack("jdist-v1", header)      # header, then cells,
+    _photon_table(cells)                    # as on reading
+    _atomic_write(path, [prefix, cells])
 
 
 def read_jdist(path: str) -> np.ndarray:
@@ -232,9 +233,9 @@ def write_jhist(h: JointHistogram, path: str) -> None:
               "payload": "csv"}
     body = "\n".join(",".join(map(str, row.tolist()))
                      for row in h.counts).encode()
-    blob = _pack("jhist-v1", header, body)      # header, then counts,
-    _counts(h.counts, h.n_groups)               # as on reading
-    _atomic_write(path, [blob])
+    prefix = _pack("jhist-v1", header)      # header, then counts,
+    _counts(h.counts, h.n_groups)           # as on reading
+    _atomic_write(path, [prefix, body])
 
 
 def read_jhist(path: str) -> JointHistogram:
@@ -258,8 +259,8 @@ def read_jhist(path: str) -> JointHistogram:
 def write_igrid(g: IntensityGrid, path: str) -> None:
     header = {"dims": list(g.values.shape), "w_max_s": g.w_max_s,
               "w_max_i": g.w_max_i, "s": g.s, "payload": "f64"}
-    body = np.ascontiguousarray(g.values, dtype="<f8").tobytes()
-    _atomic_write(path, [_pack("igrid-v1", header, body)])
+    _atomic_write(path, [_pack("igrid-v1", header),
+                         np.ascontiguousarray(g.values, dtype="<f8")])
 
 
 def read_igrid(path: str) -> IntensityGrid:

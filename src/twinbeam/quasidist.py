@@ -32,13 +32,16 @@ _EDGE_FRACTION = 0.9
 
 @dataclass
 class IntensityGrid:
-    """Quasi-distribution values on midpoint cells of a rectangular grid."""
+    """Quasi-distribution values on midpoint cells of a rectangular grid; a
+    computed grid keeps its checks' values and limits, a read one None."""
 
     values: np.ndarray
     w_max_s: float
     w_max_i: float
     s: float
     edge_sensitivity: float | None = None
+    edge_limit: float | None = None
+    mass_window: tuple[float, float] | None = None
 
     @property
     def dw(self) -> tuple:
@@ -122,13 +125,17 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
         raise NumericError("the intensity series leaves double range; "
                            "shrink the photon support or lower s")
     sensitivity = float(shift / scale) if scale > 0 else 0.0
-    if scale > 0 and shift > max(1e-6 * scale, 10.0 * edge_tail * prefactor):
+    allowed = max(1e-6 * scale, 10.0 * edge_tail * prefactor)
+    if scale > 0 and shift > allowed:
         raise NumericError(
             f"support-edge sensitivity {sensitivity:.2e} of the intensity "
             "series; enlarge the photon support or lower s")
-    grid = IntensityGrid(values, w_max_s, w_max_i, s, sensitivity)
-    norm, mass = grid_normalization(grid), table.sum()
-    if not 0.5 * mass <= norm <= 2.0 * mass:
+    mass = float(table.sum())
+    grid = IntensityGrid(values, w_max_s, w_max_i, s, sensitivity,
+                         float(allowed / scale) if scale > 0 else None,
+                         (0.5 * mass, 2.0 * mass))
+    norm = grid_normalization(grid)
+    if not grid.mass_window[0] <= norm <= grid.mass_window[1]:
         raise NumericError(
             f"the grid holds {norm:.3g} of the table's mass {mass:.3g}; "
             "lower s, or raise the steps or the grid edge")

@@ -411,6 +411,14 @@ def window_forward_dist(params: TwbParams, spec_s: DetectorSpec,
     return forward_photocounts(joint_twb(params), spec_s, spec_i)
 
 
+def gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and normalised weights of the 201-node Gauss-Hermite rule of a
+    standard normal, the pump-drift rule the closed-form moments used before
+    their uniform grid: the comparison of the drift average's accuracy."""
+    x, w = np.polynomial.hermite_e.hermegauss(201)
+    return x, w / w.sum()
+
+
 def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
                                     spec_i: DetectorSpec, n: int, order: int,
                                     k: float = 0.0) -> np.ndarray:
@@ -424,8 +432,8 @@ def compound_click_moments_by_table(params: TwbParams, spec_s: DetectorSpec,
     """
     factors, weights = np.ones(1), np.ones(1)
     if k > 0:
-        x, w = np.polynomial.hermite_e.hermegauss(201)
-        factors, weights = np.maximum(0.0, 1.0 + np.sqrt(k) * x), w / w.sum()
+        x, weights = gauss_hermite()
+        factors = np.maximum(0.0, 1.0 + np.sqrt(k) * x)
     raw = np.zeros((order + 1, order + 1))
     for factor, weight in zip(factors, weights):
         p_s, p_i, p11 = models.window_click_probs(params, spec_s, spec_i, factor)

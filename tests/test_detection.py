@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import comb, gammaln
+from scipy.integrate import quad_vec
+from scipy.special import comb, gammaln, ndtr
 
 from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      _build_extended, _log_factorials, binomial_pmf_extended,
@@ -15,9 +17,9 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      compound_click_dist, compound_click_moments_by_table,
                      compound_photocounts, compound_photon_dist,
                      conditional_photon_dist, forward_photocounts,
-                     genuine_click_dist, genuine_click_moments_extended,
-                     marginal, two_stage_matrix, window_click_dist,
-                     window_forward_dist)
+                     gauss_hermite, genuine_click_dist,
+                     genuine_click_moments_extended, marginal,
+                     two_stage_matrix, window_click_dist, window_forward_dist)
 from twinbeam import (DetectorSpec, TwbParams, detection, detection_matrix,
                       joint_twb)
 from twinbeam.cli import DEFAULT_GROUPS
@@ -349,6 +351,36 @@ class TestCompoundClickMoments:
         assert np.all(closed[structural] == 0.0)
         np.testing.assert_allclose(closed[~structural], oracle[~structural],
                                    rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("k", [0.000965, 0.01, 0.05, 0.1, 0.111])
+    def test_pump_average_is_as_accurate_as_gauss_hermite(self, nominal, k):
+        # the reference integrates the clamp exactly: below g = -1/sqrt(k)
+        # the pump factor is 0 and the integrand a constant.  Both rules are
+        # exact to rounding at k <= 0.01; past it the kink at the clamp sets
+        # their errors, and a 441-node grid already loses to Gauss-Hermite
+        # at k = 0.1
+        params, spec_s, spec_i = nominal
+        n, order = 1000, 2
+
+        def at(factor):
+            scaled = dataclasses.replace(params, b_p=params.b_p * factor)
+            return models.compound_click_moments(scaled, spec_s, spec_i, n,
+                                                 order)
+
+        root = math.sqrt(k)
+        edge = -1.0 / root
+        above, _ = quad_vec(lambda g: at(1.0 + root * g) * math.exp(
+            -0.5 * g * g) / math.sqrt(2.0 * math.pi), edge, math.inf,
+            epsabs=0.0, epsrel=1e-14)
+        exact = ndtr(edge) * at(0.0) + above
+        x, w = gauss_hermite()
+        rules = {"grid": models.compound_click_moments(*nominal, n, order, k),
+                 "gauss-hermite": sum(wj * at(max(0.0, 1.0 + root * xj))
+                                      for xj, wj in zip(x, w))}
+        error = {name: np.abs(table / exact - 1.0).max()
+                 for name, table in rules.items()}
+        assert error["grid"] <= max(error["gauss-hermite"],
+                                    16 * np.finfo(float).eps), error
 
     @pytest.mark.parametrize("n, k, message", [
         (0, 0.0, "group size must be"), (3, -1e-3, "k must be finite"),

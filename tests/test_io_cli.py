@@ -23,7 +23,8 @@ from twinbeam import (IntensityGrid, JointHistogram, PumpCorrelation,
                       moments, precision_improvement, quasi_distribution,
                       sample_stream)
 from oracles import (codes_of, compound_click_moments_by_table,
-                     compound_photon_dist, stream_of, window_click_dist)
+                     compound_photon_dist, gauss_hermite, stream_of,
+                     window_click_dist)
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
 from twinbeam.cli import build_parser, main
@@ -278,6 +279,29 @@ class TestFormats:
         assert np.array_equal(back, d)
         assert back.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_container_writers_copy_no_payload(self, tmp_path):
+        # the header goes out first and the cells straight from the table:
+        # only the jdist's cell check allocates, two boolean tables
+        values = np.full((1119, 1119), 1.0 / 1119 ** 2)
+        for fmt, write, header, obj in (
+                ("jdist-v1", tbio.write_jdist,
+                 {"dims": [1119, 1119], "kind": "photon", "payload": "f64"},
+                 values),
+                ("igrid-v1", tbio.write_igrid,
+                 {"dims": [1119, 1119], "payload": "f64", "s": -0.5,
+                  "w_max_i": 3.0, "w_max_s": 2.0},
+                 IntensityGrid(values, 2.0, 3.0, -0.5))):
+            path = str(tmp_path / fmt)
+            tracemalloc.start()
+            try:
+                write(obj, path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.5 * values.nbytes, fmt
+            assert open(path, "rb").read() == container(fmt, header,
+                                                        values.tobytes())
+
     def test_jdist_with_the_old_tail_header_reads_the_same(self, tmp_path,
                                                             nominal):
         # jdist files once carried tail_mass and truncation_dirty; such a
@@ -287,8 +311,8 @@ class TestFormats:
         tbio.write_jdist(table, new)
         header, body = tbio._unpack("jdist-v1", open(new, "rb").read())
         with open(old, "wb") as fh:
-            fh.write(tbio._pack("jdist-v1", {**header, "tail_mass": 0.0,
-                                             "truncation_dirty": False}, body))
+            fh.write(tbio._pack("jdist-v1", {
+                **header, "tail_mass": 0.0, "truncation_dirty": False}) + body)
         assert np.array_equal(tbio.read_jdist(old), table)
         outputs = []
         for name, dist in (("new", new), ("old", old)):
@@ -483,8 +507,12 @@ class TestCli:
         assert all(0 <= e <= detection.COLUMN_SUM_TOL for e in errors.values())
         grid_diag = json.loads(open(grid + ".manifest.json").read())[
             "diagnostics"]
-        assert set(grid_diag) == {"normalization", "min", "edge_sensitivity"}
-        assert 0 <= grid_diag["edge_sensitivity"] < math.inf
+        assert set(grid_diag) == {"normalization", "normalization_window",
+                                  "min", "edge_sensitivity",
+                                  "edge_sensitivity_limit"}
+        assert 0 <= grid_diag["edge_sensitivity"] \
+            <= grid_diag["edge_sensitivity_limit"] < math.inf
+        assert grid_diag["normalization_window"] == pytest.approx([0.5, 2.0])
         assert json.loads(open(report + ".manifest.json").read())[
             "diagnostics"] == {}
         assert f"normalization={grid_diag['normalization']:.6f}" in printed.split()
@@ -667,6 +695,15 @@ class TestCli:
                                           "--max-iters", "300")
         assert 0 <= diag["edge_mass"] < 1e-6 * SUPPORT_TAIL
         assert diag["edge_mass_ok"] is True
+        # and quasidist's two checks record a value on the passing side of
+        # the limit next to it
+        grid = str(tmp_path / "g.igrid")
+        assert self.run("quasidist", "--dist", str(tmp_path / "p.jdist"),
+                        "--s", "-0.5", "--out", grid) == 0
+        diag = json.loads(open(grid + ".manifest.json").read())["diagnostics"]
+        assert 0 <= diag["edge_sensitivity"] <= diag["edge_sensitivity_limit"]
+        low, high = diag["normalization_window"]
+        assert 0 < low <= diag["normalization"] <= high
 
     def test_sweep_csv(self, tmp_path, capsys):
         assert self.run("sweep", "--metric", "nrp", "--groups", "1,10") == 0
@@ -791,8 +828,7 @@ class TestCli:
         # the default blocks of 10 000 windows, with the drift's between-
         # window term taken by perfbench/check.py's quadrature of the window
         # probabilities over the pump factor, not by the n = 2 moments
-        x, w = np.polynomial.hermite_e.hermegauss(201)
-        w = w / w.sum()
+        x, w = gauss_hermite()
         probs = np.array(models.window_click_probs(
             *nominal, np.maximum(0.0, 1.0 + np.sqrt(k) * x)))
         mean = probs @ w
@@ -909,22 +945,40 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def loaded_after(module: str, argv: list, tmp_path) -> str:
+    """``"<exit code> <whether module is loaded>"`` after ``main(argv)`` has
+    run in a fresh interpreter, each ``{tmp}`` in ``argv`` read as
+    ``tmp_path``."""
+    probe = ("import sys\n"
+             "from twinbeam.cli import main\n"
+             "try:\n"
+             "    code = main(sys.argv[2:])\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "print(code, sys.argv[1] in sys.modules)")
+    proc = run_python("-c", probe, module,
+                      *(arg.format(tmp=tmp_path) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--metric", "fano", "--groups", "1,10", "--out", "{tmp}/f.csv"],
     ["--help"]], ids=["sweep", "help"])
 def test_commands_without_inputs_leave_openssl_unloaded(tmp_path, argv):
     # a sweep digests no input, so its process never maps libcrypto
-    probe = ("import sys\n"
-             "from twinbeam.cli import main\n"
-             "try:\n"
-             "    code = main(sys.argv[1:])\n"
-             "except SystemExit as exc:\n"
-             "    code = exc.code\n"
-             "print(code, '_hashlib' in sys.modules)")
-    proc = run_python("-c", probe,
-                      *(arg.format(tmp=tmp_path) for arg in argv))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert loaded_after("_hashlib", argv, tmp_path) == "0 False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--metric", "eta-eff", "--k-pump", "0.000965", "--groups",
+     "1,10", "--out", "{tmp}/e.csv"],
+    ["simulate", "--windows", "1000", "--seed", "1", "--k-pump", "0.000965",
+     "--out", "{tmp}/s.clicks"]], ids=["sweep", "simulate"])
+def test_drift_averages_leave_numpy_polynomial_unloaded(tmp_path, argv):
+    # the pump-drift average takes fixed grid nodes: no Gauss-Hermite
+    # eigen-solve, whose LAPACK workspace raised each such process's peak
+    assert loaded_after("numpy.polynomial", argv, tmp_path) == "0 False"
 
 
 #: Public functions and members that no other code of the package names,
@@ -1502,7 +1556,7 @@ def bad_input_files(tmp_path, nominal):
     with open(files["hist_total"], "wb") as fh:
         fh.write(tbio._pack("jhist-v1", {
             "dims": [2, 2], "n_groups": 12, "group_n": 1, "mode": "disjoint",
-            "payload": "csv"}, b"4,1\n2,3"))
+            "payload": "csv"}) + b"4,1\n2,3")
     for key, payload in BAD_CSV.items():
         files[f"hist_csv_{key}"] = str(tmp_path / f"csv_{key}.jhist")
         Path(files[f"hist_csv_{key}"]).write_bytes(bad_csv_jhist(payload))
