@@ -107,16 +107,6 @@ def _json_object(text: bytes, what: str, keys: tuple = ()) -> dict:
     return obj
 
 
-def _unpack(fmt: str, blob: bytes) -> tuple[dict, bytes]:
-    magic = MAGIC[fmt]
-    if blob[:8] != magic:
-        raise DataError(f"not a {fmt} file")
-    hlen = int.from_bytes(blob[8:12], "little")
-    if len(blob) < 12 or 12 + hlen > len(blob):
-        raise DataError(f"{fmt} header runs past the {len(blob)}-byte file")
-    return _header(fmt, blob[12:12 + hlen]), blob[12 + hlen:]
-
-
 def _header(fmt: str, text: bytes) -> dict:
     """The ``fmt`` header that ``text`` encodes, if it keeps the format's rules."""
     rules = HEADER_RULES[fmt]
@@ -132,12 +122,27 @@ def _header(fmt: str, text: bytes) -> dict:
     return header
 
 
-def _f64_table(body: bytes, shape: tuple) -> np.ndarray:
-    """Row-major little-endian float64 payload of exactly ``shape``."""
-    if len(body) != 8 * math.prod(shape):
-        raise DataError(f"f64 payload of {len(body)} bytes does not hold "
-                        f"a {'x'.join(map(str, shape))} table")
-    return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+def _read_container(fmt: str, path: str) -> tuple[dict, bytes | np.ndarray]:
+    """The header and payload of the ``fmt`` container at ``path``, read
+    once: CSV bytes, or an f64 table of the header's dims, sized first."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(12)
+        if prefix[:8] != MAGIC[fmt]:
+            raise DataError(f"not a {fmt} file")
+        hlen = int.from_bytes(prefix[8:], "little")
+        if len(prefix) < 12 or 12 + hlen > size:
+            raise DataError(f"{fmt} header runs past the {size}-byte file")
+        header = _header(fmt, fh.read(hlen))
+        if header["payload"] == "csv":
+            return header, fh.read()
+        shape, body = tuple(header["dims"]), size - 12 - hlen
+        if body != 8 * math.prod(shape):
+            raise DataError(f"f64 payload of {body} bytes does not hold "
+                            f"a {'x'.join(map(str, shape))} table")
+        table = np.empty(shape, "<f8")
+        fh.readinto(table)
+        return header, table
 
 
 def _read(path: str) -> bytes:
@@ -212,8 +217,7 @@ def write_jdist(table: np.ndarray, path: str) -> None:
 
 
 def read_jdist(path: str) -> np.ndarray:
-    header, body = _unpack("jdist-v1", _read(path))
-    return _photon_table(_f64_table(body, tuple(header["dims"])))
+    return _photon_table(_read_container("jdist-v1", path)[1])
 
 
 # -- jhist-v1 ----------------------------------------------------------------
@@ -241,7 +245,7 @@ def write_jhist(h: JointHistogram, path: str) -> None:
 def read_jhist(path: str) -> JointHistogram:
     """The histogram of a jhist file.  numpy parses its CSV payload once the
     lines are counted, as ``np.loadtxt`` would skip a blank one."""
-    header, body = _unpack("jhist-v1", _read(path))
+    header, body = _read_container("jhist-v1", path)
     shape = tuple(header["dims"])
     try:
         lines = body.decode().splitlines()
@@ -264,8 +268,7 @@ def write_igrid(g: IntensityGrid, path: str) -> None:
 
 
 def read_igrid(path: str) -> IntensityGrid:
-    header, body = _unpack("igrid-v1", _read(path))
-    values = _f64_table(body, tuple(header["dims"]))
+    header, values = _read_container("igrid-v1", path)
     return IntensityGrid(values, header["w_max_s"], header["w_max_i"],
                          header["s"])
 

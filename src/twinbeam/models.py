@@ -27,8 +27,9 @@ import numbers
 import sys
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import LOG_P0_MIN, TwbParams, joint_twb
+from .core import LOG_P0_MIN, TwbParams, _mr_law
 from .detection import DetectorSpec, _binomial_pmf, click_factorials
 from .errors import NumericError, UsageError, check_size
 from .simulate import PumpCorrelation
@@ -91,12 +92,13 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
     share one ``n``-pixel detector per arm: the comparison model for the
     compound beam.  Each arm's factorial click moments of ``m`` photons,
     ``F[k, m] = <(c)_k>``, follow a recurrence in ``m`` with no negative
-    term (:func:`~twinbeam.detection.click_factorials`), and the moments
-    are ``Fs @ p @ Fi.T`` of the joint photon table ``p``: neither a click
-    table nor a detection matrix.  Orders above ``n`` are exact zeros.
-    Past the largest ``n`` whose photon table the Mandel-Rice recurrence can
-    start (``log p(0) >= LOG_P0_MIN`` for each component), it raises
-    :class:`NumericError` naming that ``n``.
+    term (:func:`~twinbeam.detection.click_factorials`).  Summed over the
+    pair number ``k``, ``pairs[k]`` weighs the outer product of the arms'
+    moments on their noise laws shifted by ``k`` photons: no click table,
+    detection matrix or joint photon table.  Orders above ``n`` are exact
+    zeros.  Past the largest ``n`` whose component laws the Mandel-Rice
+    recurrence can start (``log p(0) >= LOG_P0_MIN`` for each component),
+    it raises :class:`NumericError` naming that ``n``.
     """
     check_size(n, "group size")
     check_size(order, "order")
@@ -107,11 +109,15 @@ def genuine_click_moments(params: TwbParams, spec_s: DetectorSpec,
         raise NumericError(
             f"the photon table of {n} genuine windows leaves double range; "
             f"the largest feasible n is {math.floor(-LOG_P0_MIN / per_window)}")
-    p = joint_twb(params.scaled(n))
-    f_s, f_i = (click_factorials(DetectorSpec(spec.eta, spec.dark, n),
-                                 p.shape[axis] - 1, order)
-                for axis, spec in enumerate((spec_s, spec_i)))
-    return f_s @ p @ f_i.T
+    beam = params.scaled(n)
+    pairs = _mr_law(beam.m_p, beam.b_p)
+    # g[a, k]: <(c)_a> of k pairs and the arm's noise photons
+    g_s, g_i = (sliding_window_view(click_factorials(
+        DetectorSpec(spec.eta, spec.dark, n), len(pairs) + len(noise) - 2,
+        order), len(noise), axis=1) @ noise for spec, noise in (
+            (spec_s, _mr_law(beam.m_s, beam.b_s)),
+            (spec_i, _mr_law(beam.m_i, beam.b_i))))
+    return (g_s * pairs) @ g_i.T
 
 
 #: A standard normal's trapezoid rule on -12..12 in steps of 0.05: its error

@@ -9,8 +9,8 @@ ordering ``s`` through the integer Laguerre-coefficient expansion
 
     <W^k>_s = sum_m  (k!)^2 / (m!^2 (k-m)!) * t^(k-m) * <W^m>,   t = (1-s)/2,
 
-a polynomial in ``t``.  Orderings compose: the noise of ``t1`` then ``t2``
-is the noise of ``t1 + t2``.
+one lower-triangular matrix per ordering, applied to both axes.  Orderings
+compose: the noise of ``t1`` then ``t2`` is the noise of ``t1 + t2``.
 
 A non-classicality identifier (NCI) is an intensity-moment expression that
 is negative only for non-classical fields.  Decreasing ``s`` injects
@@ -22,8 +22,7 @@ threshold ``s_th`` where it nullifies gives the non-classicality depth
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -42,19 +41,12 @@ def falling_factorials(n_max: int, order: int) -> np.ndarray:
         np.arange(n_max + 1.0) - np.arange(order)[:, None], axis=0)])
 
 
-@lru_cache(maxsize=None)
 def laguerre_mixing(order: int) -> np.ndarray:
-    """Integer coefficients of the ordering change, as a ``(K, K, K)`` tensor.
-
-    ``L[k, m, k - m] = (k!)^2 / (m!^2 (k-m)!)`` multiplies ``t^(k-m) <W^m>``
-    in ``<W^k>_s``; every other entry is 0.  Built once per order and
-    shared, hence read-only.
-    """
-    out = np.zeros((order + 1,) * 3)
-    for k, m in zip(*np.tril_indices(order + 1)):
-        out[k, m, k - m] = factorial(k) ** 2 // (factorial(m) ** 2
-                                                 * factorial(k - m))
-    out.flags.writeable = False
+    """``L[k, j] = C(k, j)^2 (k-j)!``, the integer that multiplies ``t^(k-j)
+    <W^j>`` in ``<W^k>_s``: a ``(K, K)`` lower-triangular matrix."""
+    out = np.zeros((order + 1, order + 1))
+    for k, j in zip(*np.tril_indices(order + 1)):
+        out[k, j] = comb(k, j) ** 2 * factorial(k - j)
     return out
 
 
@@ -96,24 +88,19 @@ def fano_nrp_cov(m: np.ndarray) -> dict:
 
 
 def _ordering(m: np.ndarray):
-    """The table ``m`` at ordering ``s``, as a function of ``s``.
-
-    ``c[k, l, d]``, the coefficient of ``t^d`` in ``<W_s^k W_i^l>_s``, is
-    formed once; each call evaluates the polynomial at ``t = (1 - s)/2``.
-    """
-    order = m.shape[0] - 1
-    lag = laguerre_mixing(order)
-    # x[k, d, l, e] = L[k, a, d] L[l, b, e] m[a, b]: one product per cell
-    x = np.tensordot(np.tensordot(lag, m, (1, 0)), lag, (2, 1))
-    c = np.zeros(lag.shape[:2] + (2 * order + 1,), x.dtype)
-    for d in range(order + 1):
-        c[:, :, d:d + order + 1] += x[:, d]
+    """``s -> A m A^T`` with ``A[k, j] = L[k, j] t^(k-j)``, ``t = (1 - s)/2``:
+    an array of orderings is one batched product, stacked on a last axis."""
+    lag = laguerre_mixing(m.shape[0] - 1)
+    k = np.arange(len(lag))
+    power = np.maximum(k[:, None] - k, 0)       # L is 0 above the diagonal
 
     def at(s: float | np.ndarray) -> np.ndarray:
         t = (1.0 - np.asarray(s, dtype=float)) / 2.0
         if (t < 0).any():
             raise UsageError("ordering parameter must satisfy s <= 1")
-        return c @ np.power.outer(t, np.arange(c.shape[-1])).T
+        a = lag * t[..., None, None] ** power       # one A per ordering
+        out = a @ m @ np.swapaxes(a, -1, -2)
+        return np.moveaxis(out, 0, -1) if t.ndim else out
     return at
 
 
@@ -181,11 +168,10 @@ def ncd(m: np.ndarray, identifier: str) -> NcdResult:
     """Non-classicality depth of one identifier via threshold search in ``s``.
 
     ``m`` is normally ordered, so the identifier's value at ``s = 1`` is read
-    off it directly.  A violation forms the t-polynomial of the table once;
-    its value is scanned over 64 orderings with s in [-1, 1] in one
-    evaluation, and the sign change closest to ``s = 1`` is bisected down to
-    ``1e-6``.  A violation persisting at ``s = -1`` is reported saturated
-    with ``tau = 1`` rather than extrapolated.
+    off it directly.  A violation is scanned over 64 orderings with s in
+    [-1, 1] in one batched product, and the sign change nearest ``s = 1``
+    is bisected down to ``1e-6``.  A violation persisting at ``s = -1`` is
+    reported saturated with ``tau = 1`` rather than extrapolated.
     """
     # a violation only counts if it clears the round-off floor of the
     # expression: structurally cancelled cases are classical.  Each moment

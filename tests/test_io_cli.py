@@ -52,6 +52,13 @@ def container(fmt: str, header: dict, body: bytes) -> bytes:
     return tbio.MAGIC[fmt] + len(head).to_bytes(4, "little") + head + body
 
 
+def unpack(blob: bytes) -> tuple[dict, bytes]:
+    """The header and payload of a container's bytes, as ``container`` lays
+    them out, parsed without the reader's checks."""
+    end = 12 + int.from_bytes(blob[8:12], "little")
+    return json.loads(blob[12:end]), blob[end:]
+
+
 def jdist_bytes(table: np.ndarray) -> bytes:
     """The bytes of a jdist of ``table``, even of cells the writer refuses."""
     return container("jdist-v1", {"dims": list(table.shape), "kind": "photon",
@@ -268,7 +275,7 @@ class TestFormats:
         back = tbio.read_jdist(path)
         assert np.array_equal(back, d)
         # the header tag that perfbench/check.py requires of every jdist
-        header, _ = tbio._unpack("jdist-v1", open(path, "rb").read())
+        header, _ = unpack(open(path, "rb").read())
         assert header == {"dims": [2, 2], "kind": "photon", "payload": "f64"}
 
     def test_twb_jdist_round_trip(self, tmp_path, nominal):
@@ -302,6 +309,46 @@ class TestFormats:
             assert open(path, "rb").read() == container(fmt, header,
                                                         values.tobytes())
 
+    def test_container_readers_hold_one_table(self, tmp_path):
+        # the payload goes straight from the file into the table: beside it
+        # only the jdist's cell check allocates, two boolean tables
+        values = np.full((1119, 1119), 1.0 / 1119 ** 2)
+        for path, write, read, obj in (
+                (tmp_path / "d.jdist", tbio.write_jdist, tbio.read_jdist,
+                 values),
+                (tmp_path / "g.igrid", tbio.write_igrid, tbio.read_igrid,
+                 IntensityGrid(values, 2.0, 3.0, -0.5))):
+            write(obj, str(path))
+            tracemalloc.start()
+            try:
+                back = read(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.3 * values.nbytes, path.name
+            table = back if isinstance(back, np.ndarray) else back.values
+            assert np.array_equal(table, values)
+
+    @pytest.mark.parametrize("fmt, reader, header", [
+        ("jdist-v1", tbio.read_jdist, {"kind": "photon", "payload": "f64"}),
+        ("igrid-v1", tbio.read_igrid, {"payload": "f64", "s": -0.5,
+                                       "w_max_i": 3.0, "w_max_s": 2.0})],
+        ids=["jdist", "igrid"])
+    def test_huge_dims_are_refused_before_the_table_is_made(
+            self, tmp_path, fmt, reader, header):
+        # an 80 GB table declared over 32 bytes: the size check comes first
+        path = tmp_path / "huge"
+        path.write_bytes(container(fmt, {**header, "dims": [100000, 100000]},
+                                   bytes(32)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="does not hold"):
+                reader(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_jdist_with_the_old_tail_header_reads_the_same(self, tmp_path,
                                                             nominal):
         # jdist files once carried tail_mass and truncation_dirty; such a
@@ -309,7 +356,7 @@ class TestFormats:
         table = joint_twb(nominal[0].scaled(10))
         new, old = str(tmp_path / "new.jdist"), str(tmp_path / "old.jdist")
         tbio.write_jdist(table, new)
-        header, body = tbio._unpack("jdist-v1", open(new, "rb").read())
+        header, body = unpack(open(new, "rb").read())
         with open(old, "wb") as fh:
             fh.write(tbio._pack("jdist-v1", {
                 **header, "tail_mass": 0.0, "truncation_dirty": False}) + body)
@@ -412,7 +459,7 @@ class TestFormats:
     def test_igrid_payload_other_than_f64_is_data_error(self, tmp_path,
                                                         valid_containers):
         # no command reads an igrid, so this is the library's reader alone
-        header, body = tbio._unpack("igrid-v1", valid_containers["igrid"])
+        header, body = unpack(valid_containers["igrid"])
         path = tmp_path / "csv.igrid"
         path.write_bytes(container("igrid-v1", {**header, "payload": "csv"},
                                    body))
@@ -680,7 +727,8 @@ class TestCli:
         assert diag["deviance"] == pytest.approx(
             deviance(counts, t_s @ dist @ t_i.T), rel=1e-9)
 
-    def test_saturated_single_windows_fail_the_edge_check(self, tmp_path):
+    def test_saturated_single_windows_fail_the_edge_check(self, tmp_path,
+                                                          capsys):
         # the estimate follows the support that --n-max sets: its last
         # tenth holds far more than the support's tail
         *_, diag = self.reconstruct_chain(tmp_path, 100_000, 2, 1,
@@ -688,6 +736,16 @@ class TestCli:
         assert diag["edge_mass"] > 100 * SUPPORT_TAIL
         assert diag["edge_mass_limit"] == SUPPORT_TAIL
         assert diag["edge_mass_ok"] is False
+        # quasidist's series check sees that edge: a small shift passes at
+        # s = -0.5, and at s = 0.3 the edge's weight grows past its limit
+        dist, grid = str(tmp_path / "p.jdist"), str(tmp_path / "g.igrid")
+        assert self.run("quasidist", "--dist", dist, "--s", "-0.5",
+                        "--out", grid) == 0
+        diag = json.loads(open(grid + ".manifest.json").read())["diagnostics"]
+        assert 0 < diag["edge_sensitivity"] <= diag["edge_sensitivity_limit"]
+        assert self.run("quasidist", "--dist", dist, "--s", "0.3",
+                        "--out", grid) == 4
+        assert "support-edge sensitivity" in capsys.readouterr().err
 
     def test_identified_rung_passes_the_edge_check(self, tmp_path):
         # the sizes of the benchmark's recon-n100 workload, seed 1
@@ -990,6 +1048,8 @@ LIBRARY_ENTRY_POINTS = {
     "mean_signal": "the expected rates of perfbench/check.py",
     "to_s_ordered": "the library's ordering change, used by the acceptance "
                     "and quasidist tests and the README",
+    "joint_twb": "the public twin-beam model that the README and the "
+                 "acceptance tests read",
 }
 
 
@@ -1594,7 +1654,7 @@ def bad_input_files(tmp_path, nominal):
     Path(files["jdist_mass"]).write_bytes(
         jdist_bytes(np.array([[0.5, 0.1], [0.1, 0.1]])))
     blob = open(jdist, "rb").read()
-    header, body = tbio._unpack("jdist-v1", blob)
+    header, body = unpack(blob)
     del header["dims"]
     files["jdist_no_dims"] = str(tmp_path / "no_dims.jdist")
     with open(files["jdist_no_dims"], "wb") as fh:
@@ -1616,7 +1676,7 @@ def bad_input_files(tmp_path, nominal):
             ("hist_group_n_wide", "jhist-v1", files["hist_saturated"],
              {"group_n": 50}),
             ("hist_payload", "jhist-v1", hist, {"payload": "f64"})):
-        header, body = tbio._unpack(fmt, open(source, "rb").read())
+        header, body = unpack(open(source, "rb").read())
         files[key] = str(tmp_path / key)
         with open(files[key], "wb") as fh:
             fh.write(container(fmt, {**header, **change}, body))

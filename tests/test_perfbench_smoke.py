@@ -7,9 +7,12 @@ The benchmark's tracer, ``perfbench/traced_cli.py``, runs the smoke stream
 commands in a fresh interpreter and must count what they did; it must also
 run the smoke sweep commands, reading the detection cache after each, and
 the smoke reconstruct, counting the cells of its two detection matrices.
+Every public callable of a layer module must be a plain function, the kind
+the tracer wraps.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -116,3 +119,17 @@ def test_tracer_counts_the_smoke_reconstruct(tmp_path, monkeypatch):
     n_max = manifest["diagnostics"]["n_max"]
     assert counts["detection.matrix_cells"] == 2 * (spec["n"] + 1) * (n_max + 1)
     assert counts["detection.cache_entries"] == 2
+
+
+def test_tracer_wraps_every_public_layer_callable():
+    # the tracer wraps the plain functions of each layer module; a public
+    # callable of another kind (a cache wrapper, a partial) would run
+    # unseen.  Classes are records, not spans.  Importing the CLI loaded
+    # every layer module
+    unseen = [f"{layer}.{attr}" for layer in _load("traced_cli").LAYERS
+              for attr, obj in vars(sys.modules[f"twinbeam.{layer}"]).items()
+              if not attr.startswith("_") and callable(obj)
+              and not inspect.isclass(obj)
+              and getattr(obj, "__module__", None) == f"twinbeam.{layer}"
+              and not inspect.isfunction(obj)]
+    assert unseen == []
