@@ -187,7 +187,8 @@ def _cmd_reconstruct(args) -> None:
     spec_i = DetectorSpec(args.eta_i, args.dark_i, n)
     clicks = np.nonzero(hist.counts)
     c_max = int(max(clicks[0].max(), clicks[1].max()))
-    n_max = (default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
+    n_max = (max(default_n_max(spec, c_max, math.isqrt(MAX_TABLE_CELLS))
+                 for spec in (spec_s, spec_i))
              if args.n_max is None else args.n_max)
     _check_cells(n_max + 1, "joint photon support", "--n-max")
     t_s = detection_matrix(spec_s, n_max).entries

@@ -21,7 +21,6 @@ takes heralded photon statistics from the photon-number generating function.
 
 from __future__ import annotations
 
-import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -75,34 +74,22 @@ _cache_lock = threading.Lock()
 SUPPORT_TAIL = 1e-5
 
 
-def default_n_max(c_max: int, eta: float, pixels: int) -> int:
-    """Photon support for data of at most ``c_max`` clicks on ``pixels`` pixels.
+def default_n_max(spec: DetectorSpec, c_max: int, n_limit: int) -> int:
+    """Photon support for data of at most ``c_max`` clicks, up to ``n_limit``.
 
-    ``n`` photons leave at most ``c_max`` clicks with a chance that falls with
-    ``n``.  A Poisson number of mean ``n`` photons marks the pixels
-    independently and is at most ``n`` half the time or more, so the chance
-    is at most ``2 P(Binomial(pixels, 1 - exp(-eta n / pixels)) <= c_max)``.
-    The support ends below the first ``n`` at which this bound is
-    ``SUPPORT_TAIL``; dark counts only add clicks.  Saturated data
-    (``c_max >= pixels``) bound no support: the chance that every pixel
-    clicks grows with ``n``.
+    A photon only adds clicks, so the mass of column ``n`` on the rows
+    ``<= c_max`` falls with ``n``: the support ends below the first column
+    with at most ``SUPPORT_TAIL`` there (at 0 if dark counts alone leave more
+    clicks), or at ``n_limit``.  Saturated data (``c_max >= pixels``) bound
+    no support: the chance that every pixel clicks grows with ``n``.
     """
-    if c_max >= pixels:
-        raise DataError(f"{c_max} clicks on {pixels} pixels: saturated data "
-                        "bound no photon support; pass --n-max")
-    k = np.arange(c_max + 1)
-    # log C(pixels, k) from the ratios C(pixels, k+1) / C(pixels, k)
-    log_binom = np.cumsum(np.log(np.r_[1.0, (pixels - k[:-1]) / (k[:-1] + 1.0)]))
-    log_tail = math.log(SUPPORT_TAIL / 2)
-
-    def covered(n: int) -> bool:
-        rate = eta * n / pixels
-        return np.logaddexp.reduce(log_binom + k * np.log(-np.expm1(-rate))
-                                   - (pixels - k) * rate) <= log_tail
-
-    # covered() only turns true as n grows; the index of the first covered
-    # n in 1, 2, ... is that n minus one
-    return bisect.bisect_left(range(1, 1 << 62), True, key=covered)
+    if c_max >= spec.pixels:
+        raise DataError(f"{c_max} clicks on {spec.pixels} pixels: saturated "
+                        "data bound no photon support; pass --n-max")
+    for n, col in enumerate(_columns(spec, n_limit)):
+        if col[:c_max + 1].sum() <= SUPPORT_TAIL:
+            return max(n - 1, 0)
+    return n_limit
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:

@@ -13,7 +13,7 @@ the normalized relative error quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +102,8 @@ def optimal_postselection(counts: np.ndarray,
     mean = probs @ c_i
     # centred, so that a row of one value reads exactly 0
     var = ((c_i - mean[:, None]) ** 2 * probs).sum(axis=1)
-    best = _postselect(occupancy, mean, var, min_events)
-    return replace(best, p_success=best.p_success / occupancy.sum())
+    total = max(occupancy.sum(), 1)     # an empty table has no eligible row
+    return _postselect(occupancy / total, mean, var, min_events / total)
 
 
 class _Blocks:

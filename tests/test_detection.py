@@ -22,9 +22,9 @@ from oracles import (SupportViolationError, ZeroProbabilityConditionError,
                      two_stage_matrix, window_click_dist, window_forward_dist)
 from twinbeam import (DetectorSpec, TwbParams, detection, detection_matrix,
                       joint_twb)
-from twinbeam.cli import DEFAULT_GROUPS
-from twinbeam.detection import (COLUMN_SUM_TOL, SUPPORT_TAIL, _binomial_pmf,
-                                column_sum_error, default_n_max)
+from twinbeam.cli import DEFAULT_GROUPS, MAX_TABLE_CELLS
+from twinbeam.detection import (SUPPORT_TAIL, _binomial_pmf, column_sum_error,
+                                default_n_max)
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.moments import moments
 from twinbeam import models
@@ -138,7 +138,10 @@ class TestDetectionMatrix:
         assert entries.flags.c_contiguous
         np.testing.assert_allclose(entries, two_stage_matrix(spec, n_max),
                                    rtol=0, atol=1e-12)
-        assert np.abs(entries.sum(axis=0) - 1.0).max() <= COLUMN_SUM_TOL
+        # each photon step rounds each column sum by a fraction of an ulp:
+        # over 5,200 random specs of this range the worst was 0.31 of this
+        # bound (5.5 ulp at n_max 2, 57 ulp at n_max 230)
+        assert column_sum_error(entries) <= (n_max + 16) * np.finfo(float).eps
         assert entries.min() >= 0.0
 
     def test_entries_immutable_and_cached(self):
@@ -390,69 +393,109 @@ class TestCompoundClickMoments:
             models.compound_click_moments(*nominal, n, 2, k)
 
 
+def chain_column(spec, n):
+    """Column ``n`` of the occupancy chain: the dark-click binomial, then the
+    one-photon step raised to the power ``n``."""
+    N = spec.pixels
+    fresh = spec.eta * (N - np.arange(N + 1.0)) / N
+    step = np.diag(1.0 - fresh) + np.diag(fresh[:-1], -1)
+    c = np.arange(N + 1)
+    start = comb(N, c) * spec.dark ** c * (1 - spec.dark) ** (N - c)
+    return np.linalg.matrix_power(step, n) @ start
+
+
 class TestDefaultNMax:
+    #: the CLI's cap, the side of the largest table it may hold
+    LIMIT = math.isqrt(MAX_TABLE_CELLS)
+
     @pytest.mark.parametrize("pixels", [10, 100, 1000])
     @pytest.mark.parametrize("eta", [0.282, 0.33, 0.9])
     def test_photons_beyond_support_leave_more_clicks(self, pixels, eta):
-        # for every c < pixels, column n_max + 1 puts at most 1e-5 on the
-        # rows <= c; no dark counts, which only add clicks
-        first_out = {}
-        for c in range(pixels):
-            first_out.setdefault(default_n_max(c, eta, pixels) + 1, []).append(c)
+        # column n_max + 1 puts at most SUPPORT_TAIL on the rows <= c and
+        # column n_max more, for twelve click counts c from 0 to pixels - 1;
+        # a support capped at LIMIT leaves column LIMIT uncovered
+        spec = DetectorSpec(eta, 0.0, pixels)
+        cs = np.unique(np.linspace(0, pixels - 1, 12).astype(int))
+        supports = {int(c): default_n_max(spec, c, self.LIMIT) for c in cs}
+        checks = {}
+        for c, n_max in supports.items():
+            checks.setdefault(n_max, []).append((c, False))
+            if n_max < self.LIMIT:
+                checks.setdefault(n_max + 1, []).append((c, True))
         # occupancy law of the clicks, one photon at a time: a photon
         # marks a fresh pixel with probability eta (pixels - j) / pixels
         fresh = eta * (pixels - np.arange(pixels + 1)) / pixels
         column = np.zeros(pixels + 1)
         column[0] = 1.0
-        worst = 0.0
-        for n in range(1, max(first_out) + 1):
-            marked = column[:-1] * fresh[:-1]
-            column *= 1 - fresh
-            column[1:] += marked
-            for c in first_out.get(n, ()):
-                worst = max(worst, column[:c + 1].sum())
-        assert worst <= 1e-5
+        for n in range(max(checks) + 1):
+            if n:
+                marked = column[:-1] * fresh[:-1]
+                column *= 1 - fresh
+                column[1:] += marked
+            for c, covered in checks.get(n, ()):
+                assert (column[:c + 1].sum() <= SUPPORT_TAIL) == covered, (c, n)
         if pixels <= 100:      # the same column as the matrix EM iterates on
-            n = max(first_out)
+            n = max(checks)
             np.testing.assert_allclose(
-                column, detection_matrix(DetectorSpec(eta, 0.0, pixels),
-                                         n).entries[:, n], atol=1e-13)
+                column, detection_matrix(spec, n).entries[:, n], atol=1e-13)
 
-    def test_support_close_to_the_exact_one(self):
-        # the Poisson bound sits above the exact chance, but the support
-        # is at most 15 % wider than the one the exact chance asks for
-        c, eta, pixels = 14, 0.282, 100
-        n_max = default_n_max(c, eta, pixels)
-        t = detection_matrix(DetectorSpec(eta, 0.0, pixels), n_max + 1)
-        tails = t.entries[:c + 1].sum(axis=0)
-        exact = int(np.argmax(tails <= SUPPORT_TAIL)) - 1
-        assert exact <= n_max <= 1.15 * exact
+    def test_support_stops_at_the_limit(self):
+        # the walk ends at n_limit: below the support it returns n_limit,
+        # at or above it the support itself
+        spec = DetectorSpec(0.282, 2.8e-3, 100)
+        n_max = default_n_max(spec, 14, self.LIMIT)
+        assert 0 < n_max < self.LIMIT
+        assert default_n_max(spec, 14, n_max - 1) == n_max - 1
+        assert default_n_max(spec, 14, n_max) == n_max
+        assert default_n_max(spec, 14, n_max + 1) == n_max
+        assert default_n_max(spec, 14, 0) == 0
 
     @settings(max_examples=100, deadline=None, database=None)
-    @given(eta=st.floats(0.01, 1.0), pixels=st.integers(1, 200),
-           data=st.data())
-    def test_tail_property_for_random_detectors(self, eta, pixels, data):
-        # column n_max + 1 of the occupancy chain (no dark counts, which
-        # only add clicks) puts at most SUPPORT_TAIL on the rows <= c_max;
-        # the column is the one-photon step raised to the power n_max + 1
+    @given(eta=st.floats(0.01, 1.0), dark=st.floats(0.0, 0.5),
+           pixels=st.integers(1, 200), data=st.data())
+    def test_tail_property_for_random_detectors(self, eta, dark, pixels,
+                                                data):
+        # column n_max + 1 of the chain puts at most SUPPORT_TAIL on the
+        # rows <= c_max, and column n_max more unless the support is {0};
+        # a support capped at n_limit leaves column n_limit uncovered.
+        # The two chains round differently, hence the 1e-12 relative slack
+        spec = DetectorSpec(eta, dark, pixels)
         c_max = data.draw(st.integers(0, pixels - 1), label="c_max")
-        n_max = default_n_max(c_max, eta, pixels)
-        fresh = eta * (pixels - np.arange(pixels + 1.0)) / pixels
-        step = np.diag(1.0 - fresh) + np.diag(fresh[:-1], -1)
-        column = np.linalg.matrix_power(step, n_max + 1)[:, 0]
-        assert column[:c_max + 1].sum() <= SUPPORT_TAIL
+        n_limit = 2000
+        n_max = default_n_max(spec, c_max, n_limit)
+        assert 0 <= n_max <= n_limit
+        low, high = SUPPORT_TAIL * (1 - 1e-12), SUPPORT_TAIL * (1 + 1e-12)
+        mass = chain_column(spec, n_max)[:c_max + 1].sum()
+        if n_max == n_limit:
+            assert mass > low
+            return
+        assert chain_column(spec, n_max + 1)[:c_max + 1].sum() <= high
+        assert mass > low or n_max == 0
+
+    def test_dark_counts_alone_past_the_clicks_leave_no_photons(self):
+        # 1000 pixels with dark 0.1 click about 100 times with no photon:
+        # 50 clicks or fewer are already beyond SUPPORT_TAIL at n = 0
+        spec = DetectorSpec(0.282, 0.1, 1000)
+        assert chain_column(spec, 0)[:51].sum() <= SUPPORT_TAIL
+        assert default_n_max(spec, 50, self.LIMIT) == 0
 
     @pytest.mark.parametrize("pixels", [1, 10, 100])
     def test_saturated_data_ask_for_a_support(self, pixels):
         # an all-clicked group is ever likelier as n grows: nothing bounds it
         for c_max in (pixels, pixels + 1):
             with pytest.raises(DataError, match="--n-max"):
-                default_n_max(c_max, 0.282, pixels)
+                default_n_max(DetectorSpec(0.282, 0.0, pixels), c_max,
+                              self.LIMIT)
 
     def test_support_grows_with_clicks_and_shrinks_with_efficiency(self):
-        sizes = [default_n_max(c, 0.282, 100) for c in range(100)]
+        spec = DetectorSpec(0.282, 0.0, 100)
+        sizes = [default_n_max(spec, c, self.LIMIT) for c in range(100)]
         assert sizes == sorted(sizes)
-        assert default_n_max(14, 0.9, 100) < default_n_max(14, 0.282, 100)
+        assert default_n_max(DetectorSpec(0.9, 0.0, 100), 14, self.LIMIT) < \
+            default_n_max(spec, 14, self.LIMIT)
+        # dark counts add clicks, so they too shrink the support
+        assert default_n_max(DetectorSpec(0.282, 0.05, 100), 14, self.LIMIT) \
+            < default_n_max(spec, 14, self.LIMIT)
 
 
 class TestConditional:

@@ -27,7 +27,7 @@ from oracles import (codes_of, compound_click_moments_by_table,
                      window_click_dist)
 from twinbeam import core, detection, models, simulate
 from twinbeam import io as tbio
-from twinbeam.cli import build_parser, main
+from twinbeam.cli import MAX_TABLE_CELLS, build_parser, main
 from twinbeam.detection import SUPPORT_TAIL
 from twinbeam.errors import DataError, UsageError
 from twinbeam.metrology import effective_efficiency
@@ -608,7 +608,10 @@ class TestCli:
                                                           nominal)
         rows, cols = np.nonzero(hist.counts)
         c_max = int(max(rows.max(), cols.max()))
-        n_max = detection.default_n_max(c_max, 0.282, 1000)
+        n_max = max(detection.default_n_max(
+            detection.DetectorSpec(eta, dark, 1000), c_max,
+            math.isqrt(MAX_TABLE_CELLS))
+            for eta, dark in ((0.282, 2.8e-3), (0.330, 3.8e-3)))
         # the solve is certified: no table is more likely by the tolerance
         bound = diag.pop("lindsay_bound")
         assert 0 <= bound < CERTIFICATE
@@ -684,6 +687,23 @@ class TestCli:
         assert manifest["parameters"]["n_max"] == 0
         assert diag["n_max"] == 0
         assert dist.shape == (1, 1)
+
+    def test_default_support_past_any_table_asks_for_n_max(self, tmp_path,
+                                                            capsys):
+        # 999 of 1000 clicks at efficiency 0.01 leave a support near 10^6
+        # photons: the walk stops at the largest table side, which is refused
+        counts = np.zeros((1001, 1001), np.int64)
+        counts[999, 999] = 1
+        hist = str(tmp_path / "h.jhist")
+        tbio.write_jhist(JointHistogram(counts, "disjoint"), hist)
+        start = time.perf_counter()
+        assert self.run("reconstruct", "--hist", hist, "--eta-s", "0.01",
+                        "--eta-i", "0.01", "--out",
+                        str(tmp_path / "p.jdist")) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "joint photon support 7072^2" in err and "--n-max" in err
+        assert not (tmp_path / "p.jdist").exists()
 
     def reconstruct_chain(self, tmp_path, windows, seed, n, *extra):
         """Simulate without drift, group disjoint by ``n`` and reconstruct

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,9 +155,17 @@ class TestPostselection:
             counts[best.c_s_opt].sum() / 900)
 
     def test_min_events_floor(self):
+        # the floor is a share of the groups: 1000 of 100 is 10
         counts = np.array([[50, 0], [0, 50]])
-        with pytest.raises(DataError, match="eligibility floor 1000"):
+        with pytest.raises(DataError, match="eligibility floor 10$"):
             optimal_postselection(counts, min_events=1000)
+
+    def test_empty_table_refused_without_a_warning(self):
+        # no groups, so no eligible row, and nothing is divided by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="eligibility floor 100$"):
+                optimal_postselection(np.zeros((3, 3), np.int64))
 
     def test_nominal_single_window_optimum(self, stream_1m, nominal):
         h = group_histogram(stream_1m, 1, "disjoint")

@@ -206,9 +206,11 @@ class TestSOrdering:
     @settings(max_examples=60, deadline=None, database=None)
     @given(weights=weight_tables, order=st.integers(1, 5),
            s=st.floats(-1.0, 1.0))
-    def test_polynomial_matches_matrix_product(self, weights, order, s):
-        # exact factorial moments are nonnegative, so every term of an
-        # s-ordered moment is too and both routes agree to a few ulps
+    def test_matches_the_matrix_oracle(self, weights, order, s):
+        # to_s_ordered's batched A m A^T against the oracle's table of exact
+        # integer weights, one ordering at a time: exact factorial moments
+        # are nonnegative, so every term of an s-ordered moment is too and
+        # the two agree to a few ulps
         exact = to_intensity_moments(
             exact_moment_table(fractions(weights / weights.sum()), order))
         w = exact.astype(float)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,14 @@ from oracles import (EmConfig, EmptyConditionError, MarginalDist,
                      compound_click_dist, compound_photon_dist,
                      conditional_histogram, conditional_photon_dist,
                      em_conditional, em_joint, marginal, normalized)
+from twinbeam.cli import MAX_TABLE_CELLS
 from twinbeam.detection import default_n_max
 from twinbeam.errors import DataError, NumericError, UsageError
 from twinbeam.reconstruct import CERTIFICATE, MAX_CELLS
+
+
+#: the CLI's cap on a default support, the side of the largest table
+N_LIMIT = math.isqrt(MAX_TABLE_CELLS)
 
 
 def matrix(spec, n_max):
@@ -197,9 +204,11 @@ class TestClosure:
         rows, cols = np.nonzero(table)
         assert rows.size == {10: 61, 100: 340}[n]
         c_max = int(max(rows.max(), cols.max()))
-        n_max = default_n_max(c_max, min(spec_s.eta, spec_i.eta), n)
-        t_s, t_i = (matrix(DetectorSpec(spec.eta, spec.dark, n), n_max)
-                    for spec in (spec_s, spec_i))
+        specs = [DetectorSpec(spec.eta, spec.dark, n)
+                 for spec in (spec_s, spec_i)]
+        n_max = max(default_n_max(spec, c_max, N_LIMIT)
+                    for spec in specs)
+        t_s, t_i = (matrix(spec, n_max) for spec in specs)
         est, res = ml_joint(table, t_s, t_i)
         assert res.converged and res.lindsay_bound < CERTIFICATE
         w = moments(est, 5)
@@ -292,15 +301,15 @@ class TestEmJoint:
         n = 20
         h = group_histogram(stream_1m, n, "disjoint")
         rows, cols = np.nonzero(h.counts)
-        eta = min(spec_s.eta, spec_i.eta)
-        small = default_n_max(max(rows.max(), cols.max()), eta, n)
-        wide = int(np.ceil(3 * (n + 5) / eta))
+        specs = [DetectorSpec(spec.eta, spec.dark, n)
+                 for spec in (spec_s, spec_i)]
+        small = max(default_n_max(spec, max(rows.max(), cols.max()), N_LIMIT)
+                    for spec in specs)
+        wide = int(np.ceil(3 * (n + 5) / min(spec_s.eta, spec_i.eta)))
 
         def run(n_max):
-            est, _ = em_joint(
-                h.counts, matrix(DetectorSpec(spec_s.eta, spec_s.dark, n), n_max),
-                matrix(DetectorSpec(spec_i.eta, spec_i.dark, n), n_max),
-                EmConfig(max_iters=300))
+            est, _ = em_joint(h.counts, *(matrix(spec, n_max) for spec in specs),
+                              EmConfig(max_iters=300))
             return est
 
         k = small + 1
