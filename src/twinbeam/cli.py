@@ -140,13 +140,15 @@ def _cmd_simulate(args) -> None:
     tbio.write_clicks(ClickStream(len(stream), counted, stream.meta), args.out)
     chunks, workers = _schedule(args.windows)
     # realised click rates per window, next to the model's over the drift;
-    # two windows of one block share its pump factor, so the n = 2 moments
-    # give each window probability's second moment E[p^2] over the drift
+    # the n = 2 moments give E[p^2] over the drift, the moment of each
+    # ordered pair of windows in one block, which share its pump factor
     model = models.compound_click_moments(params, spec_s, spec_i, 1, 1, pump.k)
     pair = models.compound_click_moments(params, spec_s, spec_i, 2, 2, pump.k)
     mean = np.array([model[1, 0], model[0, 1], model[1, 1]])
     second = np.array([pair[2, 0] / 2, pair[0, 2] / 2, pair[2, 2] / 4])
-    var = mean * (1 - mean) + (pump.block_len - 1) * (second - mean ** 2)
+    full, rest = divmod(args.windows, pump.block_len)
+    pairs = full * pump.block_len * (pump.block_len - 1) + rest * (rest - 1)
+    var = mean * (1 - mean) + pairs / args.windows * (second - mean ** 2)
     rates = clicks / args.windows
     # null where the model leaves no spread: a rate that is surely 0 or 1
     z = [(r - m) / math.sqrt(v / args.windows) if v > 0 else None
@@ -277,10 +279,9 @@ def _sweep_row(metric: str, n: int, params, spec_s, spec_i, k: float) -> dict:
         row["eta_eff_s"] = effective_efficiency(table, "s")
         row["eta_eff_i"] = effective_efficiency(table, "i")
     elif metric == "postselect":
-        best = _postselect(
-            *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)
-        mean, var = models.heralded_photon_stats(params, spec_s,
-                                                 best.c_s_opt, n)
+        stats = models.postselection_stats(params, spec_s, spec_i, n)
+        best = _postselect(*stats[:3], 1e-3)
+        mean, var = (col[best.c_s_opt] for col in stats[3:])
         row.update(c_s_opt=best.c_s_opt, fano_click=best.fano_min,
                    mean_click=best.mean_conditional, p_success=best.p_success,
                    mean_photon=mean, fano_photon=var / mean)

@@ -9,11 +9,11 @@ yields the four click chances of a window's two on/off detectors in closed
 form (:func:`window_click_law`, the one place they are computed).  ``n``
 grouped windows have the click PGF ``(w00 + w10 x + w01 y + w11 x y)^n``: its
 expansion around ``x = y = 1`` gives every grouped-click moment in closed form
-(:func:`compound_click_moments`, pump drift included), and setting ``x`` to
-the signal outcome of each window gives the idler clicks heralded by ``c_s``
-signal clicks as two independent binomials (:func:`postselection_stats`).
-At a fixed signal outcome, the ``y``-derivatives of ``G`` give the heralded
-idler photon mean and variance (:func:`heralded_photon_stats`).  The genuine
+(:func:`compound_click_moments`, pump drift included).  ``c_s`` signal
+clicks herald ``c_s`` windows with a signal click and ``n - c_s`` without
+one: their cells give the idler clicks as two independent binomials, and
+the ``y``-derivatives of ``G`` at each signal outcome the idler photons
+(:func:`postselection_stats`, every ``c_s`` at once).  The genuine
 beam's click moments come from each arm's factorial click moments per photon
 number, a recurrence in ``order + 1`` numbers (:func:`genuine_click_moments`).
 No quantity needs a whole click table, a detection matrix or a convolution
@@ -23,7 +23,6 @@ power of photon tables.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 
 import numpy as np
@@ -31,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import LOG_P0_MIN, TwbParams, _mr_law
 from .detection import DetectorSpec, _binomial_pmf, click_factorials
-from .errors import NumericError, UsageError, check_size
+from .errors import NumericError, check_size
 from .simulate import PumpCorrelation
 
 #: Bundled demo parameter set: a weak beam of ten thermal modes per
@@ -161,45 +160,24 @@ def compound_click_moments(params: TwbParams, spec_s: DetectorSpec,
 
 
 def postselection_stats(params: TwbParams, spec_s: DetectorSpec,
-                        spec_i: DetectorSpec, n: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Occupancy, idler mean and idler variance of ``c_s = 0..n`` signal clicks.
+                        spec_i: DetectorSpec, n: int) -> tuple:
+    """Occupancy, idler click mean and variance, and idler photon mean and
+    variance of ``c_s = 0..n`` signal clicks.
 
-    Windows are independent, so ``c_s`` is ``Binomial(n, p_s)`` and the idler
-    count given ``c_s`` is ``Binomial(c_s, q1) + Binomial(n - c_s, q0)``, with
-    ``q1 = w11 / p_s`` and ``q0 = w01 / (w00 + w01)`` the idler click
-    chances of a window with and without a signal click: they and their
-    complements ``w10 / p_s`` and ``w00 / (w00 + w01)`` are ratios of the
-    window's cells, none a difference of numbers near 1.  More than 2^53
-    windows, a count no double holds, are a :class:`NumericError`.
+    Windows are independent, so ``c_s`` is ``Binomial(n, p_s)`` and row
+    ``c_s`` adds ``c_s`` windows with a signal click to ``n - c_s`` without
+    one.  Their idler clicks with chance ``q1 = w11 / p_s`` and ``q0 = w01 /
+    (w00 + w01)``, complements ``w10 / p_s`` and ``w00 / (w00 + w01)``, and
+    their idler photons have the PGFs ``H1(y) = G(1, y) - H0(y)`` and
+    ``H0(y) = (1 - dark_s) G(1 - eta_s, y)``: ratios of cells and sums of
+    positive terms, none a difference of numbers near 1.  An outcome of
+    chance 0 adds zeros; it meets only rows of zero occupancy.  More than
+    2^53 windows, a count no double holds, are a :class:`NumericError`.
     """
     check_size(n, "group size")
     if n > 2 ** 53:
         raise NumericError(f"group size {n} > 2**53 leaves exact doubles")
     w00, w10, w01, w11 = window_click_law(params, spec_s, spec_i)
-    p_s, no_s = w10 + w11, w00 + w01
-    # a q of an impossible window outcome only meets rows of zero occupancy
-    q1, not_q1 = (w11 / p_s, w10 / p_s) if p_s > 0 else (0.0, 1.0)
-    q0, not_q0 = (w01 / no_s, w00 / no_s) if no_s > 0 else (0.0, 1.0)
-    c = np.arange(n + 1)
-    mean = c * q1 + (n - c) * q0
-    var = c * q1 * not_q1 + (n - c) * q0 * not_q0
-    return _binomial_pmf(n, p_s), mean, var
-
-
-def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
-                          n: int) -> tuple[float, float]:
-    """Idler photon mean and variance after ``c_s`` signal clicks in ``n`` windows.
-
-    A window's idler photons have the PGF ``H0(y) = (1 - dark_s) G(1 - eta_s,
-    y)`` without a signal click and ``H1(y) = G(1, y) - H0(y)`` with one.
-    Windows are independent: ``c_s`` windows add the mean and variance of
-    ``H1 / H1(1)``, the other ``n - c_s`` those of ``H0 / H0(1)``.  ``H1``
-    and its derivatives are sums of positive terms: no difference near 1.
-    """
-    check_size(n, "group size")
-    if not (isinstance(c_s, numbers.Integral) and 0 <= c_s <= n):
-        raise UsageError(f"need an integer 0 <= c_s <= {n}, got {c_s!r}")
     x = 1.0 - spec_s.eta
 
     def log_derivs(x: float) -> tuple[float, float, float]:
@@ -221,10 +199,20 @@ def heralded_photon_stats(params: TwbParams, spec_s: DetectorSpec, c_s: int,
         / (1.0 + params.b_p * (1.0 - x))
     h1 = p_s * np.array([1.0, l1, l2 + l1 * l1]) \
         + no_s * dl1 * np.array([0.0, 1.0, u1 + ux + l1 + l1x])
-    mean = var = 0.0
-    for count, (h, d1, d2) in ((c_s, h1), (n - c_s, h0)):
-        if count:                   # else h may be 0: no 0 * nan
-            m = d1 / h
-            mean += count * m
-            var += count * (d2 / h + m - m * m)
-    return mean, var
+
+    def split(hit: float, miss: float, h: np.ndarray) -> tuple:
+        # one window kind's idler click chance and complement, and photon
+        # mean and variance; a kind of chance 0 gives zeros, not 0 * nan
+        q, not_q = (hit / (hit + miss), miss / (hit + miss)) \
+            if hit + miss > 0 else (0.0, 1.0)
+        if not h[0] > 0:
+            return q, not_q, 0.0, 0.0
+        m = h[1] / h[0]
+        return q, not_q, m, h[2] / h[0] + m - m * m
+
+    (q1, not_q1, m1, v1), (q0, not_q0, m0, v0) = \
+        split(w11, w10, h1), split(w01, w00, h0)
+    c = np.arange(n + 1)
+    return (_binomial_pmf(n, w10 + w11), c * q1 + (n - c) * q0,
+            c * q1 * not_q1 + (n - c) * q0 * not_q0,
+            c * m1 + (n - c) * m0, c * v1 + (n - c) * v0)

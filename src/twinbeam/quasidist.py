@@ -88,12 +88,13 @@ def quasi_distribution(table: np.ndarray, s: float, w_max: float | None = None,
     ``table[n_s, n_i]`` holds the joint photon-number probabilities.  Both
     axes run to ``w_max``; without it, each axis reaches ten standard
     deviations beyond its marginal mean.  A check recomputes the grid from a
-    reduced photon support, keeping the relative shift as
-    ``edge_sensitivity`` (None once read from a file); disagreement flags an
-    under-truncated input or a too-singular ordering.  A grid that holds less
-    than half of the table's mass, as near ``s = 1`` where the damping
-    underflows on every cell, or more than twice it, as a coarse grid on a
-    peaked high-``s`` series, raises; an all-zero table gives a zero grid.
+    reduced photon support, keeping the relative shift as ``edge_sensitivity``
+    (None once read from a file): it flags a series that grows at the
+    support's edge, as at a too-singular ordering, and the dropped mass
+    excuses the shift it causes.  A grid that holds less than half of the
+    table's mass, as near ``s = 1`` where the damping underflows on every
+    cell, or more than twice it, as a coarse grid on a peaked high-``s``
+    series, raises; an all-zero table gives a zero grid.
     """
     if not (s < 1 and np.isfinite(s * s)):      # NaN fails s < 1
         raise UsageError("ordering parameter must satisfy s < 1, "

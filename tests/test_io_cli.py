@@ -1,6 +1,7 @@
 import argparse
 import ast
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -902,26 +903,32 @@ class TestCli:
 
     @pytest.mark.parametrize("k", [0.0, 0.000965])
     def test_simulate_rate_z_scores(self, tmp_path, nominal, k):
-        # the per-window variance m (1 - m) + (block_len - 1) between, for
-        # the default blocks of 10 000 windows, with the drift's between-
-        # window term taken by perfbench/check.py's quadrature of the window
+        # the rate's variance (W m (1 - m) + pairs between) / W^2 over W
+        # windows, pairs the ordered window pairs that share one of the
+        # default blocks of 10 000 (fewer than W 9 999 when a block is
+        # short), with the drift's between-window term
+        # taken by perfbench/check.py's quadrature of the window
         # probabilities over the pump factor, not by the n = 2 moments
         x, w = gauss_hermite()
         probs = np.array(models.window_click_probs(
             *nominal, np.maximum(0.0, 1.0 + np.sqrt(k) * x)))
         mean = probs @ w
-        var = mean * (1 - mean) + 9_999 * (probs ** 2 @ w - mean ** 2)
+        between = probs ** 2 @ w - mean ** 2
         out = str(tmp_path / "s.clicks")
-        for seed in (1, 2, 3):
-            assert self.run("simulate", "--windows", "300000", "--seed",
+        for windows, seed in itertools.product((1_000, 25_000, 300_000),
+                                               (1, 2, 3)):
+            full, rest = divmod(windows, 10_000)
+            pairs = full * 10_000 * 9_999 + rest * (rest - 1)
+            var = (windows * mean * (1 - mean) + pairs * between) / windows ** 2
+            assert self.run("simulate", "--windows", str(windows), "--seed",
                             str(seed), "--k-pump", str(k), "--out", out) == 0
             diag = json.loads(open(out + ".manifest.json").read())[
                 "diagnostics"]
             names = ("signal", "idler", "coincidence")
             rates = np.array([diag["rates"][name] for name in names])
             z = np.array([diag["rate_z"][name] for name in names])
-            assert z == pytest.approx((rates - mean) / np.sqrt(var / 300_000),
-                                      rel=1e-6, abs=1e-9)
+            assert z == pytest.approx((rates - mean) / np.sqrt(var),
+                                      rel=1e-6, abs=1e-9), windows
             assert np.all(np.abs(z) < 5)
 
     def test_simulate_rate_z_is_null_without_spread(self, tmp_path):
@@ -1833,8 +1840,6 @@ TOO_SMALL = {
         *nominal, 0), UsageError, "group size must be >= 1"),
     "postselection-n--1": (lambda nominal: models.postselection_stats(
         *nominal, -1), UsageError, "group size must be >= 1"),
-    "heralded-n-0": (lambda nominal: models.heralded_photon_stats(
-        nominal[0], nominal[1], 0, 0), UsageError, "group size must be >= 1"),
     "metrology-n-2.5": (lambda nominal: precision_improvement(
         stream_of(_STREAM), 2.5, 10), UsageError,
         "group size must be an integer, got 2.5"),
@@ -1849,12 +1854,6 @@ TOO_SMALL = {
         "group size must be an integer, got 2.5"),
     "pixels-2.5": (lambda nominal: detection.DetectorSpec(0.5, 0.0, 2.5),
                    UsageError, "pixels must be an integer, got 2.5"),
-    "heralded-c_s-2.5": (lambda nominal: models.heralded_photon_stats(
-        nominal[0], nominal[1], 2.5, 5), UsageError,
-        "need an integer 0 <= c_s <= 5, got 2.5"),
-    "heralded-c_s-6": (lambda nominal: models.heralded_photon_stats(
-        nominal[0], nominal[1], 6, 5), UsageError,
-        "need an integer 0 <= c_s <= 5, got 6"),
     "block-len-2.5": (lambda nominal: PumpCorrelation(1e-4, 2.5), UsageError,
                       "block_len must be an integer, got 2.5"),
     "block-len-0": (lambda nominal: PumpCorrelation(1e-4, 0), UsageError,

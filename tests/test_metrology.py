@@ -207,7 +207,7 @@ class TestWindowClickLaw:
         # w01 far below every other cell.  Below the smallest normal double
         # no float has relative precision to hold to the bound
         w00, w10, w01, w11 = exact = extended_window_cells(*window)
-        _, mean, _ = models.postselection_stats(*window, 1)
+        _, mean, *_ = models.postselection_stats(*window, 1)
         np.testing.assert_allclose(
             [*models.window_click_law(*window),
              *models.window_click_probs(*window), mean[1], mean[0]],
@@ -248,7 +248,7 @@ class TestClosedFormPostselection:
         params = TwbParams(*m, b_p, *b_noise)
         spec_s, spec_i = (DetectorSpec(e, d, 1) for e, d in zip(eta, dark))
         closed = _postselect(
-            *models.postselection_stats(params, spec_s, spec_i, n), 1e-3)
+            *models.postselection_stats(params, spec_s, spec_i, n)[:3], 1e-3)
         table = table_postselection(params, spec_s, spec_i, n)
         assert closed.c_s_opt == table.c_s_opt
         for field in ("fano_min", "mean_conditional", "p_success"):
@@ -262,7 +262,8 @@ class TestClosedFormPostselection:
         params = TwbParams(47.3, 4.4, 8.2, 0.5, 0, 0)
         spec_s, spec_i = DetectorSpec(0.05, 0.035, 1), DetectorSpec(0.95, 0.05, 1)
         n = 14
-        _, mean, var = models.postselection_stats(params, spec_s, spec_i, n)
+        _, mean, var, *_ = models.postselection_stats(params, spec_s, spec_i,
+                                                      n)
         with mp.workprec(200):
             m_p, m_s, m_i, b_p, b_s, b_i = map(mp.mpf, (
                 params.m_p, params.m_s, params.m_i,
@@ -289,27 +290,37 @@ class TestClosedFormPostselection:
     @given(m=st.tuples(*[st.floats(0.5, 20.0)] * 3),
            b_p=st.floats(1e-3, 0.05),
            b_noise=st.tuples(*[st.floats(0.0, 0.01)] * 2),
-           eta_s=st.floats(0.05, 0.95), dark_s=st.floats(0.0, 0.05),
+           eta=st.tuples(*[st.floats(0.05, 0.95)] * 2),
+           dark=st.tuples(*[st.floats(0.0, 0.05)] * 2),
            n=st.integers(1, 60))
     def test_heralded_photons_match_the_convolution_powers(
-            self, m, b_p, b_noise, eta_s, dark_s, n):
+            self, m, b_p, b_noise, eta, dark, n):
+        # every row of the photon columns; the idler detector, which sees
+        # no photon, leaves them as they are
         params = TwbParams(*m, b_p, *b_noise)
-        spec_s = DetectorSpec(eta_s, dark_s, 1)
+        spec_s, spec_i = (DetectorSpec(e, d, 1) for e, d in zip(eta, dark))
+        *_, mean, var = models.postselection_stats(params, spec_s, spec_i, n)
         joint = joint_twb(params)
         for c_s in range(n + 1):
             cond = conditional_photon_dist(joint, spec_s, c_s, n)
-            mean, var = models.heralded_photon_stats(params, spec_s, c_s, n)
-            assert mean == pytest.approx(cond.mean(), rel=1e-9, abs=0.0)
-            assert var / mean == pytest.approx(cond.fano(), rel=1e-9, abs=0.0)
+            assert mean[c_s] == pytest.approx(cond.mean(), rel=1e-9, abs=0.0)
+            assert var[c_s] / mean[c_s] == pytest.approx(cond.fano(),
+                                                         rel=1e-9, abs=0.0)
+        for spec in (models.NOMINAL_IDLER, DetectorSpec(1.0, 0.0, 1)):
+            np.testing.assert_array_equal(
+                models.postselection_stats(params, spec_s, spec, n)[3:],
+                (mean, var))
 
     def test_heralded_photons_exact_at_a_rare_signal_click(self):
         # p_s = 2.5e-5: forming H1 as G(1, y) - H0 would lose eps / p_s
         params = TwbParams(0.5, 1.01, 3.23, 1e-3, 0, 0.0044)
         spec_s = DetectorSpec(0.05, 0.0, 1)
         cond = conditional_photon_dist(joint_twb(params), spec_s, 48, 48)
-        mean, var = models.heralded_photon_stats(params, spec_s, 48, 48)
-        assert mean == pytest.approx(cond.mean(), rel=1e-13, abs=0.0)
-        assert var / mean == pytest.approx(cond.fano(), rel=1e-13, abs=0.0)
+        *_, mean, var = models.postselection_stats(
+            params, spec_s, models.NOMINAL_IDLER, 48)
+        assert mean[48] == pytest.approx(cond.mean(), rel=1e-13, abs=0.0)
+        assert var[48] / mean[48] == pytest.approx(cond.fano(), rel=1e-13,
+                                                   abs=0.0)
 
     def sweep(self, tmp_path, capsys, **values):
         path = tmp_path / "params.json"
@@ -329,6 +340,17 @@ class TestClosedFormPostselection:
         assert not np.isnan(rows).any()
         params = TwbParams(10, 10, 10, 0.0, 0.0, 0.01)
         spec_s = DetectorSpec(models.NOMINAL_SIGNAL.eta, 0.0, 1)
+        # H1 = 0 as well: the rows of a signal click read zeros from that
+        # kind of window, with no 0 / 0 along the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = models.postselection_stats(params, spec_s,
+                                               models.NOMINAL_IDLER, 10)
+        assert np.isfinite(stats).all()
+        assert stats[0][0] == 1.0 and not stats[0][1:].any()
+        # ten windows of ten thermal idler modes of mean 0.01 each
+        assert stats[3][0] == pytest.approx(10 * 10 * 0.01, rel=1e-12)
+        assert stats[4][0] == pytest.approx(10 * 10 * 0.01 * 1.01, rel=1e-12)
         for row in rows:
             table = table_postselection(params, spec_s, models.NOMINAL_IDLER,
                                         int(row[0]))

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from oracles import _basis_mp, compound_photon_dist, grid_centers, grid_moments
@@ -154,6 +156,32 @@ class TestQuasiDistribution:
         with pytest.raises(NumericError,
                            match="support-edge sensitivity 6.65e-02"):
             quasi_distribution(bright, 0.9)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(m=st.tuples(*[st.floats(0.5, 20.0)] * 3),
+           b_p=st.floats(1e-3, 0.1),
+           b_noise=st.tuples(*[st.floats(0.0, 0.01)] * 2),
+           s=st.floats(-1.0, 0.0), share=st.floats(1e-6, 0.1))
+    def test_edge_check_flags_a_series_that_grows_at_the_edge(
+            self, m, b_p, b_noise, s, share):
+        # a weak beam on its own support passes at s <= 0, and so does it
+        # with mass moved onto the last signal row: the dropped mass excuses
+        # the shift it causes (a truncated input is reconstruct's edge_mass
+        # check).  At s = 0.3 the series grows at the edge: the beam passes,
+        # and 1e-6 of its mass moved onto that row trips the check
+        table = joint_twb(TwbParams(*m, b_p, *b_noise))
+
+        def onto_last_row(part):
+            moved = table * (1.0 - part)
+            moved[-1] += part * table.sum() / table.shape[1]
+            return moved
+
+        for t in (table, onto_last_row(share)):
+            g = quasi_distribution(t, s)
+            assert g.edge_sensitivity <= g.edge_limit
+        quasi_distribution(table, 0.3)
+        with pytest.raises(NumericError, match="support-edge sensitivity"):
+            quasi_distribution(onto_last_row(1e-6), 0.3)
 
     def test_high_intensity_grid_needs_no_mpmath(self):
         # hundreds of photon pairs: the damping falls to about exp(-660)
